@@ -19,18 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import (
-    apply_ixp_labels,
-    apply_sibling_labels,
-    balance_and_split,
-    load_ixp_list,
-    load_label_source,
-    load_org_map,
-    vote_intersection,
-)
+from .dataset import balance_and_split
 from .evaluate import (
     accuracy,
-    confusion_matrix,
     feature_importance,
     format_confusion,
     metrics,
@@ -40,6 +31,7 @@ from .gcn import (
     BINARY_DEFAULTS,
     MULTI_DEFAULTS,
     TrainConfig,
+    TrainingDivergedError,
     load_checkpoint,
     save_checkpoint,
     write_history_csv,
@@ -49,17 +41,20 @@ from .pipeline import (
     DataFiles,
     adjacency_for,
     build_bundle,
-    degree_gap_baseline,
     importance_runner,
-    majority_baseline,
-    make_dataset,
+    prepare,
     prepare_labels,
-    restrict_to_graph,
+    run_experiment,
     run_training,
+    score_splits,
 )
 from .gcn import predict as gcn_predict
 from .synth import SynthConfig, export, generate, is_valley_free, simulate_paths
-from .topology import build_graph, write_features_csv
+from .topology import write_features_csv
+
+# not called here; kept bound because the benchmark tracer wraps them
+from .pipeline import make_dataset, restrict_to_graph  # noqa: F401
+from .topology import build_graph  # noqa: F401
 
 
 # -- manifest --------------------------------------------------------------
@@ -168,39 +163,26 @@ class SystemExit2(Exception):
 def _files_from_args(
     args, need_labels: bool = True, need_paths: bool = True
 ) -> DataFiles:
-    if getattr(args, "data", None):
+    if args.data:
         files = DataFiles.discover(args.data)
+    elif need_paths or args.paths:
+        files = DataFiles(paths=_require(args.paths, "paths"), labels=[])
     else:
-        paths_str = getattr(args, "paths", None)
-        if need_paths:
-            paths = _require(paths_str, "paths")
-        elif paths_str:
-            paths = Path(paths_str)
-            if not paths.is_file():
-                raise FileNotFoundError(f"paths file not found: {paths}")
-        else:
-            paths = Path("")  # never read when paths are optional
-        files = DataFiles(paths=paths, labels=[])
+        files = DataFiles(paths=None, labels=[])
     # explicit flags override whatever discovery found
-
-    def opt(name: str) -> Path | None:
-        value = getattr(args, name, None)
-        if not value:
-            return None
-        p = Path(value)
-        if not p.is_file():
-            raise FileNotFoundError(f"{name} file not found: {p}")
-        return p
-
     for name in ("orgs", "ixps", "types", "alloc", "clique"):
-        found = opt(name)
-        if found is not None:
-            setattr(files, name, found)
-    if getattr(args, "labels", None):
+        if getattr(args, name, None):
+            setattr(files, name, _require(getattr(args, name), name))
+    if not need_labels:
+        # keep the bundle to what the command reads, so the manifest is too
+        files.labels, files.orgs, files.ixps = [], None, None
+        return files
+    if args.labels:
         files.labels = [_require(l, "labels") for l in args.labels]
-    if need_labels and len(files.labels) < 2:
+    if len(files.labels) < 2:
+        where = f" or labels_*.txt files in {args.data}" if args.data else ""
         raise SystemExit2(
-            f"need at least two --labels sources, got {len(files.labels)}"
+            f"need at least two --labels sources{where}, got {len(files.labels)}"
         )
     return files
 
@@ -220,22 +202,19 @@ def _overrides(args) -> dict:
     return out
 
 
-def _prepare(files: DataFiles, mode: str, seed: int, k_candidates: int = 20):
-    bundle = build_bundle(files, k_candidates)
-    labeled, report = prepare_labels(files)
-    usable, dropped = restrict_to_graph(labeled, bundle.graph)
-    dataset = make_dataset(usable, bundle.features.index, mode, seed)
-    return bundle, report, dropped, dataset
+def _check_width(model, bundle) -> None:
+    """Refuse a checkpoint trained on a different feature width."""
+    if model.input_dim != bundle.features.values.shape[1]:
+        raise ValueError(
+            f"checkpoint expects {model.input_dim} feature columns, "
+            f"data has {bundle.features.values.shape[1]}"
+        )
 
 
-def _metrics_doc(class_names, outcome=None, splits=None) -> dict:
+def _metrics_doc(class_names, splits: dict) -> dict:
     """Accuracy and one-vs-rest precision/recall per split."""
     doc: dict = {"classes": list(class_names)}
-    pieces = splits or {
-        "val": outcome.val_confusion,
-        "test": outcome.test_confusion,
-    }
-    for name, cm in pieces.items():
+    for name, cm in splits.items():
         per_class = {}
         for k, cls in enumerate(class_names):
             m = metrics(cm, k)
@@ -293,9 +272,7 @@ def cmd_features(args) -> int:
         "".join(f"{a}\n" for a in sorted(bundle.clique)), encoding="utf-8"
     )
     write_manifest(
-        out, "features", {"k_candidates": args.k_candidates},
-        {"paths": files.paths, "alloc": files.alloc, "types": files.types,
-         "clique": files.clique},
+        out, "features", {"k_candidates": args.k_candidates}, files.inputs(),
         {"features": features_file, "clique": clique_file}, None, started,
     )
     print(f"graph: {bundle.graph.num_nodes} nodes, {bundle.graph.num_edges} edges")
@@ -309,28 +286,23 @@ def cmd_features(args) -> int:
 def cmd_dataset(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    files = _files_from_args(args, need_labels=True, need_paths=False)
-    sources = [load_label_source(p) for p in files.labels]
-    edges, report = vote_intersection(sources)
-    if files.ixps:
-        edges = apply_ixp_labels(edges, load_ixp_list(files.ixps))
-    if files.orgs:
-        edges = apply_sibling_labels(edges, load_org_map(files.orgs))
-    dropped = 0
-    if files.paths.is_file():
-        paths, _ = ingest_file(files.paths)
-        edges, dropped = restrict_to_graph(edges, build_graph(paths))
-    split_set = balance_and_split(edges, args.seed, args.mode)
+    files = _files_from_args(args, need_paths=False)
+    if files.paths:
+        prep = prepare(files, args.mode, args.seed)
+        split_set, report = prep.dataset.edges, prep.vote_report
+        dropped = prep.dropped_offgraph
+    else:
+        labeled, report = prepare_labels(files)
+        split_set = balance_and_split(labeled, args.seed, args.mode)
+        dropped = 0
     edges_file = out / "edges.csv"
     split_set.write_csv(edges_file)
     vote_file = out / "vote_report.json"
     vote_file.write_text(report.to_json(), encoding="utf-8")
     write_manifest(
         out, "dataset", {"mode": args.mode, "dropped_offgraph": dropped},
-        {"paths": files.paths if files.paths.is_file() else None,
-         **{f"labels_{i}": p for i, p in enumerate(files.labels, 1)},
-         "orgs": files.orgs, "ixps": files.ixps},
-        {"edges": edges_file, "vote_report": vote_file}, args.seed, started,
+        files.inputs(), {"edges": edges_file, "vote_report": vote_file},
+        args.seed, started,
     )
     counts = split_set.counts()
     print(f"voted pairs: {report.intersection_pairs} of {report.union_pairs} "
@@ -345,12 +317,11 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    bundle, report, dropped, dataset = _prepare(
-        files, args.mode, args.seed, args.k_candidates
+    exp = run_experiment(
+        files, args.mode, args.seed, args.delta, args.k_candidates,
+        **_overrides(args),
     )
-    config = TrainConfig.for_mode(args.mode, args.seed, **_overrides(args))
-    a_hat = adjacency_for(bundle.graph, bundle.features, True, args.delta)
-    outcome = run_training(bundle.features.values, a_hat, dataset, config)
+    outcome, dataset, config = exp.outcome, exp.dataset, exp.outcome.config
 
     checkpoint = out / "checkpoint.json"
     save_checkpoint(
@@ -367,33 +338,27 @@ def cmd_train(args) -> int:
     history = out / "history.csv"
     write_history_csv(outcome.result.history, history)
     metrics_file = out / "metrics.json"
-    doc = _metrics_doc(dataset.class_names, outcome)
+    doc = _metrics_doc(dataset.class_names, outcome.confusion)
     doc["best_epoch"] = outcome.result.best_epoch
     doc["best_val_accuracy"] = outcome.result.best_val_accuracy
-    doc["vote"] = json.loads(report.to_json())
-    doc["dropped_offgraph"] = dropped
-    doc["clique"] = sorted(bundle.clique)
+    doc["vote"] = json.loads(exp.vote_report.to_json())
+    doc["dropped_offgraph"] = exp.dropped_offgraph
+    doc["clique"] = sorted(exp.bundle.clique)
     metrics_file.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    inputs = {
-        "paths": files.paths,
-        **{f"labels_{i}": p for i, p in enumerate(files.labels, 1)},
-        "orgs": files.orgs, "ixps": files.ixps, "types": files.types,
-        "alloc": files.alloc, "clique": files.clique,
-    }
     write_manifest(
         out, "train",
         {**asdict(config), "block_spec": list(config.block_spec),
          "delta": args.delta},
-        inputs,
+        files.inputs(),
         {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
         args.seed, started,
     )
     print(f"best epoch {outcome.result.best_epoch}: "
           f"val accuracy {outcome.val_accuracy:.4f}, "
           f"test accuracy {outcome.test_accuracy:.4f}")
-    print(format_confusion(outcome.test_confusion, dataset.class_names))
+    print(format_confusion(outcome.confusion["test"], dataset.class_names))
     return 0
 
 
@@ -406,34 +371,23 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else int(meta.get("seed", 0))
     delta = args.delta if args.delta is not None else float(meta.get("delta", 0.05))
     files = _files_from_args(args)
-    bundle, _, _, dataset = _prepare(files, mode, seed)
-    if model.input_dim != bundle.features.values.shape[1]:
-        raise ValueError(
-            f"checkpoint expects {model.input_dim} feature columns, "
-            f"data has {bundle.features.values.shape[1]}"
-        )
+    prep = prepare(files, mode, seed)
+    bundle, dataset = prep.bundle, prep.dataset
+    _check_width(model, bundle)
     a_hat = adjacency_for(bundle.graph, bundle.features, True, delta)
-    splits = {}
-    split_accuracy = {}
-    for name in ("val", "test"):
-        pairs, labels = dataset.split(name)
-        pred, _ = gcn_predict(model, a_hat, bundle.features.values, pairs)
-        cm = confusion_matrix(labels, pred, len(dataset.classes))
-        splits[name] = cm
-        split_accuracy[name] = accuracy(cm)
-    doc = _metrics_doc(dataset.class_names, splits=splits)
+    splits = score_splits(model, a_hat, bundle.features.values, dataset)
+    doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
     metrics_file.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     write_manifest(
         out, "eval", {"mode": mode, "delta": delta},
-        {"checkpoint": checkpoint, "paths": files.paths,
-         **{f"labels_{i}": p for i, p in enumerate(files.labels, 1)}},
+        {"checkpoint": checkpoint, **files.inputs()},
         {"metrics": metrics_file}, seed, started,
     )
-    print(f"val accuracy {split_accuracy['val']:.4f}, "
-          f"test accuracy {split_accuracy['test']:.4f}")
+    print(f"val accuracy {accuracy(splits['val']):.4f}, "
+          f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))
     return 0
 
@@ -446,15 +400,11 @@ def cmd_predict(args) -> int:
     delta = args.delta if args.delta is not None else float(meta.get("delta", 0.05))
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files, args.k_candidates)
-    if model.input_dim != bundle.features.values.shape[1]:
-        raise ValueError(
-            f"checkpoint expects {model.input_dim} feature columns, "
-            f"data has {bundle.features.values.shape[1]}"
-        )
+    _check_width(model, bundle)
     classes = meta.get("classes") or ["p2p", "p2c", "s2s", "x2x"][: model.n_classes]
 
-    if args.pairs:
-        pair_file = _require(args.pairs, "pairs")
+    pair_file = _require(args.pairs, "pairs") if args.pairs else None
+    if pair_file:
         wanted = []
         with open(pair_file, encoding="utf-8") as fh:
             for n, raw in enumerate(fh, start=1):
@@ -484,7 +434,7 @@ def cmd_predict(args) -> int:
             fh.write(f"{a},{b},{classes[k]}," + ",".join(repr(v) for v in lp) + "\n")
     write_manifest(
         out, "predict", {"pairs": len(wanted), "delta": delta},
-        {"checkpoint": checkpoint, "paths": files.paths},
+        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
         {"predictions": pred_file}, None, started,
     )
     print(f"wrote {len(wanted)} predictions to {pred_file}")
@@ -495,10 +445,10 @@ def cmd_importance(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    bundle, _, _, dataset = _prepare(files, args.mode, args.seed, args.k_candidates)
+    prep = prepare(files, args.mode, args.seed, args.k_candidates)
     config = TrainConfig.for_mode(args.mode, args.seed, **_overrides(args))
-    runner = importance_runner(bundle.graph, bundle.features, dataset, config,
-                               args.delta)
+    runner = importance_runner(prep.bundle.graph, prep.bundle.features,
+                               prep.dataset, config, args.delta)
     report = feature_importance(runner, threads=args.threads)
     csv_file = out / "importance.csv"
     report.write_csv(csv_file)
@@ -508,8 +458,7 @@ def cmd_importance(args) -> int:
         out, "importance",
         {**asdict(config), "block_spec": list(config.block_spec),
          "threads": args.threads},
-        {"paths": files.paths,
-         **{f"labels_{i}": p for i, p in enumerate(files.labels, 1)}},
+        files.inputs(),
         {"importance_csv": csv_file, "importance_json": json_file},
         args.seed, started,
     )
@@ -526,8 +475,9 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    bundle, _, _, dataset = _prepare(files, args.mode, args.seed, args.k_candidates)
-    a_hat = adjacency_for(bundle.graph, bundle.features, True, args.delta)
+    prep = prepare(files, args.mode, args.seed, args.k_candidates)
+    fm = prep.bundle.features
+    a_hat = adjacency_for(prep.bundle.graph, fm, True, args.delta)
 
     grid: dict[str, list] = {}
     if args.lr:
@@ -548,7 +498,7 @@ def cmd_sweep(args) -> int:
 
     def run_one(params: dict) -> tuple[float, float]:
         config = TrainConfig.for_mode(args.mode, args.seed, **fixed, **params)
-        outcome = run_training(bundle.features.values, a_hat, dataset, config)
+        outcome = run_training(fm.values, a_hat, prep.dataset, config)
         return outcome.val_accuracy, outcome.test_accuracy
 
     report = sweep(run_one, grid, preferred=preferred, threads=args.threads)
@@ -558,9 +508,8 @@ def cmd_sweep(args) -> int:
     json_file.write_text(report.to_json(), encoding="utf-8")
     write_manifest(
         out, "sweep", {"grid": {k: [repr(v) for v in vs] for k, vs in grid.items()}},
-        {"paths": files.paths,
-         **{f"labels_{i}": p for i, p in enumerate(files.labels, 1)}},
-        {"sweep_csv": csv_file, "sweep_json": json_file}, args.seed, started,
+        files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file},
+        args.seed, started,
     )
     print(f"swept {len(report.rows)} settings; best: {report.best}")
     return 0
@@ -706,10 +655,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,6 @@ BINARY_CLASSES = [RelLabel.P2P, RelLabel.P2C]
 PROVENANCE_VOTE = "vote"
 PROVENANCE_ORG = "org_map"
 PROVENANCE_IXP = "ixp_list"
-PROVENANCE_SYNTH = "synthetic"
 
 SPLITS = ("train", "val", "test")
 
@@ -79,13 +78,13 @@ class LabeledEdgeSet:
         for e in entries:
             self.add(e)
 
-    def add(self, edge: LabeledEdge, replace_existing: bool = False) -> None:
+    def add(self, edge: LabeledEdge) -> None:
         if edge.a == edge.b:
             raise ValueError(f"self relationship on AS{edge.a}")
         a, b = _canonicalize(edge.a, edge.b, edge.label)
         edge = replace(edge, a=a, b=b)
         key = edge.pair
-        if key in self._by_pair and not replace_existing:
+        if key in self._by_pair:
             raise DuplicateEdgeError(f"duplicate pair {key}")
         self._by_pair[key] = edge
 
@@ -146,8 +145,8 @@ class LabelSource:
     entries: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def load_label_source(path: str | Path, name: str | None = None) -> LabelSource:
-    src = LabelSource(name or Path(path).name)
+def load_label_source(path: str | Path) -> LabelSource:
+    src = LabelSource(Path(path).name)
     with open(path, encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -247,25 +246,6 @@ def vote_intersection(
         inconsistent_dropped=dropped,
     )
     return out, report
-
-
-def intersection_accuracy(
-    edges: LabeledEdgeSet, reference: LabelSource
-) -> float | None:
-    """Agreement of the voted labels against an independent reference
-    (e.g. operator-community calls) over the overlapping pairs."""
-    calls, _ = _source_calls(reference)
-    hits = 0
-    total = 0
-    for e in edges:
-        call = calls.get(e.pair)
-        if call is None:
-            continue
-        total += 1
-        label, provider = call
-        if label is e.label and (label is not RelLabel.P2C or provider == e.a):
-            hits += 1
-    return hits / total if total else None
 
 
 # -- org / IXP overrides ------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -200,9 +199,11 @@ class _BlockCache:
     safe_norms: np.ndarray | None = None
 
 
-def _forward_block(
+def forward_block(
     a_hat: sp.csr_matrix, h: np.ndarray, weights: list[np.ndarray]
 ) -> tuple[np.ndarray, _BlockCache]:
+    """One block: per layer ReLU(A_hat H W), then row-L2 normalization.
+    The cache keeps what the backward pass needs."""
     cache = _BlockCache()
     for w in weights:
         if h.shape[1] != w.shape[0]:
@@ -221,21 +222,13 @@ def _forward_block(
     return normalized, cache
 
 
-def forward_block(
-    a_hat: sp.csr_matrix, h: np.ndarray, weights: list[np.ndarray]
-) -> np.ndarray:
-    """One block: per layer ReLU(A_hat H W), then row-L2 normalization."""
-    out, _ = _forward_block(a_hat, np.asarray(h, dtype=np.float64), weights)
-    return out
-
-
 def forward(
     model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray
 ) -> tuple[np.ndarray, list[_BlockCache]]:
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for block in model.blocks:
-        h, cache = _forward_block(a_hat, h, block)
+        h, cache = forward_block(a_hat, h, block)
         caches.append(cache)
     return h, caches
 
@@ -389,7 +382,6 @@ class TrainResult:
     history: list[tuple[int, float, float]]  # (epoch, loss, val accuracy)
     best_epoch: int
     best_val_accuracy: float
-    wall_time_s: float
 
 
 def predict(
@@ -417,7 +409,6 @@ def train(
 ) -> TrainResult:
     """Full-batch training; returns the snapshot with the best
     validation accuracy (earliest epoch wins ties)."""
-    started = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
     train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
@@ -461,7 +452,6 @@ def train(
         history=history,
         best_epoch=best_epoch,
         best_val_accuracy=best_acc,
-        wall_time_s=time.perf_counter() - started,
     )
 
 

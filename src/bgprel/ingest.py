@@ -154,22 +154,13 @@ def sanitize(path: AsPath, table: AllocationTable | None = None) -> AsPath:
 
 @dataclass
 class IngestReport:
-    """Flat counters describing one ingest run; merges associatively."""
+    """Flat counters describing one ingest run."""
 
     parsed: int = 0
     compressed: int = 0
     rejected_loop: int = 0
     rejected_unallocated: int = 0
     malformed: int = 0
-
-    def merge(self, other: "IngestReport") -> "IngestReport":
-        return IngestReport(
-            parsed=self.parsed + other.parsed,
-            compressed=self.compressed + other.compressed,
-            rejected_loop=self.rejected_loop + other.rejected_loop,
-            rejected_unallocated=self.rejected_unallocated + other.rejected_unallocated,
-            malformed=self.malformed + other.malformed,
-        )
 
     @property
     def accepted(self) -> int:

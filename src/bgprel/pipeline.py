@@ -1,6 +1,10 @@
 """Wiring between the stages: file discovery, graph and feature
 construction, label preparation, training runs, ablations, and the two
-trivial baselines used as sanity floors."""
+trivial baselines used as sanity floors.
+
+``prepare`` is the one place that runs the prepare sequence (graph
+bundle, voted labels, restriction to the graph, split dataset); the
+CLI and the tests all go through it."""
 
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ from .topology import (
 class DataFiles:
     """Input bundle for one run; optional pieces stay None."""
 
-    paths: Path
+    paths: Path | None
     labels: list[Path]
     orgs: Path | None = None
     ixps: Path | None = None
@@ -70,11 +74,6 @@ class DataFiles:
         paths = d / "paths.txt"
         if not paths.is_file():
             raise FileNotFoundError(f"missing paths file: {paths}")
-        labels = sorted(d.glob("labels_*.txt"))
-        if len(labels) < 2:
-            raise FileNotFoundError(
-                f"need at least two labels_*.txt files in {d}, found {len(labels)}"
-            )
 
         def opt(name: str) -> Path | None:
             p = d / name
@@ -82,14 +81,27 @@ class DataFiles:
 
         return cls(
             paths=paths,
-            labels=labels,
+            labels=sorted(d.glob("labels_*.txt")),
             orgs=opt("orgs.csv"),
             ixps=opt("ixps.txt"),
             types=opt("types.csv"),
-            alloc=opt("allocated.txt"),
+            alloc=opt("alloc.txt"),
             clique=opt("clique.txt"),
             truth=opt("truth.csv"),
         )
+
+    def inputs(self) -> dict[str, Path | None]:
+        """Manifest input map: every file a run over this bundle reads.
+        ``truth`` is left out because nothing reads it."""
+        return {
+            "paths": self.paths,
+            **{f"labels_{i}": p for i, p in enumerate(self.labels, 1)},
+            "orgs": self.orgs,
+            "ixps": self.ixps,
+            "types": self.types,
+            "alloc": self.alloc,
+            "clique": self.clique,
+        }
 
 
 @dataclass
@@ -223,24 +235,27 @@ def adjacency_for(
 class TrainOutcome:
     config: TrainConfig
     result: TrainResult
-    class_names: list[str]
-    val_confusion: np.ndarray
-    test_confusion: np.ndarray
-    val_accuracy: float
-    test_accuracy: float
+    confusion: dict[str, np.ndarray]  # "val" and "test"
+
+    @property
+    def val_accuracy(self) -> float:
+        return accuracy(self.confusion["val"])
+
+    @property
+    def test_accuracy(self) -> float:
+        return accuracy(self.confusion["test"])
 
 
-def evaluate_model(
-    model: GcnModel,
-    a_hat: sp.csr_matrix,
-    x: np.ndarray,
-    edges: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-) -> tuple[np.ndarray, float]:
-    pred, _ = predict(model, a_hat, x, edges)
-    cm = confusion_matrix(labels, pred, n_classes)
-    return cm, accuracy(cm)
+def score_splits(
+    model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, dataset: EdgeDataset
+) -> dict[str, np.ndarray]:
+    """Confusion matrix of the model on the val and test splits."""
+    out = {}
+    for name in ("val", "test"):
+        pairs, labels = dataset.split(name)
+        pred, _ = predict(model, a_hat, x, pairs)
+        out[name] = confusion_matrix(labels, pred, len(dataset.classes))
+    return out
 
 
 def run_training(
@@ -251,31 +266,36 @@ def run_training(
 ) -> TrainOutcome:
     tr_e, tr_y = dataset.split("train")
     va_e, va_y = dataset.split("val")
-    te_e, te_y = dataset.split("test")
     result = train(x, a_hat, tr_e, tr_y, va_e, va_y, config)
-    k = config.n_classes
-    val_cm, val_acc = evaluate_model(result.model, a_hat, x, va_e, va_y, k)
-    test_cm, test_acc = evaluate_model(result.model, a_hat, x, te_e, te_y, k)
-    return TrainOutcome(
-        config=config,
-        result=result,
-        class_names=dataset.class_names,
-        val_confusion=val_cm,
-        test_confusion=test_cm,
-        val_accuracy=val_acc,
-        test_accuracy=test_acc,
-    )
+    confusion = score_splits(result.model, a_hat, x, dataset)
+    return TrainOutcome(config=config, result=result, confusion=confusion)
 
 
 @dataclass
-class Experiment:
-    """Everything one end-to-end run produces."""
+class Prepared:
+    """Graph bundle, vote report, off-graph drop count and split
+    dataset: what every labeled run starts from."""
 
-    files: DataFiles
     bundle: GraphBundle
     vote_report: VoteReport
     dropped_offgraph: int
     dataset: EdgeDataset
+
+
+def prepare(
+    files: DataFiles, mode: str, seed: int, k_candidates: int = 20
+) -> Prepared:
+    bundle = build_bundle(files, k_candidates)
+    labeled, report = prepare_labels(files)
+    usable, dropped = restrict_to_graph(labeled, bundle.graph)
+    dataset = make_dataset(usable, bundle.features.index, mode, seed)
+    return Prepared(bundle, report, dropped, dataset)
+
+
+@dataclass
+class Experiment(Prepared):
+    """Everything one end-to-end run produces."""
+
     outcome: TrainOutcome
 
 
@@ -287,21 +307,12 @@ def run_experiment(
     k_candidates: int = 20,
     **config_overrides,
 ) -> Experiment:
-    bundle = build_bundle(files, k_candidates)
-    labeled, report = prepare_labels(files)
-    usable, dropped = restrict_to_graph(labeled, bundle.graph)
-    dataset = make_dataset(usable, bundle.features.index, mode, seed)
+    prep = prepare(files, mode, seed, k_candidates)
     config = TrainConfig.for_mode(mode, seed, **config_overrides)
-    a_hat = adjacency_for(bundle.graph, bundle.features, True, delta)
-    outcome = run_training(bundle.features.values, a_hat, dataset, config)
-    return Experiment(
-        files=files,
-        bundle=bundle,
-        vote_report=report,
-        dropped_offgraph=dropped,
-        dataset=dataset,
-        outcome=outcome,
-    )
+    fm = prep.bundle.features
+    a_hat = adjacency_for(prep.bundle.graph, fm, True, delta)
+    outcome = run_training(fm.values, a_hat, prep.dataset, config)
+    return Experiment(**vars(prep), outcome=outcome)
 
 
 def importance_runner(
@@ -347,19 +358,16 @@ def _segment_majorities(
     return out
 
 
-def degree_gap_baseline(
-    graph: AsGraph,
-    dataset: EdgeDataset,
-    max_cuts: int = 3,
-) -> float:
+def degree_gap_baseline(graph: AsGraph, dataset: EdgeDataset) -> float:
     """Threshold rule on |degree(a) - degree(b)|.
 
-    Fits up to max_cuts split points on the training edges by exact
+    Fits up to three split points on the training edges by exact
     dynamic programming (maximizing training accuracy), answers the
     majority class of the matching segment, and reports test accuracy.
     A deliberately feature-free floor: any model worth running must
     beat it.
     """
+    max_cuts = 3
     node_list = sorted(graph.nodes)
 
     def gaps(pairs: np.ndarray) -> np.ndarray:

@@ -243,29 +243,6 @@ def clique_distances(
     return means, unreachable
 
 
-def dist_to_clique(
-    g: AsGraph, clique: set[int], a: int, diagnostics: dict | None = None
-) -> float:
-    """Mean hops from one node to the clique (0 counts for membership)."""
-    if not clique:
-        raise ValueError("clique is empty")
-    g._check(a)
-    dist = g.bfs_distances(a)
-    total = 0.0
-    for m in sorted(clique):
-        if m not in g:
-            raise UnknownNodeError(f"clique member AS{m} not in graph")
-        d = dist.get(m)
-        if d is None:
-            d = g.diameter() + 1
-            if diagnostics is not None:
-                diagnostics["unreachable_pairs"] = (
-                    diagnostics.get("unreachable_pairs", 0) + 1
-                )
-        total += d
-    return total / len(clique)
-
-
 def common_neighbor_ratio(g: AsGraph, a: int, b: int) -> float:
     """Jaccard overlap of the endpoints' neighborhoods, excluding both
     endpoints themselves; 0 when the union is empty."""
@@ -382,11 +359,6 @@ class FeatureMatrix:
     clique: set[int]
     diagnostics: dict[str, int] = field(default_factory=dict)
 
-    def row(self, asn: int) -> np.ndarray:
-        if asn not in self.index:
-            raise UnknownNodeError(f"unknown AS{asn}")
-        return self.values[self.index[asn]]
-
 
 def _minmax(col: np.ndarray) -> np.ndarray:
     lo, hi = col.min(), col.max()
@@ -449,12 +421,6 @@ def assemble_features(
             "unobserved_nodes": unobserved,
         },
     )
-
-
-def link_feature_diff(fa: np.ndarray | float, fb: np.ndarray | float):
-    """Absolute endpoint feature difference, the link-level view used in
-    the analysis reports."""
-    return np.abs(np.asarray(fa, dtype=np.float64) - np.asarray(fb, dtype=np.float64))
 
 
 def write_features_csv(fm: FeatureMatrix, out: str | Path) -> None:

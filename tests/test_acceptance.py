@@ -28,13 +28,10 @@ from bgprel.gcn import (
 )
 from bgprel.pipeline import (
     DataFiles,
-    build_bundle,
     degree_gap_baseline,
     importance_runner,
     majority_baseline,
-    make_dataset,
-    prepare_labels,
-    restrict_to_graph,
+    prepare,
     run_experiment,
 )
 from bgprel.synth import (
@@ -456,13 +453,10 @@ def test_criterion_9_importance_protocol():
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         export(truth, paths, d, n_sources=3, perturbation=0.0, seed=1)
-        files = DataFiles.discover(d)
-        bundle = build_bundle(files)
-        labeled, _ = prepare_labels(files)
-        usable, _ = restrict_to_graph(labeled, bundle.graph)
-        ds = make_dataset(usable, bundle.features.index, "multi", seed=6)
+        prep = prepare(DataFiles.discover(d), "multi", seed=6)
         config = TrainConfig.for_mode("multi", seed=6, epochs=12, hidden=8)
-        runner = importance_runner(bundle.graph, bundle.features, ds, config)
+        runner = importance_runner(prep.bundle.graph, prep.bundle.features,
+                                   prep.dataset, config)
         report = feature_importance(runner)
     covered = [e.feature for e in report.entries]
     same_seed = set(report.seeds) == {6}

@@ -1,9 +1,16 @@
-import json
+import builtins
 import hashlib
+import io
+import json
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
+from bgprel import cli
 from bgprel.cli import run
+from bgprel.pipeline import DataFiles, prepare
 
 
 SYNTH_FLAGS = [
@@ -249,3 +256,124 @@ def test_sweep_command(data_dir, tmp_path, capsys):
 def test_sweep_without_grid_is_usage_error(data_dir, tmp_path, capsys):
     code = run(["sweep", "--data", str(data_dir), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_is_a_clean_error(data_dir, tmp_path, capsys):
+    code = run([
+        "train", "--data", str(data_dir), "--lr", "inf",
+        "--epochs", "3", "--hidden", "4", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss")
+    assert "Traceback" not in err
+
+
+def test_labels_missing_from_data_dir_names_it(data_dir, tmp_path, capsys):
+    d = tmp_path / "nolabels"
+    d.mkdir()
+    shutil.copy(data_dir / "paths.txt", d)
+    code = run(["dataset", "--data", str(d), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "labels_" in err and str(d) in err
+
+
+def test_predict_needs_no_labels(data_dir, train_dir, tmp_path):
+    d = tmp_path / "nolabels"
+    d.mkdir()
+    for name in ("paths.txt", "types.csv"):
+        shutil.copy(data_dir / name, d)
+    out = tmp_path / "pred"
+    assert run([
+        "predict", "--data", str(d),
+        "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--out", str(out),
+    ]) == 0
+    lines = (out / "predictions.csv").read_text().splitlines()
+    assert len(lines) > 1
+
+
+def test_dataset_alloc_matches_prepare(data_dir, tmp_path):
+    # stubs 91-100 are unallocated, so their labeled links leave the graph
+    alloc = tmp_path / "alloc.txt"
+    alloc.write_text("1-90\n101-130\n")
+    out = tmp_path / "ds"
+    assert run([
+        "dataset", "--data", str(data_dir), "--alloc", str(alloc),
+        "--mode", "multi", "--seed", "4", "--out", str(out),
+    ]) == 0
+    files = DataFiles.discover(data_dir)
+    files.alloc = alloc
+    prep = prepare(files, "multi", seed=4)
+    assert prep.dropped_offgraph > 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["dropped_offgraph"] == prep.dropped_offgraph
+    rows = [line.split(",")[:4]
+            for line in (out / "edges.csv").read_text().splitlines()[1:]]
+    want = [[str(e.a), str(e.b), e.label.value, e.split]
+            for e in prep.dataset.edges]
+    assert rows == want
+
+
+# -- manifests list every input a command reads ----------------------------
+
+
+@pytest.fixture(scope="module")
+def input_root(tmp_path_factory, data_dir, train_dir):
+    """Every conventional input, plus a checkpoint and a pairs file."""
+    root = tmp_path_factory.mktemp("cli-inputs")
+    shutil.copytree(data_dir, root / "data")
+    (root / "data" / "alloc.txt").write_text("1-200\n")
+    shutil.copy(train_dir / "checkpoint.json", root)
+    a, b, _ = (data_dir / "labels_1.txt").read_text().splitlines()[0].split("|")
+    (root / "pairs.txt").write_text(f"{a}|{b}\n")
+    return root
+
+
+SMALL = ["--epochs", "2", "--hidden", "4"]
+
+MANIFEST_COMMANDS = {
+    "ingest": ["--paths", "data/paths.txt", "--alloc", "data/alloc.txt"],
+    "features": ["--data", "data"],
+    "dataset": ["--data", "data"],
+    "train": ["--data", "data", *SMALL],
+    "eval": ["--data", "data", "--checkpoint", "checkpoint.json"],
+    "predict": ["--data", "data", "--checkpoint", "checkpoint.json",
+                "--pairs", "pairs.txt"],
+    "importance": ["--data", "data", *SMALL],
+    "sweep": ["--data", "data", "--lr", "0.05", *SMALL],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypatch):
+    argv = [command] + [
+        str(input_root / v) if (input_root / v).exists() else v
+        for v in MANIFEST_COMMANDS[command]
+    ]
+    opened, read = [], []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    def write_manifest(*args, **kwargs):
+        read.extend(opened)  # the manifest's own hashing is not a read
+        return real_write_manifest(*args, **kwargs)
+
+    real_open, real_write_manifest = io.open, cli.write_manifest
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(cli, "write_manifest", write_manifest)
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    inputs = {
+        Path(p).resolve() for p in read
+        if isinstance(p, (str, os.PathLike))
+        and input_root in Path(p).resolve().parents
+    }
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    listed = {Path(e["path"]).resolve() for e in doc["inputs"].values()}
+    assert inputs and listed == inputs

@@ -14,7 +14,6 @@ from bgprel.dataset import (
     apply_ixp_labels,
     apply_sibling_labels,
     balance_and_split,
-    intersection_accuracy,
     load_ixp_list,
     load_label_source,
     load_org_map,
@@ -164,15 +163,6 @@ class TestVoting:
         }
         assert {e.pair for e in voted} == wanted
         assert report.coincidence_rate == pytest.approx(len(wanted) / len(union))
-
-    def test_reference_agreement_stat(self):
-        voted = LabeledEdgeSet(
-            [LabeledEdge(1, 2, RelLabel.P2P), LabeledEdge(5, 3, RelLabel.P2C)]
-        )
-        ref = src("community", [(1, 2, 0), (3, 5, -1), (7, 8, 0)])
-        # pair (3,5): reference says 3 is provider, voted says 5 -> miss
-        assert intersection_accuracy(voted, ref) == pytest.approx(0.5)
-        assert intersection_accuracy(LabeledEdgeSet(), ref) is None
 
 
 class TestOverrides:

@@ -122,7 +122,7 @@ class TestForward:
             a_hat = build_normalized_adjacency(g, index, weights)
             h = nprng.normal(size=(12, 5))
             ws = [nprng.normal(size=(5, 4)), nprng.normal(size=(4, 4))]
-            got = forward_block(a_hat, h, ws)
+            got, _ = forward_block(a_hat, h, ws)
             want = self.dense_block_oracle(a_hat, h, ws)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -132,14 +132,14 @@ class TestForward:
         g, index, weights = random_topology(rng, 15)
         a_hat = build_normalized_adjacency(g, index, weights)
         h = nprng.normal(size=(15, 6))
-        out = forward_block(a_hat, h, [nprng.normal(size=(6, 3))])
+        out, _ = forward_block(a_hat, h, [nprng.normal(size=(6, 3))])
         norms = np.linalg.norm(out, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
 
     def test_zero_weights_give_zero_rows(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         a_hat = build_normalized_adjacency(g, index_of(g))
-        out = forward_block(a_hat, np.ones((3, 4)), [np.zeros((4, 2))])
+        out, _ = forward_block(a_hat, np.ones((3, 4)), [np.zeros((4, 2))])
         assert np.all(out == 0.0)
 
     def test_shape_mismatch(self):

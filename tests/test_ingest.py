@@ -157,15 +157,6 @@ class TestIngest:
         assert len(paths) == 1
         assert report.rejected_unallocated == 1
 
-    def test_report_merge_associative(self):
-        a = IngestReport(parsed=3, compressed=1)
-        b = IngestReport(parsed=2, rejected_loop=1)
-        c = IngestReport(malformed=4)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left == right
-        assert left.parsed == 5 and left.malformed == 4
-
     def test_report_json_is_flat(self):
         import json
 

@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from bgprel.pipeline import (
     degree_gap_baseline,
     importance_runner,
     majority_baseline,
-    make_dataset,
+    prepare,
     prepare_labels,
     restrict_to_graph,
     run_experiment,
@@ -53,7 +55,20 @@ def clean_dir(tmp_path_factory):
     return out
 
 
-def test_discover_finds_everything(data_dir):
+# the data-directory names the README's input table documents, and the
+# DataFiles field each one fills
+README_FIELDS = {
+    "paths.txt": "paths",
+    "labels_*.txt": "labels",
+    "orgs.csv": "orgs",
+    "ixps.txt": "ixps",
+    "types.csv": "types",
+    "alloc.txt": "alloc",
+    "clique.txt": "clique",
+}
+
+
+def test_discover_finds_everything(data_dir, tmp_path):
     files = DataFiles.discover(data_dir)
     assert files.paths.name == "paths.txt"
     assert [p.name for p in files.labels] == [
@@ -65,6 +80,18 @@ def test_discover_finds_everything(data_dir):
     assert files.truth is not None
     assert files.alloc is None
     assert files.clique is None
+    # every name in the README's input table fills its field
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split("## Input files", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert sorted(names) == sorted(README_FIELDS)
+    for name in names:
+        (tmp_path / name.replace("*", "1")).write_text("1\n")
+    files = DataFiles.discover(tmp_path)
+    for name, field in README_FIELDS.items():
+        want = tmp_path / name.replace("*", "1")
+        got = getattr(files, field)
+        assert (got == [want]) if field == "labels" else (got == want), name
 
 
 def test_discover_errors_name_the_path(tmp_path):
@@ -74,10 +101,9 @@ def test_discover_errors_name_the_path(tmp_path):
     with pytest.raises(FileNotFoundError) as e:
         DataFiles.discover(tmp_path)
     assert "paths.txt" in str(e.value)
+    # labels are optional here; commands that need them check the count
     (tmp_path / "paths.txt").write_text("1|2|3\n")
-    with pytest.raises(FileNotFoundError) as e:
-        DataFiles.discover(tmp_path)
-    assert "labels_" in str(e.value)
+    assert DataFiles.discover(tmp_path).labels == []
 
 
 def test_build_bundle_covers_observed_nodes(data_dir):
@@ -125,11 +151,8 @@ def test_restrict_to_graph_drops_unknown_endpoints():
 
 
 def test_make_dataset_orientation_and_splits(clean_dir):
-    files = DataFiles.discover(clean_dir)
-    bundle = build_bundle(files)
-    labeled, _ = prepare_labels(files)
-    usable, _ = restrict_to_graph(labeled, bundle.graph)
-    ds = make_dataset(usable, bundle.features.index, "multi", seed=1)
+    prep = prepare(DataFiles.discover(clean_dir), "multi", seed=1)
+    bundle, ds = prep.bundle, prep.dataset
     sizes = {name: len(ds.split(name)[0]) for name in ("train", "val", "test")}
     counts = ds.edges.counts()
     per_class = min(c for c in counts.values() if c)
@@ -237,20 +260,17 @@ def test_run_experiment_end_to_end(data_dir):
     exp = run_experiment(files, mode="multi", seed=3, epochs=25, hidden=8)
     assert 0.0 <= exp.outcome.val_accuracy <= 1.0
     assert 0.0 <= exp.outcome.test_accuracy <= 1.0
-    assert exp.outcome.test_confusion.shape == (4, 4)
+    assert exp.outcome.confusion["test"].shape == (4, 4)
     assert exp.outcome.result.best_epoch >= 1
     assert exp.vote_report.n_sources == 3
     assert exp.dataset.class_names == ["p2p", "p2c", "s2s", "x2x"]
 
 
 def test_importance_runner_deterministic(clean_dir):
-    files = DataFiles.discover(clean_dir)
-    bundle = build_bundle(files)
-    labeled, _ = prepare_labels(files)
-    usable, _ = restrict_to_graph(labeled, bundle.graph)
-    ds = make_dataset(usable, bundle.features.index, "multi", seed=2)
+    prep = prepare(DataFiles.discover(clean_dir), "multi", seed=2)
     config = TrainConfig.for_mode("multi", seed=2, epochs=15, hidden=8)
-    run = importance_runner(bundle.graph, bundle.features, ds, config)
+    run = importance_runner(prep.bundle.graph, prep.bundle.features,
+                            prep.dataset, config)
     a = run(None)
     b = run(None)
     assert a == b
@@ -260,16 +280,13 @@ def test_importance_runner_deterministic(clean_dir):
 
 
 def test_run_training_matches_direct_evaluation(clean_dir):
-    files = DataFiles.discover(clean_dir)
-    bundle = build_bundle(files)
-    labeled, _ = prepare_labels(files)
-    usable, _ = restrict_to_graph(labeled, bundle.graph)
-    ds = make_dataset(usable, bundle.features.index, "binary", seed=0)
+    prep = prepare(DataFiles.discover(clean_dir), "binary", seed=0)
+    bundle, ds = prep.bundle, prep.dataset
     config = TrainConfig.for_mode("binary", seed=0, epochs=10, hidden=8)
     a_hat = adjacency_for(bundle.graph, bundle.features, True)
     out = run_training(bundle.features.values, a_hat, ds, config)
-    assert out.val_confusion.sum() == len(ds.split("val")[0])
-    assert out.test_confusion.sum() == len(ds.split("test")[0])
+    assert out.confusion["val"].sum() == len(ds.split("val")[0])
+    assert out.confusion["test"].sum() == len(ds.split("test")[0])
     assert out.test_accuracy == pytest.approx(
-        np.trace(out.test_confusion) / out.test_confusion.sum()
+        np.trace(out.confusion["test"]) / out.confusion["test"].sum()
     )

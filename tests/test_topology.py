@@ -19,10 +19,8 @@ from bgprel.topology import (
     clique_distances,
     cnr_edge_weights,
     common_neighbor_ratio,
-    dist_to_clique,
     hierarchy_class,
     infer_clique,
-    link_feature_diff,
     load_type_map,
     vp_stats,
     write_features_csv,
@@ -156,29 +154,22 @@ class TestClique:
 class TestDistToClique:
     def test_self_membership_is_zero(self):
         g = build_graph(paths_of([1, 2, 3]))
-        assert dist_to_clique(g, {2}, 2) == 0.0
+        means, _ = clique_distances(g, {2})
+        assert means[2] == 0.0
 
     def test_mean_over_members(self):
         g = build_graph(paths_of([1, 2, 3, 4]))
         # node 1: dist 1 to AS2, dist 2 to AS3
-        assert dist_to_clique(g, {2, 3}, 1) == pytest.approx(1.5)
+        means, _ = clique_distances(g, {2, 3})
+        assert means[1] == pytest.approx(1.5)
 
     def test_unreachable_uses_diameter_plus_one(self):
         g = build_graph(paths_of([1, 2, 3], [7, 8]))
-        diag = {}
         # diameter of the whole observed graph is 2 (1..3 chain)
-        assert dist_to_clique(g, {2, 7}, 1, diagnostics=diag) == pytest.approx(
-            (1 + 3) / 2
-        )
-        assert diag["unreachable_pairs"] == 1
-
-    def test_batch_matches_single(self):
-        rng = random.Random(31)
-        g = build_graph(random_paths(rng, n_nodes=18, n_paths=20))
-        clique = infer_clique(g, k_candidates=5)
-        means, _ = clique_distances(g, clique)
-        for a in g.nodes:
-            assert means[a] == pytest.approx(dist_to_clique(g, clique, a), abs=1e-12)
+        means, unreachable = clique_distances(g, {2, 7})
+        assert means[1] == pytest.approx((1 + 3) / 2)
+        # 1, 2 and 3 cannot reach AS7; 7 and 8 cannot reach AS2
+        assert unreachable == 5
 
     def test_matches_networkx(self):
         rng = random.Random(37)
@@ -351,15 +342,6 @@ class TestFeatureMatrix:
         header = out.read_text().splitlines()[0].split(",")
         assert header == ["asn"] + FEATURE_COLUMNS
         assert len(out.read_text().splitlines()) == len(fm.nodes) + 1
-
-
-class TestLinkFeatureDiff:
-    def test_absolute_difference(self):
-        assert link_feature_diff(3.0, 5.0) == 2.0
-        a = np.array([1.0, 4.0])
-        b = np.array([2.0, 2.0])
-        assert np.allclose(link_feature_diff(a, b), [1.0, 2.0])
-        assert np.allclose(link_feature_diff(a, b), link_feature_diff(b, a))
 
 
 class TestTypeMapFile:
