@@ -10,7 +10,14 @@ from .dataset import (
     vote_intersection,
 )
 from .gcn import TrainConfig, TrainingDivergedError, train
-from .ingest import AllocationTable, AsPath, PathRejected, ingest_file, sanitize
+from .ingest import (
+    AllocationTable,
+    AsPath,
+    PathRejected,
+    PathStore,
+    ingest_file,
+    sanitize,
+)
 from .pipeline import DataFiles, run_experiment
 from .synth import SynthConfig, generate, is_valley_free, simulate_paths
 from .topology import AsGraph, assemble_features, build_graph, infer_clique
@@ -24,6 +31,7 @@ __all__ = [
     "LabeledEdge",
     "LabeledEdgeSet",
     "PathRejected",
+    "PathStore",
     "RelLabel",
     "SynthConfig",
     "TrainConfig",

@@ -2,22 +2,35 @@
 
 A paths file holds one AS path per line, hops separated by ``|``, the
 vantage point (collector peer) first.  Lines starting with ``#`` are
-comments.  Sanitization applies three cleaning rules in order: adjacent
-duplicate hops (prepending artifacts) are compressed, paths touching
-unallocated AS numbers are dropped, and paths where an ASN recurs
-non-adjacently (routing loops) are dropped.
+comments.  A hop is a run of ASCII decimal digits, optionally surrounded
+by ASCII whitespace (space, tab, CR, LF, VT, FF), with a value in
+1..2**32-1; anything else makes the line malformed.  Sanitization
+applies three cleaning rules in order: adjacent duplicate hops
+(prepending artifacts) are compressed, paths touching unallocated AS
+numbers are dropped, and paths where an ASN recurs non-adjacently
+(routing loops) are dropped.
+
+``ingest_lines`` applies all of this to whole batches of lines with
+numpy and returns a ``PathStore``: one flat hop array plus path offsets.
+``parse_path_line`` and ``sanitize`` are the per-path definitions of the
+same rules, kept as the reference the batch code is tested against.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MAX_ASN = 2**32 - 1
+_MAX_DIGITS = len(str(MAX_ASN))
+WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 class PathParseError(ValueError):
@@ -61,6 +74,42 @@ class AsPath:
         return iter(self.hops)
 
 
+class PathStore:
+    """Sanitized paths in columnar form: path ``i`` is
+    ``hops[offsets[i]:offsets[i + 1]]``, vantage point first."""
+
+    def __init__(self, hops: np.ndarray, offsets: np.ndarray):
+        self.hops = hops
+        self.offsets = offsets
+
+    @classmethod
+    def _from_buffers(cls, hops: array, lengths: array) -> "PathStore":
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=offsets[1:])
+        return cls(np.frombuffer(hops, dtype=np.int64), offsets)
+
+    @classmethod
+    def from_hops(cls, paths: Iterable[Iterable[int]]) -> "PathStore":
+        """Store hop sequences that are already sanitized, as they are."""
+        hops, lengths = array("q"), array("q")
+        for path in paths:
+            before = len(hops)
+            hops.extend(path)
+            if len(hops) == before:
+                raise ValueError("empty path")
+            lengths.append(len(hops) - before)
+        return cls._from_buffers(hops, lengths)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[AsPath]:
+        hops = self.hops.tolist()
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield AsPath(tuple(hops[lo:hi]))
+
+
 class AllocationTable:
     """Set of allocated ASNs stored as merged, sorted ranges."""
 
@@ -76,8 +125,8 @@ class AllocationTable:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        self._starts = [lo for lo, _ in merged]
-        self._ends = [hi for _, hi in merged]
+        self._starts = np.array([lo for lo, _ in merged], dtype=np.int64)
+        self._ends = np.array([hi for _, hi in merged], dtype=np.int64)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "AllocationTable":
@@ -102,30 +151,36 @@ class AllocationTable:
         with open(path, encoding="utf-8") as fh:
             return cls.from_lines(fh)
 
+    def allocated(self, asns: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of the given ASNs fall in a range."""
+        i = np.searchsorted(self._starts, asns, side="right") - 1
+        return (i >= 0) & (asns <= self._ends[np.maximum(i, 0)])
+
     def __contains__(self, asn: int) -> bool:
-        i = bisect_right(self._starts, asn) - 1
-        return i >= 0 and asn <= self._ends[i]
+        return bool(self.allocated(np.array([asn], dtype=np.int64))[0])
 
     @property
     def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
+        return list(zip(self._starts.tolist(), self._ends.tolist()))
 
 
 def parse_path_line(line: str, line_number: int = 0) -> AsPath:
     """Parse one ``a|b|c`` line into an AsPath."""
-    text = line.strip()
+    text = line.strip(WHITESPACE)
     if not text:
         raise PathParseError("empty line", line_number)
     hops = []
     for token in text.split("|"):
-        token = token.strip()
-        try:
-            asn = int(token)
-        except ValueError:
-            raise PathParseError(f"not an ASN: {token!r}", line_number) from None
-        if not 1 <= asn <= MAX_ASN:
-            raise PathParseError(f"ASN out of range: {asn}", line_number)
-        hops.append(asn)
+        digits = token.strip(WHITESPACE)
+        # str.isdigit alone also accepts non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise PathParseError(f"not an ASN: {token!r}", line_number)
+        # int() refuses very long digit strings, so drop leading zeros
+        # and size-check first
+        digits = digits.lstrip("0")
+        if len(digits) > _MAX_DIGITS or not 1 <= int(digits or "0") <= MAX_ASN:
+            raise PathParseError(f"ASN out of range: {digits or 0}", line_number)
+        hops.append(int(digits))
     return AsPath(tuple(hops), line_number)
 
 
@@ -180,51 +235,158 @@ class IngestReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
+# -- batch parsing and sanitization -----------------------------------
+
+_BATCH_LINES = 1 << 14
+_OTHER, _DIGIT, _PIPE, _SPACE = 0, 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord("|")] = _PIPE
+_BYTE_CLASS[[ord(c) for c in WHITESPACE]] = _SPACE
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+
+def _parse_batch(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse one batch of raw lines.
+
+    Returns the hops and hop counts of the well-formed path lines, in
+    order, and the number of malformed lines.
+    """
+    text = "".join(lines)
+    if text.isascii():
+        data = text.encode("ascii")
+        sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    else:
+        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
+        data = b"".join(encoded)
+        sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(lines))
+    # empty lines are blank; every other line owns at least one byte
+    sizes = sizes[sizes > 0]
+    n = len(sizes)
+    starts = np.cumsum(sizes) - sizes
+    line_of = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    cls = _BYTE_CLASS[buf]
+
+    # the first non-whitespace byte tells blank, comment and path lines apart
+    solid = np.flatnonzero(cls != _SPACE)
+    solid_line = line_of[solid]
+    lead = np.ones(len(solid), dtype=bool)
+    np.not_equal(solid_line[1:], solid_line[:-1], out=lead[1:])
+    is_path = np.zeros(n, dtype=bool)
+    is_path[solid_line[lead]] = buf[solid[lead]] != ord("#")
+    del solid, solid_line, lead
+
+    # digit runs; a run never crosses a line boundary
+    digit = cls == _DIGIT
+    first = digit & ~np.concatenate([[False], digit[:-1]])
+    first[starts] = digit[starts]
+    last = digit & ~np.concatenate([digit[1:], [False]])
+    last[starts[1:] - 1] = digit[starts[1:] - 1]
+    run_first = np.flatnonzero(first)
+    run_last = np.flatnonzero(last)
+    run_line = line_of[run_first]
+    del digit, last
+
+    # a path line is digit runs separated by single pipes, with only
+    # whitespace around them: its runs and pipes alternate, starting and
+    # ending with a run
+    bad = np.zeros(n, dtype=bool)
+    bad[line_of[cls == _OTHER]] = True
+    events = np.flatnonzero(first | (cls == _PIPE))
+    is_run = first[events]
+    event_line = line_of[events]
+    del first, cls, events
+    same_line = event_line[1:] == event_line[:-1]
+    bad[event_line[1:][same_line & (is_run[1:] == is_run[:-1])]] = True
+    opens = np.ones(len(event_line), dtype=bool)
+    opens[1:] = ~same_line
+    closes = np.ones(len(event_line), dtype=bool)
+    closes[:-1] = ~same_line
+    bad[event_line[(opens | closes) & ~is_run]] = True
+    del is_run, event_line, same_line, opens, closes
+
+    # run values, least significant digit first; runs longer than an ASN
+    # can be are rare and parsed one by one
+    width = run_last - run_first + 1
+    values = np.zeros(len(run_first), dtype=np.int64)
+    for k in range(min(_MAX_DIGITS, int(width.max(initial=0)))):
+        live = np.flatnonzero(width > k)
+        values[live] += (buf[run_last[live] - k].astype(np.int64) - 48) * _POW10[k]
+    for i in np.flatnonzero(width > _MAX_DIGITS).tolist():
+        digits = buf[run_first[i]:run_last[i] + 1].tobytes().lstrip(b"0")
+        values[i] = int(digits or b"0") if len(digits) <= _MAX_DIGITS else 0
+    bad[run_line[(values < 1) | (values > MAX_ASN)]] = True
+
+    ok = is_path & ~bad
+    lengths = np.bincount(run_line, minlength=n)[ok]
+    return values[ok[run_line]], lengths, int((is_path & bad).sum())
+
+
+def _sanitize_batch(
+    hops: np.ndarray,
+    lengths: np.ndarray,
+    table: AllocationTable | None,
+    report: IngestReport,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of ``sanitize``: returns the accepted paths' compressed
+    hops and lengths, and counts rejections and compressions."""
+    n = len(lengths)
+    path_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    repeat = np.zeros(len(hops), dtype=bool)
+    repeat[1:] = (hops[1:] == hops[:-1]) & (path_of[1:] == path_of[:-1])
+    hops, path_of = hops[~repeat], path_of[~repeat]
+    kept = np.bincount(path_of, minlength=n)
+
+    unallocated = np.zeros(n, dtype=bool)
+    if table is not None:
+        unallocated[path_of[~table.allocated(hops)]] = True
+    # ASNs fit in 32 bits, so (path, asn) packs into one sortable key
+    key = np.sort((path_of << 32) | hops)
+    looped = np.zeros(n, dtype=bool)
+    looped[key[1:][key[1:] == key[:-1]] >> 32] = True
+    del key
+
+    ok = ~(unallocated | looped)
+    report.rejected_unallocated += int(unallocated.sum())
+    report.rejected_loop += int((looped & ~unallocated).sum())
+    report.compressed += int((ok & (kept < lengths)).sum())
+    return hops[ok[path_of]], kept[ok]
+
+
 def ingest_lines(
     lines: Iterable[str], table: AllocationTable | None = None
-) -> tuple[list[AsPath], IngestReport]:
-    """Parse and sanitize an iterable of path lines.
+) -> tuple[PathStore, IngestReport]:
+    """Parse and sanitize an iterable of path lines, in batches.
 
-    Blank lines and ``#`` comments are skipped silently; lines that fail
-    to parse are counted as malformed and skipped so one bad line cannot
-    abort a large dump.
+    Each item is one line; a trailing newline is allowed.  Blank lines
+    and ``#`` comments are skipped silently; lines that fail to parse
+    are counted as malformed and skipped so one bad line cannot abort a
+    large dump.  Accepted paths keep their input order.
     """
     report = IngestReport()
-    paths: list[AsPath] = []
-    for n, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            path = parse_path_line(text, n)
-        except PathParseError:
-            report.malformed += 1
-            continue
-        report.parsed += 1
-        try:
-            clean = sanitize(path, table)
-        except PathRejected as rej:
-            if rej.reason is RejectReason.LOOP:
-                report.rejected_loop += 1
-            else:
-                report.rejected_unallocated += 1
-            continue
-        if len(clean.hops) < len(path.hops):
-            report.compressed += 1
-        paths.append(clean)
-    return paths, report
+    hops_out, lengths_out = array("q"), array("q")
+    it = iter(lines)
+    while batch := list(islice(it, _BATCH_LINES)):
+        hops, lengths, malformed = _parse_batch(batch)
+        report.malformed += malformed
+        report.parsed += len(lengths)
+        hops, lengths = _sanitize_batch(hops, lengths, table, report)
+        hops_out.frombytes(hops.tobytes())
+        lengths_out.frombytes(lengths.astype(np.int64).tobytes())
+    return PathStore._from_buffers(hops_out, lengths_out), report
 
 
 def ingest_file(
     path: str | Path, table: AllocationTable | None = None
-) -> tuple[list[AsPath], IngestReport]:
+) -> tuple[PathStore, IngestReport]:
     """Read a paths file and return sanitized paths plus counters."""
     with open(path, encoding="utf-8") as fh:
         return ingest_lines(fh, table)
 
 
-def write_paths_file(paths: Iterable[AsPath], out: str | Path) -> None:
+def write_paths_file(paths: Iterable[Iterable[int]], out: str | Path) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for p in paths:
-            fh.write("|".join(str(h) for h in p.hops))
+            fh.write("|".join(map(str, p)))
             fh.write("\n")

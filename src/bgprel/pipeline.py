@@ -37,7 +37,7 @@ from .gcn import (
     predict,
     train,
 )
-from .ingest import AllocationTable, AsPath, IngestReport, ingest_file
+from .ingest import AllocationTable, IngestReport, ingest_file
 from .topology import (
     HIERARCHY_COLUMNS,
     TYPE_COLUMNS,
@@ -108,7 +108,6 @@ class DataFiles:
 class GraphBundle:
     """Observed graph plus everything derived from it."""
 
-    paths: list[AsPath]
     report: IngestReport
     graph: AsGraph
     clique: set[int]
@@ -118,21 +117,19 @@ class GraphBundle:
 def build_bundle(files: DataFiles, k_candidates: int = 20) -> GraphBundle:
     table = AllocationTable.load(files.alloc) if files.alloc else None
     paths, report = ingest_file(files.paths, table)
-    if not paths:
+    if not len(paths):
         raise ValueError(f"no usable paths in {files.paths}")
     graph = build_graph(paths)
     if files.clique:
         clique = load_clique_file(files.clique)
-        missing = sorted(a for a in clique if a not in graph.nodes)
+        missing = sorted(a for a in clique if a not in graph)
         if missing:
             raise ValueError(f"clique members absent from the graph: {missing}")
     else:
         clique = infer_clique(graph, k_candidates)
     type_map = load_type_map(files.types) if files.types else None
     features = assemble_features(graph, clique, type_map)
-    return GraphBundle(
-        paths=paths, report=report, graph=graph, clique=clique, features=features
-    )
+    return GraphBundle(report=report, graph=graph, clique=clique, features=features)
 
 
 def prepare_labels(files: DataFiles) -> tuple[LabeledEdgeSet, VoteReport]:
@@ -153,7 +150,7 @@ def restrict_to_graph(
     out = LabeledEdgeSet()
     dropped = 0
     for e in edges:
-        if e.a in graph.nodes and e.b in graph.nodes:
+        if e.a in graph and e.b in graph:
             out.add(e)
         else:
             dropped += 1
@@ -368,7 +365,7 @@ def degree_gap_baseline(graph: AsGraph, dataset: EdgeDataset) -> float:
     beat it.
     """
     max_cuts = 3
-    node_list = sorted(graph.nodes)
+    node_list = graph.sorted_nodes()
 
     def gaps(pairs: np.ndarray) -> np.ndarray:
         return np.array(

@@ -281,10 +281,7 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
     for x in ixps:
         truth.types[x] = AsType.UNKNOWN
 
-    graph = AsGraph.from_edges(truth.labels)
-    for a in truth.tier:
-        graph.add_node(a)
-    return graph, truth
+    return AsGraph.from_edges(truth.labels, nodes=truth.tier), truth
 
 
 # -- route propagation ---------------------------------------------------

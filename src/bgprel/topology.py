@@ -1,7 +1,7 @@
 """Undirected AS topology built from observed paths, plus node features.
 
-The graph records, per node, which vantage points observed it and at
-what hop distances, and which neighbors it was seen transiting between.
+The graph records, per node, its neighbors, which neighbors it was seen
+transiting between, and at what hop distances vantage points saw it.
 Those observations drive the per-node feature vector used by the edge
 classifier:
 
@@ -18,15 +18,16 @@ as a node column.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .ingest import AsPath
+from .ingest import PathStore
 
 
 class UnknownNodeError(ValueError):
@@ -41,133 +42,256 @@ def canonical_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-class AsGraph:
-    """AS-level graph with observation metadata.
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-    Build it once (from paths or an edge list) and treat it as
-    read-only afterwards; all query methods are side-effect free.
-    """
 
-    def __init__(self) -> None:
-        self._adj: dict[int, set[int]] = {}
-        self.edge_observers: dict[tuple[int, int], set[int]] = {}
-        self.node_observers: dict[int, set[int]] = {}
-        self.vp_distances: dict[int, list[int]] = {}
-        self._transit: dict[int, set[int]] = {}
-        self._diameter: int | None = None
+class VpArrays(NamedTuple):
+    """Per-node vantage-point observations: how many hops sit on the
+    node, the sum/min/max of their distances from their path's VP, and
+    how many distinct VPs saw it.  All zero for an unobserved node."""
 
-    # -- construction -------------------------------------------------
-
-    def add_node(self, a: int) -> None:
-        if a not in self._adj:
-            self._adj[a] = set()
-            self._transit[a] = set()
-            self.node_observers[a] = set()
-            self.vp_distances[a] = []
-
-    def add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError(f"self-edge on AS{a}")
-        self.add_node(a)
-        self.add_node(b)
-        self._adj[a].add(b)
-        self._adj[b].add(a)
-        self.edge_observers.setdefault(canonical_edge(a, b), set())
-
-    def add_path(self, path: AsPath) -> None:
-        """Fold one sanitized path into the graph."""
-        hops = path.hops
-        vp = hops[0]
-        for i, h in enumerate(hops):
-            self.add_node(h)
-            self.node_observers[h].add(vp)
-            self.vp_distances[h].append(i)
-        for a, b in zip(hops, hops[1:]):
-            self.add_edge(a, b)
-            self.edge_observers[canonical_edge(a, b)].add(vp)
-        for x, m, y in zip(hops, hops[1:], hops[2:]):
-            self._transit[m].add(x)
-            self._transit[m].add(y)
+    count: np.ndarray
+    total: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    observers: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "AsGraph":
-        g = cls()
-        for a, b in edges:
-            g.add_edge(a, b)
-        return g
+    def unobserved(cls, n: int) -> "VpArrays":
+        return cls(*(np.zeros(n, dtype=np.int64) for _ in cls._fields))
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins in a sorted array."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, sorting ``keys`` in place (np.unique
+    without its bookkeeping)."""
+    keys.sort()
+    return keys[_run_starts(keys)]
+
+
+class AsGraph:
+    """AS-level graph with observation metadata, held in arrays.
+
+    Nodes are a sorted ASN array, so a node's position is also its row
+    in the feature matrix; adjacency is CSR over those positions with
+    sorted rows.  Per-node arrays hold the transit degree and the VP
+    observations.  Build it once, with ``build_graph`` or
+    ``from_edges``; all query methods are side-effect free.
+    """
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        edges: np.ndarray,
+        transit: np.ndarray | None = None,
+        vp: VpArrays | None = None,
+    ) -> None:
+        n = len(nodes)
+        self._nodes = nodes
+        self._edges = edges
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        self._indices = cols[np.lexsort((cols, rows))]
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self._indptr[1:])
+        self._transit = np.zeros(n, dtype=np.int64) if transit is None else transit
+        self._vp = VpArrays.unobserved(n) if vp is None else vp
+        self._diameter: int | None = None
+
+    @classmethod
+    def from_edges(
+        cls, edges: Iterable[tuple[int, int]], nodes: Iterable[int] = ()
+    ) -> "AsGraph":
+        """Graph of an edge list, plus any extra isolated ``nodes``; no
+        node has observations."""
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"self-edge on AS{pairs[loops][0, 0]}")
+        asns = _distinct(np.concatenate([pairs.ravel(), np.fromiter(nodes, np.int64)]))
+        n = len(asns)
+        pos = np.sort(np.searchsorted(asns, pairs), axis=1)
+        keys = _distinct(pos[:, 0] * n + pos[:, 1])
+        return cls(asns, np.stack(np.divmod(keys, n), axis=1))
 
     # -- queries ------------------------------------------------------
 
+    def _find(self, a: int) -> int:
+        """Position of a node, or -1."""
+        i = int(np.searchsorted(self._nodes, a))
+        return i if i < len(self._nodes) and self._nodes[i] == a else -1
+
+    def _pos(self, a: int) -> int:
+        i = self._find(a)
+        if i < 0:
+            raise UnknownNodeError(f"unknown AS{a}")
+        return i
+
     def __contains__(self, a: int) -> bool:
-        return a in self._adj
+        return self._find(a) >= 0
 
     @property
     def nodes(self) -> set[int]:
-        return set(self._adj)
+        """A fresh set of every ASN; test membership with ``in graph``."""
+        return set(self._nodes.tolist())
 
     def sorted_nodes(self) -> list[int]:
-        return sorted(self._adj)
+        return self._nodes.tolist()
 
-    def _check(self, a: int) -> None:
-        if a not in self._adj:
-            raise UnknownNodeError(f"unknown AS{a}")
+    def _degrees(self) -> np.ndarray:
+        return np.diff(self._indptr)
+
+    def _row(self, i: int) -> np.ndarray:
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
     def neighbors(self, a: int) -> set[int]:
-        self._check(a)
-        return set(self._adj[a])
+        return set(self._nodes[self._row(self._pos(a))].tolist())
 
     def degree(self, a: int) -> int:
-        self._check(a)
-        return len(self._adj[a])
+        i = self._pos(a)
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def transit_degree(self, a: int) -> int:
-        self._check(a)
-        return len(self._transit[a])
+        return int(self._transit[self._pos(a)])
 
     def has_edge(self, a: int, b: int) -> bool:
-        return a in self._adj and b in self._adj[a]
+        i, j = self._find(a), self._find(b)
+        if i < 0 or j < 0:
+            return False
+        row = self._row(i)
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and row[k] == j
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_observers)
+        return list(zip(self._nodes[self._edges[:, 0]].tolist(),
+                        self._nodes[self._edges[:, 1]].tolist()))
 
     @property
     def num_nodes(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_observers)
+        return len(self._edges)
+
+    def _adjacency(self) -> sp.csr_matrix:
+        """0/1 adjacency over node positions."""
+        n = self.num_nodes
+        ones = np.ones(len(self._indices), dtype=np.float64)
+        return sp.csr_matrix((ones, self._indices, self._indptr), shape=(n, n))
+
+    def _hop_distances(self, sources: np.ndarray) -> np.ndarray:
+        """BFS hop counts from each source position to every node, one
+        row per source; unreachable nodes read inf."""
+        return csgraph.shortest_path(
+            self._adjacency(), method="D", unweighted=True, indices=sources
+        ).reshape(len(sources), self.num_nodes)
 
     def bfs_distances(self, src: int) -> dict[int, int]:
-        self._check(src)
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+        dist = self._hop_distances(np.array([self._pos(src)]))[0]
+        reached = np.flatnonzero(np.isfinite(dist))
+        return dict(zip(self._nodes[reached].tolist(),
+                        dist[reached].astype(np.int64).tolist()))
 
     def diameter(self) -> int:
-        """Longest finite shortest-path distance over all node pairs."""
+        """Longest finite shortest-path distance over all node pairs: the
+        largest diameter among the connected components.
+
+        One BFS per source; a source's eccentricity is the depth of the
+        last node it reaches, read off the BFS predecessor chain."""
         if self._diameter is None:
+            adj = self._adjacency()
             best = 0
-            for src in self._adj:
-                dist = self.bfs_distances(src)
-                if dist:
-                    best = max(best, max(dist.values()))
+            for src in range(self.num_nodes):
+                order, pred = csgraph.breadth_first_order(
+                    adj, src, directed=True, return_predecessors=True
+                )
+                v, depth = int(order[-1]), 0
+                while v != src:
+                    v, depth = int(pred[v]), depth + 1
+                best = max(best, depth)
             self._diameter = best
         return self._diameter
 
 
-def build_graph(paths: Iterable[AsPath]) -> AsGraph:
-    """Assemble the observed topology from sanitized paths."""
-    g = AsGraph()
-    for p in paths:
-        g.add_path(p)
-    return g
+def build_graph(paths: PathStore) -> AsGraph:
+    """Assemble the observed topology from sanitized paths.
+
+    Each per-hop quantity is packed with its node's ASN into one 64-bit
+    key, (ASN << 32) | value, and sorted; every ASN is below 2**32, so
+    sorted keys group by node in ascending ASN order.
+    """
+    hops = paths.hops.view(np.uint64)  # ASNs are positive
+    nodes = _distinct(paths.hops.copy())
+    n = len(nodes)
+    path_of = np.repeat(
+        np.arange(len(paths), dtype=np.int32), np.diff(paths.offsets)
+    )
+
+    # hops i and i+1 are adjacent when they belong to one path
+    linked = path_of[1:] == path_of[:-1]
+    lo, hi = hops[:-1][linked], hops[1:][linked]
+    if np.any(lo == hi):
+        raise ValueError("self-edge in a path")
+    keys = np.minimum(lo, hi)
+    np.maximum(lo, hi, out=hi)
+    del lo
+    keys <<= 32
+    keys |= hi
+    del hi
+    keys = _distinct(keys)
+    edges = np.searchsorted(
+        nodes, np.stack([keys >> 32, keys & _LOW32], axis=1).astype(np.int64)
+    )
+
+    # hop i+1 transits between hops i and i+2
+    inner = linked[:-1] & linked[1:]
+    del linked
+    mid = hops[1:-1][inner] << 32
+    keys = np.empty(2 * len(mid), dtype=np.uint64)
+    np.bitwise_or(mid, hops[:-2][inner], out=keys[:len(mid)])
+    np.bitwise_or(mid, hops[2:][inner], out=keys[len(mid):])
+    del mid, inner
+    middles = (_distinct(keys) >> 32).astype(np.int64)
+    del keys
+    starts = _run_starts(middles)
+    transit = np.zeros(n, dtype=np.int64)
+    transit[np.searchsorted(nodes, middles[starts])] = np.diff(starts, append=len(middles))
+    del middles
+
+    # (node, VP of the path it sits on) for every hop
+    first = paths.offsets[:-1]
+    keys = hops << 32
+    keys |= hops[first][path_of]
+    seen_by = _distinct(keys) >> 32
+    del keys
+    observers = np.diff(_run_starts(seen_by), append=len(seen_by))
+    del seen_by
+    # (node, hop distance from the path's VP) for every hop
+    keys = np.arange(len(hops), dtype=np.uint64)
+    keys -= first.view(np.uint64)[path_of]
+    del path_of
+    keys |= hops << 32
+    keys.sort()
+    starts = _run_starts(keys >> 32)
+    count = np.diff(starts, append=len(keys))
+    depth = (keys & _LOW32).astype(np.int64)
+    del keys
+    running = np.concatenate([[0], np.cumsum(depth)])
+    vp = VpArrays(
+        count=count,
+        total=running[starts + count] - running[starts],
+        low=depth[starts],
+        high=depth[starts + count - 1],
+        observers=observers,
+    )
+    return AsGraph(nodes, edges, transit, vp)
 
 
 # -- top clique ------------------------------------------------------
@@ -183,11 +307,10 @@ def infer_clique(g: AsGraph, k_candidates: int = 20) -> set[int]:
     """
     if g.num_nodes == 0:
         raise ValueError("cannot infer a clique on an empty graph")
-    ranked = sorted(
-        g.sorted_nodes(), key=lambda a: (-g.transit_degree(a), -g.degree(a), a)
-    )
+    order = np.lexsort((g._nodes, -g._degrees(), -g._transit))
+    ranked = g._nodes[order[:max(k_candidates, 1)]].tolist()
     members = [ranked[0]]
-    for cand in ranked[1:k_candidates]:
+    for cand in ranked[1:]:
         if g.transit_degree(cand) == 0:
             continue
         if all(g.has_edge(cand, m) for m in members):
@@ -224,23 +347,15 @@ def clique_distances(
     for m in clique:
         if m not in g:
             raise UnknownNodeError(f"clique member AS{m} not in graph")
-    per_member = {m: g.bfs_distances(m) for m in sorted(clique)}
-    unreachable = 0
-    fallback: int | None = None
-    means: dict[int, float] = {}
-    n = len(clique)
-    for node in g.sorted_nodes():
-        total = 0.0
-        for m, dist in per_member.items():
-            d = dist.get(node)
-            if d is None:
-                if fallback is None:
-                    fallback = g.diameter() + 1
-                d = fallback
-                unreachable += 1
-            total += d
-        means[node] = total / n
-    return means, unreachable
+    members = np.array([g._pos(m) for m in sorted(clique)])
+    dist = g._hop_distances(members)
+    missing = ~np.isfinite(dist)
+    unreachable = int(missing.sum())
+    if unreachable:
+        dist[missing] = g.diameter() + 1
+    # integer hop counts, so the sum is exact in any order
+    means = dist.sum(axis=0) / len(members)
+    return dict(zip(g.sorted_nodes(), means.tolist())), unreachable
 
 
 def common_neighbor_ratio(g: AsGraph, a: int, b: int) -> float:
@@ -257,7 +372,21 @@ def common_neighbor_ratio(g: AsGraph, a: int, b: int) -> float:
 
 
 def cnr_edge_weights(g: AsGraph) -> dict[tuple[int, int], float]:
-    return {(a, b): common_neighbor_ratio(g, a, b) for a, b in g.edges()}
+    """``common_neighbor_ratio`` of every edge, keyed like ``g.edges()``.
+
+    Neither endpoint is its own neighbor, so the shared neighbors never
+    include them, and the union without them has deg(a)-1 + deg(b)-1 -
+    shared members.
+    """
+    bounds = g._indptr.tolist()
+    rows = [set(g._indices[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    degree = g._degrees().tolist()
+    out = {}
+    for key, (i, j) in zip(g.edges(), g._edges.tolist()):
+        shared = len(rows[i] & rows[j])
+        union = degree[i] + degree[j] - 2 - shared
+        out[key] = shared / union if union else 0.0
+    return out
 
 
 class VpStats(NamedTuple):
@@ -271,15 +400,16 @@ class VpStats(NamedTuple):
 def vp_stats(g: AsGraph, a: int) -> VpStats:
     """Hop-distance statistics of a node relative to the vantage points
     that saw it; all-zero with observed=False for unseen nodes."""
-    g._check(a)
-    dists = g.vp_distances[a]
-    if not dists:
+    i = g._pos(a)
+    vp = g._vp
+    count = int(vp.count[i])
+    if not count:
         return VpStats(0.0, 0, 0, 0, False)
     return VpStats(
-        sum(dists) / len(dists),
-        min(dists),
-        max(dists),
-        len(g.node_observers[a]),
+        int(vp.total[i]) / count,
+        int(vp.low[i]),
+        int(vp.high[i]),
+        int(vp.observers[i]),
         True,
     )
 
@@ -291,7 +421,7 @@ class Hierarchy(Enum):
 
 
 def hierarchy_class(g: AsGraph, clique: set[int], a: int) -> Hierarchy:
-    g._check(a)
+    g._pos(a)
     if a in clique:
         return Hierarchy.NUCLEUS
     if g.transit_degree(a) == 0:
@@ -385,19 +515,17 @@ def assemble_features(
     n = len(nodes)
 
     dclique, unreachable = clique_distances(g, clique)
+    vp = g._vp
+    observed = vp.count > 0
     raw = np.zeros((n, len(SCALAR_COLUMNS)), dtype=np.float64)
-    unobserved = 0
-    for i, a in enumerate(nodes):
-        stats = vp_stats(g, a)
-        if not stats.observed:
-            unobserved += 1
-        raw[i, 0] = g.degree(a)
-        raw[i, 1] = g.transit_degree(a)
-        raw[i, 2] = dclique[a]
-        raw[i, 3] = stats.mean
-        raw[i, 4] = stats.min
-        raw[i, 5] = stats.max
-        raw[i, 6] = stats.assign_vp
+    raw[:, 0] = g._degrees()
+    raw[:, 1] = g._transit
+    raw[:, 2] = [dclique[a] for a in nodes]
+    np.divide(vp.total, vp.count, out=raw[:, 3], where=observed)
+    raw[:, 4] = vp.low
+    raw[:, 5] = vp.high
+    raw[:, 6] = vp.observers
+    unobserved = int(n - observed.sum())
 
     values = np.zeros((n, len(FEATURE_COLUMNS)), dtype=np.float64)
     for c in range(raw.shape[1]):

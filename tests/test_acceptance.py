@@ -51,7 +51,7 @@ from bgprel.topology import (
     common_neighbor_ratio,
     vp_stats,
 )
-from bgprel.ingest import AsPath
+from bgprel.ingest import AsPath, PathStore
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -92,13 +92,12 @@ def test_criterion_1_gradients():
         h = int(rng.integers(2, 9))
         c = int(rng.choice([2, 4]))
         wd = 0.0 if instances % 2 == 0 else 5e-4
-        g = AsGraph()
         nodes = list(range(1, n + 1))
-        for a in nodes:
-            g.add_node(a)
-        for a, b in itertools.combinations(nodes, 2):
-            if rng.random() < 0.45:
-                g.add_edge(a, b)
+        g = AsGraph.from_edges(
+            [(a, b) for a, b in itertools.combinations(nodes, 2)
+             if rng.random() < 0.45],
+            nodes=nodes,
+        )
         index = {a: i for i, a in enumerate(nodes)}
         a_hat = build_normalized_adjacency(g, index)
         x = rng.normal(size=(n, d))
@@ -130,14 +129,11 @@ def test_criterion_2_adjacency_invariants():
     for trial in range(50):
         n = int(rng.integers(2, 201))
         nodes = list(range(1, n + 1))
-        g = AsGraph()
-        for a in nodes:
-            g.add_node(a)
         weights = {}
         for a, b in itertools.combinations(nodes, 2):
             if rng.random() < min(1.0, 4.0 / n):
-                g.add_edge(a, b)
                 weights[canonical_edge(a, b)] = float(rng.uniform(0.01, 1.0))
+        g = AsGraph.from_edges(weights, nodes=nodes)
         index = {a: i for i, a in enumerate(nodes)}
         a_hat = build_normalized_adjacency(g, index, weights, delta=0.05)
         dense = a_hat.toarray()
@@ -210,12 +206,18 @@ def test_criterion_3_feature_oracles():
             hops = list(rng.choice(np.arange(1, n + 1),
                                    size=length, replace=False))
             paths.append(AsPath(tuple(int(h) for h in hops)))
-        g = build_graph(paths)
-        adj = {a: set(g.neighbors(a)) for a in g.nodes}
+        g = build_graph(PathStore.from_hops(paths))
+        adj = {}
+        for p in paths:
+            for a, b in zip(p.hops, p.hops[1:]):
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+        assert g.nodes == set(adj), "nodes"
 
         oracle_t = _oracle_transit(paths)
         for a in g.nodes:
             assert g.transit_degree(a) == len(oracle_t.get(a, ())), "transit"
+            assert g.neighbors(a) == adj[a], "neighbors"
             assert g.degree(a) == len(adj[a]), "degree"
 
         members = sorted(g.nodes)
@@ -225,7 +227,8 @@ def test_criterion_3_feature_oracles():
                                        replace=False)
         )
         means, _ = clique_distances(g, clique)
-        diameter = g.diameter()
+        diameter = max(max(_oracle_bfs(adj, a).values()) for a in adj)
+        assert g.diameter() == diameter, "diameter"
         for a in g.nodes:
             vals = []
             for c in clique:

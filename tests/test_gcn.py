@@ -37,9 +37,7 @@ def random_topology(rng, n_nodes, p_edge=0.35, weighted=True):
     ]
     if not edges:
         edges = [(1, 2)] if n_nodes >= 2 else []
-    g = AsGraph.from_edges(edges)
-    for a in nodes:
-        g.add_node(a)
+    g = AsGraph.from_edges(edges, nodes=nodes)
     index = {a: i for i, a in enumerate(nodes)}
     weights = None
     if weighted:
@@ -54,8 +52,7 @@ class TestNormalizedAdjacency:
         assert np.allclose(a_hat.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_node(self):
-        g = AsGraph()
-        g.add_node(7)
+        g = AsGraph.from_edges([], nodes=[7])
         a_hat = build_normalized_adjacency(g, {7: 0})
         assert np.allclose(a_hat.toarray(), [[1.0]])
 

@@ -1,8 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bgprel import ingest
 from bgprel.ingest import (
     MAX_ASN,
+    WHITESPACE,
     AllocationTable,
     AsPath,
     IngestReport,
@@ -48,6 +52,33 @@ class TestParse:
 
     def test_single_hop_is_valid(self):
         assert parse_path_line("65000").hops == (65000,)
+
+    # int() would accept every one of these
+    STRICT = ["+5|1", "1_000|2", "\u0661|2", "1|\uff12", "1|2\u00a0", "\u00b2|1", "1|-2"]
+
+    @pytest.mark.parametrize("bad", STRICT)
+    def test_only_ascii_digits(self, bad):
+        with pytest.raises(PathParseError):
+            parse_path_line(bad)
+
+    @pytest.mark.parametrize("bad", STRICT + ["AS1|2", "1||2", "1 2|3", "1|2|"])
+    def test_strict_tokens_are_malformed_in_ingest(self, bad):
+        paths, report = ingest_lines([bad, "7|8"])
+        assert [p.hops for p in paths] == [(7, 8)]
+        assert report.malformed == 1 and report.parsed == 1
+
+    def test_ascii_whitespace_and_leading_zeros(self):
+        assert parse_path_line("\t007 |\x0b8\r\n").hops == (7, 8)
+
+    def test_digit_runs_longer_than_int_accepts(self):
+        # int() refuses strings of more than a few thousand digits
+        padded, huge = "0" * 5000 + "9", "9" * 5000
+        assert parse_path_line(f"{padded}|2").hops == (9, 2)
+        with pytest.raises(PathParseError):
+            parse_path_line(f"1|{huge}")
+        paths, report = ingest_lines([f"{padded}|2", f"1|{huge}", f"# {huge}"])
+        assert [p.hops for p in paths] == [(9, 2)]
+        assert report.malformed == 1
 
 
 class TestSanitize:
@@ -134,7 +165,7 @@ class TestIngest:
 
     def test_loop_counted(self):
         paths, report = ingest_lines(["1|2|1"])
-        assert paths == []
+        assert len(paths) == 0
         assert report.rejected_loop == 1
 
     def test_comments_and_blanks_skipped(self):
@@ -169,4 +200,104 @@ class TestIngest:
         write_paths_file(paths, out)
         again, report = ingest_file(out)
         assert [p.hops for p in again] == [p.hops for p in paths]
+        assert [p.hops for p in paths] == [(11, 22, 33), (44, 55)]
         assert report.accepted == 2
+
+
+# -- batch ingest against the per-path reference ------------------------
+
+
+def reference_ingest(lines, table):
+    """``parse_path_line`` + ``sanitize`` applied line by line."""
+    report = IngestReport()
+    accepted = []
+    for raw in lines:
+        text = raw.strip(WHITESPACE)
+        if not text or text.startswith("#"):
+            continue
+        try:
+            path = parse_path_line(text)
+        except PathParseError:
+            report.malformed += 1
+            continue
+        report.parsed += 1
+        try:
+            clean = sanitize(path, table)
+        except PathRejected as rej:
+            if rej.reason is RejectReason.LOOP:
+                report.rejected_loop += 1
+            else:
+                report.rejected_unallocated += 1
+            continue
+        if len(clean.hops) < len(path.hops):
+            report.compressed += 1
+        accepted.append(clean.hops)
+    return accepted, report
+
+
+# ASNs 1..12 are allocated in the test table; 13..15 are not.  A small
+# universe makes prepends, loops and loop-plus-unallocated paths common.
+_space = st.sampled_from(["", " ", "\t", "  ", "\x0b", "\x0c", "\r"])
+_asn = st.integers(min_value=1, max_value=15)
+
+
+@st.composite
+def _token(draw):
+    text = str(draw(_asn))
+    return draw(_space) + text + draw(_space)
+
+
+@st.composite
+def _path_tokens(draw):
+    tokens = draw(st.lists(_token(), min_size=1, max_size=8))
+    if draw(st.booleans()):  # prepend: repeat one hop a few times
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i:i + 1] = [tokens[i]] * draw(st.integers(2, 4))
+    return tokens
+
+
+@st.composite
+def _malformed(draw, tokens):
+    kind = draw(st.sampled_from(["as", "empty", "big", "spaces", "strict"]))
+    i = draw(st.integers(0, len(tokens) - 1))
+    tokens = list(tokens)
+    if kind == "as":
+        tokens[i] = "AS" + tokens[i].strip(WHITESPACE)
+    elif kind == "empty":
+        tokens.insert(i, draw(_space))
+    elif kind == "big":
+        tokens[i] = str(MAX_ASN + 1 + draw(st.integers(0, 10**12)))
+    elif kind == "spaces":
+        return " ".join(t.strip(WHITESPACE) for t in tokens + ["1"])
+    else:
+        tokens[i] = draw(st.sampled_from(["+5", "1_0", "\u0663", "0", "\u00a0"]))
+    return "|".join(tokens)
+
+
+@st.composite
+def _line(draw):
+    kind = draw(st.sampled_from(["path", "path", "path", "malformed", "comment", "blank"]))
+    if kind == "comment":
+        body = draw(_space) + "#" + draw(st.text(max_size=10).filter(
+            lambda t: "\n" not in t and "\r" not in t))
+    elif kind == "blank":
+        body = draw(_space)
+    else:
+        tokens = draw(_path_tokens())
+        body = "|".join(tokens) if kind == "path" else draw(_malformed(tokens))
+    return body + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_line(), max_size=25),
+    allocated=st.booleans(),
+    batch=st.sampled_from([1, 2, 5, 1 << 16]),
+)
+def test_batch_ingest_matches_reference(lines, allocated, batch):
+    table = AllocationTable([(1, 12)]) if allocated else None
+    want_paths, want_report = reference_ingest(lines, table)
+    with mock.patch.object(ingest, "_BATCH_LINES", batch):
+        paths, report = ingest_lines(lines, table)
+    assert [p.hops for p in paths] == want_paths
+    assert report == want_report

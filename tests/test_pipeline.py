@@ -124,6 +124,23 @@ def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
         build_bundle(files)
 
 
+def test_prepare_never_copies_the_node_set(clean_dir, tmp_path, monkeypatch):
+    # AsGraph.nodes builds a fresh set; a membership test per label made
+    # restriction quadratic, so the pipeline must test ``a in graph``
+    files = DataFiles.discover(clean_dir)
+    clique = build_bundle(files).clique
+    # a fixed clique file sends build_bundle through its membership check
+    files.clique = tmp_path / "clique.txt"
+    files.clique.write_text("".join(f"{a}\n" for a in sorted(clique)))
+
+    def forbidden(self):
+        raise AssertionError("AsGraph.nodes read")
+
+    monkeypatch.setattr(AsGraph, "nodes", property(forbidden))
+    prep = prepare(files, "multi", seed=1)
+    assert len(prep.dataset.edges) > 0
+
+
 def test_clean_labels_match_planted_truth(clean_dir):
     _, truth = generate(CFG)
     files = DataFiles.discover(clean_dir)

@@ -258,9 +258,10 @@ def test_observed_clique_recovers_tier1():
     )
     _, truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
+    from bgprel.ingest import PathStore
     from bgprel.topology import build_graph
 
-    observed = build_graph(paths)
+    observed = build_graph(PathStore.from_hops(paths))
     clique = infer_clique(observed)
     tier1 = {a for a, t in truth.tier.items() if t == "tier1"}
     assert clique == tier1
