@@ -374,7 +374,7 @@ def cmd_eval(args) -> int:
     prep = prepare(files, mode, seed)
     bundle, dataset = prep.bundle, prep.dataset
     _check_width(model, bundle)
-    a_hat = adjacency_for(bundle.graph, bundle.features, True, delta)
+    a_hat = adjacency_for(bundle.graph, True, delta)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
@@ -403,29 +403,14 @@ def cmd_predict(args) -> int:
     _check_width(model, bundle)
     classes = meta.get("classes") or ["p2p", "p2c", "s2s", "x2x"][: model.n_classes]
 
+    graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
-        wanted = []
-        with open(pair_file, encoding="utf-8") as fh:
-            for n, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                bits = text.split("|")
-                if len(bits) < 2:
-                    raise ValueError(f"pairs line {n}: expected a|b, got {text!r}")
-                wanted.append((int(bits[0]), int(bits[1])))
+        wanted = _read_pairs(pair_file)
+        rows = graph.positions(np.array(wanted, dtype=np.int64).reshape(-1, 2))
     else:
-        wanted = bundle.graph.edges()
-
-    index = bundle.features.index
-    for a, b in wanted:
-        if a not in index or b not in index:
-            missing = a if a not in index else b
-            raise ValueError(f"AS{missing} does not appear in the paths")
-    rows = np.array([(index[a], index[b]) for a, b in wanted], dtype=np.intp)
-    rows = rows.reshape(len(wanted), 2)
-    a_hat = adjacency_for(bundle.graph, bundle.features, True, delta)
+        wanted, rows = graph.edges(), graph.edge_positions()
+    a_hat = adjacency_for(graph, True, delta)
     pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
     with open(pred_file, "w", encoding="utf-8") as fh:
@@ -439,6 +424,27 @@ def cmd_predict(args) -> int:
     )
     print(f"wrote {len(wanted)} predictions to {pred_file}")
     return 0
+
+
+def _read_pairs(path: Path) -> list[tuple[int, int]]:
+    """ASN pairs of an ``a|b`` file; blank and ``#`` lines are skipped."""
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for n, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            bits = text.split("|")
+            try:
+                pair = (int(bits[0]), int(bits[1]))
+            except (IndexError, ValueError):
+                pair = None
+            if pair is None or not all(0 < x < 2**32 for x in pair):
+                raise ValueError(
+                    f"pairs line {n}: expected two ASNs a|b, got {text!r}"
+                )
+            pairs.append(pair)
+    return pairs
 
 
 def cmd_importance(args) -> int:
@@ -477,7 +483,7 @@ def cmd_sweep(args) -> int:
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed, args.k_candidates)
     fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, fm, True, args.delta)
+    a_hat = adjacency_for(prep.bundle.graph, True, args.delta)
 
     grid: dict[str, list] = {}
     if args.lr:

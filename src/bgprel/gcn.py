@@ -27,8 +27,6 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .topology import AsGraph, canonical_edge
-
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -77,35 +75,24 @@ class TrainConfig:
 
 
 def build_normalized_adjacency(
-    graph: AsGraph,
-    node_index: dict[int, int],
-    edge_weights: dict[tuple[int, int], float] | None = None,
-    delta: float = 0.05,
+    weights: sp.csr_matrix, delta: float = 0.05
 ) -> sp.csr_matrix:
     """Symmetrically normalized, self-looped, weighted adjacency.
 
-    Off-diagonal weights are max(edge weight, delta) so sparsely
-    overlapping edges still propagate; passing no weights gives the
-    unweighted variant (every edge weight 1).
+    ``weights`` is a symmetric edge-weight matrix with one stored entry
+    per edge direction (``topology.cnr_edge_weights``, or the 0/1
+    ``AsGraph.adjacency()`` for the unweighted variant).  Stored weights
+    are floored at delta, so sparsely overlapping edges still propagate.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    n = len(node_index)
+    n = weights.shape[0]
     if n == 0:
-        raise ValueError("empty node index")
-    rows, cols, vals = [], [], []
-    for a, b in graph.edges():
-        if a not in node_index or b not in node_index:
-            raise KeyError(f"edge ({a},{b}) outside the node index")
-        if edge_weights is None:
-            w = 1.0
-        else:
-            w = max(edge_weights[canonical_edge(a, b)], delta)
-        i, j = node_index[a], node_index[b]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((w, w))
-    a_tilde = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        raise ValueError("empty graph")
+    a_tilde = sp.csr_matrix(
+        (np.maximum(weights.data, delta), weights.indices, weights.indptr),
+        shape=weights.shape,
+    )
     a_tilde = a_tilde + sp.identity(n, format="csr")
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)

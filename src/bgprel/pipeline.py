@@ -172,17 +172,19 @@ class EdgeDataset:
 
 
 def make_dataset(
-    labeled: LabeledEdgeSet, index: dict[int, int], mode: str, seed: int
+    labeled: LabeledEdgeSet, graph: AsGraph, mode: str, seed: int
 ) -> EdgeDataset:
+    """Balance and split the labeled pairs; each split's rows are the
+    endpoints' graph positions, in stored (a, b) orientation."""
     classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
     class_pos = {c: i for i, c in enumerate(classes)}
     split_set = balance_and_split(labeled, seed, mode)
     ds = EdgeDataset(classes=list(classes), edges=split_set)
     for name in ("train", "val", "test"):
         entries = split_set.with_split(name)
-        pairs = np.array(
-            [(index[e.a], index[e.b]) for e in entries], dtype=np.intp
-        ).reshape(len(entries), 2)
+        pairs = graph.positions(
+            np.array([(e.a, e.b) for e in entries], dtype=np.int64).reshape(-1, 2)
+        )
         labels = np.array([class_pos[e.label] for e in entries], dtype=np.intp)
         ds.arrays[name] = (pairs, labels)
     return ds
@@ -216,13 +218,12 @@ def ablate_columns(
 
 
 def adjacency_for(
-    graph: AsGraph,
-    fm: FeatureMatrix,
-    weighted: bool,
-    delta: float = 0.05,
+    graph: AsGraph, weighted: bool, delta: float = 0.05
 ) -> sp.csr_matrix:
-    weights = cnr_edge_weights(graph) if weighted else None
-    return build_normalized_adjacency(graph, fm.index, weights, delta)
+    """Propagation matrix over the graph's node positions, with or
+    without the neighborhood-overlap edge weights."""
+    weights = cnr_edge_weights(graph) if weighted else graph.adjacency()
+    return build_normalized_adjacency(weights, delta)
 
 
 # -- training runs -------------------------------------------------------
@@ -285,7 +286,7 @@ def prepare(
     bundle = build_bundle(files, k_candidates)
     labeled, report = prepare_labels(files)
     usable, dropped = restrict_to_graph(labeled, bundle.graph)
-    dataset = make_dataset(usable, bundle.features.index, mode, seed)
+    dataset = make_dataset(usable, bundle.graph, mode, seed)
     return Prepared(bundle, report, dropped, dataset)
 
 
@@ -307,7 +308,7 @@ def run_experiment(
     prep = prepare(files, mode, seed, k_candidates)
     config = TrainConfig.for_mode(mode, seed, **config_overrides)
     fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, fm, True, delta)
+    a_hat = adjacency_for(prep.bundle.graph, True, delta)
     outcome = run_training(fm.values, a_hat, prep.dataset, config)
     return Experiment(**vars(prep), outcome=outcome)
 
@@ -324,7 +325,7 @@ def importance_runner(
 
     def run(feature: str | None) -> AblationRun:
         x, weighted = ablate_columns(fm, feature)
-        a_hat = adjacency_for(graph, fm, weighted, delta)
+        a_hat = adjacency_for(graph, weighted, delta)
         outcome = run_training(x, a_hat, dataset, config)
         return AblationRun(accuracy=outcome.test_accuracy, seed=config.seed)
 
@@ -365,16 +366,12 @@ def degree_gap_baseline(graph: AsGraph, dataset: EdgeDataset) -> float:
     beat it.
     """
     max_cuts = 3
-    node_list = graph.sorted_nodes()
+    degree = graph.degrees()
 
     def gaps(pairs: np.ndarray) -> np.ndarray:
-        return np.array(
-            [abs(graph.degree(node_list[i]) - graph.degree(node_list[j]))
-             for i, j in pairs],
-            dtype=np.float64,
-        )
+        return np.abs(degree[pairs[:, 0]] - degree[pairs[:, 1]]).astype(np.float64)
 
-    # dataset arrays hold row indices into the ascending node order
+    # dataset arrays hold graph positions
     tr_e, tr_y = dataset.split("train")
     te_e, te_y = dataset.split("test")
     n_classes = len(dataset.classes)

@@ -12,7 +12,9 @@ classifier:
 
 Scalar columns are min-max scaled to [0, 1]; the common-neighbor ratio
 is computed per edge and used only to weight the adjacency matrix, not
-as a node column.
+as a node column.  A node's position in the sorted node array is its
+row everywhere: in the feature matrix, the adjacency and edge-weight
+matrices, and the edge rows the classifier scores.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .ingest import PathStore
 
 
 class UnknownNodeError(ValueError):
-    pass
-
-
-class NonEdgeError(ValueError):
     pass
 
 
@@ -78,9 +76,10 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 class AsGraph:
     """AS-level graph with observation metadata, held in arrays.
 
-    Nodes are a sorted ASN array, so a node's position is also its row
-    in the feature matrix; adjacency is CSR over those positions with
-    sorted rows.  Per-node arrays hold the transit degree and the VP
+    Nodes are a sorted ASN array, and a node's position in it is its
+    row everywhere: ``positions`` maps ASNs to rows, adjacency is CSR
+    over those positions with sorted rows, and edges are pairs of
+    positions.  Per-node arrays hold the transit degree and the VP
     observations.  Build it once, with ``build_graph`` or
     ``from_edges``; all query methods are side-effect free.
     """
@@ -97,12 +96,14 @@ class AsGraph:
         self._edges = edges
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        self._indices = cols[np.lexsort((cols, rows))]
+        order = np.lexsort((cols, rows))
+        self._indices = cols[order]
+        # CSR entry k belongs to edge _edge_of[k]
+        self._edge_of = order % max(len(edges), 1)
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=self._indptr[1:])
         self._transit = np.zeros(n, dtype=np.int64) if transit is None else transit
         self._vp = VpArrays.unobserved(n) if vp is None else vp
-        self._diameter: int | None = None
 
     @classmethod
     def from_edges(
@@ -122,19 +123,27 @@ class AsGraph:
 
     # -- queries ------------------------------------------------------
 
-    def _find(self, a: int) -> int:
-        """Position of a node, or -1."""
-        i = int(np.searchsorted(self._nodes, a))
-        return i if i < len(self._nodes) and self._nodes[i] == a else -1
+    def _lookup(self, asns) -> tuple[np.ndarray, np.ndarray]:
+        """Search positions of ``asns`` and which of them are nodes."""
+        asns = np.asarray(asns, dtype=np.int64)
+        pos = np.searchsorted(self._nodes, asns)
+        if not len(self._nodes):
+            return pos, np.zeros(asns.shape, dtype=bool)
+        return pos, self._nodes[np.minimum(pos, len(self._nodes) - 1)] == asns
 
-    def _pos(self, a: int) -> int:
-        i = self._find(a)
-        if i < 0:
-            raise UnknownNodeError(f"unknown AS{a}")
-        return i
+    def positions(self, asns) -> np.ndarray:
+        """Row of every ASN in ``asns`` (one ASN or an array of any
+        shape); raises UnknownNodeError naming the first that is not a
+        node."""
+        pos, known = self._lookup(asns)
+        if not known.all():
+            first = np.asarray(asns, dtype=np.int64)[~known].flat[0]
+            raise UnknownNodeError(f"AS{first} does not appear in the graph")
+        return pos
 
     def __contains__(self, a: int) -> bool:
-        return self._find(a) >= 0
+        i = int(np.searchsorted(self._nodes, a))
+        return i < len(self._nodes) and self._nodes[i] == a
 
     @property
     def nodes(self) -> set[int]:
@@ -144,25 +153,25 @@ class AsGraph:
     def sorted_nodes(self) -> list[int]:
         return self._nodes.tolist()
 
-    def _degrees(self) -> np.ndarray:
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, in row order."""
         return np.diff(self._indptr)
 
     def _row(self, i: int) -> np.ndarray:
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
     def neighbors(self, a: int) -> set[int]:
-        return set(self._nodes[self._row(self._pos(a))].tolist())
+        return set(self._nodes[self._row(self.positions(a))].tolist())
 
     def degree(self, a: int) -> int:
-        i = self._pos(a)
-        return int(self._indptr[i + 1] - self._indptr[i])
+        return len(self._row(self.positions(a)))
 
     def transit_degree(self, a: int) -> int:
-        return int(self._transit[self._pos(a)])
+        return int(self._transit[self.positions(a)])
 
     def has_edge(self, a: int, b: int) -> bool:
-        i, j = self._find(a), self._find(b)
-        if i < 0 or j < 0:
+        (i, j), known = self._lookup([a, b])
+        if not known.all():
             return False
         row = self._row(i)
         k = int(np.searchsorted(row, j))
@@ -172,6 +181,10 @@ class AsGraph:
         return list(zip(self._nodes[self._edges[:, 0]].tolist(),
                         self._nodes[self._edges[:, 1]].tolist()))
 
+    def edge_positions(self) -> np.ndarray:
+        """Every edge as a (row, row) pair, in ``edges()`` order."""
+        return self._edges.copy()
+
     @property
     def num_nodes(self) -> int:
         return len(self._nodes)
@@ -180,44 +193,26 @@ class AsGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def _adjacency(self) -> sp.csr_matrix:
-        """0/1 adjacency over node positions."""
+    def edge_matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """Symmetric CSR matrix over node positions with the adjacency's
+        structure, holding ``values[k]`` at both entries of edge k
+        (``edges()`` order).  Zero values stay stored entries."""
         n = self.num_nodes
-        ones = np.ones(len(self._indices), dtype=np.float64)
-        return sp.csr_matrix((ones, self._indices, self._indptr), shape=(n, n))
+        data = np.asarray(values, dtype=np.float64)[self._edge_of]
+        return sp.csr_matrix(
+            (data, self._indices, self._indptr), shape=(n, n), copy=True
+        )
+
+    def adjacency(self) -> sp.csr_matrix:
+        """0/1 adjacency over node positions."""
+        return self.edge_matrix(np.ones(self.num_edges))
 
     def _hop_distances(self, sources: np.ndarray) -> np.ndarray:
         """BFS hop counts from each source position to every node, one
         row per source; unreachable nodes read inf."""
         return csgraph.shortest_path(
-            self._adjacency(), method="D", unweighted=True, indices=sources
+            self.adjacency(), method="D", unweighted=True, indices=sources
         ).reshape(len(sources), self.num_nodes)
-
-    def bfs_distances(self, src: int) -> dict[int, int]:
-        dist = self._hop_distances(np.array([self._pos(src)]))[0]
-        reached = np.flatnonzero(np.isfinite(dist))
-        return dict(zip(self._nodes[reached].tolist(),
-                        dist[reached].astype(np.int64).tolist()))
-
-    def diameter(self) -> int:
-        """Longest finite shortest-path distance over all node pairs: the
-        largest diameter among the connected components.
-
-        One BFS per source; a source's eccentricity is the depth of the
-        last node it reaches, read off the BFS predecessor chain."""
-        if self._diameter is None:
-            adj = self._adjacency()
-            best = 0
-            for src in range(self.num_nodes):
-                order, pred = csgraph.breadth_first_order(
-                    adj, src, directed=True, return_predecessors=True
-                )
-                v, depth = int(order[-1]), 0
-                while v != src:
-                    v, depth = int(pred[v]), depth + 1
-                best = max(best, depth)
-            self._diameter = best
-        return self._diameter
 
 
 def build_graph(paths: PathStore) -> AsGraph:
@@ -307,7 +302,7 @@ def infer_clique(g: AsGraph, k_candidates: int = 20) -> set[int]:
     """
     if g.num_nodes == 0:
         raise ValueError("cannot infer a clique on an empty graph")
-    order = np.lexsort((g._nodes, -g._degrees(), -g._transit))
+    order = np.lexsort((g._nodes, -g.degrees(), -g._transit))
     ranked = g._nodes[order[:max(k_candidates, 1)]].tolist()
     members = [ranked[0]]
     for cand in ranked[1:]:
@@ -334,45 +329,29 @@ def load_clique_file(path: str | Path) -> set[int]:
 # -- per-node statistics ----------------------------------------------
 
 
-def clique_distances(
-    g: AsGraph, clique: set[int]
-) -> tuple[dict[int, float], int]:
-    """Mean BFS distance from every node to the clique members.
+def clique_distances(g: AsGraph, clique: set[int]) -> tuple[np.ndarray, int]:
+    """Mean BFS distance from every node, in row order, to the clique
+    members.
 
-    Unreachable (node, member) pairs contribute diameter+1 hops; the
-    second return value counts them so callers can surface the anomaly.
+    A (node, member) pair with no path counts one hop more than the
+    longest finite distance from any member; the second return value
+    counts those pairs so callers can surface the anomaly.
     """
     if not clique:
         raise ValueError("clique is empty")
-    for m in clique:
-        if m not in g:
-            raise UnknownNodeError(f"clique member AS{m} not in graph")
-    members = np.array([g._pos(m) for m in sorted(clique)])
-    dist = g._hop_distances(members)
+    dist = g._hop_distances(g.positions(sorted(clique)))
     missing = ~np.isfinite(dist)
     unreachable = int(missing.sum())
     if unreachable:
-        dist[missing] = g.diameter() + 1
+        dist[missing] = dist[~missing].max() + 1
     # integer hop counts, so the sum is exact in any order
-    means = dist.sum(axis=0) / len(members)
-    return dict(zip(g.sorted_nodes(), means.tolist())), unreachable
+    return dist.sum(axis=0) / len(dist), unreachable
 
 
-def common_neighbor_ratio(g: AsGraph, a: int, b: int) -> float:
-    """Jaccard overlap of the endpoints' neighborhoods, excluding both
-    endpoints themselves; 0 when the union is empty."""
-    if not g.has_edge(a, b):
-        raise NonEdgeError(f"no edge AS{a}-AS{b}")
-    na = g.neighbors(a) - {a, b}
-    nb = g.neighbors(b) - {a, b}
-    union = na | nb
-    if not union:
-        return 0.0
-    return len(na & nb) / len(union)
-
-
-def cnr_edge_weights(g: AsGraph) -> dict[tuple[int, int], float]:
-    """``common_neighbor_ratio`` of every edge, keyed like ``g.edges()``.
+def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
+    """Common-neighbor ratio of every edge, as ``g.edge_matrix``: the
+    Jaccard overlap of the endpoints' neighborhoods without the
+    endpoints themselves, 0 when that union is empty.
 
     Neither endpoint is its own neighbor, so the shared neighbors never
     include them, and the union without them has deg(a)-1 + deg(b)-1 -
@@ -380,53 +359,14 @@ def cnr_edge_weights(g: AsGraph) -> dict[tuple[int, int], float]:
     """
     bounds = g._indptr.tolist()
     rows = [set(g._indices[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
-    degree = g._degrees().tolist()
-    out = {}
-    for key, (i, j) in zip(g.edges(), g._edges.tolist()):
+    degree = g.degrees().tolist()
+    ratios = np.zeros(g.num_edges)
+    for k, (i, j) in enumerate(g._edges.tolist()):
         shared = len(rows[i] & rows[j])
         union = degree[i] + degree[j] - 2 - shared
-        out[key] = shared / union if union else 0.0
-    return out
-
-
-class VpStats(NamedTuple):
-    mean: float
-    min: int
-    max: int
-    assign_vp: int
-    observed: bool
-
-
-def vp_stats(g: AsGraph, a: int) -> VpStats:
-    """Hop-distance statistics of a node relative to the vantage points
-    that saw it; all-zero with observed=False for unseen nodes."""
-    i = g._pos(a)
-    vp = g._vp
-    count = int(vp.count[i])
-    if not count:
-        return VpStats(0.0, 0, 0, 0, False)
-    return VpStats(
-        int(vp.total[i]) / count,
-        int(vp.low[i]),
-        int(vp.high[i]),
-        int(vp.observers[i]),
-        True,
-    )
-
-
-class Hierarchy(Enum):
-    NUCLEUS = "nucleus"
-    MIDDLE = "middle"
-    SHELL = "shell"
-
-
-def hierarchy_class(g: AsGraph, clique: set[int], a: int) -> Hierarchy:
-    g._pos(a)
-    if a in clique:
-        return Hierarchy.NUCLEUS
-    if g.transit_degree(a) == 0:
-        return Hierarchy.SHELL
-    return Hierarchy.MIDDLE
+        if union:
+            ratios[k] = shared / union
+    return g.edge_matrix(ratios)
 
 
 class AsType(Enum):
@@ -449,6 +389,8 @@ def load_type_map(path: str | Path) -> dict[int, AsType]:
                 if n == 1:
                     continue  # header
                 raise ValueError(f"type map line {n}: bad ASN {key!r}")
+            if not 0 < int(key) < 2**32:
+                raise ValueError(f"type map line {n}: ASN out of range {key!r}")
             if len(row) < 2:
                 raise ValueError(f"type map line {n}: missing type")
             label = row[1].strip()
@@ -469,11 +411,11 @@ SCALAR_COLUMNS = [
     "dist_to_vp_max",
     "assign_vp",
 ]
+# nucleus: clique members; middle: transits something; shell: the rest
 HIERARCHY_COLUMNS = ["hierarchy_nucleus", "hierarchy_middle", "hierarchy_shell"]
 TYPE_COLUMNS = ["type_transit_access", "type_content", "type_enterprise", "type_unknown"]
 FEATURE_COLUMNS = SCALAR_COLUMNS + HIERARCHY_COLUMNS + TYPE_COLUMNS
 
-_HIERARCHY_ORDER = [Hierarchy.NUCLEUS, Hierarchy.MIDDLE, Hierarchy.SHELL]
 _TYPE_ORDER = [AsType.TRANSIT_ACCESS, AsType.CONTENT, AsType.ENTERPRISE, AsType.UNKNOWN]
 
 
@@ -484,7 +426,6 @@ class FeatureMatrix:
     values: np.ndarray
     raw: np.ndarray
     nodes: list[int]
-    index: dict[int, int]
     columns: list[str]
     clique: set[int]
     diagnostics: dict[str, int] = field(default_factory=dict)
@@ -509,18 +450,16 @@ def assemble_features(
     """
     if g.num_nodes == 0:
         raise ValueError("empty graph")
-    type_map = type_map or {}
     nodes = g.sorted_nodes()
-    index = {a: i for i, a in enumerate(nodes)}
     n = len(nodes)
 
     dclique, unreachable = clique_distances(g, clique)
     vp = g._vp
     observed = vp.count > 0
     raw = np.zeros((n, len(SCALAR_COLUMNS)), dtype=np.float64)
-    raw[:, 0] = g._degrees()
+    raw[:, 0] = g.degrees()
     raw[:, 1] = g._transit
-    raw[:, 2] = [dclique[a] for a in nodes]
+    raw[:, 2] = dclique
     np.divide(vp.total, vp.count, out=raw[:, 3], where=observed)
     raw[:, 4] = vp.low
     raw[:, 5] = vp.high
@@ -530,18 +469,21 @@ def assemble_features(
     values = np.zeros((n, len(FEATURE_COLUMNS)), dtype=np.float64)
     for c in range(raw.shape[1]):
         values[:, c] = _minmax(raw[:, c])
-    base = len(SCALAR_COLUMNS)
-    for i, a in enumerate(nodes):
-        h = hierarchy_class(g, clique, a)
-        values[i, base + _HIERARCHY_ORDER.index(h)] = 1.0
-        t = type_map.get(a, AsType.UNKNOWN)
-        values[i, base + 3 + _TYPE_ORDER.index(t)] = 1.0
+    rows = np.arange(n)
+    tier = np.where(g._transit > 0, 1, 2)
+    tier[g.positions(sorted(clique))] = 0
+    values[rows, len(SCALAR_COLUMNS) + tier] = 1.0
+    kind = np.full(n, _TYPE_ORDER.index(AsType.UNKNOWN))
+    if type_map:
+        pos, known = g._lookup(np.fromiter(type_map, np.int64, len(type_map)))
+        codes = np.array([_TYPE_ORDER.index(t) for t in type_map.values()])
+        kind[pos[known]] = codes[known]
+    values[rows, len(SCALAR_COLUMNS) + len(HIERARCHY_COLUMNS) + kind] = 1.0
 
     return FeatureMatrix(
         values=values,
         raw=raw,
         nodes=nodes,
-        index=index,
         columns=list(FEATURE_COLUMNS),
         clique=set(clique),
         diagnostics={

@@ -44,12 +44,12 @@ from bgprel.synth import (
     simulate_paths,
 )
 from bgprel.topology import (
+    SCALAR_COLUMNS,
     AsGraph,
+    assemble_features,
     build_graph,
     canonical_edge,
-    clique_distances,
-    common_neighbor_ratio,
-    vp_stats,
+    cnr_edge_weights,
 )
 from bgprel.ingest import AsPath, PathStore
 
@@ -98,8 +98,7 @@ def test_criterion_1_gradients():
              if rng.random() < 0.45],
             nodes=nodes,
         )
-        index = {a: i for i, a in enumerate(nodes)}
-        a_hat = build_normalized_adjacency(g, index)
+        a_hat = build_normalized_adjacency(g.adjacency())
         x = rng.normal(size=(n, d))
         m = int(rng.integers(3, 9))
         edges = rng.integers(0, n, size=(m, 2)).astype(np.intp)
@@ -134,8 +133,8 @@ def test_criterion_2_adjacency_invariants():
             if rng.random() < min(1.0, 4.0 / n):
                 weights[canonical_edge(a, b)] = float(rng.uniform(0.01, 1.0))
         g = AsGraph.from_edges(weights, nodes=nodes)
-        index = {a: i for i, a in enumerate(nodes)}
-        a_hat = build_normalized_adjacency(g, index, weights, delta=0.05)
+        w = g.edge_matrix([weights[e] for e in g.edges()])
+        a_hat = build_normalized_adjacency(w, delta=0.05)
         dense = a_hat.toarray()
         worst_sym = max(worst_sym, float(np.max(np.abs(dense - dense.T))))
         v = rng.normal(size=n)
@@ -154,11 +153,9 @@ def test_criterion_2_adjacency_invariants():
         g = AsGraph.from_edges(
             [(i + 1, (i + 1) % n + 1) for i in range(n)]
         )
-        index = {a: i for i, a in enumerate(sorted(g.nodes))}
-        uniform = {canonical_edge(i + 1, (i + 1) % n + 1): 0.4
-                   for i in range(n)}
-        for w in (None, uniform):
-            rows = build_normalized_adjacency(g, index, w).sum(axis=1)
+        uniform = g.edge_matrix(np.full(g.num_edges, 0.4))
+        for w in (g.adjacency(), uniform):
+            rows = build_normalized_adjacency(w).sum(axis=1)
             worst_row = max(
                 worst_row, float(np.max(np.abs(np.asarray(rows) - 1.0)))
             )
@@ -197,6 +194,7 @@ def _oracle_bfs(adj, src):
 def test_criterion_3_feature_oracles():
     rng = np.random.default_rng(3)
     checked = 0
+    unreachable = 0  # trials where some node cannot reach a member
     for trial in range(100):
         n = int(rng.integers(4, 51))
         n_paths = int(rng.integers(2, 13))
@@ -226,38 +224,44 @@ def test_criterion_3_feature_oracles():
                                        size=min(3, len(members)),
                                        replace=False)
         )
-        means, _ = clique_distances(g, clique)
-        diameter = max(max(_oracle_bfs(adj, a).values()) for a in adj)
-        assert g.diameter() == diameter, "diameter"
-        for a in g.nodes:
-            vals = []
-            for c in clique:
-                if c == a:
-                    vals.append(0)
-                    continue
-                d = _oracle_bfs(adj, a).get(c)
-                vals.append(diameter + 1 if d is None else d)
-            assert abs(means[a] - sum(vals) / len(vals)) < 1e-12, "clique dist"
+        # what the model sees: the raw feature columns and the edge weights
+        raw = dict(zip(members, assemble_features(g, clique).raw.tolist()))
+        col = {c: k for k, c in enumerate(SCALAR_COLUMNS)}
+        for a in members:
+            assert raw[a][col["degree"]] == len(adj[a]), "degree"
+            assert raw[a][col["transit_degree"]] == len(oracle_t.get(a, ())), "transit"
 
-        for a, b in g.edges():
+        # a pair with no path counts one hop more than the longest finite
+        # member distance
+        from_member = {c: _oracle_bfs(adj, c) for c in clique}
+        fill = 1 + max(max(d.values()) for d in from_member.values())
+        unreachable += any(len(d) < len(members) for d in from_member.values())
+        for a in members:
+            vals = [from_member[c].get(a, fill) for c in clique]
+            want = sum(vals) / len(vals)
+            assert abs(raw[a][col["dist_to_clique"]] - want) < 1e-12, "clique dist"
+
+        w = cnr_edge_weights(g)
+        assert w.nnz == 2 * g.num_edges, "cnr entries"
+        for (a, b), (i, j) in zip(g.edges(), g.edge_positions().tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
             union = na | nb
             want = len(na & nb) / len(union) if union else 0.0
-            assert abs(common_neighbor_ratio(g, a, b) - want) < 1e-12, "cnr"
+            assert abs(w[i, j] - want) < 1e-12 and w[j, i] == w[i, j], "cnr"
 
-        for a in g.nodes:
+        for a in members:
             seen = [p.hops.index(a) for p in paths if a in p.hops]
-            stats = vp_stats(g, a)
-            assert stats.observed == (len(seen) > 0)
-            if seen:
-                assert stats.min == min(seen) and stats.max == max(seen)
-                assert abs(stats.mean - sum(seen) / len(seen)) < 1e-12
-                observers = {p.vp for p in paths if a in p.hops}
-                assert stats.assign_vp == len(observers), "assign vp"
+            assert raw[a][col["dist_to_vp_min"]] == min(seen), "vp min"
+            assert raw[a][col["dist_to_vp_max"]] == max(seen), "vp max"
+            mean = raw[a][col["dist_to_vp_mean"]]
+            assert abs(mean - sum(seen) / len(seen)) < 1e-12, "vp mean"
+            observers = {p.vp for p in paths if a in p.hops}
+            assert raw[a][col["assign_vp"]] == len(observers), "assign vp"
         checked += 1
-    _report(3, checked == 100,
-            f"{checked}/100 random path sets matched all four oracles")
+    _report(3, checked == 100 and unreachable > 0,
+            f"{checked}/100 random path sets matched the feature and edge "
+            f"weight oracles ({unreachable} with unreachable clique pairs)")
 
 
 # -- 4: metric identities ---------------------------------------------------

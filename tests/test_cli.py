@@ -226,6 +226,21 @@ def test_predict_unknown_asn_is_runtime_error(data_dir, train_dir, tmp_path, cap
     assert "999991" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["12|x", "12", "1.5|3", "7|-2",
+                                  "99999999999999999999|1"])
+def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, line):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"# first line is a comment\n{line}\n")
+    code = run([
+        "predict", "--paths", str(data_dir / "paths.txt"),
+        "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--pairs", str(pairs),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert "pairs line 2:" in capsys.readouterr().err
+
+
 def test_importance_command(data_dir, tmp_path, capsys):
     out = tmp_path / "imp"
     assert run([

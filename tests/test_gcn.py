@@ -23,14 +23,11 @@ from bgprel.gcn import (
     train,
     write_history_csv,
 )
-from bgprel.topology import AsGraph, canonical_edge
+from bgprel.topology import AsGraph
 
 
-def index_of(graph):
-    return {a: i for i, a in enumerate(graph.sorted_nodes())}
-
-
-def random_topology(rng, n_nodes, p_edge=0.35, weighted=True):
+def random_topology(rng, n_nodes, p_edge=0.35):
+    """Random graph over ASNs 1..n_nodes and a random weight per edge."""
     nodes = list(range(1, n_nodes + 1))
     edges = [
         (a, b) for a, b in itertools.combinations(nodes, 2) if rng.random() < p_edge
@@ -38,34 +35,30 @@ def random_topology(rng, n_nodes, p_edge=0.35, weighted=True):
     if not edges:
         edges = [(1, 2)] if n_nodes >= 2 else []
     g = AsGraph.from_edges(edges, nodes=nodes)
-    index = {a: i for i, a in enumerate(nodes)}
-    weights = None
-    if weighted:
-        weights = {canonical_edge(a, b): rng.random() for a, b in g.edges()}
-    return g, index, weights
+    return g, g.edge_matrix([rng.random() for _ in range(g.num_edges)])
 
 
 class TestNormalizedAdjacency:
     def test_two_node_example(self):
         g = AsGraph.from_edges([(1, 2)])
-        a_hat = build_normalized_adjacency(g, {1: 0, 2: 1}, {(1, 2): 1.0})
+        a_hat = build_normalized_adjacency(g.edge_matrix([1.0]))
         assert np.allclose(a_hat.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_node(self):
         g = AsGraph.from_edges([], nodes=[7])
-        a_hat = build_normalized_adjacency(g, {7: 0})
+        a_hat = build_normalized_adjacency(g.adjacency())
         assert np.allclose(a_hat.toarray(), [[1.0]])
 
     def test_symmetric(self):
         rng = random.Random(2)
-        g, index, weights = random_topology(rng, 30)
-        a_hat = build_normalized_adjacency(g, index, weights).toarray()
+        g, weights = random_topology(rng, 30)
+        a_hat = build_normalized_adjacency(weights).toarray()
         assert np.abs(a_hat - a_hat.T).max() < 1e-12
 
     def test_delta_floor_applied(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
-        tiny = {(1, 2): 0.0, (2, 3): 0.9}
-        a_hat = build_normalized_adjacency(g, index_of(g), tiny, delta=0.05)
+        tiny = g.edge_matrix([0.0, 0.9])  # edges (1, 2), (2, 3)
+        a_hat = build_normalized_adjacency(tiny, delta=0.05)
         dense = a_hat.toarray()
         # the floored edge keeps propagating: entry stays positive
         assert dense[0, 1] > 0.0
@@ -77,15 +70,15 @@ class TestNormalizedAdjacency:
     def test_unweighted_rows_of_regular_graph_sum_to_one(self):
         # cycle graph is 2-regular
         g = AsGraph.from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
-        a_hat = build_normalized_adjacency(g, index_of(g))
+        a_hat = build_normalized_adjacency(g.adjacency())
         sums = np.asarray(a_hat.sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_spectral_radius_at_most_one(self):
         rng = random.Random(5)
         for trial in range(5):
-            g, index, weights = random_topology(rng, 40)
-            a_hat = build_normalized_adjacency(g, index, weights)
+            g, weights = random_topology(rng, 40)
+            a_hat = build_normalized_adjacency(weights)
             v = np.ones(a_hat.shape[0]) / np.sqrt(a_hat.shape[0])
             for _ in range(500):
                 nxt = a_hat @ v
@@ -96,9 +89,9 @@ class TestNormalizedAdjacency:
     def test_delta_validation(self):
         g = AsGraph.from_edges([(1, 2)])
         with pytest.raises(ValueError):
-            build_normalized_adjacency(g, index_of(g), delta=0.0)
+            build_normalized_adjacency(g.adjacency(), delta=0.0)
         with pytest.raises(ValueError):
-            build_normalized_adjacency(g, index_of(g), delta=1.5)
+            build_normalized_adjacency(g.adjacency(), delta=1.5)
 
 
 class TestForward:
@@ -115,8 +108,8 @@ class TestForward:
         rng = random.Random(11)
         nprng = np.random.default_rng(11)
         for trial in range(10):
-            g, index, weights = random_topology(rng, 12)
-            a_hat = build_normalized_adjacency(g, index, weights)
+            g, weights = random_topology(rng, 12)
+            a_hat = build_normalized_adjacency(weights)
             h = nprng.normal(size=(12, 5))
             ws = [nprng.normal(size=(5, 4)), nprng.normal(size=(4, 4))]
             got, _ = forward_block(a_hat, h, ws)
@@ -126,8 +119,8 @@ class TestForward:
     def test_rows_unit_or_zero(self):
         rng = random.Random(13)
         nprng = np.random.default_rng(13)
-        g, index, weights = random_topology(rng, 15)
-        a_hat = build_normalized_adjacency(g, index, weights)
+        g, weights = random_topology(rng, 15)
+        a_hat = build_normalized_adjacency(weights)
         h = nprng.normal(size=(15, 6))
         out, _ = forward_block(a_hat, h, [nprng.normal(size=(6, 3))])
         norms = np.linalg.norm(out, axis=1)
@@ -135,13 +128,13 @@ class TestForward:
 
     def test_zero_weights_give_zero_rows(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
-        a_hat = build_normalized_adjacency(g, index_of(g))
+        a_hat = build_normalized_adjacency(g.adjacency())
         out, _ = forward_block(a_hat, np.ones((3, 4)), [np.zeros((4, 2))])
         assert np.all(out == 0.0)
 
     def test_shape_mismatch(self):
         g = AsGraph.from_edges([(1, 2)])
-        a_hat = build_normalized_adjacency(g, index_of(g))
+        a_hat = build_normalized_adjacency(g.adjacency())
         with pytest.raises(ValueError):
             forward_block(a_hat, np.ones((2, 3)), [np.ones((4, 2))])
 
@@ -150,8 +143,8 @@ class TestEdgeScores:
     def setup_method(self):
         rng = random.Random(17)
         self.nprng = np.random.default_rng(17)
-        g, index, weights = random_topology(rng, 10)
-        self.a_hat = build_normalized_adjacency(g, index, weights)
+        g, weights = random_topology(rng, 10)
+        self.a_hat = build_normalized_adjacency(weights)
         self.model = init_model(6, 8, 4, (2, 1), self.nprng)
         self.x = self.nprng.uniform(size=(10, 6))
 
@@ -201,8 +194,8 @@ class TestLoss:
         # 3 * grad([a, a, b]) == 2 * grad([a]) + grad([b])
         rng = random.Random(19)
         nprng = np.random.default_rng(19)
-        g, index, weights = random_topology(rng, 8)
-        a_hat = build_normalized_adjacency(g, index, weights)
+        g, weights = random_topology(rng, 8)
+        a_hat = build_normalized_adjacency(weights)
         x = nprng.uniform(size=(8, 4))
         model = init_model(4, 6, 3, (1, 1), nprng)
         ea, eb = np.array([[0, 1]]), np.array([[2, 3]])
@@ -250,11 +243,11 @@ def gradcheck_instance(seed, block_spec, weight_decay):
     d = rng.randint(2, 6)
     h = rng.randint(2, 8)
     c = rng.choice([2, 4])
-    g, index, weights = random_topology(rng, n, p_edge=0.5)
-    a_hat = build_normalized_adjacency(g, index, weights)
+    g, weights = random_topology(rng, n, p_edge=0.5)
+    a_hat = build_normalized_adjacency(weights)
     x = nprng.uniform(size=(n, d))
     model = init_model(d, h, c, block_spec, nprng)
-    pool = [(index[a], index[b]) for a, b in g.edges()]
+    pool = [tuple(e) for e in g.edge_positions().tolist()]
     m = min(len(pool), rng.randint(2, 6))
     edges = []
     for i, j in rng.sample(pool, m):
@@ -314,14 +307,12 @@ def toy_communities():
     right = list(range(6, 11))
     edges = [e for ns in (left, right) for e in itertools.combinations(ns, 2)]
     g = AsGraph.from_edges(edges + [(5, 6)])  # one bridge
-    index = {a: i for i, a in enumerate(g.sorted_nodes())}
     x = np.zeros((10, 2))
-    for a in left:
-        x[index[a], 0] = 1.0
-    for a in right:
-        x[index[a], 1] = 1.0
-    a_hat = build_normalized_adjacency(g, index)
-    pairs = [(index[a], index[b], 0 if a in left else 1) for a, b in edges]
+    x[g.positions(left), 0] = 1.0
+    x[g.positions(right), 1] = 1.0
+    a_hat = build_normalized_adjacency(g.adjacency())
+    pairs = [(i, j, 0 if a in left else 1)
+             for (a, _), (i, j) in zip(edges, g.positions(edges).tolist())]
     rng = random.Random(0)
     rng.shuffle(pairs)
     k = int(len(pairs) * 0.7)

@@ -176,15 +176,19 @@ def test_make_dataset_orientation_and_splits(clean_dir):
     assert all(counts[c] in (0, per_class) for c in RelLabel)
     n = sum(sizes.values())
     assert sizes["train"] == pytest.approx(0.6 * n, abs=len(ds.classes))
+    nodes = np.array(bundle.graph.sorted_nodes())
     for name in ("train", "val", "test"):
         pairs, labels = ds.split(name)
         assert pairs.shape[1] == 2
         assert labels.min() >= 0 and labels.max() < len(ds.classes)
+        # rows are graph positions of each entry's endpoints, in order
+        entries = ds.edges.with_split(name)
+        assert nodes[pairs].tolist() == [[e.a, e.b] for e in entries]
     # stored orientation is provider-first; array rows must follow it
     nodes = bundle.features.nodes
     for e in ds.edges.with_split("train"):
         if e.label is RelLabel.P2C:
-            i = bundle.features.index[e.a]
+            i = bundle.graph.positions(e.a)
             pairs, labels = ds.split("train")
             row = next(r for r in pairs if nodes[r[0]] == e.a and nodes[r[1]] == e.b)
             assert row[0] == i
@@ -300,7 +304,7 @@ def test_run_training_matches_direct_evaluation(clean_dir):
     prep = prepare(DataFiles.discover(clean_dir), "binary", seed=0)
     bundle, ds = prep.bundle, prep.dataset
     config = TrainConfig.for_mode("binary", seed=0, epochs=10, hidden=8)
-    a_hat = adjacency_for(bundle.graph, bundle.features, True)
+    a_hat = adjacency_for(bundle.graph, True)
     out = run_training(bundle.features.values, a_hat, ds, config)
     assert out.confusion["val"].sum() == len(ds.split("val")[0])
     assert out.confusion["test"].sum() == len(ds.split("test")[0])

@@ -8,21 +8,17 @@ import pytest
 from bgprel.ingest import AsPath, PathStore, ingest_lines
 from bgprel.topology import (
     FEATURE_COLUMNS,
+    HIERARCHY_COLUMNS,
+    SCALAR_COLUMNS,
     AsGraph,
     AsType,
-    Hierarchy,
-    NonEdgeError,
     UnknownNodeError,
     assemble_features,
     build_graph,
-    canonical_edge,
     clique_distances,
     cnr_edge_weights,
-    common_neighbor_ratio,
-    hierarchy_class,
     infer_clique,
     load_type_map,
-    vp_stats,
     write_features_csv,
 )
 
@@ -43,6 +39,24 @@ def random_paths(rng, n_nodes=30, n_paths=25, max_len=6):
         nodes = rng.sample(range(1, n_nodes + 1), min(length, n_nodes))
         out.append(AsPath(tuple(nodes)))
     return out
+
+
+def raw_features(g):
+    """Raw scalar feature columns of every ASN, as the model's input
+    sees them (the clique only moves dist_to_clique)."""
+    fm = assemble_features(g, {g.sorted_nodes()[0]})
+    return {a: dict(zip(SCALAR_COLUMNS, row)) for a, row in zip(fm.nodes, fm.raw.tolist())}
+
+
+def vp_columns(g, a):
+    s = raw_features(g)[a]
+    return (s["dist_to_vp_mean"], s["dist_to_vp_min"], s["dist_to_vp_max"],
+            s["assign_vp"])
+
+
+def weight(g, a, b):
+    i, j = g.positions([a, b])
+    return cnr_edge_weights(g)[i, j]
 
 
 def nx_graph(paths):
@@ -70,15 +84,14 @@ class TestBuildGraph:
         g1 = graph_of(paths)
         g2 = graph_of(list(reversed(paths)))
         assert g1.edges() == g2.edges()
-        for a in g1.sorted_nodes():
-            assert g1.transit_degree(a) == g2.transit_degree(a)
-            assert vp_stats(g1, a) == vp_stats(g2, a)
+        assert raw_features(g1) == raw_features(g2)
 
     def test_vp_observers_recorded(self):
         g = graph_of(paths_of([1, 2, 3], [9, 2, 3]))
-        assert vp_stats(g, 3).assign_vp == 2
-        assert vp_stats(g, 1).assign_vp == 1
-        assert vp_stats(g, 9).assign_vp == 1
+        raw = raw_features(g)
+        assert raw[3]["assign_vp"] == 2
+        assert raw[1]["assign_vp"] == 1
+        assert raw[9]["assign_vp"] == 1
 
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +105,42 @@ class TestBuildGraph:
             g.degree(99)
         with pytest.raises(UnknownNodeError):
             g.transit_degree(99)
+
+
+class TestPositions:
+    def test_rows_follow_sorted_asns(self):
+        g = graph_of(paths_of([30, 10, 20], [40, 10]))
+        assert g.sorted_nodes() == [10, 20, 30, 40]
+        got = g.positions(np.array([[40, 10], [20, 30]]))
+        assert got.tolist() == [[3, 0], [1, 2]]
+        assert int(g.positions(30)) == 2
+        assert g.positions([]).shape == (0,)
+
+    def test_unknown_asn_named(self):
+        g = graph_of(paths_of([1, 2, 3]))
+        with pytest.raises(UnknownNodeError, match="AS7 "):
+            g.positions([[1, 2], [7, 9]])
+        with pytest.raises(UnknownNodeError, match="AS99 "):
+            g.positions([1, 99])
+        with pytest.raises(UnknownNodeError):
+            AsGraph.from_edges([]).positions([1])
+
+    def test_edge_positions_match_edges(self):
+        rng = random.Random(7)
+        g = graph_of(random_paths(rng))
+        nodes = np.array(g.sorted_nodes())
+        assert [tuple(e) for e in nodes[g.edge_positions()].tolist()] == g.edges()
+
+    def test_edge_matrix_has_adjacency_structure(self):
+        g = graph_of(paths_of([1, 2, 3], [2, 4]))  # edges (1,2) (2,3) (2,4)
+        m = g.edge_matrix([0.0, 0.5, 0.25])
+        adj = g.adjacency()
+        assert m.nnz == adj.nnz == 6  # the zero weight stays stored
+        assert np.array_equal(m.indices, adj.indices)
+        assert np.array_equal(m.indptr, adj.indptr)
+        dense = m.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert dense[1, 2] == 0.5 and dense[3, 1] == 0.25
 
 
 class TestTransitDegree:
@@ -163,67 +212,70 @@ class TestDistToClique:
     def test_self_membership_is_zero(self):
         g = graph_of(paths_of([1, 2, 3]))
         means, _ = clique_distances(g, {2})
-        assert means[2] == 0.0
+        assert means[g.positions(2)] == 0.0
 
     def test_mean_over_members(self):
         g = graph_of(paths_of([1, 2, 3, 4]))
         # node 1: dist 1 to AS2, dist 2 to AS3
         means, _ = clique_distances(g, {2, 3})
-        assert means[1] == pytest.approx(1.5)
+        assert means[g.positions(1)] == pytest.approx(1.5)
 
-    def test_unreachable_uses_diameter_plus_one(self):
+    def test_unreachable_uses_longest_distance_plus_one(self):
         g = graph_of(paths_of([1, 2, 3], [7, 8]))
-        # diameter of the whole observed graph is 2 (1..3 chain)
+        # the longest finite member distance is 1 (AS2 to AS1 or AS3, AS7
+        # to AS8), so a missing path counts 2 hops; the graph's diameter,
+        # 2, plays no part
         means, unreachable = clique_distances(g, {2, 7})
-        assert means[1] == pytest.approx((1 + 3) / 2)
+        assert means.tolist() == [(1 + 2) / 2, (0 + 2) / 2, (1 + 2) / 2,
+                                  (2 + 0) / 2, (2 + 1) / 2]
         # 1, 2 and 3 cannot reach AS7; 7 and 8 cannot reach AS2
         assert unreachable == 5
 
     def test_matches_networkx(self):
         rng = random.Random(37)
-        paths = random_paths(rng, n_nodes=16, n_paths=14)
+        # plus a second component, so some pairs have no path
+        paths = random_paths(rng, n_nodes=16, n_paths=14) + paths_of([101, 102, 103])
         g = graph_of(paths)
         clique = infer_clique(g, k_candidates=4)
         nxg = nx_graph(paths)
-        diam = max(
-            max(d.values()) for _, d in nx.all_pairs_shortest_path_length(nxg)
-        )
+        from_member = {m: nx.single_source_shortest_path_length(nxg, m) for m in clique}
+        fill = 1 + max(max(d.values()) for d in from_member.values())
+        assert any(len(d) < g.num_nodes for d in from_member.values())
         means, _ = clique_distances(g, clique)
-        for a in g.nodes:
-            total = 0
-            for m in clique:
-                try:
-                    total += nx.shortest_path_length(nxg, a, m)
-                except nx.NetworkXNoPath:
-                    total += diam + 1
-            assert means[a] == pytest.approx(total / len(clique), abs=1e-12)
+        for a, got in zip(g.sorted_nodes(), means):
+            total = sum(from_member[m].get(a, fill) for m in clique)
+            assert got == pytest.approx(total / len(clique), abs=1e-12)
 
 
 class TestCommonNeighborRatio:
     def test_triangle(self):
         g = graph_of(paths_of([1, 2, 3], [2, 3, 1]))  # triangle: edges 12,23,31
-        assert common_neighbor_ratio(g, 1, 2) == pytest.approx(1.0)
+        assert weight(g, 1, 2) == pytest.approx(1.0)
 
     def test_chain_has_no_overlap(self):
         g = graph_of(paths_of([1, 2, 3]))
-        assert common_neighbor_ratio(g, 1, 2) == 0.0
+        assert weight(g, 1, 2) == 0.0
 
     def test_isolated_pair_defined_as_zero(self):
-        g = graph_of(paths_of([4, 5]))
-        assert common_neighbor_ratio(g, 4, 5) == 0.0
+        w = cnr_edge_weights(graph_of(paths_of([4, 5])))
+        # stored as an explicit zero, so the propagation floor still applies
+        assert w.nnz == 2 and np.all(w.data == 0.0)
 
     def test_symmetry_and_range(self):
         rng = random.Random(41)
         g = graph_of(random_paths(rng))
-        for a, b in g.edges():
-            r = common_neighbor_ratio(g, a, b)
-            assert r == common_neighbor_ratio(g, b, a)
-            assert 0.0 <= r <= 1.0
+        w = cnr_edge_weights(g)
+        assert np.array_equal(w.toarray(), w.T.toarray())
+        assert w.data.min() >= 0.0 and w.data.max() <= 1.0
 
     def test_non_edge_rejected(self):
+        """A non-edge has no stored weight: the matrix has the graph's
+        own structure."""
         g = graph_of(paths_of([1, 2, 3]))
-        with pytest.raises(NonEdgeError):
-            common_neighbor_ratio(g, 1, 3)
+        w = cnr_edge_weights(g)
+        assert w.nnz == 2 * g.num_edges
+        i, j = g.positions([1, 3])
+        assert j not in w.indices[w.indptr[i]:w.indptr[i + 1]]
 
     def test_matches_set_algebra(self):
         rng = random.Random(43)
@@ -234,36 +286,38 @@ class TestCommonNeighborRatio:
             for a, b in zip(p.hops, p.hops[1:]):
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
-        for (a, b), w in cnr_edge_weights(g).items():
+        w = cnr_edge_weights(g)
+        for (a, b), (i, j) in zip(g.edges(), g.edge_positions().tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
             want = len(na & nb) / len(na | nb) if (na | nb) else 0.0
-            assert w == pytest.approx(want, abs=1e-12)
+            assert w[i, j] == pytest.approx(want, abs=1e-12)
 
 
 class TestVpStats:
+    """The VP feature columns: mean/min/max hop distance from the VPs that
+    saw a node, and how many distinct VPs did."""
+
     def test_distances_by_hop_position(self):
         g = graph_of(paths_of([1, 2, 3]))
-        s = vp_stats(g, 3)
-        assert (s.mean, s.min, s.max, s.assign_vp) == (2.0, 2, 2, 1)
+        assert vp_columns(g, 3) == (2.0, 2, 2, 1)
 
     def test_vp_observes_itself_at_zero(self):
         g = graph_of(paths_of([1, 2], [1, 3]))
-        s = vp_stats(g, 1)
-        assert (s.mean, s.min, s.max, s.assign_vp) == (0.0, 0, 0, 1)
+        assert vp_columns(g, 1) == (0.0, 0, 0, 1)
 
     def test_multiple_vantage_points(self):
         g = graph_of(paths_of([1, 2, 3], [9, 3]))
-        s = vp_stats(g, 3)
-        assert s.assign_vp == 2
-        assert s.mean == pytest.approx(1.5)
-        assert (s.min, s.max) == (1, 2)
+        mean, low, high, observers = vp_columns(g, 3)
+        assert observers == 2
+        assert mean == pytest.approx(1.5)
+        assert (low, high) == (1, 2)
 
     def test_unobserved_node_flagged(self):
         g = AsGraph.from_edges([(1, 2)])
-        s = vp_stats(g, 1)
-        assert not s.observed
-        assert s == (0.0, 0, 0, 0, False)
+        assert vp_columns(g, 1) == (0.0, 0, 0, 0)
+        fm = assemble_features(g, {1})
+        assert fm.diagnostics["unobserved_nodes"] == 2
 
     def test_matches_path_rescan(self):
         rng = random.Random(53)
@@ -272,19 +326,24 @@ class TestVpStats:
         for a in g.nodes:
             dists = [i for p in paths for i, h in enumerate(p.hops) if h == a]
             vps = {p.vp for p in paths if a in p.hops}
-            s = vp_stats(g, a)
-            assert s.mean == pytest.approx(sum(dists) / len(dists), abs=1e-12)
-            assert (s.min, s.max, s.assign_vp) == (min(dists), max(dists), len(vps))
+            mean, low, high, observers = vp_columns(g, a)
+            assert mean == pytest.approx(sum(dists) / len(dists), abs=1e-12)
+            assert (low, high, observers) == (min(dists), max(dists), len(vps))
 
 
 class TestHierarchy:
+    def tier(self, g, clique, a):
+        fm = assemble_features(g, clique)
+        hot = fm.values[g.positions(a), len(SCALAR_COLUMNS):][:len(HIERARCHY_COLUMNS)]
+        return HIERARCHY_COLUMNS[int(np.flatnonzero(hot)[0])]
+
     def test_three_way_partition(self):
         g = graph_of(paths_of([1, 2, 3]))
         clique = {2}
-        assert hierarchy_class(g, clique, 2) is Hierarchy.NUCLEUS
-        assert hierarchy_class(g, clique, 1) is Hierarchy.SHELL  # transits nothing
+        assert self.tier(g, clique, 2) == "hierarchy_nucleus"
+        assert self.tier(g, clique, 1) == "hierarchy_shell"  # transits nothing
         g2 = graph_of(paths_of([1, 2, 3, 4]))
-        assert hierarchy_class(g2, {2}, 3) is Hierarchy.MIDDLE
+        assert self.tier(g2, {2}, 3) == "hierarchy_middle"
 
 
 class TestFeatureMatrix:
@@ -299,8 +358,8 @@ class TestFeatureMatrix:
         g, _, fm = self.build()
         assert fm.values.shape == (g.num_nodes, 14)
         assert fm.columns == FEATURE_COLUMNS
-        assert fm.nodes == sorted(fm.nodes)
-        assert all(fm.nodes[fm.index[a]] == a for a in fm.nodes)
+        assert fm.nodes == g.sorted_nodes() == sorted(fm.nodes)
+        assert g.positions(fm.nodes).tolist() == list(range(g.num_nodes))
 
     def test_entries_in_unit_interval(self):
         _, _, fm = self.build()
@@ -330,18 +389,21 @@ class TestFeatureMatrix:
 
     def test_type_defaults_to_unknown(self):
         g = graph_of(paths_of([1, 2, 3]))
-        fm = assemble_features(g, {2}, type_map={1: AsType.CONTENT})
+        # AS8 is not in the graph and is ignored
+        fm = assemble_features(g, {2}, type_map={8: AsType.ENTERPRISE,
+                                                 1: AsType.CONTENT})
         unknown_col = fm.columns.index("type_unknown")
         content_col = fm.columns.index("type_content")
-        assert fm.values[fm.index[1], content_col] == 1.0
-        assert fm.values[fm.index[2], unknown_col] == 1.0
-        assert fm.values[fm.index[3], unknown_col] == 1.0
+        assert fm.values[g.positions(1), content_col] == 1.0
+        assert fm.values[g.positions(2), unknown_col] == 1.0
+        assert fm.values[g.positions(3), unknown_col] == 1.0
+        assert fm.values[:, fm.columns.index("type_enterprise")].sum() == 0.0
 
     def test_nucleus_marks_clique(self):
         g, clique, fm = self.build()
         col = fm.columns.index("hierarchy_nucleus")
-        for a in fm.nodes:
-            assert fm.values[fm.index[a], col] == (1.0 if a in clique else 0.0)
+        for a, row in zip(fm.nodes, fm.values):
+            assert row[col] == (1.0 if a in clique else 0.0)
 
     def test_csv_roundtrip_header(self, tmp_path):
         _, _, fm = self.build()
@@ -358,6 +420,13 @@ class TestTypeMapFile:
         f.write_text("asn,type\n10,content\n20,transit_access\n")
         m = load_type_map(f)
         assert m == {10: AsType.CONTENT, 20: AsType.TRANSIT_ACCESS}
+
+    @pytest.mark.parametrize("asn", ["0", "4294967296", "99999999999999999999"])
+    def test_out_of_range_asn_rejected(self, tmp_path, asn):
+        f = tmp_path / "types.csv"
+        f.write_text(f"asn,type\n10,content\n{asn},content\n")
+        with pytest.raises(ValueError, match="line 3: ASN out of range"):
+            load_type_map(f)
 
     def test_unknown_label_rejected(self, tmp_path):
         f = tmp_path / "types.csv"
@@ -383,16 +452,6 @@ class TestDistances:
             base += size
         return edges, list(range(1, base))
 
-    def test_diameter_is_largest_component_diameter(self):
-        rng = random.Random(71)
-        for _ in range(30):
-            edges, nodes = self.components(rng)
-            g = AsGraph.from_edges(edges, nodes=nodes)
-            nxg = nx.Graph(edges)
-            nxg.add_nodes_from(nodes)
-            want = max(nx.diameter(nxg.subgraph(c)) for c in nx.connected_components(nxg))
-            assert g.diameter() == want
-
     def test_bfs_matches_networkx(self):
         rng = random.Random(73)
         edges, nodes = self.components(rng)
@@ -400,7 +459,8 @@ class TestDistances:
         nxg = nx.Graph(edges)
         nxg.add_nodes_from(nodes)
         for a in nodes:
-            assert g.bfs_distances(a) == nx.single_source_shortest_path_length(nxg, a)
-
-    def test_single_node_diameter_is_zero(self):
-        assert AsGraph.from_edges([], nodes=[5]).diameter() == 0
+            # a one-member clique: its distance row is a BFS from that member
+            dist, _ = clique_distances(g, {a})
+            want = nx.single_source_shortest_path_length(nxg, a)
+            got = {b: d for b, d in zip(g.sorted_nodes(), dist.tolist()) if b in want}
+            assert got == want
