@@ -26,6 +26,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .ingest import MAX_ASN
+
 
 class RelLabel(str, Enum):
     P2P = "p2p"
@@ -106,6 +108,15 @@ class LabeledEdgeSet:
             out[e.label] += 1
         return out
 
+    def subset(self, keep: Iterable[bool]) -> "LabeledEdgeSet":
+        """The entries whose flag in ``keep`` (one per entry, in order)
+        is true; they are canonical and unique already, so not re-added."""
+        out = LabeledEdgeSet()
+        out._by_pair = {
+            pair: e for (pair, e), k in zip(self._by_pair.items(), keep) if k
+        }
+        return out
+
     def with_split(self, split: str) -> list[LabeledEdge]:
         return [e for e in self._by_pair.values() if e.split == split]
 
@@ -159,6 +170,8 @@ def load_label_source(path: str | Path) -> LabelSource:
                 a, b, code = int(fields[0]), int(fields[1]), int(fields[2])
             except ValueError as exc:
                 raise ValueError(f"{src.name} line {n}: {text!r}") from exc
+            if not (0 < a <= MAX_ASN and 0 < b <= MAX_ASN):
+                raise ValueError(f"{src.name} line {n}: ASN out of range {text!r}")
             if code not in (0, -1):
                 raise ValueError(f"{src.name} line {n}: unsupported code {code}")
             if a == b:

@@ -11,7 +11,9 @@ concatenation of their embeddings:
 Norm is a row-wise L2 normalization; all-zero rows pass through
 untouched.  Training minimizes the mean negative log-likelihood over
 the labeled training edges plus, when weight decay is positive, an L2
-penalty 0.5 * wd * ||theta||^2.  Everything is plain numpy/scipy so a
+penalty 0.5 * wd * ||theta||^2.  A_hat X is computed once per training
+run, and each epoch runs one forward pass, shared by validation and the
+next gradient step.  Everything is plain numpy/scipy so a
 run is bitwise reproducible for a fixed seed; gradients are derived by
 hand and checked against finite differences in the test suite.
 """
@@ -22,7 +24,7 @@ import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,8 +176,7 @@ def _row_normalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _LayerCache:
-    h_in: np.ndarray
-    propagated: np.ndarray  # A_hat @ h_in
+    propagated: np.ndarray  # A_hat @ layer input
     mask: np.ndarray  # ReLU derivative
 
 
@@ -187,37 +188,45 @@ class _BlockCache:
 
 
 def forward_block(
-    a_hat: sp.csr_matrix, h: np.ndarray, weights: list[np.ndarray]
+    a_hat: sp.csr_matrix, p: np.ndarray, weights: list[np.ndarray]
 ) -> tuple[np.ndarray, _BlockCache]:
-    """One block: per layer ReLU(A_hat H W), then row-L2 normalization.
-    The cache keeps what the backward pass needs."""
+    """One block, given p = A_hat @ H for its input H: per layer
+    ReLU(A_hat H W), then row-L2 normalization.  The cache keeps what
+    the backward pass needs."""
     cache = _BlockCache()
-    for w in weights:
-        if h.shape[1] != w.shape[0]:
+    for li, w in enumerate(weights):
+        if li:
+            p = a_hat @ h
+        if p.shape[1] != w.shape[0]:
             raise ValueError(
-                f"feature width {h.shape[1]} does not match weight {w.shape}"
+                f"feature width {p.shape[1]} does not match weight {w.shape}"
             )
-        p = a_hat @ h
         q = p @ w
         mask = q > 0.0
-        r = q * mask
-        cache.layers.append(_LayerCache(h_in=h, propagated=p, mask=mask))
-        h = r
+        h = q * mask
+        cache.layers.append(_LayerCache(propagated=p, mask=mask))
     normalized, safe = _row_normalize(h)
     cache.normalized = normalized
     cache.safe_norms = safe
     return normalized, cache
 
 
-def forward(
-    model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray
-) -> tuple[np.ndarray, list[_BlockCache]]:
-    h = np.asarray(x, dtype=np.float64)
-    caches = []
+class Forward(NamedTuple):
+    z: np.ndarray  # node embeddings, one row per node
+    caches: list[_BlockCache]
+
+
+def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray) -> Forward:
+    """Forward pass from the propagated input ``ax = a_hat @ x``, which
+    depends only on the graph and the features, so training computes it
+    once."""
+    p, caches = ax, []
     for block in model.blocks:
-        h, cache = forward_block(a_hat, h, block)
+        if caches:
+            p = a_hat @ z
+        z, cache = forward_block(a_hat, p, block)
         caches.append(cache)
-    return h, caches
+    return Forward(z, caches)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -261,20 +270,57 @@ def loss_value(
 # -- backward -----------------------------------------------------------
 
 
+def incidence_matrix(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """(n_nodes, 2m) 0/1 matrix: column k marks ``edges[k, 0]`` and
+    column m + k marks ``edges[k, 1]``.
+
+    Its product with the left-endpoint rows stacked over the
+    right-endpoint rows sums each node's rows in the order ``np.add.at``
+    would (left endpoints, then right endpoints, each in edge order,
+    starting from 0.0), so the sums are bit-identical to that scatter.
+    """
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n_nodes), out=indptr[1:])
+    return sp.csr_matrix(
+        (np.ones(len(ends)), np.argsort(ends, kind="stable"), indptr),
+        shape=(n_nodes, len(ends)),
+    )
+
+
+@dataclass(frozen=True)
+class EdgeBatch:
+    """Labeled training edges and the head's scatter matrix."""
+
+    edges: np.ndarray  # (m, 2) node rows
+    labels: np.ndarray
+    incidence: sp.csr_matrix  # incidence_matrix(edges, n_nodes)
+
+    @classmethod
+    def build(
+        cls, edges: np.ndarray, labels: np.ndarray, n_nodes: int
+    ) -> "EdgeBatch":
+        edges = _check_edges(edges, n_nodes)
+        if len(edges) == 0:
+            raise ValueError("no edges to train on")
+        labels = np.asarray(labels, dtype=np.intp)
+        return cls(edges, labels, incidence_matrix(edges, n_nodes))
+
+
 def loss_and_grads(
     model: GcnModel,
     a_hat: sp.csr_matrix,
-    x: np.ndarray,
-    edges: np.ndarray,
-    labels: np.ndarray,
+    fwd: Forward,
+    batch: EdgeBatch,
     weight_decay: float = 0.0,
 ) -> tuple[float, list[np.ndarray]]:
-    """Full-batch loss and exact gradients in model.params() order."""
-    edges = _check_edges(edges, x.shape[0])
-    labels = np.asarray(labels, dtype=np.intp)
-    if len(edges) == 0:
-        raise ValueError("no edges to train on")
-    z, caches = forward(model, a_hat, x)
+    """Full-batch loss and exact gradients in model.params() order.
+
+    ``fwd`` is the forward pass of the model's current parameters.  The
+    backward pass ends at the first layer's weight gradient; the input
+    gradient is never formed."""
+    z, caches = fwd
+    edges, labels = batch.edges, batch.labels
     m = len(edges)
     u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
     logits = u @ model.head_w + model.head_b
@@ -290,13 +336,11 @@ def loss_and_grads(
     du = dlogits @ model.head_w.T
 
     h = model.hidden
-    dz = np.zeros_like(z)
-    np.add.at(dz, edges[:, 0], du[:, :h])
-    np.add.at(dz, edges[:, 1], du[:, h:])
+    dh = batch.incidence @ np.concatenate([du[:, :h], du[:, h:]])
 
     block_grads: list[list[np.ndarray]] = []
-    dh = dz
-    for block, cache in zip(reversed(model.blocks), reversed(caches)):
+    for bi in range(len(model.blocks) - 1, -1, -1):
+        block, cache = model.blocks[bi], caches[bi]
         # backward through y = r / ||r||: dr = (dy - y (y . dy)) / ||r||;
         # all-zero rows were passed through so dr = dy there
         y = cache.normalized
@@ -307,8 +351,9 @@ def loss_and_grads(
             layer = cache.layers[li]
             dq = dr * layer.mask
             grads[li] = layer.propagated.T @ dq
-            dp = dq @ block[li].T
-            dr = a_hat @ dp  # A_hat is symmetric
+            if bi == li == 0:
+                break  # the model's input needs no gradient
+            dr = a_hat @ (dq @ block[li].T)  # A_hat is symmetric
         block_grads.append(grads)
         dh = dr
     block_grads.reverse()
@@ -375,14 +420,9 @@ def predict(
     model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class indices and log-probabilities for ordered edges."""
-    z, _ = forward(model, a_hat, x)
+    z, _ = forward(model, a_hat, a_hat @ np.asarray(x, dtype=np.float64))
     logp = edge_scores(model, z, edges)
     return logp.argmax(axis=1), logp
-
-
-def _accuracy(model, a_hat, x, edges, labels) -> float:
-    pred, _ = predict(model, a_hat, x, edges)
-    return float((pred == np.asarray(labels)).mean())
 
 
 def train(
@@ -395,15 +435,17 @@ def train(
     config: TrainConfig,
 ) -> TrainResult:
     """Full-batch training; returns the snapshot with the best
-    validation accuracy (earliest epoch wins ties)."""
+    validation accuracy (earliest epoch wins ties).
+
+    Each epoch runs one forward pass: the one taken after the Adam step
+    scores the validation edges and feeds the next epoch's gradients."""
     x = np.asarray(x, dtype=np.float64)
-    train_edges = _check_edges(train_edges, x.shape[0])
+    batch = EdgeBatch.build(train_edges, train_labels, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
-    if len(train_edges) == 0 or len(val_edges) == 0:
+    if len(val_edges) == 0:
         raise ValueError("training needs non-empty train and val splits")
-    train_labels = np.asarray(train_labels, dtype=np.intp)
     val_labels = np.asarray(val_labels, dtype=np.intp)
-    if train_labels.max() >= config.n_classes or val_labels.max() >= config.n_classes:
+    if batch.labels.max() >= config.n_classes or val_labels.max() >= config.n_classes:
         raise ValueError("label index exceeds the class count")
 
     rng = np.random.default_rng(config.seed)
@@ -412,22 +454,24 @@ def train(
     )
     params = model.params()
     state = AdamState.for_params(params)
+    ax = a_hat @ x
 
     history: list[tuple[int, float, float]] = []
     best_acc = -1.0
     best_epoch = 0
     best_params = [p.copy() for p in params]
+    fwd = forward(model, a_hat, ax)
     for epoch in range(1, config.epochs + 1):
-        loss, grads = loss_and_grads(
-            model, a_hat, x, train_edges, train_labels, config.weight_decay
-        )
+        loss, grads = loss_and_grads(model, a_hat, fwd, batch, config.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss!r} at epoch {epoch}; "
                 "lower the learning rate or check the inputs"
             )
         adam_step(params, grads, state, config.learning_rate)
-        val_acc = _accuracy(model, a_hat, x, val_edges, val_labels)
+        fwd = forward(model, a_hat, ax)
+        val_pred = edge_scores(model, fwd.z, val_edges).argmax(axis=1)
+        val_acc = float((val_pred == val_labels).mean())
         history.append((epoch, loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc

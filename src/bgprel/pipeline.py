@@ -146,15 +146,12 @@ def prepare_labels(files: DataFiles) -> tuple[LabeledEdgeSet, VoteReport]:
 def restrict_to_graph(
     edges: LabeledEdgeSet, graph: AsGraph
 ) -> tuple[LabeledEdgeSet, int]:
-    """Drop labeled pairs whose endpoints the paths never showed."""
-    out = LabeledEdgeSet()
-    dropped = 0
-    for e in edges:
-        if e.a in graph and e.b in graph:
-            out.add(e)
-        else:
-            dropped += 1
-    return out, dropped
+    """Drop labeled pairs whose endpoints the paths never showed.
+    Label ASNs are in 1..2^32-1 (``load_label_source`` checks), so they
+    fit the graph's int64 node array."""
+    ends = np.array([(e.a, e.b) for e in edges], dtype=np.int64).reshape(-1, 2)
+    kept = graph.contains(ends).all(axis=1)
+    return edges.subset(kept.tolist()), int((~kept).sum())
 
 
 @dataclass

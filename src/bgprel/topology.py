@@ -141,6 +141,10 @@ class AsGraph:
             raise UnknownNodeError(f"AS{first} does not appear in the graph")
         return pos
 
+    def contains(self, asns) -> np.ndarray:
+        """Which ASNs in ``asns`` (an array of any shape) are nodes."""
+        return self._lookup(asns)[1]
+
     def __contains__(self, a: int) -> bool:
         i = int(np.searchsorted(self._nodes, a))
         return i < len(self._nodes) and self._nodes[i] == a

@@ -21,8 +21,10 @@ from bgprel.evaluate import (
     metrics,
 )
 from bgprel.gcn import (
+    EdgeBatch,
     TrainConfig,
     build_normalized_adjacency,
+    forward,
     init_model,
     loss_and_grads,
 )
@@ -62,6 +64,11 @@ def _report(n: int, ok: bool, detail: str) -> None:
 # -- 1: analytic gradients match finite differences -----------------------
 
 
+def _loss_and_grads(model, a_hat, x, edges, labels, wd):
+    fwd = forward(model, a_hat, a_hat @ x)
+    return loss_and_grads(model, a_hat, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+
+
 def _numeric_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
     grads = []
     for p in model.params():
@@ -71,9 +78,9 @@ def _numeric_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + step
-            up, _ = loss_and_grads(model, a_hat, x, edges, labels, wd)
+            up, _ = _loss_and_grads(model, a_hat, x, edges, labels, wd)
             p[idx] = orig - step
-            down, _ = loss_and_grads(model, a_hat, x, edges, labels, wd)
+            down, _ = _loss_and_grads(model, a_hat, x, edges, labels, wd)
             p[idx] = orig
             g[idx] = (up - down) / (2 * step)
             it.iternext()
@@ -104,7 +111,7 @@ def test_criterion_1_gradients():
         edges = rng.integers(0, n, size=(m, 2)).astype(np.intp)
         labels = rng.integers(0, c, size=m).astype(np.intp)
         model = init_model(d, h, c, block_spec, rng)
-        _, analytic = loss_and_grads(model, a_hat, x, edges, labels, wd)
+        _, analytic = _loss_and_grads(model, a_hat, x, edges, labels, wd)
         numeric = _numeric_grads(model, a_hat, x, edges, labels, wd)
         flat_n = np.concatenate([g_.ravel() for g_ in numeric])
         flat_a = np.concatenate([g_.ravel() for g_ in analytic])

@@ -37,6 +37,16 @@ class TestLabeledEdgeSet:
         assert (e.a, e.b) == (9, 2)
         assert s.get(2, 9) == e
 
+    def test_subset_keeps_flagged_entries_in_order(self):
+        s = LabeledEdgeSet([LabeledEdge(9, 2, RelLabel.P2C),
+                            LabeledEdge(5, 1, RelLabel.P2P),
+                            LabeledEdge(3, 4, RelLabel.S2S)])
+        sub = s.subset([True, False, True])
+        assert sub.entries() == [s.entries()[0], s.entries()[2]]
+        assert sub.get(1, 5) is None and len(s) == 3
+        with pytest.raises(DuplicateEdgeError):
+            sub.add(LabeledEdge(2, 9, RelLabel.P2P))
+
     def test_duplicate_pair_rejected(self):
         s = LabeledEdgeSet([LabeledEdge(1, 2, RelLabel.P2P)])
         with pytest.raises(DuplicateEdgeError):
@@ -72,6 +82,15 @@ class TestLabelSourceFile:
         f = tmp_path / "rel.txt"
         f.write_text("1|2|0|bgp\n")
         assert load_label_source(f).entries == [(1, 2, 0)]
+
+    @pytest.mark.parametrize("line", [
+        "0|2|0", "1|-3|0", "4294967296|2|-1", "5|99999999999999999999|0",
+    ])
+    def test_out_of_range_asn_rejected(self, tmp_path, line):
+        f = tmp_path / "rel.txt"
+        f.write_text(f"4294967295|1|0\n{line}\n")
+        with pytest.raises(ValueError, match="rel.txt line 2: ASN out of range"):
+            load_label_source(f)
 
     def test_unsupported_code(self, tmp_path):
         f = tmp_path / "rel.txt"

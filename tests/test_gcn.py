@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import bgprel.gcn as gcn
 from bgprel.gcn import (
     AdamState,
+    EdgeBatch,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -14,6 +16,7 @@ from bgprel.gcn import (
     edge_scores,
     forward,
     forward_block,
+    incidence_matrix,
     init_model,
     load_checkpoint,
     loss_and_grads,
@@ -112,7 +115,7 @@ class TestForward:
             a_hat = build_normalized_adjacency(weights)
             h = nprng.normal(size=(12, 5))
             ws = [nprng.normal(size=(5, 4)), nprng.normal(size=(4, 4))]
-            got, _ = forward_block(a_hat, h, ws)
+            got, _ = forward_block(a_hat, a_hat @ h, ws)
             want = self.dense_block_oracle(a_hat, h, ws)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -122,14 +125,14 @@ class TestForward:
         g, weights = random_topology(rng, 15)
         a_hat = build_normalized_adjacency(weights)
         h = nprng.normal(size=(15, 6))
-        out, _ = forward_block(a_hat, h, [nprng.normal(size=(6, 3))])
+        out, _ = forward_block(a_hat, a_hat @ h, [nprng.normal(size=(6, 3))])
         norms = np.linalg.norm(out, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
 
     def test_zero_weights_give_zero_rows(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         a_hat = build_normalized_adjacency(g.adjacency())
-        out, _ = forward_block(a_hat, np.ones((3, 4)), [np.zeros((4, 2))])
+        out, _ = forward_block(a_hat, a_hat @ np.ones((3, 4)), [np.zeros((4, 2))])
         assert np.all(out == 0.0)
 
     def test_shape_mismatch(self):
@@ -147,22 +150,23 @@ class TestEdgeScores:
         self.a_hat = build_normalized_adjacency(weights)
         self.model = init_model(6, 8, 4, (2, 1), self.nprng)
         self.x = self.nprng.uniform(size=(10, 6))
+        self.ax = self.a_hat @ self.x
 
     def test_rows_are_log_distributions(self):
-        z, _ = forward(self.model, self.a_hat, self.x)
+        z, _ = forward(self.model, self.a_hat, self.ax)
         edges = np.array([[0, 1], [2, 5], [9, 3]])
         logp = edge_scores(self.model, z, edges)
         lse = np.log(np.exp(logp).sum(axis=1))
         assert np.abs(lse).max() < 1e-9
 
     def test_direction_matters(self):
-        z, _ = forward(self.model, self.a_hat, self.x)
+        z, _ = forward(self.model, self.a_hat, self.ax)
         fwd = edge_scores(self.model, z, np.array([[0, 1]]))
         rev = edge_scores(self.model, z, np.array([[1, 0]]))
         assert not np.allclose(fwd, rev)
 
     def test_out_of_range_index(self):
-        z, _ = forward(self.model, self.a_hat, self.x)
+        z, _ = forward(self.model, self.a_hat, self.ax)
         with pytest.raises(IndexError):
             edge_scores(self.model, z, np.array([[0, 99]]))
 
@@ -202,14 +206,22 @@ class TestLoss:
         both = np.array([[0, 1], [0, 1], [2, 3]])
         la, lb = np.array([1]), np.array([2])
         lboth = np.array([1, 1, 2])
-        _, g_both = loss_and_grads(model, a_hat, x, both, lboth)
-        _, g_a = loss_and_grads(model, a_hat, x, ea, la)
-        _, g_b = loss_and_grads(model, a_hat, x, eb, lb)
+        _, g_both = grads_at(model, a_hat, x, both, lboth)
+        _, g_a = grads_at(model, a_hat, x, ea, la)
+        _, g_b = grads_at(model, a_hat, x, eb, lb)
         for gb, ga_, gb_ in zip(g_both, g_a, g_b):
             assert np.allclose(3.0 * gb, 2.0 * ga_ + gb_, atol=1e-12)
 
 
+def grads_at(model, a_hat, x, edges, labels, wd=0.0):
+    """loss_and_grads at the model's current parameters, as train calls
+    it: from a forward pass over the propagated input."""
+    fwd = forward(model, a_hat, a_hat @ x)
+    return loss_and_grads(model, a_hat, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+
+
 def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
+    ax = a_hat @ x
     grads = []
     for p in model.params():
         g = np.zeros_like(p)
@@ -217,10 +229,10 @@ def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            z, _ = forward(model, a_hat, x)
+            z, _ = forward(model, a_hat, ax)
             up = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig - step
-            z, _ = forward(model, a_hat, x)
+            z, _ = forward(model, a_hat, ax)
             down = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig
             gflat[k] = (up - down) / (2.0 * step)
@@ -265,14 +277,14 @@ class TestGradients:
             model, a_hat, x, edges, labels, wd = gradcheck_instance(
                 100 + seed, block_spec, wd
             )
-            _, analytic = loss_and_grads(model, a_hat, x, edges, labels, wd)
+            _, analytic = grads_at(model, a_hat, x, edges, labels, wd)
             numeric = finite_difference_grads(model, a_hat, x, edges, labels, wd)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_no_edges_rejected(self):
         model, a_hat, x, _, _, _ = gradcheck_instance(7, (2, 1), 0.0)
         with pytest.raises(ValueError):
-            loss_and_grads(model, a_hat, x, np.empty((0, 2), dtype=int), np.empty(0))
+            grads_at(model, a_hat, x, np.empty((0, 2), dtype=int), np.empty(0))
 
 
 class TestAdam:
@@ -372,6 +384,211 @@ class TestTrain:
         assert (m.learning_rate, m.weight_decay, m.block_spec) == (0.05, 0.0, (2, 1))
         assert b.epochs == m.epochs == 200
         assert b.hidden == m.hidden == 32
+
+
+# -- the epoch loop against a direct reference -----------------------------
+
+
+class CountingCsr(sp.csr_matrix):
+    """Propagation matrix that counts its sparse products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def reference_forward(model, a_hat, x):
+    """Every layer propagates its own input, the first one included."""
+    h = np.asarray(x, dtype=np.float64)
+    caches = []
+    for block in model.blocks:
+        layers = []
+        for w in block:
+            p = a_hat @ h
+            q = p @ w
+            mask = q > 0.0
+            layers.append((p, mask))
+            h = q * mask
+        norms = np.sqrt((h * h).sum(axis=1))
+        safe = np.where(norms == 0.0, 1.0, norms)
+        h = h / safe[:, None]
+        caches.append((layers, h, safe))
+    return h, caches
+
+
+def reference_loss_and_grads(model, a_hat, x, edges, labels, wd):
+    """Forward from x, np.add.at head scatter, and a backward pass that
+    also forms the (unused) gradient of the model's input."""
+    z, caches = reference_forward(model, a_hat, x)
+    m = len(edges)
+    u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
+    logits = u @ model.head_w + model.head_b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = loss_value(logp, labels, model.params(), wd)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits /= m
+    grad_w, grad_b = u.T @ dlogits, dlogits.sum(axis=0)
+    du = dlogits @ model.head_w.T
+    dh = np.zeros_like(z)
+    np.add.at(dh, edges[:, 0], du[:, :model.hidden])
+    np.add.at(dh, edges[:, 1], du[:, model.hidden:])
+    grads = []
+    for block, (layers, y, safe) in zip(reversed(model.blocks), reversed(caches)):
+        dot = (y * dh).sum(axis=1, keepdims=True)
+        dr = (dh - y * dot) / safe[:, None]
+        block_grads = [None] * len(block)
+        for li in range(len(block) - 1, -1, -1):
+            p, mask = layers[li]
+            dq = dr * mask
+            block_grads[li] = p.T @ dq
+            dr = a_hat @ (dq @ block[li].T)
+        grads = block_grads + grads
+        dh = dr
+    grads += [grad_w, grad_b]
+    if wd > 0.0:
+        for g, p in zip(grads, model.params()):
+            g += wd * p
+    return loss, grads
+
+
+def reference_train(x, a_hat, te, tl, ve, vl, config):
+    """Per epoch: a full forward for the gradients, the Adam step, then a
+    fresh predict of the validation edges.  Returns the history, the
+    parameters after every step and the best ones."""
+    model = init_model(x.shape[1], config.hidden, config.n_classes,
+                       config.block_spec, np.random.default_rng(config.seed))
+    params = model.params()
+    state = AdamState.for_params(params)
+    history, steps, best_acc, best = [], [], -1.0, None
+    for epoch in range(1, config.epochs + 1):
+        loss, grads = reference_loss_and_grads(
+            model, a_hat, x, te, tl, config.weight_decay)
+        adam_step(params, grads, state, config.learning_rate)
+        steps.append([p.copy() for p in params])
+        pred, _ = predict(model, a_hat, x, ve)
+        acc = float((pred == vl).mean())
+        history.append((epoch, loss, acc))
+        if acc > best_acc:
+            best_acc, best = acc, steps[-1]
+    return history, steps, best
+
+
+def random_training_problem(seed, n_classes):
+    """Random graph and features; labeled edges in random orientation,
+    so endpoints repeat and nodes appear on both sides."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    g, weights = random_topology(rng, 30, p_edge=0.2)
+    a_hat = build_normalized_adjacency(weights)
+    x = nprng.uniform(size=(30, 5))
+    pool = g.edge_positions()
+    flip = nprng.random(len(pool)) < 0.5
+    pool[flip] = pool[flip][:, ::-1]
+    order = nprng.permutation(len(pool))
+    te, ve = pool[order[:40]], pool[order[40:60]]
+    tl = nprng.integers(0, n_classes, size=len(te))
+    vl = nprng.integers(0, n_classes, size=len(ve))
+    return x, a_hat, te, tl, ve, vl
+
+
+class TestEpochLoop:
+    @pytest.mark.parametrize("mode", ["binary", "multi"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("block_spec", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_matches_reference_loop_exactly(
+        self, monkeypatch, block_spec, weight_decay, mode
+    ):
+        config = TrainConfig(mode=mode, epochs=12, learning_rate=0.05,
+                             weight_decay=weight_decay, block_spec=block_spec,
+                             hidden=6, seed=3)
+        problem = random_training_problem(41, config.n_classes)
+        want_history, want_steps, want_best = reference_train(*problem, config)
+
+        steps = []
+
+        def recording_adam_step(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            steps.append([p.copy() for p in params])
+
+        monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
+        result = train(*problem, config)
+        assert result.history == want_history
+        assert len(steps) == len(want_steps) == config.epochs
+        for got, want in zip(steps, want_steps):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(result.model.params(), want_best))
+
+    @pytest.mark.parametrize("block_spec, per_epoch, setup", [
+        ((2, 1), 2, 2),  # A_hat @ X, then the first forward's block 2
+        ((2, 2), 6, 4),
+    ])
+    def test_sparse_products_per_epoch(
+        self, monkeypatch, block_spec, per_epoch, setup
+    ):
+        x, a_hat, te, tl, ve, vl = toy_communities()
+        calls = []
+
+        def counting_loss_and_grads(*args):
+            calls.append(1)
+            return loss_and_grads(*args)
+
+        monkeypatch.setattr(gcn, "loss_and_grads", counting_loss_and_grads)
+        counting = CountingCsr(a_hat)
+        for epochs in (3, 7):
+            counting.products = 0
+            calls.clear()
+            config = TrainConfig(mode="binary", epochs=epochs, hidden=4,
+                                 block_spec=block_spec)
+            train(x, counting, te, tl, ve, vl, config)
+            assert len(calls) == epochs
+            assert counting.products == setup + per_epoch * epochs
+
+    @pytest.mark.parametrize("block_spec", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_first_layer_gradient_without_input_gradient(self, block_spec):
+        model, a_hat, x, edges, labels, wd = gradcheck_instance(31, block_spec, 5e-4)
+        counting = CountingCsr(a_hat)
+        fwd = forward(model, counting, a_hat @ x)
+        counting.products = 0
+        _, analytic = loss_and_grads(
+            model, counting, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+        # one backward product per layer, the model's first layer excepted
+        assert counting.products == sum(len(b) for b in model.blocks) - 1
+        numeric = finite_difference_grads(model, a_hat, x, edges, labels, wd)
+        assert max_relative_error(analytic[:1], numeric[:1]) < 1e-4
+
+
+class TestIncidenceScatter:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, h = 12, 60, 7
+        edges = rng.integers(0, n - 1, size=(m, 2))  # node n - 1 unused
+        edges[:3] = [(2, 5), (5, 2), (2, 2)]  # node 2 on both sides
+        values = rng.normal(size=(2 * m, h)) * 10.0 ** rng.integers(-8, 9, size=(2 * m, h))
+        values[0, 0], values[m, 0] = -0.0, 0.0
+        left, right = values[:m], values[m:]
+        want = np.zeros((n, h))
+        np.add.at(want, edges[:, 0], left)
+        np.add.at(want, edges[:, 1], right)
+        got = incidence_matrix(edges, n) @ values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the values are order-sensitive: another summation order differs
+        backwards = np.zeros((n, h))
+        np.add.at(backwards, edges[::-1, 1], right[::-1])
+        np.add.at(backwards, edges[::-1, 0], left[::-1])
+        assert not np.array_equal(backwards, want)
+
+    def test_shape_and_columns(self):
+        edges = np.array([[0, 1], [1, 2]])
+        dense = incidence_matrix(edges, 4).toarray()
+        assert dense.shape == (4, 4)
+        assert np.array_equal(dense, [[1, 0, 0, 0], [0, 1, 1, 0],
+                                      [0, 0, 0, 1], [0, 0, 0, 0]])
 
 
 class TestPersistence:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bgprel.dataset import LabeledEdgeSet, RelLabel
+from bgprel.dataset import LabeledEdge, LabeledEdgeSet, RelLabel
 from bgprel.pipeline import (
     DataFiles,
     EdgeDataset,
@@ -126,7 +126,7 @@ def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
 
 def test_prepare_never_copies_the_node_set(clean_dir, tmp_path, monkeypatch):
     # AsGraph.nodes builds a fresh set; a membership test per label made
-    # restriction quadratic, so the pipeline must test ``a in graph``
+    # restriction quadratic, so the pipeline must search the node array
     files = DataFiles.discover(clean_dir)
     clique = build_bundle(files).clique
     # a fixed clique file sends build_bundle through its membership check
@@ -159,12 +159,32 @@ def test_clean_labels_match_planted_truth(clean_dir):
 def test_restrict_to_graph_drops_unknown_endpoints():
     g = AsGraph.from_edges([(1, 2)])
     labeled = LabeledEdgeSet()
-    from bgprel.dataset import LabeledEdge
-
     labeled.add(LabeledEdge(1, 2, RelLabel.P2P))
     labeled.add(LabeledEdge(1, 99, RelLabel.P2P))
     kept, dropped = restrict_to_graph(labeled, g)
     assert len(kept) == 1 and dropped == 1
+
+
+def test_restrict_to_graph_matches_scalar_membership(clean_dir, monkeypatch):
+    bundle = build_bundle(DataFiles.discover(clean_dir))
+    labeled, _ = prepare_labels(DataFiles.discover(clean_dir))
+    graph = bundle.graph
+    # a few pairs off the graph, one with both endpoints off it
+    top = max(graph.sorted_nodes())
+    for a, b in [(top + 1, graph.sorted_nodes()[0]), (top + 2, top + 3),
+                 (graph.sorted_nodes()[1], 2**32 - 1)]:
+        labeled.add(LabeledEdge(a, b, RelLabel.P2P))
+    want = [e for e in labeled if e.a in graph and e.b in graph]
+
+    def forbidden(self, a):
+        raise AssertionError("scalar membership test")
+
+    monkeypatch.setattr(AsGraph, "__contains__", forbidden)
+    kept, dropped = restrict_to_graph(labeled, graph)
+    assert kept.entries() == want
+    assert dropped == len(labeled) - len(want) >= 3
+    empty, none = restrict_to_graph(LabeledEdgeSet(), graph)
+    assert len(empty) == 0 and none == 0
 
 
 def test_make_dataset_orientation_and_splits(clean_dir):
