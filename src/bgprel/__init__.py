@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .dataset import (
-    LabeledEdge,
-    LabeledEdgeSet,
+    LabelTable,
     RelLabel,
     balance_and_split,
     vote_intersection,
@@ -28,8 +27,7 @@ __all__ = [
     "AsGraph",
     "AsPath",
     "DataFiles",
-    "LabeledEdge",
-    "LabeledEdgeSet",
+    "LabelTable",
     "PathRejected",
     "PathStore",
     "RelLabel",

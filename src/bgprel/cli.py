@@ -36,7 +36,7 @@ from .gcn import (
     save_checkpoint,
     write_history_csv,
 )
-from .ingest import AllocationTable, ingest_file, write_paths_file
+from .ingest import AllocationTable, ingest_file, parse_asn, write_paths_file
 from .pipeline import (
     DataFiles,
     adjacency_for,
@@ -434,16 +434,11 @@ def _read_pairs(path: Path) -> list[tuple[int, int]]:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
+            where = f"pairs line {n}"
             bits = text.split("|")
-            try:
-                pair = (int(bits[0]), int(bits[1]))
-            except (IndexError, ValueError):
-                pair = None
-            if pair is None or not all(0 < x < 2**32 for x in pair):
-                raise ValueError(
-                    f"pairs line {n}: expected two ASNs a|b, got {text!r}"
-                )
-            pairs.append(pair)
+            if len(bits) < 2:
+                raise ValueError(f"{where}: expected two ASNs a|b, got {text!r}")
+            pairs.append((parse_asn(bits[0], where), parse_asn(bits[1], where)))
     return pairs
 
 

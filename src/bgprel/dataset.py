@@ -11,9 +11,10 @@ precedence:
   3. an IXP AS list: links touching an IXP become exchange (x2x)
      links, overriding everything else.
 
-Storage orientation is canonical: p2p/s2s/x2x links keep the smaller
-ASN first, p2c links keep the provider first (the order matters to the
-order-sensitive edge classifier).
+Every stage returns a ``LabelTable``: one row per unordered pair, held
+as columns.  Storage orientation is canonical: p2p/s2s/x2x links keep
+the smaller ASN first, p2c links keep the provider first (the order
+matters to the order-sensitive edge classifier).
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .ingest import MAX_ASN
+import numpy as np
+
+from .ingest import parse_asn
 
 
 class RelLabel(str, Enum):
@@ -36,8 +40,12 @@ class RelLabel(str, Enum):
     X2X = "x2x"
 
 
+# p2p and p2c come first, so a row's index into MULTI_CLASSES is also
+# its binary class index
 MULTI_CLASSES = [RelLabel.P2P, RelLabel.P2C, RelLabel.S2S, RelLabel.X2X]
 BINARY_CLASSES = [RelLabel.P2P, RelLabel.P2C]
+_INDEX = {c: i for i, c in enumerate(MULTI_CLASSES)}
+_P2C = _INDEX[RelLabel.P2C]
 
 PROVENANCE_VOTE = "vote"
 PROVENANCE_ORG = "org_map"
@@ -46,90 +54,86 @@ PROVENANCE_IXP = "ixp_list"
 SPLITS = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
-class LabeledEdge:
-    """One labeled link; for p2c the first endpoint is the provider."""
-
-    a: int
-    b: int
-    label: RelLabel
-    split: str = ""
-    provenance: str = ""
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-
-def _canonicalize(a: int, b: int, label: RelLabel) -> tuple[int, int]:
+def _orient(
+    a: np.ndarray, b: np.ndarray, label: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """p2c keeps provider-first order; everything else sorts by ASN."""
-    if label is RelLabel.P2C:
-        return a, b
-    return (a, b) if a < b else (b, a)
+    swap = (label != _P2C) & (a > b)
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
-class DuplicateEdgeError(ValueError):
-    pass
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One uint64 per unordered pair, (smaller << 32) | larger: ASNs are
+    below 2**32, so key order is the order of (smaller, larger)."""
+    lo, hi = np.minimum(a, b).astype(np.uint64), np.maximum(a, b).astype(np.uint64)
+    return (lo << 32) | hi
 
 
-class LabeledEdgeSet:
-    """Ordered collection of labeled links, unique per unordered pair."""
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """Labeled links as columns, one row per unordered pair.
 
-    def __init__(self, entries: Iterable[LabeledEdge] = ()):
-        self._by_pair: dict[tuple[int, int], LabeledEdge] = {}
-        for e in entries:
-            self.add(e)
+    ``a`` and ``b`` are int64 ASNs in storage orientation; ``label``
+    indexes ``MULTI_CLASSES``; ``split`` and ``provenance`` are string
+    columns, "" when unset.  Stages return new tables and never write
+    into a column.
+    """
 
-    def add(self, edge: LabeledEdge) -> None:
-        if edge.a == edge.b:
-            raise ValueError(f"self relationship on AS{edge.a}")
-        a, b = _canonicalize(edge.a, edge.b, edge.label)
-        edge = replace(edge, a=a, b=b)
-        key = edge.pair
-        if key in self._by_pair:
-            raise DuplicateEdgeError(f"duplicate pair {key}")
-        self._by_pair[key] = edge
+    a: np.ndarray
+    b: np.ndarray
+    label: np.ndarray
+    split: np.ndarray
+    provenance: np.ndarray
 
-    def get(self, a: int, b: int) -> LabeledEdge | None:
-        return self._by_pair.get((a, b) if a < b else (b, a))
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[tuple[int, int, RelLabel, str, str]]
+    ) -> "LabelTable":
+        """Table of ``(a, b, label, split, provenance)`` rows, turned to
+        storage orientation; the pairs must be distinct."""
+        rows = list(rows)
+        a, b, label, split, prov = zip(*rows) if rows else ((),) * 5
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        label = np.array([_INDEX[c] for c in label], dtype=np.intp)
+        a, b = _orient(a, b, label)
+        return cls(a, b, label, np.array(split, dtype=str), np.array(prov, dtype=str))
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return len(self.a)
 
-    def __iter__(self) -> Iterator[LabeledEdge]:
-        return iter(self._by_pair.values())
+    def pairs(self) -> np.ndarray:
+        """Every row's (a, b) as an (n, 2) int64 array."""
+        return np.stack([self.a, self.b], axis=1)
 
-    def entries(self) -> list[LabeledEdge]:
-        return list(self._by_pair.values())
+    def take(self, rows: np.ndarray) -> "LabelTable":
+        """The rows an index array or a boolean mask selects, in order."""
+        return LabelTable(self.a[rows], self.b[rows], self.label[rows],
+                          self.split[rows], self.provenance[rows])
 
     def counts(self) -> dict[RelLabel, int]:
-        out = {label: 0 for label in MULTI_CLASSES}
-        for e in self._by_pair.values():
-            out[e.label] += 1
-        return out
+        n = np.bincount(self.label, minlength=len(MULTI_CLASSES))
+        return dict(zip(MULTI_CLASSES, n.tolist()))
 
-    def subset(self, keep: Iterable[bool]) -> "LabeledEdgeSet":
-        """The entries whose flag in ``keep`` (one per entry, in order)
-        is true; they are canonical and unique already, so not re-added."""
-        out = LabeledEdgeSet()
-        out._by_pair = {
-            pair: e for (pair, e), k in zip(self._by_pair.items(), keep) if k
-        }
-        return out
-
-    def with_split(self, split: str) -> list[LabeledEdge]:
-        return [e for e in self._by_pair.values() if e.split == split]
+    def rows(self) -> list[tuple[int, int, RelLabel, str, str]]:
+        """One ``(a, b, label, split, provenance)`` tuple per row."""
+        labels = [MULTI_CLASSES[k] for k in self.label.tolist()]
+        return list(zip(self.a.tolist(), self.b.tolist(), labels,
+                        self.split.tolist(), self.provenance.tolist()))
 
     def write_csv(self, out: str | Path) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["a", "b", "label", "split", "provenance"])
-            for e in self._by_pair.values():
-                writer.writerow([e.a, e.b, e.label.value, e.split, e.provenance])
+            for a, b, label, split, prov in self.rows():
+                writer.writerow([a, b, label.value, split, prov])
 
     @classmethod
-    def read_csv(cls, path: str | Path) -> "LabeledEdgeSet":
-        out = cls()
+    def read_csv(cls, path: str | Path) -> "LabelTable":
+        """Read an ``a,b,label[,split[,provenance]]`` file such as
+        ``edges.csv`` or ``truth.csv``.  A bad ASN or label, a self pair
+        or a pair seen twice raises ValueError naming the line."""
+        rows = []
+        first_line: dict[tuple[int, int], int] = {}
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -138,11 +142,22 @@ class LabeledEdgeSet:
             for row in reader:
                 if not row:
                     continue
-                a, b, label = int(row[0]), int(row[1]), RelLabel(row[2])
-                split = row[3] if len(row) > 3 else ""
-                prov = row[4] if len(row) > 4 else ""
-                out.add(LabeledEdge(a, b, label, split, prov))
-        return out
+                where = f"{path} line {reader.line_num}"
+                try:
+                    label = RelLabel(row[2])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{where}: expected a,b,label, got {row}") from None
+                a, b = parse_asn(row[0], where), parse_asn(row[1], where)
+                if a == b:
+                    raise ValueError(f"{where}: self relationship AS{a}")
+                pair = (a, b) if a < b else (b, a)
+                if pair in first_line:
+                    raise ValueError(f"{where}: duplicate pair {pair}, "
+                                     f"first on line {first_line[pair]}")
+                first_line[pair] = reader.line_num
+                split, prov = (row[3:5] + ["", ""])[:2]
+                rows.append((a, b, label, split, prov))
+        return cls.from_rows(rows)
 
 
 # -- label sources and voting ------------------------------------------
@@ -163,19 +178,19 @@ def load_label_source(path: str | Path) -> LabelSource:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
+            where = f"{path} line {n}"
             fields = text.split("|")
             if len(fields) < 3:
-                raise ValueError(f"{src.name} line {n}: expected a|b|code")
+                raise ValueError(f"{where}: expected a|b|code")
+            a, b = parse_asn(fields[0], where), parse_asn(fields[1], where)
             try:
-                a, b, code = int(fields[0]), int(fields[1]), int(fields[2])
+                code = int(fields[2])
             except ValueError as exc:
-                raise ValueError(f"{src.name} line {n}: {text!r}") from exc
-            if not (0 < a <= MAX_ASN and 0 < b <= MAX_ASN):
-                raise ValueError(f"{src.name} line {n}: ASN out of range {text!r}")
+                raise ValueError(f"{where}: {text!r}") from exc
             if code not in (0, -1):
-                raise ValueError(f"{src.name} line {n}: unsupported code {code}")
+                raise ValueError(f"{where}: unsupported code {code}")
             if a == b:
-                raise ValueError(f"{src.name} line {n}: self relationship AS{a}")
+                raise ValueError(f"{where}: self relationship AS{a}")
             src.entries.append((a, b, code))
     return src
 
@@ -201,26 +216,32 @@ class VoteReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _source_calls(src: LabelSource) -> tuple[dict, int]:
-    """Collapse a source to pair -> (label, provider); a pair whose rows
-    disagree inside the same source cannot vote and is dropped."""
-    calls: dict[tuple[int, int], tuple[RelLabel, int | None]] = {}
-    bad: set[tuple[int, int]] = set()
-    for a, b, code in src.entries:
-        key = (a, b) if a < b else (b, a)
-        call = (RelLabel.P2P, None) if code == 0 else (RelLabel.P2C, a)
-        if key in calls and calls[key] != call:
-            bad.add(key)
-        calls[key] = call
-    for key in bad:
-        del calls[key]
-    return calls, len(bad)
+# a source's call on a pair: peering, or which endpoint is the provider
+_CALL_P2P, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER = 0, 1, 2
+
+
+def _source_calls(src: LabelSource) -> tuple[np.ndarray, np.ndarray, int]:
+    """A source's sorted pair keys and its call on each.  A pair whose
+    rows disagree inside the source cannot vote and is dropped; the
+    third value counts those pairs."""
+    a, b, code = np.array(src.entries, dtype=np.int64).reshape(-1, 3).T
+    key = _pair_keys(a, b)
+    call = np.where(code == 0, _CALL_P2P,
+                    np.where(a < b, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER))
+    order = np.lexsort((call, key))
+    key, call = key[order], call[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    # calls are sorted within a pair: its first and last call agree
+    # exactly when all of them do
+    agree = call[first] == call[np.roll(first, -1)]
+    return key[first][agree], call[first][agree], int((~agree).sum())
 
 
 def vote_intersection(
     sources: list[LabelSource],
-) -> tuple[LabeledEdgeSet, VoteReport]:
-    """Keep only pairs every source labels identically.
+) -> tuple[LabelTable, VoteReport]:
+    """Keep only pairs every source labels identically, in pair order.
 
     For p2c calls identical means the same provider side; (a,b,-1) and
     (b,a,-1) disagree.  The coincidence rate is |intersection| over
@@ -228,37 +249,32 @@ def vote_intersection(
     """
     if len(sources) < 2:
         raise ValueError("voting needs at least two label sources")
-    per_source = []
-    dropped = 0
-    for src in sources:
-        calls, bad = _source_calls(src)
-        per_source.append(calls)
-        dropped += bad
-    union: set[tuple[int, int]] = set()
-    for calls in per_source:
-        union.update(calls)
-    out = LabeledEdgeSet()
-    for key in sorted(union):
-        first = per_source[0].get(key)
-        if first is None or any(calls.get(key) != first for calls in per_source[1:]):
-            continue
-        label, provider = first
-        if label is RelLabel.P2C:
-            a = provider
-            b = key[1] if key[0] == a else key[0]
-        else:
-            a, b = key
-        out.add(LabeledEdge(a, b, label, provenance=PROVENANCE_VOTE))
-    rate = len(out) / len(union) if union else 0.0
+    per_source = [_source_calls(src) for src in sources]
+    union = np.unique(np.concatenate([key for key, _, _ in per_source]))
+    key, call, _ = per_source[0]
+    for other_key, other_call, _ in per_source[1:]:
+        _, mine, theirs = np.intersect1d(
+            key, other_key, assume_unique=True, return_indices=True
+        )
+        same = mine[call[mine] == other_call[theirs]]
+        key, call = key[same], call[same]
+    lo, hi = (key >> 32).astype(np.int64), (key & 0xFFFFFFFF).astype(np.int64)
+    flip = call == _CALL_HI_PROVIDER
+    label = np.where(call == _CALL_P2P, _INDEX[RelLabel.P2P], _P2C).astype(np.intp)
+    table = LabelTable(np.where(flip, hi, lo), np.where(flip, lo, hi), label,
+                       np.full(len(key), ""), np.full(len(key), PROVENANCE_VOTE))
+    # a name two sources share gets the source's 1-based position
+    seen = Counter(s.name for s in sources)
     report = VoteReport(
         n_sources=len(sources),
-        source_sizes={s.name: len(s.entries) for s in sources},
+        source_sizes={s.name if seen[s.name] == 1 else f"{s.name}#{i}": len(s.entries)
+                      for i, s in enumerate(sources, 1)},
         union_pairs=len(union),
-        intersection_pairs=len(out),
-        coincidence_rate=rate,
-        inconsistent_dropped=dropped,
+        intersection_pairs=len(table),
+        coincidence_rate=len(table) / len(union) if len(union) else 0.0,
+        inconsistent_dropped=sum(bad for _, _, bad in per_source),
     )
-    return out, report
+    return table, report
 
 
 # -- org / IXP overrides ------------------------------------------------
@@ -271,14 +287,13 @@ def load_org_map(path: str | Path) -> dict[int, str]:
         for n, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#"):
                 continue
-            key = row[0].strip()
-            if not key.isdigit():
-                if n == 1:
-                    continue
-                raise ValueError(f"org map line {n}: bad ASN {key!r}")
+            if n == 1 and not row[0].strip().isdigit():
+                continue  # header
+            where = f"{path} line {n}"
+            asn = parse_asn(row[0], where)
             if len(row) < 2 or not row[1].strip():
-                raise ValueError(f"org map line {n}: missing org id")
-            out[int(key)] = row[1].strip()
+                raise ValueError(f"{where}: missing org id")
+            out[asn] = row[1].strip()
     return out
 
 
@@ -287,60 +302,48 @@ def load_ixp_list(path: str | Path) -> set[int]:
     with open(path, encoding="utf-8") as fh:
         for n, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                out.add(int(text))
-            except ValueError as exc:
-                raise ValueError(f"IXP list line {n}: {text!r}") from exc
+            if text and not text.startswith("#"):
+                out.add(parse_asn(text, f"{path} line {n}"))
     return out
 
 
+def _relabel(
+    edges: LabelTable, mask: np.ndarray, label: RelLabel, provenance: str
+) -> LabelTable:
+    """``edges`` with the masked rows given a new label and provenance,
+    re-oriented; the rows stay where they are."""
+    new = np.where(mask, _INDEX[label], edges.label)
+    a, b = _orient(edges.a, edges.b, new)
+    return LabelTable(a, b, new, edges.split,
+                      np.where(mask, provenance, edges.provenance))
+
+
 def apply_sibling_labels(
-    edges: LabeledEdgeSet, org_map: dict[int, str]
-) -> LabeledEdgeSet:
+    edges: LabelTable, org_map: dict[int, str]
+) -> LabelTable:
     """Relabel same-organization links as s2s.
 
     IXP-derived labels outrank organization data, so entries already
     tagged by the IXP pass are left alone; that keeps the override
     passes order-independent.
     """
-    out = LabeledEdgeSet()
-    for e in edges:
-        if e.provenance != PROVENANCE_IXP:
-            org_a = org_map.get(e.a)
-            if org_a is not None and org_a == org_map.get(e.b):
-                out.add(
-                    LabeledEdge(
-                        min(e.a, e.b),
-                        max(e.a, e.b),
-                        RelLabel.S2S,
-                        e.split,
-                        PROVENANCE_ORG,
-                    )
-                )
-                continue
-        out.add(e)
-    return out
+    if not org_map:
+        return edges
+    asns = np.array(sorted(org_map), dtype=np.int64)
+    _, org_ids = np.unique([org_map[a] for a in asns.tolist()], return_inverse=True)
+    ends = edges.pairs()
+    pos = np.minimum(np.searchsorted(asns, ends), len(asns) - 1)
+    org = np.where(asns[pos] == ends, org_ids[pos], -1)
+    mask = ((org[:, 0] >= 0) & (org[:, 0] == org[:, 1])
+            & (edges.provenance != PROVENANCE_IXP))
+    return _relabel(edges, mask, RelLabel.S2S, PROVENANCE_ORG)
 
 
-def apply_ixp_labels(edges: LabeledEdgeSet, ixps: set[int]) -> LabeledEdgeSet:
+def apply_ixp_labels(edges: LabelTable, ixps: Iterable[int]) -> LabelTable:
     """Relabel links with an IXP endpoint as x2x (highest precedence)."""
-    out = LabeledEdgeSet()
-    for e in edges:
-        if e.a in ixps or e.b in ixps:
-            out.add(
-                LabeledEdge(
-                    min(e.a, e.b),
-                    max(e.a, e.b),
-                    RelLabel.X2X,
-                    e.split,
-                    PROVENANCE_IXP,
-                )
-            )
-        else:
-            out.add(e)
-    return out
+    ixps = np.fromiter(ixps, dtype=np.int64)
+    mask = np.isin(edges.a, ixps) | np.isin(edges.b, ixps)
+    return _relabel(edges, mask, RelLabel.X2X, PROVENANCE_IXP)
 
 
 # -- balancing and splits ------------------------------------------------
@@ -355,39 +358,36 @@ def _split_sizes(n: int) -> tuple[int, int, int]:
 
 
 def balance_and_split(
-    edges: LabeledEdgeSet, seed: int, mode: str = "multi"
-) -> LabeledEdgeSet:
+    edges: LabelTable, seed: int, mode: str = "multi"
+) -> LabelTable:
     """Assign 6:2:2 train/val/test splits per class.
 
     Binary mode drops s2s/x2x first and keeps the remaining class sizes
     as they are; multi mode downsamples every class to the smallest
-    class size so the four types are balanced.  Deterministic for a
-    given seed regardless of the input entry order.
+    class size so the four types are balanced.  The rows come class by
+    class, shuffled within each class.  Deterministic for a given seed
+    regardless of the input row order: each class's rows are put in
+    pair order first, and the draw depends only on the class sizes.
     """
     if mode not in ("binary", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
     classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
-    grouped: dict[RelLabel, list[LabeledEdge]] = {c: [] for c in classes}
-    for e in edges:
-        if e.label in grouped:
-            grouped[e.label].append(e)
-    for c in classes:
-        if not grouped[c]:
+    by_pair = np.argsort(_pair_keys(edges.a, edges.b), kind="stable")
+    pools = [by_pair[edges.label[by_pair] == _INDEX[c]] for c in classes]
+    for c, pool in zip(classes, pools):
+        if not len(pool):
             raise ValueError(f"{mode} mode needs examples of class {c.value}")
-        grouped[c].sort(key=lambda e: e.pair)
 
     rng = random.Random(seed)
-    out = LabeledEdgeSet()
-    floor = min(len(grouped[c]) for c in classes)
-    for c in classes:
-        pool = grouped[c]
+    floor = min(len(pool) for pool in pools)
+    picked, splits = [], []
+    for pool in pools:
         if mode == "multi" and len(pool) > floor:
-            pool = rng.sample(pool, floor)
+            order = rng.sample(range(len(pool)), floor)
         else:
-            pool = list(pool)
-        rng.shuffle(pool)
-        n_train, n_val, _ = _split_sizes(len(pool))
-        for i, e in enumerate(pool):
-            split = "train" if i < n_train else "val" if i < n_train + n_val else "test"
-            out.add(replace(e, split=split))
-    return out
+            order = list(range(len(pool)))
+        rng.shuffle(order)
+        picked.append(pool[order])
+        splits.append(np.repeat(SPLITS, _split_sizes(len(order))))
+    out = edges.take(np.concatenate(picked))
+    return replace(out, split=np.concatenate(splits))

@@ -135,15 +135,9 @@ class AllocationTable:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            try:
-                if "-" in text:
-                    lo, hi = text.split("-", 1)
-                    ranges.append((int(lo), int(hi)))
-                else:
-                    v = int(text)
-                    ranges.append((v, v))
-            except ValueError as exc:
-                raise ValueError(f"allocation file line {n}: {text!r}") from exc
+            lo, hi = text.split("-", 1) if "-" in text else (text, text)
+            where = f"allocation file line {n}"
+            ranges.append((parse_asn(lo, where), parse_asn(hi, where)))
         return cls(ranges)
 
     @classmethod
@@ -164,24 +158,33 @@ class AllocationTable:
         return list(zip(self._starts.tolist(), self._ends.tolist()))
 
 
+def parse_asn(token: str, where: str) -> int:
+    """The ASN one token holds under the hop rule: ASCII decimal digits,
+    optionally surrounded by ASCII whitespace, with a value in
+    1..2**32-1.  Every input file's ASNs are read through this; anything
+    else raises ValueError starting with ``where`` (file and line)."""
+    digits = token.strip(WHITESPACE)
+    # str.isdigit alone also accepts non-ASCII digits, and int() also
+    # takes signs and underscores but refuses very long digit strings,
+    # so drop leading zeros and size-check first
+    if digits.isascii() and digits.isdigit():
+        digits = digits.lstrip("0")
+        if len(digits) <= _MAX_DIGITS and 1 <= int(digits or "0") <= MAX_ASN:
+            return int(digits)
+    raise ValueError(f"{where}: ASN out of range or malformed: {token!r}")
+
+
 def parse_path_line(line: str, line_number: int = 0) -> AsPath:
     """Parse one ``a|b|c`` line into an AsPath."""
     text = line.strip(WHITESPACE)
     if not text:
         raise PathParseError("empty line", line_number)
-    hops = []
-    for token in text.split("|"):
-        digits = token.strip(WHITESPACE)
-        # str.isdigit alone also accepts non-ASCII digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise PathParseError(f"not an ASN: {token!r}", line_number)
-        # int() refuses very long digit strings, so drop leading zeros
-        # and size-check first
-        digits = digits.lstrip("0")
-        if len(digits) > _MAX_DIGITS or not 1 <= int(digits or "0") <= MAX_ASN:
-            raise PathParseError(f"ASN out of range: {digits or 0}", line_number)
-        hops.append(int(digits))
-    return AsPath(tuple(hops), line_number)
+    tokens = text.split("|")
+    try:
+        hops = tuple(parse_asn(t, f"hop {i}") for i, t in enumerate(tokens, 1))
+    except ValueError as exc:
+        raise PathParseError(str(exc), line_number) from None
+    return AsPath(hops, line_number)
 
 
 def sanitize(path: AsPath, table: AllocationTable | None = None) -> AsPath:

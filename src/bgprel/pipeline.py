@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from .dataset import (
     BINARY_CLASSES,
     MULTI_CLASSES,
-    LabeledEdgeSet,
+    SPLITS,
+    LabelTable,
     RelLabel,
     VoteReport,
     apply_ixp_labels,
@@ -132,7 +133,7 @@ def build_bundle(files: DataFiles, k_candidates: int = 20) -> GraphBundle:
     return GraphBundle(report=report, graph=graph, clique=clique, features=features)
 
 
-def prepare_labels(files: DataFiles) -> tuple[LabeledEdgeSet, VoteReport]:
+def prepare_labels(files: DataFiles) -> tuple[LabelTable, VoteReport]:
     """Vote across the sources, then apply the override passes."""
     sources = [load_label_source(p) for p in files.labels]
     edges, report = vote_intersection(sources)
@@ -144,20 +145,17 @@ def prepare_labels(files: DataFiles) -> tuple[LabeledEdgeSet, VoteReport]:
 
 
 def restrict_to_graph(
-    edges: LabeledEdgeSet, graph: AsGraph
-) -> tuple[LabeledEdgeSet, int]:
-    """Drop labeled pairs whose endpoints the paths never showed.
-    Label ASNs are in 1..2^32-1 (``load_label_source`` checks), so they
-    fit the graph's int64 node array."""
-    ends = np.array([(e.a, e.b) for e in edges], dtype=np.int64).reshape(-1, 2)
-    kept = graph.contains(ends).all(axis=1)
-    return edges.subset(kept.tolist()), int((~kept).sum())
+    edges: LabelTable, graph: AsGraph
+) -> tuple[LabelTable, int]:
+    """Drop labeled pairs whose endpoints the paths never showed."""
+    kept = graph.contains(edges.pairs()).all(axis=1)
+    return edges.take(kept), int((~kept).sum())
 
 
 @dataclass
 class EdgeDataset:
     classes: list[RelLabel]
-    edges: LabeledEdgeSet
+    edges: LabelTable
     arrays: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
@@ -169,21 +167,18 @@ class EdgeDataset:
 
 
 def make_dataset(
-    labeled: LabeledEdgeSet, graph: AsGraph, mode: str, seed: int
+    labeled: LabelTable, graph: AsGraph, mode: str, seed: int
 ) -> EdgeDataset:
     """Balance and split the labeled pairs; each split's rows are the
-    endpoints' graph positions, in stored (a, b) orientation."""
+    endpoints' graph positions, in stored (a, b) orientation, and its
+    labels the class indices (p2p and p2c index both class lists)."""
     classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
-    class_pos = {c: i for i, c in enumerate(classes)}
     split_set = balance_and_split(labeled, seed, mode)
     ds = EdgeDataset(classes=list(classes), edges=split_set)
-    for name in ("train", "val", "test"):
-        entries = split_set.with_split(name)
-        pairs = graph.positions(
-            np.array([(e.a, e.b) for e in entries], dtype=np.int64).reshape(-1, 2)
-        )
-        labels = np.array([class_pos[e.label] for e in entries], dtype=np.intp)
-        ds.arrays[name] = (pairs, labels)
+    for name in SPLITS:
+        rows = split_set.split == name
+        ds.arrays[name] = (graph.positions(split_set.pairs()[rows]),
+                           split_set.label[rows])
     return ds
 
 

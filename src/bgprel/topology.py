@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .ingest import PathStore
+from .ingest import PathStore, parse_asn
 
 
 class UnknownNodeError(ValueError):
@@ -320,11 +320,10 @@ def infer_clique(g: AsGraph, k_candidates: int = 20) -> set[int]:
 def load_clique_file(path: str | Path) -> set[int]:
     clique: set[int] = set()
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for n, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            clique.add(int(text))
+            if text and not text.startswith("#"):
+                clique.add(parse_asn(text, f"{path} line {n}"))
     if not clique:
         raise ValueError(f"clique file is empty: {path}")
     return clique
@@ -388,19 +387,16 @@ def load_type_map(path: str | Path) -> dict[int, AsType]:
         for n, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#"):
                 continue
-            key = row[0].strip()
-            if not key.isdigit():
-                if n == 1:
-                    continue  # header
-                raise ValueError(f"type map line {n}: bad ASN {key!r}")
-            if not 0 < int(key) < 2**32:
-                raise ValueError(f"type map line {n}: ASN out of range {key!r}")
+            if n == 1 and not row[0].strip().isdigit():
+                continue  # header
+            where = f"{path} line {n}"
+            asn = parse_asn(row[0], where)
             if len(row) < 2:
-                raise ValueError(f"type map line {n}: missing type")
+                raise ValueError(f"{where}: missing type")
             label = row[1].strip()
             if label not in values:
-                raise ValueError(f"type map line {n}: unknown type {label!r}")
-            out[int(key)] = values[label]
+                raise ValueError(f"{where}: unknown type {label!r}")
+            out[asn] = values[label]
     return out
 
 

@@ -411,14 +411,14 @@ def test_criterion_7_vote_semantics():
         got, _ = vote_intersection([load_label_source(f) for f in files])
         want = _vote_oracle(files)
         match = len(got) == len(want)
-        for e in got:
-            call = want.get(e.pair)
+        for a, b, got_label, _, _ in got.rows():
+            call = want.get(canonical_edge(a, b))
             if call is None:
                 match = False
                 break
             label, provider = call
-            if e.label is not label or (
-                label is RelLabel.P2C and provider != e.a
+            if got_label is not label or (
+                label is RelLabel.P2C and provider != a
             ):
                 match = False
                 break

@@ -130,6 +130,17 @@ def test_dataset_needs_two_sources(data_dir, tmp_path, capsys):
     assert "two" in capsys.readouterr().err
 
 
+def test_dataset_bad_ixp_asn_is_named(data_dir, tmp_path, capsys):
+    ixps = tmp_path / "ixps.txt"
+    ixps.write_text("# route servers\n99999999999999999999\n")
+    code = run([
+        "dataset", "--data", str(data_dir), "--ixps", str(ixps),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert f"{ixps} line 2: ASN out of range" in capsys.readouterr().err
+
+
 def test_train_outputs(train_dir):
     names = {p.name for p in train_dir.iterdir()}
     assert {"checkpoint.json", "history.csv", "metrics.json",
@@ -327,8 +338,8 @@ def test_dataset_alloc_matches_prepare(data_dir, tmp_path):
     assert manifest["config"]["dropped_offgraph"] == prep.dropped_offgraph
     rows = [line.split(",")[:4]
             for line in (out / "edges.csv").read_text().splitlines()[1:]]
-    want = [[str(e.a), str(e.b), e.label.value, e.split]
-            for e in prep.dataset.edges]
+    want = [[str(a), str(b), label.value, split]
+            for a, b, label, split, _ in prep.dataset.edges.rows()]
     assert rows == want
 
 

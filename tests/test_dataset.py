@@ -1,15 +1,17 @@
 import itertools
 import random
+import re
+from collections import namedtuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bgprel.dataset import (
     BINARY_CLASSES,
     MULTI_CLASSES,
-    DuplicateEdgeError,
-    LabeledEdge,
-    LabeledEdgeSet,
     LabelSource,
+    LabelTable,
     RelLabel,
     apply_ixp_labels,
     apply_sibling_labels,
@@ -19,56 +21,107 @@ from bgprel.dataset import (
     load_org_map,
     vote_intersection,
 )
+from bgprel.pipeline import restrict_to_graph
+from bgprel.topology import AsGraph, load_clique_file
+
+Row = namedtuple("Row", "a b label split provenance")
 
 
 def src(name, entries):
     return LabelSource(name, list(entries))
 
 
+def rows(table):
+    return [Row(*r) for r in table.rows()]
+
+
+def pair(r):
+    return (min(r.a, r.b), max(r.a, r.b))
+
+
+def get(table, a, b):
+    """The row of the unordered pair {a, b}, or None."""
+    return next((r for r in rows(table) if pair(r) == (min(a, b), max(a, b))), None)
+
+
+def table(*entries):
+    return LabelTable.from_rows(Row(*e) for e in entries)
+
+
 class TestLabeledEdgeSet:
+    """LabelTable storage: orientation, row selection, the csv round
+    trip and the checks ``read_csv`` makes on outside files."""
+
     def test_p2p_stored_smaller_first(self):
-        s = LabeledEdgeSet([LabeledEdge(9, 2, RelLabel.P2P)])
-        e = s.entries()[0]
+        e = rows(table((9, 2, RelLabel.P2P, "", "")))[0]
         assert (e.a, e.b) == (2, 9)
 
     def test_p2c_keeps_provider_first(self):
-        s = LabeledEdgeSet([LabeledEdge(9, 2, RelLabel.P2C)])
-        e = s.entries()[0]
+        s = table((9, 2, RelLabel.P2C, "", ""))
+        e = rows(s)[0]
         assert (e.a, e.b) == (9, 2)
-        assert s.get(2, 9) == e
+        assert get(s, 2, 9) == e
 
     def test_subset_keeps_flagged_entries_in_order(self):
-        s = LabeledEdgeSet([LabeledEdge(9, 2, RelLabel.P2C),
-                            LabeledEdge(5, 1, RelLabel.P2P),
-                            LabeledEdge(3, 4, RelLabel.S2S)])
-        sub = s.subset([True, False, True])
-        assert sub.entries() == [s.entries()[0], s.entries()[2]]
-        assert sub.get(1, 5) is None and len(s) == 3
-        with pytest.raises(DuplicateEdgeError):
-            sub.add(LabeledEdge(2, 9, RelLabel.P2P))
+        s = table((9, 2, RelLabel.P2C, "", ""),
+                  (5, 1, RelLabel.P2P, "", ""),
+                  (3, 4, RelLabel.S2S, "", ""))
+        sub = s.take(np.array([True, False, True]))
+        assert rows(sub) == [rows(s)[0], rows(s)[2]]
+        assert get(sub, 1, 5) is None and len(s) == 3
 
-    def test_duplicate_pair_rejected(self):
-        s = LabeledEdgeSet([LabeledEdge(1, 2, RelLabel.P2P)])
-        with pytest.raises(DuplicateEdgeError):
-            s.add(LabeledEdge(2, 1, RelLabel.P2C))
+    def test_duplicate_pair_rejected(self, tmp_path):
+        f = tmp_path / "truth.csv"
+        f.write_text("a,b,label\n1,2,p2p\n2,1,p2c\n")
+        with pytest.raises(ValueError, match=r"line 3: duplicate pair \(1, 2\), first on line 2"):
+            LabelTable.read_csv(f)
 
-    def test_self_pair_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledEdgeSet([LabeledEdge(3, 3, RelLabel.P2P)])
+    def test_self_pair_rejected(self, tmp_path):
+        f = tmp_path / "truth.csv"
+        f.write_text("a,b,label\n3,3,p2p\n")
+        with pytest.raises(ValueError, match="line 2: self relationship"):
+            LabelTable.read_csv(f)
 
     def test_csv_roundtrip(self, tmp_path):
-        s = LabeledEdgeSet(
-            [
-                LabeledEdge(5, 2, RelLabel.P2C, "train", "vote"),
-                LabeledEdge(7, 3, RelLabel.X2X, "test", "ixp_list"),
-            ]
-        )
+        s = table((5, 2, RelLabel.P2C, "train", "vote"),
+                  (7, 3, RelLabel.X2X, "test", "ixp_list"))
         f = tmp_path / "dataset.csv"
         s.write_csv(f)
-        again = LabeledEdgeSet.read_csv(f)
-        assert again.entries() == s.entries()
+        again = LabelTable.read_csv(f)
+        assert rows(again) == rows(s)
+        assert rows(again)[1][:2] == (3, 7)
         header = f.read_text().splitlines()[0]
         assert header == "a,b,label,split,provenance"
+
+
+# every token here breaks the hop rule; int() accepts most of them
+BAD_TOKENS = ["99999999999999999999", "-4", "+7", "1_000", "0", "4294967296",
+              "١", "AS5"]
+
+
+class TestAsnTokens:
+    LOADERS = {
+        "ixps": ("ixps.txt", "900\n{}\n", 2, load_ixp_list),
+        "orgs": ("orgs.csv", "asn,org_id\n10,acme\n{},acme\n", 3, load_org_map),
+        "clique": ("clique.txt", "# core\n1\n{}\n", 3, load_clique_file),
+        "truth": ("truth.csv", "a,b,label\n1,2,p2p\n{},3,p2c\n", 3, LabelTable.read_csv),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("token", BAD_TOKENS)
+    def test_bad_asn_names_file_and_line(self, tmp_path, loader, token):
+        name, text, line, load = self.LOADERS[loader]
+        f = tmp_path / name
+        f.write_text(text.format(token), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{f} line {line}: ASN")):
+            load(f)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_padded_asns_accepted(self, tmp_path, loader):
+        name, text, _, load = self.LOADERS[loader]
+        f = tmp_path / name
+        f.write_text(text.format(" 0004294967295\t"), encoding="utf-8")
+        load(f)
 
 
 class TestLabelSourceFile:
@@ -99,12 +152,96 @@ class TestLabelSourceFile:
             load_label_source(f)
 
 
+def random_sources(universe, rng, n=60):
+    """Three sources of ``n`` random calls each over pairs of ``universe``."""
+    pairs = list(itertools.combinations(universe, 2))
+    sources = []
+    for name in "abc":
+        entries = []
+        for a, b in rng.sample(pairs, n):
+            code = rng.choice([0, -1])
+            if code == -1 and rng.random() < 0.5:
+                a, b = b, a
+            entries.append((a, b, code))
+        sources.append(src(name, entries))
+    return sources
+
+
+def vote_oracle(sources):
+    """Brute-force unanimous vote: (rows in pair order, union size)."""
+    def calls(s):
+        out = {}
+        for a, b, code in s.entries:
+            key = (min(a, b), max(a, b))
+            val = ("p2p", None) if code == 0 else ("p2c", a)
+            if key in out and out[key] != val:
+                out[key] = "conflict"
+            else:
+                out.setdefault(key, val)
+        return {k: v for k, v in out.items() if v != "conflict"}
+
+    maps = [calls(s) for s in sources]
+    union = set().union(*maps)
+    wanted = sorted(
+        k for k in union if all(k in m for m in maps) and len({m[k] for m in maps}) == 1
+    )
+    out = []
+    for lo, hi in wanted:
+        label, provider = maps[0][(lo, hi)]
+        if label == "p2p":
+            out.append(Row(lo, hi, RelLabel.P2P, "", "vote"))
+        else:
+            out.append(Row(provider, hi if provider == lo else lo, RelLabel.P2C, "", "vote"))
+    return out, len(union)
+
+
+def override_oracle(entries, orgs, ixps):
+    """Both override passes, one row at a time: IXP beats org beats vote."""
+    out = []
+    for r in entries:
+        lo, hi = pair(r)
+        if r.a in ixps or r.b in ixps:
+            r = Row(lo, hi, RelLabel.X2X, r.split, "ixp_list")
+        elif orgs.get(r.a) is not None and orgs.get(r.a) == orgs.get(r.b):
+            r = Row(lo, hi, RelLabel.S2S, r.split, "org_map")
+        out.append(r)
+    return out
+
+
+def split_oracle(entries, seed, mode):
+    """balance_and_split on a plain list of rows."""
+    classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
+    grouped = {c: sorted((r for r in entries if r.label is c), key=pair) for c in classes}
+    rng = random.Random(seed)
+    floor = min(len(g) for g in grouped.values())
+    out = []
+    for c in classes:
+        pool = grouped[c]
+        if mode == "multi" and len(pool) > floor:
+            pool = rng.sample(pool, floor)
+        else:
+            pool = list(pool)
+        rng.shuffle(pool)
+        n_train = round(0.6 * len(pool))
+        n_val = min(round(0.2 * len(pool)), len(pool) - n_train)
+        for i, r in enumerate(pool):
+            split = "train" if i < n_train else "val" if i < n_train + n_val else "test"
+            out.append(r._replace(split=split))
+    return out
+
+
+# ASNs on both sides of 2**31, up to the largest; (2**32 - 1, 2**32 - 2)
+# is where a signed 64-bit key holding a pair and its call overflows
+HIGH_MIXED = (list(range(1, 13)) + [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30]
+              + [2**32 - 1 - k for k in range(8)])
+
+
 class TestVoting:
     def test_unanimous_pairs_survive(self):
         a = src("a", [(1, 2, 0), (3, 4, -1), (5, 6, 0)])
         b = src("b", [(1, 2, 0), (3, 4, -1), (7, 8, 0)])
         voted, report = vote_intersection([a, b])
-        assert {e.pair for e in voted} == {(1, 2), (3, 4)}
+        assert {pair(e) for e in rows(voted)} == {(1, 2), (3, 4)}
         assert report.union_pairs == 4
         assert report.intersection_pairs == 2
         assert report.coincidence_rate == pytest.approx(0.5)
@@ -126,15 +263,15 @@ class TestVoting:
         a = src("a", [(9, 2, 0)])
         b = src("b", [(2, 9, 0)])
         voted, _ = vote_intersection([a, b])
-        assert [e.pair for e in voted] == [(2, 9)]
-        assert voted.entries()[0].label is RelLabel.P2P
+        assert [pair(e) for e in rows(voted)] == [(2, 9)]
+        assert rows(voted)[0].label is RelLabel.P2P
 
     def test_self_agreement_identity(self):
         entries = [(4, 2, -1), (1, 3, 0), (5, 6, 0)]
         voted, report = vote_intersection([src("a", entries), src("b", entries)])
         assert len(voted) == 3
         assert report.coincidence_rate == 1.0
-        e = voted.get(4, 2)
+        e = get(voted, 4, 2)
         assert e.label is RelLabel.P2C and e.a == 4
 
     def test_needs_two_sources(self):
@@ -150,88 +287,73 @@ class TestVoting:
 
     def test_rate_matches_brute_force(self):
         rng = random.Random(17)
-        universe = list(itertools.combinations(range(1, 25), 2))
-        sources = []
-        for name in "abc":
-            entries = []
-            for a, b in rng.sample(universe, 60):
-                code = rng.choice([0, -1])
-                if code == -1 and rng.random() < 0.5:
-                    a, b = b, a
-                entries.append((a, b, code))
-            sources.append(src(name, entries))
-        voted, report = vote_intersection(sources)
+        for universe in (range(1, 25), HIGH_MIXED):
+            sources = random_sources(universe, rng)
+            sources[0].entries.append((2**32 - 1, 2**32 - 2, -1))
+            sources[1].entries.append((2**32 - 1, 2**32 - 2, -1))
+            sources[2].entries.append((2**32 - 1, 2**32 - 2, -1))
+            voted, report = vote_intersection(sources)
+            want, union = vote_oracle(sources)
+            # pairs, labels, provider side and row order
+            assert rows(voted) == want
+            assert Row(2**32 - 1, 2**32 - 2, RelLabel.P2C, "", "vote") in want
+            assert report.coincidence_rate == pytest.approx(len(want) / union)
 
-        def calls(s):
-            out = {}
-            for a, b, code in s.entries:
-                key = (min(a, b), max(a, b))
-                val = ("p2p", None) if code == 0 else ("p2c", a)
-                if key in out and out[key] != val:
-                    out[key] = "conflict"
-                else:
-                    out.setdefault(key, val)
-            return {k: v for k, v in out.items() if v != "conflict"}
-
-        maps = [calls(s) for s in sources]
-        union = set().union(*maps)
-        wanted = {
-            k
-            for k in union
-            if all(k in m for m in maps) and len({m[k] for m in maps}) == 1
-        }
-        assert {e.pair for e in voted} == wanted
-        assert report.coincidence_rate == pytest.approx(len(wanted) / len(union))
+    def test_repeated_file_names_keep_every_size(self):
+        a = src("x.txt", [(1, 2, 0)])
+        b = src("x.txt", [(1, 2, 0), (3, 4, 0)])
+        c = src("y.txt", [(1, 2, 0)])
+        _, report = vote_intersection([a, b, c])
+        assert report.source_sizes == {"x.txt#1": 1, "x.txt#2": 2, "y.txt": 1}
+        _, report = vote_intersection([a, c])
+        assert report.source_sizes == {"x.txt": 1, "y.txt": 1}
 
 
 class TestOverrides:
     def base(self):
-        return LabeledEdgeSet(
-            [
-                LabeledEdge(1, 2, RelLabel.P2P, provenance="vote"),
-                LabeledEdge(3, 4, RelLabel.P2C, provenance="vote"),
-                LabeledEdge(5, 6, RelLabel.P2P, provenance="vote"),
-            ]
-        )
+        return table((1, 2, RelLabel.P2P, "", "vote"),
+                     (3, 4, RelLabel.P2C, "", "vote"),
+                     (5, 6, RelLabel.P2P, "", "vote"))
 
     def test_same_org_becomes_sibling(self):
         out = apply_sibling_labels(self.base(), {3: "orgX", 4: "orgX"})
-        assert out.get(3, 4).label is RelLabel.S2S
-        assert out.get(3, 4).provenance == "org_map"
-        assert out.get(1, 2).label is RelLabel.P2P
+        assert get(out, 3, 4).label is RelLabel.S2S
+        assert get(out, 3, 4).provenance == "org_map"
+        assert get(out, 1, 2).label is RelLabel.P2P
 
     def test_partial_org_map_is_fine(self):
         out = apply_sibling_labels(self.base(), {3: "orgX"})
-        assert out.get(3, 4).label is RelLabel.P2C
+        assert get(out, 3, 4).label is RelLabel.P2C
 
     def test_ixp_endpoint_becomes_exchange(self):
         out = apply_ixp_labels(self.base(), {6})
-        assert out.get(5, 6).label is RelLabel.X2X
-        assert out.get(5, 6).provenance == "ixp_list"
+        assert get(out, 5, 6).label is RelLabel.X2X
+        assert get(out, 5, 6).provenance == "ixp_list"
 
     def test_precedence_ixp_over_org(self):
         orgs = {5: "orgY", 6: "orgY"}
         ixps = {6}
         one = apply_ixp_labels(apply_sibling_labels(self.base(), orgs), ixps)
         two = apply_sibling_labels(apply_ixp_labels(self.base(), ixps), orgs)
-        assert one.entries() == two.entries()
-        assert one.get(5, 6).label is RelLabel.X2X
+        assert rows(one) == rows(two)
+        assert get(one, 5, 6).label is RelLabel.X2X
 
     def test_override_order_never_matters(self):
         rng = random.Random(29)
         for trial in range(25):
-            entries = LabeledEdgeSet()
+            entries = []
             for a, b in itertools.combinations(range(1, 12), 2):
                 if rng.random() < 0.4:
                     label = rng.choice([RelLabel.P2P, RelLabel.P2C])
                     if label is RelLabel.P2C and rng.random() < 0.5:
                         a, b = b, a
-                    entries.add(LabeledEdge(a, b, label, provenance="vote"))
+                    entries.append((a, b, label, "", "vote"))
+            entries = table(*entries)
             orgs = {n: f"org{rng.randrange(4)}" for n in range(1, 12) if rng.random() < 0.5}
             ixps = {n for n in range(1, 12) if rng.random() < 0.2}
             one = apply_ixp_labels(apply_sibling_labels(entries, orgs), ixps)
             two = apply_sibling_labels(apply_ixp_labels(entries, ixps), orgs)
-            assert one.entries() == two.entries()
+            assert rows(one) == rows(two)
 
     def test_loaders(self, tmp_path):
         orgs = tmp_path / "orgs.csv"
@@ -242,18 +364,48 @@ class TestOverrides:
         assert load_ixp_list(ixps) == {900, 901}
 
 
+class TestHighAsns:
+    def test_label_stages_match_list_oracles(self):
+        rng = random.Random(3)
+        # three copies of one source, each with a fifth of its calls redrawn
+        base = random_sources(HIGH_MIXED, rng, n=200)[0].entries
+        sources = [
+            src(name, [(b, a, rng.choice([0, -1])) if rng.random() < 0.2 else (a, b, c)
+                       for a, b, c in base])
+            for name in "abc"
+        ]
+        voted, _ = vote_intersection(sources)
+        want, _ = vote_oracle(sources)
+        assert rows(voted) == want
+
+        orgs = {a: f"org{rng.randrange(3)}" for a in HIGH_MIXED if rng.random() < 0.6}
+        ixps = {2**32 - 3, 2**31, 5}
+        labeled = apply_sibling_labels(apply_ixp_labels(voted, ixps), orgs)
+        want = override_oracle(want, orgs, ixps)
+        assert rows(labeled) == want
+        assert all(n > 3 for n in labeled.counts().values())
+
+        graph = AsGraph.from_edges([], nodes=set(HIGH_MIXED) - {2**32 - 2, 7})
+        usable, dropped = restrict_to_graph(labeled, graph)
+        want = [r for r in want if r.a in graph and r.b in graph]
+        assert rows(usable) == want and dropped == len(labeled) - len(want)
+
+        for mode in ("multi", "binary"):
+            assert rows(balance_and_split(usable, 11, mode)) == split_oracle(want, 11, mode)
+
+
 def synthetic_pool(counts, seed=0):
-    """Build a LabeledEdgeSet with the requested per-class sizes."""
+    """Build a LabelTable with the requested per-class sizes."""
     rng = random.Random(seed)
-    out = LabeledEdgeSet()
+    out = []
     nxt = iter(itertools.combinations(range(1, 4000), 2))
     for label, k in counts.items():
         for _ in range(k):
             a, b = next(nxt)
             if label is RelLabel.P2C and rng.random() < 0.5:
                 a, b = b, a
-            out.add(LabeledEdge(a, b, label, provenance="vote"))
-    return out
+            out.append((a, b, label, "", "vote"))
+    return table(*out)
 
 
 class TestBalanceAndSplit:
@@ -268,17 +420,15 @@ class TestBalanceAndSplit:
         pool = synthetic_pool({c: 10 for c in MULTI_CLASSES})
         out = balance_and_split(pool, seed=3, mode="multi")
         for c in MULTI_CLASSES:
-            entries = [e for e in out if e.label is c]
+            entries = [e for e in rows(out) if e.label is c]
             by_split = {s: sum(1 for e in entries if e.split == s) for s in ("train", "val", "test")}
             assert by_split == {"train": 6, "val": 2, "test": 2}
 
     def test_splits_partition_the_set(self):
         pool = synthetic_pool({c: 17 for c in MULTI_CLASSES})
         out = balance_and_split(pool, seed=9, mode="multi")
-        assert all(e.split in ("train", "val", "test") for e in out)
-        assert len(out.with_split("train")) + len(out.with_split("val")) + len(
-            out.with_split("test")
-        ) == len(out)
+        assert all(e.split in ("train", "val", "test") for e in rows(out))
+        assert sum((out.split == s).sum() for s in ("train", "val", "test")) == len(out)
 
     def test_binary_drops_extras_keeps_sizes(self):
         pool = synthetic_pool(
@@ -291,13 +441,13 @@ class TestBalanceAndSplit:
 
     def test_deterministic_and_order_insensitive(self):
         pool = synthetic_pool({c: 15 for c in MULTI_CLASSES}, seed=4)
-        shuffled = list(pool)
+        shuffled = rows(pool)
         random.Random(99).shuffle(shuffled)
         out1 = balance_and_split(pool, seed=7, mode="multi")
-        out2 = balance_and_split(LabeledEdgeSet(shuffled), seed=7, mode="multi")
-        assert out1.entries() == out2.entries()
+        out2 = balance_and_split(table(*shuffled), seed=7, mode="multi")
+        assert rows(out1) == rows(out2)
         out3 = balance_and_split(pool, seed=8, mode="multi")
-        assert out1.entries() != out3.entries()
+        assert rows(out1) != rows(out3)
 
     def test_empty_class_rejected_in_multi(self):
         pool = synthetic_pool({RelLabel.P2P: 5, RelLabel.P2C: 5, RelLabel.S2S: 5})
@@ -306,4 +456,17 @@ class TestBalanceAndSplit:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            balance_and_split(LabeledEdgeSet(), seed=0, mode="both")
+            balance_and_split(table(), seed=0, mode="both")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 25), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32),
+        order_seed=st.integers(0, 2**32),
+        mode=st.sampled_from(["multi", "binary"]),
+    )
+    def test_matches_list_reference(self, sizes, seed, order_seed, mode):
+        pool = rows(synthetic_pool(dict(zip(MULTI_CLASSES, sizes)), seed=order_seed))
+        random.Random(order_seed).shuffle(pool)
+        got = rows(balance_and_split(table(*pool), seed, mode))
+        assert got == split_oracle(pool, seed, mode)

@@ -151,6 +151,12 @@ class TestAllocationTable:
         with pytest.raises(ValueError, match="line 2"):
             AllocationTable.from_lines(["10", "abc"])
 
+    @pytest.mark.parametrize("line", ["+5-20", "5-1_000", "0-9", "7-4294967296",
+                                      "١-9", "-4"])
+    def test_range_bounds_follow_the_hop_rule(self, line):
+        with pytest.raises(ValueError, match="allocation file line 2: ASN"):
+            AllocationTable.from_lines(["10", line])
+
 
 class TestIngest:
     def test_three_valid_lines(self, tmp_path):

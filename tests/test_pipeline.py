@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bgprel.dataset import LabeledEdge, LabeledEdgeSet, RelLabel
+from bgprel.dataset import LabelTable, RelLabel
 from bgprel.pipeline import (
     DataFiles,
     EdgeDataset,
@@ -147,20 +147,19 @@ def test_clean_labels_match_planted_truth(clean_dir):
     labeled, report = prepare_labels(files)
     assert report.n_sources == 3
     assert len(labeled) > 0
-    for e in labeled:
-        want_label, provider = truth.edge_label(e.a, e.b)
-        assert e.label is want_label
+    for a, b, label, _, _ in labeled.rows():
+        want_label, provider = truth.edge_label(a, b)
+        assert label is want_label
         if want_label is RelLabel.P2C:
-            assert e.a == provider
+            assert a == provider
     counts = labeled.counts()
     assert all(counts[c] > 0 for c in RelLabel)
 
 
 def test_restrict_to_graph_drops_unknown_endpoints():
     g = AsGraph.from_edges([(1, 2)])
-    labeled = LabeledEdgeSet()
-    labeled.add(LabeledEdge(1, 2, RelLabel.P2P))
-    labeled.add(LabeledEdge(1, 99, RelLabel.P2P))
+    labeled = LabelTable.from_rows([(1, 2, RelLabel.P2P, "", ""),
+                                    (1, 99, RelLabel.P2P, "", "")])
     kept, dropped = restrict_to_graph(labeled, g)
     assert len(kept) == 1 and dropped == 1
 
@@ -171,19 +170,21 @@ def test_restrict_to_graph_matches_scalar_membership(clean_dir, monkeypatch):
     graph = bundle.graph
     # a few pairs off the graph, one with both endpoints off it
     top = max(graph.sorted_nodes())
-    for a, b in [(top + 1, graph.sorted_nodes()[0]), (top + 2, top + 3),
-                 (graph.sorted_nodes()[1], 2**32 - 1)]:
-        labeled.add(LabeledEdge(a, b, RelLabel.P2P))
-    want = [e for e in labeled if e.a in graph and e.b in graph]
+    labeled = LabelTable.from_rows(labeled.rows() + [
+        (a, b, RelLabel.P2P, "", "")
+        for a, b in [(top + 1, graph.sorted_nodes()[0]), (top + 2, top + 3),
+                     (graph.sorted_nodes()[1], 2**32 - 1)]
+    ])
+    want = [e for e in labeled.rows() if e[0] in graph and e[1] in graph]
 
     def forbidden(self, a):
         raise AssertionError("scalar membership test")
 
     monkeypatch.setattr(AsGraph, "__contains__", forbidden)
     kept, dropped = restrict_to_graph(labeled, graph)
-    assert kept.entries() == want
+    assert kept.rows() == want
     assert dropped == len(labeled) - len(want) >= 3
-    empty, none = restrict_to_graph(LabeledEdgeSet(), graph)
+    empty, none = restrict_to_graph(LabelTable.from_rows([]), graph)
     assert len(empty) == 0 and none == 0
 
 
@@ -202,15 +203,15 @@ def test_make_dataset_orientation_and_splits(clean_dir):
         assert pairs.shape[1] == 2
         assert labels.min() >= 0 and labels.max() < len(ds.classes)
         # rows are graph positions of each entry's endpoints, in order
-        entries = ds.edges.with_split(name)
-        assert nodes[pairs].tolist() == [[e.a, e.b] for e in entries]
+        entries = [e for e in ds.edges.rows() if e[3] == name]
+        assert nodes[pairs].tolist() == [[a, b] for a, b, *_ in entries]
     # stored orientation is provider-first; array rows must follow it
     nodes = bundle.features.nodes
-    for e in ds.edges.with_split("train"):
-        if e.label is RelLabel.P2C:
-            i = bundle.graph.positions(e.a)
+    for a, b, label, split, _ in ds.edges.rows():
+        if split == "train" and label is RelLabel.P2C:
+            i = bundle.graph.positions(a)
             pairs, labels = ds.split("train")
-            row = next(r for r in pairs if nodes[r[0]] == e.a and nodes[r[1]] == e.b)
+            row = next(r for r in pairs if nodes[r[0]] == a and nodes[r[1]] == b)
             assert row[0] == i
             break
 
@@ -242,7 +243,7 @@ def _stump_dataset():
     # ascending nodes 1..8 -> rows 0..7
     pairs = np.array([[1, 2], [6, 7], [0, 1], [0, 4]], dtype=np.intp)
     labels = np.array([0, 0, 1, 1], dtype=np.intp)
-    ds = EdgeDataset(classes=[RelLabel.P2P, RelLabel.P2C], edges=LabeledEdgeSet())
+    ds = EdgeDataset(classes=[RelLabel.P2P, RelLabel.P2C], edges=LabelTable.from_rows([]))
     ds.arrays = {"train": (pairs, labels), "val": (pairs, labels),
                  "test": (pairs, labels)}
     return g, ds
@@ -283,7 +284,7 @@ def test_degree_gap_baseline_matches_brute_force_on_train():
         pairs = rng.integers(0, len(nodes), size=(m, 2)).astype(np.intp)
         labels = rng.integers(0, 3, size=m).astype(np.intp)
         ds = EdgeDataset(classes=[RelLabel.P2P, RelLabel.P2C, RelLabel.S2S],
-                         edges=LabeledEdgeSet())
+                         edges=LabelTable.from_rows([]))
         # test on the training pairs so the DP optimum is observable
         ds.arrays = {"train": (pairs, labels), "val": (pairs, labels),
                      "test": (pairs, labels)}

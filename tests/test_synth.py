@@ -1,7 +1,7 @@
 import networkx as nx
 import pytest
 
-from bgprel.dataset import LabeledEdgeSet, RelLabel
+from bgprel.dataset import LabelTable, RelLabel
 from bgprel.ingest import ingest_file
 from bgprel.synth import (
     GroundTruth,
@@ -200,13 +200,13 @@ def test_export_files_roundtrip(tmp_path):
     assert report.malformed == 0
     assert [p.hops for p in parsed] == [p.hops for p in paths]
 
-    stored = LabeledEdgeSet.read_csv(files["truth"])
+    stored = LabelTable.read_csv(files["truth"])
     assert len(stored) == len(truth.labels)
-    for edge in stored:
-        label, provider = truth.edge_label(edge.a, edge.b)
-        assert edge.label is label
+    for a, b, stored_label, _, _ in stored.rows():
+        label, provider = truth.edge_label(a, b)
+        assert stored_label is label
         if label is RelLabel.P2C:
-            assert edge.a == provider
+            assert a == provider
 
 
 def test_export_zero_perturbation_sources_identical(tmp_path):
