@@ -281,13 +281,14 @@ def vote_intersection(
 
 
 def load_org_map(path: str | Path) -> dict[int, str]:
-    """Read an ``asn,org_id`` CSV; a header row is tolerated."""
+    """Read an ``asn,org_id`` CSV; a first line whose first field is
+    ``asn`` (any case) is a header."""
     out: dict[int, str] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for n, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#"):
                 continue
-            if n == 1 and not row[0].strip().isdigit():
+            if n == 1 and row[0].strip().lower() == "asn":
                 continue  # header
             where = f"{path} line {n}"
             asn = parse_asn(row[0], where)

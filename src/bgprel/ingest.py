@@ -103,6 +103,20 @@ class PathStore:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    def steps(self) -> np.ndarray:
+        """Flat index ``i`` of every step ``hops[i] -> hops[i + 1]`` that
+        stays inside one path, in order."""
+        linked = np.ones(max(len(self.hops) - 1, 0), dtype=bool)
+        linked[self.offsets[1:-1] - 1] = False
+        return np.flatnonzero(linked)
+
+    def batches(self, size: int) -> Iterator["PathStore"]:
+        """Consecutive runs of up to ``size`` paths, as stores that view
+        this one's hop array."""
+        for lo in range(0, len(self), size):
+            bounds = self.offsets[lo:lo + size + 1]
+            yield PathStore(self.hops[bounds[0]:bounds[-1]], bounds - bounds[0])
+
     def __iter__(self) -> Iterator[AsPath]:
         hops = self.hops.tolist()
         bounds = self.offsets.tolist()
@@ -388,8 +402,21 @@ def ingest_file(
         return ingest_lines(fh, table)
 
 
-def write_paths_file(paths: Iterable[Iterable[int]], out: str | Path) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        for p in paths:
-            fh.write("|".join(map(str, p)))
-            fh.write("\n")
+_WRITE_PATHS = 1 << 16
+
+
+def write_paths_file(paths: PathStore, out: str | Path) -> None:
+    """Write ``paths`` as ``a|b|c`` lines, formatted with numpy in
+    batches of paths."""
+    with open(out, "wb") as fh:
+        for batch in paths.batches(_WRITE_PATHS):
+            hops = batch.hops
+            digits = np.searchsorted(_POW10, hops, side="right")
+            # each hop is its digits and then a separator
+            ends = np.cumsum(digits + 1) - 1
+            buf = np.full(ends[-1] + 1, ord("|"), dtype=np.uint8)
+            buf[ends[batch.offsets[1:] - 1]] = ord("\n")
+            for k in range(int(digits.max())):
+                live = np.flatnonzero(digits > k)
+                buf[ends[live] - 1 - k] = 48 + hops[live] // _POW10[k] % 10
+            fh.write(buf.tobytes())

@@ -13,21 +13,28 @@ at most one peering link, and descends through customers:
 
     [up or sibling]* [peer]{0,1} [down or sibling]*
 
-which the standalone ``is_valley_free`` checker verifies against the
-ground-truth labels with a literal regular expression.
+which ``policy_violations`` checks over a whole path store.  The
+standalone ``is_valley_free`` checker, a literal regular expression
+over the ground-truth labels, is its per-path reference.
+
+Route tables come from a layered BFS over (node, phase) states on a
+CSR adjacency (``RouteGraph.routes``), and the simulation, the policy
+check and the export keep every path in one ``PathStore``.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .dataset import RelLabel
-from .ingest import AsPath, write_paths_file
-from .topology import AsGraph, AsType, canonical_edge
+from .ingest import PathStore, write_paths_file
+from .topology import AsGraph, AsType, _distinct, canonical_edge
 
 # wiring knobs that are not worth per-run configuration
 _ORG_GROUP_SIZES = (2, 3, 3)  # drawn uniformly
@@ -286,45 +293,139 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
 
 # -- route propagation ---------------------------------------------------
 
+# what a hop m -> w is, seen from m
+_SIBLING, _PEER, _CLIMB, _DESCEND = 0, 1, 2, 3
+_STEP_KINDS = {
+    RelLabel.S2S: (_SIBLING, _SIBLING),
+    RelLabel.P2P: (_PEER, _PEER),
+    RelLabel.X2X: (_PEER, _PEER),
+}
 _UP, _DOWN = 0, 1
+# the walk phase after a step, per (step kind, phase); -1 bars the step
+_NEXT_PHASE = np.array(
+    [
+        [_UP, _DOWN],  # sibling links are transparent
+        [_DOWN, -1],  # one peering or exchange link, at the top
+        [_UP, -1],  # into a provider, only while climbing
+        [_DOWN, _DOWN],  # into a customer
+    ],
+    dtype=np.int64,
+)
 
 
-def _step(truth: GroundTruth, m: int, w: int, phase: int) -> int | None:
-    """Next walk phase for hop m -> w, or None when the step is barred."""
-    label, provider = truth.edge_label(m, w)
-    if label is RelLabel.S2S:
-        return phase
-    if label in (RelLabel.P2P, RelLabel.X2X):
-        return _DOWN if phase == _UP else None
-    if provider == w:  # climbing into a provider
-        return _UP if phase == _UP else None
-    return _DOWN  # descending into a customer
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a << 32) | b per element: ASNs fit in 32 bits, so ASN pairs pack
+    into sortable uint64 keys."""
+    return (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
 
 
-def _best_routes(
-    vp: int, adjacency: dict[int, list[int]], truth: GroundTruth
-) -> dict[int, tuple[int, ...]]:
-    """Cheapest policy-conforming path from one vantage point to every
-    reachable node: fewest hops, ties broken by the lexicographically
-    smallest hop sequence (so by the lowest next-hop ASN first)."""
-    heap: list[tuple[int, tuple[int, ...], int, int]] = [(0, (), vp, _UP)]
-    seen_state: set[tuple[int, int]] = set()
-    best: dict[int, tuple[int, ...]] = {}
-    while heap:
-        dist, tail, node, phase = heapq.heappop(heap)
-        if (node, phase) in seen_state:
-            continue
-        seen_state.add((node, phase))
-        if node not in best:
-            best[node] = tail
-        for w in adjacency[node]:
-            if w == vp or w in tail:
-                continue
-            nxt = _step(truth, node, w, phase)
-            if nxt is None or (w, nxt) in seen_state:
-                continue
-            heapq.heappush(heap, (dist + 1, tail + (w,), w, nxt))
-    return best
+class RouteGraph:
+    """The planted topology as CSR over sorted node positions, with
+    every row's neighbours in ASN order and each directed hop's step
+    kind (sibling, peer, climb into a provider, descent into a
+    customer)."""
+
+    def __init__(self, truth: GroundTruth):
+        ends = np.array(list(truth.labels), dtype=np.int64).reshape(-1, 2)
+        self.nodes = _distinct(np.concatenate(
+            [np.fromiter(truth.tier, dtype=np.int64), ends.ravel()]))
+        n = len(self.nodes)
+        pos = np.searchsorted(self.nodes, ends)
+        # the step kinds of a -> b and of b -> a, per planted (a, b)
+        kinds = np.array([
+            _STEP_KINDS[label] if label is not RelLabel.P2C
+            else (_CLIMB, _DESCEND) if truth.providers[key] == key[1]
+            else (_DESCEND, _CLIMB)
+            for key, label in truth.labels.items()
+        ], dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([pos[:, 0], pos[:, 1]])
+        cols = np.concatenate([pos[:, 1], pos[:, 0]])
+        order = np.lexsort((cols, rows))
+        self.indices = cols[order]
+        self.kind = np.concatenate([kinds[:, 0], kinds[:, 1]])[order]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        # each CSR entry's directed hop as an ASN pair key; ascending,
+        # because node positions are in ASN order
+        self.keys = _pair_keys(self.nodes[rows[order]], self.nodes[self.indices])
+
+    def routes(self, vp: int) -> "RouteTable":
+        """Every node's best route from the node at position ``vp``: the
+        fewest hops, ties broken by the lexicographically smallest hop
+        sequence.
+
+        The walk runs over (node, phase) states one BFS layer at a
+        time.  A layer's candidate steps come in (parent rank, neighbour
+        ASN) order, and each state takes its first candidate; the
+        winners' order is the next layer's rank.  So the ranks of a
+        layer are the lexicographic order of its states' paths.  A step
+        is dropped when the policy bars it, when it returns to the
+        vantage point, when its state was reached in an earlier layer,
+        and when its node is already on the parent's path, which a walk
+        can otherwise reach in its other phase (up to a provider, across
+        a peer, and down again).  A node's route is the path of its
+        first state.
+        """
+        n = len(self.nodes)
+        seen = np.zeros(2 * n, dtype=bool)
+        seen[2 * vp + _UP] = True
+        layer_of = np.full(n, -1, dtype=np.int64)
+        row_of = np.zeros(n, dtype=np.int64)
+        layer_of[vp] = 0
+        node = np.array([vp], dtype=np.int64)
+        phase = np.array([_UP], dtype=np.int64)
+        # one row per state of the layer: its path after the vantage point
+        path = np.empty((1, 0), dtype=np.int64)
+        paths = [path]
+        while len(node):
+            start = self.indptr[node]
+            deg = self.indptr[node + 1] - start
+            parent = np.repeat(np.arange(len(node)), deg)
+            entry = np.arange(len(parent)) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+            w = self.indices[entry]
+            nxt = _NEXT_PHASE[self.kind[entry], phase[parent]]
+            state = 2 * w + nxt
+            keep = np.flatnonzero((nxt >= 0) & (w != vp) & ~seen[state])
+            looped = (path[parent[keep]] == w[keep, None]).any(axis=1)
+            keep = keep[~looped]
+            _, first = np.unique(state[keep], return_index=True)
+            win = keep[np.sort(first)]
+            node, phase = w[win], nxt[win]
+            seen[state[win]] = True
+            path = np.concatenate([path[parent[win]], node[:, None]], axis=1)
+            paths.append(path)
+            new = np.flatnonzero(layer_of[node] < 0)
+            _, first = np.unique(node[new], return_index=True)
+            new = new[first]
+            layer_of[node[new]] = len(paths) - 1
+            row_of[node[new]] = new
+        return RouteTable(vp, layer_of, row_of, paths)
+
+
+class RouteTable(NamedTuple):
+    """One vantage point's routes: node ``i``'s path after the vantage
+    point is ``paths[layer[i]][row[i]]`` (node positions); ``layer`` is
+    -1 where no route exists."""
+
+    vp: int
+    layer: np.ndarray
+    row: np.ndarray
+    paths: list[np.ndarray]
+
+    def gather(self, dests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The routes to the reachable ``dests``, in order, as flat node
+        positions (vantage point first) and hop counts."""
+        layer = self.layer[dests]
+        dests = dests[layer >= 0]
+        lengths = layer[layer >= 0] + 1
+        ends = np.cumsum(lengths)
+        hops = np.empty(lengths.sum(), dtype=np.int64)
+        hops[ends - lengths] = self.vp
+        for d in np.unique(lengths - 1).tolist():
+            sel = np.flatnonzero(lengths == d + 1)
+            tails = self.paths[d][self.row[dests[sel]]]
+            hops[(ends[sel] - d)[:, None] + np.arange(d)] = tails
+        return hops, lengths
 
 
 @dataclass
@@ -336,36 +437,35 @@ class SimulationStats:
 
 def simulate_paths(
     truth: GroundTruth, config: SynthConfig
-) -> tuple[list[AsPath], SimulationStats]:
+) -> tuple[PathStore, SimulationStats]:
     """Emit each vantage point's best path to sampled destinations."""
     rng = random.Random(config.seed + 1_000_003)
-    nodes = sorted(truth.tier)
-    adjacency: dict[int, list[int]] = {a: [] for a in nodes}
-    for a, b in truth.labels:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for a in adjacency:
-        adjacency[a].sort()
+    graph = RouteGraph(truth)
+    if len(graph.nodes) != len(truth.tier):
+        raise ValueError("a planted edge touches an AS with no tier")
+    nodes = graph.nodes.tolist()
 
     # collectors sit at exchange-dense transit networks, the way real
     # feeds do
-    mids = sorted(a for a in nodes if truth.tier.get(a) == "mid")
+    mids = [a for a in nodes if truth.tier[a] == "mid"]
     vp_pool = _peering_core(mids) or nodes
     vps = rng.sample(vp_pool, min(config.n_vps, len(vp_pool)))
     stats = SimulationStats(vantage_points=list(vps))
-    paths: list[AsPath] = []
+    hops, lengths = [], []
+    k = min(config.paths_per_vp, len(nodes) - 1)
     for vp in vps:
-        table = _best_routes(vp, adjacency, truth)
-        others = [a for a in nodes if a != vp]
-        dests = rng.sample(others, min(config.paths_per_vp, len(others)))
-        for dest in dests:
-            tail = table.get(dest)
-            if tail is None:
-                stats.unreachable += 1
-                continue
-            paths.append(AsPath((vp,) + tail))
-            stats.emitted += 1
-    return paths, stats
+        at = nodes.index(vp)
+        table = graph.routes(at)
+        # the same draws as sampling the node list without the vantage point
+        dests = np.array(rng.sample(range(len(nodes) - 1), k), dtype=np.int64)
+        dests += dests >= at
+        vp_hops, vp_lengths = table.gather(dests)
+        hops.append(graph.nodes[vp_hops])
+        lengths.append(vp_lengths)
+        stats.emitted += len(vp_lengths)
+        stats.unreachable += k - len(vp_lengths)
+    offsets = np.cumsum(np.concatenate([[0], *lengths]))
+    return PathStore(np.concatenate([np.zeros(0, np.int64), *hops]), offsets), stats
 
 
 # -- validation ------------------------------------------------------------
@@ -375,7 +475,8 @@ _VALLEY_FREE = re.compile(r"[us]*p?[ds]*")
 
 def is_valley_free(hops: tuple[int, ...], truth: GroundTruth) -> bool:
     """Check a path against the planted labels with the literal pattern
-    [C2P|S2S]* [P2P]? [P2C|S2S]* (exchange links count as peering)."""
+    [C2P|S2S]* [P2P]? [P2C|S2S]* (exchange links count as peering).
+    The per-path reference for ``policy_violations``."""
     steps = []
     for m, w in zip(hops, hops[1:]):
         try:
@@ -389,6 +490,47 @@ def is_valley_free(hops: tuple[int, ...], truth: GroundTruth) -> bool:
         else:
             steps.append("u" if provider == w else "d")
     return _VALLEY_FREE.fullmatch("".join(steps)) is not None
+
+
+# the policy check and the edge export go through paths in batches of
+# this many, so their per-step temporaries stay small
+_PATH_BATCH = 1 << 16
+
+
+def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
+    """Which paths break the export policy, as a boolean mask: a hop
+    over an unplanted edge, or a climb or peering step after the path
+    has crossed a peering link or descended into a customer.  Checked
+    in batches of paths."""
+    graph = RouteGraph(truth)
+    return np.concatenate([
+        np.zeros(0, dtype=bool),
+        *(_violations(graph, batch) for batch in paths.batches(_PATH_BATCH)),
+    ])
+
+
+def _violations(graph: RouteGraph, paths: PathStore) -> np.ndarray:
+    """``policy_violations`` of one batch."""
+    n_paths = len(paths)
+    steps_per_path = np.diff(paths.offsets) - 1
+    if not len(graph.keys):
+        return steps_per_path > 0
+    step = paths.steps()
+    path_of = np.repeat(np.arange(n_paths), steps_per_path)
+    key = _pair_keys(paths.hops[step], paths.hops[step + 1])
+    k = np.minimum(np.searchsorted(graph.keys, key), len(graph.keys) - 1)
+    planted = graph.keys[k] == key
+    kind = np.where(planted, graph.kind[k], _SIBLING)
+    i = np.arange(len(step))
+    first_down = np.full(n_paths, len(step))
+    down = (kind == _PEER) | (kind == _DESCEND)
+    np.minimum.at(first_down, path_of[down], i[down])
+    last_up = np.full(n_paths, -1)
+    up = (kind == _PEER) | (kind == _CLIMB)
+    np.maximum.at(last_up, path_of[up], i[up])
+    bad = last_up > first_down
+    bad[path_of[~planted]] = True
+    return bad
 
 
 def p2c_is_acyclic(truth: GroundTruth) -> bool:
@@ -414,12 +556,17 @@ def p2c_is_acyclic(truth: GroundTruth) -> bool:
 # -- export -----------------------------------------------------------------
 
 
-def observed_edges(paths: list[AsPath]) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for p in paths:
-        for a, b in zip(p.hops, p.hops[1:]):
-            out.add(canonical_edge(a, b))
-    return out
+def observed_edges(paths: PathStore) -> np.ndarray:
+    """Every edge some path crosses, once, as ascending (lo, hi) rows in
+    sorted order."""
+    keys = []
+    for batch in paths.batches(_PATH_BATCH):
+        step = batch.steps()
+        a, b = batch.hops[step], batch.hops[step + 1]
+        keys.append(_distinct(_pair_keys(np.minimum(a, b), np.maximum(a, b))))
+    keys = _distinct(np.concatenate([np.zeros(0, np.uint64), *keys]))
+    return np.stack([keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)],
+                    axis=1).astype(np.int64)
 
 
 def _source_row(truth: GroundTruth, edge: tuple[int, int]) -> tuple[int, int, int]:
@@ -441,7 +588,7 @@ def _source_row(truth: GroundTruth, edge: tuple[int, int]) -> tuple[int, int, in
 
 def export(
     truth: GroundTruth,
-    paths: list[AsPath],
+    paths: PathStore,
     out_dir: str | Path,
     n_sources: int = 3,
     perturbation: float = 0.0,
@@ -460,7 +607,7 @@ def export(
     files["paths"] = out_dir / "paths.txt"
     write_paths_file(paths, files["paths"])
 
-    base_rows = [_source_row(truth, e) for e in sorted(observed_edges(paths))]
+    base_rows = [_source_row(truth, e) for e in observed_edges(paths).tolist()]
     for s in range(1, n_sources + 1):
         rng = random.Random(seed * 7_919 + s)
         rows = []

@@ -380,14 +380,15 @@ class AsType(Enum):
 
 
 def load_type_map(path: str | Path) -> dict[int, AsType]:
-    """Read an ``asn,type`` CSV; a header row is tolerated."""
+    """Read an ``asn,type`` CSV; a first line whose first field is
+    ``asn`` (any case) is a header."""
     out: dict[int, AsType] = {}
     values = {t.value: t for t in AsType}
     with open(path, encoding="utf-8", newline="") as fh:
         for n, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#"):
                 continue
-            if n == 1 and not row[0].strip().isdigit():
+            if n == 1 and row[0].strip().lower() == "asn":
                 continue  # header
             where = f"{path} line {n}"
             asn = parse_asn(row[0], where)

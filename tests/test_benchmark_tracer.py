@@ -1,8 +1,13 @@
-"""The benchmark tracer (perfbench/tracing.py) wraps functions at fixed
+"""The benchmark's view of the program.
+
+The benchmark tracer (perfbench/tracing.py) wraps functions at fixed
 names in bgprel.cli, bgprel.pipeline and bgprel.gcn.  Installing it in a
 fresh interpreter fails if a refactor unbinds one of those names, and a
-traced run must write the same bytes as an untraced one."""
+traced run must write the same bytes as an untraced one.  The benchmark
+also pins the SHA-256 of every file ``bgprel synth`` writes for its
+workloads (perfbench/pins.json), so synth's output must not change."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,8 +15,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+from bgprel import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracing.py"
+PINS = ROOT / "perfbench" / "pins.json"
 
 
 def _env():
@@ -83,3 +93,29 @@ def test_traced_tiny_run_matches_untraced(tmp_path):
     predict_spans = json.loads(
         (tmp_path / "traced" / "predict-spans.json").read_text())["spans"]
     assert any(s[0] == "gcn.predict" for s in predict_spans)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_default_synth_matches_benchmark_pins(tmp_path, seed):
+    # the sweep-1x workload's inputs: default synth with 3% perturbation
+    pinned = json.loads(PINS.read_text(encoding="utf-8"))["sweep-1x"][str(seed)]
+    out = tmp_path / "data"
+    assert cli.run(["synth", "--perturbation", "0.03", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+    (out / "manifest.json").unlink()  # records a wall time
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir()}
+    assert got == pinned
+
+
+def test_traced_synth_counts_emitted_paths(tmp_path):
+    data = tmp_path / "data"
+    spans_file = tmp_path / "synth-spans.json"
+    _bgprel(["synth", "--n-mid", "60", "--n-stub", "100", "--n-vps", "10",
+             "--paths-per-vp", "150", "--seed", "3", "--out", str(data)],
+            spans_file)
+    spans = json.loads(spans_file.read_text())["spans"]
+    simulated = [s for s in spans if s[0] == "synth.simulate_paths"]
+    assert len(simulated) == 1
+    with open(data / "paths.txt", encoding="utf-8") as fh:
+        assert simulated[0][4]["emitted"] == sum(1 for _ in fh) > 0

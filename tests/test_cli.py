@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from bgprel import cli
 from bgprel.cli import run
+from bgprel.ingest import PathStore
 from bgprel.pipeline import DataFiles, prepare
 
 
@@ -64,6 +66,41 @@ def test_synth_writes_bundle(data_dir):
     assert {"paths.txt", "labels_1.txt", "labels_2.txt", "labels_3.txt",
             "orgs.csv", "ixps.txt", "types.csv", "truth.csv",
             "manifest.json"} <= names
+
+
+def test_synth_manifest_records_simulation_counts(data_dir):
+    config = json.loads((data_dir / "manifest.json").read_text())["config"]
+    with open(data_dir / "paths.txt", encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
+    assert config["emitted"] == lines > 0
+    # 15 asked for, but the collector pool is the oldest quarter of 40 mids
+    assert config["vantage_points"] == 10
+    assert config["emitted"] + config["unreachable"] == 10 * 60
+    assert config["policy_violations"] == 0
+
+
+def test_synth_fails_on_a_policy_violation(tmp_path, monkeypatch, capsys):
+    simulate = cli.simulate_paths
+    valleys = []
+
+    def with_a_valley(truth, config):
+        paths, stats = simulate(truth, config)
+        # down from one provider of a multihomed network, up to another
+        providers = {}
+        for p, c in truth.p2c_pairs():
+            providers.setdefault(c, []).append(p)
+        c = min(c for c, ps in providers.items() if len(ps) > 1)
+        valleys.append((providers[c][0], c, providers[c][1]))
+        return PathStore.from_hops([*(p.hops for p in paths), valleys[0]]), stats
+
+    monkeypatch.setattr(cli, "simulate_paths", with_a_valley)
+    out = tmp_path / "o"
+    assert run(["synth", *SYNTH_FLAGS, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    first = "|".join(map(str, valleys[0]))
+    assert re.search(r"error: 1 of \d+ simulated paths break the export "
+                     rf"policy; the first is {re.escape(first)}$", err.strip())
+    assert not (out / "paths.txt").exists()
 
 
 def test_missing_paths_file_names_it(tmp_path, capsys):

@@ -363,6 +363,19 @@ class TestOverrides:
         ixps.write_text("# exchanges\n900\n901\n")
         assert load_ixp_list(ixps) == {900, 901}
 
+    @pytest.mark.parametrize("header", ["asn,org_id", "ASN,org", " Asn ,x"])
+    def test_org_map_header_is_recognised_by_its_text(self, tmp_path, header):
+        orgs = tmp_path / "orgs.csv"
+        orgs.write_text(f"{header}\n10,acme\n")
+        assert load_org_map(orgs) == {10: "acme"}
+
+    @pytest.mark.parametrize("first", ["+7,acme", "org_id,asn", "AS7,acme"])
+    def test_org_map_first_line_that_is_no_header_is_data(self, tmp_path, first):
+        orgs = tmp_path / "orgs.csv"
+        orgs.write_text(f"{first}\n10,acme\n")
+        with pytest.raises(ValueError, match=re.escape(f"{orgs} line 1: ASN")):
+            load_org_map(orgs)
+
 
 class TestHighAsns:
     def test_label_stages_match_list_oracles(self):

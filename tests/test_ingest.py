@@ -12,6 +12,7 @@ from bgprel.ingest import (
     IngestReport,
     PathParseError,
     PathRejected,
+    PathStore,
     RejectReason,
     ingest_file,
     ingest_lines,
@@ -208,6 +209,19 @@ class TestIngest:
         assert [p.hops for p in again] == [p.hops for p in paths]
         assert [p.hops for p in paths] == [(11, 22, 33), (44, 55)]
         assert report.accepted == 2
+
+    @pytest.mark.parametrize("batch", [1, 2, 1 << 16])
+    def test_write_in_batches(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(ingest, "_WRITE_PATHS", batch)
+        paths, _ = ingest_lines(["11|22|33", "44|55", "4294967295|1000000000|9"])
+        out = tmp_path / "clean.txt"
+        write_paths_file(paths, out)
+        assert out.read_text() == "11|22|33\n44|55\n4294967295|1000000000|9\n"
+
+    def test_write_empty_store(self, tmp_path):
+        out = tmp_path / "clean.txt"
+        write_paths_file(PathStore.from_hops([]), out)
+        assert out.read_bytes() == b""
 
 
 # -- batch ingest against the per-path reference ------------------------

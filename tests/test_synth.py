@@ -1,20 +1,28 @@
-import networkx as nx
-import pytest
+import heapq
+import random
 
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bgprel import synth
 from bgprel.dataset import LabelTable, RelLabel
-from bgprel.ingest import ingest_file
+from bgprel.ingest import PathStore, ingest_file
 from bgprel.synth import (
     GroundTruth,
-    SimulationStats,
+    RouteGraph,
     SynthConfig,
+    _peering_core,
     export,
     generate,
     is_valley_free,
     observed_edges,
     p2c_is_acyclic,
+    policy_violations,
     simulate_paths,
 )
-from bgprel.topology import canonical_edge, infer_clique
+from bgprel.topology import build_graph, canonical_edge, infer_clique
 
 SMALL = SynthConfig(
     n_tier1=4,
@@ -155,7 +163,7 @@ def test_paths_never_shorter_than_unconstrained_shortest():
     _, truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     g = nx.Graph(truth.labels.keys())
-    for p in paths[:200]:
+    for p in list(paths)[:200]:
         floor = nx.shortest_path_length(g, p.hops[0], p.hops[-1])
         assert len(p.hops) - 1 >= floor
 
@@ -225,7 +233,9 @@ def test_export_sources_cover_observed_edges(tmp_path):
     for line in files["labels_1"].read_text().splitlines():
         a, b, _ = line.split("|")
         rows.add(canonical_edge(int(a), int(b)))
-    assert rows == observed_edges(paths)
+    edges = observed_edges(paths)
+    assert rows == set(map(tuple, edges.tolist()))
+    assert edges.tolist() == sorted(map(list, rows))
 
 
 def test_export_perturbation_changes_sources(tmp_path):
@@ -258,10 +268,7 @@ def test_observed_clique_recovers_tier1():
     )
     _, truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
-    from bgprel.ingest import PathStore
-    from bgprel.topology import build_graph
-
-    observed = build_graph(PathStore.from_hops(paths))
+    observed = build_graph(paths)
     clique = infer_clique(observed)
     tier1 = {a for a, t in truth.tier.items() if t == "tier1"}
     assert clique == tier1
@@ -282,3 +289,240 @@ def test_unreachable_counted_not_emitted():
     assert stats.unreachable >= 1
     assert stats.emitted == len(paths)
     assert stats.emitted + stats.unreachable == cfg.paths_per_vp
+
+
+# -- array route simulation against the per-vantage-point heap search -------
+
+_UP, _DOWN = 0, 1
+
+
+def _reference_step(truth, m, w, phase):
+    """Next walk phase for hop m -> w, or None when the step is barred."""
+    label, provider = truth.edge_label(m, w)
+    if label is RelLabel.S2S:
+        return phase
+    if label in (RelLabel.P2P, RelLabel.X2X):
+        return _DOWN if phase == _UP else None
+    if provider == w:  # climbing into a provider
+        return _UP if phase == _UP else None
+    return _DOWN  # descending into a customer
+
+
+def _reference_routes(vp, adjacency, truth):
+    """Cheapest policy-conforming path from one vantage point to every
+    reachable node: a heap search over (node, phase) states that pops in
+    (hops, lexicographic hop sequence) order.  Returns the route table
+    and the path of every state, in pop order."""
+    heap = [(0, (), vp, _UP)]
+    seen_state = set()
+    best = {}
+    popped = []
+    while heap:
+        dist, tail, node, phase = heapq.heappop(heap)
+        if (node, phase) in seen_state:
+            continue
+        seen_state.add((node, phase))
+        popped.append(tail)
+        if node not in best:
+            best[node] = tail
+        for w in adjacency[node]:
+            if w == vp or w in tail:
+                continue
+            nxt = _reference_step(truth, node, w, phase)
+            if nxt is None or (w, nxt) in seen_state:
+                continue
+            heapq.heappush(heap, (dist + 1, tail + (w,), w, nxt))
+    return best, popped
+
+
+def _adjacency(truth):
+    adjacency = {a: [] for a in sorted(truth.tier)}
+    for a, b in truth.labels:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return {a: sorted(ws) for a, ws in adjacency.items()}
+
+
+def _reference_simulate(truth, config):
+    """The route simulation written per path: (hop tuples, unreachable)."""
+    rng = random.Random(config.seed + 1_000_003)
+    nodes = sorted(truth.tier)
+    adjacency = _adjacency(truth)
+    mids = sorted(a for a in nodes if truth.tier.get(a) == "mid")
+    vp_pool = _peering_core(mids) or nodes
+    vps = rng.sample(vp_pool, min(config.n_vps, len(vp_pool)))
+    paths, unreachable = [], 0
+    for vp in vps:
+        table, _ = _reference_routes(vp, adjacency, truth)
+        others = [a for a in nodes if a != vp]
+        for dest in rng.sample(others, min(config.paths_per_vp, len(others))):
+            if dest in table:
+                paths.append((vp,) + table[dest])
+            else:
+                unreachable += 1
+    return paths, unreachable
+
+
+def _array_routes(truth, vp):
+    """The array search's route table as {ASN: hops after the VP}, and
+    the path of every state, layer by layer in rank order."""
+    graph = RouteGraph(truth)
+    table = graph.routes(int(np.searchsorted(graph.nodes, vp)))
+    best = {
+        int(graph.nodes[i]): tuple(
+            graph.nodes[table.paths[table.layer[i]][table.row[i]]].tolist())
+        for i in np.flatnonzero(table.layer >= 0).tolist()
+    }
+    popped = [tuple(row) for layer in table.paths
+              for row in graph.nodes[layer].tolist()]
+    return best, popped
+
+
+def _assert_same_route_tables(truth):
+    adjacency = _adjacency(truth)
+    for vp in sorted(truth.tier):
+        assert _array_routes(truth, vp) == _reference_routes(vp, adjacency, truth), vp
+
+
+@st.composite
+def small_configs(draw):
+    sizes = dict(
+        n_tier1=draw(st.integers(1, 4)),
+        n_mid=draw(st.integers(0, 25)),
+        n_stub=draw(st.integers(0, 30)),
+        n_ixp=draw(st.integers(0, 4)),
+    )
+    return SynthConfig(
+        **sizes,
+        n_orgs=draw(st.integers(0, 8)),
+        n_vps=draw(st.integers(1, min(4, sum(sizes.values())))),
+        paths_per_vp=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**20)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_route_tables_match_heap_search(cfg):
+    # every node as the vantage point, tie-breaking included
+    _, truth = generate(cfg)
+    _assert_same_route_tables(truth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_simulation_matches_per_path_reference(cfg):
+    _, truth = generate(cfg)
+    paths, stats = simulate_paths(truth, cfg)
+    want, unreachable = _reference_simulate(truth, cfg)
+    assert [p.hops for p in paths] == want
+    assert (stats.emitted, stats.unreachable) == (len(want), unreachable)
+
+
+def _hand_built():
+    """Sibling chains and a step back into a node already on the path.
+
+    From AS1, the walk climbs 1 -> 2 -> 4, peers across to 5 and could
+    step down into 2 again (2 buys transit from 4 and from 5): a state
+    (2, down) whose path already holds 2, which the loop rule bars.
+    Siblings 6 = 7 = 8 hang below 5, and siblings 3 = 9 below 1.
+    """
+    truth = GroundTruth()
+    truth.add(2, 1, RelLabel.P2C, provider=2)
+    truth.add(4, 2, RelLabel.P2C, provider=4)
+    truth.add(5, 2, RelLabel.P2C, provider=5)
+    truth.add(4, 5, RelLabel.P2P)
+    truth.add(5, 6, RelLabel.P2C, provider=5)
+    truth.add(6, 7, RelLabel.S2S)
+    truth.add(7, 8, RelLabel.S2S)
+    truth.add(8, 10, RelLabel.P2C, provider=8)
+    truth.add(1, 3, RelLabel.P2C, provider=1)
+    truth.add(3, 9, RelLabel.S2S)
+    truth.add(9, 11, RelLabel.P2C, provider=9)
+    truth.add(2, 12, RelLabel.P2C, provider=2)
+    truth.tier = {a: "mid" for a in range(1, 14)}  # 13 stays isolated
+    return truth
+
+
+def test_hand_built_route_tables():
+    truth = _hand_built()
+    _assert_same_route_tables(truth)
+    routes, popped = _array_routes(truth, 1)
+    assert 13 not in routes
+    # up, up, then down through the sibling chain; down then sideways
+    assert routes[10] == (2, 5, 6, 7, 8, 10)
+    assert routes[11] == (3, 9, 11)
+    # the walk climbs to 4 and crosses to 5, yet no state's path steps
+    # back into 2 or any other node it already holds
+    assert (2, 4) in popped and (2, 4, 5) in popped
+    for hops in popped:
+        assert len(set(hops)) == len(hops) and 1 not in hops
+
+
+# -- the array policy check against is_valley_free ---------------------------
+
+
+def _reference_violations(truth, paths):
+    return np.array([not is_valley_free(p.hops, truth) for p in paths], dtype=bool)
+
+
+def test_policy_check_passes_emitted_paths():
+    _, truth = generate(SMALL)
+    paths, _ = simulate_paths(truth, SMALL)
+    assert not policy_violations(truth, paths).any()
+
+
+@pytest.mark.parametrize("batch", [2, 1 << 16])
+def test_policy_check_on_hand_made_paths(monkeypatch, batch):
+    monkeypatch.setattr(synth, "_PATH_BATCH", batch)
+    truth = GroundTruth()
+    truth.add(1, 2, RelLabel.P2C, provider=1)
+    truth.add(2, 3, RelLabel.P2C, provider=3)
+    truth.add(3, 4, RelLabel.P2P)
+    truth.add(4, 5, RelLabel.P2P)
+    truth.add(5, 6, RelLabel.S2S)
+    truth.add(6, 7, RelLabel.P2C, provider=6)
+    paths = PathStore.from_hops([
+        (1, 2, 3),  # a valley: down into 2, then up to 3
+        (3, 4, 5),  # two peer hops
+        (1, 7),  # an unplanted edge
+        (2, 3, 4, 5),  # up, then two peer hops
+        (2, 3, 4),  # up and across
+        (4, 5, 6, 7),  # across, sibling, down
+        (7, 6, 5),  # up then sibling
+        (9,),  # one hop is no step
+        (2, 1),  # up
+    ])
+    want = [True, True, True, True, False, False, False, False, False]
+    assert policy_violations(truth, paths).tolist() == want
+    assert _reference_violations(truth, paths).tolist() == want
+
+
+def _mutate(hops, rng, nodes):
+    kind = rng.randrange(4)
+    hops = list(hops)
+    if kind == 0 and len(hops) > 2:
+        i = rng.randrange(1, len(hops) - 1)
+        hops[i], hops[i + 1] = hops[i + 1], hops[i]
+    elif kind == 1 and len(hops) > 2:
+        del hops[rng.randrange(1, len(hops))]
+    elif kind == 2:
+        hops.append(rng.choice(nodes))
+    else:
+        hops = hops[::-1]
+    return hops
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(), st.integers(0, 2**20))
+def test_policy_check_matches_reference_on_mutated_paths(cfg, seed):
+    _, truth = generate(cfg)
+    paths, _ = simulate_paths(truth, cfg)
+    rng = random.Random(seed)
+    nodes = sorted(truth.tier) + [max(truth.tier) + 1]
+    mutated = PathStore.from_hops(
+        _mutate(p.hops, rng, nodes) if rng.random() < 0.7 else p.hops
+        for p in paths
+    )
+    assert policy_violations(truth, mutated).tolist() == (
+        _reference_violations(truth, mutated).tolist())

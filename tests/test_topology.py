@@ -421,6 +421,24 @@ class TestTypeMapFile:
         m = load_type_map(f)
         assert m == {10: AsType.CONTENT, 20: AsType.TRANSIT_ACCESS}
 
+    def test_headerless_file(self, tmp_path):
+        f = tmp_path / "types.csv"
+        f.write_text("10,content\n")
+        assert load_type_map(f) == {10: AsType.CONTENT}
+
+    @pytest.mark.parametrize("header", ["ASN,type", " Asn ,kind"])
+    def test_header_is_recognised_by_its_text(self, tmp_path, header):
+        f = tmp_path / "types.csv"
+        f.write_text(f"{header}\n10,content\n")
+        assert load_type_map(f) == {10: AsType.CONTENT}
+
+    @pytest.mark.parametrize("first", ["+7,content", "type,asn", "AS7,content"])
+    def test_first_line_that_is_no_header_is_data(self, tmp_path, first):
+        f = tmp_path / "types.csv"
+        f.write_text(f"{first}\n10,content\n")
+        with pytest.raises(ValueError, match="line 1: ASN out of range or malformed"):
+            load_type_map(f)
+
     @pytest.mark.parametrize("asn", ["0", "4294967296", "99999999999999999999"])
     def test_out_of_range_asn_rejected(self, tmp_path, asn):
         f = tmp_path / "types.csv"
