@@ -211,6 +211,13 @@ def _check_width(model, bundle) -> None:
         )
 
 
+def _recorded(meta: dict, key: str, checkpoint: Path):
+    """A setting the checkpoint was trained with; there is no default."""
+    if key not in meta:
+        raise ValueError(f"checkpoint {checkpoint} does not record {key!r}")
+    return meta[key]
+
+
 def _metrics_doc(class_names, splits: dict) -> dict:
     """Accuracy and one-vs-rest precision/recall per split."""
     doc: dict = {"classes": list(class_names)}
@@ -367,9 +374,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     checkpoint = _require(args.checkpoint, "checkpoint")
     model, meta = load_checkpoint(checkpoint)
-    mode = args.mode or meta.get("mode", "multi")
-    seed = args.seed if args.seed is not None else int(meta.get("seed", 0))
-    delta = args.delta if args.delta is not None else float(meta.get("delta", 0.05))
+    mode, seed, delta = (_recorded(meta, k, checkpoint) for k in ("mode", "seed", "delta"))
     files = _files_from_args(args)
     prep = prepare(files, mode, seed)
     bundle, dataset = prep.bundle, prep.dataset
@@ -397,7 +402,7 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     checkpoint = _require(args.checkpoint, "checkpoint")
     model, meta = load_checkpoint(checkpoint)
-    delta = args.delta if args.delta is not None else float(meta.get("delta", 0.05))
+    delta = _recorded(meta, "delta", checkpoint)
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files, args.k_candidates)
     _check_width(model, bundle)
@@ -602,18 +607,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a checkpoint on the held-out splits")
     _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", choices=("binary", "multi"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--checkpoint", required=True, help="its mode, seed and delta are used")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify AS pairs with a checkpoint")
     _add_data_flags(p, labels=False)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="its delta is used")
     p.add_argument("--pairs", help="a|b lines; defaults to every observed edge")
-    p.add_argument("--delta", type=float)
     p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

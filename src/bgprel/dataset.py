@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import parse_asn
+from .ingest import pack_unordered_pairs, parse_asn, unpack_pairs
 
 
 class RelLabel(str, Enum):
@@ -60,13 +60,6 @@ def _orient(
     """p2c keeps provider-first order; everything else sorts by ASN."""
     swap = (label != _P2C) & (a > b)
     return np.where(swap, b, a), np.where(swap, a, b)
-
-
-def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One uint64 per unordered pair, (smaller << 32) | larger: ASNs are
-    below 2**32, so key order is the order of (smaller, larger)."""
-    lo, hi = np.minimum(a, b).astype(np.uint64), np.maximum(a, b).astype(np.uint64)
-    return (lo << 32) | hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,17 +218,18 @@ def _source_calls(src: LabelSource) -> tuple[np.ndarray, np.ndarray, int]:
     rows disagree inside the source cannot vote and is dropped; the
     third value counts those pairs."""
     a, b, code = np.array(src.entries, dtype=np.int64).reshape(-1, 3).T
-    key = _pair_keys(a, b)
+    key = pack_unordered_pairs(a, b)
     call = np.where(code == 0, _CALL_P2P,
                     np.where(a < b, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER))
-    order = np.lexsort((call, key))
+    order = np.argsort(key, kind="stable")
     key, call = key[order], call[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    # calls are sorted within a pair: its first and last call agree
-    # exactly when all of them do
-    agree = call[first] == call[np.roll(first, -1)]
-    return key[first][agree], call[first][agree], int((~agree).sum())
+    starts = np.flatnonzero(first)
+    # a pair's calls all agree exactly when their least and greatest do
+    low = np.minimum.reduceat(call, starts)
+    agree = low == np.maximum.reduceat(call, starts)
+    return key[starts][agree], low[agree], int((~agree).sum())
 
 
 def vote_intersection(
@@ -258,7 +252,7 @@ def vote_intersection(
         )
         same = mine[call[mine] == other_call[theirs]]
         key, call = key[same], call[same]
-    lo, hi = (key >> 32).astype(np.int64), (key & 0xFFFFFFFF).astype(np.int64)
+    lo, hi = unpack_pairs(key).T
     flip = call == _CALL_HI_PROVIDER
     label = np.where(call == _CALL_P2P, _INDEX[RelLabel.P2P], _P2C).astype(np.intp)
     table = LabelTable(np.where(flip, hi, lo), np.where(flip, lo, hi), label,
@@ -373,7 +367,7 @@ def balance_and_split(
     if mode not in ("binary", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
     classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
-    by_pair = np.argsort(_pair_keys(edges.a, edges.b), kind="stable")
+    by_pair = np.argsort(pack_unordered_pairs(edges.a, edges.b), kind="stable")
     pools = [by_pair[edges.label[by_pair] == _INDEX[c]] for c in classes]
     for c, pool in zip(classes, pools):
         if not len(pool):

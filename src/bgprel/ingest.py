@@ -31,6 +31,9 @@ import numpy as np
 MAX_ASN = 2**32 - 1
 _MAX_DIGITS = len(str(MAX_ASN))
 WHITESPACE = " \t\n\r\x0b\x0c"
+# whatever works through a PathStore step by step takes this many paths
+# at a time (``PathStore.batches``), so its temporaries stay small
+_PATH_BATCH = 1 << 14
 
 
 class PathParseError(ValueError):
@@ -110,11 +113,11 @@ class PathStore:
         linked[self.offsets[1:-1] - 1] = False
         return np.flatnonzero(linked)
 
-    def batches(self, size: int) -> Iterator["PathStore"]:
-        """Consecutive runs of up to ``size`` paths, as stores that view
-        this one's hop array."""
-        for lo in range(0, len(self), size):
-            bounds = self.offsets[lo:lo + size + 1]
+    def batches(self) -> Iterator["PathStore"]:
+        """Consecutive runs of up to ``_PATH_BATCH`` paths, as stores
+        that view this one's hop array."""
+        for lo in range(0, len(self), _PATH_BATCH):
+            bounds = self.offsets[lo:lo + _PATH_BATCH + 1]
             yield PathStore(self.hops[bounds[0]:bounds[-1]], bounds - bounds[0])
 
     def __iter__(self) -> Iterator[AsPath]:
@@ -186,6 +189,28 @@ def parse_asn(token: str, where: str) -> int:
         if len(digits) <= _MAX_DIGITS and 1 <= int(digits or "0") <= MAX_ASN:
             return int(digits)
     raise ValueError(f"{where}: ASN out of range or malformed: {token!r}")
+
+
+# -- ASN pair keys: every ASN is below 2**32, so a pair (a, b) packs into
+# one uint64, (a << 32) | b, and keys sort in (a, b) tuple order
+
+
+def pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The key of every ordered pair (a[i], b[i])."""
+    a, b = np.asarray(a).astype(np.uint64), np.asarray(b).astype(np.uint64)
+    return (a << np.uint64(32)) | b
+
+
+def pack_unordered_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The key of every unordered pair: smaller ASN first."""
+    return pack_pairs(np.minimum(a, b), np.maximum(a, b))
+
+
+def unpack_pairs(keys: np.ndarray) -> np.ndarray:
+    """The (a, b) rows of ``keys``, as an (n, 2) int64 array."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    pairs = np.stack([keys >> np.uint64(32), keys & np.uint64(MAX_ASN)], axis=1)
+    return pairs.astype(np.int64)
 
 
 def parse_path_line(line: str, line_number: int = 0) -> AsPath:
@@ -358,10 +383,9 @@ def _sanitize_batch(
     unallocated = np.zeros(n, dtype=bool)
     if table is not None:
         unallocated[path_of[~table.allocated(hops)]] = True
-    # ASNs fit in 32 bits, so (path, asn) packs into one sortable key
-    key = np.sort((path_of << 32) | hops)
+    key = np.sort(pack_pairs(path_of, hops))
     looped = np.zeros(n, dtype=bool)
-    looped[key[1:][key[1:] == key[:-1]] >> 32] = True
+    looped[unpack_pairs(key[1:][key[1:] == key[:-1]])[:, 0]] = True
     del key
 
     ok = ~(unallocated | looped)
@@ -397,19 +421,17 @@ def ingest_lines(
 def ingest_file(
     path: str | Path, table: AllocationTable | None = None
 ) -> tuple[PathStore, IngestReport]:
-    """Read a paths file and return sanitized paths plus counters."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a paths file and return sanitized paths plus counters; a
+    byte that is not UTF-8 makes its line malformed."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return ingest_lines(fh, table)
-
-
-_WRITE_PATHS = 1 << 16
 
 
 def write_paths_file(paths: PathStore, out: str | Path) -> None:
     """Write ``paths`` as ``a|b|c`` lines, formatted with numpy in
     batches of paths."""
     with open(out, "wb") as fh:
-        for batch in paths.batches(_WRITE_PATHS):
+        for batch in paths.batches():
             hops = batch.hops
             digits = np.searchsorted(_POW10, hops, side="right")
             # each hop is its digits and then a separator

@@ -17,9 +17,10 @@ which ``policy_violations`` checks over a whole path store.  The
 standalone ``is_valley_free`` checker, a literal regular expression
 over the ground-truth labels, is its per-path reference.
 
-Route tables come from a layered BFS over (node, phase) states on a
-CSR adjacency (``RouteGraph.routes``), and the simulation, the policy
-check and the export keep every path in one ``PathStore``.
+Route tables come from a layered BFS over (node, phase) states on the
+planted ``AsGraph``'s CSR adjacency (``RouteGraph.routes``), and the
+simulation, the policy check and the export keep every path in one
+``PathStore``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .dataset import RelLabel
-from .ingest import PathStore, write_paths_file
-from .topology import AsGraph, AsType, _distinct, canonical_edge
+from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file
+from .topology import AsGraph, AsType, canonical_edge, step_edges
 
 # wiring knobs that are not worth per-run configuration
 _ORG_GROUP_SIZES = (2, 3, 3)  # drawn uniformly
@@ -159,6 +162,7 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
     # group's upstream connectivity so sibling links actually see transit
     head_of: dict[int, int] = {}
     group_pure: dict[str, bool] = {}
+    org_members: dict[str, list[int]] = {}
     pool = list(mids)
     rng.shuffle(pool)
     taken = 0
@@ -171,6 +175,7 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
         org_id = f"org{gi:04d}"
         group_pure[org_id] = rng.random() < _PURE_SIBLING_SHARE
         head = members[0]
+        org_members[org_id] = members
         for m in members:
             truth.org[m] = org_id
         for m in members[1:]:
@@ -179,13 +184,22 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
             for b in members[i + 1 :]:
                 truth.add(a, b, RelLabel.S2S)
 
-    def provider_pool(i: int, me: int) -> list[int]:
-        mine = truth.org.get(me)
-        return [
-            p
-            for p in tier1 + mids[:i]
-            if mine is None or truth.org.get(p) != mine
-        ]
+    # mid i's provider pool is tier1 + mids[:i] without its own org (and
+    # without ``skip``); it is drawn from by position, so never built
+    ranked = tier1 + mids
+    rank = {a: r for r, a in enumerate(ranked)}
+
+    def provider_pool(i: int, me: int, skip: tuple[int, ...] = ()):
+        """The pool's size, and a map from a position in it to its ASN."""
+        mine = org_members.get(truth.org.get(me), [])
+        gone = sorted(r for r in map(rank.get, [*mine, *skip]) if r < len(tier1) + i)
+
+        def at(j: int) -> int:
+            for r in gone:
+                j += r <= j
+            return ranked[j]
+
+        return len(tier1) + i - len(gone), at
 
     # deal tier-1 transit contracts from a reshuffled deck so customer
     # counts stay balanced across the mesh
@@ -202,18 +216,19 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
             # upstream flows through the sibling head; mixed groups keep
             # one ordinary provider of their own
             if not group_pure[truth.org[m]]:
-                pool_i = provider_pool(i, m)
-                if pool_i:
-                    p = rng.choice(pool_i)
+                n_pool, at = provider_pool(i, m)
+                if n_pool:
+                    p = at(rng.choice(range(n_pool)))
                     truth.add(p, m, RelLabel.P2C, provider=p)
             continue
         # one tier-1 contract each, plus up to two regional upstreams,
         # so the planted mesh stays the transit core
         t = next_tier1()
         truth.add(t, m, RelLabel.P2C, provider=t)
-        pool_i = [p for p in provider_pool(i, m) if p != t]
-        k = min(rng.randint(0, 2), len(pool_i))
-        for p in rng.sample(pool_i, k):
+        n_pool, at = provider_pool(i, m, skip=(t,))
+        k = min(rng.randint(0, 2), n_pool)
+        for j in rng.sample(range(n_pool), k):
+            p = at(j)
             truth.add(p, m, RelLabel.P2C, provider=p)
 
     stub_pool = mids if mids else tier1
@@ -313,24 +328,18 @@ _NEXT_PHASE = np.array(
 )
 
 
-def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a << 32) | b per element: ASNs fit in 32 bits, so ASN pairs pack
-    into sortable uint64 keys."""
-    return (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-
-
 class RouteGraph:
-    """The planted topology as CSR over sorted node positions, with
-    every row's neighbours in ASN order and each directed hop's step
-    kind (sibling, peer, climb into a provider, descent into a
-    customer)."""
+    """The planted topology's ``AsGraph`` adjacency (CSR over sorted node
+    positions, every row's neighbours in ASN order), plus each CSR
+    entry's step kind (sibling, peer, climb into a provider, descent
+    into a customer) and its directed hop as an ASN pair key."""
 
     def __init__(self, truth: GroundTruth):
-        ends = np.array(list(truth.labels), dtype=np.int64).reshape(-1, 2)
-        self.nodes = _distinct(np.concatenate(
-            [np.fromiter(truth.tier, dtype=np.int64), ends.ravel()]))
-        n = len(self.nodes)
-        pos = np.searchsorted(self.nodes, ends)
+        graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
+        adjacency = graph.adjacency()
+        self.nodes = graph.node_array()
+        self.indptr, self.indices = adjacency.indptr, adjacency.indices
+        a, b = np.array(list(truth.labels), dtype=np.int64).reshape(-1, 2).T
         # the step kinds of a -> b and of b -> a, per planted (a, b)
         kinds = np.array([
             _STEP_KINDS[label] if label is not RelLabel.P2C
@@ -338,16 +347,22 @@ class RouteGraph:
             else (_DESCEND, _CLIMB)
             for key, label in truth.labels.items()
         ], dtype=np.int64).reshape(-1, 2)
-        rows = np.concatenate([pos[:, 0], pos[:, 1]])
-        cols = np.concatenate([pos[:, 1], pos[:, 0]])
-        order = np.lexsort((cols, rows))
-        self.indices = cols[order]
-        self.kind = np.concatenate([kinds[:, 0], kinds[:, 1]])[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        # each CSR entry's directed hop as an ASN pair key; ascending,
-        # because node positions are in ASN order
-        self.keys = _pair_keys(self.nodes[rows[order]], self.nodes[self.indices])
+        # rows and their neighbours are in ASN order, so the CSR entries
+        # run in the order of their directed hops' keys
+        keys = np.concatenate([pack_pairs(a, b), pack_pairs(b, a)])
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.kind = kinds.T.ravel()[order]
+
+    def step_kinds(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step kind of every hop a[i] -> b[i], and which hops are
+        planted edges; an unplanted hop reads as a sibling step."""
+        key = pack_pairs(a, b)
+        if not len(self.keys):
+            return np.full(len(key), _SIBLING), np.zeros(len(key), dtype=bool)
+        k = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        planted = self.keys[k] == key
+        return np.where(planted, self.kind[k], _SIBLING), planted
 
     def routes(self, vp: int) -> "RouteTable":
         """Every node's best route from the node at position ``vp``: the
@@ -492,65 +507,40 @@ def is_valley_free(hops: tuple[int, ...], truth: GroundTruth) -> bool:
     return _VALLEY_FREE.fullmatch("".join(steps)) is not None
 
 
-# the policy check and the edge export go through paths in batches of
-# this many, so their per-step temporaries stay small
-_PATH_BATCH = 1 << 16
-
-
 def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
     """Which paths break the export policy, as a boolean mask: a hop
     over an unplanted edge, or a climb or peering step after the path
     has crossed a peering link or descended into a customer.  Checked
     in batches of paths."""
     graph = RouteGraph(truth)
-    return np.concatenate([
-        np.zeros(0, dtype=bool),
-        *(_violations(graph, batch) for batch in paths.batches(_PATH_BATCH)),
-    ])
-
-
-def _violations(graph: RouteGraph, paths: PathStore) -> np.ndarray:
-    """``policy_violations`` of one batch."""
-    n_paths = len(paths)
-    steps_per_path = np.diff(paths.offsets) - 1
-    if not len(graph.keys):
-        return steps_per_path > 0
-    step = paths.steps()
-    path_of = np.repeat(np.arange(n_paths), steps_per_path)
-    key = _pair_keys(paths.hops[step], paths.hops[step + 1])
-    k = np.minimum(np.searchsorted(graph.keys, key), len(graph.keys) - 1)
-    planted = graph.keys[k] == key
-    kind = np.where(planted, graph.kind[k], _SIBLING)
-    i = np.arange(len(step))
-    first_down = np.full(n_paths, len(step))
-    down = (kind == _PEER) | (kind == _DESCEND)
-    np.minimum.at(first_down, path_of[down], i[down])
-    last_up = np.full(n_paths, -1)
-    up = (kind == _PEER) | (kind == _CLIMB)
-    np.maximum.at(last_up, path_of[up], i[up])
-    bad = last_up > first_down
-    bad[path_of[~planted]] = True
-    return bad
+    out = [np.zeros(0, dtype=bool)]
+    for batch in paths.batches():
+        n_paths = len(batch)
+        step = batch.steps()
+        path_of = np.repeat(np.arange(n_paths), np.diff(batch.offsets) - 1)
+        kind, planted = graph.step_kinds(batch.hops[step], batch.hops[step + 1])
+        i = np.arange(len(step))
+        first_down = np.full(n_paths, len(step))
+        down = (kind == _PEER) | (kind == _DESCEND)
+        np.minimum.at(first_down, path_of[down], i[down])
+        last_up = np.full(n_paths, -1)
+        up = (kind == _PEER) | (kind == _CLIMB)
+        np.maximum.at(last_up, path_of[up], i[up])
+        bad = last_up > first_down
+        bad[path_of[~planted]] = True
+        out.append(bad)
+    return np.concatenate(out)
 
 
 def p2c_is_acyclic(truth: GroundTruth) -> bool:
-    """Kahn's algorithm over the provider->customer digraph."""
-    out_edges: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {}
-    for p, c in truth.p2c_pairs():
-        out_edges.setdefault(p, []).append(c)
-        indeg[c] = indeg.get(c, 0) + 1
-        indeg.setdefault(p, indeg.get(p, 0))
-    queue = [n for n, d in indeg.items() if d == 0]
-    removed = 0
-    while queue:
-        n = queue.pop()
-        removed += 1
-        for c in out_edges.get(n, ()):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return removed == len(indeg)
+    """No provider chain leads back to where it began: every strongly
+    connected component of the provider -> customer digraph is one AS."""
+    graph = RouteGraph(truth)
+    n = len(graph.nodes)
+    down = np.flatnonzero(graph.kind == _DESCEND)
+    rows = np.searchsorted(graph.indptr, down, side="right") - 1
+    p2c = sp.csr_matrix((np.ones(len(down)), (rows, graph.indices[down])), shape=(n, n))
+    return csgraph.connected_components(p2c, connection="strong")[0] == n
 
 
 # -- export -----------------------------------------------------------------
@@ -559,31 +549,7 @@ def p2c_is_acyclic(truth: GroundTruth) -> bool:
 def observed_edges(paths: PathStore) -> np.ndarray:
     """Every edge some path crosses, once, as ascending (lo, hi) rows in
     sorted order."""
-    keys = []
-    for batch in paths.batches(_PATH_BATCH):
-        step = batch.steps()
-        a, b = batch.hops[step], batch.hops[step + 1]
-        keys.append(_distinct(_pair_keys(np.minimum(a, b), np.maximum(a, b))))
-    keys = _distinct(np.concatenate([np.zeros(0, np.uint64), *keys]))
-    return np.stack([keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)],
-                    axis=1).astype(np.int64)
-
-
-def _source_row(truth: GroundTruth, edge: tuple[int, int]) -> tuple[int, int, int]:
-    """The call a relationship-inference tool would emit for this edge.
-
-    Tools in the a|b|code format only know peer (0) and provider (-1)
-    calls, so sibling links surface as provider links (lower ASN first)
-    and exchange links as peering: exactly the confusion the org/IXP
-    override passes exist to repair.
-    """
-    label, provider = truth.edge_label(*edge)
-    lo, hi = edge
-    if label is RelLabel.P2C:
-        return (provider, hi if provider == lo else lo, -1)
-    if label is RelLabel.S2S:
-        return (lo, hi, -1)
-    return (lo, hi, 0)
+    return unpack_pairs(step_edges(paths))
 
 
 def export(
@@ -607,23 +573,33 @@ def export(
     files["paths"] = out_dir / "paths.txt"
     write_paths_file(paths, files["paths"])
 
-    base_rows = [_source_row(truth, e) for e in observed_edges(paths).tolist()]
+    # the call a relationship-inference tool would emit for each observed
+    # edge.  Tools in the a|b|code format only know peer (0) and provider
+    # (-1) calls, so sibling links surface as provider links (lower ASN
+    # first) and exchange links as peering: exactly the confusion the
+    # org/IXP override passes exist to repair.
+    edges = observed_edges(paths)
+    lo, hi = edges.T
+    kind, planted = RouteGraph(truth).step_kinds(lo, hi)
+    if not planted.all():
+        raise KeyError(f"no planted edge {tuple(edges[~planted][0].tolist())}")
+    climb = kind == _CLIMB  # hi is lo's provider
+    base_rows = list(zip(np.where(climb, hi, lo).tolist(),
+                         np.where(climb, lo, hi).tolist(),
+                         np.where(kind == _PEER, 0, -1).tolist()))
     for s in range(1, n_sources + 1):
         rng = random.Random(seed * 7_919 + s)
-        rows = []
-        for a, b, code in base_rows:
-            if perturbation > 0.0 and rng.random() < perturbation:
-                if code == 0:
-                    a, b = (a, b) if rng.random() < 0.5 else (b, a)
-                    code = -1
-                else:
-                    a, b = min(a, b), max(a, b)
-                    code = 0
-            rows.append((a, b, code))
         key = f"labels_{s}"
         files[key] = out_dir / f"{key}.txt"
         with open(files[key], "w", encoding="utf-8") as fh:
-            for a, b, code in rows:
+            for a, b, code in base_rows:
+                if perturbation > 0.0 and rng.random() < perturbation:
+                    if code == 0:
+                        a, b = (a, b) if rng.random() < 0.5 else (b, a)
+                        code = -1
+                    else:
+                        a, b = min(a, b), max(a, b)
+                        code = 0
                 fh.write(f"{a}|{b}|{code}\n")
 
     files["orgs"] = out_dir / "orgs.csv"

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .ingest import PathStore, parse_asn
+from .ingest import PathStore, pack_unordered_pairs, parse_asn, unpack_pairs
 
 
 class UnknownNodeError(ValueError):
@@ -157,6 +157,10 @@ class AsGraph:
     def sorted_nodes(self) -> list[int]:
         return self._nodes.tolist()
 
+    def node_array(self) -> np.ndarray:
+        """Every ASN in row order, as an int64 array (a copy)."""
+        return self._nodes.copy()
+
     def degrees(self) -> np.ndarray:
         """Degree of every node, in row order."""
         return np.diff(self._indptr)
@@ -219,6 +223,20 @@ class AsGraph:
         ).reshape(len(sources), self.num_nodes)
 
 
+def step_edges(paths: PathStore) -> np.ndarray:
+    """The sorted distinct unordered pair keys (``pack_unordered_pairs``)
+    of every step inside a path, gathered in batches of paths.  A step
+    from an ASN to itself raises ValueError."""
+    keys = []
+    for batch in paths.batches():
+        step = batch.steps()
+        a, b = batch.hops[step], batch.hops[step + 1]
+        if np.any(a == b):
+            raise ValueError("self-edge in a path")
+        keys.append(_distinct(pack_unordered_pairs(a, b)))
+    return _distinct(np.concatenate([np.zeros(0, np.uint64), *keys]))
+
+
 def build_graph(paths: PathStore) -> AsGraph:
     """Assemble the observed topology from sanitized paths.
 
@@ -226,28 +244,16 @@ def build_graph(paths: PathStore) -> AsGraph:
     key, (ASN << 32) | value, and sorted; every ASN is below 2**32, so
     sorted keys group by node in ascending ASN order.
     """
-    hops = paths.hops.view(np.uint64)  # ASNs are positive
     nodes = _distinct(paths.hops.copy())
     n = len(nodes)
+    edges = np.searchsorted(nodes, unpack_pairs(step_edges(paths)))
+
+    hops = paths.hops.view(np.uint64)  # ASNs are positive
     path_of = np.repeat(
         np.arange(len(paths), dtype=np.int32), np.diff(paths.offsets)
     )
-
     # hops i and i+1 are adjacent when they belong to one path
     linked = path_of[1:] == path_of[:-1]
-    lo, hi = hops[:-1][linked], hops[1:][linked]
-    if np.any(lo == hi):
-        raise ValueError("self-edge in a path")
-    keys = np.minimum(lo, hi)
-    np.maximum(lo, hi, out=hi)
-    del lo
-    keys <<= 32
-    keys |= hi
-    del hi
-    keys = _distinct(keys)
-    edges = np.searchsorted(
-        nodes, np.stack([keys >> 32, keys & _LOW32], axis=1).astype(np.int64)
-    )
 
     # hop i+1 transits between hops i and i+2
     inner = linked[:-1] & linked[1:]

@@ -128,6 +128,16 @@ def test_ingest_roundtrip(data_dir, tmp_path, capsys):
     assert report["malformed"] == 0
 
 
+def test_ingest_counts_a_non_utf8_line(tmp_path, capsys):
+    src = tmp_path / "paths.txt"
+    src.write_bytes(b"1|2|3\n4|5\xff|6\n7|8\n")
+    out = tmp_path / "ingested"
+    assert run(["ingest", "--paths", str(src), "--out", str(out)]) == 0
+    assert (out / "paths_clean.txt").read_text() == "1|2|3\n7|8\n"
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert (report["parsed"], report["malformed"]) == (2, 1)
+
+
 def test_features_command(data_dir, tmp_path, capsys):
     out = tmp_path / "feat"
     assert run(["features", "--paths", str(data_dir / "paths.txt"),
@@ -240,6 +250,35 @@ def test_eval_reproduces_training_metrics(data_dir, train_dir, tmp_path):
     want = json.loads((train_dir / "metrics.json").read_text())
     assert got["test"]["accuracy"] == want["test"]["accuracy"]
     assert got["test"]["confusion"] == want["test"]["confusion"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("eval", ["--mode", "binary"]), ("eval", ["--seed", "4"]),
+    ("eval", ["--delta", "1.0"]), ("predict", ["--delta", "1.0"]),
+])
+def test_checkpoint_settings_are_not_flags(data_dir, train_dir, tmp_path, command, flag):
+    # the checkpoint records them; any other value scores the wrong model
+    with pytest.raises(SystemExit) as e:
+        run([command, "--data", str(data_dir), *flag,
+             "--checkpoint", str(train_dir / "checkpoint.json"),
+             "--out", str(tmp_path / "o")])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("command,key", [
+    ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("predict", "delta"),
+])
+def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, capsys,
+                                                 command, key):
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    del doc["meta"][key]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"does not record '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_predict_command(data_dir, train_dir, tmp_path):

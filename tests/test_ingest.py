@@ -1,5 +1,6 @@
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +17,11 @@ from bgprel.ingest import (
     RejectReason,
     ingest_file,
     ingest_lines,
+    pack_pairs,
+    pack_unordered_pairs,
     parse_path_line,
     sanitize,
+    unpack_pairs,
     write_paths_file,
 )
 
@@ -212,11 +216,25 @@ class TestIngest:
 
     @pytest.mark.parametrize("batch", [1, 2, 1 << 16])
     def test_write_in_batches(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(ingest, "_WRITE_PATHS", batch)
+        monkeypatch.setattr(ingest, "_PATH_BATCH", batch)
         paths, _ = ingest_lines(["11|22|33", "44|55", "4294967295|1000000000|9"])
         out = tmp_path / "clean.txt"
         write_paths_file(paths, out)
         assert out.read_text() == "11|22|33\n44|55\n4294967295|1000000000|9\n"
+
+    def test_non_utf8_byte_is_a_malformed_line(self, tmp_path):
+        src = tmp_path / "paths.txt"
+        src.write_bytes(b"1|2|3\n4|5\xff|6\n7|8\n")
+        paths, report = ingest_file(src)
+        assert [p.hops for p in paths] == [(1, 2, 3), (7, 8)]
+        assert report.malformed == 1 and report.parsed == 2
+
+    def test_non_utf8_bytes_in_comments_and_alone(self, tmp_path):
+        src = tmp_path / "paths.txt"
+        src.write_bytes(b"# caf\xe9\n\xff\xfe\n9|10\n\xc3\n")
+        paths, report = ingest_file(src)
+        assert [p.hops for p in paths] == [(9, 10)]
+        assert report.malformed == 2
 
     def test_write_empty_store(self, tmp_path):
         out = tmp_path / "clean.txt"
@@ -321,3 +339,36 @@ def test_batch_ingest_matches_reference(lines, allocated, batch):
         paths, report = ingest_lines(lines, table)
     assert [p.hops for p in paths] == want_paths
     assert report == want_report
+
+
+# -- ASN pair keys -----------------------------------------------------------
+
+_EDGE_ASNS = [1, 2, 2**31 - 1, 2**31, 2**32 - 2, MAX_ASN]
+_asn = st.one_of(st.sampled_from(_EDGE_ASNS), st.integers(1, MAX_ASN))
+
+
+@pytest.mark.parametrize("a", _EDGE_ASNS)
+@pytest.mark.parametrize("b", _EDGE_ASNS)
+def test_pair_keys_round_trip_at_the_bounds(a, b):
+    key = pack_pairs(np.array([a]), np.array([b]))
+    assert key.dtype == np.uint64
+    assert int(key[0]) == a * 2**32 + b
+    assert unpack_pairs(key).tolist() == [[a, b]]
+    assert unpack_pairs(key).dtype == np.int64
+    assert unpack_pairs(pack_unordered_pairs(np.array([a]), np.array([b]))).tolist() == [
+        [min(a, b), max(a, b)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_asn, _asn), max_size=30))
+def test_pair_key_order_is_tuple_order(pairs):
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    keys = pack_pairs(a, b)
+    assert unpack_pairs(keys).reshape(-1, 2).tolist() == [list(p) for p in pairs]
+    order = np.argsort(keys, kind="stable").tolist()
+    assert order == sorted(range(len(pairs)), key=lambda i: pairs[i])
+    unordered = pack_unordered_pairs(a, b)
+    assert np.array_equal(unordered, pack_unordered_pairs(b, a))
+    assert unpack_pairs(unordered).reshape(-1, 2).tolist() == [
+        sorted(p) for p in pairs]

@@ -1,14 +1,16 @@
 import heapq
 import random
+import tempfile
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgprel import synth
+from bgprel import ingest, synth
 from bgprel.dataset import LabelTable, RelLabel
-from bgprel.ingest import PathStore, ingest_file
+from bgprel.ingest import PathStore, ingest_file, pack_pairs
 from bgprel.synth import (
     GroundTruth,
     RouteGraph,
@@ -22,7 +24,7 @@ from bgprel.synth import (
     policy_violations,
     simulate_paths,
 )
-from bgprel.topology import build_graph, canonical_edge, infer_clique
+from bgprel.topology import AsType, build_graph, canonical_edge, infer_clique
 
 SMALL = SynthConfig(
     n_tier1=4,
@@ -474,7 +476,7 @@ def test_policy_check_passes_emitted_paths():
 
 @pytest.mark.parametrize("batch", [2, 1 << 16])
 def test_policy_check_on_hand_made_paths(monkeypatch, batch):
-    monkeypatch.setattr(synth, "_PATH_BATCH", batch)
+    monkeypatch.setattr(ingest, "_PATH_BATCH", batch)
     truth = GroundTruth()
     truth.add(1, 2, RelLabel.P2C, provider=1)
     truth.add(2, 3, RelLabel.P2C, provider=3)
@@ -526,3 +528,299 @@ def test_policy_check_matches_reference_on_mutated_paths(cfg, seed):
     )
     assert policy_violations(truth, mutated).tolist() == (
         _reference_violations(truth, mutated).tolist())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=14))
+def test_p2c_acyclic_matches_networkx_on_random_digraphs(pairs):
+    truth = GroundTruth()
+    for p, c in pairs:
+        if p != c and canonical_edge(p, c) not in truth.labels:
+            truth.add(p, c, RelLabel.P2C, provider=p)
+    assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(
+        nx.DiGraph(truth.p2c_pairs()))
+
+
+# -- the route graph is the planted AsGraph plus step kinds ------------------
+
+
+def _want_kind(truth, m, w):
+    label, provider = truth.edge_label(m, w)
+    if label is RelLabel.S2S:
+        return synth._SIBLING
+    if label in (RelLabel.P2P, RelLabel.X2X):
+        return synth._PEER
+    return synth._CLIMB if provider == w else synth._DESCEND
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_configs())
+def test_route_graph_is_the_planted_adjacency(cfg):
+    graph, truth = generate(cfg)
+    routes = RouteGraph(truth)
+    adjacency = graph.adjacency()
+    assert np.array_equal(routes.nodes, graph.node_array())
+    assert np.array_equal(routes.indptr, adjacency.indptr)
+    assert np.array_equal(routes.indices, adjacency.indices)
+    rows = np.repeat(np.arange(len(routes.nodes)), np.diff(routes.indptr))
+    m, w = routes.nodes[rows], routes.nodes[routes.indices]
+    assert np.array_equal(routes.keys, pack_pairs(m, w))
+    assert routes.kind.tolist() == [
+        _want_kind(truth, a, b) for a, b in zip(m.tolist(), w.tolist())]
+    kind, planted = routes.step_kinds(m, w)
+    assert planted.all() and np.array_equal(kind, routes.kind)
+
+
+def test_step_kinds_of_unplanted_hops():
+    truth = GroundTruth()
+    truth.add(1, 2, RelLabel.P2C, provider=2)
+    kind, planted = RouteGraph(truth).step_kinds(np.array([1, 2, 1, 3]),
+                                                 np.array([2, 1, 3, 1]))
+    assert planted.tolist() == [True, True, False, False]
+    assert kind.tolist() == [synth._CLIMB, synth._DESCEND, synth._SIBLING, synth._SIBLING]
+    kind, planted = RouteGraph(GroundTruth()).step_kinds(np.array([1]), np.array([2]))
+    assert not planted.any() and kind.tolist() == [synth._SIBLING]
+    # with nothing planted, every path with a step breaks the policy
+    paths = PathStore.from_hops([(1, 2), (5,)])
+    assert policy_violations(GroundTruth(), paths).tolist() == [True, False]
+
+
+# -- export rows against the per-edge reference ------------------------------
+
+
+def _source_row(truth, edge):
+    """The call a relationship-inference tool would emit for one edge:
+    the per-edge reference for the export's base rows."""
+    label, provider = truth.edge_label(*edge)
+    lo, hi = edge
+    if label is RelLabel.P2C:
+        return (provider, hi if provider == lo else lo, -1)
+    if label is RelLabel.S2S:
+        return (lo, hi, -1)
+    return (lo, hi, 0)
+
+
+def _reference_label_lines(truth, paths, source, perturbation, seed):
+    rng = random.Random(seed * 7_919 + source)
+    lines = []
+    for a, b, code in (_source_row(truth, e) for e in observed_edges(paths).tolist()):
+        if perturbation > 0.0 and rng.random() < perturbation:
+            if code == 0:
+                a, b = (a, b) if rng.random() < 0.5 else (b, a)
+                code = -1
+            else:
+                a, b = min(a, b), max(a, b)
+                code = 0
+        lines.append(f"{a}|{b}|{code}")
+    return lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(), st.sampled_from([0.0, 0.3]), st.integers(0, 50))
+def test_export_rows_match_per_edge_reference(cfg, perturbation, seed):
+    _, truth = generate(cfg)
+    paths, _ = simulate_paths(truth, cfg)
+    with tempfile.TemporaryDirectory() as out:
+        files = export(truth, paths, out, n_sources=2, perturbation=perturbation,
+                       seed=seed)
+        for source in (1, 2):
+            got = Path(files[f"labels_{source}"]).read_text().splitlines()
+            assert got == _reference_label_lines(truth, paths, source, perturbation, seed)
+
+
+def test_export_refuses_an_unplanted_observed_edge(tmp_path):
+    truth = GroundTruth()
+    truth.add(1, 2, RelLabel.P2P)
+    truth.add(2, 3, RelLabel.P2C, provider=2)
+    truth.tier = {a: "mid" for a in range(1, 5)}
+    paths = PathStore.from_hops([(1, 2, 3), (4, 3)])
+    with pytest.raises(KeyError, match=r"no planted edge \(3, 4\)"):
+        export(truth, paths, tmp_path)
+    with pytest.raises(KeyError):
+        _source_row(truth, (3, 4))
+
+
+# -- generate draws providers by position, as from the built pools -----------
+
+
+def _reference_generate(config):
+    """``generate`` with every provider pool built as a list, the
+    comprehension the position-based draws must reproduce."""
+    rng = random.Random(config.seed)
+    truth = GroundTruth()
+    next_asn = 1
+
+    def take(n: int, tier: str) -> list[int]:
+        nonlocal next_asn
+        out = list(range(next_asn, next_asn + n))
+        next_asn += n
+        for a in out:
+            truth.tier[a] = tier
+        return out
+
+    tier1 = take(config.n_tier1, "tier1")
+    mids = take(config.n_mid, "mid")
+    stubs = take(config.n_stub, "stub")
+    ixps = take(config.n_ixp, "ixp")
+    truth.ixps = set(ixps)
+
+    for i, a in enumerate(tier1):
+        for b in tier1[i + 1 :]:
+            truth.add(a, b, RelLabel.P2P)
+
+    # sibling groups drawn from the mid tier; the head member carries the
+    # group's upstream connectivity so sibling links actually see transit
+    head_of: dict[int, int] = {}
+    group_pure: dict[str, bool] = {}
+    pool = list(mids)
+    rng.shuffle(pool)
+    taken = 0
+    for gi in range(config.n_orgs):
+        size = rng.choice(synth._ORG_GROUP_SIZES)
+        if taken + size > len(pool):
+            break
+        members = sorted(pool[taken : taken + size])
+        taken += size
+        org_id = f"org{gi:04d}"
+        group_pure[org_id] = rng.random() < synth._PURE_SIBLING_SHARE
+        head = members[0]
+        for m in members:
+            truth.org[m] = org_id
+        for m in members[1:]:
+            head_of[m] = head
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                truth.add(a, b, RelLabel.S2S)
+
+    def provider_pool(i: int, me: int) -> list[int]:
+        mine = truth.org.get(me)
+        return [
+            p
+            for p in tier1 + mids[:i]
+            if mine is None or truth.org.get(p) != mine
+        ]
+
+    # deal tier-1 transit contracts from a reshuffled deck so customer
+    # counts stay balanced across the mesh
+    deck: list[int] = []
+
+    def next_tier1() -> int:
+        if not deck:
+            deck.extend(tier1)
+            rng.shuffle(deck)
+        return deck.pop()
+
+    for i, m in enumerate(mids):
+        if m in head_of:
+            # upstream flows through the sibling head; mixed groups keep
+            # one ordinary provider of their own
+            if not group_pure[truth.org[m]]:
+                pool_i = provider_pool(i, m)
+                if pool_i:
+                    p = rng.choice(pool_i)
+                    truth.add(p, m, RelLabel.P2C, provider=p)
+            continue
+        # one tier-1 contract each, plus up to two regional upstreams,
+        # so the planted mesh stays the transit core
+        t = next_tier1()
+        truth.add(t, m, RelLabel.P2C, provider=t)
+        pool_i = [p for p in provider_pool(i, m) if p != t]
+        k = min(rng.randint(0, 2), len(pool_i))
+        for p in rng.sample(pool_i, k):
+            truth.add(p, m, RelLabel.P2C, provider=p)
+
+    stub_pool = mids if mids else tier1
+    for s in stubs:
+        k = 1
+        while k < 3 and rng.random() < synth._STUB_EXTRA_PROVIDER_SHARE:
+            k += 1
+        providers = rng.sample(stub_pool, min(k, len(stub_pool)))
+        if mids and rng.random() < synth._STUB_TIER1_SHARE:
+            t = rng.choice(tier1)
+            if t not in providers:
+                providers.append(t)
+        for p in providers:
+            truth.add(p, s, RelLabel.P2C, provider=p)
+
+    # open peering happens between networks that run their own transit;
+    # a subsidiary whose only upstream is its sibling head does not
+    peer_pool = [
+        m for m in mids
+        if m not in head_of or not group_pure[truth.org[m]]
+    ]
+    n_peer = int(synth._PEER_EDGE_FACTOR * len(mids))
+    for _ in range(n_peer):
+        if len(peer_pool) < 2:
+            break
+        a, b = rng.sample(peer_pool, 2)
+        key = canonical_edge(a, b)
+        if key in truth.labels:
+            continue
+        if truth.org.get(a) is not None and truth.org.get(a) == truth.org.get(b):
+            continue
+        truth.add(a, b, RelLabel.P2P)
+
+    member_pool = mids + stubs
+    core = _peering_core(mids)
+    for x in ixps:
+        if not member_pool:
+            break
+        k = min(rng.randint(*synth._IXP_MEMBER_RANGE), len(member_pool))
+        n_core = min(int(round(k * synth._IXP_CORE_SHARE)), len(core))
+        members = set(rng.sample(core, n_core))
+        while len(members) < k:
+            members.add(rng.choice(member_pool))
+        for m in sorted(members):
+            truth.add(m, x, RelLabel.X2X)
+
+    # same organization, same registered business type
+    org_types: dict[str, AsType] = {}
+    for a in tier1:
+        truth.types[a] = AsType.TRANSIT_ACCESS
+    for m in mids:
+        org_id = truth.org.get(m)
+        if org_id is not None:
+            if org_id not in org_types:
+                org_types[org_id] = (
+                    AsType.CONTENT if rng.random() < 0.5 else AsType.TRANSIT_ACCESS
+                )
+            truth.types[m] = org_types[org_id]
+        else:
+            truth.types[m] = (
+                AsType.TRANSIT_ACCESS if rng.random() < 0.8 else AsType.CONTENT
+            )
+    for s in stubs:
+        roll = rng.random()
+        truth.types[s] = (
+            AsType.ENTERPRISE
+            if roll < 0.5
+            else AsType.CONTENT
+            if roll < 0.8
+            else AsType.UNKNOWN
+        )
+    for x in ixps:
+        truth.types[x] = AsType.UNKNOWN
+
+    return truth
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_generate_matches_list_pool_reference(cfg):
+    _, truth = generate(cfg)
+    want = _reference_generate(cfg)
+    assert list(truth.labels.items()) == list(want.labels.items())
+    assert truth.providers == want.providers
+    assert (truth.org, truth.types, truth.tier) == (want.org, want.types, want.tier)
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(),
+    SynthConfig(n_tier1=3, n_mid=400, n_stub=50, n_orgs=150, seed=2),
+])
+def test_generate_matches_list_pool_reference_at_scale(cfg):
+    # many sibling groups, so most pools skip org members as well as t
+    _, truth = generate(cfg)
+    want = _reference_generate(cfg)
+    assert list(truth.labels.items()) == list(want.labels.items())
+    assert truth.providers == want.providers

@@ -1,11 +1,14 @@
 import itertools
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bgprel.ingest import AsPath, PathStore, ingest_lines
+from bgprel import ingest
+from bgprel.ingest import AsPath, MAX_ASN, PathStore, ingest_lines, unpack_pairs
 from bgprel.topology import (
     FEATURE_COLUMNS,
     HIERARCHY_COLUMNS,
@@ -19,6 +22,7 @@ from bgprel.topology import (
     cnr_edge_weights,
     infer_clique,
     load_type_map,
+    step_edges,
     write_features_csv,
 )
 
@@ -105,6 +109,38 @@ class TestBuildGraph:
             g.degree(99)
         with pytest.raises(UnknownNodeError):
             g.transit_degree(99)
+
+
+def _loop_free(hops):
+    return list(dict.fromkeys(hops))
+
+
+_hop = st.one_of(st.integers(1, 12), st.sampled_from([2**31 - 1, 2**31, MAX_ASN]))
+_stores = st.lists(st.lists(_hop, min_size=1, max_size=6).map(_loop_free), max_size=12)
+
+
+class TestStepEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(paths=_stores, batch=st.sampled_from([1, 2, 3, 1 << 16]))
+    def test_matches_brute_force_across_batches(self, paths, batch):
+        want = sorted({tuple(sorted(step)) for hops in paths
+                       for step in zip(hops, hops[1:])})
+        with mock.patch.object(ingest, "_PATH_BATCH", batch):
+            keys = step_edges(PathStore.from_hops(paths))
+        assert keys.dtype == np.uint64
+        assert unpack_pairs(keys).reshape(-1, 2).tolist() == [list(e) for e in want]
+
+    @pytest.mark.parametrize("batch", [1, 2, 1 << 16])
+    def test_self_edge_in_any_batch_rejected(self, batch):
+        paths = PathStore.from_hops([(1, 2), (3, 4), (6, 7, 7)])
+        with mock.patch.object(ingest, "_PATH_BATCH", batch):
+            with pytest.raises(ValueError, match="self-edge in a path"):
+                step_edges(paths)
+
+    def test_build_graph_edges_are_the_step_edges(self):
+        paths = PathStore.from_hops(p.hops for p in random_paths(random.Random(3)))
+        g = build_graph(paths)
+        assert g.edges() == [tuple(e) for e in unpack_pairs(step_edges(paths)).tolist()]
 
 
 class TestPositions:
