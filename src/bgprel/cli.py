@@ -30,6 +30,8 @@ from .evaluate import (
 from .gcn import (
     BINARY_DEFAULTS,
     MULTI_DEFAULTS,
+    WEIGHT_FLOOR,
+    GcnModel,
     TrainConfig,
     TrainingDivergedError,
     load_checkpoint,
@@ -142,8 +144,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--blocks", type=_blocks, help="BLOCKSxLAYERS, e.g. 2x1")
     p.add_argument("--hidden", type=int)
-    p.add_argument("--delta", type=float, default=0.05,
-                   help="edge weight floor in the propagation matrix")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -218,6 +218,17 @@ def _recorded(meta: dict, key: str, checkpoint: Path):
     return meta[key]
 
 
+def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
+    """The --checkpoint file, its model and its meta.  It is refused
+    unless it was trained with this version's edge weight floor."""
+    checkpoint = _require(args.checkpoint, "checkpoint")
+    model, meta = load_checkpoint(checkpoint)
+    if (delta := _recorded(meta, "delta", checkpoint)) != WEIGHT_FLOOR:
+        raise ValueError(f"checkpoint {checkpoint} was trained with delta {delta}, "
+                         f"but the propagation matrix uses {WEIGHT_FLOOR}")
+    return checkpoint, model, meta
+
+
 def _metrics_doc(class_names, splits: dict) -> dict:
     """Accuracy and one-vs-rest precision/recall per split."""
     doc: dict = {"classes": list(class_names)}
@@ -271,7 +282,7 @@ def cmd_features(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args, need_labels=False)
-    bundle = build_bundle(files, args.k_candidates)
+    bundle = build_bundle(files)
     features_file = out / "features.csv"
     write_features_csv(bundle.features, features_file)
     clique_file = out / "clique.txt"
@@ -279,7 +290,7 @@ def cmd_features(args) -> int:
         "".join(f"{a}\n" for a in sorted(bundle.clique)), encoding="utf-8"
     )
     write_manifest(
-        out, "features", {"k_candidates": args.k_candidates}, files.inputs(),
+        out, "features", {}, files.inputs(),
         {"features": features_file, "clique": clique_file}, None, started,
     )
     print(f"graph: {bundle.graph.num_nodes} nodes, {bundle.graph.num_edges} edges")
@@ -324,10 +335,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    exp = run_experiment(
-        files, args.mode, args.seed, args.delta, args.k_candidates,
-        **_overrides(args),
-    )
+    exp = run_experiment(files, args.mode, args.seed, **_overrides(args))
     outcome, dataset, config = exp.outcome, exp.dataset, exp.outcome.config
 
     checkpoint = out / "checkpoint.json"
@@ -337,7 +345,7 @@ def cmd_train(args) -> int:
         meta={
             "mode": args.mode,
             "seed": args.seed,
-            "delta": args.delta,
+            "delta": WEIGHT_FLOOR,
             "classes": dataset.class_names,
             "best_epoch": outcome.result.best_epoch,
         },
@@ -356,8 +364,7 @@ def cmd_train(args) -> int:
     )
     write_manifest(
         out, "train",
-        {**asdict(config), "block_spec": list(config.block_spec),
-         "delta": args.delta},
+        {**asdict(config), "block_spec": list(config.block_spec)},
         files.inputs(),
         {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
         args.seed, started,
@@ -372,14 +379,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    checkpoint = _require(args.checkpoint, "checkpoint")
-    model, meta = load_checkpoint(checkpoint)
-    mode, seed, delta = (_recorded(meta, k, checkpoint) for k in ("mode", "seed", "delta"))
+    checkpoint, model, meta = _load_checkpoint(args)
+    mode, seed = (_recorded(meta, k, checkpoint) for k in ("mode", "seed"))
     files = _files_from_args(args)
     prep = prepare(files, mode, seed)
     bundle, dataset = prep.bundle, prep.dataset
     _check_width(model, bundle)
-    a_hat = adjacency_for(bundle.graph, True, delta)
+    a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
@@ -387,7 +393,7 @@ def cmd_eval(args) -> int:
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     write_manifest(
-        out, "eval", {"mode": mode, "delta": delta},
+        out, "eval", {"mode": mode},
         {"checkpoint": checkpoint, **files.inputs()},
         {"metrics": metrics_file}, seed, started,
     )
@@ -400,13 +406,11 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    checkpoint = _require(args.checkpoint, "checkpoint")
-    model, meta = load_checkpoint(checkpoint)
-    delta = _recorded(meta, "delta", checkpoint)
+    checkpoint, model, meta = _load_checkpoint(args)
+    classes = _recorded(meta, "classes", checkpoint)
     files = _files_from_args(args, need_labels=False)
-    bundle = build_bundle(files, args.k_candidates)
+    bundle = build_bundle(files)
     _check_width(model, bundle)
-    classes = meta.get("classes") or ["p2p", "p2c", "s2s", "x2x"][: model.n_classes]
 
     graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
@@ -415,7 +419,7 @@ def cmd_predict(args) -> int:
         rows = graph.positions(np.array(wanted, dtype=np.int64).reshape(-1, 2))
     else:
         wanted, rows = graph.edges(), graph.edge_positions()
-    a_hat = adjacency_for(graph, True, delta)
+    a_hat = adjacency_for(graph, True)
     pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
     with open(pred_file, "w", encoding="utf-8") as fh:
@@ -423,7 +427,7 @@ def cmd_predict(args) -> int:
         for (a, b), k, lp in zip(wanted, pred, logp):
             fh.write(f"{a},{b},{classes[k]}," + ",".join(repr(v) for v in lp) + "\n")
     write_manifest(
-        out, "predict", {"pairs": len(wanted), "delta": delta},
+        out, "predict", {"pairs": len(wanted)},
         {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
         {"predictions": pred_file}, None, started,
     )
@@ -439,7 +443,7 @@ def _read_pairs(path: Path) -> list[tuple[int, int]]:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            where = f"pairs line {n}"
+            where = f"{path} line {n}"
             bits = text.split("|")
             if len(bits) < 2:
                 raise ValueError(f"{where}: expected two ASNs a|b, got {text!r}")
@@ -451,10 +455,10 @@ def cmd_importance(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    prep = prepare(files, args.mode, args.seed, args.k_candidates)
+    prep = prepare(files, args.mode, args.seed)
     config = TrainConfig.for_mode(args.mode, args.seed, **_overrides(args))
     runner = importance_runner(prep.bundle.graph, prep.bundle.features,
-                               prep.dataset, config, args.delta)
+                               prep.dataset, config)
     report = feature_importance(runner, threads=args.threads)
     csv_file = out / "importance.csv"
     report.write_csv(csv_file)
@@ -481,9 +485,9 @@ def cmd_sweep(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     files = _files_from_args(args)
-    prep = prepare(files, args.mode, args.seed, args.k_candidates)
+    prep = prepare(files, args.mode, args.seed)
     fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, True, args.delta)
+    a_hat = adjacency_for(prep.bundle.graph, True)
 
     grid: dict[str, list] = {}
     if args.lr:
@@ -534,7 +538,7 @@ def cmd_synth(args) -> int:
         paths_per_vp=args.paths_per_vp,
         seed=args.seed,
     )
-    graph, truth = generate(config)
+    truth = generate(config)
     paths, stats = simulate_paths(truth, config)
     bad = np.flatnonzero(policy_violations(truth, paths))
     if len(bad):
@@ -560,7 +564,7 @@ def cmd_synth(args) -> int:
         {}, files, args.seed, started,
     )
     counts = truth.counts()
-    print(f"planted {graph.num_nodes} nodes, {graph.num_edges} edges "
+    print(f"planted {len(truth.tier)} nodes, {len(truth.labels)} edges "
           f"({', '.join(f'{c.value}={n}' for c, n in counts.items())})")
     print(f"emitted {stats.emitted} paths from {len(stats.vantage_points)} "
           f"vantage points ({stats.unreachable} unreachable, "
@@ -587,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="build the node feature matrix")
     _add_data_flags(p, labels=False)
-    p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 
@@ -601,28 +604,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the edge classifier")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on the held-out splits")
     _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True, help="its mode, seed and delta are used")
+    p.add_argument("--checkpoint", required=True, help="its mode and seed are used")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify AS pairs with a checkpoint")
     _add_data_flags(p, labels=False)
-    p.add_argument("--checkpoint", required=True, help="its delta is used")
+    p.add_argument("--checkpoint", required=True, help="its class names are used")
     p.add_argument("--pairs", help="a|b lines; defaults to every observed edge")
-    p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("importance", help="leave-one-out feature importance")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)
@@ -635,9 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", help="comma list of BLOCKSxLAYERS specs")
     p.add_argument("--epochs", type=int, help="fixed for every grid entry")
     p.add_argument("--hidden", type=int, help="fixed for every grid entry")
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-candidates", type=int, default=20)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -75,9 +75,11 @@ class TrainConfig:
 
 # -- normalized adjacency ----------------------------------------------
 
+WEIGHT_FLOOR = 0.05  # recorded in checkpoints; eval and predict refuse any other
+
 
 def build_normalized_adjacency(
-    weights: sp.csr_matrix, delta: float = 0.05
+    weights: sp.csr_matrix, delta: float = WEIGHT_FLOOR
 ) -> sp.csr_matrix:
     """Symmetrically normalized, self-looped, weighted adjacency.
 

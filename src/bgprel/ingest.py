@@ -146,21 +146,26 @@ class AllocationTable:
         self._ends = np.array([hi for _, hi in merged], dtype=np.int64)
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "AllocationTable":
+    def from_lines(
+        cls, lines: Iterable[str], source: str | Path = "allocation file"
+    ) -> "AllocationTable":
         ranges = []
         for n, raw in enumerate(lines, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
             lo, hi = text.split("-", 1) if "-" in text else (text, text)
-            where = f"allocation file line {n}"
-            ranges.append((parse_asn(lo, where), parse_asn(hi, where)))
+            where = f"{source} line {n}"
+            lo, hi = parse_asn(lo, where), parse_asn(hi, where)
+            if lo > hi:
+                raise ValueError(f"{where}: range {lo}-{hi} ends before it starts")
+            ranges.append((lo, hi))
         return cls(ranges)
 
     @classmethod
     def load(cls, path: str | Path) -> "AllocationTable":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh)
+            return cls.from_lines(fh, path)
 
     def allocated(self, asns: np.ndarray) -> np.ndarray:
         """Boolean mask: which of the given ASNs fall in a range."""

@@ -115,7 +115,7 @@ class GraphBundle:
     features: FeatureMatrix
 
 
-def build_bundle(files: DataFiles, k_candidates: int = 20) -> GraphBundle:
+def build_bundle(files: DataFiles) -> GraphBundle:
     table = AllocationTable.load(files.alloc) if files.alloc else None
     paths, report = ingest_file(files.paths, table)
     if not len(paths):
@@ -127,7 +127,7 @@ def build_bundle(files: DataFiles, k_candidates: int = 20) -> GraphBundle:
         if missing:
             raise ValueError(f"clique members absent from the graph: {missing}")
     else:
-        clique = infer_clique(graph, k_candidates)
+        clique = infer_clique(graph)
     type_map = load_type_map(files.types) if files.types else None
     features = assemble_features(graph, clique, type_map)
     return GraphBundle(report=report, graph=graph, clique=clique, features=features)
@@ -209,13 +209,11 @@ def ablate_columns(
     return fm.values[:, keep], True
 
 
-def adjacency_for(
-    graph: AsGraph, weighted: bool, delta: float = 0.05
-) -> sp.csr_matrix:
+def adjacency_for(graph: AsGraph, weighted: bool) -> sp.csr_matrix:
     """Propagation matrix over the graph's node positions, with or
     without the neighborhood-overlap edge weights."""
     weights = cnr_edge_weights(graph) if weighted else graph.adjacency()
-    return build_normalized_adjacency(weights, delta)
+    return build_normalized_adjacency(weights)
 
 
 # -- training runs -------------------------------------------------------
@@ -272,10 +270,8 @@ class Prepared:
     dataset: EdgeDataset
 
 
-def prepare(
-    files: DataFiles, mode: str, seed: int, k_candidates: int = 20
-) -> Prepared:
-    bundle = build_bundle(files, k_candidates)
+def prepare(files: DataFiles, mode: str, seed: int) -> Prepared:
+    bundle = build_bundle(files)
     labeled, report = prepare_labels(files)
     usable, dropped = restrict_to_graph(labeled, bundle.graph)
     dataset = make_dataset(usable, bundle.graph, mode, seed)
@@ -289,35 +285,24 @@ class Experiment(Prepared):
     outcome: TrainOutcome
 
 
-def run_experiment(
-    files: DataFiles,
-    mode: str = "multi",
-    seed: int = 0,
-    delta: float = 0.05,
-    k_candidates: int = 20,
-    **config_overrides,
-) -> Experiment:
-    prep = prepare(files, mode, seed, k_candidates)
+def run_experiment(files: DataFiles, mode: str = "multi", seed: int = 0,
+                   **config_overrides) -> Experiment:
+    prep = prepare(files, mode, seed)
     config = TrainConfig.for_mode(mode, seed, **config_overrides)
     fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, True, delta)
+    a_hat = adjacency_for(prep.bundle.graph, True)
     outcome = run_training(fm.values, a_hat, prep.dataset, config)
     return Experiment(**vars(prep), outcome=outcome)
 
 
-def importance_runner(
-    graph: AsGraph,
-    fm: FeatureMatrix,
-    dataset: EdgeDataset,
-    config: TrainConfig,
-    delta: float = 0.05,
-):
+def importance_runner(graph: AsGraph, fm: FeatureMatrix, dataset: EdgeDataset,
+                      config: TrainConfig):
     """Pipeline closure for the feature-importance driver: retrains
     with one input removed, always from the same seed."""
 
     def run(feature: str | None) -> AblationRun:
         x, weighted = ablate_columns(fm, feature)
-        a_hat = adjacency_for(graph, weighted, delta)
+        a_hat = adjacency_for(graph, weighted)
         outcome = run_training(x, a_hat, dataset, config)
         return AblationRun(accuracy=outcome.test_accuracy, seed=config.seed)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,6 +103,12 @@ class GroundTruth:
             if provider not in (a, b):
                 raise ValueError("p2c edge needs its provider endpoint")
             self.providers[key] = provider
+        self.__dict__.pop("route_graph", None)
+
+    @cached_property
+    def route_graph(self) -> "RouteGraph":
+        """The planted graph synth's stages share; built once, dropped by ``add``."""
+        return RouteGraph(self)
 
     def edge_label(self, a: int, b: int) -> tuple[RelLabel, int | None]:
         key = canonical_edge(a, b)
@@ -134,7 +141,7 @@ class GroundTruth:
         return out
 
 
-def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
+def generate(config: SynthConfig) -> GroundTruth:
     """Plant the ground topology; deterministic for a given config."""
     rng = random.Random(config.seed)
     truth = GroundTruth()
@@ -303,7 +310,7 @@ def generate(config: SynthConfig) -> tuple[AsGraph, GroundTruth]:
     for x in ixps:
         truth.types[x] = AsType.UNKNOWN
 
-    return AsGraph.from_edges(truth.labels, nodes=truth.tier), truth
+    return truth
 
 
 # -- route propagation ---------------------------------------------------
@@ -455,7 +462,7 @@ def simulate_paths(
 ) -> tuple[PathStore, SimulationStats]:
     """Emit each vantage point's best path to sampled destinations."""
     rng = random.Random(config.seed + 1_000_003)
-    graph = RouteGraph(truth)
+    graph = truth.route_graph
     if len(graph.nodes) != len(truth.tier):
         raise ValueError("a planted edge touches an AS with no tier")
     nodes = graph.nodes.tolist()
@@ -512,7 +519,7 @@ def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
     over an unplanted edge, or a climb or peering step after the path
     has crossed a peering link or descended into a customer.  Checked
     in batches of paths."""
-    graph = RouteGraph(truth)
+    graph = truth.route_graph
     out = [np.zeros(0, dtype=bool)]
     for batch in paths.batches():
         n_paths = len(batch)
@@ -535,7 +542,7 @@ def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
 def p2c_is_acyclic(truth: GroundTruth) -> bool:
     """No provider chain leads back to where it began: every strongly
     connected component of the provider -> customer digraph is one AS."""
-    graph = RouteGraph(truth)
+    graph = truth.route_graph
     n = len(graph.nodes)
     down = np.flatnonzero(graph.kind == _DESCEND)
     rows = np.searchsorted(graph.indptr, down, side="right") - 1
@@ -580,7 +587,7 @@ def export(
     # org/IXP override passes exist to repair.
     edges = observed_edges(paths)
     lo, hi = edges.T
-    kind, planted = RouteGraph(truth).step_kinds(lo, hi)
+    kind, planted = truth.route_graph.step_kinds(lo, hi)
     if not planted.all():
         raise KeyError(f"no planted edge {tuple(edges[~planted][0].tolist())}")
     climb = kind == _CLIMB  # hi is lo's provider

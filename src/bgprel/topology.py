@@ -301,8 +301,10 @@ def build_graph(paths: PathStore) -> AsGraph:
 
 # -- top clique ------------------------------------------------------
 
+CLIQUE_CANDIDATES = 20  # one count for every command, so all build the same clique
 
-def infer_clique(g: AsGraph, k_candidates: int = 20) -> set[int]:
+
+def infer_clique(g: AsGraph, k_candidates: int = CLIQUE_CANDIDATES) -> set[int]:
     """Greedy top-clique discovery.
 
     Nodes are ranked by transit degree (degree, then ASN break ties).

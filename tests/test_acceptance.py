@@ -316,7 +316,7 @@ def test_criterion_4_metric_identities():
 def test_criterion_5_end_to_end_accuracy():
     started = time.perf_counter()
     cfg = SynthConfig()  # seed 7 defaults
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         export(truth, paths, d, n_sources=3, perturbation=0.03, seed=cfg.seed)
@@ -351,7 +351,7 @@ def test_criterion_6_policy_everywhere():
             paths_per_vp=int(rng.integers(10, 61)),
             seed=int(i),
         )
-        _, truth = generate(cfg)
+        truth = generate(cfg)
         if not p2c_is_acyclic(truth):
             cyclic += 1
         paths, _ = simulate_paths(truth, cfg)
@@ -391,7 +391,7 @@ def _vote_oracle(source_paths):
 def test_criterion_7_vote_semantics():
     cfg = SynthConfig(n_tier1=4, n_mid=40, n_stub=80, n_ixp=6, n_orgs=10,
                       n_vps=12, paths_per_vp=60, seed=17)
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         clean = export(truth, paths, Path(d) / "clean",
@@ -463,7 +463,7 @@ def test_criterion_8_reproducible_cli(tmp_path):
 def test_criterion_9_importance_protocol():
     cfg = SynthConfig(n_tier1=4, n_mid=40, n_stub=80, n_ixp=6, n_orgs=10,
                       n_vps=12, paths_per_vp=80, seed=9)
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         export(truth, paths, d, n_sources=3, perturbation=0.0, seed=1)

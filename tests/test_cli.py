@@ -265,8 +265,47 @@ def test_checkpoint_settings_are_not_flags(data_dir, train_dir, tmp_path, comman
     assert e.value.code == 2
 
 
+FIXED_SETTINGS_ARGV = {
+    "features": [],
+    "train": [],
+    "predict": ["--checkpoint", "c.json"],
+    "importance": [],
+    "sweep": ["--lr", "0.05"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *((command, "--k-candidates", "3") for command in FIXED_SETTINGS_ARGV),
+    *((command, "--delta", "0.2") for command in ("train", "importance", "sweep")),
+])
+def test_fixed_feature_settings_are_not_flags(command, flag, value):
+    # one clique rule and one weight floor for train, eval and predict
+    argv = [command, "--data", "d", *FIXED_SETTINGS_ARGV[command], "--out", "o"]
+    cli.build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args([*argv, flag, value])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
+                                                  capsys, command):
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    assert doc["meta"]["delta"] == 0.05
+    doc["meta"]["delta"] = 0.2
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "delta 0.2" in err and "0.05" in err and str(checkpoint) in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command,key", [
     ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("predict", "delta"),
+    ("predict", "classes"),
 ])
 def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, capsys,
                                                  command, key):
@@ -325,7 +364,7 @@ def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, 
         "--out", str(tmp_path / "o"),
     ])
     assert code == 1
-    assert "pairs line 2:" in capsys.readouterr().err
+    assert f"{pairs} line 2:" in capsys.readouterr().err
 
 
 def test_importance_command(data_dir, tmp_path, capsys):
@@ -479,3 +518,27 @@ def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypa
     doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     listed = {Path(e["path"]).resolve() for e in doc["inputs"].values()}
     assert inputs and listed == inputs
+
+
+# -- the README advertises only flags the parser takes ---------------------
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```[a-z]*\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("bgprel "):
+                yield line.split("#")[0].split()[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert {argv[0] for argv in commands} >= {"synth", "train", "eval", "predict",
+                                              "importance", "sweep", "ingest",
+                                              "features", "dataset"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: bgprel {' '.join(argv)}")

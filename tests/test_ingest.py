@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -158,9 +159,17 @@ class TestAllocationTable:
 
     @pytest.mark.parametrize("line", ["+5-20", "5-1_000", "0-9", "7-4294967296",
                                       "١-9", "-4"])
-    def test_range_bounds_follow_the_hop_rule(self, line):
-        with pytest.raises(ValueError, match="allocation file line 2: ASN"):
-            AllocationTable.from_lines(["10", line])
+    def test_range_bounds_follow_the_hop_rule(self, tmp_path, line):
+        alloc = tmp_path / "alloc.txt"
+        alloc.write_text(f"10\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{alloc} line 2: ASN")):
+            AllocationTable.load(alloc)
+
+    def test_reversed_range_names_the_line(self, tmp_path):
+        alloc = tmp_path / "alloc.txt"
+        alloc.write_text("10\n9-5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{alloc} line 2: range 9-5")):
+            AllocationTable.load(alloc)
 
 
 class TestIngest:

@@ -40,7 +40,7 @@ CFG = SynthConfig(
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthdata")
-    _, truth = generate(CFG)
+    truth = generate(CFG)
     paths, _ = simulate_paths(truth, CFG)
     export(truth, paths, out, n_sources=3, perturbation=0.05, seed=2)
     return out
@@ -49,7 +49,7 @@ def data_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def clean_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cleandata")
-    _, truth = generate(CFG)
+    truth = generate(CFG)
     paths, _ = simulate_paths(truth, CFG)
     export(truth, paths, out, n_sources=3, perturbation=0.0, seed=2)
     return out
@@ -142,7 +142,7 @@ def test_prepare_never_copies_the_node_set(clean_dir, tmp_path, monkeypatch):
 
 
 def test_clean_labels_match_planted_truth(clean_dir):
-    _, truth = generate(CFG)
+    truth = generate(CFG)
     files = DataFiles.discover(clean_dir)
     labeled, report = prepare_labels(files)
     assert report.n_sources == 3

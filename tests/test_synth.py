@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgprel import ingest, synth
+from bgprel import cli, ingest, synth
 from bgprel.dataset import LabelTable, RelLabel
 from bgprel.ingest import PathStore, ingest_file, pack_pairs
 from bgprel.synth import (
@@ -24,7 +24,7 @@ from bgprel.synth import (
     policy_violations,
     simulate_paths,
 )
-from bgprel.topology import AsType, build_graph, canonical_edge, infer_clique
+from bgprel.topology import AsGraph, AsType, build_graph, canonical_edge, infer_clique
 
 SMALL = SynthConfig(
     n_tier1=4,
@@ -52,8 +52,8 @@ def test_total_nodes():
 
 
 def test_generate_deterministic():
-    _, t1 = generate(SMALL)
-    _, t2 = generate(SMALL)
+    t1 = generate(SMALL)
+    t2 = generate(SMALL)
     assert t1.labels == t2.labels
     assert t1.providers == t2.providers
     assert t1.org == t2.org
@@ -61,7 +61,7 @@ def test_generate_deterministic():
 
 
 def test_tier1_full_mesh():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     tier1 = [a for a, t in truth.tier.items() if t == "tier1"]
     for i, a in enumerate(tier1):
         for b in tier1[i + 1 :]:
@@ -70,20 +70,43 @@ def test_tier1_full_mesh():
 
 
 def test_every_node_in_graph():
-    graph, truth = generate(SMALL)
-    assert graph.num_nodes == SMALL.total_nodes
-    assert graph.nodes == set(truth.tier)
+    truth = generate(SMALL)
+    assert len(truth.tier) == SMALL.total_nodes
+    assert truth.route_graph.nodes.tolist() == sorted(truth.tier)
+
+
+def test_route_graph_is_cached_until_add():
+    truth = GroundTruth()
+    truth.add(1, 2, RelLabel.P2P)
+    assert truth.route_graph is truth.route_graph
+    assert truth.route_graph.nodes.tolist() == [1, 2]
+    truth.add(2, 3, RelLabel.P2C, provider=2)
+    assert truth.route_graph.nodes.tolist() == [1, 2, 3]
+
+
+def test_synth_run_builds_the_planted_graph_once(tmp_path, monkeypatch):
+    calls = []
+    from_edges = AsGraph.from_edges.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_edges(cls, *args, **kwargs)
+
+    monkeypatch.setattr(AsGraph, "from_edges", classmethod(counting))
+    assert cli.run(["synth", "--n-mid", "30", "--n-stub", "60", "--n-vps", "5",
+                    "--paths-per-vp", "40", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_sibling_edges_stay_inside_orgs():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     for (a, b), label in truth.labels.items():
         if label is RelLabel.S2S:
             assert truth.org[a] == truth.org[b]
 
 
 def test_same_org_same_type():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     by_org = {}
     for a, org_id in truth.org.items():
         by_org.setdefault(org_id, set()).add(truth.types[a])
@@ -92,7 +115,7 @@ def test_same_org_same_type():
 
 
 def test_x2x_edges_touch_exactly_one_ixp():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     for (a, b), label in truth.labels.items():
         touches = (a in truth.ixps) + (b in truth.ixps)
         if label is RelLabel.X2X:
@@ -107,7 +130,7 @@ def test_p2c_acyclic_matches_networkx():
             n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5,
             n_vps=5, paths_per_vp=10, seed=seed,
         )
-        _, truth = generate(cfg)
+        truth = generate(cfg)
         dg = nx.DiGraph(truth.p2c_pairs())
         assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(dg)
 
@@ -134,7 +157,7 @@ def test_oriented_puts_provider_first():
 
 
 def test_simulation_deterministic():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     p1, s1 = simulate_paths(truth, SMALL)
     p2, s2 = simulate_paths(truth, SMALL)
     assert [p.hops for p in p1] == [p.hops for p in p2]
@@ -143,7 +166,7 @@ def test_simulation_deterministic():
 
 
 def test_paths_start_at_vp_and_have_no_repeats():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, stats = simulate_paths(truth, SMALL)
     assert stats.emitted == len(paths)
     vps = set(stats.vantage_points)
@@ -153,7 +176,7 @@ def test_paths_start_at_vp_and_have_no_repeats():
 
 
 def test_all_paths_valley_free():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     assert paths
     for p in paths:
@@ -162,7 +185,7 @@ def test_all_paths_valley_free():
 
 def test_paths_never_shorter_than_unconstrained_shortest():
     # policy routing can only lengthen a route, never beat plain BFS
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     g = nx.Graph(truth.labels.keys())
     for p in list(paths)[:200]:
@@ -202,7 +225,7 @@ def test_sibling_hops_are_transparent():
 
 
 def test_export_files_roundtrip(tmp_path):
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     files = export(truth, paths, tmp_path, n_sources=3, perturbation=0.0, seed=1)
 
@@ -220,7 +243,7 @@ def test_export_files_roundtrip(tmp_path):
 
 
 def test_export_zero_perturbation_sources_identical(tmp_path):
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     files = export(truth, paths, tmp_path, n_sources=3, perturbation=0.0, seed=9)
     texts = {files[f"labels_{s}"].read_text() for s in (1, 2, 3)}
@@ -228,7 +251,7 @@ def test_export_zero_perturbation_sources_identical(tmp_path):
 
 
 def test_export_sources_cover_observed_edges(tmp_path):
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     files = export(truth, paths, tmp_path, perturbation=0.0, seed=0)
     rows = set()
@@ -241,7 +264,7 @@ def test_export_sources_cover_observed_edges(tmp_path):
 
 
 def test_export_perturbation_changes_sources(tmp_path):
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     files = export(truth, paths, tmp_path, n_sources=2, perturbation=0.3, seed=4)
     clean = export(truth, paths, tmp_path / "clean", n_sources=1,
@@ -252,7 +275,7 @@ def test_export_perturbation_changes_sources(tmp_path):
 
 
 def test_orgs_file_covers_every_node(tmp_path):
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     files = export(truth, paths, tmp_path)
     lines = files["orgs"].read_text().splitlines()[1:]
@@ -268,7 +291,7 @@ def test_observed_clique_recovers_tier1():
         n_tier1=5, n_mid=60, n_stub=120, n_ixp=8, n_orgs=15,
         n_vps=20, paths_per_vp=80, seed=11,
     )
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     observed = build_graph(paths)
     clique = infer_clique(observed)
@@ -407,14 +430,14 @@ def small_configs(draw):
 @given(small_configs())
 def test_route_tables_match_heap_search(cfg):
     # every node as the vantage point, tie-breaking included
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     _assert_same_route_tables(truth)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_configs())
 def test_simulation_matches_per_path_reference(cfg):
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, stats = simulate_paths(truth, cfg)
     want, unreachable = _reference_simulate(truth, cfg)
     assert [p.hops for p in paths] == want
@@ -469,7 +492,7 @@ def _reference_violations(truth, paths):
 
 
 def test_policy_check_passes_emitted_paths():
-    _, truth = generate(SMALL)
+    truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
     assert not policy_violations(truth, paths).any()
 
@@ -518,7 +541,7 @@ def _mutate(hops, rng, nodes):
 @settings(max_examples=25, deadline=None)
 @given(small_configs(), st.integers(0, 2**20))
 def test_policy_check_matches_reference_on_mutated_paths(cfg, seed):
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     rng = random.Random(seed)
     nodes = sorted(truth.tier) + [max(truth.tier) + 1]
@@ -556,8 +579,9 @@ def _want_kind(truth, m, w):
 @settings(max_examples=30, deadline=None)
 @given(small_configs())
 def test_route_graph_is_the_planted_adjacency(cfg):
-    graph, truth = generate(cfg)
-    routes = RouteGraph(truth)
+    truth = generate(cfg)
+    graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
+    routes = truth.route_graph
     adjacency = graph.adjacency()
     assert np.array_equal(routes.nodes, graph.node_array())
     assert np.array_equal(routes.indptr, adjacency.indptr)
@@ -618,7 +642,7 @@ def _reference_label_lines(truth, paths, source, perturbation, seed):
 @settings(max_examples=25, deadline=None)
 @given(small_configs(), st.sampled_from([0.0, 0.3]), st.integers(0, 50))
 def test_export_rows_match_per_edge_reference(cfg, perturbation, seed):
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as out:
         files = export(truth, paths, out, n_sources=2, perturbation=perturbation,
@@ -807,7 +831,7 @@ def _reference_generate(config):
 @settings(max_examples=40, deadline=None)
 @given(small_configs())
 def test_generate_matches_list_pool_reference(cfg):
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     want = _reference_generate(cfg)
     assert list(truth.labels.items()) == list(want.labels.items())
     assert truth.providers == want.providers
@@ -820,7 +844,7 @@ def test_generate_matches_list_pool_reference(cfg):
 ])
 def test_generate_matches_list_pool_reference_at_scale(cfg):
     # many sibling groups, so most pools skip org members as well as t
-    _, truth = generate(cfg)
+    truth = generate(cfg)
     want = _reference_generate(cfg)
     assert list(truth.labels.items()) == list(want.labels.items())
     assert truth.providers == want.providers
