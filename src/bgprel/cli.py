@@ -2,7 +2,8 @@
 
 Every subcommand writes its artifacts under --out together with a
 manifest.json recording the invocation, the input and output file
-digests, the seed, and the wall time, so a run can be audited later.
+digests, the seed, the library versions and thread settings, and the
+wall time, so a run can be audited later.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -11,12 +12,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
-from dataclasses import asdict
+from array import array
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dataset import balance_and_split
@@ -38,8 +43,15 @@ from .gcn import (
     save_checkpoint,
     write_history_csv,
 )
-from .ingest import AllocationTable, ingest_file, parse_asn, write_paths_file
+from .ingest import (
+    AllocationTable,
+    ingest_file,
+    parse_asn,
+    read_fields,
+    write_paths_file,
+)
 from .pipeline import (
+    SIDE_FILES,
     DataFiles,
     adjacency_for,
     build_bundle,
@@ -52,7 +64,7 @@ from .pipeline import (
 )
 from .gcn import predict as gcn_predict
 from .synth import SynthConfig, export, generate, policy_violations, simulate_paths
-from .topology import write_features_csv
+from .topology import AsGraph, write_features_csv
 
 # not called here; kept bound because the benchmark tracer wraps them
 from .pipeline import make_dataset, restrict_to_graph  # noqa: F401
@@ -93,12 +105,19 @@ def write_manifest(
             name: {"path": str(p), "sha256": _sha256(p)}
             for name, p in sorted(outputs.items())
         },
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            # the BLAS and OpenMP thread settings as this process saw them,
+            # not the thread count the BLAS library reports
+            "settings": {name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
         "wall_time_s": time.perf_counter() - started,
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
@@ -119,6 +138,12 @@ def _blocks(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected BLOCKSxLAYERS such as 2x1, got {text!r}"
         ) from None
+
+
+def _threads(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 thread, got {n}")
+    return n
 
 
 def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
@@ -170,7 +195,7 @@ def _files_from_args(
     else:
         files = DataFiles(paths=None, labels=[])
     # explicit flags override whatever discovery found
-    for name in ("orgs", "ixps", "types", "alloc", "clique"):
+    for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
     if not need_labels:
@@ -187,19 +212,15 @@ def _files_from_args(
     return files
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.lr is not None:
-        out["learning_rate"] = args.lr
-    if args.wd is not None:
-        out["weight_decay"] = args.wd
-    if args.epochs is not None:
-        out["epochs"] = args.epochs
-    if args.blocks is not None:
-        out["block_spec"] = args.blocks
-    if args.hidden is not None:
-        out["hidden"] = args.hidden
-    return out
+# the TrainConfig field each training flag sets
+_OVERRIDES = {"lr": "learning_rate", "wd": "weight_decay", "epochs": "epochs",
+              "blocks": "block_spec", "hidden": "hidden"}
+
+
+def _overrides(args, flags=tuple(_OVERRIDES)) -> dict:
+    """The TrainConfig fields the given flags set on this command line."""
+    return {_OVERRIDES[f]: getattr(args, f) for f in flags
+            if getattr(args, f) is not None}
 
 
 def _check_width(model, bundle) -> None:
@@ -257,9 +278,7 @@ def cmd_ingest(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
     paths_file = _require(args.paths, "paths")
-    table = None
-    if args.alloc:
-        table = AllocationTable.load(_require(args.alloc, "alloc"))
+    table = AllocationTable.load(_require(args.alloc, "alloc")) if args.alloc else None
     paths, report = ingest_file(paths_file, table)
     clean = out / "paths_clean.txt"
     write_paths_file(paths, clean)
@@ -415,8 +434,8 @@ def cmd_predict(args) -> int:
     graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
-        wanted = _read_pairs(pair_file)
-        rows = graph.positions(np.array(wanted, dtype=np.int64).reshape(-1, 2))
+        wanted = _read_pairs(pair_file, graph)
+        rows = graph.positions(wanted)
     else:
         wanted, rows = graph.edges(), graph.edge_positions()
     a_hat = adjacency_for(graph, True)
@@ -435,20 +454,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_pairs(path: Path) -> list[tuple[int, int]]:
-    """ASN pairs of an ``a|b`` file; blank and ``#`` lines are skipped."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            where = f"{path} line {n}"
-            bits = text.split("|")
-            if len(bits) < 2:
-                raise ValueError(f"{where}: expected two ASNs a|b, got {text!r}")
-            pairs.append((parse_asn(bits[0], where), parse_asn(bits[1], where)))
-    return pairs
+def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
+    """The ``a|b`` pairs of a pairs file, as an (n, 2) int64 array; an
+    ASN the graph does not hold is refused naming its line."""
+    pairs = array("q")
+    for where, bits in read_fields(path, "|"):
+        if len(bits) < 2:
+            raise ValueError(f"{where}: expected two ASNs a|b, got {bits[0]!r}")
+        for asn in (parse_asn(bits[0], where), parse_asn(bits[1], where)):
+            if asn not in graph:
+                raise ValueError(f"{where}: AS{asn} does not appear in the graph")
+            pairs.append(asn)
+    return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def cmd_importance(args) -> int:
@@ -500,11 +517,7 @@ def cmd_sweep(args) -> int:
         raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
     defaults = BINARY_DEFAULTS if args.mode == "binary" else MULTI_DEFAULTS
     preferred = {k: defaults[k] for k in grid if k in defaults}
-    fixed = {}
-    if args.epochs is not None:
-        fixed["epochs"] = args.epochs
-    if args.hidden is not None:
-        fixed["hidden"] = args.hidden
+    fixed = _overrides(args, ("epochs", "hidden"))
 
     def run_one(params: dict) -> tuple[float, float]:
         config = TrainConfig.for_mode(args.mode, args.seed, **fixed, **params)
@@ -528,16 +541,7 @@ def cmd_sweep(args) -> int:
 def cmd_synth(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    config = SynthConfig(
-        n_tier1=args.n_tier1,
-        n_mid=args.n_mid,
-        n_stub=args.n_stub,
-        n_ixp=args.n_ixp,
-        n_orgs=args.n_orgs,
-        n_vps=args.n_vps,
-        paths_per_vp=args.paths_per_vp,
-        seed=args.seed,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     truth = generate(config)
     paths, stats = simulate_paths(truth, config)
     bad = np.flatnonzero(policy_violations(truth, paths))
@@ -623,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("importance", help="leave-one-out feature importance")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)
 
@@ -636,21 +640,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="fixed for every grid entry")
     p.add_argument("--hidden", type=int, help="fixed for every grid entry")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic topology bundle")
-    p.add_argument("--n-tier1", type=int, default=8)
-    p.add_argument("--n-mid", type=int, default=500)
-    p.add_argument("--n-stub", type=int, default=800)
-    p.add_argument("--n-ixp", type=int, default=30)
-    p.add_argument("--n-orgs", type=int, default=100)
-    p.add_argument("--n-vps", type=int, default=70)
-    p.add_argument("--paths-per-vp", type=int, default=1500)
+    for f in fields(SynthConfig):  # one flag per setting, with its default
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     p.add_argument("--n-sources", type=int, default=3)
     p.add_argument("--perturbation", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -22,15 +22,23 @@ from __future__ import annotations
 import csv
 import json
 import random
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .ingest import pack_unordered_pairs, parse_asn, unpack_pairs
+from .ingest import (
+    WHITESPACE,
+    load_asn_map,
+    pack_unordered_pairs,
+    parse_asn,
+    read_fields,
+    unpack_pairs,
+)
 
 
 class RelLabel(str, Enum):
@@ -123,69 +131,60 @@ class LabelTable:
     @classmethod
     def read_csv(cls, path: str | Path) -> "LabelTable":
         """Read an ``a,b,label[,split[,provenance]]`` file such as
-        ``edges.csv`` or ``truth.csv``.  A bad ASN or label, a self pair
-        or a pair seen twice raises ValueError naming the line."""
+        ``edges.csv`` or ``truth.csv``, whose line 1 may be a header.  A
+        bad ASN or label, a self pair or a pair seen twice raises
+        ValueError naming the line."""
         rows = []
-        first_line: dict[tuple[int, int], int] = {}
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header and header[:3] != ["a", "b", "label"]:
-                raise ValueError(f"unexpected dataset header in {path}")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path} line {reader.line_num}"
-                try:
-                    label = RelLabel(row[2])
-                except (IndexError, ValueError):
-                    raise ValueError(f"{where}: expected a,b,label, got {row}") from None
-                a, b = parse_asn(row[0], where), parse_asn(row[1], where)
-                if a == b:
-                    raise ValueError(f"{where}: self relationship AS{a}")
-                pair = (a, b) if a < b else (b, a)
-                if pair in first_line:
-                    raise ValueError(f"{where}: duplicate pair {pair}, "
-                                     f"first on line {first_line[pair]}")
-                first_line[pair] = reader.line_num
-                split, prov = (row[3:5] + ["", ""])[:2]
-                rows.append((a, b, label, split, prov))
+        first_line: dict[tuple[int, int], str] = {}
+        for where, fields in read_fields(path, ",", "a"):
+            try:
+                label = RelLabel(fields[2])
+            except (IndexError, ValueError):
+                raise ValueError(f"{where}: expected a,b,label, got {fields}") from None
+            a, b = parse_asn(fields[0], where), parse_asn(fields[1], where)
+            if a == b:
+                raise ValueError(f"{where}: self relationship AS{a}")
+            pair = (a, b) if a < b else (b, a)
+            if pair in first_line:
+                raise ValueError(f"{where}: duplicate pair {pair}, "
+                                 f"first on line {first_line[pair]}")
+            first_line[pair] = where.rpartition(" ")[2]
+            split, prov = (fields[3:5] + ["", ""])[:2]
+            rows.append((a, b, label, split, prov))
         return cls.from_rows(rows)
 
 
 # -- label sources and voting ------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LabelSource:
-    """Relationship calls from one inference tool, ``a|b|code`` rows."""
+    """Relationship calls from one inference tool: row ``i`` is the call
+    ``a[i]|b[i]|code[i]``, held as int64 columns."""
 
     name: str
-    entries: list[tuple[int, int, int]] = field(default_factory=list)
+    a: np.ndarray
+    b: np.ndarray
+    code: np.ndarray
+
+
+_CODES = {"0": 0, "-1": -1}  # peering; a is b's provider
 
 
 def load_label_source(path: str | Path) -> LabelSource:
-    src = LabelSource(Path(path).name)
-    with open(path, encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            where = f"{path} line {n}"
-            fields = text.split("|")
-            if len(fields) < 3:
-                raise ValueError(f"{where}: expected a|b|code")
-            a, b = parse_asn(fields[0], where), parse_asn(fields[1], where)
-            try:
-                code = int(fields[2])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {text!r}") from exc
-            if code not in (0, -1):
-                raise ValueError(f"{where}: unsupported code {code}")
-            if a == b:
-                raise ValueError(f"{where}: self relationship AS{a}")
-            src.entries.append((a, b, code))
-    return src
+    """Read an ``a|b|code`` file; fields after the third are ignored."""
+    calls = array("q")
+    for where, fields in read_fields(path, "|"):
+        if len(fields) < 3:
+            raise ValueError(f"{where}: expected a|b|code")
+        a, b = parse_asn(fields[0], where), parse_asn(fields[1], where)
+        if (code := _CODES.get(fields[2].strip(WHITESPACE))) is None:
+            raise ValueError(f"{where}: unsupported code {fields[2]!r}")
+        if a == b:
+            raise ValueError(f"{where}: self relationship AS{a}")
+        calls.extend((a, b, code))
+    a, b, code = np.frombuffer(calls, dtype=np.int64).reshape(-1, 3).T
+    return LabelSource(Path(path).name, a, b, code)
 
 
 @dataclass
@@ -198,15 +197,7 @@ class VoteReport:
     inconsistent_dropped: int
 
     def to_json(self) -> str:
-        doc = {
-            "n_sources": self.n_sources,
-            "source_sizes": self.source_sizes,
-            "union_pairs": self.union_pairs,
-            "intersection_pairs": self.intersection_pairs,
-            "coincidence_rate": self.coincidence_rate,
-            "inconsistent_dropped": self.inconsistent_dropped,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 # a source's call on a pair: peering, or which endpoint is the provider
@@ -217,10 +208,9 @@ def _source_calls(src: LabelSource) -> tuple[np.ndarray, np.ndarray, int]:
     """A source's sorted pair keys and its call on each.  A pair whose
     rows disagree inside the source cannot vote and is dropped; the
     third value counts those pairs."""
-    a, b, code = np.array(src.entries, dtype=np.int64).reshape(-1, 3).T
-    key = pack_unordered_pairs(a, b)
-    call = np.where(code == 0, _CALL_P2P,
-                    np.where(a < b, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER))
+    key = pack_unordered_pairs(src.a, src.b)
+    call = np.where(src.code == 0, _CALL_P2P,
+                    np.where(src.a < src.b, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER))
     order = np.argsort(key, kind="stable")
     key, call = key[order], call[order]
     first = np.ones(len(key), dtype=bool)
@@ -261,7 +251,7 @@ def vote_intersection(
     seen = Counter(s.name for s in sources)
     report = VoteReport(
         n_sources=len(sources),
-        source_sizes={s.name if seen[s.name] == 1 else f"{s.name}#{i}": len(s.entries)
+        source_sizes={s.name if seen[s.name] == 1 else f"{s.name}#{i}": len(s.a)
                       for i, s in enumerate(sources, 1)},
         union_pairs=len(union),
         intersection_pairs=len(table),
@@ -275,31 +265,8 @@ def vote_intersection(
 
 
 def load_org_map(path: str | Path) -> dict[int, str]:
-    """Read an ``asn,org_id`` CSV; a first line whose first field is
-    ``asn`` (any case) is a header."""
-    out: dict[int, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for n, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if n == 1 and row[0].strip().lower() == "asn":
-                continue  # header
-            where = f"{path} line {n}"
-            asn = parse_asn(row[0], where)
-            if len(row) < 2 or not row[1].strip():
-                raise ValueError(f"{where}: missing org id")
-            out[asn] = row[1].strip()
-    return out
-
-
-def load_ixp_list(path: str | Path) -> set[int]:
-    out: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text and not text.startswith("#"):
-                out.add(parse_asn(text, f"{path} line {n}"))
-    return out
+    """Read an ``asn,org_id`` file (see ``ingest.load_asn_map``)."""
+    return load_asn_map(path, "org id")
 
 
 def _relabel(

@@ -160,11 +160,8 @@ def feature_importance(
     """
     baseline = pipeline(None)
     names = list(features)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = dict(zip(names, pool.map(pipeline, names)))
-    else:
-        runs = {name: pipeline(name) for name in names}
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runs = dict(zip(names, pool.map(pipeline, names)))
     diffs = {n: abs(baseline.accuracy - runs[n].accuracy) for n in names}
     denom = sum(diffs.values())
     degenerate = denom == 0.0
@@ -238,11 +235,8 @@ def sweep(
     combos = [dict(zip(keys, values)) for values in itertools.product(*grid.values())]
     if not combos:
         raise ValueError("empty sweep grid")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, combos))
-    else:
-        outcomes = [run(c) for c in combos]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(run, combos))
     rows = [
         SweepRow(overrides=c, val_accuracy=v, test_accuracy=t)
         for c, (v, t) in zip(combos, outcomes)

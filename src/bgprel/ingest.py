@@ -14,17 +14,22 @@ numbers are dropped, and paths where an ASN recurs non-adjacently
 numpy and returns a ``PathStore``: one flat hop array plus path offsets.
 ``parse_path_line`` and ``sanitize`` are the per-path definitions of the
 same rules, kept as the reference the batch code is tested against.
+
+Every other text input (label sources, org, type, IXP, clique and
+allocation lists, pairs files, label tables) is read through
+``read_fields``, so they all share one data-line rule.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -150,12 +155,8 @@ class AllocationTable:
         cls, lines: Iterable[str], source: str | Path = "allocation file"
     ) -> "AllocationTable":
         ranges = []
-        for n, raw in enumerate(lines, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
+        for where, (text,) in read_fields(source, lines=lines):
             lo, hi = text.split("-", 1) if "-" in text else (text, text)
-            where = f"{source} line {n}"
             lo, hi = parse_asn(lo, where), parse_asn(hi, where)
             if lo > hi:
                 raise ValueError(f"{where}: range {lo}-{hi} ends before it starts")
@@ -164,7 +165,7 @@ class AllocationTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "AllocationTable":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_lines(fh, path)
 
     def allocated(self, asns: np.ndarray) -> np.ndarray:
@@ -191,9 +192,75 @@ def parse_asn(token: str, where: str) -> int:
     # so drop leading zeros and size-check first
     if digits.isascii() and digits.isdigit():
         digits = digits.lstrip("0")
-        if len(digits) <= _MAX_DIGITS and 1 <= int(digits or "0") <= MAX_ASN:
-            return int(digits)
+        if len(digits) <= _MAX_DIGITS and 1 <= (asn := int(digits or "0")) <= MAX_ASN:
+            return asn
     raise ValueError(f"{where}: ASN out of range or malformed: {token!r}")
+
+
+# -- the reader of every other text input
+
+
+def open_text(path: str | Path) -> TextIO:
+    """Open an input as UTF-8, decoding each byte that is not UTF-8 to a
+    lone surrogate, so that the line holding it can be named."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def read_fields(
+    source: str | Path,
+    sep: str | None = None,
+    header: str | None = None,
+    lines: Iterable[str] | None = None,
+) -> Iterator[tuple[str, list[str]]]:
+    """The ``"<source> line N"`` locator and the fields of each data line
+    of the file ``source``, or of ``lines`` when they are given.
+
+    ASCII whitespace around a line is dropped.  A line left empty or
+    starting with ``#`` is skipped, and so is a line 1 whose first field
+    is ``header`` (trimmed, any case).  A data line is split on ``sep``,
+    or is one field when ``sep`` is None.  A byte that is not UTF-8, or
+    a ``"`` where ``sep`` is a comma, raises ValueError.
+    """
+    if lines is None:
+        with open_text(source) as fh:
+            yield from read_fields(source, sep, header, fh)
+        return
+    prefix = f"{source} line "
+    for n, raw in enumerate(lines, start=1):
+        text = raw.strip(WHITESPACE)
+        if not text or text[0] == "#":
+            continue
+        fields = text.split(sep) if sep else [text]
+        if n == 1 and fields[0].strip(WHITESPACE).lower() == header:
+            continue
+        where = f"{prefix}{n}"
+        # open_text decodes a byte that is not UTF-8 to U+DC80..U+DCFF
+        if not text.isascii() and re.search("[\udc80-\udcff]", text):
+            raise ValueError(f"{where}: byte that is not UTF-8")
+        if sep == "," and '"' in text:
+            raise ValueError(f"{where}: quoted fields are not supported")
+        yield where, fields
+
+
+def load_asn_set(path: str | Path) -> set[int]:
+    """The ASNs of a one-ASN-per-line file such as ``ixps.txt``."""
+    return {parse_asn(text, where) for where, (text,) in read_fields(path)}
+
+
+def load_asn_map(
+    path: str | Path, what: str, values: set[str] | None = None
+) -> dict[int, str]:
+    """The rows of an ``asn,value`` file such as ``orgs.csv``, whose line
+    1 may be a header starting ``asn``.  A missing value, or one outside
+    ``values`` when they are given, raises ValueError naming ``what``."""
+    out = {}
+    for where, fields in read_fields(path, ",", "asn"):
+        asn = parse_asn(fields[0], where)
+        value = fields[1].strip(WHITESPACE) if len(fields) > 1 else ""
+        if not value or values is not None and value not in values:
+            raise ValueError(f"{where}: missing or unknown {what} {value!r}")
+        out[asn] = value
+    return out
 
 
 # -- ASN pair keys: every ASN is below 2**32, so a pair (a, b) packs into
@@ -269,14 +336,7 @@ class IngestReport:
         return self.parsed - self.rejected_loop - self.rejected_unallocated
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "parsed": self.parsed,
-            "compressed": self.compressed,
-            "rejected_loop": self.rejected_loop,
-            "rejected_unallocated": self.rejected_unallocated,
-            "malformed": self.malformed,
-            "accepted": self.accepted,
-        }
+        return {**asdict(self), "accepted": self.accepted}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -428,7 +488,7 @@ def ingest_file(
 ) -> tuple[PathStore, IngestReport]:
     """Read a paths file and return sanitized paths plus counters; a
     byte that is not UTF-8 makes its line malformed."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_text(path) as fh:
         return ingest_lines(fh, table)
 
 

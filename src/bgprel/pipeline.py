@@ -24,7 +24,6 @@ from .dataset import (
     apply_ixp_labels,
     apply_sibling_labels,
     balance_and_split,
-    load_ixp_list,
     load_label_source,
     load_org_map,
     vote_intersection,
@@ -38,7 +37,7 @@ from .gcn import (
     predict,
     train,
 )
-from .ingest import AllocationTable, IngestReport, ingest_file
+from .ingest import AllocationTable, IngestReport, ingest_file, load_asn_set
 from .topology import (
     HIERARCHY_COLUMNS,
     TYPE_COLUMNS,
@@ -51,6 +50,11 @@ from .topology import (
     load_clique_file,
     load_type_map,
 )
+
+
+# the optional inputs a run reads, with their conventional file names
+SIDE_FILES = {"orgs": "orgs.csv", "ixps": "ixps.txt", "types": "types.csv",
+              "alloc": "alloc.txt", "clique": "clique.txt"}
 
 
 @dataclass
@@ -83,12 +87,8 @@ class DataFiles:
         return cls(
             paths=paths,
             labels=sorted(d.glob("labels_*.txt")),
-            orgs=opt("orgs.csv"),
-            ixps=opt("ixps.txt"),
-            types=opt("types.csv"),
-            alloc=opt("alloc.txt"),
-            clique=opt("clique.txt"),
             truth=opt("truth.csv"),
+            **{key: opt(name) for key, name in SIDE_FILES.items()},
         )
 
     def inputs(self) -> dict[str, Path | None]:
@@ -97,11 +97,7 @@ class DataFiles:
         return {
             "paths": self.paths,
             **{f"labels_{i}": p for i, p in enumerate(self.labels, 1)},
-            "orgs": self.orgs,
-            "ixps": self.ixps,
-            "types": self.types,
-            "alloc": self.alloc,
-            "clique": self.clique,
+            **{key: getattr(self, key) for key in SIDE_FILES},
         }
 
 
@@ -138,7 +134,7 @@ def prepare_labels(files: DataFiles) -> tuple[LabelTable, VoteReport]:
     sources = [load_label_source(p) for p in files.labels]
     edges, report = vote_intersection(sources)
     if files.ixps:
-        edges = apply_ixp_labels(edges, load_ixp_list(files.ixps))
+        edges = apply_ixp_labels(edges, load_asn_set(files.ixps))
     if files.orgs:
         edges = apply_sibling_labels(edges, load_org_map(files.orgs))
     return edges, report

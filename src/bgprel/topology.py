@@ -29,7 +29,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .ingest import PathStore, pack_unordered_pairs, parse_asn, unpack_pairs
+from .ingest import (
+    PathStore,
+    load_asn_map,
+    load_asn_set,
+    pack_unordered_pairs,
+    unpack_pairs,
+)
 
 
 class UnknownNodeError(ValueError):
@@ -326,13 +332,7 @@ def infer_clique(g: AsGraph, k_candidates: int = CLIQUE_CANDIDATES) -> set[int]:
 
 
 def load_clique_file(path: str | Path) -> set[int]:
-    clique: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text and not text.startswith("#"):
-                clique.add(parse_asn(text, f"{path} line {n}"))
-    if not clique:
+    if not (clique := load_asn_set(path)):
         raise ValueError(f"clique file is empty: {path}")
     return clique
 
@@ -388,25 +388,9 @@ class AsType(Enum):
 
 
 def load_type_map(path: str | Path) -> dict[int, AsType]:
-    """Read an ``asn,type`` CSV; a first line whose first field is
-    ``asn`` (any case) is a header."""
-    out: dict[int, AsType] = {}
-    values = {t.value: t for t in AsType}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for n, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if n == 1 and row[0].strip().lower() == "asn":
-                continue  # header
-            where = f"{path} line {n}"
-            asn = parse_asn(row[0], where)
-            if len(row) < 2:
-                raise ValueError(f"{where}: missing type")
-            label = row[1].strip()
-            if label not in values:
-                raise ValueError(f"{where}: unknown type {label!r}")
-            out[asn] = values[label]
-    return out
+    """Read an ``asn,type`` file (see ``ingest.load_asn_map``)."""
+    names = load_asn_map(path, "type", {t.value for t in AsType})
+    return {asn: AsType(name) for asn, name in names.items()}
 
 
 # -- feature assembly -------------------------------------------------

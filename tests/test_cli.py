@@ -3,16 +3,19 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from bgprel import cli
 from bgprel.cli import run
 from bgprel.ingest import PathStore
-from bgprel.pipeline import DataFiles, prepare
+from bgprel.pipeline import DataFiles, build_bundle, prepare
 
 
 SYNTH_FLAGS = [
@@ -542,3 +545,116 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: bgprel {' '.join(argv)}")
+
+
+# -- every text input follows one data-line rule ---------------------------
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory, data_dir):
+    """A data directory with every text input a command reads, a clique
+    and an allocation file included, and a pairs file beside it."""
+    root = tmp_path_factory.mktemp("text-inputs")
+    shutil.copytree(data_dir, root / "data")
+    clique = sorted(build_bundle(DataFiles.discover(data_dir)).clique)
+    (root / "data" / "clique.txt").write_text("".join(f"{a}\n" for a in clique))
+    (root / "data" / "alloc.txt").write_text("1-100\n101-4294967295\n")
+    labels = (data_dir / "labels_1.txt").read_text().splitlines()[:5]
+    (root / "pairs.txt").write_text("".join(l.rsplit("|", 1)[0] + "\n" for l in labels))
+    return root
+
+
+# input -> its file under ``text_inputs`` and the command that reads it
+TEXT_INPUTS = {
+    "labels": ("data/labels_1.txt", "dataset"),
+    "orgs": ("data/orgs.csv", "dataset"),
+    "ixps": ("data/ixps.txt", "dataset"),
+    "types": ("data/types.csv", "features"),
+    "clique": ("data/clique.txt", "features"),
+    "alloc": ("data/alloc.txt", "features"),
+    "pairs": ("pairs.txt", "predict"),
+}
+
+
+def _run_reader_of(name, root, train_dir, out):
+    command = TEXT_INPUTS[name][1]
+    argv = [command, "--data", str(root / "data"), "--out", str(out)]
+    if command == "predict":
+        argv += ["--checkpoint", str(train_dir / "checkpoint.json"),
+                 "--pairs", str(root / "pairs.txt")]
+    return run(argv)
+
+
+@pytest.mark.parametrize("bad", ["nbsp-wrapped", "non-utf8-byte"])
+@pytest.mark.parametrize("name", sorted(TEXT_INPUTS))
+def test_bad_asn_field_names_file_and_line(name, bad, text_inputs, train_dir,
+                                           tmp_path, capsys):
+    root = tmp_path / "in"
+    shutil.copytree(text_inputs, root)
+    f = root / TEXT_INPUTS[name][0]
+    first, second, *rest = f.read_bytes().splitlines(keepends=True)
+    asn, tail = re.fullmatch(rb"(\d+)(.*)", second, flags=re.S).groups()
+    nbsp = "\u00a0".encode()
+    second = nbsp + asn + nbsp + tail if bad == "nbsp-wrapped" else asn + b"\xff" + tail
+    f.write_bytes(b"".join([first, second, *rest]))
+    assert _run_reader_of(name, root, train_dir, tmp_path / "o") == 1
+    assert f"{f} line 2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_INPUTS))
+def test_crlf_blank_and_comment_lines_change_nothing(name, text_inputs, train_dir,
+                                                     tmp_path):
+    root = tmp_path / "in"
+    shutil.copytree(text_inputs, root)
+    plain, messy = tmp_path / "plain", tmp_path / "messy"
+    assert _run_reader_of(name, root, train_dir, plain) == 0
+    f = root / TEXT_INPUTS[name][0]
+    first, *rest = f.read_text().splitlines()
+    lines = [first, "", "# a comment", " \t", *rest, "  # an indented comment"]
+    f.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert _run_reader_of(name, root, train_dir, messy) == 0
+    outputs = sorted(p.name for p in plain.iterdir() if p.name != "manifest.json")
+    assert outputs
+    for output in outputs:
+        assert (messy / output).read_bytes() == (plain / output).read_bytes()
+
+
+def test_predict_unknown_pairs_asn_names_file_and_line(data_dir, train_dir,
+                                                       tmp_path, capsys):
+    a, b, _ = (data_dir / "labels_1.txt").read_text().splitlines()[0].split("|")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"# pairs\n{a}|{b}\n{a}|99999\n")
+    code = run([
+        "predict", "--paths", str(data_dir / "paths.txt"),
+        "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--pairs", str(pairs), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{pairs} line 3: AS99999 does not appear in the graph" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sweep", "importance"])
+def test_threads_below_one_is_usage_error(command, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        run([command, "--data", str(tmp_path), "--threads", value,
+             "--out", str(tmp_path / "o")])
+    assert e.value.code == 2
+    assert f"expected at least 1 thread, got {value}" in capsys.readouterr().err
+
+
+def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "o"
+    assert run(["train", "--data", str(data_dir), *SMALL, "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "settings": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                     "MKL_NUM_THREADS": "2"},
+    }

@@ -16,19 +16,24 @@ from bgprel.dataset import (
     apply_ixp_labels,
     apply_sibling_labels,
     balance_and_split,
-    load_ixp_list,
     load_label_source,
     load_org_map,
     vote_intersection,
 )
+from bgprel.ingest import load_asn_set
 from bgprel.pipeline import restrict_to_graph
-from bgprel.topology import AsGraph, load_clique_file
+from bgprel.topology import AsGraph, load_clique_file, load_type_map
 
 Row = namedtuple("Row", "a b label split provenance")
 
 
 def src(name, entries):
-    return LabelSource(name, list(entries))
+    return LabelSource(name, *np.array(list(entries), dtype=np.int64).reshape(-1, 3).T)
+
+
+def source_rows(source):
+    """A source's rows as (a, b, code) tuples."""
+    return list(zip(source.a.tolist(), source.b.tolist(), source.code.tolist()))
 
 
 def rows(table):
@@ -101,7 +106,7 @@ BAD_TOKENS = ["99999999999999999999", "-4", "+7", "1_000", "0", "4294967296",
 
 class TestAsnTokens:
     LOADERS = {
-        "ixps": ("ixps.txt", "900\n{}\n", 2, load_ixp_list),
+        "ixps": ("ixps.txt", "900\n{}\n", 2, load_asn_set),
         "orgs": ("orgs.csv", "asn,org_id\n10,acme\n{},acme\n", 3, load_org_map),
         "clique": ("clique.txt", "# core\n1\n{}\n", 3, load_clique_file),
         "truth": ("truth.csv", "a,b,label\n1,2,p2p\n{},3,p2c\n", 3, LabelTable.read_csv),
@@ -124,17 +129,52 @@ class TestAsnTokens:
         load(f)
 
 
+class TestTextRows:
+    """The data-line rule as ``read_csv`` and the ``asn,value`` readers
+    see it."""
+
+    @pytest.mark.parametrize("field", ["\u00a07\u00a0".encode(), b"7\xff"])
+    def test_read_csv_bad_asn_field_names_the_line(self, tmp_path, field):
+        f = tmp_path / "truth.csv"
+        f.write_bytes(b"a,b,label\n1,2,p2p\n" + field + b",3,p2c\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f} line 3: ")):
+            LabelTable.read_csv(f)
+
+    def test_read_csv_crlf_blank_and_comment_lines_change_nothing(self, tmp_path):
+        plain, messy = tmp_path / "plain.csv", tmp_path / "messy.csv"
+        plain.write_text("a,b,label,split\n5,2,p2c,train\n3,7,x2x,test\n")
+        messy.write_bytes(b"a,b,label,split\r\n\r\n# planted\r\n5,2,p2c,train\r\n"
+                          b" \t\r\n3,7,x2x,test\r\n  # end\r\n")
+        assert rows(LabelTable.read_csv(messy)) == rows(LabelTable.read_csv(plain))
+
+    def test_read_csv_header_is_optional(self, tmp_path):
+        f = tmp_path / "truth.csv"
+        f.write_text("5,2,p2c\n")
+        assert rows(LabelTable.read_csv(f)) == [Row(5, 2, RelLabel.P2C, "", "")]
+
+    @pytest.mark.parametrize("name,text,load", [
+        ("orgs.csv", 'asn,org_id\n10,"acme, inc"\n', load_org_map),
+        ("types.csv", 'asn,type\n10,"content"\n', load_type_map),
+        ("truth.csv", 'a,b,label\n"1",2,p2p\n', LabelTable.read_csv),
+    ])
+    def test_quoted_csv_field_is_refused(self, tmp_path, name, text, load):
+        f = tmp_path / name
+        f.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{f} line 2: quoted fields")):
+            load(f)
+
+
 class TestLabelSourceFile:
     def test_codes(self, tmp_path):
         f = tmp_path / "rel.txt"
         f.write_text("# inferred\n1|2|0\n3|4|-1\n")
         s = load_label_source(f)
-        assert s.entries == [(1, 2, 0), (3, 4, -1)]
+        assert source_rows(s) == [(1, 2, 0), (3, 4, -1)]
 
     def test_extra_fields_ignored(self, tmp_path):
         f = tmp_path / "rel.txt"
         f.write_text("1|2|0|bgp\n")
-        assert load_label_source(f).entries == [(1, 2, 0)]
+        assert source_rows(load_label_source(f)) == [(1, 2, 0)]
 
     @pytest.mark.parametrize("line", [
         "0|2|0", "1|-3|0", "4294967296|2|-1", "5|99999999999999999999|0",
@@ -150,6 +190,28 @@ class TestLabelSourceFile:
         f.write_text("1|2|7\n")
         with pytest.raises(ValueError, match="unsupported code"):
             load_label_source(f)
+
+    @pytest.mark.parametrize("code", ["+0", "00", "-0", "\u00a00", "\u0660", "0_0", ""])
+    def test_code_is_0_or_minus_1_as_written(self, tmp_path, code):
+        f = tmp_path / "rel.txt"
+        f.write_text(f"1|2| -1\t\n3|4|{code}|x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{f} line 2: unsupported code")):
+            load_label_source(f)
+
+    def test_empty_source_has_empty_columns(self, tmp_path):
+        f = tmp_path / "rel.txt"
+        f.write_text("# nothing inferred\n")
+        s = load_label_source(f)
+        assert [c.dtype for c in (s.a, s.b, s.code)] == [np.int64] * 3
+        assert source_rows(s) == []
+
+
+class TestCliqueFile:
+    def test_empty_clique_file_is_refused(self, tmp_path):
+        f = tmp_path / "clique.txt"
+        f.write_text("# core\n\n")
+        with pytest.raises(ValueError, match=re.escape(f"clique file is empty: {f}")):
+            load_clique_file(f)
 
 
 def random_sources(universe, rng, n=60):
@@ -171,7 +233,7 @@ def vote_oracle(sources):
     """Brute-force unanimous vote: (rows in pair order, union size)."""
     def calls(s):
         out = {}
-        for a, b, code in s.entries:
+        for a, b, code in source_rows(s):
             key = (min(a, b), max(a, b))
             val = ("p2p", None) if code == 0 else ("p2c", a)
             if key in out and out[key] != val:
@@ -289,9 +351,8 @@ class TestVoting:
         rng = random.Random(17)
         for universe in (range(1, 25), HIGH_MIXED):
             sources = random_sources(universe, rng)
-            sources[0].entries.append((2**32 - 1, 2**32 - 2, -1))
-            sources[1].entries.append((2**32 - 1, 2**32 - 2, -1))
-            sources[2].entries.append((2**32 - 1, 2**32 - 2, -1))
+            sources = [src(s.name, source_rows(s) + [(2**32 - 1, 2**32 - 2, -1)])
+                       for s in sources]
             voted, report = vote_intersection(sources)
             want, union = vote_oracle(sources)
             # pairs, labels, provider side and row order
@@ -361,7 +422,7 @@ class TestOverrides:
         assert load_org_map(orgs) == {10: "acme", 11: "acme"}
         ixps = tmp_path / "ixps.txt"
         ixps.write_text("# exchanges\n900\n901\n")
-        assert load_ixp_list(ixps) == {900, 901}
+        assert load_asn_set(ixps) == {900, 901}
 
     @pytest.mark.parametrize("header", ["asn,org_id", "ASN,org", " Asn ,x"])
     def test_org_map_header_is_recognised_by_its_text(self, tmp_path, header):
@@ -381,7 +442,7 @@ class TestHighAsns:
     def test_label_stages_match_list_oracles(self):
         rng = random.Random(3)
         # three copies of one source, each with a fifth of its calls redrawn
-        base = random_sources(HIGH_MIXED, rng, n=200)[0].entries
+        base = source_rows(random_sources(HIGH_MIXED, rng, n=200)[0])
         sources = [
             src(name, [(b, a, rng.choice([0, -1])) if rng.random() < 0.2 else (a, b, c)
                        for a, b, c in base])

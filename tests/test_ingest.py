@@ -21,6 +21,7 @@ from bgprel.ingest import (
     pack_pairs,
     pack_unordered_pairs,
     parse_path_line,
+    read_fields,
     sanitize,
     unpack_pairs,
     write_paths_file,
@@ -170,6 +171,28 @@ class TestAllocationTable:
         alloc.write_text("10\n9-5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{alloc} line 2: range 9-5")):
             AllocationTable.load(alloc)
+
+
+class TestReadFields:
+    def test_data_line_rule(self):
+        lines = ["ASN ,x\n", "  # note\n", "\t\r\n", "\n", " 10 , a \r\n", "asn,y"]
+        assert list(read_fields("f", ",", "asn", lines)) == [
+            ("f line 5", ["10 ", " a"]), ("f line 6", ["asn", "y"])]
+
+    @pytest.mark.parametrize("line", ["\u00a0", "\u00a0# note", "\u2003 5", "\x1c"])
+    def test_only_ascii_whitespace_is_trimmed(self, line):
+        assert list(read_fields("f", lines=[line + "\n"])) == [("f line 1", [line])]
+
+    def test_byte_that_is_not_utf8_names_the_line(self, tmp_path):
+        f = tmp_path / "x.txt"
+        f.write_bytes(b"# caf\xe9\n5\n6\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{f} line 3: byte that is not UTF-8")):
+            list(read_fields(f))
+
+    def test_quote_in_comma_separated_line_is_refused(self):
+        assert list(read_fields("f", "|", lines=['1|"2"'])) == [("f line 1", ["1", '"2"'])]
+        with pytest.raises(ValueError, match="f line 2: quoted fields"):
+            list(read_fields("f", ",", lines=["1,a", '2,"b, c"']))
 
 
 class TestIngest:
