@@ -13,9 +13,17 @@ untouched.  Training minimizes the mean negative log-likelihood over
 the labeled training edges plus, when weight decay is positive, an L2
 penalty 0.5 * wd * ||theta||^2.  A_hat X is computed once per training
 run, and each epoch runs one forward pass, shared by validation and the
-next gradient step.  Everything is plain numpy/scipy so a
-run is bitwise reproducible for a fixed seed; gradients are derived by
-hand and checked against finite differences in the test suite.
+next gradient step.
+
+The head reads only the scored edges' endpoint rows, so every pass runs
+on a ``RowPlan``: the last layer computes the endpoint rows, and each
+earlier layer the one-hop closure of the next layer's rows.  Training
+plans for its train and val edges, ``predict`` for the edges it scores.
+Only the weight-gradient products still span every node.
+
+Everything is plain numpy/scipy so a run is bitwise reproducible for a
+fixed seed at a fixed BLAS thread count; gradients are derived by hand
+and checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -120,6 +128,10 @@ class GcnModel:
     def block_spec(self) -> tuple[int, int]:
         return (len(self.blocks), len(self.blocks[0]))
 
+    @property
+    def n_layers(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
     def params(self) -> list[np.ndarray]:
         out = [w for block in self.blocks for w in block]
         out.append(self.head_w)
@@ -167,6 +179,94 @@ def init_model(
     return GcnModel(blocks, head_w, head_b, input_dim, hidden, n_classes)
 
 
+# -- row plan -----------------------------------------------------------
+
+
+def _submatrix(
+    a_hat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
+) -> sp.csr_matrix:
+    """``a_hat[rows][:, cols]``, skipping an index that holds every node.
+    Slicing keeps the matrix class and each row's entry order."""
+    n = a_hat.shape[0]
+    if len(rows) < n:
+        a_hat = a_hat[rows]
+    if len(cols) < n:
+        a_hat = a_hat[:, cols]
+    return a_hat
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The node rows each layer computes so that the head can read its
+    edges' endpoint rows.
+
+    ``rows[-1]`` holds the endpoints; each earlier ``rows[k]`` is the
+    one-hop closure of ``rows[k + 1]`` (A_hat's self-loops keep every
+    row in its own closure).  Layer k propagates its input with
+    ``props[k] = a_hat[rows[k]][:, rows[k - 1]]`` (``a_hat[rows[0]]``
+    for the model's input, which has every node), which keeps every
+    stored entry of its rows; for k > 0 its gradient flows back through
+    ``backs[k - 1] = a_hat[rows[k - 1]][:, rows[k]]``, which drops only
+    entries that meet zero gradient rows.  Row sets are sorted, so each
+    product sums a row in A_hat's entry order and matches the all-node
+    product bit for bit on its rows.  A plan whose rows hold every node
+    uses A_hat itself.
+    """
+
+    n_nodes: int
+    rows: list[np.ndarray]
+    props: list[sp.csr_matrix]
+    backs: list[sp.csr_matrix]
+
+    @classmethod
+    def build(
+        cls, a_hat: sp.csr_matrix, endpoints: np.ndarray, n_layers: int
+    ) -> "RowPlan":
+        """Plan for ``n_layers`` layers whose head reads the node rows in
+        ``endpoints`` (any shape, repeats allowed)."""
+        n = a_hat.shape[0]
+        last = np.unique(np.asarray(endpoints, dtype=np.intp))
+        if last.size and (last[0] < 0 or last[-1] >= n):
+            raise IndexError("edge index out of range")
+        rows = [last]
+        for _ in range(n_layers - 1):
+            nxt = rows[0]
+            rows.insert(0, nxt if len(nxt) == n
+                        else np.union1d(nxt, a_hat[nxt].indices))
+        pairs = list(zip(rows, rows[1:]))
+        return cls(
+            n_nodes=n,
+            rows=rows,
+            props=[_submatrix(a_hat, rows[0], np.arange(n)),
+                   *(_submatrix(a_hat, r, c) for c, r in pairs)],
+            backs=[_submatrix(a_hat, c, r) for c, r in pairs],
+        )
+
+    def local(self, edges: np.ndarray) -> np.ndarray:
+        """Edge endpoints as positions in ``rows[-1]``, the rows of the
+        embeddings a forward pass over this plan returns."""
+        edges = _check_edges(edges, self.n_nodes)
+        last = self.rows[-1]
+        if len(last) == self.n_nodes:
+            return edges
+        if not np.isin(edges, last).all():
+            raise ValueError("edge endpoint outside the plan's rows")
+        return np.searchsorted(last, edges)
+
+    def full_height(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Layer k's rows in an all-node array that is zero elsewhere.
+
+        The weight gradient ``P.T @ dQ`` sums over rows; at full height
+        it blocks that sum as the all-node product does, so it keeps its
+        bits."""
+        rows = self.rows[k]
+        if len(rows) == self.n_nodes:
+            return values
+        out = np.zeros((self.n_nodes, values.shape[1]))
+        out[rows] = values
+        return out
+
+
 # -- forward ------------------------------------------------------------
 
 
@@ -178,7 +278,7 @@ def _row_normalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _LayerCache:
-    propagated: np.ndarray  # A_hat @ layer input
+    propagated: np.ndarray  # A_hat @ layer input, on the layer's plan rows
     mask: np.ndarray  # ReLU derivative
 
 
@@ -190,22 +290,23 @@ class _BlockCache:
 
 
 def forward_block(
-    a_hat: sp.csr_matrix, p: np.ndarray, weights: list[np.ndarray]
+    props: Sequence[sp.csr_matrix], p: np.ndarray, weights: list[np.ndarray]
 ) -> tuple[np.ndarray, _BlockCache]:
     """One block, given p = A_hat @ H for its input H: per layer
-    ReLU(A_hat H W), then row-L2 normalization.  The cache keeps what
-    the backward pass needs."""
+    ReLU(A_hat H W), then row-L2 normalization.  ``props[i]`` propagates
+    into the block's layer i + 1.  The cache keeps what the backward pass
+    needs."""
     cache = _BlockCache()
     for li, w in enumerate(weights):
         if li:
-            p = a_hat @ h
+            p = props[li - 1] @ h
         if p.shape[1] != w.shape[0]:
             raise ValueError(
                 f"feature width {p.shape[1]} does not match weight {w.shape}"
             )
         q = p @ w
         mask = q > 0.0
-        h = q * mask
+        h = np.multiply(q, mask, out=q)
         cache.layers.append(_LayerCache(propagated=p, mask=mask))
     normalized, safe = _row_normalize(h)
     cache.normalized = normalized
@@ -214,20 +315,22 @@ def forward_block(
 
 
 class Forward(NamedTuple):
-    z: np.ndarray  # node embeddings, one row per node
+    z: np.ndarray  # node embeddings, one row per node of the plan's rows[-1]
     caches: list[_BlockCache]
 
 
-def forward(model: GcnModel, a_hat: sp.csr_matrix, ax: np.ndarray) -> Forward:
-    """Forward pass from the propagated input ``ax = a_hat @ x``, which
-    depends only on the graph and the features, so training computes it
-    once."""
-    p, caches = ax, []
+def forward(model: GcnModel, plan: RowPlan, ax: np.ndarray) -> Forward:
+    """Forward pass over the plan's rows from the propagated input
+    ``ax = plan.props[0] @ x`` (``a_hat @ x`` on the first layer's rows),
+    which depends only on the graph and the features, so training
+    computes it once."""
+    p, caches, k = ax, [], 0
     for block in model.blocks:
         if caches:
-            p = a_hat @ z
-        z, cache = forward_block(a_hat, p, block)
+            p = plan.props[k] @ z
+        z, cache = forward_block(plan.props[k + 1:], p, block)
         caches.append(cache)
+        k += len(block)
     return Forward(z, caches)
 
 
@@ -246,9 +349,18 @@ def _check_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
     return edges
 
 
+def _check_labels(
+    labels: np.ndarray, n_edges: int, what: str = "edges"
+) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (n_edges,):
+        raise ValueError(f"{labels.size} labels for {n_edges} {what}")
+    return labels
+
+
 def edge_scores(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Log-probabilities for ordered node pairs; swapping (i, j)
-    generally changes the answer."""
+    """Log-probabilities for ordered pairs of rows of ``z``; swapping
+    (i, j) generally changes the answer."""
     edges = _check_edges(edges, z.shape[0])
     u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
     return _log_softmax(u @ model.head_w + model.head_b)
@@ -260,7 +372,7 @@ def loss_value(
     params: Sequence[np.ndarray] = (),
     weight_decay: float = 0.0,
 ) -> float:
-    labels = np.asarray(labels)
+    labels = _check_labels(labels, logp.shape[0])
     if labels.size and (labels.min() < 0 or labels.max() >= logp.shape[1]):
         raise ValueError("label index out of range")
     nll = -logp[np.arange(len(labels)), labels].mean()
@@ -294,33 +406,34 @@ def incidence_matrix(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
 class EdgeBatch:
     """Labeled training edges and the head's scatter matrix."""
 
-    edges: np.ndarray  # (m, 2) node rows
+    edges: np.ndarray  # (m, 2) positions in the plan's rows[-1]
     labels: np.ndarray
-    incidence: sp.csr_matrix  # incidence_matrix(edges, n_nodes)
+    incidence: sp.csr_matrix  # incidence_matrix(edges, len(rows[-1]))
 
     @classmethod
     def build(
-        cls, edges: np.ndarray, labels: np.ndarray, n_nodes: int
+        cls, edges: np.ndarray, labels: np.ndarray, plan: RowPlan
     ) -> "EdgeBatch":
-        edges = _check_edges(edges, n_nodes)
+        """Batch of node-row edges for a forward pass over ``plan``."""
+        edges = plan.local(edges)
         if len(edges) == 0:
             raise ValueError("no edges to train on")
-        labels = np.asarray(labels, dtype=np.intp)
-        return cls(edges, labels, incidence_matrix(edges, n_nodes))
+        labels = _check_labels(labels, len(edges))
+        return cls(edges, labels, incidence_matrix(edges, len(plan.rows[-1])))
 
 
 def loss_and_grads(
     model: GcnModel,
-    a_hat: sp.csr_matrix,
+    plan: RowPlan,
     fwd: Forward,
     batch: EdgeBatch,
     weight_decay: float = 0.0,
 ) -> tuple[float, list[np.ndarray]]:
     """Full-batch loss and exact gradients in model.params() order.
 
-    ``fwd`` is the forward pass of the model's current parameters.  The
-    backward pass ends at the first layer's weight gradient; the input
-    gradient is never formed."""
+    ``fwd`` is the forward pass of the model's current parameters over
+    ``plan``.  The backward pass runs on the plan's rows and ends at the
+    first layer's weight gradient; the input gradient is never formed."""
     z, caches = fwd
     edges, labels = batch.edges, batch.labels
     m = len(edges)
@@ -341,21 +454,25 @@ def loss_and_grads(
     dh = batch.incidence @ np.concatenate([du[:, :h], du[:, h:]])
 
     block_grads: list[list[np.ndarray]] = []
+    k = len(plan.rows)
     for bi in range(len(model.blocks) - 1, -1, -1):
         block, cache = model.blocks[bi], caches[bi]
         # backward through y = r / ||r||: dr = (dy - y (y . dy)) / ||r||;
         # all-zero rows were passed through so dr = dy there
         y = cache.normalized
         dot = (y * dh).sum(axis=1, keepdims=True)
-        dr = (dh - y * dot) / cache.safe_norms[:, None]
+        dr = np.subtract(dh, y * dot, out=dh)
+        dr /= cache.safe_norms[:, None]
         grads = [np.empty(0)] * len(block)
         for li in range(len(block) - 1, -1, -1):
+            k -= 1
             layer = cache.layers[li]
-            dq = dr * layer.mask
-            grads[li] = layer.propagated.T @ dq
-            if bi == li == 0:
+            dq = np.multiply(dr, layer.mask, out=dr)
+            grads[li] = (plan.full_height(k, layer.propagated).T
+                         @ plan.full_height(k, dq))
+            if k == 0:
                 break  # the model's input needs no gradient
-            dr = a_hat @ (dq @ block[li].T)  # A_hat is symmetric
+            dr = plan.backs[k - 1] @ (dq @ block[li].T)  # A_hat is symmetric
         block_grads.append(grads)
         dh = dr
     block_grads.reverse()
@@ -421,9 +538,11 @@ class TrainResult:
 def predict(
     model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class indices and log-probabilities for ordered edges."""
-    z, _ = forward(model, a_hat, a_hat @ np.asarray(x, dtype=np.float64))
-    logp = edge_scores(model, z, edges)
+    """Class indices and log-probabilities for ordered edges, from a
+    forward pass over the rows those edges reach."""
+    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    fwd = forward(model, plan, plan.props[0] @ np.asarray(x, dtype=np.float64))
+    logp = edge_scores(model, fwd.z, plan.local(edges))
     return logp.argmax(axis=1), logp
 
 
@@ -440,13 +559,18 @@ def train(
     validation accuracy (earliest epoch wins ties).
 
     Each epoch runs one forward pass: the one taken after the Adam step
-    scores the validation edges and feeds the next epoch's gradients."""
+    scores the validation edges and feeds the next epoch's gradients.
+    Both run on one plan for the train and val edges."""
     x = np.asarray(x, dtype=np.float64)
-    batch = EdgeBatch.build(train_edges, train_labels, x.shape[0])
+    train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
     if len(val_edges) == 0:
         raise ValueError("training needs non-empty train and val splits")
-    val_labels = np.asarray(val_labels, dtype=np.intp)
+    val_labels = _check_labels(val_labels, len(val_edges), "val edges")
+    nb, nl = config.block_spec
+    plan = RowPlan.build(a_hat, np.concatenate([train_edges, val_edges]), nb * nl)
+    batch = EdgeBatch.build(train_edges, train_labels, plan)
+    val_edges = plan.local(val_edges)
     if batch.labels.max() >= config.n_classes or val_labels.max() >= config.n_classes:
         raise ValueError("label index exceeds the class count")
 
@@ -456,22 +580,22 @@ def train(
     )
     params = model.params()
     state = AdamState.for_params(params)
-    ax = a_hat @ x
+    ax = plan.props[0] @ x
 
     history: list[tuple[int, float, float]] = []
     best_acc = -1.0
     best_epoch = 0
     best_params = [p.copy() for p in params]
-    fwd = forward(model, a_hat, ax)
+    fwd = forward(model, plan, ax)
     for epoch in range(1, config.epochs + 1):
-        loss, grads = loss_and_grads(model, a_hat, fwd, batch, config.weight_decay)
+        loss, grads = loss_and_grads(model, plan, fwd, batch, config.weight_decay)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss!r} at epoch {epoch}; "
                 "lower the learning rate or check the inputs"
             )
         adam_step(params, grads, state, config.learning_rate)
-        fwd = forward(model, a_hat, ax)
+        fwd = forward(model, plan, ax)
         val_pred = edge_scores(model, fwd.z, val_edges).argmax(axis=1)
         val_acc = float((val_pred == val_labels).mean())
         history.append((epoch, loss, val_acc))

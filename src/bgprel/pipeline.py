@@ -233,13 +233,13 @@ class TrainOutcome:
 def score_splits(
     model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, dataset: EdgeDataset
 ) -> dict[str, np.ndarray]:
-    """Confusion matrix of the model on the val and test splits."""
-    out = {}
-    for name in ("val", "test"):
-        pairs, labels = dataset.split(name)
-        pred, _ = predict(model, a_hat, x, pairs)
-        out[name] = confusion_matrix(labels, pred, len(dataset.classes))
-    return out
+    """Confusion matrix of the model on the val and test splits, both
+    scored from one forward pass."""
+    (va_e, va_y), (te_e, te_y) = dataset.split("val"), dataset.split("test")
+    pred, _ = predict(model, a_hat, x, np.concatenate([va_e, te_e]))
+    n = len(dataset.classes)
+    return {"val": confusion_matrix(va_y, pred[:len(va_e)], n),
+            "test": confusion_matrix(te_y, pred[len(va_e):], n)}
 
 
 def run_training(

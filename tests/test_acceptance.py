@@ -22,6 +22,7 @@ from bgprel.evaluate import (
 )
 from bgprel.gcn import (
     EdgeBatch,
+    RowPlan,
     TrainConfig,
     build_normalized_adjacency,
     forward,
@@ -65,8 +66,9 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def _loss_and_grads(model, a_hat, x, edges, labels, wd):
-    fwd = forward(model, a_hat, a_hat @ x)
-    return loss_and_grads(model, a_hat, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    fwd = forward(model, plan, plan.props[0] @ x)
+    return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
 
 def _numeric_grads(model, a_hat, x, edges, labels, wd, step=1e-5):

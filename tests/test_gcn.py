@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +10,7 @@ import bgprel.gcn as gcn
 from bgprel.gcn import (
     AdamState,
     EdgeBatch,
+    RowPlan,
     TrainConfig,
     TrainingDivergedError,
     adam_step,
@@ -115,7 +117,7 @@ class TestForward:
             a_hat = build_normalized_adjacency(weights)
             h = nprng.normal(size=(12, 5))
             ws = [nprng.normal(size=(5, 4)), nprng.normal(size=(4, 4))]
-            got, _ = forward_block(a_hat, a_hat @ h, ws)
+            got, _ = forward_block([a_hat], a_hat @ h, ws)
             want = self.dense_block_oracle(a_hat, h, ws)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -125,21 +127,21 @@ class TestForward:
         g, weights = random_topology(rng, 15)
         a_hat = build_normalized_adjacency(weights)
         h = nprng.normal(size=(15, 6))
-        out, _ = forward_block(a_hat, a_hat @ h, [nprng.normal(size=(6, 3))])
+        out, _ = forward_block([], a_hat @ h, [nprng.normal(size=(6, 3))])
         norms = np.linalg.norm(out, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
 
     def test_zero_weights_give_zero_rows(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         a_hat = build_normalized_adjacency(g.adjacency())
-        out, _ = forward_block(a_hat, a_hat @ np.ones((3, 4)), [np.zeros((4, 2))])
+        out, _ = forward_block([], a_hat @ np.ones((3, 4)), [np.zeros((4, 2))])
         assert np.all(out == 0.0)
 
     def test_shape_mismatch(self):
         g = AsGraph.from_edges([(1, 2)])
         a_hat = build_normalized_adjacency(g.adjacency())
         with pytest.raises(ValueError):
-            forward_block(a_hat, np.ones((2, 3)), [np.ones((4, 2))])
+            forward_block([], np.ones((2, 3)), [np.ones((4, 2))])
 
 
 class TestEdgeScores:
@@ -151,22 +153,23 @@ class TestEdgeScores:
         self.model = init_model(6, 8, 4, (2, 1), self.nprng)
         self.x = self.nprng.uniform(size=(10, 6))
         self.ax = self.a_hat @ self.x
+        self.plan = every_row(self.a_hat, self.model)
 
     def test_rows_are_log_distributions(self):
-        z, _ = forward(self.model, self.a_hat, self.ax)
+        z, _ = forward(self.model, self.plan, self.ax)
         edges = np.array([[0, 1], [2, 5], [9, 3]])
         logp = edge_scores(self.model, z, edges)
         lse = np.log(np.exp(logp).sum(axis=1))
         assert np.abs(lse).max() < 1e-9
 
     def test_direction_matters(self):
-        z, _ = forward(self.model, self.a_hat, self.ax)
+        z, _ = forward(self.model, self.plan, self.ax)
         fwd = edge_scores(self.model, z, np.array([[0, 1]]))
         rev = edge_scores(self.model, z, np.array([[1, 0]]))
         assert not np.allclose(fwd, rev)
 
     def test_out_of_range_index(self):
-        z, _ = forward(self.model, self.a_hat, self.ax)
+        z, _ = forward(self.model, self.plan, self.ax)
         with pytest.raises(IndexError):
             edge_scores(self.model, z, np.array([[0, 99]]))
 
@@ -213,15 +216,25 @@ class TestLoss:
             assert np.allclose(3.0 * gb, 2.0 * ga_ + gb_, atol=1e-12)
 
 
+def every_row(a_hat, model):
+    """The plan whose row sets hold every node."""
+    return RowPlan.build(a_hat, np.arange(a_hat.shape[0]), model.n_layers)
+
+
 def grads_at(model, a_hat, x, edges, labels, wd=0.0):
     """loss_and_grads at the model's current parameters, as train calls
-    it: from a forward pass over the propagated input."""
-    fwd = forward(model, a_hat, a_hat @ x)
-    return loss_and_grads(model, a_hat, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+    it: from a forward pass over the propagated input, on the plan for
+    the edges."""
+    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    fwd = forward(model, plan, plan.props[0] @ x)
+    return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
 
 def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
+    """Central differences of the loss from forward passes over every
+    node."""
     ax = a_hat @ x
+    plan = every_row(a_hat, model)
     grads = []
     for p in model.params():
         g = np.zeros_like(p)
@@ -229,10 +242,10 @@ def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            z, _ = forward(model, a_hat, ax)
+            z, _ = forward(model, plan, ax)
             up = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig - step
-            z, _ = forward(model, a_hat, ax)
+            z, _ = forward(model, plan, ax)
             down = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig
             gflat[k] = (up - down) / (2.0 * step)
@@ -552,14 +565,165 @@ class TestEpochLoop:
     def test_first_layer_gradient_without_input_gradient(self, block_spec):
         model, a_hat, x, edges, labels, wd = gradcheck_instance(31, block_spec, 5e-4)
         counting = CountingCsr(a_hat)
-        fwd = forward(model, counting, a_hat @ x)
+        plan = every_row(counting, model)
+        fwd = forward(model, plan, a_hat @ x)
         counting.products = 0
         _, analytic = loss_and_grads(
-            model, counting, fwd, EdgeBatch.build(edges, labels, len(x)), wd)
+            model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
         # one backward product per layer, the model's first layer excepted
         assert counting.products == sum(len(b) for b in model.blocks) - 1
         numeric = finite_difference_grads(model, a_hat, x, edges, labels, wd)
         assert max_relative_error(analytic[:1], numeric[:1]) < 1e-4
+
+
+def sparse_training_problem(seed=4, n_classes=4, n=200, n_train=10, n_val=5,
+                            width=5):
+    """A random recursive tree plus 5 chords, and random features.  At
+    the defaults (200 nodes, 10 train and 5 val edges) every plan up to 6
+    layers deep stays short of the graph, and an 8-layer plan's first two
+    row sets hold every node."""
+    rng = random.Random(seed)
+    nprng = np.random.default_rng(seed)
+    edges = {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    while len(edges) < n - 1 + 5:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    g = AsGraph.from_edges(sorted(edges), nodes=range(1, n + 1))
+    a_hat = build_normalized_adjacency(
+        g.edge_matrix([rng.random() for _ in range(g.num_edges)]))
+    x = nprng.uniform(size=(n, width))
+    pool = g.edge_positions()
+    flip = nprng.random(len(pool)) < 0.5
+    pool[flip] = pool[flip][:, ::-1]
+    order = nprng.permutation(len(pool))
+    te, ve = pool[order[:n_train]], pool[order[n_train:n_train + n_val]]
+    tl = nprng.integers(0, n_classes, size=len(te))
+    vl = nprng.integers(0, n_classes, size=len(ve))
+    return x, a_hat, te, tl, ve, vl
+
+
+class TestRowPlan:
+    SPECS = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)]
+
+    @pytest.mark.parametrize("block_spec", SPECS)
+    def test_rows_are_hop_balls_around_the_endpoints(self, block_spec):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        n_layers = block_spec[0] * block_spec[1]
+        ends = np.concatenate([te, ve])
+        plan = RowPlan.build(a_hat, ends, n_layers)
+        assert len(plan.rows) == n_layers
+        assert plan.rows[-1].tolist() == sorted(set(ends.ravel().tolist()))
+        graph = nx.Graph(list(zip(*a_hat.nonzero())))
+        for k, rows in enumerate(plan.rows):
+            hops = nx.multi_source_dijkstra_path_length(
+                graph, set(ends.ravel().tolist()), cutoff=n_layers - 1 - k)
+            assert rows.tolist() == sorted(hops)
+
+    def test_two_layer_rows_are_strict_subsets(self):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        first, last = RowPlan.build(a_hat, np.concatenate([te, ve]), 2).rows
+        assert set(last) < set(first) < set(range(len(x)))
+
+    def test_deepest_spec_mixes_every_node_and_restricted_rows(self):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), 8)
+        assert [len(r) == len(x) for r in plan.rows] == [True] * 2 + [False] * 6
+        assert plan.props[0] is plan.props[1] is a_hat
+        assert plan.props[2].shape == (len(plan.rows[2]), len(x))
+
+    def test_every_node_plan_uses_the_matrix_itself(self):
+        x, a_hat, *_ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
+        assert all(m is a_hat for m in plan.props + plan.backs)
+
+    def test_endpoint_outside_the_plan_is_refused(self):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, te, 2)
+        outside = sorted(set(range(len(x))) - set(plan.rows[-1].tolist()))
+        with pytest.raises(ValueError, match="outside the plan"):
+            plan.local(np.array([[te[0, 0], outside[0]]]))
+        with pytest.raises(IndexError):
+            RowPlan.build(a_hat, np.array([[0, len(x)]]), 2)
+
+    @pytest.mark.parametrize("mode", ["binary", "multi"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("block_spec", SPECS)
+    def test_train_matches_reference_loop_exactly(
+        self, monkeypatch, block_spec, weight_decay, mode
+    ):
+        config = TrainConfig(mode=mode, epochs=12, learning_rate=0.05,
+                             weight_decay=weight_decay, block_spec=block_spec,
+                             hidden=6, seed=3)
+        problem = sparse_training_problem(n_classes=config.n_classes)
+        want_history, want_steps, want_best = reference_train(*problem, config)
+
+        steps = []
+
+        def recording_adam_step(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            steps.append([p.copy() for p in params])
+
+        monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
+        result = train(*problem, config)
+        assert result.history == want_history
+        assert len(steps) == len(want_steps) == config.epochs
+        for got, want in zip(steps, want_steps):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(result.model.params(), want_best))
+
+    def test_weight_gradients_keep_their_bits_on_a_larger_graph(self):
+        # a weight gradient sums over rows, and BLAS may block a long sum
+        # by its length (OpenBLAS does at this size): summed over only the
+        # plan's rows it loses its last bits, so it keeps the all-node height
+        config = TrainConfig(mode="multi", epochs=5, hidden=32, seed=3)
+        problem = sparse_training_problem(n=3000, n_train=200, n_val=50,
+                                          width=14)
+        plan = RowPlan.build(problem[1], np.concatenate([problem[2], problem[4]]), 2)
+        assert len(plan.rows[0]) < 3000
+        _, _, want_best = reference_train(*problem, config)
+        result = train(*problem, config)
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(result.model.params(), want_best))
+
+    @pytest.mark.parametrize("block_spec", [(2, 1), (2, 2)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_gradients_match_finite_differences(self, block_spec, weight_decay):
+        x, a_hat, te, tl, _, _ = sparse_training_problem()
+        model = init_model(x.shape[1], 4, 4, block_spec, np.random.default_rng(8))
+        _, analytic = grads_at(model, a_hat, x, te, tl, weight_decay)
+        numeric = finite_difference_grads(model, a_hat, x, te, tl, weight_decay)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_predict_matches_every_node_forward_exactly(self):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        model = init_model(x.shape[1], 6, 4, (2, 2), np.random.default_rng(1))
+        edges = np.concatenate([ve, te[:3]])
+        pred, logp = predict(model, a_hat, x, edges)
+        z, _ = forward(model, every_row(a_hat, model), a_hat @ x)
+        want = edge_scores(model, z, edges)
+        assert np.array_equal(logp, want)
+        assert np.array_equal(pred, want.argmax(axis=1))
+
+
+class TestLabelLengths:
+    def problem(self):
+        x, a_hat, te, tl, ve, vl = random_training_problem(41, 4)
+        return x, a_hat, te[:12], tl[:12], ve[:6], vl[:6]
+
+    def test_short_train_labels_are_refused(self):
+        x, a_hat, te, _, ve, vl = self.problem()
+        with pytest.raises(ValueError, match="1 labels for 12 edges"):
+            train(x, a_hat, te, np.array([1]), ve, vl, TrainConfig(epochs=2))
+
+    def test_short_val_labels_are_refused(self):
+        x, a_hat, te, tl, ve, _ = self.problem()
+        with pytest.raises(ValueError, match="1 labels for 6 val edges"):
+            train(x, a_hat, te, tl, ve, np.array([0]), TrainConfig(epochs=2))
+
+    def test_loss_value_refuses_a_label_count_mismatch(self):
+        logp = np.log(np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="2 labels for 3 edges"):
+            loss_value(logp, np.array([0, 1]))
 
 
 class TestIncidenceScatter:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bgprel.pipeline as pipeline
 from bgprel.dataset import LabelTable, RelLabel
 from bgprel.pipeline import (
     DataFiles,
@@ -20,8 +21,10 @@ from bgprel.pipeline import (
     restrict_to_graph,
     run_experiment,
     run_training,
+    score_splits,
 )
-from bgprel.gcn import TrainConfig
+from bgprel.evaluate import confusion_matrix
+from bgprel.gcn import TrainConfig, predict
 from bgprel.synth import SynthConfig, export, generate, simulate_paths
 from bgprel.topology import AsGraph, FEATURE_COLUMNS
 
@@ -332,3 +335,25 @@ def test_run_training_matches_direct_evaluation(clean_dir):
     assert out.test_accuracy == pytest.approx(
         np.trace(out.confusion["test"]) / out.confusion["test"].sum()
     )
+
+
+def test_score_splits_scores_both_splits_from_one_forward(clean_dir, monkeypatch):
+    prep = prepare(DataFiles.discover(clean_dir), "multi", seed=1)
+    bundle, ds = prep.bundle, prep.dataset
+    a_hat = adjacency_for(bundle.graph, True)
+    x = bundle.features.values
+    config = TrainConfig.for_mode("multi", seed=1, epochs=10, hidden=8)
+    model = run_training(x, a_hat, ds, config).result.model
+    calls = []
+
+    def counting_predict(*args):
+        calls.append(1)
+        return predict(*args)
+
+    monkeypatch.setattr(pipeline, "predict", counting_predict)
+    got = score_splits(model, a_hat, x, ds)
+    assert len(calls) == 1
+    for name in ("val", "test"):
+        pairs, labels = ds.split(name)
+        want = confusion_matrix(labels, predict(model, a_hat, x, pairs)[0], 4)
+        assert np.array_equal(got[name], want)
