@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
 import time
 from array import array
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -26,11 +28,13 @@ import scipy
 from . import __version__
 from .dataset import balance_and_split
 from .evaluate import (
+    ABLATABLE_FEATURES,
     accuracy,
     feature_importance,
     format_confusion,
     metrics,
     sweep,
+    worker_count,
 )
 from .gcn import (
     BINARY_DEFAULTS,
@@ -63,7 +67,14 @@ from .pipeline import (
     score_splits,
 )
 from .gcn import predict as gcn_predict
-from .synth import SynthConfig, export, generate, policy_violations, simulate_paths
+from .synth import (
+    SynthConfig,
+    export,
+    generate,
+    p2c_is_acyclic,
+    policy_violations,
+    simulate_paths,
+)
 from .topology import AsGraph, write_features_csv
 
 # not called here; kept bound because the benchmark tracer wraps them
@@ -138,12 +149,6 @@ def _blocks(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"expected BLOCKSxLAYERS such as 2x1, got {text!r}"
         ) from None
-
-
-def _threads(text: str) -> int:
-    if (n := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1 thread, got {n}")
-    return n
 
 
 def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
@@ -476,7 +481,8 @@ def cmd_importance(args) -> int:
     config = TrainConfig.for_mode(args.mode, args.seed, **_overrides(args))
     runner = importance_runner(prep.bundle.graph, prep.bundle.features,
                                prep.dataset, config)
-    report = feature_importance(runner, threads=args.threads)
+    workers = worker_count(len(ABLATABLE_FEATURES) + 1)  # with the baseline
+    report = feature_importance(runner, workers=workers)
     csv_file = out / "importance.csv"
     report.write_csv(csv_file)
     json_file = out / "importance.json"
@@ -484,7 +490,7 @@ def cmd_importance(args) -> int:
     write_manifest(
         out, "importance",
         {**asdict(config), "block_spec": list(config.block_spec),
-         "threads": args.threads},
+         "workers": workers},
         files.inputs(),
         {"importance_csv": csv_file, "importance_json": json_file},
         args.seed, started,
@@ -524,13 +530,15 @@ def cmd_sweep(args) -> int:
         outcome = run_training(fm.values, a_hat, prep.dataset, config)
         return outcome.val_accuracy, outcome.test_accuracy
 
-    report = sweep(run_one, grid, preferred=preferred, threads=args.threads)
+    workers = worker_count(math.prod(map(len, grid.values())))
+    report = sweep(run_one, grid, preferred=preferred, workers=workers)
     csv_file = out / "sweep.csv"
     report.write_csv(csv_file)
     json_file = out / "sweep.json"
     json_file.write_text(report.to_json(), encoding="utf-8")
     write_manifest(
-        out, "sweep", {"grid": {k: [repr(v) for v in vs] for k, vs in grid.items()}},
+        out, "sweep", {"grid": {k: [repr(v) for v in vs] for k, vs in grid.items()},
+                       "workers": workers},
         files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file},
         args.seed, started,
     )
@@ -543,6 +551,8 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     truth = generate(config)
+    if not p2c_is_acyclic(truth):
+        raise ValueError("the planted provider-customer hierarchy has a cycle")
     paths, stats = simulate_paths(truth, config)
     bad = np.flatnonzero(policy_violations(truth, paths))
     if len(bad):
@@ -627,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("importance", help="leave-one-out feature importance")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)
 
@@ -640,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="fixed for every grid entry")
     p.add_argument("--hidden", type=int, help="fixed for every grid entry")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_threads, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -663,7 +671,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError,
+            BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,23 @@
 """Classifier evaluation: confusion matrices, per-class metrics,
-feature-importance ablations and hyperparameter sweeps."""
+feature-importance ablations and hyperparameter sweeps.
+
+The sweep's grid points and the importance harness's retrains are
+independent trainings.  ``map_runs`` trains them in forked worker
+processes, ``worker_count`` of them: ``min(runs, usable CPUs // BLAS
+threads)``, or one, with no pool at all, when the BLAS thread count is
+unset, since BLAS then already uses every core.  Each run is the same
+single-process training as in a serial loop, and the results come back
+in input order, so the reports do not depend on the worker count.
+"""
 
 from __future__ import annotations
 
 import csv
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -95,6 +106,64 @@ def format_confusion(cm: np.ndarray, class_names: Sequence[str]) -> str:
     return "\n".join(rows)
 
 
+# -- worker processes ----------------------------------------------------
+
+# the callable of the map in progress; forked workers inherit it, because
+# a closure does not pickle
+_RUN: Callable | None = None
+
+
+def _call(item):
+    return _RUN(item)
+
+
+def worker_count(runs: int) -> int:
+    """Processes for ``runs`` independent trainings:
+    ``min(runs, usable CPUs // BLAS threads)``.  BLAS threads are the
+    first positive integer among OPENBLAS_NUM_THREADS and
+    OMP_NUM_THREADS; when neither holds one, BLAS uses every core, so
+    there is one process."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(runs, cpus // blas))
+
+
+def map_runs(run: Callable, items: Sequence, workers: int) -> list:
+    """``[run(item) for item in items]``, computed by ``workers`` forked
+    processes when that is more than one and the platform can fork, and
+    in this process otherwise.
+
+    The workers are forked, not spawned, because a run closes over data
+    the command has already built (features, propagation matrix,
+    splits).  They inherit ``run``; only the items and the results cross
+    a pipe, so those must pickle.  The first run (in input order) that
+    raises has its exception raised here.  A worker that dies raises
+    ``BrokenProcessPool``.  Each worker holds one run's arrays at a time.
+    """
+    global _RUN
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(run, items))
+    _RUN = run
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            return list(pool.map(_call, items))
+    finally:
+        _RUN = None
+
+
 # -- feature importance --------------------------------------------------
 
 
@@ -148,7 +217,7 @@ class ImportanceReport:
 def feature_importance(
     pipeline: Callable[[str | None], AblationRun],
     features: Sequence[str] = tuple(ABLATABLE_FEATURES),
-    threads: int = 1,
+    workers: int = 1,
 ) -> ImportanceReport:
     """Score each feature by its share of the total accuracy shift.
 
@@ -156,12 +225,13 @@ def feature_importance(
     without one feature at the same seed.  Feature i scores
     |acc_base - acc_i| / sum_j |acc_base - acc_j| * 100.  When every
     ablation lands exactly on the baseline accuracy the shares are
-    undefined and the report is flagged degenerate instead.
+    undefined and the report is flagged degenerate instead.  The
+    baseline and the ablations run through ``map_runs`` on ``workers``
+    processes.
     """
-    baseline = pipeline(None)
     names = list(features)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = dict(zip(names, pool.map(pipeline, names)))
+    baseline, *ablated = map_runs(pipeline, [None, *names], workers)
+    runs = dict(zip(names, ablated))
     diffs = {n: abs(baseline.accuracy - runs[n].accuracy) for n in names}
     denom = sum(diffs.values())
     degenerate = denom == 0.0
@@ -226,17 +296,17 @@ def sweep(
     run: Callable[[dict], tuple[float, float]],
     grid: Mapping[str, Sequence],
     preferred: dict | None = None,
-    threads: int = 1,
+    workers: int = 1,
 ) -> SweepReport:
     """Grid search returning every row and the winner by validation
     accuracy; exact ties fall back to the preferred (default) setting
-    when it is among the tied rows, else the earliest grid entry."""
+    when it is among the tied rows, else the earliest grid entry.  The
+    grid points run through ``map_runs`` on ``workers`` processes."""
     keys = list(grid)
     combos = [dict(zip(keys, values)) for values in itertools.product(*grid.values())]
     if not combos:
         raise ValueError("empty sweep grid")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(run, combos))
+    outcomes = map_runs(run, combos, workers)
     rows = [
         SweepRow(overrides=c, val_accuracy=v, test_accuracy=t)
         for c, (v, t) in zip(combos, outcomes)

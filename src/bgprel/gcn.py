@@ -217,6 +217,9 @@ class RowPlan:
     rows: list[np.ndarray]
     props: list[sp.csr_matrix]
     backs: list[sp.csr_matrix]
+    # full_height's buffers by (layer, slot), each with the array last
+    # written into it
+    _pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -253,18 +256,27 @@ class RowPlan:
             raise ValueError("edge endpoint outside the plan's rows")
         return np.searchsorted(last, edges)
 
-    def full_height(self, k: int, values: np.ndarray) -> np.ndarray:
+    def full_height(self, k: int, values: np.ndarray, slot: str) -> np.ndarray:
         """Layer k's rows in an all-node array that is zero elsewhere.
 
         The weight gradient ``P.T @ dQ`` sums over rows; at full height
         it blocks that sum as the all-node product does, so it keeps its
-        bits."""
+        bits.  Each (k, slot) pair owns one buffer for the plan's life,
+        which the next call with that pair overwrites.  Only layer k's
+        rows are ever written, so the others stay zero, and an array
+        that is already in the buffer (layer 0's input, the same every
+        epoch) is not copied again; so ``values`` must not be changed in
+        place between calls."""
         rows = self.rows[k]
         if len(rows) == self.n_nodes:
             return values
-        out = np.zeros((self.n_nodes, values.shape[1]))
-        out[rows] = values
-        return out
+        buf, held = self._pads.get((k, slot), (None, None))
+        if buf is None or buf.shape[1] != values.shape[1]:
+            buf, held = np.zeros((self.n_nodes, values.shape[1])), None
+        if held is not values:
+            buf[rows] = values
+            self._pads[k, slot] = (buf, values)
+        return buf
 
 
 # -- forward ------------------------------------------------------------
@@ -468,8 +480,8 @@ def loss_and_grads(
             k -= 1
             layer = cache.layers[li]
             dq = np.multiply(dr, layer.mask, out=dr)
-            grads[li] = (plan.full_height(k, layer.propagated).T
-                         @ plan.full_height(k, dq))
+            grads[li] = (plan.full_height(k, layer.propagated, "p").T
+                         @ plan.full_height(k, dq, "dq"))
             if k == 0:
                 break  # the model's input needs no gradient
             dr = plan.backs[k - 1] @ (dq @ block[li].T)  # A_hat is symmetric

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 import scipy
 
-from bgprel import cli
+from bgprel import cli, pipeline
 from bgprel.cli import run
+from bgprel.dataset import RelLabel
 from bgprel.ingest import PathStore
 from bgprel.pipeline import DataFiles, build_bundle, prepare
 
@@ -103,6 +104,25 @@ def test_synth_fails_on_a_policy_violation(tmp_path, monkeypatch, capsys):
     first = "|".join(map(str, valleys[0]))
     assert re.search(r"error: 1 of \d+ simulated paths break the export "
                      rf"policy; the first is {re.escape(first)}$", err.strip())
+    assert not (out / "paths.txt").exists()
+
+
+def test_synth_refuses_a_cyclic_hierarchy(tmp_path, monkeypatch, capsys):
+    generate = cli.generate
+
+    def with_a_cycle(config):
+        truth = generate(config)
+        a, b, c = (max(truth.tier) + i for i in (1, 2, 3))
+        for provider, customer in ((a, b), (b, c), (c, a)):
+            truth.tier[provider] = "stub"
+            truth.add(provider, customer, RelLabel.P2C, provider=provider)
+        return truth
+
+    monkeypatch.setattr(cli, "generate", with_a_cycle)
+    out = tmp_path / "o"
+    assert run(["synth", *SYNTH_FLAGS, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: the planted provider-customer hierarchy has a cycle"
     assert not (out / "paths.txt").exists()
 
 
@@ -370,18 +390,19 @@ def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, 
     assert f"{pairs} line 2:" in capsys.readouterr().err
 
 
-def test_importance_command(data_dir, tmp_path, capsys):
+def test_importance_command(data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "worker_count", lambda runs: 2)
     out = tmp_path / "imp"
     assert run([
         "importance", "--data", str(data_dir), "--mode", "multi",
-        "--epochs", "6", "--hidden", "6", "--seed", "2",
-        "--threads", "2", "--out", str(out),
+        "--epochs", "6", "--hidden", "6", "--seed", "2", "--out", str(out),
     ]) == 0
     lines = (out / "importance.csv").read_text().splitlines()
     assert lines[0] == "feature,accuracy_without,score_percent"
     assert len(lines) == 11  # ten ablatable inputs
     text = capsys.readouterr().out
     assert "baseline accuracy" in text
+    assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == 2
 
 
 def test_sweep_command(data_dir, tmp_path, capsys):
@@ -634,14 +655,109 @@ def test_predict_unknown_pairs_asn_names_file_and_line(data_dir, train_dir,
     assert f"{pairs} line 3: AS99999 does not appear in the graph" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-@pytest.mark.parametrize("command", ["sweep", "importance"])
-def test_threads_below_one_is_usage_error(command, value, tmp_path, capsys):
+# -- sweep and importance train in worker processes -------------------------
+
+# each command's argv after --data, and the outputs whose bytes it owns
+RUNS_COMMANDS = {
+    "sweep": (["--lr", "0.05,0.1", "--wd", "0,5e-4", "--epochs", "6", "--hidden", "6",
+               "--seed", "1"], ("sweep.csv", "sweep.json")),
+    "importance": (["--epochs", "6", "--hidden", "6", "--seed", "2"],
+                   ("importance.csv", "importance.json")),
+}
+
+
+def _run_with_workers(command, data_dir, out, workers, monkeypatch, extra=()):
+    monkeypatch.setattr(cli, "worker_count", lambda runs: workers)
+    argv, _ = RUNS_COMMANDS[command]
+    return run([command, "--data", str(data_dir), *argv, *extra, "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
+def test_threads_is_an_unknown_option(command, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
-        run([command, "--data", str(tmp_path), "--threads", value,
+        run([command, "--data", str(tmp_path), "--threads", "2",
              "--out", str(tmp_path / "o")])
     assert e.value.code == 2
-    assert f"expected at least 1 thread, got {value}" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
+def test_worker_count_does_not_change_outputs(command, data_dir, tmp_path, monkeypatch):
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert _run_with_workers(command, data_dir, out, workers, monkeypatch) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["workers"] == workers
+    for name in RUNS_COMMANDS[command][1]:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def _fail_in_one_run(command, monkeypatch, fail):
+    """Make one of the command's runs call ``fail``: sweep's lr 0.1 points
+    and importance's run without the hierarchy columns."""
+    if command == "sweep":
+        train = cli.run_training
+
+        def failing(x, a_hat, dataset, config):
+            if config.learning_rate == 0.1:
+                fail("learning rate 0.1")
+            return train(x, a_hat, dataset, config)
+
+        monkeypatch.setattr(cli, "run_training", failing)
+    else:
+        ablate = pipeline.ablate_columns
+
+        def failing(fm, feature):
+            if feature == "hierarchy":
+                fail("no hierarchy")
+            return ablate(fm, feature)
+
+        monkeypatch.setattr(pipeline, "ablate_columns", failing)
+
+
+@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
+def test_error_in_a_worker_exits_like_a_serial_run(command, data_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    def fail(what):
+        raise ValueError(f"planted failure at {what}")
+
+    _fail_in_one_run(command, monkeypatch, fail)
+    errors = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert _run_with_workers(command, data_dir, out, workers, monkeypatch) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: planted failure at ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
+def test_divergence_in_a_worker_exits_like_a_serial_run(command, data_dir, tmp_path,
+                                                        monkeypatch, capsys):
+    errors = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert _run_with_workers(command, data_dir, out, workers, monkeypatch,
+                                 ["--lr", "inf"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: non-finite loss")
+
+
+@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
+def test_dead_worker_is_an_error_line(command, data_dir, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def die(what):
+        assert os.getpid() != parent, "the run was not in a worker process"
+        os._exit(3)
+
+    _fail_in_one_run(command, monkeypatch, die)
+    assert _run_with_workers(command, data_dir, tmp_path / "o", 2, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from bgprel.evaluate import (
     confusion_matrix,
     feature_importance,
     format_confusion,
+    map_runs,
     metrics,
     sweep,
+    worker_count,
 )
 
 
@@ -121,9 +126,10 @@ class TestFeatureImportance:
         rng = random.Random(11)
         for name in ABLATABLE_FEATURES:
             accs[name] = rng.uniform(0.4, 0.9)
-        serial = feature_importance(lambda n: AblationRun(accs[n], 1), threads=1)
-        threaded = feature_importance(lambda n: AblationRun(accs[n], 1), threads=4)
-        assert [e.score for e in serial.entries] == [e.score for e in threaded.entries]
+        serial = feature_importance(lambda n: AblationRun(accs[n], 1), workers=1)
+        forked = feature_importance(lambda n: AblationRun(accs[n], 1), workers=4)
+        assert forked.baseline_accuracy == serial.baseline_accuracy
+        assert [e.score for e in serial.entries] == [e.score for e in forked.entries]
 
     def test_report_serialization(self, tmp_path):
         report = feature_importance(
@@ -172,3 +178,77 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(lambda c: (0.0, 0.0), {"lr": []})
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    def test_unset_blas_means_one_worker(self):
+        assert worker_count(10) == 1
+
+    def test_one_blas_thread_takes_every_cpu_up_to_the_runs(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert worker_count(10) == 4
+        assert worker_count(3) == 3
+        assert worker_count(1) == 1
+
+    def test_cpus_are_shared_out_by_blas_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert worker_count(10) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert worker_count(10) == 1
+
+    def test_omp_setting_counts_too(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert worker_count(10) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert worker_count(10) == 4  # OPENBLAS_NUM_THREADS comes first
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
+    def test_bad_setting_counts_as_unset(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert worker_count(10) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert worker_count(10) == 2
+
+
+def _fail_on_three(n):
+    if n == 3:
+        raise ValueError(f"bad item {n}")
+    return n
+
+
+class TestMapRuns:
+    def test_results_come_back_in_input_order(self):
+        items = list(range(12))
+        assert map_runs(lambda n: n * n, items, 3) == [n * n for n in items]
+
+    def test_runs_in_worker_processes(self):
+        pids = map_runs(lambda n: os.getpid(), range(4), 2)
+        assert os.getpid() not in pids
+
+    def test_one_worker_runs_in_this_process(self):
+        assert set(map_runs(lambda n: os.getpid(), range(3), 1)) == {os.getpid()}
+
+    def test_no_fork_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert set(map_runs(lambda n: os.getpid(), range(3), 2)) == {os.getpid()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_run_raises_its_error(self, workers):
+        with pytest.raises(ValueError, match="^bad item 3$"):
+            map_runs(_fail_on_three, range(6), workers)
+
+    def test_a_dead_worker_breaks_the_map(self):
+        def die_on_two(n):
+            if n == 2:
+                os._exit(3)
+            return n
+
+        with pytest.raises(BrokenProcessPool):
+            map_runs(die_on_two, range(4), 2)
