@@ -10,6 +10,8 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -448,8 +450,8 @@ def cmd_predict(args) -> int:
     pred_file = out / "predictions.csv"
     with open(pred_file, "w", encoding="utf-8") as fh:
         fh.write("a,b,label," + ",".join(f"logp_{c}" for c in classes) + "\n")
-        for (a, b), k, lp in zip(wanted, pred, logp):
-            fh.write(f"{a},{b},{classes[k]}," + ",".join(repr(v) for v in lp) + "\n")
+        for (a, b), k, lp in zip(wanted, pred.tolist(), logp.tolist()):
+            fh.write(f"{a},{b},{classes[k]}," + ",".join(map(repr, lp)) + "\n")
     write_manifest(
         out, "predict", {"pairs": len(wanted)},
         {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
@@ -663,7 +665,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _tune_allocator() -> None:
+    """Serve blocks up to 32 MiB from the heap and keep up to 64 MiB of
+    free heap, so that each epoch's temporaries reuse memory instead of
+    being mmapped and page-faulted afresh.
+
+    glibc starts its mmap threshold at 128 KiB and raises it only when
+    a large mmapped block is freed; without this the epoch speed would
+    depend on whether the front end happened to free such blocks first.
+    Where libc has no ``mallopt`` this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(argv: list[str] | None = None) -> int:
+    _tune_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,6 +8,8 @@ threads)``, or one, with no pool at all, when the BLAS thread count is
 unset, since BLAS then already uses every core.  Each run is the same
 single-process training as in a serial loop, and the results come back
 in input order, so the reports do not depend on the worker count.
+``ingest.ingest_file`` reads the byte ranges of a paths file the same
+way.
 """
 
 from __future__ import annotations
@@ -118,11 +120,11 @@ def _call(item):
 
 
 def worker_count(runs: int) -> int:
-    """Processes for ``runs`` independent trainings:
-    ``min(runs, usable CPUs // BLAS threads)``.  BLAS threads are the
-    first positive integer among OPENBLAS_NUM_THREADS and
-    OMP_NUM_THREADS; when neither holds one, BLAS uses every core, so
-    there is one process."""
+    """Processes for ``runs`` independent jobs, trainings or the byte
+    ranges of a paths file: ``min(runs, usable CPUs // BLAS threads)``.
+    BLAS threads are the first positive integer among
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS; when neither holds one,
+    BLAS uses every core, so there is one process."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas = int(os.environ.get(name, ""))

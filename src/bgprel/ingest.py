@@ -1,19 +1,26 @@
 """Parsing and sanitization of AS paths collected from BGP route dumps.
 
 A paths file holds one AS path per line, hops separated by ``|``, the
-vantage point (collector peer) first.  Lines starting with ``#`` are
+vantage point (collector peer) first.  LF, CRLF and a lone CR each end
+a line, as in Python's text mode.  Lines starting with ``#`` are
 comments.  A hop is a run of ASCII decimal digits, optionally surrounded
 by ASCII whitespace (space, tab, CR, LF, VT, FF), with a value in
-1..2**32-1; anything else makes the line malformed.  Sanitization
-applies three cleaning rules in order: adjacent duplicate hops
-(prepending artifacts) are compressed, paths touching unallocated AS
-numbers are dropped, and paths where an ASN recurs non-adjacently
-(routing loops) are dropped.
+1..2**32-1; anything else, a byte that is not UTF-8 included, makes the
+line malformed.  Sanitization applies three cleaning rules in order:
+adjacent duplicate hops (prepending artifacts) are compressed, paths
+touching unallocated AS numbers are dropped, and paths where an ASN
+recurs non-adjacently (routing loops) are dropped.
 
-``ingest_lines`` applies all of this to whole batches of lines with
-numpy and returns a ``PathStore``: one flat hop array plus path offsets.
-``parse_path_line`` and ``sanitize`` are the per-path definitions of the
-same rules, kept as the reference the batch code is tested against.
+``ingest_file`` reads a paths file as bytes, in blocks of
+``_BLOCK_BYTES``.  Each block is parsed and sanitized with numpy and
+folded into a ``PathStore`` (one flat hop array plus path offsets), or,
+when only the graph is wanted, into a ``topology.GraphSummary``, so that
+no process holds every path.  Summaries merge, so for them the file is
+cut into line-aligned byte ranges, one per ``evaluate.worker_count``
+process but none shorter than ``_RANGE_FLOOR``.  ``ingest_lines``
+applies the same block code to lines already in memory.
+``parse_path_line`` and ``sanitize`` are the per-path definitions of
+the same rules, kept as the reference the block code is tested against.
 
 Every other text input (label sources, org, type, IXP, clique and
 allocation lists, pairs files, label tables) is read through
@@ -23,15 +30,18 @@ allocation lists, pairs files, label tables) is read through
 from __future__ import annotations
 
 import json
+import os
 import re
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from enum import Enum
-from itertools import islice
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+
+from .evaluate import map_runs, worker_count
 
 MAX_ASN = 2**32 - 1
 _MAX_DIGITS = len(str(MAX_ASN))
@@ -91,10 +101,11 @@ class PathStore:
         self.offsets = offsets
 
     @classmethod
-    def _from_buffers(cls, hops: array, lengths: array) -> "PathStore":
+    def from_lengths(cls, hops: np.ndarray, lengths: np.ndarray) -> "PathStore":
+        """The store of consecutive paths of ``lengths`` hops each."""
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=offsets[1:])
-        return cls(np.frombuffer(hops, dtype=np.int64), offsets)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(hops, offsets)
 
     @classmethod
     def from_hops(cls, paths: Iterable[Iterable[int]]) -> "PathStore":
@@ -106,7 +117,21 @@ class PathStore:
             if len(hops) == before:
                 raise ValueError("empty path")
             lengths.append(len(hops) - before)
-        return cls._from_buffers(hops, lengths)
+        return cls.from_lengths(
+            np.frombuffer(hops, dtype=np.int64), np.frombuffer(lengths, dtype=np.int64)
+        )
+
+    @classmethod
+    def fold(cls, stores: Iterable["PathStore"]) -> "PathStore":
+        """Every path of ``stores``, in order.  The hops are appended to
+        buffers that grow in place, so the store is not copied whole."""
+        hops, lengths = array("q"), array("q")
+        for store in stores:
+            hops.frombytes(store.hops.tobytes())
+            lengths.frombytes(np.diff(store.offsets).tobytes())
+        return cls.from_lengths(
+            np.frombuffer(hops, dtype=np.int64), np.frombuffer(lengths, dtype=np.int64)
+        )
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -341,77 +366,93 @@ class IngestReport:
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
+    def __add__(self, other: "IngestReport") -> "IngestReport":
+        return IngestReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
-# -- batch parsing and sanitization -----------------------------------
 
-_BATCH_LINES = 1 << 14
-_OTHER, _DIGIT, _PIPE, _SPACE = 0, 1, 2, 3
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
-_BYTE_CLASS[ord("|")] = _PIPE
-_BYTE_CLASS[[ord(c) for c in WHITESPACE]] = _SPACE
+# -- block parsing and sanitization -----------------------------------
+
+# a paths file is read this many bytes at a time, so the parse's
+# temporaries stay small
+_BLOCK_BYTES = 1 << 18
+# and cut into one byte range per worker process, none shorter than this
+_RANGE_FLOOR = 4 << 20
+_LINE_END = re.compile(rb"[\r\n]")
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
-def _parse_batch(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse one batch of raw lines.
+def run_firsts(keys: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted array begin a run of equal values."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _parse_block(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse one block of lines: ``buf`` holds the bytes, and line i
+    ends with the byte at ``ends[i]``; bytes after the last end are one
+    more line.  Every end byte is whitespace.
 
     Returns the hops and hop counts of the well-formed path lines, in
     order, and the number of malformed lines.
     """
-    text = "".join(lines)
-    if text.isascii():
-        data = text.encode("ascii")
-        sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    else:
-        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
-        data = b"".join(encoded)
-        sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(lines))
-    # empty lines are blank; every other line owns at least one byte
-    sizes = sizes[sizes > 0]
+    last_line = np.append(ends[ends < len(buf) - 1], len(buf) - 1)
+    sizes = np.diff(last_line, prepend=-1)
     n = len(sizes)
-    starts = np.cumsum(sizes) - sizes
     line_of = np.repeat(np.arange(n, dtype=np.int32), sizes)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    cls = _BYTE_CLASS[buf]
+    del last_line, sizes
+    # byte classes by arithmetic on uint8, which wraps below 0: the
+    # whitespace bytes are the space and 9..13
+    digits = buf - np.uint8(ord("0"))
+    digit = digits < 10
+    pipe = buf == ord("|")
+    other = ~(digit | pipe | (buf == ord(" ")) | (buf - np.uint8(9) < 5))
 
-    # the first non-whitespace byte tells blank, comment and path lines apart
-    solid = np.flatnonzero(cls != _SPACE)
-    solid_line = line_of[solid]
-    lead = np.ones(len(solid), dtype=bool)
-    np.not_equal(solid_line[1:], solid_line[:-1], out=lead[1:])
-    is_path = np.zeros(n, dtype=bool)
-    is_path[solid_line[lead]] = buf[solid[lead]] != ord("#")
-    del solid, solid_line, lead
-
-    # digit runs; a run never crosses a line boundary
-    digit = cls == _DIGIT
-    first = digit & ~np.concatenate([[False], digit[:-1]])
-    first[starts] = digit[starts]
-    last = digit & ~np.concatenate([digit[1:], [False]])
-    last[starts[1:] - 1] = digit[starts[1:] - 1]
+    # digit runs; lines end in whitespace, so a run never crosses one
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    last = digit
+    last[:-1] &= ~digit[1:]
     run_first = np.flatnonzero(first)
     run_last = np.flatnonzero(last)
     run_line = line_of[run_first]
     del digit, last
 
+    # events are runs and pipes; every other non-whitespace byte is
+    # "other" and makes its line malformed, unless the line is a comment:
+    # its first non-whitespace byte is a "#", ahead of every event
+    events = np.flatnonzero(first | pipe)
+    is_run = first[events]
+    event_line = line_of[events]
+    others = np.flatnonzero(other)
+    other_line = line_of[others]
+    del first, pipe, other, line_of
+    lead_event = run_firsts(event_line)
+    first_event = np.full(n, len(buf))
+    first_event[event_line[lead_event]] = events[lead_event]
+    lead_other = run_firsts(other_line)
+    at, line = others[lead_other], other_line[lead_other]
+    comment = np.zeros(n, dtype=bool)
+    comment[line] = (buf[at] == ord("#")) & (at < first_event[line])
+    is_path = np.zeros(n, dtype=bool)
+    is_path[event_line] = True
+    is_path[other_line] = True
+    is_path &= ~comment
+    del events, others, lead_event, first_event, lead_other, at, line, comment
+
     # a path line is digit runs separated by single pipes, with only
     # whitespace around them: its runs and pipes alternate, starting and
     # ending with a run
     bad = np.zeros(n, dtype=bool)
-    bad[line_of[cls == _OTHER]] = True
-    events = np.flatnonzero(first | (cls == _PIPE))
-    is_run = first[events]
-    event_line = line_of[events]
-    del first, cls, events
-    same_line = event_line[1:] == event_line[:-1]
+    bad[other_line] = True
+    same_line = ~run_firsts(event_line)[1:]
     bad[event_line[1:][same_line & (is_run[1:] == is_run[:-1])]] = True
     opens = np.ones(len(event_line), dtype=bool)
     opens[1:] = ~same_line
     closes = np.ones(len(event_line), dtype=bool)
     closes[:-1] = ~same_line
     bad[event_line[(opens | closes) & ~is_run]] = True
-    del is_run, event_line, same_line, opens, closes
+    del is_run, event_line, other_line, same_line, opens, closes
 
     # run values, least significant digit first; runs longer than an ASN
     # can be are rare and parsed one by one
@@ -419,10 +460,10 @@ def _parse_batch(lines: list[str]) -> tuple[np.ndarray, np.ndarray, int]:
     values = np.zeros(len(run_first), dtype=np.int64)
     for k in range(min(_MAX_DIGITS, int(width.max(initial=0)))):
         live = np.flatnonzero(width > k)
-        values[live] += (buf[run_last[live] - k].astype(np.int64) - 48) * _POW10[k]
+        values[live] += digits[run_last[live] - k] * _POW10[k]
     for i in np.flatnonzero(width > _MAX_DIGITS).tolist():
-        digits = buf[run_first[i]:run_last[i] + 1].tobytes().lstrip(b"0")
-        values[i] = int(digits or b"0") if len(digits) <= _MAX_DIGITS else 0
+        text = buf[run_first[i]:run_last[i] + 1].tobytes().lstrip(b"0")
+        values[i] = int(text or b"0") if len(text) <= _MAX_DIGITS else 0
     bad[run_line[(values < 1) | (values > MAX_ASN)]] = True
 
     ok = is_path & ~bad
@@ -460,10 +501,109 @@ def _sanitize_batch(
     return hops[ok[path_of]], kept[ok]
 
 
+def _stores(
+    blocks: Iterable[tuple[bytes, np.ndarray]],
+    table: AllocationTable | None,
+    report: IngestReport,
+) -> Iterator[PathStore]:
+    """The accepted paths of each ``(data, ends)`` block of lines (see
+    ``_parse_block``), parsed and sanitized, counted in ``report``."""
+    for data, ends in blocks:
+        hops, lengths, malformed = _parse_block(np.frombuffer(data, np.uint8), ends)
+        report.malformed += malformed
+        report.parsed += len(lengths)
+        yield PathStore.from_lengths(*_sanitize_batch(hops, lengths, table, report))
+
+
+def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Lines in memory as blocks of about ``_BLOCK_BYTES``, each line
+    ended by one LF; a CR or LF inside an item stays whitespace."""
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line) + 1
+        if size < _BLOCK_BYTES:
+            continue
+        yield _text_block(batch)
+        batch, size = [], 0
+    if batch:
+        yield _text_block(batch)
+
+
+def _text_block(lines: list[str]) -> tuple[bytes, np.ndarray]:
+    text = "\n".join(lines) + "\n"
+    if text.isascii():
+        data = text.encode("ascii")
+        sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    else:
+        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
+        data = b"\n".join(encoded) + b"\n"
+        sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(lines))
+    return data, np.cumsum(sizes + 1) - 1
+
+
+def _file_blocks(
+    path: str | Path, lo: int, hi: int | None
+) -> Iterator[tuple[bytes, np.ndarray]]:
+    """Bytes ``lo``..``hi`` of a file (to its end when ``hi`` is None)
+    as blocks of whole lines, read ``_BLOCK_BYTES`` at a time.  Every CR
+    and every LF ends a line: a CRLF ends one line and an empty one,
+    which is blank."""
+    with open(path, "rb") as fh:
+        if lo:
+            fh.seek(lo)
+        carry, at = b"", lo
+        size = _BLOCK_BYTES
+        while chunk := fh.read(size if hi is None else min(size, hi - at)):
+            at += len(chunk)
+            data = carry + chunk
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            carry = data[cut:]
+            if cut:
+                yield _file_block(data[:cut])
+        if carry:
+            yield _file_block(carry)
+
+
+def _file_block(data: bytes) -> tuple[bytes, np.ndarray]:
+    buf = np.frombuffer(data, np.uint8)
+    return data, np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+
+
+def _line_ranges(path: str | Path, parts: int) -> list[tuple[int, int | None]]:
+    """``parts`` byte ranges of about equal size covering the file, each
+    cut moved forward to the start of a line (just after a CR or LF);
+    ranges a cut leaves empty are dropped.  The last range runs to the
+    end of the file, so one range reads a pipe too."""
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            at = size * k // parts
+            if at <= cuts[-1]:
+                continue
+            fh.seek(at - 1)
+            while chunk := fh.read(1 << 16):
+                if end := _LINE_END.search(chunk):
+                    at = fh.tell() - len(chunk) + end.start() + 1
+                    break
+            else:
+                at = size
+            if at >= size:
+                break
+            cuts.append(at)
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+def _ingest_range(path, table, into, span: tuple[int, int | None]):
+    report = IngestReport()
+    return into.fold(_stores(_file_blocks(path, *span), table, report)), report
+
+
 def ingest_lines(
     lines: Iterable[str], table: AllocationTable | None = None
 ) -> tuple[PathStore, IngestReport]:
-    """Parse and sanitize an iterable of path lines, in batches.
+    """Parse and sanitize an iterable of path lines, in blocks.
 
     Each item is one line; a trailing newline is allowed.  Blank lines
     and ``#`` comments are skipped silently; lines that fail to parse
@@ -471,25 +611,28 @@ def ingest_lines(
     large dump.  Accepted paths keep their input order.
     """
     report = IngestReport()
-    hops_out, lengths_out = array("q"), array("q")
-    it = iter(lines)
-    while batch := list(islice(it, _BATCH_LINES)):
-        hops, lengths, malformed = _parse_batch(batch)
-        report.malformed += malformed
-        report.parsed += len(lengths)
-        hops, lengths = _sanitize_batch(hops, lengths, table, report)
-        hops_out.frombytes(hops.tobytes())
-        lengths_out.frombytes(lengths.astype(np.int64).tobytes())
-    return PathStore._from_buffers(hops_out, lengths_out), report
+    return PathStore.fold(_stores(_text_blocks(lines), table, report)), report
 
 
-def ingest_file(
-    path: str | Path, table: AllocationTable | None = None
-) -> tuple[PathStore, IngestReport]:
-    """Read a paths file and return sanitized paths plus counters; a
-    byte that is not UTF-8 makes its line malformed."""
-    with open_text(path) as fh:
-        return ingest_lines(fh, table)
+def ingest_file(path: str | Path, table: AllocationTable | None = None, into=PathStore):
+    """Read a paths file and return its sanitized paths folded into
+    ``into``, plus the counters.
+
+    ``into`` is ``PathStore``, every accepted path in file order, or
+    ``topology.GraphSummary``, what the graph needs of them: a class
+    whose ``fold`` takes the block stores of a range.  A summary is read
+    in line-aligned byte ranges, one per ``worker_count`` process but
+    none under ``_RANGE_FLOOR`` bytes; more than one range are read by
+    forked processes (``map_runs``) and their summaries merged here.  A
+    store is as large as its paths, so it is read as one range: parts
+    would only add copies of it.
+    """
+    if into is PathStore:
+        return _ingest_range(path, table, into, (0, None))
+    parts = worker_count(max(1, os.path.getsize(path) // _RANGE_FLOOR))
+    ranges = _line_ranges(path, parts)
+    done = map_runs(partial(_ingest_range, path, table, into), ranges, len(ranges))
+    return into.merge([r for r, _ in done]), sum((c for _, c in done), IngestReport())
 
 
 def write_paths_file(paths: PathStore, out: str | Path) -> None:

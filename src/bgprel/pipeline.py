@@ -43,6 +43,7 @@ from .topology import (
     TYPE_COLUMNS,
     AsGraph,
     FeatureMatrix,
+    GraphSummary,
     assemble_features,
     build_graph,
     cnr_edge_weights,
@@ -113,10 +114,10 @@ class GraphBundle:
 
 def build_bundle(files: DataFiles) -> GraphBundle:
     table = AllocationTable.load(files.alloc) if files.alloc else None
-    paths, report = ingest_file(files.paths, table)
-    if not len(paths):
+    summary, report = ingest_file(files.paths, table, GraphSummary)
+    if not report.accepted:
         raise ValueError(f"no usable paths in {files.paths}")
-    graph = build_graph(paths)
+    graph = build_graph(summary)
     if files.clique:
         clique = load_clique_file(files.clique)
         missing = sorted(a for a in clique if a not in graph)

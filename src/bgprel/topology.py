@@ -20,7 +20,7 @@ matrices, and the edge rows the classifier scores.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -34,6 +34,7 @@ from .ingest import (
     load_asn_map,
     load_asn_set,
     pack_unordered_pairs,
+    run_firsts,
     unpack_pairs,
 )
 
@@ -67,16 +68,22 @@ class VpArrays(NamedTuple):
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values begins in a sorted array."""
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.flatnonzero(first)
+    return np.flatnonzero(run_firsts(keys))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values, sorting ``keys`` in place (np.unique
     without its bookkeeping)."""
     keys.sort()
-    return keys[_run_starts(keys)]
+    return keys[run_firsts(keys)]
+
+
+def _union(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct values of sorted arrays: a stable sort (timsort)
+    merges their runs instead of sorting from scratch."""
+    keys = np.concatenate(parts)
+    keys.sort(kind="stable")
+    return keys[run_firsts(keys)]
 
 
 class AsGraph:
@@ -240,69 +247,134 @@ def step_edges(paths: PathStore) -> np.ndarray:
         if np.any(a == b):
             raise ValueError("self-edge in a path")
         keys.append(_distinct(pack_unordered_pairs(a, b)))
-    return _distinct(np.concatenate([np.zeros(0, np.uint64), *keys]))
+    return _union([np.zeros(0, np.uint64), *keys])
 
 
-def build_graph(paths: PathStore) -> AsGraph:
-    """Assemble the observed topology from sanitized paths.
+@dataclass
+class GraphSummary:
+    """What ``build_graph`` needs of a set of paths, in a form that
+    merges: the union of two summaries is the summary of the union of
+    their paths, so a paths file can be summarized in parts.
 
-    Each per-hop quantity is packed with its node's ASN into one 64-bit
-    key, (ASN << 32) | value, and sorted; every ASN is below 2**32, so
+    Key arrays are sorted and distinct, each quantity packed with its
+    node's ASN as (ASN << 32) | value; every ASN is below 2**32, so
     sorted keys group by node in ascending ASN order.
     """
-    nodes = _distinct(paths.hops.copy())
-    n = len(nodes)
-    edges = np.searchsorted(nodes, unpack_pairs(step_edges(paths)))
 
-    hops = paths.hops.view(np.uint64)  # ASNs are positive
-    path_of = np.repeat(
-        np.arange(len(paths), dtype=np.int32), np.diff(paths.offsets)
-    )
-    # hops i and i+1 are adjacent when they belong to one path
-    linked = path_of[1:] == path_of[:-1]
+    nodes: np.ndarray  # sorted distinct ASNs
+    steps: np.ndarray  # pack_unordered_pairs key of every step
+    transits: np.ndarray  # (hop, a neighbor on either side) of inner hops
+    sightings: np.ndarray  # (hop, VP of its path)
+    # per node: hops on it, and the sum/min/max of their VP distances
+    count: np.ndarray
+    total: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
-    # hop i+1 transits between hops i and i+2
-    inner = linked[:-1] & linked[1:]
-    del linked
-    mid = hops[1:-1][inner] << 32
-    keys = np.empty(2 * len(mid), dtype=np.uint64)
-    np.bitwise_or(mid, hops[:-2][inner], out=keys[:len(mid)])
-    np.bitwise_or(mid, hops[2:][inner], out=keys[len(mid):])
-    del mid, inner
-    middles = (_distinct(keys) >> 32).astype(np.int64)
-    del keys
-    starts = _run_starts(middles)
-    transit = np.zeros(n, dtype=np.int64)
-    transit[np.searchsorted(nodes, middles[starts])] = np.diff(starts, append=len(middles))
-    del middles
+    @classmethod
+    def of(cls, paths: PathStore) -> "GraphSummary":
+        hops = paths.hops.view(np.uint64)  # ASNs are positive
+        path_of = np.repeat(
+            np.arange(len(paths), dtype=np.int32), np.diff(paths.offsets)
+        )
+        # hops i and i+1 are adjacent when they belong to one path
+        linked = path_of[1:] == path_of[:-1]
 
-    # (node, VP of the path it sits on) for every hop
-    first = paths.offsets[:-1]
-    keys = hops << 32
-    keys |= hops[first][path_of]
-    seen_by = _distinct(keys) >> 32
-    del keys
-    observers = np.diff(_run_starts(seen_by), append=len(seen_by))
-    del seen_by
-    # (node, hop distance from the path's VP) for every hop
-    keys = np.arange(len(hops), dtype=np.uint64)
-    keys -= first.view(np.uint64)[path_of]
-    del path_of
-    keys |= hops << 32
-    keys.sort()
-    starts = _run_starts(keys >> 32)
-    count = np.diff(starts, append=len(keys))
-    depth = (keys & _LOW32).astype(np.int64)
-    del keys
-    running = np.concatenate([[0], np.cumsum(depth)])
-    vp = VpArrays(
-        count=count,
-        total=running[starts + count] - running[starts],
-        low=depth[starts],
-        high=depth[starts + count - 1],
-        observers=observers,
-    )
-    return AsGraph(nodes, edges, transit, vp)
+        # hop i+1 transits between hops i and i+2
+        inner = linked[:-1] & linked[1:]
+        del linked
+        mid = hops[1:-1][inner] << 32
+        transits = np.empty(2 * len(mid), dtype=np.uint64)
+        np.bitwise_or(mid, hops[:-2][inner], out=transits[:len(mid)])
+        np.bitwise_or(mid, hops[2:][inner], out=transits[len(mid):])
+        del mid, inner
+
+        first = paths.offsets[:-1]
+        sightings = hops << 32
+        sightings |= hops[first][path_of]
+        # (node, hop distance from the path's VP) for every hop
+        keys = np.arange(len(hops), dtype=np.uint64)
+        keys -= first.view(np.uint64)[path_of]
+        del path_of
+        keys |= hops << 32
+        keys.sort()
+        starts = _run_starts(keys >> 32)
+        count = np.diff(starts, append=len(keys))
+        depth = (keys & _LOW32).astype(np.int64)
+        running = np.concatenate([[0], np.cumsum(depth)])
+        return cls(
+            nodes=(keys[starts] >> 32).astype(np.int64),
+            steps=step_edges(paths),
+            transits=_distinct(transits),
+            sightings=_distinct(sightings),
+            count=count,
+            total=running[starts + count] - running[starts],
+            low=depth[starts],
+            high=depth[starts + count - 1],
+        )
+
+    @classmethod
+    def merge(cls, parts: list["GraphSummary"]) -> "GraphSummary":
+        """The summary of every part's paths together."""
+        nodes = _union([p.nodes for p in parts])
+        count, total, high = (np.zeros(len(nodes), dtype=np.int64) for _ in range(3))
+        low = np.full(len(nodes), np.iinfo(np.int64).max)
+        for p in parts:
+            at = np.searchsorted(nodes, p.nodes)  # distinct within a part
+            count[at] += p.count
+            total[at] += p.total
+            low[at] = np.minimum(low[at], p.low)
+            high[at] = np.maximum(high[at], p.high)
+        return cls(
+            nodes=nodes,
+            steps=_union([p.steps for p in parts]),
+            transits=_union([p.transits for p in parts]),
+            sightings=_union([p.sightings for p in parts]),
+            count=count,
+            total=total,
+            low=low,
+            high=high,
+        )
+
+    @classmethod
+    def fold(cls, stores: Iterable[PathStore]) -> "GraphSummary":
+        """The summary of every path in ``stores``.  Summaries of stores
+        wait in a list until they hold as many bytes as the summary so
+        far, and are merged into it then: after the graph stops growing
+        each merge takes in at least its own size, so merging costs about
+        as much as summarizing."""
+        folded, pending = cls.of(PathStore.from_hops([])), []
+        for store in stores:
+            pending.append(cls.of(store))
+            if sum(p.nbytes for p in pending) >= folded.nbytes:
+                folded, pending = cls.merge([folded, *pending]), []
+        return cls.merge([folded, *pending])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, f.name).nbytes for f in fields(self))
+
+    def graph(self) -> AsGraph:
+        nodes = self.nodes
+        edges = np.searchsorted(nodes, unpack_pairs(self.steps))
+        middles = (self.transits >> 32).astype(np.int64)
+        starts = _run_starts(middles)
+        transit = np.zeros(len(nodes), dtype=np.int64)
+        transit[np.searchsorted(nodes, middles[starts])] = np.diff(
+            starts, append=len(middles)
+        )
+        # every node is sighted, since every hop has a VP
+        observers = np.diff(_run_starts(self.sightings >> 32), append=len(self.sightings))
+        vp = VpArrays(self.count, self.total, self.low, self.high, observers)
+        return AsGraph(nodes, edges, transit, vp)
+
+
+def build_graph(paths: PathStore | GraphSummary) -> AsGraph:
+    """The observed topology of sanitized paths, or of the summary
+    ``ingest_file(path, table, GraphSummary)`` reads from a file."""
+    if not isinstance(paths, GraphSummary):
+        paths = GraphSummary.of(paths)
+    return paths.graph()
 
 
 # -- top clique ------------------------------------------------------
@@ -490,5 +562,5 @@ def write_features_csv(fm: FeatureMatrix, out: str | Path) -> None:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["asn"] + fm.columns)
-        for i, a in enumerate(fm.nodes):
-            writer.writerow([a] + [repr(v) for v in fm.values[i]])
+        for a, row in zip(fm.nodes, fm.values.tolist()):
+            writer.writerow([a, *map(repr, row)])

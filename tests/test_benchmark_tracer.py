@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from bgprel import cli
+from bgprel.pipeline import DataFiles, build_bundle
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracing.py"
@@ -90,6 +91,15 @@ def test_traced_tiny_run_matches_untraced(tmp_path):
         return False
 
     assert any(s[0] == "gcn.spmm" and under_train(i) for i, s in enumerate(spans))
+    # the front end is traced once each, at the names build_bundle calls
+    bundle = build_bundle(DataFiles.discover(data))
+    ingests = [s[4] for s in spans if s[0] == "ingest.ingest_file"]
+    assert len(ingests) == 1
+    assert {k: ingests[0][k] for k in bundle.report.as_dict()} == bundle.report.as_dict()
+    graphs = [s[4] for s in spans if s[0] == "topology.build_graph"]
+    assert len(graphs) == 1
+    assert (graphs[0]["nodes"], graphs[0]["edges"]) == (
+        bundle.graph.num_nodes, bundle.graph.num_edges)
     predict_spans = json.loads(
         (tmp_path / "traced" / "predict-spans.json").read_text())["spans"]
     assert any(s[0] == "gcn.predict" for s in predict_spans)

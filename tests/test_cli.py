@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 import scipy
 
-from bgprel import cli, pipeline
+from bgprel import cli, ingest, pipeline
 from bgprel.cli import run
 from bgprel.dataset import RelLabel
+from bgprel.evaluate import map_runs
 from bgprel.ingest import PathStore
 from bgprel.pipeline import DataFiles, build_bundle, prepare
 
@@ -690,6 +691,50 @@ def test_worker_count_does_not_change_outputs(command, data_dir, tmp_path, monke
         assert manifest["config"]["workers"] == workers
     for name in RUNS_COMMANDS[command][1]:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+# the front end's commands, with the outputs whose bytes they own
+RANGE_COMMANDS = {
+    "features": ("features.csv", "clique.txt"),
+    "train": ("checkpoint.json", "history.csv", "metrics.json"),
+    "predict": ("predictions.csv",),
+}
+
+
+def _run_front_end(command, data_dir, train_dir, out):
+    argv = {"features": [],
+            "train": ["--mode", "multi", "--epochs", "8", "--hidden", "6", "--seed", "1"],
+            "predict": ["--checkpoint", str(train_dir / "checkpoint.json")]}[command]
+    return run([command, "--data", str(data_dir), *argv, "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", sorted(RANGE_COMMANDS))
+def test_forked_paths_ranges_do_not_change_outputs(command, data_dir, train_dir, tmp_path,
+                                                   monkeypatch):
+    assert _run_front_end(command, data_dir, train_dir, tmp_path / "one") == 0
+    monkeypatch.setattr(ingest, "_RANGE_FLOOR", 1)
+    monkeypatch.setattr(ingest, "worker_count", lambda runs: 2)
+    assert len(ingest._line_ranges(data_dir / "paths.txt", 2)) == 2
+    forks = []
+    monkeypatch.setattr(ingest, "map_runs",
+                        lambda run, items, workers: forks.append(workers)
+                        or map_runs(run, items, workers))
+    assert _run_front_end(command, data_dir, train_dir, tmp_path / "two") == 0
+    assert forks == [2]
+    for name in RANGE_COMMANDS[command]:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_csv_numbers_are_plain_floats(data_dir, train_dir, tmp_path):
+    assert _run_front_end("features", data_dir, train_dir, tmp_path / "f") == 0
+    assert _run_front_end("predict", data_dir, train_dir, tmp_path / "p") == 0
+    bundle = build_bundle(DataFiles.discover(data_dir))
+    rows = (tmp_path / "f" / "features.csv").read_text().splitlines()[1:]
+    got = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+    assert np.array_equal(got, bundle.features.values)
+    for row in (tmp_path / "p" / "predictions.csv").read_text().splitlines()[1:]:
+        logp = [float(x) for x in row.split(",")[3:]]
+        assert abs(sum(np.exp(logp)) - 1.0) <= 1e-12
 
 
 def _fail_in_one_run(command, monkeypatch, fail):

@@ -1,4 +1,8 @@
+import dataclasses
+import os
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +30,7 @@ from bgprel.ingest import (
     unpack_pairs,
     write_paths_file,
 )
+from bgprel.topology import GraphSummary
 
 
 class TestParse:
@@ -367,10 +372,109 @@ def _line(draw):
 def test_batch_ingest_matches_reference(lines, allocated, batch):
     table = AllocationTable([(1, 12)]) if allocated else None
     want_paths, want_report = reference_ingest(lines, table)
-    with mock.patch.object(ingest, "_BATCH_LINES", batch):
+    with mock.patch.object(ingest, "_BLOCK_BYTES", batch):
         paths, report = ingest_lines(lines, table)
     assert [p.hops for p in paths] == want_paths
     assert report == want_report
+
+
+# -- the byte reader against the per-path reference over text-mode lines ----
+
+_END = st.sampled_from([b"\n", b"\r\n", b"\r"])
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+@st.composite
+def _raw_file(draw):
+    """Lines from ``_line`` as bytes, each ended by LF, CRLF or a lone
+    CR, some with a byte that is not UTF-8, the last maybe unended."""
+    out = b""
+    lines = draw(st.lists(_line(), max_size=25))
+    for i, line in enumerate(lines):
+        body = line.rstrip("\r\n").encode("utf-8", "surrogatepass")
+        if draw(st.integers(0, 5)) == 0:
+            at = draw(st.integers(0, len(body)))
+            body = body[:at] + draw(_NOT_UTF8) + body[at:]
+        last = i == len(lines) - 1
+        out += body + (b"" if last and draw(st.booleans()) else draw(_END))
+    return out
+
+
+def _line_starts(data: bytes) -> list[int]:
+    return [i + 1 for i, c in enumerate(data) if c in b"\r\n" and i + 1 < len(data)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_raw_file(), allocated=st.booleans(),
+       block=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]), picks=st.data())
+def test_reader_matches_reference_over_text_lines(data, allocated, block, picks):
+    table = AllocationTable([(1, 12)]) if allocated else None
+    starts = _line_starts(data)
+    cuts = sorted(picks.draw(st.sets(st.sampled_from(starts)) if starts else st.just(set())))
+    bounds = [0, *cuts, None]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "paths.txt"
+        path.write_bytes(data)
+        with ingest.open_text(path) as fh:
+            want_paths, want_report = reference_ingest(list(fh), table)
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            parts = [ingest._ingest_range(path, table, PathStore, span)
+                     for span in zip(bounds, bounds[1:])]
+    paths = PathStore.fold(p for p, _ in parts)
+    assert [p.hops for p in paths] == want_paths
+    assert sum((r for _, r in parts), IngestReport()) == want_report
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 7, 50])
+def test_line_ranges_cover_the_file_at_line_starts(tmp_path, parts):
+    data = b"1|2\r\n3|4\r5|6\n\n# c\r\n7|8"
+    path = tmp_path / "paths.txt"
+    path.write_bytes(data)
+    ranges = ingest._line_ranges(path, parts)
+    assert ranges[0][0] == 0 and ranges[-1][1] is None and len(ranges) <= parts
+    assert all(lo < hi and hi == after for (lo, hi), (after, _) in zip(ranges, ranges[1:]))
+    assert {hi for _, hi in ranges[:-1]} <= set(_line_starts(data))
+
+
+def test_an_empty_file_is_one_range(tmp_path):
+    path = tmp_path / "paths.txt"
+    path.write_bytes(b"")
+    assert ingest._line_ranges(path, 4) == [(0, None)]
+    paths, report = ingest_file(path)
+    assert len(paths) == 0 and report == IngestReport()
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+@pytest.mark.parametrize("into", [PathStore, GraphSummary])
+def test_a_pipe_is_read_to_its_end(into):
+    read, write = os.pipe()
+    os.write(write, b"1|2\n3|4|5\nx\n")
+    os.close(write)
+    try:
+        _, report = ingest_file(f"/dev/fd/{read}", None, into)
+    finally:
+        os.close(read)
+    assert (report.parsed, report.malformed) == (2, 1)
+
+
+def test_forked_ranges_match_one_range(tmp_path, monkeypatch):
+    lines = [f"{i % 97 + 1}|{i % 89 + 200}|{i % 13 + 500}" for i in range(3000)]
+    lines[7] = "1|x|2"
+    path = tmp_path / "paths.txt"
+    path.write_bytes("\r\n".join(lines).encode())
+    one = ingest_file(path, None, GraphSummary)
+    store = ingest_file(path)
+    monkeypatch.setattr(ingest, "_RANGE_FLOOR", 1)
+    monkeypatch.setattr(ingest, "worker_count", lambda runs: 3)
+    assert len(ingest._line_ranges(path, 3)) == 3
+    three = ingest_file(path, None, GraphSummary)
+    assert three[1] == one[1] == store[1] and one[1].malformed == 1
+    for f in dataclasses.fields(GraphSummary):
+        assert np.array_equal(getattr(three[0], f.name), getattr(one[0], f.name)), f.name
+    # a store is read as one range whatever the worker count
+    monkeypatch.setattr(ingest, "map_runs", None)
+    again = ingest_file(path)
+    assert again[1] == store[1] and np.array_equal(again[0].hops, store[0].hops)
 
 
 # -- ASN pair keys -----------------------------------------------------------

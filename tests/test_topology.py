@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -15,6 +16,7 @@ from bgprel.topology import (
     SCALAR_COLUMNS,
     AsGraph,
     AsType,
+    GraphSummary,
     UnknownNodeError,
     assemble_features,
     build_graph,
@@ -141,6 +143,57 @@ class TestStepEdges:
         paths = PathStore.from_hops(p.hops for p in random_paths(random.Random(3)))
         g = build_graph(paths)
         assert g.edges() == [tuple(e) for e in unpack_pairs(step_edges(paths)).tolist()]
+
+
+def _slice(store, lo, hi):
+    """Paths lo..hi of a store, as a store of their own."""
+    o = store.offsets
+    return PathStore(store.hops[o[lo]:o[hi]], o[lo:hi + 1] - o[lo])
+
+
+def _graph_arrays(g):
+    return {"nodes": g._nodes, "edges": g._edges, "indptr": g._indptr,
+            "indices": g._indices, "edge_of": g._edge_of, "transit": g._transit,
+            **{f"vp.{k}": v for k, v in g._vp._asdict().items()}}
+
+
+class TestGraphSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(paths=_stores, data=st.data())
+    def test_merged_parts_give_the_whole_graph(self, paths, data):
+        store = PathStore.from_hops(paths)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(store)), max_size=6)))
+        bounds = [0, *cuts, len(store)]
+        parts = [GraphSummary.of(_slice(store, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        # the reader merges as it goes: an earlier merge is a part of a later one
+        k = data.draw(st.integers(1, len(parts)))
+        merged = GraphSummary.merge([GraphSummary.merge(parts[:k]), *parts[k:]])
+        folded = GraphSummary.fold(_slice(store, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+        whole = GraphSummary.of(store)
+        for f in dataclasses.fields(GraphSummary):
+            want = getattr(whole, f.name)
+            for got in (getattr(merged, f.name), getattr(folded, f.name)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        got, want = _graph_arrays(build_graph(merged)), _graph_arrays(build_graph(store))
+        for name in want:
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_merging_empty_summaries_is_empty(self):
+        empty = GraphSummary.of(PathStore.from_hops([]))
+        g = build_graph(GraphSummary.merge([empty, empty]))
+        assert g.num_nodes == 0 and g.num_edges == 0
+        assert GraphSummary.merge([empty]).nbytes == 0
+
+    def test_file_summary_builds_the_stores_graph(self, tmp_path):
+        paths = [p.hops for p in random_paths(random.Random(5), n_paths=200)]
+        src = tmp_path / "paths.txt"
+        src.write_text("".join("|".join(map(str, h)) + "\n" for h in paths))
+        summary, report = ingest.ingest_file(src, None, GraphSummary)
+        store, again = ingest.ingest_file(src)
+        assert report == again and report.accepted == len(paths)
+        got, want = _graph_arrays(build_graph(summary)), _graph_arrays(build_graph(store))
+        assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 class TestPositions:
