@@ -153,6 +153,20 @@ def _blocks(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _comma_list(parse):
+    """argparse type: a comma list of values, each read by ``parse``."""
+
+    def comma_list(text: str) -> list:
+        try:
+            return [parse(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {parse.__name__} values, got {text!r}"
+            ) from None
+
+    return comma_list
+
+
 def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
     p.add_argument("--data", help="directory holding the conventional file names")
     p.add_argument("--paths", help="AS path observations, one a|b|c line each")
@@ -514,13 +528,7 @@ def cmd_sweep(args) -> int:
     fm = prep.bundle.features
     a_hat = adjacency_for(prep.bundle.graph, True)
 
-    grid: dict[str, list] = {}
-    if args.lr:
-        grid["learning_rate"] = [float(v) for v in args.lr.split(",")]
-    if args.wd:
-        grid["weight_decay"] = [float(v) for v in args.wd.split(",")]
-    if args.blocks:
-        grid["block_spec"] = [_blocks(v) for v in args.blocks.split(",")]
+    grid = _overrides(args, ("lr", "wd", "blocks"))
     if not grid:
         raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
     defaults = BINARY_DEFAULTS if args.mode == "binary" else MULTI_DEFAULTS
@@ -645,9 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid search over training settings")
     _add_data_flags(p)
     p.add_argument("--mode", choices=("binary", "multi"), default="multi")
-    p.add_argument("--lr", help="comma list of learning rates")
-    p.add_argument("--wd", help="comma list of weight decays")
-    p.add_argument("--blocks", help="comma list of BLOCKSxLAYERS specs")
+    p.add_argument("--lr", type=_comma_list(float), help="comma list of learning rates")
+    p.add_argument("--wd", type=_comma_list(float), help="comma list of weight decays")
+    p.add_argument("--blocks", type=_comma_list(_blocks),
+                   help="comma list of BLOCKSxLAYERS specs")
     p.add_argument("--epochs", type=int, help="fixed for every grid entry")
     p.add_argument("--hidden", type=int, help="fixed for every grid entry")
     p.add_argument("--seed", type=int, default=0)

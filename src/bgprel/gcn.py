@@ -21,6 +21,12 @@ earlier layer the one-hop closure of the next layer's rows.  Training
 plans for its train and val edges, ``predict`` for the edges it scores.
 Only the weight-gradient products still span every node.
 
+Both passes walk one list of layers, k = 0 .. L-1 across all blocks:
+layer k computes ``plan.rows[k]`` from ``plan.props[k]``, sends its
+gradient back through ``plan.backs[k - 1]`` and pads its weight
+gradient's operands with ``plan.full_height(k, ...)``.  A block's last
+layer also normalizes its rows.
+
 Everything is plain numpy/scipy so a run is bitwise reproducible for a
 fixed seed at a fixed BLAS thread count; gradients are derived by hand
 and checked against finite differences in the test suite.
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -63,6 +69,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("binary", "multi"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
         nb, nl = self.block_spec
         if nb < 1 or nl < 1:
             raise ValueError(f"bad block spec {self.block_spec}")
@@ -86,23 +96,20 @@ class TrainConfig:
 WEIGHT_FLOOR = 0.05  # recorded in checkpoints; eval and predict refuse any other
 
 
-def build_normalized_adjacency(
-    weights: sp.csr_matrix, delta: float = WEIGHT_FLOOR
-) -> sp.csr_matrix:
+def build_normalized_adjacency(weights: sp.csr_matrix) -> sp.csr_matrix:
     """Symmetrically normalized, self-looped, weighted adjacency.
 
     ``weights`` is a symmetric edge-weight matrix with one stored entry
     per edge direction (``topology.cnr_edge_weights``, or the 0/1
     ``AsGraph.adjacency()`` for the unweighted variant).  Stored weights
-    are floored at delta, so sparsely overlapping edges still propagate.
+    are floored at WEIGHT_FLOOR, so sparsely overlapping edges still
+    propagate.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
     n = weights.shape[0]
     if n == 0:
         raise ValueError("empty graph")
     a_tilde = sp.csr_matrix(
-        (np.maximum(weights.data, delta), weights.indices, weights.indptr),
+        (np.maximum(weights.data, WEIGHT_FLOOR), weights.indices, weights.indptr),
         shape=weights.shape,
     )
     a_tilde = a_tilde + sp.identity(n, format="csr")
@@ -132,21 +139,14 @@ class GcnModel:
     def n_layers(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    def params(self) -> list[np.ndarray]:
-        out = [w for block in self.blocks for w in block]
-        out.append(self.head_w)
-        out.append(self.head_b)
-        return out
+    def layers(self) -> list[tuple[np.ndarray, bool]]:
+        """Each layer's weight, in order across blocks, and whether the
+        layer ends its block."""
+        return [(w, i == len(block) - 1)
+                for block in self.blocks for i, w in enumerate(block)]
 
-    def copy(self) -> "GcnModel":
-        return GcnModel(
-            blocks=[[w.copy() for w in block] for block in self.blocks],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            input_dim=self.input_dim,
-            hidden=self.hidden,
-            n_classes=self.n_classes,
-        )
+    def params(self) -> list[np.ndarray]:
+        return [w for w, _ in self.layers()] + [self.head_w, self.head_b]
 
     def load_params(self, params: Sequence[np.ndarray]) -> None:
         for mine, theirs in zip(self.params(), params):
@@ -217,9 +217,6 @@ class RowPlan:
     rows: list[np.ndarray]
     props: list[sp.csr_matrix]
     backs: list[sp.csr_matrix]
-    # full_height's buffers by (layer, slot), each with the array last
-    # written into it
-    _pads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -256,27 +253,18 @@ class RowPlan:
             raise ValueError("edge endpoint outside the plan's rows")
         return np.searchsorted(last, edges)
 
-    def full_height(self, k: int, values: np.ndarray, slot: str) -> np.ndarray:
+    def full_height(self, k: int, values: np.ndarray) -> np.ndarray:
         """Layer k's rows in an all-node array that is zero elsewhere.
 
         The weight gradient ``P.T @ dQ`` sums over rows; at full height
         it blocks that sum as the all-node product does, so it keeps its
-        bits.  Each (k, slot) pair owns one buffer for the plan's life,
-        which the next call with that pair overwrites.  Only layer k's
-        rows are ever written, so the others stay zero, and an array
-        that is already in the buffer (layer 0's input, the same every
-        epoch) is not copied again; so ``values`` must not be changed in
-        place between calls."""
+        bits."""
         rows = self.rows[k]
         if len(rows) == self.n_nodes:
             return values
-        buf, held = self._pads.get((k, slot), (None, None))
-        if buf is None or buf.shape[1] != values.shape[1]:
-            buf, held = np.zeros((self.n_nodes, values.shape[1])), None
-        if held is not values:
-            buf[rows] = values
-            self._pads[k, slot] = (buf, values)
-        return buf
+        out = np.zeros((self.n_nodes, values.shape[1]))
+        out[rows] = values
+        return out
 
 
 # -- forward ------------------------------------------------------------
@@ -288,30 +276,24 @@ def _row_normalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r / safe[:, None], safe
 
 
-@dataclass
-class _LayerCache:
-    propagated: np.ndarray  # A_hat @ layer input, on the layer's plan rows
-    mask: np.ndarray  # ReLU derivative
+class Forward(NamedTuple):
+    z: np.ndarray  # node embeddings, one row per node of the plan's rows[-1]
+    # per layer, on its plan rows: (A_hat @ input, ReLU mask, output, row
+    # norms); a block's last layer outputs its normalized rows and keeps
+    # the norms it divided by, any other layer keeps None
+    layers: list[tuple]
 
 
-@dataclass
-class _BlockCache:
-    layers: list[_LayerCache] = field(default_factory=list)
-    normalized: np.ndarray | None = None
-    safe_norms: np.ndarray | None = None
-
-
-def forward_block(
-    props: Sequence[sp.csr_matrix], p: np.ndarray, weights: list[np.ndarray]
-) -> tuple[np.ndarray, _BlockCache]:
-    """One block, given p = A_hat @ H for its input H: per layer
-    ReLU(A_hat H W), then row-L2 normalization.  ``props[i]`` propagates
-    into the block's layer i + 1.  The cache keeps what the backward pass
-    needs."""
-    cache = _BlockCache()
-    for li, w in enumerate(weights):
-        if li:
-            p = props[li - 1] @ h
+def forward(model: GcnModel, plan: RowPlan, ax: np.ndarray) -> Forward:
+    """Forward pass over the plan's rows from the propagated input
+    ``ax = plan.props[0] @ x`` (``a_hat @ x`` on the first layer's rows),
+    which depends only on the graph and the features, so training
+    computes it once.  Each layer is ReLU(A_hat H W); a block's last
+    layer then normalizes its rows."""
+    p, layers = ax, []
+    for k, (w, ends_block) in enumerate(model.layers()):
+        if k:
+            p = plan.props[k] @ h
         if p.shape[1] != w.shape[0]:
             raise ValueError(
                 f"feature width {p.shape[1]} does not match weight {w.shape}"
@@ -319,31 +301,11 @@ def forward_block(
         q = p @ w
         mask = q > 0.0
         h = np.multiply(q, mask, out=q)
-        cache.layers.append(_LayerCache(propagated=p, mask=mask))
-    normalized, safe = _row_normalize(h)
-    cache.normalized = normalized
-    cache.safe_norms = safe
-    return normalized, cache
-
-
-class Forward(NamedTuple):
-    z: np.ndarray  # node embeddings, one row per node of the plan's rows[-1]
-    caches: list[_BlockCache]
-
-
-def forward(model: GcnModel, plan: RowPlan, ax: np.ndarray) -> Forward:
-    """Forward pass over the plan's rows from the propagated input
-    ``ax = plan.props[0] @ x`` (``a_hat @ x`` on the first layer's rows),
-    which depends only on the graph and the features, so training
-    computes it once."""
-    p, caches, k = ax, [], 0
-    for block in model.blocks:
-        if caches:
-            p = plan.props[k] @ z
-        z, cache = forward_block(plan.props[k + 1:], p, block)
-        caches.append(cache)
-        k += len(block)
-    return Forward(z, caches)
+        norms = None
+        if ends_block:
+            h, norms = _row_normalize(h)
+        layers.append((p, mask, h, norms))
+    return Forward(h, layers)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -446,7 +408,7 @@ def loss_and_grads(
     ``fwd`` is the forward pass of the model's current parameters over
     ``plan``.  The backward pass runs on the plan's rows and ends at the
     first layer's weight gradient; the input gradient is never formed."""
-    z, caches = fwd
+    z = fwd.z
     edges, labels = batch.edges, batch.labels
     m = len(edges)
     u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
@@ -465,40 +427,35 @@ def loss_and_grads(
     h = model.hidden
     dh = batch.incidence @ np.concatenate([du[:, :h], du[:, h:]])
 
-    block_grads: list[list[np.ndarray]] = []
-    k = len(plan.rows)
-    for bi in range(len(model.blocks) - 1, -1, -1):
-        block, cache = model.blocks[bi], caches[bi]
-        # backward through y = r / ||r||: dr = (dy - y (y . dy)) / ||r||;
-        # all-zero rows were passed through so dr = dy there
-        y = cache.normalized
-        dot = (y * dh).sum(axis=1, keepdims=True)
-        dr = np.subtract(dh, y * dot, out=dh)
-        dr /= cache.safe_norms[:, None]
-        grads = [np.empty(0)] * len(block)
-        for li in range(len(block) - 1, -1, -1):
-            k -= 1
-            layer = cache.layers[li]
-            dq = np.multiply(dr, layer.mask, out=dr)
-            grads[li] = (plan.full_height(k, layer.propagated, "p").T
-                         @ plan.full_height(k, dq, "dq"))
-            if k == 0:
-                break  # the model's input needs no gradient
-            dr = plan.backs[k - 1] @ (dq @ block[li].T)  # A_hat is symmetric
-        block_grads.append(grads)
-        dh = dr
-    block_grads.reverse()
+    weights = [w for w, _ in model.layers()]
+    grads = [np.empty(0)] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        p, mask, y, norms = fwd.layers[k]
+        if norms is not None:
+            # backward through y = r / ||r||: dr = (dy - y (y . dy)) / ||r||;
+            # all-zero rows were passed through so dr = dy there
+            dot = (y * dh).sum(axis=1, keepdims=True)
+            dh = np.subtract(dh, y * dot, out=dh)
+            dh /= norms[:, None]
+        dq = np.multiply(dh, mask, out=dh)
+        grads[k] = plan.full_height(k, p).T @ plan.full_height(k, dq)
+        if k:  # the model's input needs no gradient
+            dh = plan.backs[k - 1] @ (dq @ weights[k].T)  # A_hat is symmetric
 
-    flat = [g for grads in block_grads for g in grads]
-    flat.append(grad_head_w)
-    flat.append(grad_head_b)
+    grads.append(grad_head_w)
+    grads.append(grad_head_b)
     if weight_decay > 0.0:
-        for g, p in zip(flat, model.params()):
+        for g, p in zip(grads, model.params()):
             g += weight_decay * p
-    return loss, flat
+    return loss, grads
 
 
 # -- optimizer ----------------------------------------------------------
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -506,9 +463,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray]) -> "AdamState":
@@ -526,14 +480,14 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # -- training -----------------------------------------------------------

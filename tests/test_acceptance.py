@@ -143,7 +143,7 @@ def test_criterion_2_adjacency_invariants():
                 weights[canonical_edge(a, b)] = float(rng.uniform(0.01, 1.0))
         g = AsGraph.from_edges(weights, nodes=nodes)
         w = g.edge_matrix([weights[e] for e in g.edges()])
-        a_hat = build_normalized_adjacency(w, delta=0.05)
+        a_hat = build_normalized_adjacency(w)
         dense = a_hat.toarray()
         worst_sym = max(worst_sym, float(np.max(np.abs(dense - dense.T))))
         v = rng.normal(size=n)

@@ -424,6 +424,30 @@ def test_sweep_without_grid_is_usage_error(data_dir, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--blocks", "2x1,2y1", "expected BLOCKSxLAYERS such as 2x1, got '2y1'"),
+    ("--lr", "0.05,abc", "expected a comma list of float values, got '0.05,abc'"),
+    ("--wd", "0,", "expected a comma list of float values, got '0,'"),
+])
+def test_sweep_malformed_list_is_usage_error_before_any_work(
+        data_dir, tmp_path, monkeypatch, capsys, flag, value, message):
+    monkeypatch.setattr(cli, "prepare", lambda *a: pytest.fail("prepare ran"))
+    with pytest.raises(SystemExit) as e:
+        run(["sweep", "--data", str(data_dir), flag, value,
+             "--out", str(tmp_path / "o")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_negative_weight_decay_is_refused(data_dir, tmp_path, capsys):
+    code = run(["train", "--data", str(data_dir), "--wd", "-0.1",
+                "--epochs", "3", "--hidden", "4", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "weight decay must be non-negative, got -0.1" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_is_a_clean_error(data_dir, tmp_path, capsys):
     code = run([

@@ -10,6 +10,7 @@ import bgprel.gcn as gcn
 from bgprel.gcn import (
     AdamState,
     EdgeBatch,
+    GcnModel,
     RowPlan,
     TrainConfig,
     TrainingDivergedError,
@@ -17,7 +18,6 @@ from bgprel.gcn import (
     build_normalized_adjacency,
     edge_scores,
     forward,
-    forward_block,
     incidence_matrix,
     init_model,
     load_checkpoint,
@@ -63,7 +63,7 @@ class TestNormalizedAdjacency:
     def test_delta_floor_applied(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         tiny = g.edge_matrix([0.0, 0.9])  # edges (1, 2), (2, 3)
-        a_hat = build_normalized_adjacency(tiny, delta=0.05)
+        a_hat = build_normalized_adjacency(tiny)
         dense = a_hat.toarray()
         # the floored edge keeps propagating: entry stays positive
         assert dense[0, 1] > 0.0
@@ -91,12 +91,15 @@ class TestNormalizedAdjacency:
                 v = nxt / norm
             assert norm <= 1.0 + 1e-6
 
-    def test_delta_validation(self):
-        g = AsGraph.from_edges([(1, 2)])
-        with pytest.raises(ValueError):
-            build_normalized_adjacency(g.adjacency(), delta=0.0)
-        with pytest.raises(ValueError):
-            build_normalized_adjacency(g.adjacency(), delta=1.5)
+
+def forward_one_block(a_hat, h, weights):
+    """The embeddings of a one-block model with these layer weights, over
+    every node, from input features h."""
+    hidden = weights[-1].shape[1]
+    model = GcnModel([weights], np.zeros((2 * hidden, 2)), np.zeros(2),
+                     weights[0].shape[0], hidden, 2)
+    z, _ = forward(model, every_row(a_hat, model), a_hat @ h)
+    return z
 
 
 class TestForward:
@@ -117,7 +120,7 @@ class TestForward:
             a_hat = build_normalized_adjacency(weights)
             h = nprng.normal(size=(12, 5))
             ws = [nprng.normal(size=(5, 4)), nprng.normal(size=(4, 4))]
-            got, _ = forward_block([a_hat], a_hat @ h, ws)
+            got = forward_one_block(a_hat, h, ws)
             want = self.dense_block_oracle(a_hat, h, ws)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -127,21 +130,21 @@ class TestForward:
         g, weights = random_topology(rng, 15)
         a_hat = build_normalized_adjacency(weights)
         h = nprng.normal(size=(15, 6))
-        out, _ = forward_block([], a_hat @ h, [nprng.normal(size=(6, 3))])
+        out = forward_one_block(a_hat, h, [nprng.normal(size=(6, 3))])
         norms = np.linalg.norm(out, axis=1)
         assert np.all((np.abs(norms - 1.0) < 1e-9) | (norms == 0.0))
 
     def test_zero_weights_give_zero_rows(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         a_hat = build_normalized_adjacency(g.adjacency())
-        out, _ = forward_block([], a_hat @ np.ones((3, 4)), [np.zeros((4, 2))])
+        out = forward_one_block(a_hat, np.ones((3, 4)), [np.zeros((4, 2))])
         assert np.all(out == 0.0)
 
     def test_shape_mismatch(self):
         g = AsGraph.from_edges([(1, 2)])
         a_hat = build_normalized_adjacency(g.adjacency())
         with pytest.raises(ValueError):
-            forward_block([], np.ones((2, 3)), [np.ones((4, 2))])
+            forward_one_block(a_hat, np.ones((2, 3)), [np.ones((4, 2))])
 
 
 class TestEdgeScores:
@@ -390,6 +393,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(x, a_hat, te, tl, np.empty((0, 2), dtype=int), np.empty(0), config)
 
+    @pytest.mark.parametrize("lr, wd", [
+        (0.0, 0.0), (-0.05, 0.0), (float("nan"), 0.0),
+        (0.05, -0.1), (0.05, float("nan")),
+    ])
+    def test_bad_learning_rate_or_weight_decay_is_refused(self, lr, wd):
+        with pytest.raises(ValueError, match="learning rate|weight decay"):
+            TrainConfig(learning_rate=lr, weight_decay=wd)
+
     def test_mode_defaults(self):
         b = TrainConfig.for_mode("binary")
         assert (b.learning_rate, b.weight_decay, b.block_spec) == (0.1, 5e-4, (2, 2))
@@ -634,6 +645,20 @@ class TestRowPlan:
         x, a_hat, *_ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
         assert all(m is a_hat for m in plan.props + plan.backs)
+
+    def test_full_height_pads_the_values_it_is_given(self):
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), 2)
+        rows = plan.rows[0]
+        values = np.arange(2.0 * len(rows)).reshape(len(rows), 2)
+        first = plan.full_height(0, values).copy()
+        values *= -1.0  # the same array, changed in place
+        padded = plan.full_height(0, values)
+        assert padded.shape == (len(x), 2)
+        assert np.array_equal(padded[rows], values)
+        assert np.array_equal(first[rows], -values)
+        others = np.setdiff1d(np.arange(len(x)), rows)
+        assert not padded[others].any()
 
     def test_endpoint_outside_the_plan_is_refused(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
