@@ -17,7 +17,7 @@ from .ingest import (
     ingest_file,
     sanitize,
 )
-from .pipeline import DataFiles, run_experiment
+from .pipeline import DataFiles
 from .synth import SynthConfig, generate, is_valley_free, simulate_paths
 from .topology import AsGraph, assemble_features, build_graph, infer_clique
 
@@ -41,7 +41,6 @@ __all__ = [
     "infer_clique",
     "ingest_file",
     "is_valley_free",
-    "run_experiment",
     "sanitize",
     "simulate_paths",
     "train",

@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ import scipy
 from . import __version__
 from .dataset import balance_and_split
 from .evaluate import (
-    ABLATABLE_FEATURES,
     accuracy,
     feature_importance,
     format_confusion,
@@ -57,6 +57,7 @@ from .ingest import (
     write_paths_file,
 )
 from .pipeline import (
+    ABLATABLE_FEATURES,
     SIDE_FILES,
     DataFiles,
     adjacency_for,
@@ -64,7 +65,6 @@ from .pipeline import (
     importance_runner,
     prepare,
     prepare_labels,
-    run_experiment,
     run_training,
     score_splits,
 )
@@ -244,6 +244,15 @@ def _overrides(args, flags=tuple(_OVERRIDES)) -> dict:
             if getattr(args, f) is not None}
 
 
+def _train_config(args, **overrides) -> TrainConfig:
+    """This command line's training settings; one that TrainConfig
+    refuses is a usage error, raised before any input is read."""
+    try:
+        return TrainConfig.for_mode(args.mode, args.seed, **overrides)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 def _check_width(model, bundle) -> None:
     """Refuse a checkpoint trained on a different feature width."""
     if model.input_dim != bundle.features.values.shape[1]:
@@ -373,10 +382,13 @@ def cmd_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    config = _train_config(args, **_overrides(args))
     out = _out_dir(args)
     files = _files_from_args(args)
-    exp = run_experiment(files, args.mode, args.seed, **_overrides(args))
-    outcome, dataset, config = exp.outcome, exp.dataset, exp.outcome.config
+    prep = prepare(files, args.mode, args.seed)
+    dataset = prep.dataset
+    a_hat = adjacency_for(prep.bundle.graph, True)
+    outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
 
     checkpoint = out / "checkpoint.json"
     save_checkpoint(
@@ -396,9 +408,9 @@ def cmd_train(args) -> int:
     doc = _metrics_doc(dataset.class_names, outcome.confusion)
     doc["best_epoch"] = outcome.result.best_epoch
     doc["best_val_accuracy"] = outcome.result.best_val_accuracy
-    doc["vote"] = json.loads(exp.vote_report.to_json())
-    doc["dropped_offgraph"] = exp.dropped_offgraph
-    doc["clique"] = sorted(exp.bundle.clique)
+    doc["vote"] = asdict(prep.vote_report)
+    doc["dropped_offgraph"] = prep.dropped_offgraph
+    doc["clique"] = sorted(prep.bundle.clique)
     metrics_file.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -491,14 +503,14 @@ def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
 
 def cmd_importance(args) -> int:
     started = time.perf_counter()
+    config = _train_config(args, **_overrides(args))
     out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
-    config = TrainConfig.for_mode(args.mode, args.seed, **_overrides(args))
     runner = importance_runner(prep.bundle.graph, prep.bundle.features,
                                prep.dataset, config)
     workers = worker_count(len(ABLATABLE_FEATURES) + 1)  # with the baseline
-    report = feature_importance(runner, workers=workers)
+    report = feature_importance(runner, ABLATABLE_FEATURES, workers=workers)
     csv_file = out / "importance.csv"
     report.write_csv(csv_file)
     json_file = out / "importance.json"
@@ -522,21 +534,22 @@ def cmd_importance(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
+    grid = _overrides(args, ("lr", "wd", "blocks"))
+    if not grid:
+        raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
+    fixed = _overrides(args, ("epochs", "hidden"))
+    for values in itertools.product(*grid.values()):  # check every grid point
+        _train_config(args, **fixed, **dict(zip(grid, values)))
+    defaults = BINARY_DEFAULTS if args.mode == "binary" else MULTI_DEFAULTS
+    preferred = {k: defaults[k] for k in grid if k in defaults}
     out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
     fm = prep.bundle.features
     a_hat = adjacency_for(prep.bundle.graph, True)
 
-    grid = _overrides(args, ("lr", "wd", "blocks"))
-    if not grid:
-        raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
-    defaults = BINARY_DEFAULTS if args.mode == "binary" else MULTI_DEFAULTS
-    preferred = {k: defaults[k] for k in grid if k in defaults}
-    fixed = _overrides(args, ("epochs", "hidden"))
-
     def run_one(params: dict) -> tuple[float, float]:
-        config = TrainConfig.for_mode(args.mode, args.seed, **fixed, **params)
+        config = _train_config(args, **fixed, **params)
         outcome = run_training(fm.values, a_hat, prep.dataset, config)
         return outcome.val_accuracy, outcome.test_accuracy
 

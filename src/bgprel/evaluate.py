@@ -26,22 +26,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# everything the importance harness can knock out: the seven scalar
-# columns, the two one-hot groups (removed whole), and the common
-# neighbor ratio edge weighting
-ABLATABLE_FEATURES = [
-    "degree",
-    "transit_degree",
-    "dist_to_clique",
-    "dist_to_vp_mean",
-    "dist_to_vp_min",
-    "dist_to_vp_max",
-    "assign_vp",
-    "hierarchy",
-    "as_type",
-    "cnr",
-]
-
 
 def confusion_matrix(
     y_true: Sequence[int], y_pred: Sequence[int], n_classes: int
@@ -218,7 +202,7 @@ class ImportanceReport:
 
 def feature_importance(
     pipeline: Callable[[str | None], AblationRun],
-    features: Sequence[str] = tuple(ABLATABLE_FEATURES),
+    features: Sequence[str],
     workers: int = 1,
 ) -> ImportanceReport:
     """Score each feature by its share of the total accuracy shift.

@@ -40,6 +40,7 @@ from .gcn import (
 from .ingest import AllocationTable, IngestReport, ingest_file, load_asn_set
 from .topology import (
     HIERARCHY_COLUMNS,
+    SCALAR_COLUMNS,
     TYPE_COLUMNS,
     AsGraph,
     FeatureMatrix,
@@ -182,6 +183,10 @@ def make_dataset(
 # -- ablation plumbing ---------------------------------------------------
 
 _GROUP_COLUMNS = {"hierarchy": HIERARCHY_COLUMNS, "as_type": TYPE_COLUMNS}
+# everything the importance harness can knock out: each scalar column,
+# each one-hot group (removed whole), and the common neighbor ratio edge
+# weighting
+ABLATABLE_FEATURES = [*SCALAR_COLUMNS, *_GROUP_COLUMNS, "cnr"]
 
 
 def ablate_columns(
@@ -275,31 +280,17 @@ def prepare(files: DataFiles, mode: str, seed: int) -> Prepared:
     return Prepared(bundle, report, dropped, dataset)
 
 
-@dataclass
-class Experiment(Prepared):
-    """Everything one end-to-end run produces."""
-
-    outcome: TrainOutcome
-
-
-def run_experiment(files: DataFiles, mode: str = "multi", seed: int = 0,
-                   **config_overrides) -> Experiment:
-    prep = prepare(files, mode, seed)
-    config = TrainConfig.for_mode(mode, seed, **config_overrides)
-    fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, True)
-    outcome = run_training(fm.values, a_hat, prep.dataset, config)
-    return Experiment(**vars(prep), outcome=outcome)
-
-
 def importance_runner(graph: AsGraph, fm: FeatureMatrix, dataset: EdgeDataset,
                       config: TrainConfig):
     """Pipeline closure for the feature-importance driver: retrains
-    with one input removed, always from the same seed."""
+    with one input removed, always from the same seed.  The weighted
+    propagation matrix is built once, here; only the run without "cnr"
+    builds the unweighted one."""
+    weighted_a_hat = adjacency_for(graph, True)
 
     def run(feature: str | None) -> AblationRun:
         x, weighted = ablate_columns(fm, feature)
-        a_hat = adjacency_for(graph, weighted)
+        a_hat = weighted_a_hat if weighted else adjacency_for(graph, False)
         outcome = run_training(x, a_hat, dataset, config)
         return AblationRun(accuracy=outcome.test_accuracy, seed=config.seed)
 

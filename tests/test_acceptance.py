@@ -7,6 +7,7 @@ asserts the same condition, so the suite doubles as a scorecard.
 import itertools
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from bgprel.cli import run as cli_run
 from bgprel.dataset import RelLabel, load_label_source, vote_intersection
 from bgprel.evaluate import (
-    ABLATABLE_FEATURES,
     AblationRun,
     accuracy,
     feature_importance,
@@ -30,12 +30,15 @@ from bgprel.gcn import (
     loss_and_grads,
 )
 from bgprel.pipeline import (
+    ABLATABLE_FEATURES,
     DataFiles,
+    ablate_columns,
+    adjacency_for,
     degree_gap_baseline,
     importance_runner,
     majority_baseline,
     prepare,
-    run_experiment,
+    run_training,
 )
 from bgprel.synth import (
     SynthConfig,
@@ -322,13 +325,17 @@ def test_criterion_5_end_to_end_accuracy():
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         export(truth, paths, d, n_sources=3, perturbation=0.03, seed=cfg.seed)
-        exp = run_experiment(DataFiles.discover(d), mode="multi", seed=cfg.seed)
-        tr_y = exp.dataset.split("train")[1]
-        te_y = exp.dataset.split("test")[1]
+        prep = prepare(DataFiles.discover(d), "multi", cfg.seed)
+        config = TrainConfig.for_mode("multi", cfg.seed)
+        a_hat = adjacency_for(prep.bundle.graph, True)
+        outcome = run_training(prep.bundle.features.values, a_hat, prep.dataset,
+                               config)
+        tr_y = prep.dataset.split("train")[1]
+        te_y = prep.dataset.split("test")[1]
         majority = majority_baseline(tr_y, te_y)
-        stump = degree_gap_baseline(exp.bundle.graph, exp.dataset)
+        stump = degree_gap_baseline(prep.bundle.graph, prep.dataset)
     elapsed = time.perf_counter() - started
-    acc = exp.outcome.test_accuracy
+    acc = outcome.test_accuracy
     ok = acc >= 0.85 and acc > majority and acc > stump and elapsed < 300.0
     _report(5, ok, f"test accuracy {acc:.4f} (majority {majority:.4f}, "
                    f"degree-gap {stump:.4f}), {elapsed:.1f}s")
@@ -473,15 +480,27 @@ def test_criterion_9_importance_protocol():
         config = TrainConfig.for_mode("multi", seed=6, epochs=12, hidden=8)
         runner = importance_runner(prep.bundle.graph, prep.bundle.features,
                                    prep.dataset, config)
-        report = feature_importance(runner)
+        report = feature_importance(runner, ABLATABLE_FEATURES)
+        fm = prep.bundle.features
     covered = [e.feature for e in report.entries]
     same_seed = set(report.seeds) == {6}
+    # every feature column is knocked out by some ablation, and "cnr"
+    # switches the edge weights off: a row of column indices shows which
+    probe = replace(fm, values=np.arange(len(fm.columns))[None, :])
+    dropped, unweighted = set(), []
+    for name in covered:
+        x, weighted = ablate_columns(probe, name)
+        dropped |= set(range(len(fm.columns))) - set(x[0].tolist())
+        if not weighted:
+            unweighted.append(name)
 
     flat = feature_importance(
         lambda f: AblationRun(accuracy=0.5, seed=0), features=("a", "b")
     )
     ok = (
         covered == list(ABLATABLE_FEATURES)
+        and dropped == set(range(len(fm.columns)))
+        and unweighted == ["cnr"]
         and len(covered) == 10
         and same_seed
         and flat.degenerate

@@ -91,6 +91,19 @@ def test_traced_tiny_run_matches_untraced(tmp_path):
         return False
 
     assert any(s[0] == "gcn.spmm" and under_train(i) for i, s in enumerate(spans))
+    # train builds one propagation matrix and trains once, at the names
+    # the tracer wraps, and scores val and test inside that training
+    assert [s[0] for s in spans].count("pipeline.adjacency_for") == 1
+    runs = [i for i, s in enumerate(spans) if s[0] == "pipeline.run_training"]
+    assert len(runs) == 1
+
+    def under_run(i):
+        while i >= 0 and i != runs[0]:
+            i = spans[i][3]
+        return i == runs[0]
+
+    predicts = [i for i, s in enumerate(spans) if s[0] == "gcn.predict"]
+    assert predicts and all(under_run(i) for i in predicts)
     # the front end is traced once each, at the names build_bundle calls
     bundle = build_bundle(DataFiles.discover(data))
     ingests = [s[4] for s in spans if s[0] == "ingest.ingest_file"]

@@ -441,11 +441,31 @@ def test_sweep_malformed_list_is_usage_error_before_any_work(
     assert "Traceback" not in err
 
 
-def test_negative_weight_decay_is_refused(data_dir, tmp_path, capsys):
+def test_negative_weight_decay_is_refused(data_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "prepare", lambda *a: pytest.fail("prepare ran"))
     code = run(["train", "--data", str(data_dir), "--wd", "-0.1",
                 "--epochs", "3", "--hidden", "4", "--out", str(tmp_path / "o")])
-    assert code == 1
+    assert code == 2
     assert "weight decay must be non-negative, got -0.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--lr", "0"], "learning rate must be positive, got 0.0"),
+    (["train", "--lr", "nan"], "learning rate must be positive, got nan"),
+    (["train", "--blocks", "0x1"], "bad block spec (0, 1)"),
+    (["train", "--epochs", "0"], "epochs and hidden width must be positive"),
+    (["train", "--hidden", "0"], "epochs and hidden width must be positive"),
+    (["importance", "--hidden", "0"], "epochs and hidden width must be positive"),
+    (["sweep", "--lr", "0,0.05"], "learning rate must be positive, got 0.0"),
+])
+def test_refused_setting_is_usage_error_before_any_work(
+        data_dir, tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(cli, "prepare", lambda *a: pytest.fail("prepare ran"))
+    command, *flags = argv
+    out = tmp_path / "o"
+    assert run([command, "--data", str(data_dir), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -715,6 +735,16 @@ def test_worker_count_does_not_change_outputs(command, data_dir, tmp_path, monke
         assert manifest["config"]["workers"] == workers
     for name in RUNS_COMMANDS[command][1]:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_importance_builds_two_propagation_matrices(data_dir, tmp_path, monkeypatch):
+    # the weighted one, shared by ten of the eleven runs, and "cnr"'s
+    builds = []
+    build = pipeline.build_normalized_adjacency
+    monkeypatch.setattr(pipeline, "build_normalized_adjacency",
+                        lambda weights: builds.append(1) or build(weights))
+    assert _run_with_workers("importance", data_dir, tmp_path / "o", 1, monkeypatch) == 0
+    assert len(builds) == 2
 
 
 # the front end's commands, with the outputs whose bytes they own

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from bgprel.evaluate import (
-    ABLATABLE_FEATURES,
     AblationRun,
     accuracy,
     confusion_matrix,
@@ -18,6 +17,7 @@ from bgprel.evaluate import (
     sweep,
     worker_count,
 )
+from bgprel.pipeline import ABLATABLE_FEATURES
 
 
 class TestConfusionMatrix:
@@ -97,7 +97,8 @@ class TestFeatureImportance:
         rng = random.Random(3)
         for name in ABLATABLE_FEATURES:
             accs[name] = 0.9 - rng.uniform(0.0, 0.3)
-        report = feature_importance(lambda n: AblationRun(accs[n], seed=42))
+        report = feature_importance(lambda n: AblationRun(accs[n], seed=42),
+                                    ABLATABLE_FEATURES)
         assert not report.degenerate
         total = sum(e.score for e in report.entries)
         assert total == pytest.approx(100.0, abs=0.01)
@@ -126,8 +127,10 @@ class TestFeatureImportance:
         rng = random.Random(11)
         for name in ABLATABLE_FEATURES:
             accs[name] = rng.uniform(0.4, 0.9)
-        serial = feature_importance(lambda n: AblationRun(accs[n], 1), workers=1)
-        forked = feature_importance(lambda n: AblationRun(accs[n], 1), workers=4)
+        serial = feature_importance(lambda n: AblationRun(accs[n], 1),
+                                    ABLATABLE_FEATURES, workers=1)
+        forked = feature_importance(lambda n: AblationRun(accs[n], 1),
+                                    ABLATABLE_FEATURES, workers=4)
         assert forked.baseline_accuracy == serial.baseline_accuracy
         assert [e.score for e in serial.entries] == [e.score for e in forked.entries]
 

@@ -19,7 +19,6 @@ from bgprel.pipeline import (
     prepare,
     prepare_labels,
     restrict_to_graph,
-    run_experiment,
     run_training,
     score_splits,
 )
@@ -300,15 +299,17 @@ def test_degree_gap_baseline_matches_brute_force_on_train():
         assert got == pytest.approx(want)
 
 
-def test_run_experiment_end_to_end(data_dir):
-    files = DataFiles.discover(data_dir)
-    exp = run_experiment(files, mode="multi", seed=3, epochs=25, hidden=8)
-    assert 0.0 <= exp.outcome.val_accuracy <= 1.0
-    assert 0.0 <= exp.outcome.test_accuracy <= 1.0
-    assert exp.outcome.confusion["test"].shape == (4, 4)
-    assert exp.outcome.result.best_epoch >= 1
-    assert exp.vote_report.n_sources == 3
-    assert exp.dataset.class_names == ["p2p", "p2c", "s2s", "x2x"]
+def test_prepare_and_train_end_to_end(data_dir):
+    prep = prepare(DataFiles.discover(data_dir), "multi", seed=3)
+    config = TrainConfig.for_mode("multi", seed=3, epochs=25, hidden=8)
+    a_hat = adjacency_for(prep.bundle.graph, True)
+    outcome = run_training(prep.bundle.features.values, a_hat, prep.dataset, config)
+    assert 0.0 <= outcome.val_accuracy <= 1.0
+    assert 0.0 <= outcome.test_accuracy <= 1.0
+    assert outcome.confusion["test"].shape == (4, 4)
+    assert outcome.result.best_epoch >= 1
+    assert prep.vote_report.n_sources == 3
+    assert prep.dataset.class_names == ["p2p", "p2c", "s2s", "x2x"]
 
 
 def test_importance_runner_deterministic(clean_dir):
