@@ -33,8 +33,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .dataset import RelLabel
 from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file
@@ -540,14 +538,25 @@ def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
 
 
 def p2c_is_acyclic(truth: GroundTruth) -> bool:
-    """No provider chain leads back to where it began: every strongly
-    connected component of the provider -> customer digraph is one AS."""
+    """No provider chain leads back to where it began.
+
+    Peels the hierarchy from the top: each round removes every AS whose
+    providers have all been removed (at first, those with none).  An AS
+    on a cycle, or below one, never loses its last provider, so the
+    hierarchy is acyclic exactly when every AS is peeled.
+    """
     graph = truth.route_graph
     n = len(graph.nodes)
     down = np.flatnonzero(graph.kind == _DESCEND)
-    rows = np.searchsorted(graph.indptr, down, side="right") - 1
-    p2c = sp.csr_matrix((np.ones(len(down)), (rows, graph.indices[down])), shape=(n, n))
-    return csgraph.connected_components(p2c, connection="strong")[0] == n
+    provider = np.searchsorted(graph.indptr, down, side="right") - 1
+    customer = graph.indices[down]
+    peeled = np.zeros(n, dtype=bool)
+    while True:
+        held = np.bincount(customer[~peeled[provider]], minlength=n) > 0
+        top = ~peeled & ~held
+        if not top.any():
+            return bool(peeled.all())
+        peeled |= top
 
 
 # -- export -----------------------------------------------------------------

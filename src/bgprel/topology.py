@@ -27,12 +27,12 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .ingest import (
     PathStore,
     load_asn_map,
     load_asn_set,
+    pack_pairs,
     pack_unordered_pairs,
     run_firsts,
     unpack_pairs,
@@ -228,13 +228,6 @@ class AsGraph:
         """0/1 adjacency over node positions."""
         return self.edge_matrix(np.ones(self.num_edges))
 
-    def _hop_distances(self, sources: np.ndarray) -> np.ndarray:
-        """BFS hop counts from each source position to every node, one
-        row per source; unreachable nodes read inf."""
-        return csgraph.shortest_path(
-            self.adjacency(), method="D", unweighted=True, indices=sources
-        ).reshape(len(sources), self.num_nodes)
-
 
 def step_edges(paths: PathStore) -> np.ndarray:
     """The sorted distinct unordered pair keys (``pack_unordered_pairs``)
@@ -419,16 +412,36 @@ def clique_distances(g: AsGraph, clique: set[int]) -> tuple[np.ndarray, int]:
     A (node, member) pair with no path counts one hop more than the
     longest finite distance from any member; the second return value
     counts those pairs so callers can surface the anomaly.
+
+    One BFS per member, all advanced a level at a time together: a
+    node joins a member's next level when one of its neighbours is in
+    that member's current level.  Only the integer sum of each node's
+    hop counts is kept, so the sum is exact and the mean is the same
+    in any order.
     """
     if not clique:
         raise ValueError("clique is empty")
-    dist = g._hop_distances(g.positions(sorted(clique)))
-    missing = ~np.isfinite(dist)
-    unreachable = int(missing.sum())
-    if unreachable:
-        dist[missing] = dist[~missing].max() + 1
-    # integer hop counts, so the sum is exact in any order
-    return dist.sum(axis=0) / len(dist), unreachable
+    sources = g.positions(sorted(clique))
+    k = len(sources)
+    # reached[v, s]: member s has reached node v; frontier: at this level
+    reached = np.zeros((g.num_nodes, k), dtype=bool)
+    reached[sources, np.arange(k)] = True
+    frontier = reached.copy()
+    linked = np.flatnonzero(np.diff(g._indptr))
+    total = np.zeros(g.num_nodes, dtype=np.int64)
+    level = 0
+    while frontier.any():
+        level += 1
+        nxt = np.zeros_like(frontier)
+        nxt[linked] = np.logical_or.reduceat(frontier[g._indices], g._indptr[linked], axis=0)
+        frontier = nxt & ~reached
+        reached |= frontier
+        total += level * frontier.sum(axis=1)
+    # the last level reached nothing: ``level`` is one hop more than the
+    # longest finite distance
+    missing = k - reached.sum(axis=1)
+    total += missing * level
+    return total / k, int(missing.sum())
 
 
 def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
@@ -438,17 +451,23 @@ def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
 
     Neither endpoint is its own neighbor, so the shared neighbors never
     include them, and the union without them has deg(a)-1 + deg(b)-1 -
-    shared members.
+    shared members.  Each neighbor of an edge's lower-degree endpoint
+    is looked up in the other endpoint's row, by its (row, column) key
+    among the sorted keys of every CSR entry.
     """
-    bounds = g._indptr.tolist()
-    rows = [set(g._indices[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
-    degree = g.degrees().tolist()
-    ratios = np.zeros(g.num_edges)
-    for k, (i, j) in enumerate(g._edges.tolist()):
-        shared = len(rows[i] & rows[j])
-        union = degree[i] + degree[j] - 2 - shared
-        if union:
-            ratios[k] = shared / union
+    degree = g.degrees()
+    keys = pack_pairs(np.repeat(np.arange(g.num_nodes), degree), g._indices)
+    i, j = g._edges.T
+    low = np.where(degree[i] <= degree[j], i, j)
+    high = i + j - low
+    count = degree[low]
+    edge = np.repeat(np.arange(g.num_edges), count)
+    entry = np.arange(len(edge)) + np.repeat(g._indptr[low] - (np.cumsum(count) - count), count)
+    query = pack_pairs(high[edge], g._indices[entry])
+    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+    shared = np.bincount(edge[found], minlength=g.num_edges)
+    union = degree[i] + degree[j] - 2 - shared
+    ratios = np.divide(shared, union, out=np.zeros(g.num_edges), where=union > 0)
     return g.edge_matrix(ratios)
 
 

@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +118,34 @@ def test_build_bundle_covers_observed_nodes(data_dir):
         bundle.graph.num_nodes, len(FEATURE_COLUMNS),
     )
     assert bundle.clique  # the planted mesh is observable
+
+
+# scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
+# about 11 MB of resident memory in every process that imports it
+_HEAVY_SCIPY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def test_commands_load_no_csgraph_or_linalg(data_dir):
+    """A fresh interpreter imports the CLI, builds a bundle and its
+    weighted propagation matrix and checks a synth hierarchy for
+    cycles, without loading the heavy scipy modules."""
+    code = (
+        "import sys\n"
+        "import bgprel.cli\n"
+        "from bgprel import pipeline, synth\n"
+        "bundle = pipeline.build_bundle(pipeline.DataFiles.discover(sys.argv[1]))\n"
+        "pipeline.adjacency_for(bundle.graph, True)\n"
+        "assert synth.p2c_is_acyclic(synth.generate(synth.SynthConfig(\n"
+        "    n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5, n_vps=5, paths_per_vp=10)))\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({_HEAVY_SCIPY!r})))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, str(data_dir)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):

@@ -124,23 +124,40 @@ def test_x2x_edges_touch_exactly_one_ixp():
             assert touches == 0
 
 
+def _p2c_truth(pairs):
+    truth = GroundTruth()
+    for p, c in pairs:
+        truth.add(p, c, RelLabel.P2C, provider=p)
+    return truth
+
+
+# provider -> customer chains deeper than 20 levels, a cycle with a long
+# acyclic hierarchy above it and customers below it, and a cycle closed
+# by the bottom of a deep chain
+_CHAIN = [(a, a + 1) for a in range(1, 31)]
+_DEEP_P2C = [
+    _CHAIN,
+    _CHAIN + [(a, a + 7) for a in range(1, 24, 3)],
+    _CHAIN + [(31, 100), (100, 101), (101, 102), (102, 100), (102, 103), (103, 104)],
+    _CHAIN + [(31, 1)],
+]
+
+
 def test_p2c_acyclic_matches_networkx():
-    for seed in range(6):
-        cfg = SynthConfig(
+    truths = [
+        generate(SynthConfig(
             n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5,
             n_vps=5, paths_per_vp=10, seed=seed,
-        )
-        truth = generate(cfg)
+        ))
+        for seed in range(6)
+    ] + [_p2c_truth(pairs) for pairs in _DEEP_P2C]
+    for truth in truths:
         dg = nx.DiGraph(truth.p2c_pairs())
         assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(dg)
 
 
 def test_p2c_acyclic_flags_a_cycle():
-    truth = GroundTruth()
-    truth.add(1, 2, RelLabel.P2C, provider=1)
-    truth.add(2, 3, RelLabel.P2C, provider=2)
-    truth.add(3, 1, RelLabel.P2C, provider=3)
-    assert not p2c_is_acyclic(truth)
+    assert not p2c_is_acyclic(_p2c_truth([(1, 2), (2, 3), (3, 1)]))
 
 
 def test_ground_truth_rejects_duplicate_edge():

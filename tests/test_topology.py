@@ -20,6 +20,7 @@ from bgprel.topology import (
     UnknownNodeError,
     assemble_features,
     build_graph,
+    canonical_edge,
     clique_distances,
     cnr_edge_weights,
     infer_clique,
@@ -336,6 +337,40 @@ class TestDistToClique:
             assert got == pytest.approx(total / len(clique), abs=1e-12)
 
 
+def set_cnr(edges):
+    """The common-neighbour ratio of every edge in ``edges`` order, by
+    set algebra over one Python set per node: the reference for
+    ``cnr_edge_weights``."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    ratios = []
+    for a, b in edges:
+        shared = len(adj[a] & adj[b])
+        union = len(adj[a]) + len(adj[b]) - 2 - shared
+        ratios.append(shared / union if union else 0.0)
+    return np.array(ratios)
+
+
+@st.composite
+def cnr_graphs(draw):
+    """A random edge list plus a leaf, a twin AS50 (joined to some node
+    v and to all of v's neighbours, so edge (v, 50) shares every
+    neighbour) and a lone edge whose endpoints both have degree 1;
+    returns the sorted edges and v."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), max_size=30))
+    edges = {canonical_edge(a, b) for a, b in pairs if a != b}
+    nodes = sorted({a for e in edges for a in e})
+    v = None
+    if nodes:
+        edges.add((draw(st.sampled_from(nodes)), 60))
+        v = draw(st.sampled_from(nodes))
+        edges |= {(v, 50)} | {(w, 50) for e in edges if v in e for w in e if w != v}
+    edges.add((70, 71))
+    return sorted(edges), v
+
+
 class TestCommonNeighborRatio:
     def test_triangle(self):
         g = graph_of(paths_of([1, 2, 3], [2, 3, 1]))  # triangle: edges 12,23,31
@@ -381,6 +416,22 @@ class TestCommonNeighborRatio:
             nb = adj[b] - {a, b}
             want = len(na & nb) / len(na | nb) if (na | nb) else 0.0
             assert w[i, j] == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cnr_graphs())
+    def test_matches_set_formula(self, drawn):
+        edges, v = drawn
+        g = AsGraph.from_edges(edges)
+        want = g.edge_matrix(set_cnr(g.edges()))
+        got = cnr_edge_weights(g)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        i, j = g.positions([70, 71])
+        assert got[i, j] == 0.0
+        if v is not None and g.degree(v) > 1:
+            i, j = g.positions([v, 50])
+            assert got[i, j] == 1.0
 
 
 class TestVpStats:
@@ -571,3 +622,22 @@ class TestDistances:
             want = nx.single_source_shortest_path_length(nxg, a)
             got = {b: d for b, d in zip(g.sorted_nodes(), dist.tolist()) if b in want}
             assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 6))
+    def test_clique_distances_match_networkx(self, rng, k):
+        """Several components and several members: an unreachable
+        (node, member) pair reads inf, then counts one hop more than
+        the longest finite distance; the means are exact."""
+        edges, nodes = self.components(rng)
+        g = AsGraph.from_edges(edges, nodes=nodes)
+        nxg = nx.Graph(edges)
+        nxg.add_nodes_from(nodes)
+        clique = sorted(rng.sample(nodes, min(k, len(nodes))))
+        lengths = [nx.single_source_shortest_path_length(nxg, m) for m in clique]
+        dist = np.array([[d.get(a, np.inf) for a in g.sorted_nodes()] for d in lengths])
+        missing = np.isinf(dist)
+        dist[missing] = dist[~missing].max() + 1
+        means, unreachable = clique_distances(g, set(clique))
+        assert unreachable == missing.sum()
+        assert means.tolist() == (dist.sum(axis=0) / len(clique)).tolist()
