@@ -35,6 +35,7 @@ from .evaluate import (
     feature_importance,
     format_confusion,
     metrics,
+    setting_text,
     sweep,
     worker_count,
 )
@@ -560,7 +561,7 @@ def cmd_sweep(args) -> int:
     json_file = out / "sweep.json"
     json_file.write_text(report.to_json(), encoding="utf-8")
     write_manifest(
-        out, "sweep", {"grid": {k: [repr(v) for v in vs] for k, vs in grid.items()},
+        out, "sweep", {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
                        "workers": workers},
         files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file},
         args.seed, started,

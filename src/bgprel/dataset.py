@@ -37,6 +37,7 @@ from .ingest import (
     pack_unordered_pairs,
     parse_asn,
     read_fields,
+    run_firsts,
     unpack_pairs,
 )
 
@@ -123,7 +124,7 @@ class LabelTable:
 
     def write_csv(self, out: str | Path) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["a", "b", "label", "split", "provenance"])
             for a, b, label, split, prov in self.rows():
                 writer.writerow([a, b, label.value, split, prov])
@@ -213,9 +214,7 @@ def _source_calls(src: LabelSource) -> tuple[np.ndarray, np.ndarray, int]:
                     np.where(src.a < src.b, _CALL_LO_PROVIDER, _CALL_HI_PROVIDER))
     order = np.argsort(key, kind="stable")
     key, call = key[order], call[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(run_firsts(key))
     # a pair's calls all agree exactly when their least and greatest do
     low = np.minimum.reduceat(call, starts)
     agree = low == np.maximum.reduceat(call, starts)

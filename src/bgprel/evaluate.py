@@ -192,7 +192,7 @@ class ImportanceReport:
 
     def write_csv(self, out: str | Path) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["feature", "accuracy_without", "score_percent"])
             for e in self.entries:
                 writer.writerow(
@@ -240,6 +240,14 @@ def feature_importance(
 # -- sweeps ---------------------------------------------------------------
 
 
+def setting_text(value) -> str:
+    """A swept setting as its flag reads it: a block spec as ``2x1``,
+    anything else by ``repr``."""
+    if isinstance(value, tuple):
+        return "x".join(map(str, value))
+    return repr(value)
+
+
 @dataclass
 class SweepRow:
     overrides: dict
@@ -255,20 +263,20 @@ class SweepReport:
     def write_csv(self, out: str | Path) -> None:
         keys = sorted({k for r in self.rows for k in r.overrides})
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(keys + ["val_accuracy", "test_accuracy"])
             for r in self.rows:
                 writer.writerow(
-                    [repr(r.overrides.get(k, "")) for k in keys]
+                    [setting_text(r.overrides.get(k, "")) for k in keys]
                     + [repr(r.val_accuracy), repr(r.test_accuracy)]
                 )
 
     def to_json(self) -> str:
         doc = {
-            "best": {k: repr(v) for k, v in self.best.items()},
+            "best": {k: setting_text(v) for k, v in self.best.items()},
             "rows": [
                 {
-                    "overrides": {k: repr(v) for k, v in r.overrides.items()},
+                    "overrides": {k: setting_text(v) for k, v in r.overrides.items()},
                     "val_accuracy": r.val_accuracy,
                     "test_accuracy": r.test_accuracy,
                 }

@@ -18,7 +18,7 @@ when only the graph is wanted, into a ``topology.GraphSummary``, so that
 no process holds every path.  Summaries merge, so for them the file is
 cut into line-aligned byte ranges, one per ``evaluate.worker_count``
 process but none shorter than ``_RANGE_FLOOR``.  ``ingest_lines``
-applies the same block code to lines already in memory.
+joins lines already in memory into one buffer and reads it the same way.
 ``parse_path_line`` and ``sanitize`` are the per-path definitions of
 the same rules, kept as the reference the block code is tested against.
 
@@ -29,6 +29,7 @@ allocation lists, pairs files, label tables) is read through
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -515,54 +516,22 @@ def _stores(
         yield PathStore.from_lengths(*_sanitize_batch(hops, lengths, table, report))
 
 
-def _text_blocks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Lines in memory as blocks of about ``_BLOCK_BYTES``, each line
-    ended by one LF; a CR or LF inside an item stays whitespace."""
-    batch, size = [], 0
-    for line in lines:
-        batch.append(line)
-        size += len(line) + 1
-        if size < _BLOCK_BYTES:
-            continue
-        yield _text_block(batch)
-        batch, size = [], 0
-    if batch:
-        yield _text_block(batch)
-
-
-def _text_block(lines: list[str]) -> tuple[bytes, np.ndarray]:
-    text = "\n".join(lines) + "\n"
-    if text.isascii():
-        data = text.encode("ascii")
-        sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    else:
-        encoded = [line.encode("utf-8", "surrogatepass") for line in lines]
-        data = b"\n".join(encoded) + b"\n"
-        sizes = np.fromiter(map(len, encoded), dtype=np.int64, count=len(lines))
-    return data, np.cumsum(sizes + 1) - 1
-
-
-def _file_blocks(
-    path: str | Path, lo: int, hi: int | None
-) -> Iterator[tuple[bytes, np.ndarray]]:
-    """Bytes ``lo``..``hi`` of a file (to its end when ``hi`` is None)
-    as blocks of whole lines, read ``_BLOCK_BYTES`` at a time.  Every CR
-    and every LF ends a line: a CRLF ends one line and an empty one,
-    which is blank."""
-    with open(path, "rb") as fh:
-        if lo:
-            fh.seek(lo)
-        carry, at = b"", lo
-        size = _BLOCK_BYTES
-        while chunk := fh.read(size if hi is None else min(size, hi - at)):
-            at += len(chunk)
-            data = carry + chunk
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-            carry = data[cut:]
-            if cut:
-                yield _file_block(data[:cut])
-        if carry:
-            yield _file_block(carry)
+def _file_blocks(fh: BinaryIO, left: int | None = None) -> Iterator[tuple[bytes, np.ndarray]]:
+    """The next ``left`` bytes of a binary stream (to its end when
+    ``left`` is None) as blocks of whole lines, read ``_BLOCK_BYTES`` at
+    a time.  Every CR and every LF ends a line: a CRLF ends one line and
+    an empty one, which is blank."""
+    carry, size = b"", _BLOCK_BYTES
+    while chunk := fh.read(size if left is None else min(size, left)):
+        if left is not None:
+            left -= len(chunk)
+        data = carry + chunk
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        carry = data[cut:]
+        if cut:
+            yield _file_block(data[:cut])
+    if carry:
+        yield _file_block(carry)
 
 
 def _file_block(data: bytes) -> tuple[bytes, np.ndarray]:
@@ -596,8 +565,13 @@ def _line_ranges(path: str | Path, parts: int) -> list[tuple[int, int | None]]:
 
 
 def _ingest_range(path, table, into, span: tuple[int, int | None]):
+    lo, hi = span
     report = IngestReport()
-    return into.fold(_stores(_file_blocks(path, *span), table, report)), report
+    with open(path, "rb") as fh:
+        if lo:
+            fh.seek(lo)
+        left = None if hi is None else hi - lo
+        return into.fold(_stores(_file_blocks(fh, left), table, report)), report
 
 
 def ingest_lines(
@@ -605,13 +579,17 @@ def ingest_lines(
 ) -> tuple[PathStore, IngestReport]:
     """Parse and sanitize an iterable of path lines, in blocks.
 
-    Each item is one line; a trailing newline is allowed.  Blank lines
-    and ``#`` comments are skipped silently; lines that fail to parse
-    are counted as malformed and skipped so one bad line cannot abort a
-    large dump.  Accepted paths keep their input order.
+    Each item is one line; a CR or LF inside it, a trailing newline
+    included, is whitespace.  Blank lines and ``#`` comments are skipped
+    silently; lines that fail to parse are counted as malformed and
+    skipped so one bad line cannot abort a large dump.  Accepted paths
+    keep their input order.  The items are joined into one buffer and
+    read like a file.
     """
+    text = "\n".join(line.replace("\r", " ").replace("\n", " ") for line in lines)
+    buf = io.BytesIO(text.encode("utf-8", "surrogatepass"))
     report = IngestReport()
-    return PathStore.fold(_stores(_text_blocks(lines), table, report)), report
+    return PathStore.fold(_stores(_file_blocks(buf), table, report)), report
 
 
 def ingest_file(path: str | Path, table: AllocationTable | None = None, into=PathStore):

@@ -223,7 +223,6 @@ def adjacency_for(graph: AsGraph, weighted: bool) -> sp.csr_matrix:
 
 @dataclass
 class TrainOutcome:
-    config: TrainConfig
     result: TrainResult
     confusion: dict[str, np.ndarray]  # "val" and "test"
 
@@ -258,7 +257,7 @@ def run_training(
     va_e, va_y = dataset.split("val")
     result = train(x, a_hat, tr_e, tr_y, va_e, va_y, config)
     confusion = score_splits(result.model, a_hat, x, dataset)
-    return TrainOutcome(config=config, result=result, confusion=confusion)
+    return TrainOutcome(result=result, confusion=confusion)
 
 
 @dataclass
@@ -310,90 +309,47 @@ def majority_baseline(
     return float((eval_labels == winner).mean())
 
 
-def _segment_majorities(
-    order: np.ndarray, labels: np.ndarray, cuts: list[int], n_classes: int
-) -> list[int]:
-    bounds = [0, *cuts, len(order)]
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        seg = labels[order[lo:hi]]
-        out.append(int(np.bincount(seg, minlength=n_classes).argmax()))
-    return out
-
-
 def degree_gap_baseline(graph: AsGraph, dataset: EdgeDataset) -> float:
     """Threshold rule on |degree(a) - degree(b)|.
 
     Fits up to three split points on the training edges by exact
     dynamic programming (maximizing training accuracy), answers the
     majority class of the matching segment, and reports test accuracy.
-    A deliberately feature-free floor: any model worth running must
-    beat it.
+    Ties go to the earliest split and the lowest class.  A deliberately
+    feature-free floor: any model worth running must beat it.
     """
-    max_cuts = 3
+    max_segments = 4
     degree = graph.degrees()
 
     def gaps(pairs: np.ndarray) -> np.ndarray:
-        return np.abs(degree[pairs[:, 0]] - degree[pairs[:, 1]]).astype(np.float64)
+        return np.abs(degree[pairs[:, 0]] - degree[pairs[:, 1]])
 
     # dataset arrays hold graph positions
-    tr_e, tr_y = dataset.split("train")
-    te_e, te_y = dataset.split("test")
-    n_classes = len(dataset.classes)
-    g_tr = gaps(tr_e)
-    order = np.argsort(g_tr, kind="stable")
-    sorted_tr = g_tr[order]
-    m = len(order)
+    (tr_e, tr_y), (te_e, te_y) = dataset.split("train"), dataset.split("test")
+    values, inverse = np.unique(gaps(tr_e), return_inverse=True)
+    n = len(values)
+    # below[j]: per-class training counts over the j smallest distinct gaps;
+    # segments break only between distinct gaps
+    below = np.zeros((n + 1, len(dataset.classes)), dtype=np.int64)
+    np.add.at(below, (inverse + 1, tr_y), 1)
+    below = below.cumsum(axis=0)
 
-    # segments may only break between distinct gap values
-    breakpoints = [i for i in range(1, m) if sorted_tr[i] != sorted_tr[i - 1]]
-    positions = [0, *breakpoints, m]
+    # best[k, a]: most training hits over the gaps from a on in at most k
+    # segments, -1 when unreachable; end[k, a]: where the first one ends
+    best = np.full((max_segments + 1, n + 1), -1, dtype=np.int64)
+    best[:, n] = 0
+    end = np.full((max_segments + 1, n + 1), n)
+    for a in range(n - 1, -1, -1):
+        hits = (below[a + 1:] - below[a]).max(axis=1)
+        rest = best[:-1, a + 1:]
+        total = np.where(rest < 0, -1, hits + rest)
+        end[1:, a] = a + 1 + total.argmax(axis=1)  # the first maximum
+        best[1:, a] = total.max(axis=1)
 
-    def seg_hits(lo: int, hi: int) -> int:
-        seg = tr_y[order[lo:hi]]
-        return int(np.bincount(seg, minlength=n_classes).max()) if len(seg) else 0
-
-    n_pos = len(positions)
-    hits = [[0] * n_pos for _ in range(n_pos)]
-    for a in range(n_pos):
-        for b in range(a + 1, n_pos):
-            hits[a][b] = seg_hits(positions[a], positions[b])
-
-    # dp[k][a]: best hits covering samples from positions[a] on, using
-    # at most k segments; unreachable states stay at -1
-    unreachable = -1
-    dp = [[unreachable] * n_pos for _ in range(max_cuts + 2)]
-    choice = [[n_pos - 1] * n_pos for _ in range(max_cuts + 2)]
-    for k in range(max_cuts + 2):
-        dp[k][n_pos - 1] = 0
-    for k in range(1, max_cuts + 2):
-        for a in range(n_pos - 2, -1, -1):
-            best, arg = unreachable, n_pos - 1
-            for b in range(a + 1, n_pos):
-                if dp[k - 1][b] == unreachable:
-                    continue
-                cand = hits[a][b] + dp[k - 1][b]
-                if cand > best:
-                    best, arg = cand, b
-            dp[k][a] = best
-            choice[k][a] = arg
-
-    cuts: list[int] = []
-    a, k = 0, max_cuts + 1
-    while a < n_pos - 1:
-        b = choice[k][a]
-        if b < n_pos - 1:
-            cuts.append(positions[b])
-        a, k = b, k - 1
-
-    majors = _segment_majorities(order, tr_y, cuts, n_classes)
-    thresholds = [sorted_tr[c] for c in cuts]  # segment = first t > gap
-
-    g_te = gaps(te_e)
-    pred = np.empty(len(g_te), dtype=np.intp)
-    for i, gval in enumerate(g_te):
-        s = 0
-        while s < len(thresholds) and gval >= thresholds[s]:
-            s += 1
-        pred[i] = majors[s]
+    cuts, a, k = [], 0, max_segments
+    while (a := int(end[k, a])) < n:
+        cuts.append(a)
+        k -= 1
+    majors = np.diff(below[[0, *cuts, n]], axis=0).argmax(axis=1)
+    pred = majors[np.searchsorted(values[cuts], gaps(te_e), side="right")]
     return float((pred == te_y).mean())

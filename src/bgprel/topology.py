@@ -579,7 +579,7 @@ def assemble_features(
 
 def write_features_csv(fm: FeatureMatrix, out: str | Path) -> None:
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["asn"] + fm.columns)
         for a, row in zip(fm.nodes, fm.values.tolist()):
             writer.writerow([a, *map(repr, row)])

@@ -419,6 +419,20 @@ def test_sweep_command(data_dir, tmp_path, capsys):
     assert "best" in capsys.readouterr().out
 
 
+def test_sweep_writes_block_specs_as_the_flag_reads_them(data_dir, tmp_path):
+    out = tmp_path / "sw"
+    assert run([
+        "sweep", "--data", str(data_dir), "--blocks", "2x1,1x1",
+        "--epochs", "2", "--hidden", "4", "--seed", "0", "--out", str(out),
+    ]) == 0
+    rows = [fields for _, fields in ingest.read_fields(out / "sweep.csv", ",")]
+    assert rows[0] == ["block_spec", "val_accuracy", "test_accuracy"]
+    assert [r[0] for r in rows[1:]] == ["2x1", "1x1"]
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [r["overrides"]["block_spec"] for r in doc["rows"]] == ["2x1", "1x1"]
+    assert doc["best"]["block_spec"] in ("2x1", "1x1")
+
+
 def test_sweep_without_grid_is_usage_error(data_dir, tmp_path, capsys):
     code = run(["sweep", "--data", str(data_dir), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -557,12 +571,16 @@ MANIFEST_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
-def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypatch):
-    argv = [command] + [
+def _command_argv(command: str, input_root: Path) -> list[str]:
+    return [command] + [
         str(input_root / v) if (input_root / v).exists() else v
         for v in MANIFEST_COMMANDS[command]
     ]
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypatch):
+    argv = _command_argv(command, input_root)
     opened, read = [], []
 
     def recording_open(file, *args, **kwargs):
@@ -587,6 +605,15 @@ def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypa
     doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     listed = {Path(e["path"]).resolve() for e in doc["inputs"].values()}
     assert inputs and listed == inputs
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+def test_csv_outputs_end_lines_with_lf(command, input_root, data_dir, tmp_path):
+    assert run([*_command_argv(command, input_root), "--out", str(tmp_path / "out")]) == 0
+    written = [*(tmp_path / "out").glob("*.csv"), *data_dir.glob("*.csv")]
+    assert written
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 # -- the README advertises only flags the parser takes ---------------------

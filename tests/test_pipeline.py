@@ -19,6 +19,7 @@ from bgprel.pipeline import (
     degree_gap_baseline,
     importance_runner,
     majority_baseline,
+    make_dataset,
     prepare,
     prepare_labels,
     restrict_to_graph,
@@ -328,6 +329,125 @@ def test_degree_gap_baseline_matches_brute_force_on_train():
         want = _brute_force_stump(gaps, labels, 3)
         got = degree_gap_baseline(g, ds)
         assert got == pytest.approx(want)
+
+
+def _reference_degree_gap(graph: AsGraph, dataset: EdgeDataset) -> float:
+    """The degree-gap floor as a plain-Python DP over a table of every
+    pair of distinct gaps: the reference the numpy DP must equal."""
+    max_cuts = 3
+    degree = graph.degrees()
+
+    def gaps(pairs: np.ndarray) -> np.ndarray:
+        return np.abs(degree[pairs[:, 0]] - degree[pairs[:, 1]]).astype(np.float64)
+
+    tr_e, tr_y = dataset.split("train")
+    te_e, te_y = dataset.split("test")
+    n_classes = len(dataset.classes)
+    g_tr = gaps(tr_e)
+    order = np.argsort(g_tr, kind="stable")
+    sorted_tr = g_tr[order]
+    m = len(order)
+
+    # segments may only break between distinct gap values
+    breakpoints = [i for i in range(1, m) if sorted_tr[i] != sorted_tr[i - 1]]
+    positions = [0, *breakpoints, m]
+
+    def seg_hits(lo: int, hi: int) -> int:
+        seg = tr_y[order[lo:hi]]
+        return int(np.bincount(seg, minlength=n_classes).max()) if len(seg) else 0
+
+    n_pos = len(positions)
+    hits = [[0] * n_pos for _ in range(n_pos)]
+    for a in range(n_pos):
+        for b in range(a + 1, n_pos):
+            hits[a][b] = seg_hits(positions[a], positions[b])
+
+    # dp[k][a]: best hits covering samples from positions[a] on, using
+    # at most k segments; unreachable states stay at -1
+    unreachable = -1
+    dp = [[unreachable] * n_pos for _ in range(max_cuts + 2)]
+    choice = [[n_pos - 1] * n_pos for _ in range(max_cuts + 2)]
+    for k in range(max_cuts + 2):
+        dp[k][n_pos - 1] = 0
+    for k in range(1, max_cuts + 2):
+        for a in range(n_pos - 2, -1, -1):
+            best, arg = unreachable, n_pos - 1
+            for b in range(a + 1, n_pos):
+                if dp[k - 1][b] == unreachable:
+                    continue
+                cand = hits[a][b] + dp[k - 1][b]
+                if cand > best:
+                    best, arg = cand, b
+            dp[k][a] = best
+            choice[k][a] = arg
+
+    cuts: list[int] = []
+    a, k = 0, max_cuts + 1
+    while a < n_pos - 1:
+        b = choice[k][a]
+        if b < n_pos - 1:
+            cuts.append(positions[b])
+        a, k = b, k - 1
+
+    bounds = [0, *cuts, m]
+    majors = [int(np.bincount(tr_y[order[lo:hi]], minlength=n_classes).argmax())
+              for lo, hi in zip(bounds, bounds[1:])]
+    thresholds = [sorted_tr[c] for c in cuts]  # segment = first t > gap
+
+    g_te = gaps(te_e)
+    pred = np.empty(len(g_te), dtype=np.intp)
+    for i, gval in enumerate(g_te):
+        s = 0
+        while s < len(thresholds) and gval >= thresholds[s]:
+            s += 1
+        pred[i] = majors[s]
+    return float((pred == te_y).mean())
+
+
+def test_degree_gap_baseline_equals_reference_on_random_data():
+    # few nodes and few classes, so gaps repeat and segments tie
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        n = int(rng.integers(3, 16))
+        g = AsGraph.from_edges(
+            [(a + 1, b + 1) for a, b in
+             {tuple(sorted(rng.choice(n, 2, replace=False)))
+              for _ in range(int(rng.integers(2, 3 * n)))}]
+        )
+        n_classes = int(rng.integers(2, 5))
+        ds = EdgeDataset(classes=list(RelLabel)[:n_classes],
+                         edges=LabelTable.from_rows([]))
+        for name in ("train", "test"):
+            m = int(rng.integers(1, 30))
+            ds.arrays[name] = (
+                rng.integers(0, g.num_nodes, size=(m, 2)).astype(np.intp),
+                rng.integers(0, n_classes, size=m).astype(np.intp),
+            )
+        assert degree_gap_baseline(g, ds) == _reference_degree_gap(g, ds)
+
+
+@pytest.fixture(scope="module")
+def default_synth_labels(tmp_path_factory):
+    """The default synth's graph and its labels restricted to it."""
+    out = tmp_path_factory.mktemp("defaultsynth")
+    cfg = SynthConfig()
+    truth = generate(cfg)
+    paths, _ = simulate_paths(truth, cfg)
+    export(truth, paths, out, n_sources=3, perturbation=0.03, seed=cfg.seed)
+    files = DataFiles.discover(out)
+    graph = build_bundle(files).graph
+    usable, _ = restrict_to_graph(prepare_labels(files)[0], graph)
+    return graph, usable
+
+
+@pytest.mark.parametrize("mode", ["multi", "binary"])
+def test_degree_gap_baseline_equals_reference_on_default_synth(
+    default_synth_labels, mode
+):
+    graph, usable = default_synth_labels
+    for seed in range(5):
+        ds = make_dataset(usable, graph, mode, seed)
+        assert degree_gap_baseline(graph, ds) == _reference_degree_gap(graph, ds)
 
 
 def test_prepare_and_train_end_to_end(data_dir):
