@@ -40,8 +40,6 @@ from .evaluate import (
     worker_count,
 )
 from .gcn import (
-    BINARY_DEFAULTS,
-    MULTI_DEFAULTS,
     WEIGHT_FLOOR,
     GcnModel,
     TrainConfig,
@@ -471,7 +469,7 @@ def cmd_predict(args) -> int:
         wanted = _read_pairs(pair_file, graph)
         rows = graph.positions(wanted)
     else:
-        wanted, rows = graph.edges(), graph.edge_positions()
+        wanted, rows = graph.edges(), graph.edge_rows
     a_hat = adjacency_for(graph, True)
     pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
@@ -490,15 +488,19 @@ def cmd_predict(args) -> int:
 
 def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
     """The ``a|b`` pairs of a pairs file, as an (n, 2) int64 array; an
-    ASN the graph does not hold is refused naming its line."""
+    ASN the graph does not hold, or a pair of an ASN with itself, is
+    refused naming its line."""
     pairs = array("q")
     for where, bits in read_fields(path, "|"):
         if len(bits) < 2:
             raise ValueError(f"{where}: expected two ASNs a|b, got {bits[0]!r}")
-        for asn in (parse_asn(bits[0], where), parse_asn(bits[1], where)):
-            if asn not in graph:
+        a, b = parse_asn(bits[0], where), parse_asn(bits[1], where)
+        for asn in (a, b):
+            if not graph.contains(asn):
                 raise ValueError(f"{where}: AS{asn} does not appear in the graph")
-            pairs.append(asn)
+        if a == b:
+            raise ValueError(f"{where}: self pair AS{a}")
+        pairs.extend((a, b))
     return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -541,8 +543,8 @@ def cmd_sweep(args) -> int:
     fixed = _overrides(args, ("epochs", "hidden"))
     for values in itertools.product(*grid.values()):  # check every grid point
         _train_config(args, **fixed, **dict(zip(grid, values)))
-    defaults = BINARY_DEFAULTS if args.mode == "binary" else MULTI_DEFAULTS
-    preferred = {k: defaults[k] for k in grid if k in defaults}
+    base = _train_config(args, **fixed)
+    preferred = {k: getattr(base, k) for k in grid}
     out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)

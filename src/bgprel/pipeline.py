@@ -121,7 +121,7 @@ def build_bundle(files: DataFiles) -> GraphBundle:
     graph = build_graph(summary)
     if files.clique:
         clique = load_clique_file(files.clique)
-        missing = sorted(a for a in clique if a not in graph)
+        missing = [a for a in sorted(clique) if not graph.contains(a)]
         if missing:
             raise ValueError(f"clique members absent from the graph: {missing}")
     else:

@@ -87,14 +87,15 @@ def _union(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class AsGraph:
-    """AS-level graph with observation metadata, held in arrays.
+    """AS-level graph with observation metadata, held in read-only arrays.
 
-    Nodes are a sorted ASN array, and a node's position in it is its
-    row everywhere: ``positions`` maps ASNs to rows, adjacency is CSR
-    over those positions with sorted rows, and edges are pairs of
-    positions.  Per-node arrays hold the transit degree and the VP
-    observations.  Build it once, with ``build_graph`` or
-    ``from_edges``; all query methods are side-effect free.
+    ``nodes`` is the sorted ASN array, and a node's position in it is
+    its row everywhere: ``positions`` maps ASNs to rows.  ``indptr`` and
+    ``indices`` are the CSR adjacency over rows, each row's neighbours
+    sorted; ``edge_rows`` holds every edge as a (row, row) pair in
+    ``edges()`` order, and CSR entry k belongs to edge ``edge_of[k]``.
+    ``transit`` (transit degree) and ``vp`` hold per-node observations.
+    Build it once, with ``build_graph`` or ``from_edges``.
     """
 
     def __init__(
@@ -105,18 +106,20 @@ class AsGraph:
         vp: VpArrays | None = None,
     ) -> None:
         n = len(nodes)
-        self._nodes = nodes
-        self._edges = edges
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
         order = np.lexsort((cols, rows))
-        self._indices = cols[order]
-        # CSR entry k belongs to edge _edge_of[k]
-        self._edge_of = order % max(len(edges), 1)
-        self._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=self._indptr[1:])
-        self._transit = np.zeros(n, dtype=np.int64) if transit is None else transit
-        self._vp = VpArrays.unobserved(n) if vp is None else vp
+        self.nodes = nodes
+        self.edge_rows = edges
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.indices = cols[order]
+        self.edge_of = order % max(len(edges), 1)
+        self.transit = np.zeros(n, dtype=np.int64) if transit is None else transit
+        self.vp = VpArrays.unobserved(n) if vp is None else vp
+        for array in (nodes, edges, self.indptr, self.indices, self.edge_of,
+                      self.transit, *self.vp):
+            array.flags.writeable = False
 
     @classmethod
     def from_edges(
@@ -139,10 +142,10 @@ class AsGraph:
     def _lookup(self, asns) -> tuple[np.ndarray, np.ndarray]:
         """Search positions of ``asns`` and which of them are nodes."""
         asns = np.asarray(asns, dtype=np.int64)
-        pos = np.searchsorted(self._nodes, asns)
-        if not len(self._nodes):
+        pos = np.searchsorted(self.nodes, asns)
+        if not len(self.nodes):
             return pos, np.zeros(asns.shape, dtype=bool)
-        return pos, self._nodes[np.minimum(pos, len(self._nodes) - 1)] == asns
+        return pos, self.nodes[np.minimum(pos, len(self.nodes) - 1)] == asns
 
     def positions(self, asns) -> np.ndarray:
         """Row of every ASN in ``asns`` (one ASN or an array of any
@@ -155,73 +158,34 @@ class AsGraph:
         return pos
 
     def contains(self, asns) -> np.ndarray:
-        """Which ASNs in ``asns`` (an array of any shape) are nodes."""
+        """Which ASNs in ``asns`` (one ASN or an array of any shape) are
+        nodes."""
         return self._lookup(asns)[1]
-
-    def __contains__(self, a: int) -> bool:
-        i = int(np.searchsorted(self._nodes, a))
-        return i < len(self._nodes) and self._nodes[i] == a
-
-    @property
-    def nodes(self) -> set[int]:
-        """A fresh set of every ASN; test membership with ``in graph``."""
-        return set(self._nodes.tolist())
-
-    def sorted_nodes(self) -> list[int]:
-        return self._nodes.tolist()
-
-    def node_array(self) -> np.ndarray:
-        """Every ASN in row order, as an int64 array (a copy)."""
-        return self._nodes.copy()
 
     def degrees(self) -> np.ndarray:
         """Degree of every node, in row order."""
-        return np.diff(self._indptr)
-
-    def _row(self, i: int) -> np.ndarray:
-        return self._indices[self._indptr[i]:self._indptr[i + 1]]
-
-    def neighbors(self, a: int) -> set[int]:
-        return set(self._nodes[self._row(self.positions(a))].tolist())
-
-    def degree(self, a: int) -> int:
-        return len(self._row(self.positions(a)))
-
-    def transit_degree(self, a: int) -> int:
-        return int(self._transit[self.positions(a)])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        (i, j), known = self._lookup([a, b])
-        if not known.all():
-            return False
-        row = self._row(i)
-        k = int(np.searchsorted(row, j))
-        return k < len(row) and row[k] == j
+        return np.diff(self.indptr)
 
     def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self._nodes[self._edges[:, 0]].tolist(),
-                        self._nodes[self._edges[:, 1]].tolist()))
-
-    def edge_positions(self) -> np.ndarray:
-        """Every edge as a (row, row) pair, in ``edges()`` order."""
-        return self._edges.copy()
+        return list(zip(self.nodes[self.edge_rows[:, 0]].tolist(),
+                        self.nodes[self.edge_rows[:, 1]].tolist()))
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.edge_rows)
 
     def edge_matrix(self, values: np.ndarray) -> sp.csr_matrix:
         """Symmetric CSR matrix over node positions with the adjacency's
         structure, holding ``values[k]`` at both entries of edge k
         (``edges()`` order).  Zero values stay stored entries."""
         n = self.num_nodes
-        data = np.asarray(values, dtype=np.float64)[self._edge_of]
+        data = np.asarray(values, dtype=np.float64)[self.edge_of]
         return sp.csr_matrix(
-            (data, self._indices, self._indptr), shape=(n, n), copy=True
+            (data, self.indices, self.indptr), shape=(n, n), copy=True
         )
 
     def adjacency(self) -> sp.csr_matrix:
@@ -347,27 +311,24 @@ class GraphSummary:
     def nbytes(self) -> int:
         return sum(getattr(self, f.name).nbytes for f in fields(self))
 
-    def graph(self) -> AsGraph:
-        nodes = self.nodes
-        edges = np.searchsorted(nodes, unpack_pairs(self.steps))
-        middles = (self.transits >> 32).astype(np.int64)
-        starts = _run_starts(middles)
-        transit = np.zeros(len(nodes), dtype=np.int64)
-        transit[np.searchsorted(nodes, middles[starts])] = np.diff(
-            starts, append=len(middles)
-        )
-        # every node is sighted, since every hop has a VP
-        observers = np.diff(_run_starts(self.sightings >> 32), append=len(self.sightings))
-        vp = VpArrays(self.count, self.total, self.low, self.high, observers)
-        return AsGraph(nodes, edges, transit, vp)
-
 
 def build_graph(paths: PathStore | GraphSummary) -> AsGraph:
     """The observed topology of sanitized paths, or of the summary
     ``ingest_file(path, table, GraphSummary)`` reads from a file."""
-    if not isinstance(paths, GraphSummary):
-        paths = GraphSummary.of(paths)
-    return paths.graph()
+    summary = paths if isinstance(paths, GraphSummary) else GraphSummary.of(paths)
+    nodes = summary.nodes
+    edges = np.searchsorted(nodes, unpack_pairs(summary.steps))
+    middles = (summary.transits >> 32).astype(np.int64)
+    starts = _run_starts(middles)
+    transit = np.zeros(len(nodes), dtype=np.int64)
+    transit[np.searchsorted(nodes, middles[starts])] = np.diff(
+        starts, append=len(middles)
+    )
+    # every node is sighted, since every hop has a VP
+    sighted = _run_starts(summary.sightings >> 32)
+    observers = np.diff(sighted, append=len(summary.sightings))
+    vp = VpArrays(summary.count, summary.total, summary.low, summary.high, observers)
+    return AsGraph(nodes, edges, transit, vp)
 
 
 # -- top clique ------------------------------------------------------
@@ -385,15 +346,13 @@ def infer_clique(g: AsGraph, k_candidates: int = CLIQUE_CANDIDATES) -> set[int]:
     """
     if g.num_nodes == 0:
         raise ValueError("cannot infer a clique on an empty graph")
-    order = np.lexsort((g._nodes, -g.degrees(), -g._transit))
-    ranked = g._nodes[order[:max(k_candidates, 1)]].tolist()
-    members = [ranked[0]]
-    for cand in ranked[1:]:
-        if g.transit_degree(cand) == 0:
-            continue
-        if all(g.has_edge(cand, m) for m in members):
+    ranked = np.lexsort((g.nodes, -g.degrees(), -g.transit))[:max(k_candidates, 1)]
+    members = ranked[:1].tolist()
+    for cand in ranked[1:].tolist():
+        row = g.indices[g.indptr[cand]:g.indptr[cand + 1]]
+        if g.transit[cand] and np.isin(members, row).all():
             members.append(cand)
-    return set(members)
+    return set(g.nodes[members].tolist())
 
 
 def load_clique_file(path: str | Path) -> set[int]:
@@ -427,13 +386,13 @@ def clique_distances(g: AsGraph, clique: set[int]) -> tuple[np.ndarray, int]:
     reached = np.zeros((g.num_nodes, k), dtype=bool)
     reached[sources, np.arange(k)] = True
     frontier = reached.copy()
-    linked = np.flatnonzero(np.diff(g._indptr))
+    linked = np.flatnonzero(g.degrees())
     total = np.zeros(g.num_nodes, dtype=np.int64)
     level = 0
     while frontier.any():
         level += 1
         nxt = np.zeros_like(frontier)
-        nxt[linked] = np.logical_or.reduceat(frontier[g._indices], g._indptr[linked], axis=0)
+        nxt[linked] = np.logical_or.reduceat(frontier[g.indices], g.indptr[linked], axis=0)
         frontier = nxt & ~reached
         reached |= frontier
         total += level * frontier.sum(axis=1)
@@ -456,14 +415,14 @@ def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
     among the sorted keys of every CSR entry.
     """
     degree = g.degrees()
-    keys = pack_pairs(np.repeat(np.arange(g.num_nodes), degree), g._indices)
-    i, j = g._edges.T
+    keys = pack_pairs(np.repeat(np.arange(g.num_nodes), degree), g.indices)
+    i, j = g.edge_rows.T
     low = np.where(degree[i] <= degree[j], i, j)
     high = i + j - low
     count = degree[low]
     edge = np.repeat(np.arange(g.num_edges), count)
-    entry = np.arange(len(edge)) + np.repeat(g._indptr[low] - (np.cumsum(count) - count), count)
-    query = pack_pairs(high[edge], g._indices[entry])
+    entry = np.arange(len(edge)) + np.repeat(g.indptr[low] - (np.cumsum(count) - count), count)
+    query = pack_pairs(high[edge], g.indices[entry])
     found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
     shared = np.bincount(edge[found], minlength=g.num_edges)
     union = degree[i] + degree[j] - 2 - shared
@@ -505,13 +464,13 @@ _TYPE_ORDER = [AsType.TRANSIT_ACCESS, AsType.CONTENT, AsType.ENTERPRISE, AsType.
 
 @dataclass
 class FeatureMatrix:
-    """Normalized node features in ascending-ASN row order."""
+    """Normalized node features, one row per node of the graph's
+    ``nodes`` array."""
 
     values: np.ndarray
     raw: np.ndarray
-    nodes: list[int]
+    nodes: np.ndarray
     columns: list[str]
-    clique: set[int]
     diagnostics: dict[str, int] = field(default_factory=dict)
 
 
@@ -534,15 +493,13 @@ def assemble_features(
     """
     if g.num_nodes == 0:
         raise ValueError("empty graph")
-    nodes = g.sorted_nodes()
-    n = len(nodes)
-
+    n = g.num_nodes
     dclique, unreachable = clique_distances(g, clique)
-    vp = g._vp
+    vp = g.vp
     observed = vp.count > 0
     raw = np.zeros((n, len(SCALAR_COLUMNS)), dtype=np.float64)
     raw[:, 0] = g.degrees()
-    raw[:, 1] = g._transit
+    raw[:, 1] = g.transit
     raw[:, 2] = dclique
     np.divide(vp.total, vp.count, out=raw[:, 3], where=observed)
     raw[:, 4] = vp.low
@@ -554,22 +511,22 @@ def assemble_features(
     for c in range(raw.shape[1]):
         values[:, c] = _minmax(raw[:, c])
     rows = np.arange(n)
-    tier = np.where(g._transit > 0, 1, 2)
+    tier = np.where(g.transit > 0, 1, 2)
     tier[g.positions(sorted(clique))] = 0
     values[rows, len(SCALAR_COLUMNS) + tier] = 1.0
     kind = np.full(n, _TYPE_ORDER.index(AsType.UNKNOWN))
     if type_map:
-        pos, known = g._lookup(np.fromiter(type_map, np.int64, len(type_map)))
+        asns = np.fromiter(type_map, np.int64, len(type_map))
+        known = g.contains(asns)
         codes = np.array([_TYPE_ORDER.index(t) for t in type_map.values()])
-        kind[pos[known]] = codes[known]
+        kind[g.positions(asns[known])] = codes[known]
     values[rows, len(SCALAR_COLUMNS) + len(HIERARCHY_COLUMNS) + kind] = 1.0
 
     return FeatureMatrix(
         values=values,
         raw=raw,
-        nodes=nodes,
+        nodes=g.nodes,
         columns=list(FEATURE_COLUMNS),
-        clique=set(clique),
         diagnostics={
             "unreachable_clique_pairs": unreachable,
             "unobserved_nodes": unobserved,
@@ -581,5 +538,5 @@ def write_features_csv(fm: FeatureMatrix, out: str | Path) -> None:
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["asn"] + fm.columns)
-        for a, row in zip(fm.nodes, fm.values.tolist()):
+        for a, row in zip(fm.nodes.tolist(), fm.values.tolist()):
             writer.writerow([a, *map(repr, row)])

@@ -222,15 +222,18 @@ def test_criterion_3_feature_oracles():
             for a, b in zip(p.hops, p.hops[1:]):
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
-        assert g.nodes == set(adj), "nodes"
+        assert g.nodes.tolist() == sorted(adj), "nodes"
 
         oracle_t = _oracle_transit(paths)
-        for a in g.nodes:
-            assert g.transit_degree(a) == len(oracle_t.get(a, ())), "transit"
-            assert g.neighbors(a) == adj[a], "neighbors"
-            assert g.degree(a) == len(adj[a]), "degree"
+        degrees = g.degrees()
+        for a in g.nodes.tolist():
+            i = g.positions(a)
+            neighbors = g.nodes[g.indices[g.indptr[i]:g.indptr[i + 1]]]
+            assert g.transit[i] == len(oracle_t.get(a, ())), "transit"
+            assert set(neighbors.tolist()) == adj[a], "neighbors"
+            assert degrees[i] == len(adj[a]), "degree"
 
-        members = sorted(g.nodes)
+        members = g.nodes.tolist()
         clique = set(
             int(a) for a in rng.choice(members,
                                        size=min(3, len(members)),
@@ -255,7 +258,7 @@ def test_criterion_3_feature_oracles():
 
         w = cnr_edge_weights(g)
         assert w.nnz == 2 * g.num_edges, "cnr entries"
-        for (a, b), (i, j) in zip(g.edges(), g.edge_positions().tolist()):
+        for (a, b), (i, j) in zip(g.edges(), g.edge_rows.tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
             union = na | nb

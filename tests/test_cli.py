@@ -377,7 +377,7 @@ def test_predict_unknown_asn_is_runtime_error(data_dir, train_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("line", ["12|x", "12", "1.5|3", "7|-2",
-                                  "99999999999999999999|1"])
+                                  "99999999999999999999|1", "1|1"])
 def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, line):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text(f"# first line is a comment\n{line}\n")

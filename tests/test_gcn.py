@@ -275,7 +275,7 @@ def gradcheck_instance(seed, block_spec, weight_decay):
     a_hat = build_normalized_adjacency(weights)
     x = nprng.uniform(size=(n, d))
     model = init_model(d, h, c, block_spec, nprng)
-    pool = [tuple(e) for e in g.edge_positions().tolist()]
+    pool = [tuple(e) for e in g.edge_rows.tolist()]
     m = min(len(pool), rng.randint(2, 6))
     edges = []
     for i, j in rng.sample(pool, m):
@@ -509,7 +509,7 @@ def random_training_problem(seed, n_classes):
     g, weights = random_topology(rng, 30, p_edge=0.2)
     a_hat = build_normalized_adjacency(weights)
     x = nprng.uniform(size=(30, 5))
-    pool = g.edge_positions()
+    pool = g.edge_rows.copy()
     flip = nprng.random(len(pool)) < 0.5
     pool[flip] = pool[flip][:, ::-1]
     order = nprng.permutation(len(pool))
@@ -602,7 +602,7 @@ def sparse_training_problem(seed=4, n_classes=4, n=200, n_train=10, n_val=5,
     a_hat = build_normalized_adjacency(
         g.edge_matrix([rng.random() for _ in range(g.num_edges)]))
     x = nprng.uniform(size=(n, width))
-    pool = g.edge_positions()
+    pool = g.edge_rows.copy()
     flip = nprng.random(len(pool)) < 0.5
     pool[flip] = pool[flip][:, ::-1]
     order = nprng.permutation(len(pool))

@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -508,3 +510,19 @@ def test_pair_key_order_is_tuple_order(pairs):
     assert np.array_equal(unordered, pack_unordered_pairs(b, a))
     assert unpack_pairs(unordered).reshape(-1, 2).tolist() == [
         sorted(p) for p in pairs]
+
+
+def test_importing_ingest_loads_only_what_it_uses():
+    """The package imports no submodule of its own: a fresh interpreter
+    that imports ``bgprel.ingest`` holds it and what it imports."""
+    code = (
+        "import sys\n"
+        "import bgprel.ingest\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bgprel'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['bgprel', 'bgprel.evaluate', 'bgprel.ingest']"

@@ -114,7 +114,7 @@ def test_discover_errors_name_the_path(tmp_path):
 
 def test_build_bundle_covers_observed_nodes(data_dir):
     bundle = build_bundle(DataFiles.discover(data_dir))
-    assert set(bundle.features.nodes) == bundle.graph.nodes
+    assert bundle.features.nodes.tolist() == bundle.graph.nodes.tolist()
     assert bundle.features.values.shape == (
         bundle.graph.num_nodes, len(FEATURE_COLUMNS),
     )
@@ -158,23 +158,6 @@ def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
         build_bundle(files)
 
 
-def test_prepare_never_copies_the_node_set(clean_dir, tmp_path, monkeypatch):
-    # AsGraph.nodes builds a fresh set; a membership test per label made
-    # restriction quadratic, so the pipeline must search the node array
-    files = DataFiles.discover(clean_dir)
-    clique = build_bundle(files).clique
-    # a fixed clique file sends build_bundle through its membership check
-    files.clique = tmp_path / "clique.txt"
-    files.clique.write_text("".join(f"{a}\n" for a in sorted(clique)))
-
-    def forbidden(self):
-        raise AssertionError("AsGraph.nodes read")
-
-    monkeypatch.setattr(AsGraph, "nodes", property(forbidden))
-    prep = prepare(files, "multi", seed=1)
-    assert len(prep.dataset.edges) > 0
-
-
 def test_clean_labels_match_planted_truth(clean_dir):
     truth = generate(CFG)
     files = DataFiles.discover(clean_dir)
@@ -203,18 +186,21 @@ def test_restrict_to_graph_matches_scalar_membership(clean_dir, monkeypatch):
     labeled, _ = prepare_labels(DataFiles.discover(clean_dir))
     graph = bundle.graph
     # a few pairs off the graph, one with both endpoints off it
-    top = max(graph.sorted_nodes())
+    nodes = graph.nodes.tolist()
+    top = max(nodes)
     labeled = LabelTable.from_rows(labeled.rows() + [
         (a, b, RelLabel.P2P, "", "")
-        for a, b in [(top + 1, graph.sorted_nodes()[0]), (top + 2, top + 3),
-                     (graph.sorted_nodes()[1], 2**32 - 1)]
+        for a, b in [(top + 1, nodes[0]), (top + 2, top + 3), (nodes[1], 2**32 - 1)]
     ])
-    want = [e for e in labeled.rows() if e[0] in graph and e[1] in graph]
+    want = [e for e in labeled.rows() if graph.contains(e[0]) and graph.contains(e[1])]
+    contains = AsGraph.contains
 
-    def forbidden(self, a):
-        raise AssertionError("scalar membership test")
+    def arrays_only(self, asns):
+        if np.ndim(asns) == 0:
+            raise AssertionError("scalar membership test")
+        return contains(self, asns)
 
-    monkeypatch.setattr(AsGraph, "__contains__", forbidden)
+    monkeypatch.setattr(AsGraph, "contains", arrays_only)
     kept, dropped = restrict_to_graph(labeled, graph)
     assert kept.rows() == want
     assert dropped == len(labeled) - len(want) >= 3
@@ -231,7 +217,7 @@ def test_make_dataset_orientation_and_splits(clean_dir):
     assert all(counts[c] in (0, per_class) for c in RelLabel)
     n = sum(sizes.values())
     assert sizes["train"] == pytest.approx(0.6 * n, abs=len(ds.classes))
-    nodes = np.array(bundle.graph.sorted_nodes())
+    nodes = bundle.graph.nodes
     for name in ("train", "val", "test"):
         pairs, labels = ds.split(name)
         assert pairs.shape[1] == 2
@@ -313,7 +299,8 @@ def test_degree_gap_baseline_matches_brute_force_on_train():
             [(a + 1, b + 1) for a, b in
              {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(12)}]
         )
-        nodes = sorted(g.nodes)
+        nodes = g.nodes.tolist()
+        degree = dict(zip(nodes, g.degrees().tolist()))
         m = 14
         pairs = rng.integers(0, len(nodes), size=(m, 2)).astype(np.intp)
         labels = rng.integers(0, 3, size=m).astype(np.intp)
@@ -323,7 +310,7 @@ def test_degree_gap_baseline_matches_brute_force_on_train():
         ds.arrays = {"train": (pairs, labels), "val": (pairs, labels),
                      "test": (pairs, labels)}
         gaps = np.array(
-            [abs(g.degree(nodes[i]) - g.degree(nodes[j])) for i, j in pairs],
+            [abs(degree[nodes[i]] - degree[nodes[j]]) for i, j in pairs],
             dtype=np.float64,
         )
         want = _brute_force_stump(gaps, labels, 3)

@@ -1,0 +1,56 @@
+"""Rules the package source keeps, checked on its syntax trees."""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bgprel").glob("*.py"))
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _where(path: Path, node: ast.AST) -> str:
+    return f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_attribute_of_another_object(path):
+    """A single-underscore attribute is read only through ``self`` or
+    ``cls``: other code uses an object's public interface."""
+    reads = [
+        f"{_where(path, node)} {ast.unparse(node)}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    assert reads == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    """Every name an import binds is read somewhere in the module or
+    listed in its ``__all__``, but on lines marked ``# noqa: F401``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{_where(path, alias)} {name}")
+    assert unused == []

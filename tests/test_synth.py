@@ -600,7 +600,7 @@ def test_route_graph_is_the_planted_adjacency(cfg):
     graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
     routes = truth.route_graph
     adjacency = graph.adjacency()
-    assert np.array_equal(routes.nodes, graph.node_array())
+    assert np.array_equal(routes.nodes, graph.nodes)
     assert np.array_equal(routes.indptr, adjacency.indptr)
     assert np.array_equal(routes.indices, adjacency.indices)
     rows = np.repeat(np.arange(len(routes.nodes)), np.diff(routes.indptr))

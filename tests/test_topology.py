@@ -51,14 +51,21 @@ def random_paths(rng, n_nodes=30, n_paths=25, max_len=6):
 def raw_features(g):
     """Raw scalar feature columns of every ASN, as the model's input
     sees them (the clique only moves dist_to_clique)."""
-    fm = assemble_features(g, {g.sorted_nodes()[0]})
-    return {a: dict(zip(SCALAR_COLUMNS, row)) for a, row in zip(fm.nodes, fm.raw.tolist())}
+    fm = assemble_features(g, {int(g.nodes[0])})
+    return {a: dict(zip(SCALAR_COLUMNS, row))
+            for a, row in zip(fm.nodes.tolist(), fm.raw.tolist())}
 
 
 def vp_columns(g, a):
     s = raw_features(g)[a]
     return (s["dist_to_vp_mean"], s["dist_to_vp_min"], s["dist_to_vp_max"],
             s["assign_vp"])
+
+
+def adjacent(g, a, b):
+    """Whether ASNs a and b share an edge, read from a's CSR row."""
+    i, j = g.positions([a, b])
+    return j in g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
 def weight(g, a, b):
@@ -77,9 +84,15 @@ def nx_graph(paths):
 class TestBuildGraph:
     def test_edges_from_consecutive_pairs(self):
         g = graph_of(paths_of([1, 2, 3], [2, 4]))
-        assert g.nodes == {1, 2, 3, 4}
+        assert g.nodes.tolist() == [1, 2, 3, 4]
         assert g.edges() == [(1, 2), (2, 3), (2, 4)]
-        assert g.has_edge(2, 1) and not g.has_edge(1, 3)
+        assert adjacent(g, 2, 1) and not adjacent(g, 1, 3)
+
+    def test_arrays_are_read_only(self):
+        g = graph_of(paths_of([1, 2, 3]))
+        for array in (g.nodes, g.edge_rows, g.indptr, g.transit):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_empty_input(self):
         g = graph_of([])
@@ -109,9 +122,9 @@ class TestBuildGraph:
     def test_unknown_node_queries_raise(self):
         g = graph_of(paths_of([1, 2]))
         with pytest.raises(UnknownNodeError):
-            g.degree(99)
+            g.degrees()[g.positions(99)]
         with pytest.raises(UnknownNodeError):
-            g.transit_degree(99)
+            g.transit[g.positions(99)]
 
 
 def _loop_free(hops):
@@ -153,9 +166,9 @@ def _slice(store, lo, hi):
 
 
 def _graph_arrays(g):
-    return {"nodes": g._nodes, "edges": g._edges, "indptr": g._indptr,
-            "indices": g._indices, "edge_of": g._edge_of, "transit": g._transit,
-            **{f"vp.{k}": v for k, v in g._vp._asdict().items()}}
+    return {"nodes": g.nodes, "edges": g.edge_rows, "indptr": g.indptr,
+            "indices": g.indices, "edge_of": g.edge_of, "transit": g.transit,
+            **{f"vp.{k}": v for k, v in g.vp._asdict().items()}}
 
 
 class TestGraphSummary:
@@ -200,7 +213,7 @@ class TestGraphSummary:
 class TestPositions:
     def test_rows_follow_sorted_asns(self):
         g = graph_of(paths_of([30, 10, 20], [40, 10]))
-        assert g.sorted_nodes() == [10, 20, 30, 40]
+        assert g.nodes.tolist() == [10, 20, 30, 40]
         got = g.positions(np.array([[40, 10], [20, 30]]))
         assert got.tolist() == [[3, 0], [1, 2]]
         assert int(g.positions(30)) == 2
@@ -218,8 +231,7 @@ class TestPositions:
     def test_edge_positions_match_edges(self):
         rng = random.Random(7)
         g = graph_of(random_paths(rng))
-        nodes = np.array(g.sorted_nodes())
-        assert [tuple(e) for e in nodes[g.edge_positions()].tolist()] == g.edges()
+        assert [tuple(e) for e in g.nodes[g.edge_rows].tolist()] == g.edges()
 
     def test_edge_matrix_has_adjacency_structure(self):
         g = graph_of(paths_of([1, 2, 3], [2, 4]))  # edges (1,2) (2,3) (2,4)
@@ -237,33 +249,32 @@ class TestTransitDegree:
     def test_four_hop_path(self):
         # middle hops each transit two neighbors, endpoints none
         g = graph_of(paths_of([1, 2, 3, 4]))
-        assert g.transit_degree(1) == 0
-        assert g.transit_degree(2) == 2
-        assert g.transit_degree(3) == 2
-        assert g.transit_degree(4) == 0
+        assert g.transit[g.positions(1)] == 0
+        assert g.transit[g.positions(2)] == 2
+        assert g.transit[g.positions(3)] == 2
+        assert g.transit[g.positions(4)] == 0
 
     def test_stub_stays_zero(self):
         g = graph_of(paths_of([1, 2, 5], [3, 2, 5], [4, 2, 5]))
-        assert g.transit_degree(5) == 0
-        assert g.transit_degree(2) == 4  # {1,3,4,5}
+        assert g.transit[g.positions(5)] == 0
+        assert g.transit[g.positions(2)] == 4  # {1,3,4,5}
 
     def test_transit_never_exceeds_degree(self):
         rng = random.Random(11)
         for trial in range(20):
             g = graph_of(random_paths(rng))
-            for a in g.nodes:
-                assert g.transit_degree(a) <= g.degree(a)
+            assert (g.transit <= g.degrees()).all()
 
     def test_matches_triplet_enumeration(self):
         rng = random.Random(23)
         paths = random_paths(rng, n_nodes=20, n_paths=40)
         g = graph_of(paths)
-        expected = {a: set() for a in g.nodes}
+        expected = {a: set() for a in g.nodes.tolist()}
         for p in paths:
             for x, m, y in zip(p.hops, p.hops[1:], p.hops[2:]):
                 expected[m].update((x, y))
-        for a in g.nodes:
-            assert g.transit_degree(a) == len(expected[a])
+        for a in g.nodes.tolist():
+            assert g.transit[g.positions(a)] == len(expected[a])
 
 
 class TestClique:
@@ -271,7 +282,7 @@ class TestClique:
         # every 3-permutation as a path: K4 with equal transit degrees
         paths = paths_of(*itertools.permutations([1, 2, 3, 4], 3))
         g = graph_of(paths)
-        assert len({g.transit_degree(a) for a in [1, 2, 3, 4]}) == 1
+        assert len(set(g.transit[g.positions([1, 2, 3, 4])].tolist())) == 1
         assert infer_clique(g) == {1, 2, 3, 4}
 
     def test_star_keeps_center_only(self):
@@ -285,7 +296,7 @@ class TestClique:
             clique = infer_clique(g, k_candidates=8)
             assert clique
             for a, b in itertools.combinations(clique, 2):
-                assert g.has_edge(a, b)
+                assert adjacent(g, a, b)
 
     def test_candidate_budget_respected(self):
         paths = paths_of(*itertools.permutations([1, 2, 3, 4, 5], 3))
@@ -332,7 +343,7 @@ class TestDistToClique:
         fill = 1 + max(max(d.values()) for d in from_member.values())
         assert any(len(d) < g.num_nodes for d in from_member.values())
         means, _ = clique_distances(g, clique)
-        for a, got in zip(g.sorted_nodes(), means):
+        for a, got in zip(g.nodes.tolist(), means):
             total = sum(from_member[m].get(a, fill) for m in clique)
             assert got == pytest.approx(total / len(clique), abs=1e-12)
 
@@ -411,7 +422,7 @@ class TestCommonNeighborRatio:
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
         w = cnr_edge_weights(g)
-        for (a, b), (i, j) in zip(g.edges(), g.edge_positions().tolist()):
+        for (a, b), (i, j) in zip(g.edges(), g.edge_rows.tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
             want = len(na & nb) / len(na | nb) if (na | nb) else 0.0
@@ -429,7 +440,7 @@ class TestCommonNeighborRatio:
         assert got.data.tobytes() == want.data.tobytes()
         i, j = g.positions([70, 71])
         assert got[i, j] == 0.0
-        if v is not None and g.degree(v) > 1:
+        if v is not None and g.degrees()[g.positions(v)] > 1:
             i, j = g.positions([v, 50])
             assert got[i, j] == 1.0
 
@@ -463,7 +474,7 @@ class TestVpStats:
         rng = random.Random(53)
         paths = random_paths(rng, n_nodes=12, n_paths=25)
         g = graph_of(paths)
-        for a in g.nodes:
+        for a in g.nodes.tolist():
             dists = [i for p in paths for i, h in enumerate(p.hops) if h == a]
             vps = {p.vp for p in paths if a in p.hops}
             mean, low, high, observers = vp_columns(g, a)
@@ -498,7 +509,7 @@ class TestFeatureMatrix:
         g, _, fm = self.build()
         assert fm.values.shape == (g.num_nodes, 14)
         assert fm.columns == FEATURE_COLUMNS
-        assert fm.nodes == g.sorted_nodes() == sorted(fm.nodes)
+        assert fm.nodes.tolist() == g.nodes.tolist() == sorted(fm.nodes.tolist())
         assert g.positions(fm.nodes).tolist() == list(range(g.num_nodes))
 
     def test_entries_in_unit_interval(self):
@@ -542,7 +553,7 @@ class TestFeatureMatrix:
     def test_nucleus_marks_clique(self):
         g, clique, fm = self.build()
         col = fm.columns.index("hierarchy_nucleus")
-        for a, row in zip(fm.nodes, fm.values):
+        for a, row in zip(fm.nodes.tolist(), fm.values):
             assert row[col] == (1.0 if a in clique else 0.0)
 
     def test_csv_roundtrip_header(self, tmp_path):
@@ -620,7 +631,7 @@ class TestDistances:
             # a one-member clique: its distance row is a BFS from that member
             dist, _ = clique_distances(g, {a})
             want = nx.single_source_shortest_path_length(nxg, a)
-            got = {b: d for b, d in zip(g.sorted_nodes(), dist.tolist()) if b in want}
+            got = {b: d for b, d in zip(g.nodes.tolist(), dist.tolist()) if b in want}
             assert got == want
 
     @settings(max_examples=40, deadline=None)
@@ -635,7 +646,7 @@ class TestDistances:
         nxg.add_nodes_from(nodes)
         clique = sorted(rng.sample(nodes, min(k, len(nodes))))
         lengths = [nx.single_source_shortest_path_length(nxg, m) for m in clique]
-        dist = np.array([[d.get(a, np.inf) for a in g.sorted_nodes()] for d in lengths])
+        dist = np.array([[d.get(a, np.inf) for a in g.nodes.tolist()] for d in lengths])
         missing = np.isinf(dist)
         dist[missing] = dist[~missing].max() + 1
         means, unreachable = clique_distances(g, set(clique))
