@@ -454,6 +454,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# predictions.csv is formatted this many rows at a time
+_WRITE_ROWS = 1 << 14
+
+
 def cmd_predict(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
@@ -469,14 +473,21 @@ def cmd_predict(args) -> int:
         wanted = _read_pairs(pair_file, graph)
         rows = graph.positions(wanted)
     else:
-        wanted, rows = graph.edges(), graph.edge_rows
+        rows = graph.edge_rows
+        wanted = graph.nodes[rows]
     a_hat = adjacency_for(graph, True)
     pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
     with open(pred_file, "w", encoding="utf-8") as fh:
         fh.write("a,b,label," + ",".join(f"logp_{c}" for c in classes) + "\n")
-        for (a, b), k, lp in zip(wanted, pred.tolist(), logp.tolist()):
-            fh.write(f"{a},{b},{classes[k]}," + ",".join(map(repr, lp)) + "\n")
+        # a batch of rows at a time, so no Python copy of the whole table
+        for lo in range(0, len(wanted), _WRITE_ROWS):
+            batch = slice(lo, lo + _WRITE_ROWS)
+            fh.writelines(
+                f"{a},{b},{classes[k]}," + ",".join(map(repr, lp)) + "\n"
+                for (a, b), k, lp in zip(wanted[batch].tolist(), pred[batch].tolist(),
+                                         logp[batch].tolist())
+            )
     write_manifest(
         out, "predict", {"pairs": len(wanted)},
         {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},

@@ -336,7 +336,8 @@ def edge_scores(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> np.ndarray
     """Log-probabilities for ordered pairs of rows of ``z``; swapping
     (i, j) generally changes the answer."""
     edges = _check_edges(edges, z.shape[0])
-    u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
+    # row k of z[edges] is the two endpoint rows one after the other
+    u = z[edges].reshape(len(edges), 2 * z.shape[1])
     return _log_softmax(u @ model.head_w + model.head_b)
 
 
@@ -507,8 +508,9 @@ def predict(
     """Class indices and log-probabilities for ordered edges, from a
     forward pass over the rows those edges reach."""
     plan = RowPlan.build(a_hat, edges, model.n_layers)
-    fwd = forward(model, plan, plan.props[0] @ np.asarray(x, dtype=np.float64))
-    logp = edge_scores(model, fwd.z, plan.local(edges))
+    # only the output is kept, so the layer caches are freed before scoring
+    z = forward(model, plan, plan.props[0] @ np.asarray(x, dtype=np.float64)).z
+    logp = edge_scores(model, z, plan.local(edges))
     return logp.argmax(axis=1), logp
 
 

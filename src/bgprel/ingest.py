@@ -12,13 +12,17 @@ touching unallocated AS numbers are dropped, and paths where an ASN
 recurs non-adjacently (routing loops) are dropped.
 
 ``ingest_file`` reads a paths file as bytes, in blocks of
-``_BLOCK_BYTES``.  Each block is parsed and sanitized with numpy and
-folded into a ``PathStore`` (one flat hop array plus path offsets), or,
-when only the graph is wanted, into a ``topology.GraphSummary``, so that
-no process holds every path.  Summaries merge, so for them the file is
-cut into line-aligned byte ranges, one per ``evaluate.worker_count``
-process but none shorter than ``_RANGE_FLOOR``.  ``ingest_lines``
-joins lines already in memory into one buffer and reads it the same way.
+``_BLOCK_BYTES`` (96 KiB).  Each block is parsed and sanitized with
+numpy and folded into a ``PathStore`` (one flat hop array plus path
+offsets), or, when only the graph is wanted, into a
+``topology.GraphSummary``, so that no process holds every path.  A
+block's temporaries take about 19 bytes per input byte to parse, 31
+per hop to sanitize and 45 per hop to summarize, so the reader's memory
+is a few MB whatever the file's size.  Summaries merge, so for them the
+file is cut into line-aligned byte ranges, one per
+``evaluate.worker_count`` process but none shorter than
+``_RANGE_FLOOR``.  ``ingest_lines`` joins lines already in memory into
+one buffer and reads it the same way.
 ``parse_path_line`` and ``sanitize`` are the per-path definitions of
 the same rules, kept as the reference the block code is tested against.
 
@@ -295,8 +299,10 @@ def load_asn_map(
 
 def pack_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The key of every ordered pair (a[i], b[i])."""
-    a, b = np.asarray(a).astype(np.uint64), np.asarray(b).astype(np.uint64)
-    return (a << np.uint64(32)) | b
+    keys = np.asarray(a).astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.asarray(b).astype(np.uint64)
+    return keys
 
 
 def pack_unordered_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,9 +379,12 @@ class IngestReport:
 
 # -- block parsing and sanitization -----------------------------------
 
-# a paths file is read this many bytes at a time, so the parse's
-# temporaries stay small
-_BLOCK_BYTES = 1 << 18
+# a paths file is read this many bytes at a time, so the temporaries of
+# a block's parse and summary stay at a few MB: summarizing the default
+# synth's paths peaks at 3.3 MB (tracemalloc) with 96 KiB blocks, 9.2 MB
+# with 256 KiB ones.  Smaller blocks cost time: each block's summary is
+# merged, and 64 KiB blocks (2.4 MB) made infer-5x's ingest ~14% slower
+_BLOCK_BYTES = 96 << 10
 # and cut into one byte range per worker process, none shorter than this
 _RANGE_FLOOR = 4 << 20
 _LINE_END = re.compile(rb"[\r\n]")
@@ -400,7 +409,9 @@ def _parse_block(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndar
     last_line = np.append(ends[ends < len(buf) - 1], len(buf) - 1)
     sizes = np.diff(last_line, prepend=-1)
     n = len(sizes)
-    line_of = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    # each byte's line, in the narrowest type that holds the line count:
+    # 2 bytes per byte in a block of under 65,536 lines
+    line_of = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), sizes)
     del last_line, sizes
     # byte classes by arithmetic on uint8, which wraps below 0: the
     # whitespace bytes are the space and 9..13
@@ -458,8 +469,8 @@ def _parse_block(buf: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndar
     # run values, least significant digit first; runs longer than an ASN
     # can be are rare and parsed one by one
     width = run_last - run_first + 1
-    values = np.zeros(len(run_first), dtype=np.int64)
-    for k in range(min(_MAX_DIGITS, int(width.max(initial=0)))):
+    values = digits[run_last].astype(np.int64)
+    for k in range(1, min(_MAX_DIGITS, int(width.max(initial=0)))):
         live = np.flatnonzero(width > k)
         values[live] += digits[run_last[live] - k] * _POW10[k]
     for i in np.flatnonzero(width > _MAX_DIGITS).tolist():
@@ -481,16 +492,18 @@ def _sanitize_batch(
     """Batch form of ``sanitize``: returns the accepted paths' compressed
     hops and lengths, and counts rejections and compressions."""
     n = len(lengths)
-    path_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    repeat = np.zeros(len(hops), dtype=bool)
-    repeat[1:] = (hops[1:] == hops[:-1]) & (path_of[1:] == path_of[:-1])
-    hops, path_of = hops[~repeat], path_of[~repeat]
+    path_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
+    keep = np.ones(len(hops), dtype=bool)
+    keep[1:] = (hops[1:] != hops[:-1]) | (path_of[1:] != path_of[:-1])
+    hops, path_of = hops[keep], path_of[keep]
+    del keep
     kept = np.bincount(path_of, minlength=n)
 
     unallocated = np.zeros(n, dtype=bool)
     if table is not None:
         unallocated[path_of[~table.allocated(hops)]] = True
-    key = np.sort(pack_pairs(path_of, hops))
+    key = pack_pairs(path_of, hops)
+    key.sort()
     looped = np.zeros(n, dtype=bool)
     looped[unpack_pairs(key[1:][key[1:] == key[:-1]])[:, 0]] = True
     del key

@@ -79,11 +79,16 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _union(parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct values of sorted arrays: a stable sort (timsort)
-    merges their runs instead of sorting from scratch."""
-    keys = np.concatenate(parts)
-    keys.sort(kind="stable")
-    return keys[run_firsts(keys)]
+    """Sorted distinct values of sorted distinct arrays.  The values the
+    first part lacks are inserted into it, so a union that adds little
+    to a large first part costs a search per later value, not a sort of
+    the first part again."""
+    head = parts[0]
+    keys = _distinct(np.concatenate([head[:0], *parts[1:]]))
+    at = np.searchsorted(head, keys)
+    new = at == len(head)
+    new[~new] = head[at[~new]] != keys[~new]
+    return np.insert(head, at[new], keys[new]) if new.any() else head
 
 
 class AsGraph:
@@ -193,18 +198,66 @@ class AsGraph:
         return self.edge_matrix(np.ones(self.num_edges))
 
 
+def _step_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``pack_unordered_pairs`` keys of the steps a[i] ->
+    b[i]; a step from an ASN to itself raises ValueError."""
+    if np.any(a == b):
+        raise ValueError("self-edge in a path")
+    return _distinct(pack_unordered_pairs(a, b))
+
+
 def step_edges(paths: PathStore) -> np.ndarray:
     """The sorted distinct unordered pair keys (``pack_unordered_pairs``)
     of every step inside a path, gathered in batches of paths.  A step
     from an ASN to itself raises ValueError."""
-    keys = []
+    keys = [np.zeros(0, np.uint64)]
     for batch in paths.batches():
         step = batch.steps()
-        a, b = batch.hops[step], batch.hops[step + 1]
-        if np.any(a == b):
-            raise ValueError("self-edge in a path")
-        keys.append(_distinct(pack_unordered_pairs(a, b)))
-    return _union([np.zeros(0, np.uint64), *keys])
+        keys.append(_step_keys(batch.hops[step], batch.hops[step + 1]))
+    return _distinct(np.concatenate(keys))
+
+
+# bits set in each byte value, to count a packed bit matrix's rows
+_POPCOUNT = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1
+).sum(axis=1, dtype=np.uint8)
+# rows of a bit matrix unpacked at a time when its columns move
+_BIT_ROWS = 1 << 12
+
+
+def _bit_matrix(bits: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The (n, width) bit matrix, packed as ``np.packbits`` packs rows,
+    with the flat bits ``bits`` set (bit ``8 * width * row + column``),
+    which are sorted; a bit may repeat."""
+    out = np.zeros(n * width, dtype=np.uint8)
+    if len(bits):
+        byte = bits >> 3
+        starts = _run_starts(byte)
+        masks = np.right_shift(np.uint8(0x80), (bits & 7).astype(np.uint8))
+        out[byte[starts]] = np.bitwise_or.reduceat(masks, starts)
+    return out.reshape(n, width)
+
+
+def _or_columns(out: np.ndarray, rows: np.ndarray, bits: np.ndarray, cols: np.ndarray) -> None:
+    """OR column j of the bit matrix ``bits`` into column ``cols[j]`` of
+    ``out``'s rows ``rows``, both packed along rows."""
+    if np.array_equal(cols, np.arange(len(cols))):
+        # the same leading columns: whole bytes line up
+        out[rows, :bits.shape[1]] |= bits
+    elif len(cols) < 8:
+        # a few columns, such as a block's VPs, one at a time
+        for j, col in enumerate(cols.tolist()):
+            bit = bits[:, j // 8] >> np.uint8(7 - j % 8) & np.uint8(1)
+            out[rows, col // 8] |= bit << np.uint8(7 - col % 8)
+    else:
+        # rows a few at a time, through one byte per bit; only the bytes
+        # between the first and the last column move
+        lo, hi = cols.min() // 8, cols.max() // 8 + 1
+        for at in range(0, len(rows), _BIT_ROWS):
+            block = np.unpackbits(bits[at:at + _BIT_ROWS], axis=1, count=len(cols))
+            moved = np.zeros((len(block), 8 * (hi - lo)), dtype=np.uint8)
+            moved[:, cols - 8 * lo] = block
+            out[rows[at:at + _BIT_ROWS], lo:hi] |= np.packbits(moved, axis=1)
 
 
 @dataclass
@@ -215,13 +268,19 @@ class GraphSummary:
 
     Key arrays are sorted and distinct, each quantity packed with its
     node's ASN as (ASN << 32) | value; every ASN is below 2**32, so
-    sorted keys group by node in ascending ASN order.
+    sorted keys group by node in ascending ASN order.  Which vantage
+    points saw a node is one row of ``seen``, a bit matrix packed along
+    rows as ``np.packbits`` packs them: bit j of row i is set when VP
+    ``vps[j]`` begins a path through ``nodes[i]``, and the padding bits
+    of the last byte are zero.  So the summary grows with nodes times
+    VPs / 8 bytes, not with the (node, VP) pairs sighted.
     """
 
     nodes: np.ndarray  # sorted distinct ASNs
     steps: np.ndarray  # pack_unordered_pairs key of every step
     transits: np.ndarray  # (hop, a neighbor on either side) of inner hops
-    sightings: np.ndarray  # (hop, VP of its path)
+    vps: np.ndarray  # sorted distinct ASNs that begin a path
+    seen: np.ndarray  # (node, VP) bit matrix, one row per node
     # per node: hops on it, and the sum/min/max of their VP distances
     count: np.ndarray
     total: np.ndarray
@@ -230,12 +289,16 @@ class GraphSummary:
 
     @classmethod
     def of(cls, paths: PathStore) -> "GraphSummary":
+        # each quantity is made distinct as soon as it is complete, so
+        # the per-hop arrays of one do not wait for the others
         hops = paths.hops.view(np.uint64)  # ASNs are positive
+        first = paths.offsets[:-1]
         path_of = np.repeat(
             np.arange(len(paths), dtype=np.int32), np.diff(paths.offsets)
         )
         # hops i and i+1 are adjacent when they belong to one path
         linked = path_of[1:] == path_of[:-1]
+        steps = _step_keys(paths.hops[:-1][linked], paths.hops[1:][linked])
 
         # hop i+1 transits between hops i and i+2
         inner = linked[:-1] & linked[1:]
@@ -245,27 +308,43 @@ class GraphSummary:
         np.bitwise_or(mid, hops[:-2][inner], out=transits[:len(mid)])
         np.bitwise_or(mid, hops[2:][inner], out=transits[len(mid):])
         del mid, inner
+        transits = _distinct(transits)
 
-        first = paths.offsets[:-1]
-        sightings = hops << 32
-        sightings |= hops[first][path_of]
         # (node, hop distance from the path's VP) for every hop
         keys = np.arange(len(hops), dtype=np.uint64)
         keys -= first.view(np.uint64)[path_of]
-        del path_of
         keys |= hops << 32
         keys.sort()
         starts = _run_starts(keys >> 32)
         count = np.diff(starts, append=len(keys))
-        depth = (keys & _LOW32).astype(np.int64)
+        nodes = (keys[starts] >> 32).astype(np.int64)
+        depth = (keys & _LOW32).view(np.int64)
+        del keys
         running = np.concatenate([[0], np.cumsum(depth)])
+        total = running[starts + count] - running[starts]
+        del running
+
+        # (node, column of its path's VP) for every hop, sorted: their
+        # nodes are the nodes, so a node's row counts the nodes before it
+        vps = _distinct(paths.hops[first])
+        sightings = hops << 32
+        sightings |= np.searchsorted(vps, paths.hops[first]).astype(np.uint64)[path_of]
+        del path_of
+        sightings.sort()
+        width = -(-len(vps) // 8)
+        bits = np.cumsum(run_firsts(sightings >> 32))
+        bits -= 1
+        bits *= 8 * width
+        bits += (sightings & _LOW32).view(np.int64)
+        del sightings
         return cls(
-            nodes=(keys[starts] >> 32).astype(np.int64),
-            steps=step_edges(paths),
-            transits=_distinct(transits),
-            sightings=_distinct(sightings),
+            nodes=nodes,
+            steps=steps,
+            transits=transits,
+            vps=vps,
+            seen=_bit_matrix(bits, len(nodes), width),
             count=count,
-            total=running[starts + count] - running[starts],
+            total=total,
             low=depth[starts],
             high=depth[starts + count - 1],
         )
@@ -273,11 +352,20 @@ class GraphSummary:
     @classmethod
     def merge(cls, parts: list["GraphSummary"]) -> "GraphSummary":
         """The summary of every part's paths together."""
+        return cls._gather(parts, _distinct(np.concatenate([p.vps for p in parts])))
+
+    @classmethod
+    def _gather(cls, parts: list["GraphSummary"], vps: np.ndarray) -> "GraphSummary":
+        """``merge``, with the bit columns in the order of ``vps``, which
+        holds every part's VPs."""
         nodes = _union([p.nodes for p in parts])
+        order = np.argsort(vps)
+        seen = np.zeros((len(nodes), -(-len(vps) // 8)), dtype=np.uint8)
         count, total, high = (np.zeros(len(nodes), dtype=np.int64) for _ in range(3))
         low = np.full(len(nodes), np.iinfo(np.int64).max)
         for p in parts:
             at = np.searchsorted(nodes, p.nodes)  # distinct within a part
+            _or_columns(seen, at, p.seen, order[np.searchsorted(vps, p.vps, sorter=order)])
             count[at] += p.count
             total[at] += p.total
             low[at] = np.minimum(low[at], p.low)
@@ -286,7 +374,8 @@ class GraphSummary:
             nodes=nodes,
             steps=_union([p.steps for p in parts]),
             transits=_union([p.transits for p in parts]),
-            sightings=_union([p.sightings for p in parts]),
+            vps=vps,
+            seen=seen,
             count=count,
             total=total,
             low=low,
@@ -296,15 +385,21 @@ class GraphSummary:
     @classmethod
     def fold(cls, stores: Iterable[PathStore]) -> "GraphSummary":
         """The summary of every path in ``stores``.  Summaries of stores
-        wait in a list until they hold as many bytes as the summary so
-        far, and are merged into it then: after the graph stops growing
-        each merge takes in at least its own size, so merging costs about
-        as much as summarizing."""
-        folded, pending = cls.of(PathStore.from_hops([])), []
+        wait in a list until they hold four times as many bytes as the
+        summary so far, and are merged into it then: after the graph
+        stops growing each merge takes in four times its own size, so
+        merging costs about as much as summarizing, and the list holds
+        what the graph needs of a few blocks.  Until the last merge the
+        VPs keep the order they came in, so a new VP does not move the
+        bit columns folded so far."""
+        folded, pending, waiting = cls.of(PathStore.from_hops([])), [], 0
         for store in stores:
             pending.append(cls.of(store))
-            if sum(p.nbytes for p in pending) >= folded.nbytes:
-                folded, pending = cls.merge([folded, *pending]), []
+            waiting += pending[-1].nbytes
+            if waiting >= 4 * folded.nbytes:
+                vps = np.concatenate([folded.vps, *(p.vps for p in pending)])
+                vps = vps[np.sort(np.unique(vps, return_index=True)[1])]
+                folded, pending, waiting = cls._gather([folded, *pending], vps), [], 0
         return cls.merge([folded, *pending])
 
     @property
@@ -324,9 +419,7 @@ def build_graph(paths: PathStore | GraphSummary) -> AsGraph:
     transit[np.searchsorted(nodes, middles[starts])] = np.diff(
         starts, append=len(middles)
     )
-    # every node is sighted, since every hop has a VP
-    sighted = _run_starts(summary.sightings >> 32)
-    observers = np.diff(sighted, append=len(summary.sightings))
+    observers = _POPCOUNT[summary.seen].sum(axis=1, dtype=np.int64)
     vp = VpArrays(summary.count, summary.total, summary.low, summary.high, observers)
     return AsGraph(nodes, edges, transit, vp)
 
@@ -403,6 +496,10 @@ def clique_distances(g: AsGraph, clique: set[int]) -> tuple[np.ndarray, int]:
     return total / k, int(missing.sum())
 
 
+# ``cnr_edge_weights`` looks up about this many neighbours at a time
+_CNR_LOOKUPS = 1 << 16
+
+
 def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
     """Common-neighbor ratio of every edge, as ``g.edge_matrix``: the
     Jaccard overlap of the endpoints' neighborhoods without the
@@ -412,7 +509,9 @@ def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
     include them, and the union without them has deg(a)-1 + deg(b)-1 -
     shared members.  Each neighbor of an edge's lower-degree endpoint
     is looked up in the other endpoint's row, by its (row, column) key
-    among the sorted keys of every CSR entry.
+    among the sorted keys of every CSR entry.  Edges are taken in
+    batches of about ``_CNR_LOOKUPS`` lookups, so the lookups' arrays
+    stay small however many there are.
     """
     degree = g.degrees()
     keys = pack_pairs(np.repeat(np.arange(g.num_nodes), degree), g.indices)
@@ -420,11 +519,15 @@ def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
     low = np.where(degree[i] <= degree[j], i, j)
     high = i + j - low
     count = degree[low]
-    edge = np.repeat(np.arange(g.num_edges), count)
-    entry = np.arange(len(edge)) + np.repeat(g.indptr[low] - (np.cumsum(count) - count), count)
-    query = pack_pairs(high[edge], g.indices[entry])
-    found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
-    shared = np.bincount(edge[found], minlength=g.num_edges)
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_CNR_LOOKUPS, count.sum(), _CNR_LOOKUPS))
+    shared = np.zeros(g.num_edges, dtype=np.int64)
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), g.num_edges]):
+        c = count[lo:hi]
+        edge = np.repeat(np.arange(lo, hi), c)
+        entry = np.arange(len(edge)) + np.repeat(g.indptr[low[lo:hi]] - (np.cumsum(c) - c), c)
+        query = pack_pairs(high[edge], g.indices[entry])
+        found = keys[np.minimum(np.searchsorted(keys, query), len(keys) - 1)] == query
+        shared[lo:hi] = np.bincount(edge[found] - lo, minlength=hi - lo)
     union = degree[i] + degree[j] - 2 - shared
     ratios = np.divide(shared, union, out=np.zeros(g.num_edges), where=union > 0)
     return g.edge_matrix(ratios)

@@ -504,19 +504,25 @@ def test_labels_missing_from_data_dir_names_it(data_dir, tmp_path, capsys):
     assert "labels_" in err and str(d) in err
 
 
-def test_predict_needs_no_labels(data_dir, train_dir, tmp_path):
+def test_predict_needs_no_labels(data_dir, train_dir, tmp_path, monkeypatch):
     d = tmp_path / "nolabels"
     d.mkdir()
     for name in ("paths.txt", "types.csv"):
         shutil.copy(data_dir / name, d)
-    out = tmp_path / "pred"
-    assert run([
-        "predict", "--data", str(d),
-        "--checkpoint", str(train_dir / "checkpoint.json"),
-        "--out", str(out),
-    ]) == 0
-    lines = (out / "predictions.csv").read_text().splitlines()
-    assert len(lines) > 1
+    outs = []
+    for rows in (cli._WRITE_ROWS, 3):
+        # the file is written a batch of rows at a time; any batch size
+        # gives the same bytes
+        monkeypatch.setattr(cli, "_WRITE_ROWS", rows)
+        outs.append(tmp_path / f"pred-{rows}")
+        assert run([
+            "predict", "--data", str(d),
+            "--checkpoint", str(train_dir / "checkpoint.json"),
+            "--out", str(outs[-1]),
+        ]) == 0
+    lines = (outs[0] / "predictions.csv").read_text().splitlines()
+    assert len(lines) > 4
+    assert (outs[1] / "predictions.csv").read_bytes() == (outs[0] / "predictions.csv").read_bytes()
 
 
 def test_dataset_alloc_matches_prepare(data_dir, tmp_path):

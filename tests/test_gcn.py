@@ -176,6 +176,14 @@ class TestEdgeScores:
         with pytest.raises(IndexError):
             edge_scores(self.model, z, np.array([[0, 99]]))
 
+    def test_one_gather_equals_stacked_endpoint_rows(self):
+        z, _ = forward(self.model, self.plan, self.ax)
+        edges = np.array([[0, 1], [2, 5], [9, 3], [3, 9], [4, 4]])
+        u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
+        want = gcn._log_softmax(u @ self.model.head_w + self.model.head_b)
+        got = edge_scores(self.model, z, edges)
+        assert got.tobytes() == want.tobytes()
+
     def test_argmax_stable_under_monotone_rescaling(self):
         pred, logp = predict(self.model, self.a_hat, self.x, np.array([[0, 1], [4, 2]]))
         assert np.array_equal(pred, (3.0 * logp + 11.0).argmax(axis=1))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bgprel import ingest
+from bgprel import ingest, topology
 from bgprel.ingest import AsPath, MAX_ASN, PathStore, ingest_lines, unpack_pairs
 from bgprel.topology import (
     FEATURE_COLUMNS,
@@ -208,6 +208,69 @@ class TestGraphSummary:
         assert report == again and report.accepted == len(paths)
         got, want = _graph_arrays(build_graph(summary)), _graph_arrays(build_graph(store))
         assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def _vp_paths(layout, n_vps=75, per_vp=4, seed=9):
+    """Paths from ``n_vps`` VPs over ASNs 1..40.  "grouped": each VP's
+    paths together, the VPs in a shuffled order, so a later part brings
+    VPs the earlier ones lack; "cyclic": every run of ``n_vps`` paths has
+    every VP.  Two extra paths put ASN 500 under the VPs of columns 7 and
+    8, whose bits sit in different bytes."""
+    rng = random.Random(seed)
+    vps = [1000 + k for k in range(n_vps)]
+    order = rng.sample(vps, n_vps)
+    if layout == "grouped":
+        starts = [vp for vp in order for _ in range(per_vp)]
+    else:
+        starts = [vp for _ in range(per_vp) for vp in order]
+    paths = [(vp, *rng.sample(range(1, 41), rng.randint(1, 5))) for vp in starts]
+    return [(vps[7], 500), *paths, (vps[8], 500)]
+
+
+def _brute_bits(paths):
+    """The (node, VP) sightings of ``paths`` as a dense 0/1 matrix over
+    the sorted ASNs and the sorted VPs."""
+    nodes = sorted({h for p in paths for h in p})
+    vps = sorted({p[0] for p in paths})
+    dense = np.zeros((len(nodes), len(vps)), dtype=np.uint8)
+    for p in paths:
+        for h in p:
+            dense[nodes.index(h), vps.index(p[0])] = 1
+    return nodes, vps, dense
+
+
+class TestVantagePointBits:
+    @pytest.mark.parametrize("layout", ["grouped", "cyclic"])
+    @pytest.mark.parametrize("bit_rows", [3, 1 << 12])
+    def test_bits_and_observers_match_brute_force(self, layout, bit_rows, monkeypatch):
+        monkeypatch.setattr(topology, "_BIT_ROWS", bit_rows)
+        paths = _vp_paths(layout)
+        store = PathStore.from_hops(paths)
+        nodes, vps, dense = _brute_bits(paths)
+        bounds = [0, 1, 40, 41, 150, 299, len(store)]
+        stores = [_slice(store, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        parts = [GraphSummary.of(s) for s in stores]
+        summaries = [GraphSummary.of(store), GraphSummary.fold(stores),
+                     GraphSummary.merge(parts), GraphSummary.merge(parts[::-1]),
+                     GraphSummary.merge([GraphSummary.merge(parts[3:]), *parts[:3]])]
+        for summary in summaries:
+            assert summary.nodes.tolist() == nodes and summary.vps.tolist() == vps
+            assert summary.seen.shape == (len(nodes), -(-len(vps) // 8))
+            # canonical: the padding bits of each row are zero
+            bits = np.unpackbits(summary.seen, axis=1)
+            assert np.array_equal(bits[:, :len(vps)], dense)
+            assert not bits[:, len(vps):].any()
+            observers = build_graph(summary).vp.observers
+            assert observers.tolist() == dense.sum(axis=1).tolist()
+        assert observers[nodes.index(500)] == 2
+
+    def test_a_part_without_paths_adds_nothing(self):
+        paths = _vp_paths("grouped", n_vps=9)
+        empty = GraphSummary.of(PathStore.from_hops([]))
+        whole = GraphSummary.of(PathStore.from_hops(paths))
+        for merged in (GraphSummary.merge([empty, whole]), GraphSummary.merge([whole, empty])):
+            for f in dataclasses.fields(GraphSummary):
+                assert np.array_equal(getattr(merged, f.name), getattr(whole, f.name)), f.name
 
 
 class TestPositions:
@@ -429,12 +492,14 @@ class TestCommonNeighborRatio:
             assert w[i, j] == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(cnr_graphs())
-    def test_matches_set_formula(self, drawn):
+    @given(cnr_graphs(), st.sampled_from([1, 3, 1 << 16]))
+    def test_matches_set_formula(self, drawn, lookups):
         edges, v = drawn
         g = AsGraph.from_edges(edges)
         want = g.edge_matrix(set_cnr(g.edges()))
-        got = cnr_edge_weights(g)
+        # edges taken a few neighbour lookups at a time give the same bits
+        with mock.patch.object(topology, "_CNR_LOOKUPS", lookups):
+            got = cnr_edge_weights(g)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
