@@ -14,7 +14,6 @@ import ctypes
 import functools
 import hashlib
 import itertools
-import json
 import math
 import os
 import platform
@@ -53,7 +52,9 @@ from .ingest import (
     ingest_file,
     parse_asn,
     read_fields,
+    write_json,
     write_paths_file,
+    write_table,
 )
 from .pipeline import (
     ABLATABLE_FEATURES,
@@ -129,7 +130,7 @@ def write_manifest(
         "wall_time_s": time.perf_counter() - started,
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)
     return path
 
 
@@ -312,7 +313,7 @@ def cmd_ingest(args) -> int:
     clean = out / "paths_clean.txt"
     write_paths_file(paths, clean)
     report_file = out / "ingest_report.json"
-    report_file.write_text(report.to_json(), encoding="utf-8")
+    write_json(report_file, report.as_dict())
     write_manifest(
         out, "ingest", {"alloc": bool(table)},
         {"paths": paths_file, "alloc": Path(args.alloc) if args.alloc else None},
@@ -334,9 +335,7 @@ def cmd_features(args) -> int:
     features_file = out / "features.csv"
     write_features_csv(bundle.features, features_file)
     clique_file = out / "clique.txt"
-    clique_file.write_text(
-        "".join(f"{a}\n" for a in sorted(bundle.clique)), encoding="utf-8"
-    )
+    write_table(clique_file, zip(sorted(bundle.clique)))
     write_manifest(
         out, "features", {}, files.inputs(),
         {"features": features_file, "clique": clique_file}, None, started,
@@ -364,7 +363,7 @@ def cmd_dataset(args) -> int:
     edges_file = out / "edges.csv"
     split_set.write_csv(edges_file)
     vote_file = out / "vote_report.json"
-    vote_file.write_text(report.to_json(), encoding="utf-8")
+    write_json(vote_file, asdict(report))
     write_manifest(
         out, "dataset", {"mode": args.mode, "dropped_offgraph": dropped},
         files.inputs(), {"edges": edges_file, "vote_report": vote_file},
@@ -410,9 +409,7 @@ def cmd_train(args) -> int:
     doc["vote"] = asdict(prep.vote_report)
     doc["dropped_offgraph"] = prep.dropped_offgraph
     doc["clique"] = sorted(prep.bundle.clique)
-    metrics_file.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(metrics_file, doc)
     write_manifest(
         out, "train",
         {**asdict(config), "block_spec": list(config.block_spec)},
@@ -440,9 +437,7 @@ def cmd_eval(args) -> int:
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
-    metrics_file.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(metrics_file, doc)
     write_manifest(
         out, "eval", {"mode": mode},
         {"checkpoint": checkpoint, **files.inputs()},
@@ -478,16 +473,13 @@ def cmd_predict(args) -> int:
     a_hat = adjacency_for(graph, True)
     pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
-    with open(pred_file, "w", encoding="utf-8") as fh:
-        fh.write("a,b,label," + ",".join(f"logp_{c}" for c in classes) + "\n")
-        # a batch of rows at a time, so no Python copy of the whole table
-        for lo in range(0, len(wanted), _WRITE_ROWS):
-            batch = slice(lo, lo + _WRITE_ROWS)
-            fh.writelines(
-                f"{a},{b},{classes[k]}," + ",".join(map(repr, lp)) + "\n"
-                for (a, b), k, lp in zip(wanted[batch].tolist(), pred[batch].tolist(),
-                                         logp[batch].tolist())
-            )
+    # a batch of rows at a time, so no Python copy of the whole table
+    batches = (slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(wanted), _WRITE_ROWS))
+    rows = itertools.chain.from_iterable(
+        zip(*wanted[b].T.tolist(), map(classes.__getitem__, pred[b].tolist()),
+            *logp[b].T.tolist())
+        for b in batches)
+    write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
     write_manifest(
         out, "predict", {"pairs": len(wanted)},
         {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
@@ -526,9 +518,9 @@ def cmd_importance(args) -> int:
     workers = worker_count(len(ABLATABLE_FEATURES) + 1)  # with the baseline
     report = feature_importance(runner, ABLATABLE_FEATURES, workers=workers)
     csv_file = out / "importance.csv"
-    report.write_csv(csv_file)
+    write_table(csv_file, *report.table())
     json_file = out / "importance.json"
-    json_file.write_text(report.to_json(), encoding="utf-8")
+    write_json(json_file, report.as_dict())
     write_manifest(
         out, "importance",
         {**asdict(config), "block_spec": list(config.block_spec),
@@ -570,9 +562,9 @@ def cmd_sweep(args) -> int:
     workers = worker_count(math.prod(map(len, grid.values())))
     report = sweep(run_one, grid, preferred=preferred, workers=workers)
     csv_file = out / "sweep.csv"
-    report.write_csv(csv_file)
+    write_table(csv_file, *report.table())
     json_file = out / "sweep.json"
-    json_file.write_text(report.to_json(), encoding="utf-8")
+    write_json(json_file, report.as_dict())
     write_manifest(
         out, "sweep", {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
                        "workers": workers},

@@ -19,12 +19,10 @@ matters to the order-sensitive edge classifier).
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
@@ -39,6 +37,7 @@ from .ingest import (
     read_fields,
     run_firsts,
     unpack_pairs,
+    write_table,
 )
 
 
@@ -123,11 +122,9 @@ class LabelTable:
                         self.split.tolist(), self.provenance.tolist()))
 
     def write_csv(self, out: str | Path) -> None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["a", "b", "label", "split", "provenance"])
-            for a, b, label, split, prov in self.rows():
-                writer.writerow([a, b, label.value, split, prov])
+        write_table(out, ((a, b, label.value, split, prov)
+                          for a, b, label, split, prov in self.rows()),
+                    ["a", "b", "label", "split", "provenance"])
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "LabelTable":
@@ -196,9 +193,6 @@ class VoteReport:
     intersection_pairs: int
     coincidence_rate: float
     inconsistent_dropped: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 # a source's call on a pair: peering, or which endpoint is the provider

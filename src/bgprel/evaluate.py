@@ -14,14 +14,11 @@ way.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -175,8 +172,9 @@ class ImportanceReport:
     degenerate: bool
     seeds: list[int]
 
-    def to_json(self) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        """The report as the JSON document ``importance.json`` holds."""
+        return {
             "baseline_accuracy": self.baseline_accuracy,
             "degenerate": self.degenerate,
             "features": [
@@ -188,16 +186,13 @@ class ImportanceReport:
                 for e in self.entries
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def write_csv(self, out: str | Path) -> None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["feature", "accuracy_without", "score_percent"])
-            for e in self.entries:
-                writer.writerow(
-                    [e.feature, repr(e.accuracy_without), "" if e.score is None else repr(e.score)]
-                )
+    def table(self) -> tuple[list[tuple], list[str]]:
+        """The rows and header of ``importance.csv``: one row per feature,
+        its score empty when the report is degenerate."""
+        rows = [(e.feature, e.accuracy_without, "" if e.score is None else e.score)
+                for e in self.entries]
+        return rows, ["feature", "accuracy_without", "score_percent"]
 
 
 def feature_importance(
@@ -260,19 +255,17 @@ class SweepReport:
     rows: list[SweepRow]
     best: dict
 
-    def write_csv(self, out: str | Path) -> None:
+    def table(self) -> tuple[list[list], list[str]]:
+        """The rows and header of ``sweep.csv``: one row per grid point,
+        its settings as their flags read them, then its accuracies."""
         keys = sorted({k for r in self.rows for k in r.overrides})
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(keys + ["val_accuracy", "test_accuracy"])
-            for r in self.rows:
-                writer.writerow(
-                    [setting_text(r.overrides.get(k, "")) for k in keys]
-                    + [repr(r.val_accuracy), repr(r.test_accuracy)]
-                )
+        rows = [[setting_text(r.overrides.get(k, "")) for k in keys]
+                + [r.val_accuracy, r.test_accuracy] for r in self.rows]
+        return rows, keys + ["val_accuracy", "test_accuracy"]
 
-    def to_json(self) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        """The report as the JSON document ``sweep.json`` holds."""
+        return {
             "best": {k: setting_text(v) for k, v in self.best.items()},
             "rows": [
                 {
@@ -283,7 +276,6 @@ class SweepReport:
                 for r in self.rows
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def sweep(

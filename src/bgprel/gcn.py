@@ -43,6 +43,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .ingest import write_json, write_table
+
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -50,10 +52,9 @@ class TrainingDivergedError(RuntimeError):
 
 # -- configuration -----------------------------------------------------
 
-# defaults found by validation sweep; binary keeps deeper blocks and
-# weight decay, multi runs lighter
+# defaults found by validation sweep: multi runs with TrainConfig's own
+# light defaults, binary keeps deeper blocks and weight decay
 BINARY_DEFAULTS = dict(learning_rate=0.1, weight_decay=5e-4, block_spec=(2, 2))
-MULTI_DEFAULTS = dict(learning_rate=0.05, weight_decay=0.0, block_spec=(2, 1))
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class TrainConfig:
 
     @classmethod
     def for_mode(cls, mode: str, seed: int = 0, **overrides) -> "TrainConfig":
-        base = BINARY_DEFAULTS if mode == "binary" else MULTI_DEFAULTS
+        base = BINARY_DEFAULTS if mode == "binary" else {}
         params = {**base, "mode": mode, "seed": seed}
         params.update(overrides)
         return cls(**params)
@@ -332,13 +333,18 @@ def _check_labels(
     return labels
 
 
+def _head(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The head's input for checked edges, each edge's two endpoint rows
+    of ``z`` side by side, and its log-probabilities."""
+    # row k of z[edges] is the two endpoint rows one after the other
+    u = z[edges].reshape(len(edges), 2 * z.shape[1])
+    return u, _log_softmax(u @ model.head_w + model.head_b)
+
+
 def edge_scores(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Log-probabilities for ordered pairs of rows of ``z``; swapping
     (i, j) generally changes the answer."""
-    edges = _check_edges(edges, z.shape[0])
-    # row k of z[edges] is the two endpoint rows one after the other
-    u = z[edges].reshape(len(edges), 2 * z.shape[1])
-    return _log_softmax(u @ model.head_w + model.head_b)
+    return _head(model, z, _check_edges(edges, z.shape[0]))[1]
 
 
 def loss_value(
@@ -409,12 +415,9 @@ def loss_and_grads(
     ``fwd`` is the forward pass of the model's current parameters over
     ``plan``.  The backward pass runs on the plan's rows and ends at the
     first layer's weight gradient; the input gradient is never formed."""
-    z = fwd.z
-    edges, labels = batch.edges, batch.labels
-    m = len(edges)
-    u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
-    logits = u @ model.head_w + model.head_b
-    logp = _log_softmax(logits)
+    labels = batch.labels
+    m = len(labels)
+    u, logp = _head(model, fwd.z, batch.edges)
     loss = loss_value(logp, labels, model.params(), weight_decay)
 
     # d(mean nll)/d(logits) = (softmax - onehot) / m
@@ -616,9 +619,7 @@ def save_checkpoint(
         "head_b": _encode_array(model.head_b),
         "meta": meta or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
@@ -640,7 +641,4 @@ def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
 def write_history_csv(
     history: list[tuple[int, float, float]], out: str | Path
 ) -> None:
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,val_accuracy\n")
-        for epoch, loss, acc in history:
-            fh.write(f"{epoch},{loss!r},{acc!r}\n")
+    write_table(out, history, ["epoch", "loss", "val_accuracy"])

@@ -29,6 +29,12 @@ the same rules, kept as the reference the block code is tested against.
 Every other text input (label sources, org, type, IXP, clique and
 allocation lists, pairs files, label tables) is read through
 ``read_fields``, so they all share one data-line rule.
+
+This module also writes every text file the package outputs, so their
+format is decided here alone: ``write_paths_file`` writes paths files,
+``write_table`` every other table (CSV, label sources, ASN lists) as
+LF-ended lines, and ``write_json`` every JSON document (manifests,
+reports, metrics, checkpoints) with indent 2 and sorted keys.
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from array import array
 from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from functools import partial
+from itertools import starmap
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -370,9 +377,6 @@ class IngestReport:
     def as_dict(self) -> dict[str, int]:
         return {**asdict(self), "accepted": self.accepted}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
-
     def __add__(self, other: "IngestReport") -> "IngestReport":
         return IngestReport(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
@@ -641,3 +645,36 @@ def write_paths_file(paths: PathStore, out: str | Path) -> None:
                 live = np.flatnonzero(digits > k)
                 buf[ends[live] - 1 - k] = 48 + hops[live] // _POW10[k] % 10
             fh.write(buf.tobytes())
+
+
+# -- the writers of every text output
+
+
+def write_table(
+    out: str | Path,
+    rows: Iterable[Sequence],
+    header: Sequence[str] | None = None,
+    sep: str = ",",
+) -> None:
+    """Write ``rows`` to the file ``out`` as ``sep``-separated lines,
+    after the ``header`` line when one is given.  Every line ends with
+    LF and every value is formatted as ``str`` formats it, so a float
+    prints as its shortest repr.  ``rows`` is consumed as it is written,
+    and its rows all have the first row's width."""
+    rows = iter(rows)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        if (first := next(rows, None)) is not None:
+            # one format string per table: a line formatted from it costs
+            # about what an f-string does, less than a join of str()s
+            line = sep.join(["{}"] * len(first)) + "\n"
+            fh.write(line.format(*first))
+            fh.writelines(starmap(line.format, rows))
+
+
+def write_json(out: str | Path, doc) -> None:
+    """Write ``doc`` to the file ``out`` as JSON: indent 2, sorted keys,
+    a final LF."""
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

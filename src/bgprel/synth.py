@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import RelLabel
-from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file
+from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file, write_table
 from .topology import AsGraph, AsType, canonical_edge, step_edges
 
 # wiring knobs that are not worth per-run configuration
@@ -568,6 +568,21 @@ def observed_edges(paths: PathStore) -> np.ndarray:
     return unpack_pairs(step_edges(paths))
 
 
+def _perturbed(rows, perturbation: float, rng: random.Random):
+    """``rows`` of (a, b, code) calls with each flipped, peer <-> provider,
+    with probability ``perturbation``; a peering call flips to a random
+    provider side."""
+    for a, b, code in rows:
+        if rng.random() < perturbation:
+            if code == 0:
+                a, b = (a, b) if rng.random() < 0.5 else (b, a)
+                code = -1
+            else:
+                a, b = min(a, b), max(a, b)
+                code = 0
+        yield a, b, code
+
+
 def export(
     truth: GroundTruth,
     paths: PathStore,
@@ -604,42 +619,23 @@ def export(
                          np.where(climb, lo, hi).tolist(),
                          np.where(kind == _PEER, 0, -1).tolist()))
     for s in range(1, n_sources + 1):
-        rng = random.Random(seed * 7_919 + s)
         key = f"labels_{s}"
         files[key] = out_dir / f"{key}.txt"
-        with open(files[key], "w", encoding="utf-8") as fh:
-            for a, b, code in base_rows:
-                if perturbation > 0.0 and rng.random() < perturbation:
-                    if code == 0:
-                        a, b = (a, b) if rng.random() < 0.5 else (b, a)
-                        code = -1
-                    else:
-                        a, b = min(a, b), max(a, b)
-                        code = 0
-                fh.write(f"{a}|{b}|{code}\n")
+        rows = base_rows
+        if perturbation > 0.0:
+            rows = _perturbed(base_rows, perturbation, random.Random(seed * 7_919 + s))
+        write_table(files[key], rows, sep="|")
 
+    tier = sorted(truth.tier)
     files["orgs"] = out_dir / "orgs.csv"
-    with open(files["orgs"], "w", encoding="utf-8") as fh:
-        fh.write("asn,org_id\n")
-        for a in sorted(truth.tier):
-            fh.write(f"{a},{truth.org.get(a, f'solo-as{a}')}\n")
-
+    write_table(files["orgs"], ((a, truth.org.get(a, f"solo-as{a}")) for a in tier),
+                ["asn", "org_id"])
     files["ixps"] = out_dir / "ixps.txt"
-    with open(files["ixps"], "w", encoding="utf-8") as fh:
-        for a in sorted(truth.ixps):
-            fh.write(f"{a}\n")
-
+    write_table(files["ixps"], zip(sorted(truth.ixps)))
     files["types"] = out_dir / "types.csv"
-    with open(files["types"], "w", encoding="utf-8") as fh:
-        fh.write("asn,type\n")
-        for a in sorted(truth.tier):
-            fh.write(f"{a},{truth.types[a].value}\n")
-
+    write_table(files["types"], ((a, truth.types[a].value) for a in tier), ["asn", "type"])
     files["truth"] = out_dir / "truth.csv"
-    with open(files["truth"], "w", encoding="utf-8") as fh:
-        fh.write("a,b,label\n")
-        for key in sorted(truth.labels):
-            a, b, label = truth.oriented(*key)
-            fh.write(f"{a},{b},{label.value}\n")
-
+    oriented = (truth.oriented(*key) for key in sorted(truth.labels))
+    write_table(files["truth"], ((a, b, label.value) for a, b, label in oriented),
+                ["a", "b", "label"])
     return files

@@ -19,7 +19,6 @@ matrices, and the edge rows the classifier scores.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -36,6 +35,7 @@ from .ingest import (
     pack_unordered_pairs,
     run_firsts,
     unpack_pairs,
+    write_table,
 )
 
 
@@ -221,8 +221,6 @@ def step_edges(paths: PathStore) -> np.ndarray:
 _POPCOUNT = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1
 ).sum(axis=1, dtype=np.uint8)
-# rows of a bit matrix unpacked at a time when its columns move
-_BIT_ROWS = 1 << 12
 
 
 def _bit_matrix(bits: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -244,20 +242,11 @@ def _or_columns(out: np.ndarray, rows: np.ndarray, bits: np.ndarray, cols: np.nd
     if np.array_equal(cols, np.arange(len(cols))):
         # the same leading columns: whole bytes line up
         out[rows, :bits.shape[1]] |= bits
-    elif len(cols) < 8:
-        # a few columns, such as a block's VPs, one at a time
+    else:
+        # any other columns, such as a block's few VPs, one at a time
         for j, col in enumerate(cols.tolist()):
             bit = bits[:, j // 8] >> np.uint8(7 - j % 8) & np.uint8(1)
             out[rows, col // 8] |= bit << np.uint8(7 - col % 8)
-    else:
-        # rows a few at a time, through one byte per bit; only the bytes
-        # between the first and the last column move
-        lo, hi = cols.min() // 8, cols.max() // 8 + 1
-        for at in range(0, len(rows), _BIT_ROWS):
-            block = np.unpackbits(bits[at:at + _BIT_ROWS], axis=1, count=len(cols))
-            moved = np.zeros((len(block), 8 * (hi - lo)), dtype=np.uint8)
-            moved[:, cols - 8 * lo] = block
-            out[rows[at:at + _BIT_ROWS], lo:hi] |= np.packbits(moved, axis=1)
 
 
 @dataclass
@@ -638,8 +627,4 @@ def assemble_features(
 
 
 def write_features_csv(fm: FeatureMatrix, out: str | Path) -> None:
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["asn"] + fm.columns)
-        for a, row in zip(fm.nodes.tolist(), fm.values.tolist()):
-            writer.writerow([a, *map(repr, row)])
+    write_table(out, zip(fm.nodes.tolist(), *fm.values.T.tolist()), ["asn", *fm.columns])

@@ -615,11 +615,15 @@ def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypa
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
 def test_csv_outputs_end_lines_with_lf(command, input_root, data_dir, tmp_path):
+    """Every file the command writes, its ``.txt`` and ``.json`` files
+    included, and every file of the synth bundle ends each of its lines,
+    the last one too, with LF and holds no CR."""
     assert run([*_command_argv(command, input_root), "--out", str(tmp_path / "out")]) == 0
-    written = [*(tmp_path / "out").glob("*.csv"), *data_dir.glob("*.csv")]
-    assert written
-    for path in written:
-        assert b"\r" not in path.read_bytes(), path.name
+    written = sorted((tmp_path / "out").iterdir())
+    assert len(written) > 1 and (tmp_path / "out" / "manifest.json") in written
+    for path in [*written, *sorted(data_dir.iterdir())]:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
 # -- the README advertises only flags the parser takes ---------------------

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import random
@@ -17,6 +18,7 @@ from bgprel.evaluate import (
     sweep,
     worker_count,
 )
+from bgprel.ingest import write_json, write_table
 from bgprel.pipeline import ABLATABLE_FEATURES
 
 
@@ -138,10 +140,15 @@ class TestFeatureImportance:
         report = feature_importance(
             lambda n: AblationRun(0.5 if n else 0.9, 0), features=["x", "y"]
         )
-        assert "baseline_accuracy" in report.to_json()
+        doc_file = tmp_path / "imp.json"
+        write_json(doc_file, report.as_dict())
+        doc = json.loads(doc_file.read_text(encoding="utf-8"))
+        assert doc["baseline_accuracy"] == 0.9
+        assert [f["feature"] for f in doc["features"]] == ["x", "y"]
         out = tmp_path / "imp.csv"
-        report.write_csv(out)
-        assert out.read_text().splitlines()[0] == "feature,accuracy_without,score_percent"
+        write_table(out, *report.table())
+        assert out.read_text().splitlines() == [
+            "feature,accuracy_without,score_percent", "x,0.5,50.0", "y,0.5,50.0"]
 
 
 class TestSweep:

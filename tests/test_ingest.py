@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -31,7 +32,9 @@ from bgprel.ingest import (
     read_fields,
     sanitize,
     unpack_pairs,
+    write_json,
     write_paths_file,
+    write_table,
 )
 from bgprel.topology import GraphSummary
 
@@ -239,10 +242,11 @@ class TestIngest:
         assert len(paths) == 1
         assert report.rejected_unallocated == 1
 
-    def test_report_json_is_flat(self):
-        import json
-
-        doc = json.loads(IngestReport(parsed=2).to_json())
+    def test_report_json_is_flat(self, tmp_path):
+        out = tmp_path / "report.json"
+        write_json(out, IngestReport(parsed=2).as_dict())
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["parsed"] == doc["accepted"] == 2
         assert all(isinstance(v, int) for v in doc.values())
 
     def test_roundtrip_write(self, tmp_path):
@@ -515,6 +519,60 @@ def test_pair_key_order_is_tuple_order(pairs):
     assert np.array_equal(unordered, pack_unordered_pairs(b, a))
     assert unpack_pairs(unordered).reshape(-1, 2).tolist() == [
         sorted(p) for p in pairs]
+
+
+class TestWriters:
+    def test_table_with_and_without_header(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_table(out, [(1, "x", 2.5), (3, "y", -1)], ["a", "b", "c"])
+        assert out.read_bytes() == b"a,b,c\n1,x,2.5\n3,y,-1\n"
+        write_table(out, [(1, "x"), (3, "y")])
+        assert out.read_bytes() == b"1,x\n3,y\n"
+
+    def test_table_separator(self, tmp_path):
+        out = tmp_path / "t.txt"
+        write_table(out, [(7, 9, -1), (9, 11, 0)], sep="|")
+        assert out.read_bytes() == b"7|9|-1\n9|11|0\n"
+        write_table(out, [(7, 9)], ["a", "b"], sep="|")
+        assert out.read_bytes() == b"a|b\n7|9\n"
+
+    def test_table_without_rows(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_table(out, [], ["a", "b"])
+        assert out.read_bytes() == b"a,b\n"
+        write_table(out, [])
+        assert out.read_bytes() == b""
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        values = [0.1, 1 / 3, -2.5e16, 1e-300, 5e-324, 1.7976931348623157e308,
+                  -0.0, float("inf"), float(np.float32(0.1)), 123456789.125]
+        out = tmp_path / "f.csv"
+        write_table(out, [(v, -v) for v in values])
+        got = [[float(t) for t in line.split(",")]
+               for line in out.read_text(encoding="utf-8").splitlines()]
+        assert got == [[v, -v] for v in values]
+        assert out.read_text(encoding="utf-8").splitlines()[0] == "0.1,-0.1"
+
+    def test_a_generator_is_consumed_once(self, tmp_path):
+        pulled = []
+
+        def rows():
+            for k in range(5):
+                pulled.append(k)
+                yield k, k * k
+
+        gen = rows()
+        out = tmp_path / "g.csv"
+        write_table(out, gen, ["k", "square"])
+        assert pulled == list(range(5)) and next(gen, None) is None
+        assert out.read_bytes() == b"k,square\n0,0\n1,1\n2,4\n3,9\n4,16\n"
+
+    def test_json_layout(self, tmp_path):
+        doc = {"b": [1, 2.5, None], "a": {"z": True, "y": "\u00e9"}, "c": 0.1}
+        out = tmp_path / "d.json"
+        write_json(out, doc)
+        assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True)
+                                    + "\n").encode("utf-8")
 
 
 def test_importing_ingest_loads_only_what_it_uses():

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,39 @@ def test_every_imported_name_is_used(path):
             if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                 unused.append(f"{_where(path, alias)} {name}")
     assert unused == []
+
+
+def _writes_text(node: ast.AST) -> bool:
+    """Whether ``node`` imports ``csv``, calls ``json.dump``,
+    ``json.dumps`` or a ``write_text``/``write_bytes`` method, or opens a
+    file in a mode that writes."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "csv" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "csv"
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func.endswith((".write_text", ".write_bytes")) or func in ("json.dump", "json.dumps"):
+        return True
+    if func != "open" and not func.endswith(".open"):
+        return False
+    # open(file, mode), io.open(file, mode) and Path.open(mode)
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[:2]
+    return any(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and re.fullmatch("[rwxabt+]+", m.value) and re.search("[wxa+]", m.value)
+        for m in modes
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "ingest.py"],
+                         ids=lambda p: p.name)
+def test_only_ingest_writes_text_files(path):
+    """Every output's format is decided in ``ingest``, whose writers the
+    other modules call: none of them imports ``csv``, calls ``json.dump``
+    or ``json.dumps``, writes through ``Path.write_text``, or opens a file
+    for writing."""
+    writes = [f"{_where(path, node)} {ast.unparse(node)}"
+              for node in ast.walk(_tree(path)) if _writes_text(node)]
+    assert writes == []

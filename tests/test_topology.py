@@ -241,9 +241,7 @@ def _brute_bits(paths):
 
 class TestVantagePointBits:
     @pytest.mark.parametrize("layout", ["grouped", "cyclic"])
-    @pytest.mark.parametrize("bit_rows", [3, 1 << 12])
-    def test_bits_and_observers_match_brute_force(self, layout, bit_rows, monkeypatch):
-        monkeypatch.setattr(topology, "_BIT_ROWS", bit_rows)
+    def test_bits_and_observers_match_brute_force(self, layout):
         paths = _vp_paths(layout)
         store = PathStore.from_hops(paths)
         nodes, vps, dense = _brute_bits(paths)
