@@ -2,8 +2,8 @@
 
 Every subcommand writes its artifacts under --out together with a
 manifest.json recording the invocation, the input and output file
-digests, the seed, the library versions and thread settings, and the
-wall time, so a run can be audited later.
+digests, the seed, the library versions, the thread settings and the
+BLAS thread count, and the wall time, so a run can be audited later.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -95,6 +95,24 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def blas_threads() -> int | None:
+    """The thread count that numpy's bundled OpenBLAS reports, or None
+    where no such library is found or none of its getters is exported."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(dll, name, None)
+            if get is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                return get()
+    return None
+
+
 def write_manifest(
     out_dir: Path,
     command: str,
@@ -122,10 +140,10 @@ def write_manifest(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            # the BLAS and OpenMP thread settings as this process saw them,
-            # not the thread count the BLAS library reports
+            # the BLAS and OpenMP thread settings as this process saw them
             "settings": {name: os.environ.get(name) for name in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "blas_threads": blas_threads(),
         },
         "wall_time_s": time.perf_counter() - started,
     }

@@ -19,13 +19,14 @@ The head reads only the scored edges' endpoint rows, so every pass runs
 on a ``RowPlan``: the last layer computes the endpoint rows, and each
 earlier layer the one-hop closure of the next layer's rows.  Training
 plans for its train and val edges, ``predict`` for the edges it scores.
-Only the weight-gradient products still span every node.
+Every array of an epoch holds only its layer's plan rows: a layer's
+gradient is zero outside them, so its weight gradient sums them only.
 
 Both passes walk one list of layers, k = 0 .. L-1 across all blocks:
 layer k computes ``plan.rows[k]`` from ``plan.props[k]``, sends its
-gradient back through ``plan.backs[k - 1]`` and pads its weight
-gradient's operands with ``plan.full_height(k, ...)``.  A block's last
-layer also normalizes its rows.
+gradient back through ``plan.backs[k - 1]`` and sums its weight
+gradient over ``plan.rows[k]``.  A block's last layer also normalizes
+its rows.
 
 Everything is plain numpy/scipy so a run is bitwise reproducible for a
 fixed seed at a fixed BLAS thread count; gradients are derived by hand
@@ -211,7 +212,8 @@ class RowPlan:
     entries that meet zero gradient rows.  Row sets are sorted, so each
     product sums a row in A_hat's entry order and matches the all-node
     product bit for bit on its rows.  A plan whose rows hold every node
-    uses A_hat itself.
+    uses A_hat itself.  A layer's gradient is zero outside its rows, so
+    its weight gradient sums over them only.
     """
 
     n_nodes: int
@@ -254,27 +256,22 @@ class RowPlan:
             raise ValueError("edge endpoint outside the plan's rows")
         return np.searchsorted(last, edges)
 
-    def full_height(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Layer k's rows in an all-node array that is zero elsewhere.
-
-        The weight gradient ``P.T @ dQ`` sums over rows; at full height
-        it blocks that sum as the all-node product does, so it keeps its
-        bits."""
-        rows = self.rows[k]
-        if len(rows) == self.n_nodes:
-            return values
-        out = np.zeros((self.n_nodes, values.shape[1]))
-        out[rows] = values
-        return out
-
 
 # -- forward ------------------------------------------------------------
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` dotted with the same row of ``b``."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _row_normalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((r * r).sum(axis=1))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return r / safe[:, None], safe
+    """Divides each row of ``r`` by its L2 norm in place and returns
+    ``r`` with the norms it divided by; an all-zero row is divided by 1."""
+    norms = np.sqrt(_row_dots(r, r))
+    norms[norms == 0.0] = 1.0
+    r /= norms[:, None]
+    return r, norms
 
 
 class Forward(NamedTuple):
@@ -356,6 +353,17 @@ def loss_value(
     labels = _check_labels(labels, logp.shape[0])
     if labels.size and (labels.min() < 0 or labels.max() >= logp.shape[1]):
         raise ValueError("label index out of range")
+    return _objective(logp, labels, params, weight_decay)
+
+
+def _objective(
+    logp: np.ndarray,
+    labels: np.ndarray,
+    params: Sequence[np.ndarray],
+    weight_decay: float,
+) -> float:
+    """``loss_value`` for labels already checked: the mean negative
+    log-likelihood plus the L2 penalty."""
     nll = -logp[np.arange(len(labels)), labels].mean()
     if weight_decay > 0.0:
         nll += 0.5 * weight_decay * sum(float((p * p).sum()) for p in params)
@@ -400,6 +408,8 @@ class EdgeBatch:
         if len(edges) == 0:
             raise ValueError("no edges to train on")
         labels = _check_labels(labels, len(edges))
+        if labels.min() < 0:
+            raise ValueError("label index out of range")
         return cls(edges, labels, incidence_matrix(edges, len(plan.rows[-1])))
 
 
@@ -418,7 +428,7 @@ def loss_and_grads(
     labels = batch.labels
     m = len(labels)
     u, logp = _head(model, fwd.z, batch.edges)
-    loss = loss_value(logp, labels, model.params(), weight_decay)
+    loss = _objective(logp, labels, model.params(), weight_decay)
 
     # d(mean nll)/d(logits) = (softmax - onehot) / m
     dlogits = np.exp(logp)
@@ -438,11 +448,10 @@ def loss_and_grads(
         if norms is not None:
             # backward through y = r / ||r||: dr = (dy - y (y . dy)) / ||r||;
             # all-zero rows were passed through so dr = dy there
-            dot = (y * dh).sum(axis=1, keepdims=True)
-            dh = np.subtract(dh, y * dot, out=dh)
+            dh -= y * _row_dots(y, dh)[:, None]
             dh /= norms[:, None]
         dq = np.multiply(dh, mask, out=dh)
-        grads[k] = plan.full_height(k, p).T @ plan.full_height(k, dq)
+        grads[k] = p.T @ dq
         if k:  # the model's input needs no gradient
             dh = plan.backs[k - 1] @ (dq @ weights[k].T)  # A_hat is symmetric
 
@@ -497,10 +506,20 @@ def adam_step(
 # -- training -----------------------------------------------------------
 
 
+class Epoch(NamedTuple):
+    """One epoch of a training history, a row of ``history.csv``."""
+
+    epoch: int
+    loss: float  # training objective at the parameters the step started from
+    val_loss: float  # the same objective on the val edges after the step
+    val_accuracy: float  # after the step
+    grad_norm: float  # L2 norm over every parameter gradient of the step
+
+
 @dataclass
 class TrainResult:
     model: GcnModel
-    history: list[tuple[int, float, float]]  # (epoch, loss, val accuracy)
+    history: list[Epoch]
     best_epoch: int
     best_val_accuracy: float
 
@@ -531,7 +550,8 @@ def train(
 
     Each epoch runs one forward pass: the one taken after the Adam step
     scores the validation edges and feeds the next epoch's gradients.
-    Both run on one plan for the train and val edges."""
+    Both run on one plan for the train and val edges, whose edges and
+    labels are checked here once, not in the loop."""
     x = np.asarray(x, dtype=np.float64)
     train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
@@ -542,8 +562,9 @@ def train(
     plan = RowPlan.build(a_hat, np.concatenate([train_edges, val_edges]), nb * nl)
     batch = EdgeBatch.build(train_edges, train_labels, plan)
     val_edges = plan.local(val_edges)
-    if batch.labels.max() >= config.n_classes or val_labels.max() >= config.n_classes:
-        raise ValueError("label index exceeds the class count")
+    for labels in (batch.labels, val_labels):
+        if labels.min() < 0 or labels.max() >= config.n_classes:
+            raise ValueError("label index out of range for the class count")
 
     rng = np.random.default_rng(config.seed)
     model = init_model(
@@ -553,7 +574,7 @@ def train(
     state = AdamState.for_params(params)
     ax = plan.props[0] @ x
 
-    history: list[tuple[int, float, float]] = []
+    history: list[Epoch] = []
     best_acc = -1.0
     best_epoch = 0
     best_params = [p.copy() for p in params]
@@ -565,11 +586,13 @@ def train(
                 f"non-finite loss {loss!r} at epoch {epoch}; "
                 "lower the learning rate or check the inputs"
             )
+        grad_norm = float(np.linalg.norm(np.concatenate([g.ravel() for g in grads])))
         adam_step(params, grads, state, config.learning_rate)
         fwd = forward(model, plan, ax)
-        val_pred = edge_scores(model, fwd.z, val_edges).argmax(axis=1)
-        val_acc = float((val_pred == val_labels).mean())
-        history.append((epoch, loss, val_acc))
+        _, val_logp = _head(model, fwd.z, val_edges)
+        val_loss = _objective(val_logp, val_labels, params, config.weight_decay)
+        val_acc = float((val_logp.argmax(axis=1) == val_labels).mean())
+        history.append(Epoch(epoch, loss, val_loss, val_acc, grad_norm))
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
@@ -638,7 +661,6 @@ def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
     return model, doc.get("meta", {})
 
 
-def write_history_csv(
-    history: list[tuple[int, float, float]], out: str | Path
-) -> None:
-    write_table(out, history, ["epoch", "loss", "val_accuracy"])
+def write_history_csv(history: list[Epoch], out: str | Path) -> None:
+    write_table(out, history,
+                ["epoch", "loss", "val_loss", "val_accuracy", "grad_norm"])

@@ -6,6 +6,8 @@ import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +222,7 @@ def test_train_outputs(train_dir):
     assert set(doc["classes"]) == {"p2p", "p2c", "s2s", "x2x"}
     assert 0.0 <= doc["test"]["accuracy"] <= 1.0
     history = (train_dir / "history.csv").read_text().splitlines()
-    assert history[0] == "epoch,loss,val_accuracy"
+    assert history[0] == "epoch,loss,val_loss,val_accuracy,grad_norm"
     assert len(history) == 21
 
 
@@ -909,4 +911,19 @@ def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
         "scipy": scipy.__version__,
         "settings": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                      "MKL_NUM_THREADS": "2"},
+        # read from the library, which took its count when numpy loaded
+        "blas_threads": cli.blas_threads(),
     }
+
+
+def test_manifest_records_the_blas_thread_count_blas_reports(data_dir, tmp_path):
+    out = tmp_path / "o"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "bgprel.cli", "train", "--data",
+                    str(data_dir), *SMALL, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    threads = json.loads((out / "manifest.json").read_text())["environment"]["blas_threads"]
+    bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    assert threads == (1 if bundled else None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -10,6 +11,7 @@ import bgprel.gcn as gcn
 from bgprel.gcn import (
     AdamState,
     EdgeBatch,
+    Epoch,
     GcnModel,
     RowPlan,
     TrainConfig,
@@ -382,8 +384,8 @@ class TestTrain:
         x, a_hat, te, tl, ve, vl = toy_communities()
         config = TrainConfig(mode="binary", epochs=40, hidden=8, seed=1)
         result = train(x, a_hat, te, tl, ve, vl, config)
-        top = max(acc for _, _, acc in result.history)
-        first = min(e for e, _, acc in result.history if acc == top)
+        top = max(row.val_accuracy for row in result.history)
+        first = min(row.epoch for row in result.history if row.val_accuracy == top)
         assert result.best_epoch == first
         assert result.best_val_accuracy == top
 
@@ -431,8 +433,13 @@ class CountingCsr(sp.csr_matrix):
         return super().__matmul__(other)
 
 
+def row_dots(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
 def reference_forward(model, a_hat, x):
-    """Every layer propagates its own input, the first one included."""
+    """Every layer propagates its own input, the first one included, over
+    every node."""
     h = np.asarray(x, dtype=np.float64)
     caches = []
     for block in model.blocks:
@@ -443,16 +450,30 @@ def reference_forward(model, a_hat, x):
             mask = q > 0.0
             layers.append((p, mask))
             h = q * mask
-        norms = np.sqrt((h * h).sum(axis=1))
+        norms = np.sqrt(row_dots(h, h))
         safe = np.where(norms == 0.0, 1.0, norms)
         h = h / safe[:, None]
         caches.append((layers, h, safe))
     return h, caches
 
 
-def reference_loss_and_grads(model, a_hat, x, edges, labels, wd):
-    """Forward from x, np.add.at head scatter, and a backward pass that
-    also forms the (unused) gradient of the model's input."""
+def hop_balls(a_hat, ends, n_layers):
+    """Per layer k, the sorted nodes within n_layers - 1 - k hops of the
+    nodes in ``ends``, found by networkx."""
+    graph = nx.Graph(list(zip(*a_hat.nonzero())))
+    sources = set(np.asarray(ends).ravel().tolist())
+    return [
+        np.array(sorted(nx.multi_source_dijkstra_path_length(
+            graph, sources, cutoff=n_layers - 1 - k)), dtype=np.intp)
+        for k in range(n_layers)
+    ]
+
+
+def reference_loss_and_grads(model, a_hat, x, edges, labels, wd, balls):
+    """Forward from x, np.add.at head scatter, and a backward pass over
+    every node that also forms the (unused) gradient of the model's
+    input.  Layer k's gradient must be exactly zero outside ``balls[k]``,
+    and its weight gradient sums the rows of that ball."""
     z, caches = reference_forward(model, a_hat, x)
     m = len(edges)
     u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
@@ -469,14 +490,16 @@ def reference_loss_and_grads(model, a_hat, x, edges, labels, wd):
     np.add.at(dh, edges[:, 0], du[:, :model.hidden])
     np.add.at(dh, edges[:, 1], du[:, model.hidden:])
     grads = []
-    for block, (layers, y, safe) in zip(reversed(model.blocks), reversed(caches)):
-        dot = (y * dh).sum(axis=1, keepdims=True)
-        dr = (dh - y * dot) / safe[:, None]
+    for bi in range(len(model.blocks) - 1, -1, -1):
+        block, (layers, y, safe) = model.blocks[bi], caches[bi]
+        dr = (dh - y * row_dots(y, dh)[:, None]) / safe[:, None]
         block_grads = [None] * len(block)
         for li in range(len(block) - 1, -1, -1):
             p, mask = layers[li]
             dq = dr * mask
-            block_grads[li] = p.T @ dq
+            ball = balls[bi * len(block) + li]
+            assert not np.delete(dq, ball, axis=0).any()
+            block_grads[li] = p[ball].T @ dq[ball]
             dr = a_hat @ (dq @ block[li].T)
         grads = block_grads + grads
         dh = dr
@@ -487,23 +510,31 @@ def reference_loss_and_grads(model, a_hat, x, edges, labels, wd):
     return loss, grads
 
 
+def gradient_norm(grads):
+    return float(np.linalg.norm(np.concatenate([g.ravel() for g in grads])))
+
+
 def reference_train(x, a_hat, te, tl, ve, vl, config):
     """Per epoch: a full forward for the gradients, the Adam step, then a
-    fresh predict of the validation edges.  Returns the history, the
+    fresh predict of the validation edges.  Weight gradients sum the hop
+    balls around the train and val endpoints.  Returns the history, the
     parameters after every step and the best ones."""
     model = init_model(x.shape[1], config.hidden, config.n_classes,
                        config.block_spec, np.random.default_rng(config.seed))
     params = model.params()
     state = AdamState.for_params(params)
+    balls = hop_balls(a_hat, np.concatenate([te, ve]), model.n_layers)
     history, steps, best_acc, best = [], [], -1.0, None
     for epoch in range(1, config.epochs + 1):
         loss, grads = reference_loss_and_grads(
-            model, a_hat, x, te, tl, config.weight_decay)
+            model, a_hat, x, te, tl, config.weight_decay, balls)
+        norm = gradient_norm(grads)
         adam_step(params, grads, state, config.learning_rate)
         steps.append([p.copy() for p in params])
-        pred, _ = predict(model, a_hat, x, ve)
+        pred, logp = predict(model, a_hat, x, ve)
+        val_loss = loss_value(logp, vl, model.params(), config.weight_decay)
         acc = float((pred == vl).mean())
-        history.append((epoch, loss, acc))
+        history.append((epoch, loss, val_loss, acc, norm))
         if acc > best_acc:
             best_acc, best = acc, steps[-1]
     return history, steps, best
@@ -631,11 +662,8 @@ class TestRowPlan:
         plan = RowPlan.build(a_hat, ends, n_layers)
         assert len(plan.rows) == n_layers
         assert plan.rows[-1].tolist() == sorted(set(ends.ravel().tolist()))
-        graph = nx.Graph(list(zip(*a_hat.nonzero())))
-        for k, rows in enumerate(plan.rows):
-            hops = nx.multi_source_dijkstra_path_length(
-                graph, set(ends.ravel().tolist()), cutoff=n_layers - 1 - k)
-            assert rows.tolist() == sorted(hops)
+        for rows, ball in zip(plan.rows, hop_balls(a_hat, ends, n_layers)):
+            assert np.array_equal(rows, ball)
 
     def test_two_layer_rows_are_strict_subsets(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
@@ -653,20 +681,6 @@ class TestRowPlan:
         x, a_hat, *_ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
         assert all(m is a_hat for m in plan.props + plan.backs)
-
-    def test_full_height_pads_the_values_it_is_given(self):
-        x, a_hat, te, _, ve, _ = sparse_training_problem()
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), 2)
-        rows = plan.rows[0]
-        values = np.arange(2.0 * len(rows)).reshape(len(rows), 2)
-        first = plan.full_height(0, values).copy()
-        values *= -1.0  # the same array, changed in place
-        padded = plan.full_height(0, values)
-        assert padded.shape == (len(x), 2)
-        assert np.array_equal(padded[rows], values)
-        assert np.array_equal(first[rows], -values)
-        others = np.setdiff1d(np.arange(len(x)), rows)
-        assert not padded[others].any()
 
     def test_endpoint_outside_the_plan_is_refused(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
@@ -704,19 +718,35 @@ class TestRowPlan:
         assert all(np.array_equal(g, w)
                    for g, w in zip(result.model.params(), want_best))
 
+    LARGER = dict(n=3000, n_train=200, n_val=50, width=14)
+
     def test_weight_gradients_keep_their_bits_on_a_larger_graph(self):
-        # a weight gradient sums over rows, and BLAS may block a long sum
-        # by its length (OpenBLAS does at this size): summed over only the
-        # plan's rows it loses its last bits, so it keeps the all-node height
+        # a weight gradient sums the plan's rows of its layer; the
+        # reference runs over every node, proves its gradient exactly zero
+        # on the other rows and sums the same rows, since BLAS may block a
+        # long sum by its length (OpenBLAS does at this size)
         config = TrainConfig(mode="multi", epochs=5, hidden=32, seed=3)
-        problem = sparse_training_problem(n=3000, n_train=200, n_val=50,
-                                          width=14)
+        problem = sparse_training_problem(**self.LARGER)
         plan = RowPlan.build(problem[1], np.concatenate([problem[2], problem[4]]), 2)
         assert len(plan.rows[0]) < 3000
         _, _, want_best = reference_train(*problem, config)
         result = train(*problem, config)
         assert all(np.array_equal(g, w)
                    for g, w in zip(result.model.params(), want_best))
+
+    def test_training_allocates_no_node_height_arrays(self):
+        # peak 1.94 MB (numpy 2.4); one 3000 x 32 float64 array over every node is
+        # 0.77 MB, and padding each weight gradient's operands to every
+        # node peaked at 2.81 MB
+        config = TrainConfig(mode="multi", epochs=5, hidden=32, seed=3)
+        problem = sparse_training_problem(**self.LARGER)
+        tracemalloc.start()
+        try:
+            train(*problem, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_100_000
 
     @pytest.mark.parametrize("block_spec", [(2, 1), (2, 2)])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -752,6 +782,21 @@ class TestLabelLengths:
         x, a_hat, te, tl, ve, _ = self.problem()
         with pytest.raises(ValueError, match="1 labels for 6 val edges"):
             train(x, a_hat, te, tl, ve, np.array([0]), TrainConfig(epochs=2))
+
+    @pytest.mark.parametrize("split", [0, 1])
+    def test_negative_label_is_refused(self, split):
+        x, a_hat, te, tl, ve, vl = self.problem()
+        labels = [tl.copy(), vl.copy()]
+        labels[split][0] = -1
+        with pytest.raises(ValueError, match="label index out of range"):
+            train(x, a_hat, te, labels[0], ve, labels[1], TrainConfig(epochs=2))
+
+    def test_label_beyond_the_class_count_is_refused(self):
+        x, a_hat, te, tl, ve, vl = self.problem()
+        vl = vl.copy()
+        vl[0] = 4
+        with pytest.raises(ValueError, match="label index out of range"):
+            train(x, a_hat, te, tl, ve, vl, TrainConfig(epochs=2))
 
     def test_loss_value_refuses_a_label_count_mismatch(self):
         logp = np.log(np.full((3, 2), 0.5))
@@ -810,8 +855,23 @@ class TestPersistence:
 
     def test_history_csv(self, tmp_path):
         f = tmp_path / "history.csv"
-        write_history_csv([(1, 1.25, 0.5), (2, 0.75, 1.0)], f)
+        write_history_csv([Epoch(1, 1.25, 1.5, 0.5, 2.0),
+                           Epoch(2, 0.75, 1.0, 1.0, 0.25)], f)
         lines = f.read_text().splitlines()
-        assert lines[0] == "epoch,loss,val_accuracy"
-        assert lines[1] == "1,1.25,0.5"
+        assert lines[0] == "epoch,loss,val_loss,val_accuracy,grad_norm"
+        assert lines[1] == "1,1.25,1.5,0.5,2.0"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_first_grad_norm_is_the_norm_of_the_first_gradients(self, weight_decay):
+        x, a_hat, te, tl, ve, vl = sparse_training_problem()
+        config = TrainConfig(epochs=1, hidden=6, seed=2, weight_decay=weight_decay)
+        model = init_model(x.shape[1], config.hidden, config.n_classes,
+                           config.block_spec, np.random.default_rng(config.seed))
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers)
+        fwd = forward(model, plan, plan.props[0] @ x)
+        loss, grads = loss_and_grads(model, plan, fwd,
+                                     EdgeBatch.build(te, tl, plan), weight_decay)
+        (row,) = train(x, a_hat, te, tl, ve, vl, config).history
+        assert row.loss == loss
+        assert row.grad_norm == gradient_norm(grads)
