@@ -1,9 +1,10 @@
 """Command line front end.
 
-Every subcommand writes its artifacts under --out together with a
-manifest.json recording the invocation, the input and output file
-digests, the seed, the library versions, the thread settings and the
-BLAS thread count, and the wall time, so a run can be audited later.
+Every subcommand writes its artifacts under --out and returns the
+``Manifest`` record of its run.  ``run`` then writes manifest.json next
+to them, recording the invocation, the input and output file digests,
+the seed, the library versions, the thread settings and the BLAS thread
+count, and the wall time, so a run can be audited later.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -23,6 +24,7 @@ from array import array
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -111,6 +113,16 @@ def blas_threads() -> int | None:
                 get.restype = ctypes.c_int
                 return get()
     return None
+
+
+class Manifest(NamedTuple):
+    """What a command's manifest records of its run, besides what
+    ``write_manifest`` gathers itself."""
+
+    config: dict
+    inputs: dict[str, Path | None]
+    outputs: dict[str, Path]
+    seed: int | None
 
 
 def write_manifest(
@@ -322,8 +334,7 @@ def _metrics_doc(class_names, splits: dict) -> dict:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    started = time.perf_counter()
+def cmd_ingest(args) -> Manifest:
     out = _out_dir(args)
     paths_file = _require(args.paths, "paths")
     table = AllocationTable.load(_require(args.alloc, "alloc")) if args.alloc else None
@@ -332,21 +343,19 @@ def cmd_ingest(args) -> int:
     write_paths_file(paths, clean)
     report_file = out / "ingest_report.json"
     write_json(report_file, report.as_dict())
-    write_manifest(
-        out, "ingest", {"alloc": bool(table)},
-        {"paths": paths_file, "alloc": Path(args.alloc) if args.alloc else None},
-        {"paths_clean": clean, "report": report_file}, None, started,
-    )
     print(f"parsed {report.parsed} paths, kept {report.accepted}")
     print(
         f"compressed {report.compressed}, loops {report.rejected_loop}, "
         f"unallocated {report.rejected_unallocated}, malformed {report.malformed}"
     )
-    return 0
+    return Manifest(
+        {"alloc": bool(table)},
+        {"paths": paths_file, "alloc": Path(args.alloc) if args.alloc else None},
+        {"paths_clean": clean, "report": report_file}, None,
+    )
 
 
-def cmd_features(args) -> int:
-    started = time.perf_counter()
+def cmd_features(args) -> Manifest:
     out = _out_dir(args)
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files)
@@ -354,20 +363,16 @@ def cmd_features(args) -> int:
     write_features_csv(bundle.features, features_file)
     clique_file = out / "clique.txt"
     write_table(clique_file, zip(sorted(bundle.clique)))
-    write_manifest(
-        out, "features", {}, files.inputs(),
-        {"features": features_file, "clique": clique_file}, None, started,
-    )
     print(f"graph: {bundle.graph.num_nodes} nodes, {bundle.graph.num_edges} edges")
     print(f"clique: {sorted(bundle.clique)}")
     diag = bundle.features.diagnostics
     if diag.get("unreachable_clique_pairs"):
         print(f"unreachable clique pairs: {diag['unreachable_clique_pairs']}")
-    return 0
+    return Manifest({}, files.inputs(),
+                    {"features": features_file, "clique": clique_file}, None)
 
 
-def cmd_dataset(args) -> int:
-    started = time.perf_counter()
+def cmd_dataset(args) -> Manifest:
     out = _out_dir(args)
     files = _files_from_args(args, need_paths=False)
     if files.paths:
@@ -382,22 +387,17 @@ def cmd_dataset(args) -> int:
     split_set.write_csv(edges_file)
     vote_file = out / "vote_report.json"
     write_json(vote_file, asdict(report))
-    write_manifest(
-        out, "dataset", {"mode": args.mode, "dropped_offgraph": dropped},
-        files.inputs(), {"edges": edges_file, "vote_report": vote_file},
-        args.seed, started,
-    )
     counts = split_set.counts()
     print(f"voted pairs: {report.intersection_pairs} of {report.union_pairs} "
           f"(coincidence rate {report.coincidence_rate:.4f})")
     print("class counts: " + ", ".join(
         f"{c.value}={n}" for c, n in counts.items() if n
     ))
-    return 0
+    return Manifest({"mode": args.mode, "dropped_offgraph": dropped}, files.inputs(),
+                    {"edges": edges_file, "vote_report": vote_file}, args.seed)
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> Manifest:
     config = _train_config(args, **_overrides(args))
     out = _out_dir(args)
     files = _files_from_args(args)
@@ -428,22 +428,18 @@ def cmd_train(args) -> int:
     doc["dropped_offgraph"] = prep.dropped_offgraph
     doc["clique"] = sorted(prep.bundle.clique)
     write_json(metrics_file, doc)
-    write_manifest(
-        out, "train",
-        {**asdict(config), "block_spec": list(config.block_spec)},
-        files.inputs(),
-        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
-        args.seed, started,
-    )
     print(f"best epoch {outcome.result.best_epoch}: "
           f"val accuracy {outcome.val_accuracy:.4f}, "
           f"test accuracy {outcome.test_accuracy:.4f}")
     print(format_confusion(outcome.confusion["test"], dataset.class_names))
-    return 0
+    return Manifest(
+        asdict(config), files.inputs(),
+        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
+        args.seed,
+    )
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
+def cmd_eval(args) -> Manifest:
     out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
     mode, seed = (_recorded(meta, k, checkpoint) for k in ("mode", "seed"))
@@ -456,23 +452,18 @@ def cmd_eval(args) -> int:
     doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
     write_json(metrics_file, doc)
-    write_manifest(
-        out, "eval", {"mode": mode},
-        {"checkpoint": checkpoint, **files.inputs()},
-        {"metrics": metrics_file}, seed, started,
-    )
     print(f"val accuracy {accuracy(splits['val']):.4f}, "
           f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))
-    return 0
+    return Manifest({"mode": mode}, {"checkpoint": checkpoint, **files.inputs()},
+                    {"metrics": metrics_file}, seed)
 
 
 # predictions.csv is formatted this many rows at a time
 _WRITE_ROWS = 1 << 14
 
 
-def cmd_predict(args) -> int:
-    started = time.perf_counter()
+def cmd_predict(args) -> Manifest:
     out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
     classes = _recorded(meta, "classes", checkpoint)
@@ -498,13 +489,12 @@ def cmd_predict(args) -> int:
             *logp[b].T.tolist())
         for b in batches)
     write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
-    write_manifest(
-        out, "predict", {"pairs": len(wanted)},
-        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
-        {"predictions": pred_file}, None, started,
-    )
     print(f"wrote {len(wanted)} predictions to {pred_file}")
-    return 0
+    return Manifest(
+        {"pairs": len(wanted)},
+        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
+        {"predictions": pred_file}, None,
+    )
 
 
 def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
@@ -525,8 +515,7 @@ def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
     return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def cmd_importance(args) -> int:
-    started = time.perf_counter()
+def cmd_importance(args) -> Manifest:
     config = _train_config(args, **_overrides(args))
     out = _out_dir(args)
     files = _files_from_args(args)
@@ -539,25 +528,19 @@ def cmd_importance(args) -> int:
     write_table(csv_file, *report.table())
     json_file = out / "importance.json"
     write_json(json_file, report.as_dict())
-    write_manifest(
-        out, "importance",
-        {**asdict(config), "block_spec": list(config.block_spec),
-         "workers": workers},
-        files.inputs(),
-        {"importance_csv": csv_file, "importance_json": json_file},
-        args.seed, started,
-    )
     print(f"baseline accuracy {report.baseline_accuracy:.4f}")
     if report.degenerate:
         print("importance degenerate: removals never changed accuracy")
     for e in sorted(report.entries, key=lambda e: -(e.score or 0.0)):
         share = "n/a" if e.score is None else f"{e.score:6.2f}%"
         print(f"  {e.feature:<16} {share}  (without: {e.accuracy_without:.4f})")
-    return 0
+    return Manifest(
+        {**asdict(config), "workers": workers}, files.inputs(),
+        {"importance_csv": csv_file, "importance_json": json_file}, args.seed,
+    )
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args) -> Manifest:
     grid = _overrides(args, ("lr", "wd", "blocks"))
     if not grid:
         raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
@@ -583,18 +566,15 @@ def cmd_sweep(args) -> int:
     write_table(csv_file, *report.table())
     json_file = out / "sweep.json"
     write_json(json_file, report.as_dict())
-    write_manifest(
-        out, "sweep", {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
-                       "workers": workers},
-        files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file},
-        args.seed, started,
-    )
     print(f"swept {len(report.rows)} settings; best: {report.best}")
-    return 0
+    return Manifest(
+        {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
+         "workers": workers},
+        files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file}, args.seed,
+    )
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
+def cmd_synth(args) -> Manifest:
     out = _out_dir(args)
     config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     truth = generate(config)
@@ -615,22 +595,20 @@ def cmd_synth(args) -> int:
         perturbation=args.perturbation,
         seed=args.seed,
     )
-    write_manifest(
-        out, "synth",
-        {**asdict(config), "n_sources": args.n_sources,
-         "perturbation": args.perturbation,
-         "vantage_points": len(stats.vantage_points),
-         "emitted": stats.emitted, "unreachable": stats.unreachable,
-         "policy_violations": len(bad)},
-        {}, files, args.seed, started,
-    )
     counts = truth.counts()
     print(f"planted {len(truth.tier)} nodes, {len(truth.labels)} edges "
           f"({', '.join(f'{c.value}={n}' for c, n in counts.items())})")
     print(f"emitted {stats.emitted} paths from {len(stats.vantage_points)} "
           f"vantage points ({stats.unreachable} unreachable, "
           "no policy violations)")
-    return 0
+    return Manifest(
+        {**asdict(config), "n_sources": args.n_sources,
+         "perturbation": args.perturbation,
+         "vantage_points": len(stats.vantage_points),
+         "emitted": stats.emitted, "unreachable": stats.unreachable,
+         "policy_violations": len(bad)},
+        {}, files, args.seed,
+    )
 
 
 # -- parser ------------------------------------------------------------
@@ -735,8 +713,11 @@ def run(argv: list[str] | None = None) -> int:
     _tune_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        record = args.func(args)
+        write_manifest(Path(args.out), args.command, *record, started)
+        return 0
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -150,14 +150,6 @@ def map_runs(run: Callable, items: Sequence, workers: int) -> list:
 # -- feature importance --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AblationRun:
-    """Outcome of one retrain: accuracy plus the seed it used."""
-
-    accuracy: float
-    seed: int
-
-
 @dataclass
 class FeatureImportance:
     feature: str
@@ -170,7 +162,6 @@ class ImportanceReport:
     baseline_accuracy: float
     entries: list[FeatureImportance]
     degenerate: bool
-    seeds: list[int]
 
     def as_dict(self) -> dict:
         """The report as the JSON document ``importance.json`` holds."""
@@ -196,15 +187,15 @@ class ImportanceReport:
 
 
 def feature_importance(
-    pipeline: Callable[[str | None], AblationRun],
+    pipeline: Callable[[str | None], float],
     features: Sequence[str],
     workers: int = 1,
 ) -> ImportanceReport:
     """Score each feature by its share of the total accuracy shift.
 
-    ``pipeline(None)`` trains the full model; ``pipeline(name)`` retrains
-    without one feature at the same seed.  Feature i scores
-    |acc_base - acc_i| / sum_j |acc_base - acc_j| * 100.  When every
+    ``pipeline(None)`` trains the full model and returns its accuracy;
+    ``pipeline(name)`` retrains without one feature at the same seed.
+    Feature i scores |acc_base - acc_i| / sum_j |acc_base - acc_j| * 100.  When every
     ablation lands exactly on the baseline accuracy the shares are
     undefined and the report is flagged degenerate instead.  The
     baseline and the ablations run through ``map_runs`` on ``workers``
@@ -213,22 +204,19 @@ def feature_importance(
     names = list(features)
     baseline, *ablated = map_runs(pipeline, [None, *names], workers)
     runs = dict(zip(names, ablated))
-    diffs = {n: abs(baseline.accuracy - runs[n].accuracy) for n in names}
+    diffs = {n: abs(baseline - runs[n]) for n in names}
     denom = sum(diffs.values())
     degenerate = denom == 0.0
     entries = [
         FeatureImportance(
             feature=n,
-            accuracy_without=runs[n].accuracy,
+            accuracy_without=runs[n],
             score=None if degenerate else 100.0 * diffs[n] / denom,
         )
         for n in names
     ]
     return ImportanceReport(
-        baseline_accuracy=baseline.accuracy,
-        entries=entries,
-        degenerate=degenerate,
-        seeds=[baseline.seed] + [runs[n].seed for n in names],
+        baseline_accuracy=baseline, entries=entries, degenerate=degenerate
     )
 
 

@@ -289,13 +289,18 @@ def load_asn_map(
 ) -> dict[int, str]:
     """The rows of an ``asn,value`` file such as ``orgs.csv``, whose line
     1 may be a header starting ``asn``.  A missing value, or one outside
-    ``values`` when they are given, raises ValueError naming ``what``."""
-    out = {}
+    ``values`` when they are given, raises ValueError naming ``what``;
+    an ASN on two lines raises ValueError naming both."""
+    out, first_line = {}, {}
     for where, fields in read_fields(path, ",", "asn"):
         asn = parse_asn(fields[0], where)
         value = fields[1].strip(WHITESPACE) if len(fields) > 1 else ""
         if not value or values is not None and value not in values:
             raise ValueError(f"{where}: missing or unknown {what} {value!r}")
+        if asn in first_line:
+            raise ValueError(f"{where}: duplicate AS{asn}, "
+                             f"first on line {first_line[asn]}")
+        first_line[asn] = where.rpartition(" ")[2]
         out[asn] = value
     return out
 

@@ -28,7 +28,7 @@ from .dataset import (
     load_org_map,
     vote_intersection,
 )
-from .evaluate import AblationRun, accuracy, confusion_matrix
+from .evaluate import accuracy, confusion_matrix
 from .gcn import (
     GcnModel,
     TrainConfig,
@@ -282,16 +282,15 @@ def prepare(files: DataFiles, mode: str, seed: int) -> Prepared:
 def importance_runner(graph: AsGraph, fm: FeatureMatrix, dataset: EdgeDataset,
                       config: TrainConfig):
     """Pipeline closure for the feature-importance driver: retrains
-    with one input removed, always from the same seed.  The weighted
-    propagation matrix is built once, here; only the run without "cnr"
-    builds the unweighted one."""
+    with one input removed, always from the same seed, and returns the
+    test accuracy.  The weighted propagation matrix is built once, here;
+    only the run without "cnr" builds the unweighted one."""
     weighted_a_hat = adjacency_for(graph, True)
 
-    def run(feature: str | None) -> AblationRun:
+    def run(feature: str | None) -> float:
         x, weighted = ablate_columns(fm, feature)
         a_hat = weighted_a_hat if weighted else adjacency_for(graph, False)
-        outcome = run_training(x, a_hat, dataset, config)
-        return AblationRun(accuracy=outcome.test_accuracy, seed=config.seed)
+        return run_training(x, a_hat, dataset, config).test_accuracy
 
     return run
 

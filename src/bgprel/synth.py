@@ -341,9 +341,7 @@ class RouteGraph:
 
     def __init__(self, truth: GroundTruth):
         graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
-        adjacency = graph.adjacency()
-        self.nodes = graph.nodes
-        self.indptr, self.indices = adjacency.indptr, adjacency.indices
+        self.nodes, self.indptr, self.indices = graph.nodes, graph.indptr, graph.indices
         a, b = np.array(list(truth.labels), dtype=np.int64).reshape(-1, 2).T
         # the step kinds of a -> b and of b -> a, per planted (a, b)
         kinds = np.array([

@@ -393,6 +393,20 @@ def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, 
     assert f"{pairs} line 2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["orgs.csv", "types.csv"])
+def test_asn_repeated_in_a_side_file_is_runtime_error(data_dir, tmp_path, capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    lines = (data / name).read_text().splitlines()
+    (data / name).write_text("\n".join([*lines, lines[1]]) + "\n")
+    code = run(["train", "--data", str(data), "--epochs", "2", "--hidden", "4",
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    asn = lines[1].split(",")[0]
+    assert (f"error: {data / name} line {len(lines) + 1}: duplicate AS{asn}, "
+            "first on line 2") in capsys.readouterr().err
+
+
 def test_importance_command(data_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "worker_count", lambda runs: 2)
     out = tmp_path / "imp"

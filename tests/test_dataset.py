@@ -163,6 +163,18 @@ class TestTextRows:
         with pytest.raises(ValueError, match=re.escape(f"{f} line 2: quoted fields")):
             load(f)
 
+    @pytest.mark.parametrize("name,text,load", [
+        ("orgs.csv", "asn,org_id\n10,acme\n11,acme\n10,other\n", load_org_map),
+        ("types.csv", "asn,type\n10,content\n11,content\n10,content\n", load_type_map),
+    ], ids=["orgs", "types"])
+    def test_asn_read_twice_is_refused_naming_both_lines(self, tmp_path, name, text,
+                                                         load):
+        f = tmp_path / name
+        f.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{f} line 4: duplicate AS10, first on line 2")):
+            load(f)
+
 
 class TestLabelSourceFile:
     def test_codes(self, tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bgprel.evaluate import (
-    AblationRun,
     accuracy,
     confusion_matrix,
     feature_importance,
@@ -99,28 +98,22 @@ class TestFeatureImportance:
         rng = random.Random(3)
         for name in ABLATABLE_FEATURES:
             accs[name] = 0.9 - rng.uniform(0.0, 0.3)
-        report = feature_importance(lambda n: AblationRun(accs[n], seed=42),
-                                    ABLATABLE_FEATURES)
+        report = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES)
         assert not report.degenerate
         total = sum(e.score for e in report.entries)
         assert total == pytest.approx(100.0, abs=0.01)
         assert len(report.entries) == 10
-        assert set(report.seeds) == {42}
 
     def test_scores_match_share_formula(self):
         accs = {None: 0.8, "a": 0.7, "b": 0.9, "c": 0.8}
-        report = feature_importance(
-            lambda n: AblationRun(accs[n], 0), features=["a", "b", "c"]
-        )
+        report = feature_importance(lambda n: accs[n], features=["a", "b", "c"])
         by_name = {e.feature: e.score for e in report.entries}
         assert by_name["a"] == pytest.approx(50.0)
         assert by_name["b"] == pytest.approx(50.0)
         assert by_name["c"] == pytest.approx(0.0)
 
     def test_degenerate_flagged(self):
-        report = feature_importance(
-            lambda n: AblationRun(0.5, 7), features=["a", "b"]
-        )
+        report = feature_importance(lambda n: 0.5, features=["a", "b"])
         assert report.degenerate
         assert all(e.score is None for e in report.entries)
 
@@ -129,17 +122,13 @@ class TestFeatureImportance:
         rng = random.Random(11)
         for name in ABLATABLE_FEATURES:
             accs[name] = rng.uniform(0.4, 0.9)
-        serial = feature_importance(lambda n: AblationRun(accs[n], 1),
-                                    ABLATABLE_FEATURES, workers=1)
-        forked = feature_importance(lambda n: AblationRun(accs[n], 1),
-                                    ABLATABLE_FEATURES, workers=4)
+        serial = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES, workers=1)
+        forked = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES, workers=4)
         assert forked.baseline_accuracy == serial.baseline_accuracy
         assert [e.score for e in serial.entries] == [e.score for e in forked.entries]
 
     def test_report_serialization(self, tmp_path):
-        report = feature_importance(
-            lambda n: AblationRun(0.5 if n else 0.9, 0), features=["x", "y"]
-        )
+        report = feature_importance(lambda n: 0.5 if n else 0.9, features=["x", "y"])
         doc_file = tmp_path / "imp.json"
         write_json(doc_file, report.as_dict())
         doc = json.loads(doc_file.read_text(encoding="utf-8"))

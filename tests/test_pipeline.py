@@ -458,9 +458,7 @@ def test_importance_runner_deterministic(clean_dir):
     a = run(None)
     b = run(None)
     assert a == b
-    c = run("cnr")
-    assert c.seed == a.seed
-    assert 0.0 <= c.accuracy <= 1.0
+    assert 0.0 <= run("cnr") <= 1.0
 
 
 def test_run_training_matches_direct_evaluation(clean_dir):

@@ -91,3 +91,18 @@ def test_only_ingest_writes_text_files(path):
     writes = [f"{_where(path, node)} {ast.unparse(node)}"
               for node in ast.walk(_tree(path)) if _writes_text(node)]
     assert writes == []
+
+
+def test_run_writes_every_manifest():
+    """``cli.run`` is the one caller of ``write_manifest``: each command
+    returns its ``Manifest`` record, and ``run`` writes it."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = _tree(path)
+
+    def calls(node: ast.AST) -> list[str]:
+        return [_where(path, n) for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "write_manifest"]
+
+    runs = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
+    assert len(runs) == 1
+    assert len(calls(runs[0])) == 1 and calls(tree) == calls(runs[0])
