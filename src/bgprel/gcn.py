@@ -28,9 +28,18 @@ gradient back through ``plan.backs[k - 1]`` and sums its weight
 gradient over ``plan.rows[k]``.  A block's last layer also normalizes
 its rows.
 
-Everything is plain numpy/scipy so a run is bitwise reproducible for a
-fixed seed at a fixed BLAS thread count; gradients are derived by hand
-and checked against finite differences in the test suite.
+A run trains and predicts in the dtype of its feature matrix, float32
+or float64 (any other input is read as float64): A_hat, the parameters,
+the Adam moments and every forward and backward array follow it, with
+no flag.  Only the head's (m, classes) logits are cast to float64, so
+log-probabilities, the loss and validation scores are float64 in both;
+the gradient of the logits is cast back before the head gradient.  The
+pipeline's features are float32, as in the GCN of Kipf & Welling;
+float64 features give a float64 run, in which the test suite checks the
+hand-written gradients against finite differences.
+
+Everything is plain numpy/scipy, so a run is bitwise reproducible for a
+fixed seed at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -134,6 +143,10 @@ class GcnModel:
     n_classes: int
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.head_w.dtype
+
+    @property
     def block_spec(self) -> tuple[int, int]:
         return (len(self.blocks), len(self.blocks[0]))
 
@@ -154,6 +167,15 @@ class GcnModel:
         for mine, theirs in zip(self.params(), params):
             mine[...] = theirs
 
+    def astype(self, dtype: np.dtype) -> "GcnModel":
+        """This model with its parameters in ``dtype``; itself when they
+        already are."""
+        if self.dtype == dtype:
+            return self
+        return GcnModel([[w.astype(dtype) for w in block] for block in self.blocks],
+                        self.head_w.astype(dtype), self.head_b.astype(dtype),
+                        self.input_dim, self.hidden, self.n_classes)
+
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -166,18 +188,21 @@ def init_model(
     n_classes: int,
     block_spec: tuple[int, int],
     rng: np.random.Generator,
+    dtype: np.dtype = np.float64,
 ) -> GcnModel:
+    """Glorot-uniform layer and head weights and a zero head bias, in
+    ``dtype``; the draws are the same in every dtype."""
     n_blocks, n_layers = block_spec
     blocks = []
     width = input_dim
     for _ in range(n_blocks):
         block = []
         for _ in range(n_layers):
-            block.append(_glorot(rng, width, hidden))
+            block.append(_glorot(rng, width, hidden).astype(dtype))
             width = hidden
         blocks.append(block)
-    head_w = _glorot(rng, 2 * hidden, n_classes)
-    head_b = np.zeros(n_classes, dtype=np.float64)
+    head_w = _glorot(rng, 2 * hidden, n_classes).astype(dtype)
+    head_b = np.zeros(n_classes, dtype=dtype)
     return GcnModel(blocks, head_w, head_b, input_dim, hidden, n_classes)
 
 
@@ -213,7 +238,8 @@ class RowPlan:
     product sums a row in A_hat's entry order and matches the all-node
     product bit for bit on its rows.  A plan whose rows hold every node
     uses A_hat itself.  A layer's gradient is zero outside its rows, so
-    its weight gradient sums over them only.
+    its weight gradient sums over them only.  The plan's matrices keep
+    A_hat's dtype, which is the run's.
     """
 
     n_nodes: int
@@ -307,6 +333,8 @@ def forward(model: GcnModel, plan: RowPlan, ax: np.ndarray) -> Forward:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, in float64 whatever the logits' dtype."""
+    logits = logits.astype(np.float64, copy=False)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted - lse
@@ -373,9 +401,11 @@ def _objective(
 # -- backward -----------------------------------------------------------
 
 
-def incidence_matrix(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """(n_nodes, 2m) 0/1 matrix: column k marks ``edges[k, 0]`` and
-    column m + k marks ``edges[k, 1]``.
+def incidence_matrix(
+    edges: np.ndarray, n_nodes: int, dtype: np.dtype = np.float64
+) -> sp.csr_matrix:
+    """(n_nodes, 2m) 0/1 matrix in ``dtype``: column k marks
+    ``edges[k, 0]`` and column m + k marks ``edges[k, 1]``.
 
     Its product with the left-endpoint rows stacked over the
     right-endpoint rows sums each node's rows in the order ``np.add.at``
@@ -386,7 +416,7 @@ def incidence_matrix(edges: np.ndarray, n_nodes: int) -> sp.csr_matrix:
     indptr = np.zeros(n_nodes + 1, dtype=np.intp)
     np.cumsum(np.bincount(ends, minlength=n_nodes), out=indptr[1:])
     return sp.csr_matrix(
-        (np.ones(len(ends)), np.argsort(ends, kind="stable"), indptr),
+        (np.ones(len(ends), dtype=dtype), np.argsort(ends, kind="stable"), indptr),
         shape=(n_nodes, len(ends)),
     )
 
@@ -397,7 +427,7 @@ class EdgeBatch:
 
     edges: np.ndarray  # (m, 2) positions in the plan's rows[-1]
     labels: np.ndarray
-    incidence: sp.csr_matrix  # incidence_matrix(edges, len(rows[-1]))
+    incidence: sp.csr_matrix  # incidence_matrix of edges over len(rows[-1]) nodes
 
     @classmethod
     def build(
@@ -410,7 +440,8 @@ class EdgeBatch:
         labels = _check_labels(labels, len(edges))
         if labels.min() < 0:
             raise ValueError("label index out of range")
-        return cls(edges, labels, incidence_matrix(edges, len(plan.rows[-1])))
+        return cls(edges, labels, incidence_matrix(
+            edges, len(plan.rows[-1]), plan.props[0].dtype))
 
 
 def loss_and_grads(
@@ -430,10 +461,12 @@ def loss_and_grads(
     u, logp = _head(model, fwd.z, batch.edges)
     loss = _objective(logp, labels, model.params(), weight_decay)
 
-    # d(mean nll)/d(logits) = (softmax - onehot) / m
+    # d(mean nll)/d(logits) = (softmax - onehot) / m, from the float64
+    # log-probabilities, then in the model's dtype
     dlogits = np.exp(logp)
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
+    dlogits = dlogits.astype(model.dtype, copy=False)
     grad_head_w = u.T @ dlogits
     grad_head_b = dlogits.sum(axis=0)
     du = dlogits @ model.head_w.T
@@ -524,14 +557,24 @@ class TrainResult:
     best_val_accuracy: float
 
 
+def _features(x: np.ndarray) -> np.ndarray:
+    """``x`` as an array in the run's dtype: float32 and float64 stay,
+    anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
+
+
 def predict(
     model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class indices and log-probabilities for ordered edges, from a
-    forward pass over the rows those edges reach."""
-    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    """Class indices and float64 log-probabilities for ordered edges,
+    from a forward pass in the features' dtype over the rows those edges
+    reach; the model and A_hat are cast to that dtype if they differ."""
+    x = _features(x)
+    model = model.astype(x.dtype)
+    plan = RowPlan.build(a_hat.astype(x.dtype, copy=False), edges, model.n_layers)
     # only the output is kept, so the layer caches are freed before scoring
-    z = forward(model, plan, plan.props[0] @ np.asarray(x, dtype=np.float64)).z
+    z = forward(model, plan, plan.props[0] @ x).z
     logp = edge_scores(model, z, plan.local(edges))
     return logp.argmax(axis=1), logp
 
@@ -551,15 +594,17 @@ def train(
     Each epoch runs one forward pass: the one taken after the Adam step
     scores the validation edges and feeds the next epoch's gradients.
     Both run on one plan for the train and val edges, whose edges and
-    labels are checked here once, not in the loop."""
-    x = np.asarray(x, dtype=np.float64)
+    labels are checked here once, not in the loop.  The model trains in
+    the features' dtype; A_hat is cast to it if it differs."""
+    x = _features(x)
     train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
     if len(val_edges) == 0:
         raise ValueError("training needs non-empty train and val splits")
     val_labels = _check_labels(val_labels, len(val_edges), "val edges")
     nb, nl = config.block_spec
-    plan = RowPlan.build(a_hat, np.concatenate([train_edges, val_edges]), nb * nl)
+    plan = RowPlan.build(a_hat.astype(x.dtype, copy=False),
+                         np.concatenate([train_edges, val_edges]), nb * nl)
     batch = EdgeBatch.build(train_edges, train_labels, plan)
     val_edges = plan.local(val_edges)
     for labels in (batch.labels, val_labels):
@@ -568,7 +613,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = init_model(
-        x.shape[1], config.hidden, config.n_classes, config.block_spec, rng
+        x.shape[1], config.hidden, config.n_classes, config.block_spec, rng, x.dtype
     )
     params = model.params()
     state = AdamState.for_params(params)
@@ -609,28 +654,38 @@ def train(
 # -- persistence --------------------------------------------------------
 
 
+# a checkpoint array's "dtype" field and the little-endian type of its bytes
+_ARRAY_DTYPES = {"float32": "<f4", "float64": "<f8"}
+
+
 def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
+    """The array in its own dtype, float32 or float64."""
+    data = np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[arr.dtype.name])
     return {
         "shape": list(arr.shape),
-        "dtype": "float64",
+        "dtype": arr.dtype.name,
         "byte_order": "little",
         "data": base64.b64encode(data.tobytes()).decode("ascii"),
     }
 
 
-def _decode_array(doc: dict) -> np.ndarray:
+def _decode_array(doc: dict, path: str | Path) -> np.ndarray:
+    dtype = doc.get("dtype")
+    if dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"{path}: unsupported array dtype {dtype!r} in field "
+                         "'dtype' (expected 'float32' or 'float64')")
     if doc.get("byte_order") != "little":
-        raise ValueError(f"unsupported byte order {doc.get('byte_order')!r}")
+        raise ValueError(f"{path}: unsupported byte order "
+                         f"{doc.get('byte_order')!r} in field 'byte_order'")
     raw = base64.b64decode(doc["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).astype(np.float64)
+    return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(doc["shape"]).astype(dtype)
 
 
 def save_checkpoint(
     path: str | Path, model: GcnModel, meta: dict | None = None
 ) -> None:
-    """Self-describing JSON checkpoint (identical runs give identical
-    bytes)."""
+    """Self-describing JSON checkpoint, each array in the model's dtype
+    (identical runs give identical bytes)."""
     doc = {
         "format": "bgprel-checkpoint-v1",
         "input_dim": model.input_dim,
@@ -651,9 +706,9 @@ def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
     if doc.get("format") != "bgprel-checkpoint-v1":
         raise ValueError(f"not a checkpoint file: {path}")
     model = GcnModel(
-        blocks=[[_decode_array(w) for w in block] for block in doc["blocks"]],
-        head_w=_decode_array(doc["head_w"]),
-        head_b=_decode_array(doc["head_b"]),
+        blocks=[[_decode_array(w, path) for w in block] for block in doc["blocks"]],
+        head_w=_decode_array(doc["head_w"], path),
+        head_b=_decode_array(doc["head_b"], path),
         input_dim=doc["input_dim"],
         hidden=doc["hidden"],
         n_classes=doc["n_classes"],

@@ -39,6 +39,7 @@ from .gcn import (
 )
 from .ingest import AllocationTable, IngestReport, ingest_file, load_asn_set
 from .topology import (
+    FEATURE_DTYPE,
     HIERARCHY_COLUMNS,
     SCALAR_COLUMNS,
     TYPE_COLUMNS,
@@ -213,9 +214,12 @@ def ablate_columns(
 
 def adjacency_for(graph: AsGraph, weighted: bool) -> sp.csr_matrix:
     """Propagation matrix over the graph's node positions, with or
-    without the neighborhood-overlap edge weights."""
-    weights = cnr_edge_weights(graph) if weighted else graph.adjacency()
-    return build_normalized_adjacency(weights)
+    without the neighborhood-overlap edge weights, cast once to the
+    features' dtype so that no run over it casts it again.  The weights
+    are freed before the cast, whose copy can reuse their memory."""
+    a_hat = build_normalized_adjacency(
+        cnr_edge_weights(graph) if weighted else graph.adjacency())
+    return a_hat.astype(FEATURE_DTYPE)
 
 
 # -- training runs -------------------------------------------------------

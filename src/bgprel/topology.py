@@ -550,6 +550,8 @@ SCALAR_COLUMNS = [
 HIERARCHY_COLUMNS = ["hierarchy_nucleus", "hierarchy_middle", "hierarchy_shell"]
 TYPE_COLUMNS = ["type_transit_access", "type_content", "type_enterprise", "type_unknown"]
 FEATURE_COLUMNS = SCALAR_COLUMNS + HIERARCHY_COLUMNS + TYPE_COLUMNS
+# the dtype of the feature values, in which the model trains and predicts
+FEATURE_DTYPE = np.float32
 
 _TYPE_ORDER = [AsType.TRANSIT_ACCESS, AsType.CONTENT, AsType.ENTERPRISE, AsType.UNKNOWN]
 
@@ -557,7 +559,8 @@ _TYPE_ORDER = [AsType.TRANSIT_ACCESS, AsType.CONTENT, AsType.ENTERPRISE, AsType.
 @dataclass
 class FeatureMatrix:
     """Normalized node features, one row per node of the graph's
-    ``nodes`` array."""
+    ``nodes`` array: ``values`` in FEATURE_DTYPE and the unscaled
+    scalar columns ``raw`` in float64."""
 
     values: np.ndarray
     raw: np.ndarray
@@ -582,6 +585,7 @@ def assemble_features(
 
     Missing type-map entries fall back to unknown.  Nodes that no VP
     observed keep zero VP statistics and are counted in diagnostics.
+    Each column is scaled in float64 and cast to FEATURE_DTYPE once.
     """
     if g.num_nodes == 0:
         raise ValueError("empty graph")
@@ -599,7 +603,7 @@ def assemble_features(
     raw[:, 6] = vp.observers
     unobserved = int(n - observed.sum())
 
-    values = np.zeros((n, len(FEATURE_COLUMNS)), dtype=np.float64)
+    values = np.zeros((n, len(FEATURE_COLUMNS)), dtype=FEATURE_DTYPE)
     for c in range(raw.shape[1]):
         values[:, c] = _minmax(raw[:, c])
     rows = np.arange(n)

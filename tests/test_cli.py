@@ -252,6 +252,26 @@ def test_train_deterministic(data_dir, tmp_path):
     assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def default_dir(tmp_path_factory):
+    """The bundle ``bgprel synth`` writes with its default flags (1x)."""
+    out = tmp_path_factory.mktemp("cli-synth-default")
+    assert run(["synth", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", ["multi", "binary"])
+def test_best_val_accuracy_is_the_reported_val_accuracy(default_dir, tmp_path,
+                                                        mode, seed):
+    # the loop scores val on its train+val plan and score_splits on a
+    # val+test plan; both read the same float64 log-probabilities
+    assert run(["train", "--data", str(default_dir), "--mode", mode,
+                "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert doc["best_val_accuracy"] == doc["val"]["accuracy"]
+
+
 def test_eval_command(data_dir, train_dir, tmp_path, capsys):
     out = tmp_path / "ev"
     assert run([

@@ -1,4 +1,6 @@
+import base64
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -439,8 +441,8 @@ def row_dots(a, b):
 
 def reference_forward(model, a_hat, x):
     """Every layer propagates its own input, the first one included, over
-    every node."""
-    h = np.asarray(x, dtype=np.float64)
+    every node, in x's dtype, which A_hat and the model share."""
+    h = np.asarray(x)
     caches = []
     for block in model.blocks:
         layers = []
@@ -473,17 +475,19 @@ def reference_loss_and_grads(model, a_hat, x, edges, labels, wd, balls):
     """Forward from x, np.add.at head scatter, and a backward pass over
     every node that also forms the (unused) gradient of the model's
     input.  Layer k's gradient must be exactly zero outside ``balls[k]``,
-    and its weight gradient sums the rows of that ball."""
+    and its weight gradient sums the rows of that ball.  Only the logits
+    and their gradient are float64."""
     z, caches = reference_forward(model, a_hat, x)
     m = len(edges)
     u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
-    logits = u @ model.head_w + model.head_b
+    logits = (u @ model.head_w + model.head_b).astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = loss_value(logp, labels, model.params(), wd)
     dlogits = np.exp(logp)
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
+    dlogits = dlogits.astype(u.dtype)
     grad_w, grad_b = u.T @ dlogits, dlogits.sum(axis=0)
     du = dlogits @ model.head_w.T
     dh = np.zeros_like(z)
@@ -517,10 +521,12 @@ def gradient_norm(grads):
 def reference_train(x, a_hat, te, tl, ve, vl, config):
     """Per epoch: a full forward for the gradients, the Adam step, then a
     fresh predict of the validation edges.  Weight gradients sum the hop
-    balls around the train and val endpoints.  Returns the history, the
-    parameters after every step and the best ones."""
+    balls around the train and val endpoints.  The model and A_hat take
+    x's dtype.  Returns the history, the parameters after every step and
+    the best ones."""
     model = init_model(x.shape[1], config.hidden, config.n_classes,
-                       config.block_spec, np.random.default_rng(config.seed))
+                       config.block_spec, np.random.default_rng(config.seed), x.dtype)
+    a_hat = a_hat.astype(x.dtype)
     params = model.params()
     state = AdamState.for_params(params)
     balls = hop_balls(a_hat, np.concatenate([te, ve]), model.n_layers)
@@ -558,6 +564,33 @@ def random_training_problem(seed, n_classes):
     return x, a_hat, te, tl, ve, vl
 
 
+def assert_train_matches_reference(monkeypatch, problem, config):
+    """``train`` gives the reference loop's history, the same parameters
+    after every Adam step and the same best parameters, bit for bit."""
+    want_history, want_steps, want_best = reference_train(*problem, config)
+
+    steps = []
+
+    def recording_adam_step(params, grads, state, lr):
+        adam_step(params, grads, state, lr)
+        steps.append([p.copy() for p in params])
+
+    monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
+    result = train(*problem, config)
+    assert result.history == want_history
+    assert len(steps) == len(want_steps) == config.epochs
+    for got, want in zip(steps, want_steps):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(g, w)
+               for g, w in zip(result.model.params(), want_best))
+
+
+def in_float32(problem):
+    """A training problem with its features cast to float32."""
+    x, *rest = problem
+    return (x.astype(np.float32), *rest)
+
+
 class TestEpochLoop:
     @pytest.mark.parametrize("mode", ["binary", "multi"])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -569,22 +602,7 @@ class TestEpochLoop:
                              weight_decay=weight_decay, block_spec=block_spec,
                              hidden=6, seed=3)
         problem = random_training_problem(41, config.n_classes)
-        want_history, want_steps, want_best = reference_train(*problem, config)
-
-        steps = []
-
-        def recording_adam_step(params, grads, state, lr):
-            adam_step(params, grads, state, lr)
-            steps.append([p.copy() for p in params])
-
-        monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
-        result = train(*problem, config)
-        assert result.history == want_history
-        assert len(steps) == len(want_steps) == config.epochs
-        for got, want in zip(steps, want_steps):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert all(np.array_equal(g, w)
-                   for g, w in zip(result.model.params(), want_best))
+        assert_train_matches_reference(monkeypatch, problem, config)
 
     @pytest.mark.parametrize("block_spec, per_epoch, setup", [
         ((2, 1), 2, 2),  # A_hat @ X, then the first forward's block 2
@@ -701,22 +719,18 @@ class TestRowPlan:
                              weight_decay=weight_decay, block_spec=block_spec,
                              hidden=6, seed=3)
         problem = sparse_training_problem(n_classes=config.n_classes)
-        want_history, want_steps, want_best = reference_train(*problem, config)
+        assert_train_matches_reference(monkeypatch, problem, config)
 
-        steps = []
-
-        def recording_adam_step(params, grads, state, lr):
-            adam_step(params, grads, state, lr)
-            steps.append([p.copy() for p in params])
-
-        monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
-        result = train(*problem, config)
-        assert result.history == want_history
-        assert len(steps) == len(want_steps) == config.epochs
-        for got, want in zip(steps, want_steps):
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert all(np.array_equal(g, w)
-                   for g, w in zip(result.model.params(), want_best))
+    @pytest.mark.parametrize("mode, weight_decay", [("binary", 5e-4), ("multi", 0.0)])
+    @pytest.mark.parametrize("block_spec", [(2, 1), (2, 2), (4, 2)])
+    def test_train_matches_reference_loop_exactly_in_float32(
+        self, monkeypatch, block_spec, weight_decay, mode
+    ):
+        config = TrainConfig(mode=mode, epochs=12, learning_rate=0.05,
+                             weight_decay=weight_decay, block_spec=block_spec,
+                             hidden=6, seed=3)
+        problem = in_float32(sparse_training_problem(n_classes=config.n_classes))
+        assert_train_matches_reference(monkeypatch, problem, config)
 
     LARGER = dict(n=3000, n_train=200, n_val=50, width=14)
 
@@ -734,19 +748,27 @@ class TestRowPlan:
         assert all(np.array_equal(g, w)
                    for g, w in zip(result.model.params(), want_best))
 
-    def test_training_allocates_no_node_height_arrays(self):
-        # peak 1.94 MB (numpy 2.4); one 3000 x 32 float64 array over every node is
-        # 0.77 MB, and padding each weight gradient's operands to every
-        # node peaked at 2.81 MB
+    def training_peak(self, problem):
         config = TrainConfig(mode="multi", epochs=5, hidden=32, seed=3)
-        problem = sparse_training_problem(**self.LARGER)
         tracemalloc.start()
         try:
             train(*problem, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2_100_000
+        return peak
+
+    def test_training_allocates_no_node_height_arrays(self):
+        # peak 1.94 MB (numpy 2.4); one 3000 x 32 float64 array over every node is
+        # 0.77 MB, and padding each weight gradient's operands to every
+        # node peaked at 2.81 MB
+        assert self.training_peak(sparse_training_problem(**self.LARGER)) < 2_100_000
+
+    def test_training_allocates_no_node_height_arrays_in_float32(self):
+        # peak 1.04 MB (numpy 2.4), the float32 copy of A_hat that train
+        # makes included; the float64 run peaks at 1.94 MB
+        problem = in_float32(sparse_training_problem(**self.LARGER))
+        assert self.training_peak(problem) < 1_150_000
 
     @pytest.mark.parametrize("block_spec", [(2, 1), (2, 2)])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -757,15 +779,86 @@ class TestRowPlan:
         numeric = finite_difference_grads(model, a_hat, x, te, tl, weight_decay)
         assert max_relative_error(analytic, numeric) < 1e-4
 
-    def test_predict_matches_every_node_forward_exactly(self):
+    @staticmethod
+    def assert_predict_matches_every_node_forward(dtype):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
-        model = init_model(x.shape[1], 6, 4, (2, 2), np.random.default_rng(1))
+        x, a_hat = x.astype(dtype), a_hat.astype(dtype)
+        model = init_model(x.shape[1], 6, 4, (2, 2), np.random.default_rng(1), dtype)
         edges = np.concatenate([ve, te[:3]])
         pred, logp = predict(model, a_hat, x, edges)
         z, _ = forward(model, every_row(a_hat, model), a_hat @ x)
+        assert z.dtype == dtype
         want = edge_scores(model, z, edges)
+        assert logp.dtype == want.dtype == np.float64
         assert np.array_equal(logp, want)
         assert np.array_equal(pred, want.argmax(axis=1))
+
+    def test_predict_matches_every_node_forward_exactly(self):
+        self.assert_predict_matches_every_node_forward(np.float64)
+
+    def test_predict_matches_every_node_forward_exactly_in_float32(self):
+        self.assert_predict_matches_every_node_forward(np.float32)
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode, weight_decay, block_spec",
+                             [("binary", 5e-4, (2, 2)), ("multi", 0.0, (2, 1))])
+    def test_a_run_keeps_the_features_dtype(
+        self, monkeypatch, dtype, mode, weight_decay, block_spec
+    ):
+        """Every parameter, gradient, Adam moment, plan matrix and forward
+        array of a run is in the features' dtype: nothing upcasts
+        silently.  A_hat comes in float64 either way."""
+        x, a_hat, te, tl, ve, vl = sparse_training_problem(
+            n_classes=2 if mode == "binary" else 4)
+        seen = []
+
+        def recording_forward(model, plan, ax):
+            fwd = forward(model, plan, ax)
+            seen.extend(("param", p) for p in model.params())
+            seen.extend(("plan", m) for m in plan.props + plan.backs)
+            seen.extend([("ax", ax), ("z", fwd.z)])
+            for p, _, h, norms in fwd.layers:  # the mask is boolean
+                seen.extend([("propagated", p), ("output", h)])
+                if norms is not None:
+                    seen.append(("norms", norms))
+            return fwd
+
+        def recording_loss_and_grads(model, plan, fwd, batch, wd):
+            loss, grads = loss_and_grads(model, plan, fwd, batch, wd)
+            seen.append(("incidence", batch.incidence))
+            seen.extend(("grad", g) for g in grads)
+            return loss, grads
+
+        def recording_adam_step(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            seen.extend(("param", p) for p in params)
+            seen.extend(("moment", m) for m in state.m + state.v)
+
+        monkeypatch.setattr(gcn, "forward", recording_forward)
+        monkeypatch.setattr(gcn, "loss_and_grads", recording_loss_and_grads)
+        monkeypatch.setattr(gcn, "adam_step", recording_adam_step)
+        config = TrainConfig(mode=mode, epochs=3, weight_decay=weight_decay,
+                             block_spec=block_spec, hidden=6)
+        result = train(x.astype(dtype), a_hat, te, tl, ve, vl, config)
+        seen.extend(("result", p) for p in result.model.params())
+        kinds = {"param", "plan", "ax", "z", "propagated", "output", "norms",
+                 "incidence", "grad", "moment", "result"}
+        assert {what for what, _ in seen} == kinds
+        assert [(what, a.dtype) for what, a in seen if a.dtype != dtype] == []
+
+        seen.clear()
+        _, logp = predict(result.model.astype(np.float64), a_hat, x.astype(dtype), ve)
+        assert logp.dtype == np.float64
+        assert {a.dtype for _, a in seen} == {np.dtype(dtype)}
+
+    def test_other_feature_dtypes_run_in_float64(self):
+        x, a_hat, te, tl, ve, vl = toy_communities()
+        config = TrainConfig(mode="binary", epochs=3, hidden=4)
+        result = train(x.astype(np.int64), a_hat, te, tl, ve, vl, config)
+        assert result.model.dtype == np.float64
+        assert result.history == train(x, a_hat, te, tl, ve, vl, config).history
 
 
 class TestLabelLengths:
@@ -844,6 +937,64 @@ class TestPersistence:
         assert again.block_spec == model.block_spec
         for p1, p2 in zip(model.params(), again.params()):
             assert np.array_equal(p1, p2)
+
+    def test_float32_checkpoint_roundtrip_is_bit_exact(self, tmp_path):
+        model = init_model(14, 32, 4, (2, 1), np.random.default_rng(3), np.float32)
+        model.head_b[:] = [0.5, -1e-30, 3e38, -0.0]
+        f = tmp_path / "model.json"
+        save_checkpoint(f, model, meta={"mode": "multi"})
+        again, _ = load_checkpoint(f)
+        for p1, p2 in zip(model.params(), again.params()):
+            assert p2.dtype == np.float32
+            assert p1.tobytes() == p2.tobytes()
+        head_w = json.loads(f.read_text())["head_w"]
+        assert head_w["dtype"] == "float32"
+        assert len(base64.b64decode(head_w["data"])) == 4 * model.head_w.size
+
+    def test_float64_checkpoint_of_the_float64_only_format_loads_and_predicts(
+        self, tmp_path
+    ):
+        # before float32 runs, every array was written as "<f8" bytes under
+        # "dtype": "float64", whatever the model
+        x, a_hat, te, *_ = sparse_training_problem()
+        model = init_model(x.shape[1], 6, 4, (2, 1), np.random.default_rng(4))
+
+        def encode(w):
+            return {"shape": list(w.shape), "dtype": "float64", "byte_order": "little",
+                    "data": base64.b64encode(w.astype("<f8").tobytes()).decode("ascii")}
+
+        doc = {"format": "bgprel-checkpoint-v1", "input_dim": model.input_dim,
+               "hidden": model.hidden, "n_classes": model.n_classes,
+               "block_spec": list(model.block_spec),
+               "blocks": [[encode(w) for w in block] for block in model.blocks],
+               "head_w": encode(model.head_w), "head_b": encode(model.head_b),
+               "meta": {"mode": "multi"}}
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        again, meta = load_checkpoint(f)
+        assert meta == {"mode": "multi"}
+        for p1, p2 in zip(model.params(), again.params()):
+            assert p2.dtype == np.float64
+            assert np.array_equal(p1, p2)
+        for dtype in (np.float64, np.float32):
+            got = predict(again, a_hat, x.astype(dtype), te)
+            want = predict(model.astype(dtype), a_hat.astype(dtype), x.astype(dtype), te)
+            assert np.array_equal(got[1], want[1])
+        save_checkpoint(tmp_path / "again.json", again, meta)
+        assert (tmp_path / "again.json").read_bytes() == f.read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", None])
+    def test_unknown_array_dtype_is_refused(self, tmp_path, dtype):
+        f = tmp_path / "model.json"
+        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0)))
+        doc = json.loads(f.read_text())
+        if dtype is None:
+            del doc["head_b"]["dtype"]
+        else:
+            doc["head_b"]["dtype"] = dtype
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model.json: .*{dtype!r} in field 'dtype'"):
+            load_checkpoint(f)
 
     def test_identical_models_identical_bytes(self, tmp_path):
         m1 = init_model(6, 8, 2, (2, 2), np.random.default_rng(9))
