@@ -4,7 +4,8 @@ Every subcommand writes its artifacts under --out and returns the
 ``Manifest`` record of its run.  ``run`` then writes manifest.json next
 to them, recording the invocation, the input and output file digests,
 the seed, the library versions, the thread settings and the BLAS thread
-count, and the wall time, so a run can be audited later.
+count, and the wall time, so a run can be audited later.  A command
+that builds the graph records its ingest counts under ``config``.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -301,12 +302,17 @@ def _recorded(meta: dict, key: str, checkpoint: Path):
 
 def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
     """The --checkpoint file, its model and its meta.  It is refused
-    unless it was trained with this version's edge weight floor."""
+    unless it was trained with this version's edge weight floor and
+    records one class name per column of its head."""
     checkpoint = _require(args.checkpoint, "checkpoint")
     model, meta = load_checkpoint(checkpoint)
     if (delta := _recorded(meta, "delta", checkpoint)) != WEIGHT_FLOOR:
         raise ValueError(f"checkpoint {checkpoint} was trained with delta {delta}, "
                          f"but the propagation matrix uses {WEIGHT_FLOOR}")
+    classes = _recorded(meta, "classes", checkpoint)
+    if len(classes) != model.head_w.shape[1]:
+        raise ValueError(f"checkpoint {checkpoint} records {len(classes)} classes, "
+                         f"but its head scores {model.head_w.shape[1]}")
     return checkpoint, model, meta
 
 
@@ -368,21 +374,22 @@ def cmd_features(args) -> Manifest:
     diag = bundle.features.diagnostics
     if diag.get("unreachable_clique_pairs"):
         print(f"unreachable clique pairs: {diag['unreachable_clique_pairs']}")
-    return Manifest({}, files.inputs(),
+    return Manifest({"ingest": bundle.report.as_dict()}, files.inputs(),
                     {"features": features_file, "clique": clique_file}, None)
 
 
 def cmd_dataset(args) -> Manifest:
     out = _out_dir(args)
     files = _files_from_args(args, need_paths=False)
+    config = {"mode": args.mode, "dropped_offgraph": 0}
     if files.paths:
         prep = prepare(files, args.mode, args.seed)
         split_set, report = prep.dataset.edges, prep.vote_report
-        dropped = prep.dropped_offgraph
+        config.update(dropped_offgraph=prep.dropped_offgraph,
+                      ingest=prep.bundle.report.as_dict())
     else:
         labeled, report = prepare_labels(files)
         split_set = balance_and_split(labeled, args.seed, args.mode)
-        dropped = 0
     edges_file = out / "edges.csv"
     split_set.write_csv(edges_file)
     vote_file = out / "vote_report.json"
@@ -393,7 +400,7 @@ def cmd_dataset(args) -> Manifest:
     print("class counts: " + ", ".join(
         f"{c.value}={n}" for c, n in counts.items() if n
     ))
-    return Manifest({"mode": args.mode, "dropped_offgraph": dropped}, files.inputs(),
+    return Manifest(config, files.inputs(),
                     {"edges": edges_file, "vote_report": vote_file}, args.seed)
 
 
@@ -433,7 +440,7 @@ def cmd_train(args) -> Manifest:
           f"test accuracy {outcome.test_accuracy:.4f}")
     print(format_confusion(outcome.confusion["test"], dataset.class_names))
     return Manifest(
-        asdict(config), files.inputs(),
+        {**asdict(config), "ingest": prep.bundle.report.as_dict()}, files.inputs(),
         {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
         args.seed,
     )
@@ -447,6 +454,9 @@ def cmd_eval(args) -> Manifest:
     prep = prepare(files, mode, seed)
     bundle, dataset = prep.bundle, prep.dataset
     _check_width(model, bundle)
+    if meta["classes"] != dataset.class_names:
+        raise ValueError(f"checkpoint {checkpoint} records classes {meta['classes']}, "
+                         f"but {mode} mode has {dataset.class_names}")
     a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     doc = _metrics_doc(dataset.class_names, splits)
@@ -455,7 +465,8 @@ def cmd_eval(args) -> Manifest:
     print(f"val accuracy {accuracy(splits['val']):.4f}, "
           f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))
-    return Manifest({"mode": mode}, {"checkpoint": checkpoint, **files.inputs()},
+    return Manifest({"mode": mode, "ingest": bundle.report.as_dict()},
+                    {"checkpoint": checkpoint, **files.inputs()},
                     {"metrics": metrics_file}, seed)
 
 
@@ -466,7 +477,7 @@ _WRITE_ROWS = 1 << 14
 def cmd_predict(args) -> Manifest:
     out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
-    classes = _recorded(meta, "classes", checkpoint)
+    classes = meta["classes"]
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files)
     _check_width(model, bundle)
@@ -491,7 +502,7 @@ def cmd_predict(args) -> Manifest:
     write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
     print(f"wrote {len(wanted)} predictions to {pred_file}")
     return Manifest(
-        {"pairs": len(wanted)},
+        {"pairs": len(wanted), "ingest": bundle.report.as_dict()},
         {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
         {"predictions": pred_file}, None,
     )
@@ -535,7 +546,8 @@ def cmd_importance(args) -> Manifest:
         share = "n/a" if e.score is None else f"{e.score:6.2f}%"
         print(f"  {e.feature:<16} {share}  (without: {e.accuracy_without:.4f})")
     return Manifest(
-        {**asdict(config), "workers": workers}, files.inputs(),
+        {**asdict(config), "workers": workers, "ingest": prep.bundle.report.as_dict()},
+        files.inputs(),
         {"importance_csv": csv_file, "importance_json": json_file}, args.seed,
     )
 
@@ -569,7 +581,7 @@ def cmd_sweep(args) -> Manifest:
     print(f"swept {len(report.rows)} settings; best: {report.best}")
     return Manifest(
         {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
-         "workers": workers},
+         "workers": workers, "ingest": prep.bundle.report.as_dict()},
         files.inputs(), {"sweep_csv": csv_file, "sweep_json": json_file}, args.seed,
     )
 

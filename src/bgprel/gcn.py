@@ -26,7 +26,11 @@ Both passes walk one list of layers, k = 0 .. L-1 across all blocks:
 layer k computes ``plan.rows[k]`` from ``plan.props[k]``, sends its
 gradient back through ``plan.backs[k - 1]`` and sums its weight
 gradient over ``plan.rows[k]``.  A block's last layer also normalizes
-its rows.
+its rows.  Each sparse product of the backward pass is the transpose of
+an operator the forward pass built: ``backs[k - 1]`` is
+``props[k].T`` over an exactly symmetric A_hat, and the head's scatter
+is the transpose of its endpoint gather.  So the hand-written gradient
+is exact by construction, in float64 too.
 
 A run trains and predicts in the dtype of its feature matrix, float32
 or float64 (any other input is read as float64): A_hat, the parameters,
@@ -114,20 +118,22 @@ def build_normalized_adjacency(weights: sp.csr_matrix) -> sp.csr_matrix:
     per edge direction (``topology.cnr_edge_weights``, or the 0/1
     ``AsGraph.adjacency()`` for the unweighted variant).  Stored weights
     are floored at WEIGHT_FLOOR, so sparsely overlapping edges still
-    propagate.
+    propagate.  The result is bitwise symmetric, with each row's entries
+    in column order, so its transpose is itself, entry order included.
     """
     n = weights.shape[0]
     if n == 0:
         raise ValueError("empty graph")
-    a_tilde = sp.csr_matrix(
+    a_hat = sp.csr_matrix(
         (np.maximum(weights.data, WEIGHT_FLOOR), weights.indices, weights.indptr),
         shape=weights.shape,
-    )
-    a_tilde = a_tilde + sp.identity(n, format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d_half = sp.diags(inv_sqrt)
-    return (d_half @ a_tilde @ d_half).tocsr()
+    ) + sp.identity(n, format="csr")
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    # one product of the two factors per entry, so that entries (i, j)
+    # and (j, i) get the same float
+    rows = np.repeat(np.arange(n), np.diff(a_hat.indptr))
+    a_hat.data *= inv_sqrt[rows] * inv_sqrt[a_hat.indices]
+    return a_hat
 
 
 # -- model --------------------------------------------------------------
@@ -209,43 +215,33 @@ def init_model(
 # -- row plan -----------------------------------------------------------
 
 
-def _submatrix(
-    a_hat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
-) -> sp.csr_matrix:
-    """``a_hat[rows][:, cols]``, skipping an index that holds every node.
-    Slicing keeps the matrix class and each row's entry order."""
-    n = a_hat.shape[0]
-    if len(rows) < n:
-        a_hat = a_hat[rows]
-    if len(cols) < n:
-        a_hat = a_hat[:, cols]
-    return a_hat
-
-
 @dataclass(frozen=True)
 class RowPlan:
     """The node rows each layer computes so that the head can read its
     edges' endpoint rows.
 
     ``rows[-1]`` holds the endpoints; each earlier ``rows[k]`` is the
-    one-hop closure of ``rows[k + 1]`` (A_hat's self-loops keep every
-    row in its own closure).  Layer k propagates its input with
-    ``props[k] = a_hat[rows[k]][:, rows[k - 1]]`` (``a_hat[rows[0]]``
-    for the model's input, which has every node), which keeps every
-    stored entry of its rows; for k > 0 its gradient flows back through
-    ``backs[k - 1] = a_hat[rows[k - 1]][:, rows[k]]``, which drops only
-    entries that meet zero gradient rows.  Row sets are sorted, so each
-    product sums a row in A_hat's entry order and matches the all-node
-    product bit for bit on its rows.  A plan whose rows hold every node
-    uses A_hat itself.  A layer's gradient is zero outside its rows, so
-    its weight gradient sums over them only.  The plan's matrices keep
-    A_hat's dtype, which is the run's.
+    one-hop closure of ``rows[k + 1]``: the columns of A_hat's rows
+    ``rows[k + 1]`` (its self-loops keep every row in its own closure).
+    Layer k propagates its input with ``props[k]``, those rows of A_hat
+    cut once to the columns ``rows[k - 1]`` (all columns for layer 0,
+    whose input has every node), which keeps every stored entry of its
+    rows.  For k > 0 its gradient flows back through ``backs[k - 1] =
+    props[k].T``, a CSC view that shares ``props[k]``'s arrays: A_hat is
+    exactly symmetric, so each backward product is the transpose of a
+    forward operator and the hand-written gradient is exact by
+    construction, in float64 too.  Row sets are sorted, so each product
+    sums a row in A_hat's entry order and matches the all-node product
+    bit for bit on its rows.  A row set that holds every node uses A_hat
+    itself.  A layer's gradient is zero outside its rows, so its weight
+    gradient sums over them only.  The plan's matrices keep A_hat's
+    dtype, which is the run's.
     """
 
     n_nodes: int
     rows: list[np.ndarray]
     props: list[sp.csr_matrix]
-    backs: list[sp.csr_matrix]
+    backs: list[sp.csc_matrix]
 
     @classmethod
     def build(
@@ -257,19 +253,18 @@ class RowPlan:
         last = np.unique(np.asarray(endpoints, dtype=np.intp))
         if last.size and (last[0] < 0 or last[-1] >= n):
             raise IndexError("edge index out of range")
-        rows = [last]
-        for _ in range(n_layers - 1):
-            nxt = rows[0]
-            rows.insert(0, nxt if len(nxt) == n
-                        else np.union1d(nxt, a_hat[nxt].indices))
-        pairs = list(zip(rows, rows[1:]))
-        return cls(
-            n_nodes=n,
-            rows=rows,
-            props=[_submatrix(a_hat, rows[0], np.arange(n)),
-                   *(_submatrix(a_hat, r, c) for c, r in pairs)],
-            backs=[_submatrix(a_hat, c, r) for c, r in pairs],
-        )
+        rows, props = [last], []
+        for k in range(n_layers - 1, -1, -1):
+            r = rows[0]
+            # slicing keeps the matrix class and each row's entry order
+            prop = a_hat if len(r) == n else a_hat[r]
+            if k:
+                cols = r if len(r) == n else np.union1d(r, prop.indices)
+                rows.insert(0, cols)
+                if len(cols) < n:
+                    prop = prop[:, cols]
+            props.insert(0, prop)
+        return cls(n, rows, props, [p.T for p in props[1:]])
 
     def local(self, edges: np.ndarray) -> np.ndarray:
         """Edge endpoints as positions in ``rows[-1]``, the rows of the
@@ -407,18 +402,19 @@ def incidence_matrix(
     """(n_nodes, 2m) 0/1 matrix in ``dtype``: column k marks
     ``edges[k, 0]`` and column m + k marks ``edges[k, 1]``.
 
-    Its product with the left-endpoint rows stacked over the
-    right-endpoint rows sums each node's rows in the order ``np.add.at``
-    would (left endpoints, then right endpoints, each in edge order,
-    starting from 0.0), so the sums are bit-identical to that scatter.
+    It is the transpose of the head's endpoint gather, whose row k reads
+    node ``edges[k, 0]`` and row m + k node ``edges[k, 1]``: built as
+    that transpose, a CSC with one entry per column, and converted, each
+    row keeps its columns in increasing order.  So its product with the left-endpoint rows stacked over
+    the right-endpoint rows sums each node's rows in the order
+    ``np.add.at`` would (left endpoints, then right endpoints, each in
+    edge order, starting from 0.0), bit-identical to that scatter.
     """
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
-    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ends, minlength=n_nodes), out=indptr[1:])
-    return sp.csr_matrix(
-        (np.ones(len(ends), dtype=dtype), np.argsort(ends, kind="stable"), indptr),
+    return sp.csc_matrix(
+        (np.ones(len(ends), dtype=dtype), ends, np.arange(len(ends) + 1)),
         shape=(n_nodes, len(ends)),
-    )
+    ).tocsr()
 
 
 @dataclass(frozen=True)
@@ -486,7 +482,7 @@ def loss_and_grads(
         dq = np.multiply(dh, mask, out=dh)
         grads[k] = p.T @ dq
         if k:  # the model's input needs no gradient
-            dh = plan.backs[k - 1] @ (dq @ weights[k].T)  # A_hat is symmetric
+            dh = plan.backs[k - 1] @ (dq @ weights[k].T)  # props[k].T
 
     grads.append(grad_head_w)
     grads.append(grad_head_b)

@@ -166,7 +166,7 @@ def test_criterion_2_adjacency_invariants():
             worst_row = max(
                 worst_row, float(np.max(np.abs(np.asarray(rows) - 1.0)))
             )
-    ok = worst_sym < 1e-12 and worst_rho <= 1.0 + 1e-6 and worst_row < 1e-12
+    ok = worst_sym == 0.0 and worst_rho <= 1.0 + 1e-6 and worst_row < 1e-12
     _report(2, ok, f"symmetry {worst_sym:.1e}, spectral radius "
                    f"{worst_rho:.8f}, regular row error {worst_row:.1e}")
 

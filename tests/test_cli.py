@@ -350,8 +350,8 @@ def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command,key", [
-    ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("predict", "delta"),
-    ("predict", "classes"),
+    ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("eval", "classes"),
+    ("predict", "delta"), ("predict", "classes"),
 ])
 def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, capsys,
                                                  command, key):
@@ -363,6 +363,38 @@ def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, 
                 "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"does not record '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_checkpoint_whose_classes_do_not_fit_its_head_is_refused(
+        data_dir, train_dir, tmp_path, capsys, command, edit):
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    classes = doc["meta"]["classes"]
+    assert len(classes) == doc["head_b"]["shape"][0] == 4
+    doc["meta"]["classes"] = classes[:-1] if edit == "drop" else [*classes, "p2x"]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "its head scores 4" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_eval_refuses_classes_that_are_not_its_modes(data_dir, train_dir, tmp_path,
+                                                     capsys):
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    doc["meta"]["classes"] = doc["meta"]["classes"][::-1]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run(["eval", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err and "multi mode has" in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -647,6 +679,35 @@ def test_manifest_lists_every_input_read(command, input_root, tmp_path, monkeypa
     doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     listed = {Path(e["path"]).resolve() for e in doc["inputs"].values()}
     assert inputs and listed == inputs
+
+
+def test_manifests_record_the_ingest_counts(data_dir, train_dir, tmp_path):
+    """A run that builds the graph records what its ingest dropped, the
+    same counts ``bgprel ingest`` reports for its paths file."""
+    d = tmp_path / "data"
+    shutil.copytree(data_dir, d)
+    a, b = (d / "paths.txt").read_text().splitlines()[0].split("|")[:2]
+    with open(d / "paths.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"{a}|{b}|x\n{a}|{b}|{a}\n{a}|{b}|64512\n")
+    (d / "alloc.txt").write_text("1-64511\n")
+    assert run(["ingest", "--paths", str(d / "paths.txt"), "--alloc", str(d / "alloc.txt"),
+                "--out", str(tmp_path / "ingest")]) == 0
+    want = json.loads((tmp_path / "ingest" / "ingest_report.json").read_text())
+    assert want["malformed"] == want["rejected_loop"] == want["rejected_unallocated"] == 1
+    checkpoint = str(train_dir / "checkpoint.json")
+    runs = {
+        "train": ["train", "--data", str(d), *SMALL],
+        "predict": ["predict", "--data", str(d), "--checkpoint", checkpoint],
+        "eval": ["eval", "--data", str(d), "--checkpoint", checkpoint],
+        "features": ["features", "--data", str(d)],
+        "dataset": ["dataset", "--data", str(d)],
+        "importance": ["importance", "--data", str(d), *SMALL],
+        "sweep": ["sweep", "--data", str(d), "--lr", "0.05", *SMALL],
+    }
+    for name, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["ingest"] == want, name
 
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))

@@ -62,7 +62,7 @@ class TestNormalizedAdjacency:
         rng = random.Random(2)
         g, weights = random_topology(rng, 30)
         a_hat = build_normalized_adjacency(weights).toarray()
-        assert np.abs(a_hat - a_hat.T).max() < 1e-12
+        assert np.array_equal(a_hat, a_hat.T)
 
     def test_delta_floor_applied(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
@@ -426,12 +426,28 @@ class TestTrain:
 
 
 class CountingCsr(sp.csr_matrix):
-    """Propagation matrix that counts its sparse products."""
+    """Propagation matrix that counts its sparse products, those made
+    through its transpose included."""
 
     products = 0
 
     def __matmul__(self, other):
         self.products += 1
+        return super().__matmul__(other)
+
+    def transpose(self, axes=None, copy=False):
+        return CountedTranspose(super().transpose(axes, copy), self)
+
+
+class CountedTranspose(sp.csc_matrix):
+    """A ``CountingCsr``'s transpose, whose products count on that matrix."""
+
+    def __init__(self, matrix, owner):
+        super().__init__(matrix)
+        self.owner = owner
+
+    def __matmul__(self, other):
+        self.owner.products += 1
         return super().__matmul__(other)
 
 
@@ -698,7 +714,29 @@ class TestRowPlan:
     def test_every_node_plan_uses_the_matrix_itself(self):
         x, a_hat, *_ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
-        assert all(m is a_hat for m in plan.props + plan.backs)
+        assert all(m is a_hat for m in plan.props)
+        assert len(plan.backs) == 2
+        for back in plan.backs:
+            assert back.format == "csc" and back.shape == a_hat.shape
+            assert np.shares_memory(back.data, a_hat.data)
+            assert np.array_equal(back.toarray(), a_hat.toarray())
+
+    @pytest.mark.parametrize("n_layers", [2, 4, 8])
+    def test_each_back_is_its_layers_prop_transposed(self, n_layers):
+        """``backs[k - 1]`` is a view of ``props[k]``'s arrays, so the
+        backward product is the transpose of the forward one."""
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers)
+        assert len(plan.backs) == n_layers - 1
+        dense = a_hat.toarray()
+        for k, back in enumerate(plan.backs, 1):
+            prop = plan.props[k]
+            assert back.format == "csc" and back.shape == prop.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(back, name), getattr(prop, name))
+            # A_hat's rows rows[k - 1] over its columns rows[k], bit for bit
+            want = dense[np.ix_(plan.rows[k - 1], plan.rows[k])]
+            assert np.array_equal(back.toarray(), want)
 
     def test_endpoint_outside_the_plan_is_refused(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
