@@ -36,7 +36,7 @@ from .evaluate import (
     accuracy,
     feature_importance,
     format_confusion,
-    metrics,
+    metrics_doc,
     setting_text,
     sweep,
     worker_count,
@@ -316,27 +316,6 @@ def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
     return checkpoint, model, meta
 
 
-def _metrics_doc(class_names, splits: dict) -> dict:
-    """Accuracy and one-vs-rest precision/recall per split."""
-    doc: dict = {"classes": list(class_names)}
-    for name, cm in splits.items():
-        per_class = {}
-        for k, cls in enumerate(class_names):
-            m = metrics(cm, k)
-            per_class[cls] = {
-                "precision": m.precision,
-                "recall": m.recall,
-                "precision_defined": m.precision_defined,
-                "recall_defined": m.recall_defined,
-            }
-        doc[name] = {
-            "accuracy": accuracy(cm),
-            "confusion": cm.tolist(),
-            "per_class": per_class,
-        }
-    return doc
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -428,7 +407,7 @@ def cmd_train(args) -> Manifest:
     history = out / "history.csv"
     write_history_csv(outcome.result.history, history)
     metrics_file = out / "metrics.json"
-    doc = _metrics_doc(dataset.class_names, outcome.confusion)
+    doc = metrics_doc(dataset.class_names, outcome.confusion)
     doc["best_epoch"] = outcome.result.best_epoch
     doc["best_val_accuracy"] = outcome.result.best_val_accuracy
     doc["vote"] = asdict(prep.vote_report)
@@ -459,9 +438,8 @@ def cmd_eval(args) -> Manifest:
                          f"but {mode} mode has {dataset.class_names}")
     a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
-    doc = _metrics_doc(dataset.class_names, splits)
     metrics_file = out / "metrics.json"
-    write_json(metrics_file, doc)
+    write_json(metrics_file, metrics_doc(dataset.class_names, splits))
     print(f"val accuracy {accuracy(splits['val']):.4f}, "
           f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))

@@ -42,39 +42,29 @@ def confusion_matrix(
     return cm
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    precision_defined: bool
-    recall_defined: bool
-
-
-def metrics(cm: np.ndarray, k: int) -> ClassMetrics:
-    """One-vs-rest precision and recall for class k; undefined ratios
-    (0/0) come back as 0 with the matching flag cleared."""
-    cm = np.asarray(cm)
-    if not 0 <= k < cm.shape[0]:
-        raise ValueError(f"class {k} out of range")
-    tp = int(cm[k, k])
-    fp = int(cm[:, k].sum()) - tp
-    fn = int(cm[k, :].sum()) - tp
-    p_def = (tp + fp) > 0
-    r_def = (tp + fn) > 0
-    return ClassMetrics(
-        precision=tp / (tp + fp) if p_def else 0.0,
-        recall=tp / (tp + fn) if r_def else 0.0,
-        precision_defined=p_def,
-        recall_defined=r_def,
-    )
-
-
 def accuracy(cm: np.ndarray) -> float:
     cm = np.asarray(cm)
     total = int(cm.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
     return float(np.trace(cm)) / total
+
+
+def metrics_doc(class_names: Sequence[str], splits: Mapping[str, np.ndarray]) -> dict:
+    """metrics.json's numbers: each split's accuracy, confusion matrix
+    and one-vs-rest precision and recall per class.  A 0/0 ratio is
+    reported as 0 with its ``_defined`` flag cleared."""
+    doc: dict = {"classes": list(class_names)}
+    for name, cm in splits.items():
+        tp, predicted, true = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+        precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0)
+        recall = np.divide(tp, true, out=np.zeros(len(tp)), where=true > 0)
+        per_class = zip(class_names, precision.tolist(), recall.tolist(),
+                        (predicted > 0).tolist(), (true > 0).tolist())
+        doc[name] = {"accuracy": accuracy(cm), "confusion": cm.tolist(), "per_class": {
+            cls: {"precision": p, "recall": r, "precision_defined": pd, "recall_defined": rd}
+            for cls, p, r, pd, rd in per_class}}
+    return doc
 
 
 def format_confusion(cm: np.ndarray, class_names: Sequence[str]) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from bgprel.cli import run as cli_run
 from bgprel.dataset import RelLabel, load_label_source, vote_intersection
-from bgprel.evaluate import accuracy, feature_importance, metrics
+from bgprel.evaluate import accuracy, feature_importance, metrics_doc
 from bgprel.gcn import (
     EdgeBatch,
     RowPlan,
@@ -285,16 +285,18 @@ def test_criterion_4_metric_identities():
         cm = rng.integers(0, 30, size=(k, k)).astype(np.int64)
         if cm.sum() == 0:
             cm[0, 0] = 1
+        names = [f"c{i}" for i in range(k)]
+        doc = metrics_doc(names, {"test": cm})["test"]
         for i in range(k):
-            m = metrics(cm, i)
+            m = doc["per_class"][names[i]]
             col = cm[:, i].sum()
             row = cm[i, :].sum()
             want_p = cm[i, i] / col if col else 0.0
             want_r = cm[i, i] / row if row else 0.0
-            exact &= m.precision == want_p and m.recall == want_r
-            exact &= m.precision_defined == (col > 0)
-            exact &= m.recall_defined == (row > 0)
-        exact &= accuracy(cm) == np.trace(cm) / cm.sum()
+            exact &= m["precision"] == want_p and m["recall"] == want_r
+            exact &= m["precision_defined"] == (col > 0)
+            exact &= m["recall_defined"] == (row > 0)
+        exact &= accuracy(cm) == doc["accuracy"] == np.trace(cm) / cm.sum()
 
     fixed = {None: 0.9, "a": 0.8, "b": 0.7, "c": 0.9}
     report = feature_importance(lambda f: fixed[f], features=("a", "b", "c"))

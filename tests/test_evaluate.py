@@ -13,7 +13,7 @@ from bgprel.evaluate import (
     feature_importance,
     format_confusion,
     map_runs,
-    metrics,
+    metrics_doc,
     sweep,
     worker_count,
 )
@@ -35,21 +35,25 @@ class TestConfusionMatrix:
             confusion_matrix([0, 1], [0], 2)
 
 
+def per_class(cm: np.ndarray) -> list[dict]:
+    """metrics_doc's per-class entries for one split, in class order."""
+    names = [f"c{k}" for k in range(len(cm))]
+    doc = metrics_doc(names, {"test": cm})
+    return [doc["test"]["per_class"][n] for n in names]
+
+
 class TestMetrics:
     def test_hand_computed(self):
-        cm = np.array([[5, 5], [0, 10]])
-        m0 = metrics(cm, 0)
-        assert m0.precision == 1.0
-        assert m0.recall == 0.5
-        m1 = metrics(cm, 1)
-        assert m1.precision == pytest.approx(10 / 15)
-        assert m1.recall == 1.0
+        m0, m1 = per_class(np.array([[5, 5], [0, 10]]))
+        assert m0["precision"] == 1.0
+        assert m0["recall"] == 0.5
+        assert m1["precision"] == 10 / 15
+        assert m1["recall"] == 1.0
 
     def test_diagonal_is_perfect(self):
         cm = np.diag([3, 4, 5, 6])
-        for k in range(4):
-            m = metrics(cm, k)
-            assert (m.precision, m.recall) == (1.0, 1.0)
+        for m in per_class(cm):
+            assert (m["precision"], m["recall"]) == (1.0, 1.0)
         assert accuracy(cm) == 1.0
 
     def test_uniform_four_way(self):
@@ -57,10 +61,9 @@ class TestMetrics:
         assert accuracy(cm) == pytest.approx(0.25)
 
     def test_zero_over_zero_flagged(self):
-        cm = np.array([[0, 0], [0, 7]])
-        m = metrics(cm, 0)
-        assert m.precision == 0.0 and not m.precision_defined
-        assert m.recall == 0.0 and not m.recall_defined
+        m, _ = per_class(np.array([[0, 0], [0, 7]]))
+        assert m["precision"] == 0.0 and not m["precision_defined"]
+        assert m["recall"] == 0.0 and not m["recall_defined"]
 
     def test_identities_on_random_matrices(self):
         rng = random.Random(7)
@@ -70,14 +73,23 @@ class TestMetrics:
             if cm.sum() == 0:
                 cm[0, 0] = 1
             # accuracy is the trace share
-            assert accuracy(cm) == pytest.approx(np.trace(cm) / cm.sum())
-            for k in range(c):
-                m = metrics(cm, k)
-                tp = cm[k, k]
-                col = cm[:, k].sum()
-                row = cm[k, :].sum()
-                assert m.precision == pytest.approx(tp / col if col else 0.0)
-                assert m.recall == pytest.approx(tp / row if row else 0.0)
+            assert accuracy(cm) == np.trace(cm) / cm.sum()
+            for k, m in enumerate(per_class(cm)):
+                tp = int(cm[k, k])
+                col = int(cm[:, k].sum())
+                row = int(cm[k, :].sum())
+                assert m["precision"] == (tp / col if col else 0.0)
+                assert m["recall"] == (tp / row if row else 0.0)
+                assert (m["precision_defined"], m["recall_defined"]) == (col > 0, row > 0)
+
+    def test_document_layout(self):
+        cm = np.array([[1, 2], [3, 4]])
+        doc = metrics_doc(["p2p", "p2c"], {"val": cm, "test": cm.T})
+        assert list(doc) == ["classes", "val", "test"]
+        assert doc["classes"] == ["p2p", "p2c"]
+        assert doc["test"]["confusion"] == [[1, 3], [2, 4]]
+        assert doc["val"]["accuracy"] == 0.5
+        assert json.loads(json.dumps(doc)) == doc  # plain JSON values only
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
