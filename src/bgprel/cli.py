@@ -64,6 +64,7 @@ from .pipeline import (
     SIDE_FILES,
     DataFiles,
     adjacency_for,
+    baseline_accuracies,
     build_bundle,
     importance_runner,
     prepare,
@@ -413,6 +414,7 @@ def cmd_train(args) -> Manifest:
     doc["vote"] = asdict(prep.vote_report)
     doc["dropped_offgraph"] = prep.dropped_offgraph
     doc["clique"] = sorted(prep.bundle.clique)
+    doc["baselines"] = baseline_accuracies(prep.bundle.graph, dataset)
     write_json(metrics_file, doc)
     print(f"best epoch {outcome.result.best_epoch}: "
           f"val accuracy {outcome.val_accuracy:.4f}, "
@@ -439,7 +441,8 @@ def cmd_eval(args) -> Manifest:
     a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     metrics_file = out / "metrics.json"
-    write_json(metrics_file, metrics_doc(dataset.class_names, splits))
+    write_json(metrics_file, {**metrics_doc(dataset.class_names, splits),
+                              "baselines": baseline_accuracies(bundle.graph, dataset)})
     print(f"val accuracy {accuracy(splits['val']):.4f}, "
           f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))

@@ -52,18 +52,29 @@ def accuracy(cm: np.ndarray) -> float:
 
 def metrics_doc(class_names: Sequence[str], splits: Mapping[str, np.ndarray]) -> dict:
     """metrics.json's numbers: each split's accuracy, confusion matrix
-    and one-vs-rest precision and recall per class.  A 0/0 ratio is
-    reported as 0 with its ``_defined`` flag cleared."""
+    and one-vs-rest precision and recall per class, and the headline
+    numbers that a collapsed class cannot hide behind.  A 0/0 ratio is
+    reported as 0 with its ``_defined`` flag cleared.
+
+    ``macro_f1`` averages the per-class F1 over every class, an F1 being
+    0 where precision + recall is 0; it is summed in class order, as
+    perfbench's ``score_confusion`` sums it, so the two agree exactly.
+    ``balanced_accuracy`` is the mean recall over the classes present in
+    the split."""
     doc: dict = {"classes": list(class_names)}
     for name, cm in splits.items():
         tp, predicted, true = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
         precision = np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0)
         recall = np.divide(tp, true, out=np.zeros(len(tp)), where=true > 0)
+        f1 = np.divide(2 * precision * recall, precision + recall,
+                       out=np.zeros(len(tp)), where=precision + recall > 0)
         per_class = zip(class_names, precision.tolist(), recall.tolist(),
                         (predicted > 0).tolist(), (true > 0).tolist())
         doc[name] = {"accuracy": accuracy(cm), "confusion": cm.tolist(), "per_class": {
             cls: {"precision": p, "recall": r, "precision_defined": pd, "recall_defined": rd}
-            for cls, p, r, pd, rd in per_class}}
+            for cls, p, r, pd, rd in per_class},
+            "macro_f1": sum(f1.tolist()) / len(f1),
+            "balanced_accuracy": sum(recall[true > 0].tolist()) / np.count_nonzero(true)}
     return doc
 
 

@@ -356,3 +356,11 @@ def degree_gap_baseline(graph: AsGraph, dataset: EdgeDataset) -> float:
     majors = np.diff(below[[0, *cuts, n]], axis=0).argmax(axis=1)
     pred = majors[np.searchsorted(values[cuts], gaps(te_e), side="right")]
     return float((pred == te_y).mean())
+
+
+def baseline_accuracies(graph: AsGraph, dataset: EdgeDataset) -> dict[str, float]:
+    """Test accuracy of the two floors a model must beat, as metrics.json
+    reports them."""
+    return {"majority": majority_baseline(dataset.split("train")[1],
+                                          dataset.split("test")[1]),
+            "degree_gap": degree_gap_baseline(graph, dataset)}

@@ -272,6 +272,33 @@ def test_best_val_accuracy_is_the_reported_val_accuracy(default_dir, tmp_path,
     assert doc["best_val_accuracy"] == doc["val"]["accuracy"]
 
 
+@pytest.fixture(scope="module")
+def perturbed_dir(tmp_path_factory):
+    """The default 1x bundle with 3% of each source's calls flipped."""
+    out = tmp_path_factory.mktemp("cli-synth-1x")
+    assert run(["synth", "--perturbation", "0.03", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("mode", ["multi", "binary"])
+def test_headline_metrics_agree_with_the_benchmark_scorer(perturbed_dir, tmp_path,
+                                                          perfbench_score, mode):
+    train_out, eval_out = tmp_path / "train", tmp_path / "eval"
+    assert run(["train", "--data", str(perturbed_dir), "--mode", mode,
+                "--seed", "0", "--out", str(train_out)]) == 0
+    doc = json.loads((train_out / "metrics.json").read_text())
+    want = perfbench_score.score_test_split(train_out / "metrics.json")
+    assert doc["test"]["macro_f1"] == want.macro_f1
+    for split in ("val", "test"):
+        assert 0.0 <= doc[split]["macro_f1"] <= 1.0
+        assert 0.0 <= doc[split]["balanced_accuracy"] <= 1.0
+    assert set(doc["baselines"]) == {"majority", "degree_gap"}
+    assert run(["eval", "--data", str(perturbed_dir), "--checkpoint",
+                str(train_out / "checkpoint.json"), "--out", str(eval_out)]) == 0
+    scored = json.loads((eval_out / "metrics.json").read_text())
+    assert scored == {k: doc[k] for k in ("classes", "val", "test", "baselines")}
+
+
 def test_eval_command(data_dir, train_dir, tmp_path, capsys):
     out = tmp_path / "ev"
     assert run([

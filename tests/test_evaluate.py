@@ -82,6 +82,39 @@ class TestMetrics:
                 assert m["recall"] == (tp / row if row else 0.0)
                 assert (m["precision_defined"], m["recall_defined"]) == (col > 0, row > 0)
 
+    def test_headline_numbers_hand_computed(self):
+        # p2p collapsed: accuracy 0.9, but macro-F1 and balanced accuracy show it
+        test = metrics_doc(["p2p", "p2c"], {"test": np.array([[1, 9], [1, 89]])})["test"]
+        assert test["accuracy"] == 0.9
+        f1_p2p = 2 * 0.5 * 0.1 / 0.6
+        f1_p2c = 2 * (89 / 98) * (89 / 90) / (89 / 98 + 89 / 90)
+        assert test["macro_f1"] == (0 + f1_p2p + f1_p2c) / 2
+        assert test["balanced_accuracy"] == (0 + 0.1 + 89 / 90) / 2
+
+    def test_balanced_accuracy_skips_absent_classes(self):
+        # class 1 has no test rows; its recall is undefined, not 0
+        test = metrics_doc(["a", "b", "c"],
+                           {"test": np.array([[3, 1, 0], [0, 0, 0], [0, 2, 2]])})["test"]
+        assert test["balanced_accuracy"] == (0 + 3 / 4 + 2 / 4) / 2
+        assert test["macro_f1"] == (0 + 2 * 1.0 * 0.75 / 1.75 + 0.0
+                                    + 2 * 1.0 * 0.5 / 1.5) / 3
+
+    def test_macro_f1_is_the_benchmark_scorers(self, perfbench_score):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            cm = rng.integers(0, 20, size=(k, k))
+            cm[rng.random(k) < 0.25, :] = 0  # empty rows
+            cm[:, rng.random(k) < 0.25] = 0  # empty columns
+            cm[0, 0] += 1
+            names = [f"c{i}" for i in range(k)]
+            want = perfbench_score.score_confusion(cm.tolist(), names)
+            test = metrics_doc(names, {"test": cm})["test"]
+            assert test["macro_f1"] == want.macro_f1
+            present = cm.sum(axis=1) > 0
+            recall = [want.recall[n] for n, p in zip(names, present) if p]
+            assert test["balanced_accuracy"] == sum(recall) / len(recall)
+
     def test_document_layout(self):
         cm = np.array([[1, 2], [3, 4]])
         doc = metrics_doc(["p2p", "p2c"], {"val": cm, "test": cm.T})
