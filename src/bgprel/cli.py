@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import balance_and_split
+from .dataset import balance_and_split, mode_classes
 from .evaluate import (
     accuracy,
     feature_importance,
@@ -303,17 +303,26 @@ def _recorded(meta: dict, key: str, checkpoint: Path):
 
 def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
     """The --checkpoint file, its model and its meta.  It is refused
-    unless it was trained with this version's edge weight floor and
-    records one class name per column of its head."""
+    unless it records its training mode and seed, was trained with this
+    version's edge weight floor, and records its mode's class names, one
+    per column of its head."""
     checkpoint = _require(args.checkpoint, "checkpoint")
     model, meta = load_checkpoint(checkpoint)
-    if (delta := _recorded(meta, "delta", checkpoint)) != WEIGHT_FLOOR:
+    mode, _, delta, classes = (_recorded(meta, key, checkpoint)
+                               for key in ("mode", "seed", "delta", "classes"))
+    if delta != WEIGHT_FLOOR:
         raise ValueError(f"checkpoint {checkpoint} was trained with delta {delta}, "
                          f"but the propagation matrix uses {WEIGHT_FLOOR}")
-    classes = _recorded(meta, "classes", checkpoint)
-    if len(classes) != model.head_w.shape[1]:
-        raise ValueError(f"checkpoint {checkpoint} records {len(classes)} classes, "
+    if not isinstance(classes, list) or len(classes) != model.head_w.shape[1]:
+        raise ValueError(f"checkpoint {checkpoint} records classes {classes}, "
                          f"but its head scores {model.head_w.shape[1]}")
+    try:
+        names = [c.value for c in mode_classes(mode)]
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {checkpoint} records an {exc}") from None
+    if classes != names:
+        raise ValueError(f"checkpoint {checkpoint} records classes {classes}, "
+                         f"but {mode} mode has {names}")
     return checkpoint, model, meta
 
 
@@ -430,14 +439,11 @@ def cmd_train(args) -> Manifest:
 def cmd_eval(args) -> Manifest:
     out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
-    mode, seed = (_recorded(meta, k, checkpoint) for k in ("mode", "seed"))
+    mode, seed = meta["mode"], meta["seed"]
     files = _files_from_args(args)
     prep = prepare(files, mode, seed)
     bundle, dataset = prep.bundle, prep.dataset
     _check_width(model, bundle)
-    if meta["classes"] != dataset.class_names:
-        raise ValueError(f"checkpoint {checkpoint} records classes {meta['classes']}, "
-                         f"but {mode} mode has {dataset.class_names}")
     a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     metrics_file = out / "metrics.json"

@@ -53,6 +53,17 @@ class RelLabel(str, Enum):
 MULTI_CLASSES = [RelLabel.P2P, RelLabel.P2C, RelLabel.S2S, RelLabel.X2X]
 BINARY_CLASSES = [RelLabel.P2P, RelLabel.P2C]
 _INDEX = {c: i for i, c in enumerate(MULTI_CLASSES)}
+
+
+def mode_classes(mode: str) -> list[RelLabel]:
+    """The classes a model of training ``mode`` scores, in the order of
+    its head's columns; any mode but binary and multi is refused."""
+    if mode == "binary":
+        return list(BINARY_CLASSES)
+    if mode == "multi":
+        return list(MULTI_CLASSES)
+    raise ValueError(f"unknown mode {mode!r}")
+
 _P2C = _INDEX[RelLabel.P2C]
 
 PROVENANCE_VOTE = "vote"
@@ -324,9 +335,7 @@ def balance_and_split(
     regardless of the input row order: each class's rows are put in
     pair order first, and the draw depends only on the class sizes.
     """
-    if mode not in ("binary", "multi"):
-        raise ValueError(f"unknown mode {mode!r}")
-    classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
+    classes = mode_classes(mode)
     by_pair = np.argsort(pack_unordered_pairs(edges.a, edges.b), kind="stable")
     pools = [by_pair[edges.label[by_pair] == _INDEX[c]] for c in classes]
     for c, pool in zip(classes, pools):

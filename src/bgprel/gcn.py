@@ -57,6 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .dataset import mode_classes
 from .ingest import write_json, write_table
 
 
@@ -82,8 +83,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("binary", "multi"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        mode_classes(self.mode)  # refuses an unknown mode
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if not self.weight_decay >= 0.0:
@@ -96,7 +96,7 @@ class TrainConfig:
 
     @property
     def n_classes(self) -> int:
-        return 2 if self.mode == "binary" else 4
+        return len(mode_classes(self.mode))
 
     @classmethod
     def for_mode(cls, mode: str, seed: int = 0, **overrides) -> "TrainConfig":

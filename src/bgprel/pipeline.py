@@ -15,8 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import (
-    BINARY_CLASSES,
-    MULTI_CLASSES,
     SPLITS,
     LabelTable,
     RelLabel,
@@ -26,6 +24,7 @@ from .dataset import (
     balance_and_split,
     load_label_source,
     load_org_map,
+    mode_classes,
     vote_intersection,
 )
 from .evaluate import accuracy, confusion_matrix
@@ -171,9 +170,8 @@ def make_dataset(
     """Balance and split the labeled pairs; each split's rows are the
     endpoints' graph positions, in stored (a, b) orientation, and its
     labels the class indices (p2p and p2c index both class lists)."""
-    classes = BINARY_CLASSES if mode == "binary" else MULTI_CLASSES
     split_set = balance_and_split(labeled, seed, mode)
-    ds = EdgeDataset(classes=list(classes), edges=split_set)
+    ds = EdgeDataset(classes=mode_classes(mode), edges=split_set)
     for name in SPLITS:
         rows = split_set.split == name
         ds.arrays[name] = (graph.positions(split_set.pairs()[rows]),

@@ -378,7 +378,8 @@ def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
 
 @pytest.mark.parametrize("command,key", [
     ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("eval", "classes"),
-    ("predict", "delta"), ("predict", "classes"),
+    ("predict", "delta"), ("predict", "classes"), ("predict", "mode"),
+    ("predict", "seed"),
 ])
 def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, capsys,
                                                  command, key):
@@ -422,6 +423,33 @@ def test_eval_refuses_classes_that_are_not_its_modes(data_dir, train_dir, tmp_pa
     assert code == 1
     err = capsys.readouterr().err
     assert str(checkpoint) in err and "multi mode has" in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("mode,classes,message", [
+    ("multi", ["x2x", "s2s", "p2c", "p2p"], "but multi mode has ['p2p', 'p2c', 's2s', 'x2x']"),
+    ("multi", ["a", "b", "c", "d"], "but multi mode has ['p2p', 'p2c', 's2s', 'x2x']"),
+    ("binary", ["p2p", "p2c", "s2s", "x2x"], "but binary mode has ['p2p', 'p2c']"),
+    ("bogus", ["a", "b", "c", "d"], "records an unknown mode 'bogus'"),
+    (["multi"], ["p2p", "p2c", "s2s", "x2x"], "records an unknown mode ['multi']"),
+])
+def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, capsys,
+                                              monkeypatch, command, mode, classes,
+                                              message):
+    # predict would otherwise write its labels under the recorded names
+    for name in ("prepare", "build_bundle"):  # refused before any input is read
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail(f"{name} ran"))
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    doc["meta"].update(mode=mode, classes=classes)
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint} " in err and message in err
+    assert not (tmp_path / "o" / "predictions.csv").exists()
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

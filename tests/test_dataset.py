@@ -18,6 +18,7 @@ from bgprel.dataset import (
     balance_and_split,
     load_label_source,
     load_org_map,
+    mode_classes,
     vote_intersection,
 )
 from bgprel.ingest import load_asn_set
@@ -543,6 +544,15 @@ class TestBalanceAndSplit:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             balance_and_split(table(), seed=0, mode="both")
+
+    def test_mode_class_lists(self):
+        assert mode_classes("binary") == BINARY_CLASSES == MULTI_CLASSES[:2]
+        assert mode_classes("multi") == MULTI_CLASSES
+        mode_classes("multi").pop()  # a copy: the module's list stays whole
+        assert len(MULTI_CLASSES) == 4
+        for mode in ("both", "Multi", None, ["multi"]):
+            with pytest.raises(ValueError, match="unknown mode"):
+                mode_classes(mode)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import bgprel.gcn as gcn
+from bgprel.dataset import mode_classes
 from bgprel.gcn import (
     AdamState,
     EdgeBatch,
@@ -420,6 +421,12 @@ class TestTrain:
         assert (m.learning_rate, m.weight_decay, m.block_spec) == (0.05, 0.0, (2, 1))
         assert b.epochs == m.epochs == 200
         assert b.hidden == m.hidden == 32
+
+    def test_classes_come_from_the_modes_class_list(self):
+        assert TrainConfig(mode="binary").n_classes == len(mode_classes("binary")) == 2
+        assert TrainConfig(mode="multi").n_classes == len(mode_classes("multi")) == 4
+        with pytest.raises(ValueError, match="^unknown mode 'both'$"):
+            TrainConfig(mode="both")
 
 
 # -- the epoch loop against a direct reference -----------------------------
