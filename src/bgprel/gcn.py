@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -665,16 +666,29 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(doc: dict, path: str | Path) -> np.ndarray:
+def _decode_array(doc, path: str | Path, name: str) -> np.ndarray:
+    """The array a checkpoint holds in field ``name``; a malformed one is
+    refused naming the file and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: field {name!r} is not an encoded array")
     dtype = doc.get("dtype")
     if dtype not in _ARRAY_DTYPES:
         raise ValueError(f"{path}: unsupported array dtype {dtype!r} in field "
-                         "'dtype' (expected 'float32' or 'float64')")
+                         f"'dtype' of {name!r} (expected 'float32' or 'float64')")
     if doc.get("byte_order") != "little":
-        raise ValueError(f"{path}: unsupported byte order "
-                         f"{doc.get('byte_order')!r} in field 'byte_order'")
-    raw = base64.b64decode(doc["data"])
-    return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(doc["shape"]).astype(dtype)
+        raise ValueError(f"{path}: unsupported byte order {doc.get('byte_order')!r} "
+                         f"in field 'byte_order' of {name!r}")
+    shape = doc.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{path}: field 'shape' of {name!r} is not a list of sizes")
+    try:
+        raw = base64.b64decode(doc["data"], validate=True)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: field 'data' of {name!r} is not base64") from None
+    if len(raw) != math.prod(shape) * np.dtype(_ARRAY_DTYPES[dtype]).itemsize:
+        raise ValueError(f"{path}: field 'data' of {name!r} holds {len(raw)} bytes, "
+                         f"which are not the {dtype} values of shape {shape}")
+    return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(shape).astype(dtype)
 
 
 def save_checkpoint(
@@ -697,19 +711,60 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "bgprel-checkpoint-v1":
-        raise ValueError(f"not a checkpoint file: {path}")
+    """A checkpoint's model and meta.  A file that is not a checkpoint,
+    a missing or malformed field, and recorded sizes (``input_dim``,
+    ``hidden``, ``n_classes``, ``block_spec``) that its arrays' shapes
+    do not match are each refused with a ValueError naming the file and
+    the field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"not a checkpoint file: {path} is not JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "bgprel-checkpoint-v1":
+        raise ValueError(f"not a checkpoint file: {path} has no field 'format' "
+                         "reading 'bgprel-checkpoint-v1'")
+
+    def field(name: str, ok=lambda v: True, what: str = ""):
+        if name not in doc:
+            raise ValueError(f"{path}: missing field {name!r}")
+        if not ok(doc[name]):
+            raise ValueError(f"{path}: field {name!r} is not {what}")
+        return doc[name]
+
+    def size(v) -> bool:
+        return type(v) is int and v > 0
+
+    d, h, c = (field(k, size, "a positive integer")
+               for k in ("input_dim", "hidden", "n_classes"))
+    nb, nl = field("block_spec", lambda v: isinstance(v, list) and len(v) == 2
+                   and all(map(size, v)), "a [blocks, layers] pair")
+    blocks = field("blocks", lambda v: isinstance(v, list) and len(v) == nb and all(
+        isinstance(b, list) and len(b) == nl for b in v),
+        f"{nb} lists of {nl} arrays, as 'block_spec' records")
+    meta = field("meta", lambda v: isinstance(v, dict), "an object") if "meta" in doc else {}
+    encoded = {f"blocks[{i}][{j}]": w for i, block in enumerate(blocks)
+               for j, w in enumerate(block)}
+    encoded.update(head_w=field("head_w"), head_b=field("head_b"))
+    # the shape each array must have, given the recorded sizes
+    want = {name: (d if name == "blocks[0][0]" else h, h) for name in encoded}
+    want.update(head_w=(2 * h, c), head_b=(c,))
+    arrays = {}
+    for name, enc in encoded.items():
+        arrays[name] = _decode_array(enc, path, name)
+        if arrays[name].shape != want[name]:
+            raise ValueError(
+                f"{path}: field {name!r} has shape {list(arrays[name].shape)}, but "
+                f"input_dim {d}, hidden {h} and n_classes {c} give {list(want[name])}")
+        if arrays[name].dtype != arrays["blocks[0][0]"].dtype:
+            raise ValueError(f"{path}: field 'dtype' of {name!r} is not that of "
+                             "'blocks[0][0]'")
     model = GcnModel(
-        blocks=[[_decode_array(w, path) for w in block] for block in doc["blocks"]],
-        head_w=_decode_array(doc["head_w"], path),
-        head_b=_decode_array(doc["head_b"], path),
-        input_dim=doc["input_dim"],
-        hidden=doc["hidden"],
-        n_classes=doc["n_classes"],
+        blocks=[[arrays[f"blocks[{i}][{j}]"] for j in range(nl)] for i in range(nb)],
+        head_w=arrays["head_w"], head_b=arrays["head_b"],
+        input_dim=d, hidden=h, n_classes=c,
     )
-    return model, doc.get("meta", {})
+    return model, meta
 
 
 def write_history_csv(history: list[Epoch], out: str | Path) -> None:

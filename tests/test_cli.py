@@ -453,6 +453,36 @@ def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, cap
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def _shrink_head_w_data(doc):
+    doc["head_w"]["data"] = doc["head_w"]["data"][:-8]
+    return doc
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [doc], "has no field 'format'"),
+    (None, "is not JSON"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "blocks"},
+     "missing field 'blocks'"),
+    (_shrink_head_w_data, "field 'data' of 'head_w' holds"),
+    (lambda doc: {**doc, "input_dim": 99}, "field 'blocks[0][0]' has shape [14, 8], "
+                                           "but input_dim 99"),
+], ids=["json-list", "not-json", "no-blocks", "short-data", "input-dim"])
+def test_malformed_checkpoint_is_refused_naming_file_and_field(
+        data_dir, train_dir, tmp_path, capsys, edit, message):
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    checkpoint = tmp_path / "checkpoint.json"
+    if edit is None:
+        checkpoint.write_text("bgprel-checkpoint-v1\n")
+    else:
+        checkpoint.write_text(json.dumps(edit(doc)))
+    code = run(["predict", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(checkpoint) in err and message in err
+    assert "Traceback" not in err
+
+
 def test_predict_command(data_dir, train_dir, tmp_path):
     out = tmp_path / "pred"
     pairs = tmp_path / "pairs.txt"

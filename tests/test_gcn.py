@@ -2,6 +2,7 @@ import base64
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -1039,6 +1040,47 @@ class TestPersistence:
             doc["head_b"]["dtype"] = dtype
         f.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"model.json: .*{dtype!r} in field 'dtype'"):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("input_dim", 4, "field 'blocks[0][0]' has shape [3, 4], but input_dim 4"),
+        ("hidden", 5, "field 'blocks[0][0]' has shape [3, 4], but input_dim 3, hidden 5"),
+        ("n_classes", 3, "field 'head_w' has shape [8, 2], but input_dim 3, hidden 4 "
+                         "and n_classes 3 give [8, 3]"),
+        ("block_spec", [2, 1], "field 'blocks' is not 2 lists of 1 arrays"),
+        ("block_spec", [1, 2], "field 'blocks' is not 1 lists of 2 arrays"),
+        ("block_spec", [1], "field 'block_spec' is not a [blocks, layers] pair"),
+        ("hidden", 0, "field 'hidden' is not a positive integer"),
+        ("n_classes", True, "field 'n_classes' is not a positive integer"),
+        ("meta", [], "field 'meta' is not an object"),
+    ], ids=["input_dim", "hidden", "n_classes", "block_spec-blocks", "block_spec-layers",
+            "block_spec-short", "hidden-zero", "n_classes-bool", "meta-list"])
+    def test_recorded_sizes_must_match_the_arrays(self, tmp_path, key, value, message):
+        f = tmp_path / "model.json"
+        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0)))
+        doc = json.loads(f.read_text())
+        doc[key] = value
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: {message}")):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.update(shape=[2, "x"]), "field 'shape' of 'head_w' is not a list"),
+        (lambda a: a.update(data="not base64!"), "field 'data' of 'head_w' is not base64"),
+        (lambda a: a.pop("data"), "field 'data' of 'head_w' is not base64"),
+        (lambda a: a.update(shape=[8, 3]), "field 'data' of 'head_w' holds 64 bytes"),
+        (lambda a: a.update(byte_order="big"), "'big' in field 'byte_order' of 'head_w'"),
+        (lambda a: a.update(dtype="float64", data=base64.b64encode(bytes(128)).decode()),
+         "field 'dtype' of 'head_w' is not that of 'blocks[0][0]'"),
+    ], ids=["shape", "data-junk", "data-missing", "data-short", "byte-order", "mixed-dtype"])
+    def test_malformed_array_is_refused_naming_its_field(self, tmp_path, edit, message):
+        f = tmp_path / "model.json"
+        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0),
+                                      np.float32))
+        doc = json.loads(f.read_text())
+        edit(doc["head_w"])
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: ") + ".*" + re.escape(message)):
             load_checkpoint(f)
 
     def test_identical_models_identical_bytes(self, tmp_path):
