@@ -75,6 +75,7 @@ from .pipeline import (
 from .gcn import predict as gcn_predict
 from .synth import (
     SynthConfig,
+    check_export_settings,
     export,
     generate,
     p2c_is_acyclic,
@@ -574,8 +575,12 @@ def cmd_sweep(args) -> Manifest:
 
 
 def cmd_synth(args) -> Manifest:
+    try:  # a refused setting is a usage error, raised before --out is made
+        config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+        check_export_settings(args.n_sources, args.perturbation)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     out = _out_dir(args)
-    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     truth = generate(config)
     if not p2c_is_acyclic(truth):
         raise ValueError("the planted provider-customer hierarchy has a cycle")

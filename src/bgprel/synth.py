@@ -581,6 +581,15 @@ def _perturbed(rows, perturbation: float, rng: random.Random):
         yield a, b, code
 
 
+def check_export_settings(n_sources: int, perturbation: float) -> None:
+    """Refuse a bundle without label sources, or with a flip rate that
+    is not a probability."""
+    if n_sources < 1:
+        raise ValueError(f"need at least one label source, got {n_sources}")
+    if not 0.0 <= perturbation <= 1.0:
+        raise ValueError(f"perturbation must lie in [0, 1], got {perturbation}")
+
+
 def export(
     truth: GroundTruth,
     paths: PathStore,
@@ -595,6 +604,7 @@ def export(
     flips that fraction of each source's calls (peer <-> provider with
     a random provider side) independently per source.
     """
+    check_export_settings(n_sources, perturbation)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}

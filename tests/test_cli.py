@@ -86,6 +86,24 @@ def test_synth_manifest_records_simulation_counts(data_dir):
     assert config["policy_violations"] == 0
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n-vps", "0"], "need at least one vantage point and one path"),
+    (["--n-tier1", "0"], "need at least one tier-1 network"),
+    (["--n-mid", "-1"], "n_mid cannot be negative"),
+    (["--n-vps", "99999"], "more vantage points than nodes"),
+    (["--perturbation", "1.5"], "perturbation must lie in [0, 1], got 1.5"),
+    (["--perturbation", "-0.5"], "perturbation must lie in [0, 1], got -0.5"),
+    (["--n-sources", "0"], "need at least one label source, got 0"),
+])
+def test_synth_refused_setting_is_usage_error_before_any_work(
+        tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setattr(cli, "generate", lambda *a: pytest.fail("generate ran"))
+    out = tmp_path / "o"
+    assert run(["synth", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_synth_fails_on_a_policy_violation(tmp_path, monkeypatch, capsys):
     simulate = cli.simulate_paths
     valleys = []

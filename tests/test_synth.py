@@ -1,5 +1,6 @@
 import heapq
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -257,6 +258,22 @@ def test_export_files_roundtrip(tmp_path):
         assert stored_label is label
         if label is RelLabel.P2C:
             assert a == provider
+
+
+@pytest.mark.parametrize("n_sources,perturbation,message", [
+    (0, 0.0, "need at least one label source, got 0"),
+    (3, 1.5, "perturbation must lie in [0, 1], got 1.5"),
+    (3, -0.5, "perturbation must lie in [0, 1], got -0.5"),
+    (3, float("nan"), "perturbation must lie in [0, 1], got nan"),
+])
+def test_export_refuses_bad_settings_before_writing(tmp_path, n_sources,
+                                                    perturbation, message):
+    truth = generate(SMALL)
+    paths, _ = simulate_paths(truth, SMALL)
+    out = tmp_path / "bundle"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        export(truth, paths, out, n_sources=n_sources, perturbation=perturbation)
+    assert not out.exists()
 
 
 def test_export_zero_perturbation_sources_identical(tmp_path):
