@@ -1,5 +1,10 @@
-"""Classifier evaluation: confusion matrices, per-class metrics,
+"""Classifier evaluation: confusion matrices, the metrics document,
 feature-importance ablations and hyperparameter sweeps.
+
+``metrics_doc`` builds the numbers of ``metrics.json`` from each split's
+confusion matrix in one numpy pass: per-class precision and recall,
+accuracy, macro-F1 and balanced accuracy.  It is the only code that
+computes per-class precision or recall.
 
 The sweep's grid points and the importance harness's retrains are
 independent trainings.  ``map_runs`` trains them in forked worker
