@@ -438,8 +438,8 @@ def cmd_train(args) -> Manifest:
 
 
 def cmd_eval(args) -> Manifest:
-    out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
+    out = _out_dir(args)
     mode, seed = meta["mode"], meta["seed"]
     files = _files_from_args(args)
     prep = prepare(files, mode, seed)
@@ -463,8 +463,8 @@ _WRITE_ROWS = 1 << 14
 
 
 def cmd_predict(args) -> Manifest:
-    out = _out_dir(args)
     checkpoint, model, meta = _load_checkpoint(args)
+    out = _out_dir(args)
     classes = meta["classes"]
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files)

@@ -53,6 +53,13 @@ class RelLabel(str, Enum):
 MULTI_CLASSES = [RelLabel.P2P, RelLabel.P2C, RelLabel.S2S, RelLabel.X2X]
 BINARY_CLASSES = [RelLabel.P2P, RelLabel.P2C]
 _INDEX = {c: i for i, c in enumerate(MULTI_CLASSES)}
+_P2C = _INDEX[RelLabel.P2C]
+
+PROVENANCE_VOTE = "vote"
+PROVENANCE_ORG = "org_map"
+PROVENANCE_IXP = "ixp_list"
+
+SPLITS = ("train", "val", "test")
 
 
 def mode_classes(mode: str) -> list[RelLabel]:
@@ -63,14 +70,6 @@ def mode_classes(mode: str) -> list[RelLabel]:
     if mode == "multi":
         return list(MULTI_CLASSES)
     raise ValueError(f"unknown mode {mode!r}")
-
-_P2C = _INDEX[RelLabel.P2C]
-
-PROVENANCE_VOTE = "vote"
-PROVENANCE_ORG = "org_map"
-PROVENANCE_IXP = "ixp_list"
-
-SPLITS = ("train", "val", "test")
 
 
 def _orient(

@@ -467,8 +467,7 @@ def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, cap
     assert code == 1
     err = capsys.readouterr().err
     assert f"checkpoint {checkpoint} " in err and message in err
-    assert not (tmp_path / "o" / "predictions.csv").exists()
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def _shrink_head_w_data(doc):
@@ -499,6 +498,7 @@ def test_malformed_checkpoint_is_refused_naming_file_and_field(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(checkpoint) in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_predict_command(data_dir, train_dir, tmp_path):
