@@ -6,6 +6,10 @@ to them, recording the invocation, the input and output file digests,
 the seed, the library versions, the thread settings and the BLAS thread
 count, and the wall time, so a run can be audited later.  A command
 that builds the graph records its ingest counts under ``config``.
+``train`` also saves the observed graph as graph.json, and ``eval`` and
+``predict`` load it instead of ingesting when the manifest next to
+their checkpoint shows it came from the same paths and alloc files
+(``_trained_graph``).
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -31,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import balance_and_split, mode_classes
+from .dataset import MODE_CLASSES, balance_and_split, mode_classes
 from .evaluate import (
     accuracy,
     feature_importance,
@@ -55,6 +59,7 @@ from .ingest import (
     ingest_file,
     parse_asn,
     read_fields,
+    read_json,
     write_json,
     write_paths_file,
     write_table,
@@ -63,6 +68,7 @@ from .pipeline import (
     ABLATABLE_FEATURES,
     SIDE_FILES,
     DataFiles,
+    Observed,
     adjacency_for,
     baseline_accuracies,
     build_bundle,
@@ -82,7 +88,7 @@ from .synth import (
     policy_violations,
     simulate_paths,
 )
-from .topology import AsGraph, write_features_csv
+from .topology import AsGraph, load_graph, save_graph, write_features_csv
 
 # not called here; kept bound because the benchmark tracer wraps them
 from .pipeline import make_dataset, restrict_to_graph  # noqa: F401
@@ -98,6 +104,14 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@functools.cache
+def _input_digest(path: Path) -> str:
+    """An input file's sha256.  ``run`` empties the cache before each
+    command, so a command reads each input once for its digest, which
+    both the graph reuse check and the manifest use."""
+    return _sha256(path)
 
 
 def blas_threads() -> int | None:
@@ -143,7 +157,7 @@ def write_manifest(
         "config": config,
         "seed": seed,
         "inputs": {
-            name: {"path": str(p), "sha256": _sha256(p)}
+            name: {"path": str(p), "sha256": _input_digest(p)}
             for name, p in sorted(inputs.items())
             if p is not None
         },
@@ -216,8 +230,12 @@ def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
     p.add_argument("--clique", help="fixed core member list; skips inference")
 
 
+def _add_mode_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=tuple(MODE_CLASSES), default="multi")
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("binary", "multi"), default="multi")
+    _add_mode_flag(p)
     p.add_argument("--lr", type=float, help="Adam learning rate")
     p.add_argument("--wd", type=float, help="weight decay strength")
     p.add_argument("--epochs", type=int)
@@ -242,13 +260,9 @@ class SystemExit2(Exception):
 def _files_from_args(
     args, need_labels: bool = True, need_paths: bool = True
 ) -> DataFiles:
-    if args.data:
-        files = DataFiles.discover(args.data)
-    elif need_paths or args.paths:
-        files = DataFiles(paths=_require(args.paths, "paths"), labels=[])
-    else:
-        files = DataFiles(paths=None, labels=[])
-    # explicit flags override whatever discovery found
+    # explicit flags override whatever discovery finds, --paths included
+    paths = _require(args.paths, "paths") if args.paths or need_paths and not args.data else None
+    files = DataFiles.discover(args.data, paths) if args.data else DataFiles(paths, labels=[])
     for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
@@ -327,6 +341,40 @@ def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
     return checkpoint, model, meta
 
 
+def _trained_graph(checkpoint: Path, files: DataFiles) -> tuple[Observed | None, dict[str, Path]]:
+    """The graph and ingest counts that the checkpoint's ``train`` run
+    saved, when they are those of ``files``: the checkpoint's directory
+    holds a manifest of this version that records the sha256 of this
+    bundle's paths file and of its alloc file (or no alloc file where
+    the bundle has none), and lists graph.json as an output with the
+    sha256 it has now.  Otherwise None, and the caller ingests.  Also
+    the files of that run this read, for the manifest's inputs."""
+    manifest = checkpoint.parent / "manifest.json"
+    graph_file = checkpoint.parent / "graph.json"
+    if not manifest.is_file():
+        return None, {}
+    read = {"train_manifest": manifest}
+    try:
+        doc = read_json(manifest, "manifest")
+    except ValueError:
+        return None, read
+
+    def digest(section: str, name: str) -> str | None:
+        entry = doc.get(section) if isinstance(doc, dict) else None
+        entry = entry.get(name) if isinstance(entry, dict) else None
+        return entry.get("sha256") if isinstance(entry, dict) else None
+
+    same_inputs = isinstance(doc, dict) and doc.get("version") == __version__ and all(
+        digest("inputs", name) == (path and _input_digest(path))
+        for name, path in (("paths", files.paths), ("alloc", files.alloc)))
+    if not (same_inputs and graph_file.is_file()):
+        return None, read
+    read["train_graph"] = graph_file
+    if digest("outputs", "graph") != _input_digest(graph_file):
+        return None, read
+    return load_graph(graph_file), read
+
+
 # -- subcommands -----------------------------------------------------------
 
 
@@ -400,6 +448,8 @@ def cmd_train(args) -> Manifest:
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
     dataset = prep.dataset
+    graph_file = out / "graph.json"
+    save_graph(graph_file, prep.bundle.graph, prep.bundle.report)
     a_hat = adjacency_for(prep.bundle.graph, True)
     outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
 
@@ -432,17 +482,19 @@ def cmd_train(args) -> Manifest:
     print(format_confusion(outcome.confusion["test"], dataset.class_names))
     return Manifest(
         {**asdict(config), "ingest": prep.bundle.report.as_dict()}, files.inputs(),
-        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
+        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file,
+         "graph": graph_file},
         args.seed,
     )
 
 
 def cmd_eval(args) -> Manifest:
     checkpoint, model, meta = _load_checkpoint(args)
-    out = _out_dir(args)
     mode, seed = meta["mode"], meta["seed"]
     files = _files_from_args(args)
-    prep = prepare(files, mode, seed)
+    observed, read = _trained_graph(checkpoint, files)
+    out = _out_dir(args)
+    prep = prepare(files, mode, seed, observed)
     bundle, dataset = prep.bundle, prep.dataset
     _check_width(model, bundle)
     a_hat = adjacency_for(bundle.graph, True)
@@ -453,8 +505,9 @@ def cmd_eval(args) -> Manifest:
     print(f"val accuracy {accuracy(splits['val']):.4f}, "
           f"test accuracy {accuracy(splits['test']):.4f}")
     print(format_confusion(splits["test"], dataset.class_names))
-    return Manifest({"mode": mode, "ingest": bundle.report.as_dict()},
-                    {"checkpoint": checkpoint, **files.inputs()},
+    return Manifest({"mode": mode, "ingest": bundle.report.as_dict(),
+                     "graph": "reused" if observed else "built"},
+                    {"checkpoint": checkpoint, **files.inputs(), **read},
                     {"metrics": metrics_file}, seed)
 
 
@@ -464,10 +517,11 @@ _WRITE_ROWS = 1 << 14
 
 def cmd_predict(args) -> Manifest:
     checkpoint, model, meta = _load_checkpoint(args)
-    out = _out_dir(args)
     classes = meta["classes"]
     files = _files_from_args(args, need_labels=False)
-    bundle = build_bundle(files)
+    observed, read = _trained_graph(checkpoint, files)
+    out = _out_dir(args)
+    bundle = build_bundle(files, observed)
     _check_width(model, bundle)
 
     graph = bundle.graph
@@ -490,8 +544,9 @@ def cmd_predict(args) -> Manifest:
     write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
     print(f"wrote {len(wanted)} predictions to {pred_file}")
     return Manifest(
-        {"pairs": len(wanted), "ingest": bundle.report.as_dict()},
-        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
+        {"pairs": len(wanted), "ingest": bundle.report.as_dict(),
+         "graph": "reused" if observed else "built"},
+        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs(), **read},
         {"predictions": pred_file}, None,
     )
 
@@ -639,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="vote, override, balance and split labels")
     _add_data_flags(p)
-    p.add_argument("--mode", choices=("binary", "multi"), default="multi")
+    _add_mode_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dataset)
@@ -671,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid search over training settings")
     _add_data_flags(p)
-    p.add_argument("--mode", choices=("binary", "multi"), default="multi")
+    _add_mode_flag(p)
     p.add_argument("--lr", type=_comma_list(float), help="comma list of learning rates")
     p.add_argument("--wd", type=_comma_list(float), help="comma list of weight decays")
     p.add_argument("--blocks", type=_comma_list(_blocks),
@@ -718,6 +773,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    _input_digest.cache_clear()
     try:
         record = args.func(args)
         write_manifest(Path(args.out), args.command, *record, started)

@@ -62,14 +62,17 @@ PROVENANCE_IXP = "ixp_list"
 SPLITS = ("train", "val", "test")
 
 
+# each training mode and the classes its model scores, in the order of
+# its head's columns
+MODE_CLASSES = {"binary": BINARY_CLASSES, "multi": MULTI_CLASSES}
+
+
 def mode_classes(mode: str) -> list[RelLabel]:
-    """The classes a model of training ``mode`` scores, in the order of
-    its head's columns; any mode but binary and multi is refused."""
-    if mode == "binary":
-        return list(BINARY_CLASSES)
-    if mode == "multi":
-        return list(MULTI_CLASSES)
-    raise ValueError(f"unknown mode {mode!r}")
+    """A copy of ``MODE_CLASSES[mode]``; a mode it does not hold is
+    refused."""
+    if not isinstance(mode, str) or mode not in MODE_CLASSES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return list(MODE_CLASSES[mode])
 
 
 def _orient(

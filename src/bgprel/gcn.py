@@ -48,9 +48,6 @@ fixed seed at a fixed BLAS thread count.
 
 from __future__ import annotations
 
-import base64
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -59,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import mode_classes
-from .ingest import write_json, write_table
+from .ingest import decode_array, encode_array, read_json, write_json, write_table
 
 
 class TrainingDivergedError(RuntimeError):
@@ -651,44 +648,8 @@ def train(
 # -- persistence --------------------------------------------------------
 
 
-# a checkpoint array's "dtype" field and the little-endian type of its bytes
-_ARRAY_DTYPES = {"float32": "<f4", "float64": "<f8"}
-
-
-def _encode_array(arr: np.ndarray) -> dict:
-    """The array in its own dtype, float32 or float64."""
-    data = np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[arr.dtype.name])
-    return {
-        "shape": list(arr.shape),
-        "dtype": arr.dtype.name,
-        "byte_order": "little",
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(doc, path: str | Path, name: str) -> np.ndarray:
-    """The array a checkpoint holds in field ``name``; a malformed one is
-    refused naming the file and the field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: field {name!r} is not an encoded array")
-    dtype = doc.get("dtype")
-    if dtype not in _ARRAY_DTYPES:
-        raise ValueError(f"{path}: unsupported array dtype {dtype!r} in field "
-                         f"'dtype' of {name!r} (expected 'float32' or 'float64')")
-    if doc.get("byte_order") != "little":
-        raise ValueError(f"{path}: unsupported byte order {doc.get('byte_order')!r} "
-                         f"in field 'byte_order' of {name!r}")
-    shape = doc.get("shape")
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError(f"{path}: field 'shape' of {name!r} is not a list of sizes")
-    try:
-        raw = base64.b64decode(doc["data"], validate=True)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: field 'data' of {name!r} is not base64") from None
-    if len(raw) != math.prod(shape) * np.dtype(_ARRAY_DTYPES[dtype]).itemsize:
-        raise ValueError(f"{path}: field 'data' of {name!r} holds {len(raw)} bytes, "
-                         f"which are not the {dtype} values of shape {shape}")
-    return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(shape).astype(dtype)
+# the dtypes a checkpoint's arrays may have
+_CHECKPOINT_DTYPES = ("float32", "float64")
 
 
 def save_checkpoint(
@@ -702,9 +663,9 @@ def save_checkpoint(
         "hidden": model.hidden,
         "n_classes": model.n_classes,
         "block_spec": list(model.block_spec),
-        "blocks": [[_encode_array(w) for w in block] for block in model.blocks],
-        "head_w": _encode_array(model.head_w),
-        "head_b": _encode_array(model.head_b),
+        "blocks": [[encode_array(w) for w in block] for block in model.blocks],
+        "head_w": encode_array(model.head_w),
+        "head_b": encode_array(model.head_b),
         "meta": meta or {},
     }
     write_json(path, doc)
@@ -716,11 +677,7 @@ def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
     ``hidden``, ``n_classes``, ``block_spec``) that its arrays' shapes
     do not match are each refused with a ValueError naming the file and
     the field."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8 or not JSON
-        raise ValueError(f"not a checkpoint file: {path} is not JSON ({exc})") from None
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict) or doc.get("format") != "bgprel-checkpoint-v1":
         raise ValueError(f"not a checkpoint file: {path} has no field 'format' "
                          "reading 'bgprel-checkpoint-v1'")
@@ -751,7 +708,7 @@ def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
     want.update(head_w=(2 * h, c), head_b=(c,))
     arrays = {}
     for name, enc in encoded.items():
-        arrays[name] = _decode_array(enc, path, name)
+        arrays[name] = decode_array(enc, path, name, _CHECKPOINT_DTYPES)
         if arrays[name].shape != want[name]:
             raise ValueError(
                 f"{path}: field {name!r} has shape {list(arrays[name].shape)}, but "

@@ -34,13 +34,17 @@ This module also writes every text file the package outputs, so their
 format is decided here alone: ``write_paths_file`` writes paths files,
 ``write_table`` every other table (CSV, label sources, ASN lists) as
 LF-ended lines, and ``write_json`` every JSON document (manifests,
-reports, metrics, checkpoints) with indent 2 and sorted keys.
+reports, metrics, checkpoints, saved graphs) with indent 2 and sorted
+keys.  ``encode_array`` and ``decode_array`` are the one array codec of
+those documents, and ``read_json`` reads a checkpoint or a saved graph.
 """
 
 from __future__ import annotations
 
+import base64
 import io
 import json
+import math
 import os
 import re
 from array import array
@@ -683,3 +687,56 @@ def write_json(out: str | Path, doc) -> None:
     a final LF."""
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in the file ``path``; one that is not UTF-8 JSON
+    is refused as not a ``what`` file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"not a {what} file: {path} is not JSON ({exc})") from None
+
+
+# -- the array codec of JSON documents: an array is its shape, dtype name,
+# byte order and base64 little-endian bytes
+
+# an encoded array's "dtype" field and the type of its bytes
+_ARRAY_DTYPES = {"float32": "<f4", "float64": "<f8", "int64": "<i8"}
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """The array in its own dtype, one of ``_ARRAY_DTYPES``."""
+    data = np.ascontiguousarray(arr, dtype=_ARRAY_DTYPES[arr.dtype.name])
+    return {
+        "shape": list(arr.shape),
+        "dtype": arr.dtype.name,
+        "byte_order": "little",
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(doc, path: str | Path, name: str, dtypes: Sequence[str]) -> np.ndarray:
+    """The array the file ``path`` holds in field ``name``, of one of the
+    ``dtypes``; a malformed one is refused naming the file and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: field {name!r} is not an encoded array")
+    dtype = doc.get("dtype")
+    if dtype not in dtypes:
+        raise ValueError(f"{path}: unsupported array dtype {dtype!r} in field 'dtype' "
+                         f"of {name!r} (expected {' or '.join(map(repr, dtypes))})")
+    if doc.get("byte_order") != "little":
+        raise ValueError(f"{path}: unsupported byte order {doc.get('byte_order')!r} "
+                         f"in field 'byte_order' of {name!r}")
+    shape = doc.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{path}: field 'shape' of {name!r} is not a list of sizes")
+    try:
+        raw = base64.b64decode(doc["data"], validate=True)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: field 'data' of {name!r} is not base64") from None
+    if len(raw) != math.prod(shape) * np.dtype(_ARRAY_DTYPES[dtype]).itemsize:
+        raise ValueError(f"{path}: field 'data' of {name!r} holds {len(raw)} bytes, "
+                         f"which are not the {dtype} values of shape {shape}")
+    return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(shape).astype(dtype)

@@ -4,7 +4,10 @@ trivial baselines used as sanity floors.
 
 ``prepare`` is the one place that runs the prepare sequence (graph
 bundle, voted labels, restriction to the graph, split dataset); the
-CLI and the tests all go through it."""
+CLI and the tests all go through it.  ``observe`` ingests the paths and
+builds the graph; ``build_bundle`` and ``prepare`` take its result
+instead when the caller has it, as ``eval`` and ``predict`` do when
+they load the graph their checkpoint's ``train`` saved."""
 
 from __future__ import annotations
 
@@ -73,12 +76,13 @@ class DataFiles:
     truth: Path | None = None
 
     @classmethod
-    def discover(cls, directory: str | Path) -> "DataFiles":
-        """Pick up the conventional file names from one directory."""
+    def discover(cls, directory: str | Path, paths: Path | None = None) -> "DataFiles":
+        """Pick up the conventional file names from one directory;
+        ``paths``, when given, stands in for its ``paths.txt``."""
         d = Path(directory)
         if not d.is_dir():
             raise FileNotFoundError(f"data directory not found: {d}")
-        paths = d / "paths.txt"
+        paths = paths or d / "paths.txt"
         if not paths.is_file():
             raise FileNotFoundError(f"missing paths file: {paths}")
 
@@ -113,12 +117,26 @@ class GraphBundle:
     features: FeatureMatrix
 
 
-def build_bundle(files: DataFiles) -> GraphBundle:
+# a bundle's observed graph and the ingest counts of its paths
+Observed = tuple[AsGraph, IngestReport]
+
+
+def observe(files: DataFiles) -> Observed:
+    """The graph the bundle's paths show, read through its allocation
+    table if it has one, and the ingest counts."""
     table = AllocationTable.load(files.alloc) if files.alloc else None
     summary, report = ingest_file(files.paths, table, GraphSummary)
     if not report.accepted:
         raise ValueError(f"no usable paths in {files.paths}")
-    graph = build_graph(summary)
+    return build_graph(summary), report
+
+
+def build_bundle(files: DataFiles, observed: Observed | None = None) -> GraphBundle:
+    """The graph bundle of ``files``.  ``observed`` is the graph and the
+    ingest counts of the bundle's paths when they are already known, as
+    ``observe`` gives them; the clique and the features always come from
+    the bundle's own side files."""
+    graph, report = observed or observe(files)
     if files.clique:
         clique = load_clique_file(files.clique)
         missing = [a for a in sorted(clique) if not graph.contains(a)]
@@ -273,8 +291,8 @@ class Prepared:
     dataset: EdgeDataset
 
 
-def prepare(files: DataFiles, mode: str, seed: int) -> Prepared:
-    bundle = build_bundle(files)
+def prepare(files: DataFiles, mode: str, seed: int, observed: Observed | None = None) -> Prepared:
+    bundle = build_bundle(files, observed)
     labeled, report = prepare_labels(files)
     usable, dropped = restrict_to_graph(labeled, bundle.graph)
     dataset = make_dataset(usable, bundle.graph, mode, seed)

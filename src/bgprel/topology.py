@@ -19,7 +19,7 @@ matrices, and the edge rows the classifier scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -28,13 +28,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .ingest import (
+    MAX_ASN,
+    IngestReport,
     PathStore,
+    decode_array,
+    encode_array,
     load_asn_map,
     load_asn_set,
     pack_pairs,
     pack_unordered_pairs,
+    read_json,
     run_firsts,
     unpack_pairs,
+    write_json,
     write_table,
 )
 
@@ -411,6 +417,58 @@ def build_graph(paths: PathStore | GraphSummary) -> AsGraph:
     observers = _POPCOUNT[summary.seen].sum(axis=1, dtype=np.int64)
     vp = VpArrays(summary.count, summary.total, summary.low, summary.high, observers)
     return AsGraph(nodes, edges, transit, vp)
+
+
+_GRAPH_FORMAT = "bgprel-graph-v1"
+
+
+def save_graph(path: str | Path, graph: AsGraph, report: IngestReport) -> None:
+    """Write the observed graph and the ingest counts of the paths it
+    came from as one JSON document: the int64 arrays ``nodes``,
+    ``edge_rows`` and ``transit``, ``vp`` (the ``VpArrays`` stacked, one
+    row each) and ``ingest``.  ``load_graph`` reads it back."""
+    arrays = {"nodes": graph.nodes, "edge_rows": graph.edge_rows,
+              "transit": graph.transit, "vp": np.stack(graph.vp)}
+    write_json(path, {"format": _GRAPH_FORMAT, "ingest": asdict(report),
+                      **{k: encode_array(v.astype(np.int64, copy=False))
+                         for k, v in arrays.items()}})
+
+
+def load_graph(path: str | Path) -> tuple[AsGraph, IngestReport]:
+    """The graph and ingest counts ``save_graph`` wrote.  A file that is
+    not a saved graph, and a field that is missing, malformed or does
+    not fit the node array, are refused naming the file and the field."""
+    doc = read_json(path, "graph")
+    if not isinstance(doc, dict) or doc.get("format") != _GRAPH_FORMAT:
+        raise ValueError(f"not a graph file: {path} has no field 'format' "
+                         f"reading {_GRAPH_FORMAT!r}")
+
+    def array(name: str) -> np.ndarray:
+        if name not in doc:
+            raise ValueError(f"{path}: missing field {name!r}")
+        return decode_array(doc[name], path, name, ("int64",))
+
+    nodes, edges, transit, vp = map(array, ("nodes", "edge_rows", "transit", "vp"))
+    if nodes.ndim != 1 or (np.diff(nodes) <= 0).any() or (
+            nodes.size and not 1 <= nodes[0] <= nodes[-1] <= MAX_ASN):
+        raise ValueError(f"{path}: field 'nodes' is not increasing ASNs")
+    n = len(nodes)
+    want = {"edge_rows": [len(edges), 2], "transit": [n],
+            "vp": [len(VpArrays.unobserved(0)), n]}
+    for name, got in zip(want, (edges, transit, vp)):
+        if list(got.shape) != want[name]:
+            raise ValueError(f"{path}: field {name!r} has shape {list(got.shape)}, "
+                             f"but the {n} nodes give {want[name]}")
+    if edges.size and not 0 <= edges.min() <= edges.max() < n:
+        raise ValueError(f"{path}: field 'edge_rows' holds a node row outside [0, {n})")
+    if (edges[:, 0] >= edges[:, 1]).any() or (np.diff(edges[:, 0] * n + edges[:, 1]) <= 0).any():
+        raise ValueError(f"{path}: field 'edge_rows' is not distinct (a, b) rows, "
+                         "a < b, in sorted order")
+    counts, names = doc.get("ingest"), [f.name for f in fields(IngestReport)]
+    if not (isinstance(counts, dict) and sorted(counts) == sorted(names)
+            and all(type(v) is int and v >= 0 for v in counts.values())):
+        raise ValueError(f"{path}: field 'ingest' is not the counts {names}")
+    return AsGraph(nodes, edges, transit, VpArrays(*vp)), IngestReport(**counts)
 
 
 # -- top clique ------------------------------------------------------

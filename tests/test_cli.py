@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import io
@@ -16,7 +17,7 @@ import scipy
 
 from bgprel import cli, ingest, pipeline
 from bgprel.cli import run
-from bgprel.dataset import RelLabel
+from bgprel.dataset import MODE_CLASSES, RelLabel
 from bgprel.evaluate import map_runs
 from bgprel.ingest import PathStore
 from bgprel.pipeline import DataFiles, build_bundle, prepare
@@ -807,10 +808,20 @@ def test_manifests_record_the_ingest_counts(data_dir, train_dir, tmp_path):
         "importance": ["importance", "--data", str(d), *SMALL],
         "sweep": ["sweep", "--data", str(d), "--lr", "0.05", *SMALL],
     }
+    # predict and eval from the checkpoint just trained on d load the
+    # graph it saved, with the counts of the ingest that built it
+    trained = str(tmp_path / "train" / "checkpoint.json")
+    runs.update({
+        "predict-reused": ["predict", "--data", str(d), "--checkpoint", trained],
+        "eval-reused": ["eval", "--data", str(d), "--checkpoint", trained],
+    })
     for name, argv in runs.items():
         assert run([*argv, "--out", str(tmp_path / name)]) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["config"]["ingest"] == want, name
+        if argv[0] in ("predict", "eval"):
+            graph = "reused" if name.endswith("-reused") else "built"
+            assert manifest["config"]["graph"] == graph, name
 
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
@@ -824,6 +835,164 @@ def test_csv_outputs_end_lines_with_lf(command, input_root, data_dir, tmp_path):
     for path in [*written, *sorted(data_dir.iterdir())]:
         data = path.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n"), path.name
+
+
+# -- eval and predict reuse the graph their checkpoint's train saved ------
+
+
+GRAPH_READERS = ("eval", "predict", "predict-pairs")
+
+
+def _read_graph_with(command, data, checkpoint_dir, pairs, out):
+    """Run ``command`` (one of GRAPH_READERS) on the data directory and
+    the checkpoint in ``checkpoint_dir``; its output file's bytes and its
+    manifest."""
+    argv = {"eval": ["eval"], "predict": ["predict"],
+            "predict-pairs": ["predict", "--pairs", str(pairs)]}[command]
+    assert run([*argv, "--data", str(data), "--checkpoint",
+                str(checkpoint_dir / "checkpoint.json"), "--out", str(out)]) == 0
+    output = out / ("metrics.json" if command == "eval" else "predictions.csv")
+    return output.read_bytes(), json.loads((out / "manifest.json").read_text())
+
+
+@pytest.fixture
+def trained_copy(data_dir, train_dir, tmp_path):
+    """Copies of the data directory and of train's output directory, a
+    directory holding train's checkpoint alone, and a pairs file."""
+    data, trained, lone = tmp_path / "data", tmp_path / "train", tmp_path / "lone"
+    shutil.copytree(data_dir, data)
+    shutil.copytree(train_dir, trained)
+    lone.mkdir()
+    shutil.copy(train_dir / "checkpoint.json", lone)
+    a, b, _ = (data_dir / "labels_1.txt").read_text().splitlines()[0].split("|")
+    (tmp_path / "pairs.txt").write_text(f"{a}|{b}\n{b}|{a}\n")
+    return data, trained, lone, tmp_path / "pairs.txt"
+
+
+def _rewrite_manifest(trained, edit):
+    manifest = trained / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+
+
+# a path through an ASN the synth bundle does not use
+NEW_ASN = 999_999
+
+
+def _append(path, text):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+GRAPH_CASES = {
+    "reused": lambda data, trained: None,
+    "deleted": lambda data, trained: (trained / "graph.json").unlink(),
+    "changed": lambda data, trained: _append(
+        data / "paths.txt", data.joinpath("paths.txt").read_text().split("|")[0]
+        + f"|{NEW_ASN}\n"),
+    "alloc": lambda data, trained: (data / "alloc.txt").write_text("1-4294967295\n"),
+    "version": lambda data, trained: _rewrite_manifest(
+        trained, lambda doc: doc.update(version="0")),
+    "rewritten": lambda data, trained: _append(trained / "graph.json", "\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+@pytest.mark.parametrize("command", GRAPH_READERS)
+def test_reused_graph_gives_the_built_graphs_outputs(command, case, trained_copy, tmp_path):
+    """eval and predict load train's graph.json only while train's
+    manifest vouches that it came from the same paths and alloc files,
+    and write the same bytes as a run that builds the graph."""
+    data, trained, lone, pairs = trained_copy
+    if case == "changed":  # a digest of the paths is not kept from one run to the next
+        _, before = _read_graph_with(command, data, trained, pairs, tmp_path / "before")
+        assert before["config"]["graph"] == "reused"
+    GRAPH_CASES[case](data, trained)
+    got, manifest = _read_graph_with(command, data, trained, pairs, tmp_path / "got")
+    want, built = _read_graph_with(command, data, lone, pairs, tmp_path / "want")
+    assert got == want
+    assert built["config"]["graph"] == "built"
+    assert manifest["config"]["graph"] == ("reused" if case == "reused" else "built")
+    assert manifest["config"]["ingest"] == built["config"]["ingest"]
+    # train's files are inputs whenever they were read: its graph.json
+    # once the manifest matched, for the digest check
+    read = {"train_manifest": trained / "manifest.json"}
+    if case in ("reused", "rewritten"):
+        read["train_graph"] = trained / "graph.json"
+    assert {k: Path(v["path"]) for k, v in manifest["inputs"].items()
+            if k.startswith("train_")} == read
+    if case == "changed":  # the rebuilt graph shows the new path
+        assert manifest["config"]["ingest"]["parsed"] == json.loads(
+            (trained / "manifest.json").read_text())["config"]["ingest"]["parsed"] + 1
+        if command == "predict":
+            assert f",{NEW_ASN}," in got.decode()
+
+
+@pytest.mark.parametrize("command", GRAPH_READERS)
+def test_reused_graph_needs_no_ingest(command, trained_copy, tmp_path, monkeypatch):
+    data, trained, _, pairs = trained_copy
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("the paths were ingested")
+
+    monkeypatch.setattr(pipeline, "ingest_file", no_ingest)
+    monkeypatch.setattr(cli, "ingest_file", no_ingest)
+    _, manifest = _read_graph_with(command, data, trained, pairs, tmp_path / "out")
+    assert manifest["config"]["graph"] == "reused"
+
+
+def _edit_graph_array(name, edit):
+    def rewrite(doc):
+        doc[name] = ingest.encode_array(edit(ingest.decode_array(
+            doc[name], "graph.json", name, ("int64",))))
+        return json.dumps(doc)
+    return rewrite
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: json.dumps(doc)[:1000], "is not JSON"),
+    (_edit_graph_array("transit", lambda a: np.append(a, 0)), "field 'transit' has shape"),
+    (_edit_graph_array("edge_rows", lambda a: np.where(a == a.max(), a.max() + 1, a)),
+     "field 'edge_rows' holds a node row outside"),
+], ids=["truncated", "per-node-length", "edge-row-range"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_bad_graph_the_manifest_vouches_for_is_refused(command, edit, message, trained_copy,
+                                                      tmp_path, capsys):
+    data, trained, _, _ = trained_copy
+    graph = trained / "graph.json"
+    graph.write_text(edit(json.loads(graph.read_text())))
+    digest = hashlib.sha256(graph.read_bytes()).hexdigest()
+    _rewrite_manifest(trained, lambda doc: doc["outputs"]["graph"].update(sha256=digest))
+    code = run([command, "--data", str(data), "--checkpoint", str(trained / "checkpoint.json"),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(graph) in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_paths_flag_overrides_the_data_directory(data_dir, tmp_path):
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text((data_dir / "paths.txt").read_text().splitlines()[0] + "\n")
+    assert run(["features", "--data", str(data_dir), "--paths", str(tiny),
+                "--out", str(tmp_path / "f")]) == 0
+    manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+    assert Path(manifest["inputs"]["paths"]["path"]) == tiny
+    assert manifest["config"]["ingest"]["parsed"] == 1
+    hops = len(set(tiny.read_text().strip().split("|")))
+    rows = (tmp_path / "f" / "features.csv").read_text().splitlines()[1:]
+    assert len(rows) == hops
+
+
+def test_mode_choices_are_the_modes_class_lists():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    modes = {name: next(a.choices for a in p._actions if "--mode" in a.option_strings)
+             for name, p in subs.choices.items()
+             if any("--mode" in a.option_strings for a in p._actions)}
+    assert sorted(modes) == ["dataset", "importance", "sweep", "train"]
+    assert all(list(choices) == list(MODE_CLASSES) for choices in modes.values())
 
 
 # -- the README advertises only flags the parser takes ---------------------
@@ -1002,7 +1171,12 @@ def _run_front_end(command, data_dir, train_dir, out):
 @pytest.mark.parametrize("command", sorted(RANGE_COMMANDS))
 def test_forked_paths_ranges_do_not_change_outputs(command, data_dir, train_dir, tmp_path,
                                                    monkeypatch):
-    assert _run_front_end(command, data_dir, train_dir, tmp_path / "one") == 0
+    # predict reads the checkpoint alone, without train's manifest and
+    # graph.json, so that it ingests the paths itself
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copy(train_dir / "checkpoint.json", lone)
+    assert _run_front_end(command, data_dir, lone, tmp_path / "one") == 0
     monkeypatch.setattr(ingest, "_RANGE_FLOOR", 1)
     monkeypatch.setattr(ingest, "worker_count", lambda runs: 2)
     assert len(ingest._line_ranges(data_dir / "paths.txt", 2)) == 2
@@ -1010,7 +1184,7 @@ def test_forked_paths_ranges_do_not_change_outputs(command, data_dir, train_dir,
     monkeypatch.setattr(ingest, "map_runs",
                         lambda run, items, workers: forks.append(workers)
                         or map_runs(run, items, workers))
-    assert _run_front_end(command, data_dir, train_dir, tmp_path / "two") == 0
+    assert _run_front_end(command, data_dir, lone, tmp_path / "two") == 0
     assert forks == [2]
     for name in RANGE_COMMANDS[command]:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()

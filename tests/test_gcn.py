@@ -1070,9 +1070,13 @@ class TestPersistence:
         (lambda a: a.pop("data"), "field 'data' of 'head_w' is not base64"),
         (lambda a: a.update(shape=[8, 3]), "field 'data' of 'head_w' holds 64 bytes"),
         (lambda a: a.update(byte_order="big"), "'big' in field 'byte_order' of 'head_w'"),
+        (lambda a: a.update(dtype="int64"), "unsupported array dtype 'int64' in field "
+                                            "'dtype' of 'head_w' (expected 'float32' or "
+                                            "'float64')"),
         (lambda a: a.update(dtype="float64", data=base64.b64encode(bytes(128)).decode()),
          "field 'dtype' of 'head_w' is not that of 'blocks[0][0]'"),
-    ], ids=["shape", "data-junk", "data-missing", "data-short", "byte-order", "mixed-dtype"])
+    ], ids=["shape", "data-junk", "data-missing", "data-short", "byte-order", "int-dtype",
+         "mixed-dtype"])
     def test_malformed_array_is_refused_naming_its_field(self, tmp_path, edit, message):
         f = tmp_path / "model.json"
         save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0),

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import random
+import re
 from unittest import mock
 
 import networkx as nx
@@ -125,6 +127,64 @@ class TestBuildGraph:
             g.degrees()[g.positions(99)]
         with pytest.raises(UnknownNodeError):
             g.transit[g.positions(99)]
+
+
+def _recode(name, edit):
+    """A graph document edit: decode field ``name``, edit the array and
+    encode it again."""
+    def apply(doc):
+        doc[name] = ingest.encode_array(edit(ingest.decode_array(
+            doc[name], "graph.json", name, ("int64",))))
+    return apply
+
+
+class TestSavedGraph:
+    REPORT = ingest.IngestReport(parsed=9, compressed=2, rejected_loop=1, malformed=1)
+
+    def saved(self, tmp_path):
+        g = graph_of(random_paths(random.Random(3)))
+        f = tmp_path / "graph.json"
+        topology.save_graph(f, g, self.REPORT)
+        return g, f
+
+    def test_round_trip(self, tmp_path):
+        g, f = self.saved(tmp_path)
+        loaded, report = topology.load_graph(f)
+        assert report == self.REPORT
+        for name in ("nodes", "edge_rows", "indptr", "indices", "edge_of", "transit"):
+            got, want = getattr(loaded, name), getattr(g, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for got, want in zip(loaded.vp, g.vp):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert raw_features(loaded) == raw_features(g)
+        with pytest.raises(ValueError):
+            loaded.transit[0] = 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.pop("format"), "has no field 'format'"),
+        (lambda doc: doc.pop("nodes"), "missing field 'nodes'"),
+        (_recode("nodes", lambda a: a[::-1]), "field 'nodes' is not increasing ASNs"),
+        (_recode("nodes", lambda a: a - a[0]), "field 'nodes' is not increasing ASNs"),
+        (_recode("nodes", lambda a: a.astype(np.float64)),
+         "unsupported array dtype 'float64' in field 'dtype' of 'nodes' (expected 'int64')"),
+        (_recode("transit", lambda a: a[:-1]), "field 'transit' has shape"),
+        (_recode("vp", lambda a: a[:4]), "field 'vp' has shape [4, "),
+        (_recode("edge_rows", lambda a: a[:, :1]), "field 'edge_rows' has shape"),
+        (_recode("edge_rows", lambda a: a - 1), "field 'edge_rows' holds a node row outside"),
+        (_recode("edge_rows", lambda a: a[:, ::-1]), "field 'edge_rows' is not distinct"),
+        (_recode("edge_rows", lambda a: a[::-1]), "field 'edge_rows' is not distinct"),
+        (lambda doc: doc["ingest"].pop("parsed"), "field 'ingest' is not the counts"),
+        (lambda doc: doc["ingest"].update(parsed=-1), "field 'ingest' is not the counts"),
+    ], ids=["format", "missing", "nodes-order", "nodes-range", "nodes-dtype", "transit",
+            "vp", "edge-width", "edge-range", "edge-orientation", "edge-order",
+            "ingest-missing", "ingest-negative"])
+    def test_malformed_field_is_refused(self, tmp_path, edit, message):
+        _, f = self.saved(tmp_path)
+        doc = json.loads(f.read_text())
+        edit(doc)
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(f)) + ".*" + re.escape(message)):
+            topology.load_graph(f)
 
 
 def _loop_free(hops):
