@@ -4,12 +4,12 @@ Every subcommand writes its artifacts under --out and returns the
 ``Manifest`` record of its run.  ``run`` then writes manifest.json next
 to them, recording the invocation, the input and output file digests,
 the seed, the library versions, the thread settings and the BLAS thread
-count, and the wall time, so a run can be audited later.  A command
-that builds the graph records its ingest counts under ``config``.
-``train`` also saves the observed graph as graph.json, and ``eval`` and
-``predict`` load it instead of ingesting when the manifest next to
-their checkpoint shows it came from the same paths and alloc files
-(``_trained_graph``).
+count, and the wall time, so a run can be audited later; no command
+reads a manifest.  A command that builds the graph records its ingest
+counts under ``config``.  ``train`` also saves the observed graph in its
+checkpoint, with the digests of the paths and alloc files it came from,
+and ``eval`` and ``predict`` use it instead of ingesting when their own
+files have those digests (``_trained_graph``).
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -59,7 +59,6 @@ from .ingest import (
     ingest_file,
     parse_asn,
     read_fields,
-    read_json,
     write_json,
     write_paths_file,
     write_table,
@@ -88,7 +87,7 @@ from .synth import (
     policy_violations,
     simulate_paths,
 )
-from .topology import AsGraph, load_graph, save_graph, write_features_csv
+from .topology import AsGraph, decode_graph, encode_graph, write_features_csv
 
 # not called here; kept bound because the benchmark tracer wraps them
 from .pipeline import make_dataset, restrict_to_graph  # noqa: F401
@@ -110,7 +109,7 @@ def _sha256(path: Path) -> str:
 def _input_digest(path: Path) -> str:
     """An input file's sha256.  ``run`` empties the cache before each
     command, so a command reads each input once for its digest, which
-    both the graph reuse check and the manifest use."""
+    both the graph's source record and the manifest use."""
     return _sha256(path)
 
 
@@ -263,6 +262,8 @@ def _files_from_args(
     # explicit flags override whatever discovery finds, --paths included
     paths = _require(args.paths, "paths") if args.paths or need_paths and not args.data else None
     files = DataFiles.discover(args.data, paths) if args.data else DataFiles(paths, labels=[])
+    if need_paths and files.paths is None:
+        raise FileNotFoundError(f"missing paths file: {Path(args.data) / 'paths.txt'}")
     for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
@@ -300,11 +301,11 @@ def _train_config(args, **overrides) -> TrainConfig:
         raise SystemExit2(str(exc)) from None
 
 
-def _check_width(model, bundle) -> None:
+def _check_width(checkpoint: Path, model, bundle) -> None:
     """Refuse a checkpoint trained on a different feature width."""
     if model.input_dim != bundle.features.values.shape[1]:
         raise ValueError(
-            f"checkpoint expects {model.input_dim} feature columns, "
+            f"checkpoint {checkpoint} expects {model.input_dim} feature columns, "
             f"data has {bundle.features.values.shape[1]}"
         )
 
@@ -341,38 +342,21 @@ def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
     return checkpoint, model, meta
 
 
-def _trained_graph(checkpoint: Path, files: DataFiles) -> tuple[Observed | None, dict[str, Path]]:
+def _source(files: DataFiles) -> dict:
+    """What the graph of ``files`` is built from: this version, and the
+    sha256 of the paths file and of the alloc file (None without one)."""
+    return {"version": __version__, "paths": _input_digest(files.paths),
+            "alloc": files.alloc and _input_digest(files.alloc)}
+
+
+def _trained_graph(checkpoint: Path, meta: dict, files: DataFiles) -> Observed | None:
     """The graph and ingest counts that the checkpoint's ``train`` run
-    saved, when they are those of ``files``: the checkpoint's directory
-    holds a manifest of this version that records the sha256 of this
-    bundle's paths file and of its alloc file (or no alloc file where
-    the bundle has none), and lists graph.json as an output with the
-    sha256 it has now.  Otherwise None, and the caller ingests.  Also
-    the files of that run this read, for the manifest's inputs."""
-    manifest = checkpoint.parent / "manifest.json"
-    graph_file = checkpoint.parent / "graph.json"
-    if not manifest.is_file():
-        return None, {}
-    read = {"train_manifest": manifest}
-    try:
-        doc = read_json(manifest, "manifest")
-    except ValueError:
-        return None, read
-
-    def digest(section: str, name: str) -> str | None:
-        entry = doc.get(section) if isinstance(doc, dict) else None
-        entry = entry.get(name) if isinstance(entry, dict) else None
-        return entry.get("sha256") if isinstance(entry, dict) else None
-
-    same_inputs = isinstance(doc, dict) and doc.get("version") == __version__ and all(
-        digest("inputs", name) == (path and _input_digest(path))
-        for name, path in (("paths", files.paths), ("alloc", files.alloc)))
-    if not (same_inputs and graph_file.is_file()):
-        return None, read
-    read["train_graph"] = graph_file
-    if digest("outputs", "graph") != _input_digest(graph_file):
-        return None, read
-    return load_graph(graph_file), read
+    saved in its meta, when they are those of ``files``: ``meta.source``
+    is the source record of ``files``.  Otherwise None, and the caller
+    ingests."""
+    if "graph" not in meta or meta.get("source") != _source(files):
+        return None
+    return decode_graph(meta["graph"], checkpoint, "meta.graph")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -448,8 +432,6 @@ def cmd_train(args) -> Manifest:
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
     dataset = prep.dataset
-    graph_file = out / "graph.json"
-    save_graph(graph_file, prep.bundle.graph, prep.bundle.report)
     a_hat = adjacency_for(prep.bundle.graph, True)
     outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
 
@@ -463,6 +445,8 @@ def cmd_train(args) -> Manifest:
             "delta": WEIGHT_FLOOR,
             "classes": dataset.class_names,
             "best_epoch": outcome.result.best_epoch,
+            "source": _source(files),
+            "graph": encode_graph(prep.bundle.graph, prep.bundle.report),
         },
     )
     history = out / "history.csv"
@@ -482,8 +466,7 @@ def cmd_train(args) -> Manifest:
     print(format_confusion(outcome.confusion["test"], dataset.class_names))
     return Manifest(
         {**asdict(config), "ingest": prep.bundle.report.as_dict()}, files.inputs(),
-        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file,
-         "graph": graph_file},
+        {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
         args.seed,
     )
 
@@ -492,11 +475,11 @@ def cmd_eval(args) -> Manifest:
     checkpoint, model, meta = _load_checkpoint(args)
     mode, seed = meta["mode"], meta["seed"]
     files = _files_from_args(args)
-    observed, read = _trained_graph(checkpoint, files)
-    out = _out_dir(args)
+    observed = _trained_graph(checkpoint, meta, files)
     prep = prepare(files, mode, seed, observed)
     bundle, dataset = prep.bundle, prep.dataset
-    _check_width(model, bundle)
+    _check_width(checkpoint, model, bundle)
+    out = _out_dir(args)
     a_hat = adjacency_for(bundle.graph, True)
     splits = score_splits(model, a_hat, bundle.features.values, dataset)
     metrics_file = out / "metrics.json"
@@ -507,7 +490,7 @@ def cmd_eval(args) -> Manifest:
     print(format_confusion(splits["test"], dataset.class_names))
     return Manifest({"mode": mode, "ingest": bundle.report.as_dict(),
                      "graph": "reused" if observed else "built"},
-                    {"checkpoint": checkpoint, **files.inputs(), **read},
+                    {"checkpoint": checkpoint, **files.inputs()},
                     {"metrics": metrics_file}, seed)
 
 
@@ -519,10 +502,10 @@ def cmd_predict(args) -> Manifest:
     checkpoint, model, meta = _load_checkpoint(args)
     classes = meta["classes"]
     files = _files_from_args(args, need_labels=False)
-    observed, read = _trained_graph(checkpoint, files)
-    out = _out_dir(args)
+    observed = _trained_graph(checkpoint, meta, files)
     bundle = build_bundle(files, observed)
-    _check_width(model, bundle)
+    _check_width(checkpoint, model, bundle)
+    out = _out_dir(args)
 
     graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
@@ -546,7 +529,7 @@ def cmd_predict(args) -> Manifest:
     return Manifest(
         {"pairs": len(wanted), "ingest": bundle.report.as_dict(),
          "graph": "reused" if observed else "built"},
-        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs(), **read},
+        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
         {"predictions": pred_file}, None,
     )
 

@@ -78,20 +78,18 @@ class DataFiles:
     @classmethod
     def discover(cls, directory: str | Path, paths: Path | None = None) -> "DataFiles":
         """Pick up the conventional file names from one directory;
-        ``paths``, when given, stands in for its ``paths.txt``."""
+        ``paths``, when given, stands in for its ``paths.txt``.  A file
+        the directory does not hold stays None, ``paths.txt`` too."""
         d = Path(directory)
         if not d.is_dir():
             raise FileNotFoundError(f"data directory not found: {d}")
-        paths = paths or d / "paths.txt"
-        if not paths.is_file():
-            raise FileNotFoundError(f"missing paths file: {paths}")
 
         def opt(name: str) -> Path | None:
             p = d / name
             return p if p.is_file() else None
 
         return cls(
-            paths=paths,
+            paths=paths or opt("paths.txt"),
             labels=sorted(d.glob("labels_*.txt")),
             truth=opt("truth.csv"),
             **{key: opt(name) for key, name in SIDE_FILES.items()},

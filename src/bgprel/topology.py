@@ -37,10 +37,8 @@ from .ingest import (
     load_asn_set,
     pack_pairs,
     pack_unordered_pairs,
-    read_json,
     run_firsts,
     unpack_pairs,
-    write_json,
     write_table,
 )
 
@@ -419,55 +417,51 @@ def build_graph(paths: PathStore | GraphSummary) -> AsGraph:
     return AsGraph(nodes, edges, transit, vp)
 
 
-_GRAPH_FORMAT = "bgprel-graph-v1"
-
-
-def save_graph(path: str | Path, graph: AsGraph, report: IngestReport) -> None:
-    """Write the observed graph and the ingest counts of the paths it
-    came from as one JSON document: the int64 arrays ``nodes``,
-    ``edge_rows`` and ``transit``, ``vp`` (the ``VpArrays`` stacked, one
-    row each) and ``ingest``.  ``load_graph`` reads it back."""
+def encode_graph(graph: AsGraph, report: IngestReport) -> dict:
+    """The observed graph and the ingest counts of the paths it came
+    from as one JSON object: the int64 arrays ``nodes``, ``edge_rows``
+    and ``transit``, ``vp`` (the ``VpArrays`` stacked, one row each) and
+    ``ingest``.  ``decode_graph`` reads it back."""
     arrays = {"nodes": graph.nodes, "edge_rows": graph.edge_rows,
               "transit": graph.transit, "vp": np.stack(graph.vp)}
-    write_json(path, {"format": _GRAPH_FORMAT, "ingest": asdict(report),
-                      **{k: encode_array(v.astype(np.int64, copy=False))
-                         for k, v in arrays.items()}})
+    return {"ingest": asdict(report), **{k: encode_array(v.astype(np.int64, copy=False))
+                                         for k, v in arrays.items()}}
 
 
-def load_graph(path: str | Path) -> tuple[AsGraph, IngestReport]:
-    """The graph and ingest counts ``save_graph`` wrote.  A file that is
-    not a saved graph, and a field that is missing, malformed or does
-    not fit the node array, are refused naming the file and the field."""
-    doc = read_json(path, "graph")
-    if not isinstance(doc, dict) or doc.get("format") != _GRAPH_FORMAT:
-        raise ValueError(f"not a graph file: {path} has no field 'format' "
-                         f"reading {_GRAPH_FORMAT!r}")
+def decode_graph(doc, path: str | Path, name: str) -> tuple[AsGraph, IngestReport]:
+    """The graph and ingest counts ``encode_graph`` gave, which the file
+    ``path`` holds in field ``name``.  A field that is missing, malformed
+    or does not fit the node array is refused naming the file and the
+    field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: field {name!r} is not an object")
 
-    def array(name: str) -> np.ndarray:
-        if name not in doc:
-            raise ValueError(f"{path}: missing field {name!r}")
-        return decode_array(doc[name], path, name, ("int64",))
+    def array(key: str) -> np.ndarray:
+        if key not in doc:
+            raise ValueError(f"{path}: missing field '{name}.{key}'")
+        return decode_array(doc[key], path, f"{name}.{key}", ("int64",))
 
     nodes, edges, transit, vp = map(array, ("nodes", "edge_rows", "transit", "vp"))
     if nodes.ndim != 1 or (np.diff(nodes) <= 0).any() or (
             nodes.size and not 1 <= nodes[0] <= nodes[-1] <= MAX_ASN):
-        raise ValueError(f"{path}: field 'nodes' is not increasing ASNs")
+        raise ValueError(f"{path}: field '{name}.nodes' is not increasing ASNs")
     n = len(nodes)
     want = {"edge_rows": [len(edges), 2], "transit": [n],
             "vp": [len(VpArrays.unobserved(0)), n]}
-    for name, got in zip(want, (edges, transit, vp)):
-        if list(got.shape) != want[name]:
-            raise ValueError(f"{path}: field {name!r} has shape {list(got.shape)}, "
-                             f"but the {n} nodes give {want[name]}")
+    for key, got in zip(want, (edges, transit, vp)):
+        if list(got.shape) != want[key]:
+            raise ValueError(f"{path}: field '{name}.{key}' has shape {list(got.shape)}, "
+                             f"but the {n} nodes give {want[key]}")
     if edges.size and not 0 <= edges.min() <= edges.max() < n:
-        raise ValueError(f"{path}: field 'edge_rows' holds a node row outside [0, {n})")
+        raise ValueError(f"{path}: field '{name}.edge_rows' holds a node row "
+                         f"outside [0, {n})")
     if (edges[:, 0] >= edges[:, 1]).any() or (np.diff(edges[:, 0] * n + edges[:, 1]) <= 0).any():
-        raise ValueError(f"{path}: field 'edge_rows' is not distinct (a, b) rows, "
+        raise ValueError(f"{path}: field '{name}.edge_rows' is not distinct (a, b) rows, "
                          "a < b, in sorted order")
     counts, names = doc.get("ingest"), [f.name for f in fields(IngestReport)]
     if not (isinstance(counts, dict) and sorted(counts) == sorted(names)
             and all(type(v) is int and v >= 0 for v in counts.values())):
-        raise ValueError(f"{path}: field 'ingest' is not the counts {names}")
+        raise ValueError(f"{path}: field '{name}.ingest' is not the counts {names}")
     return AsGraph(nodes, edges, transit, VpArrays(*vp)), IngestReport(**counts)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import collections
 import hashlib
 import io
 import json
@@ -213,6 +214,34 @@ def test_dataset_command(data_dir, tmp_path, capsys):
     assert (out / "vote_report.json").is_file()
 
 
+def test_dataset_of_a_directory_without_paths_votes_the_labels_alone(perturbed_dir, tmp_path):
+    """``dataset --data D`` on a directory of label and side files only
+    writes what the flags naming those files write."""
+    labels = sorted(perturbed_dir.glob("labels_*.txt"))
+    d = tmp_path / "d"
+    d.mkdir()
+    for f in [*labels, perturbed_dir / "orgs.csv", perturbed_dir / "ixps.txt"]:
+        shutil.copy(f, d)
+    assert run(["dataset", "--data", str(d), "--out", str(tmp_path / "dir")]) == 0
+    assert run(["dataset", *(a for f in labels for a in ("--labels", str(f))),
+                "--orgs", str(perturbed_dir / "orgs.csv"), "--ixps", str(perturbed_dir / "ixps.txt"),
+                "--out", str(tmp_path / "flags")]) == 0
+    for name in ("edges.csv", "vote_report.json"):
+        assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    rows = (tmp_path / "dir" / "edges.csv").read_text().splitlines()[1:]
+    per_class = collections.Counter(row.split(",")[2] for row in rows)
+    assert sorted(per_class) == ["p2c", "p2p", "s2s", "x2x"]
+    assert set(per_class.values()) == {154}
+
+
+def test_features_of_a_directory_without_paths_names_it(data_dir, tmp_path, capsys):
+    d = tmp_path / "d"
+    shutil.copytree(data_dir, d)
+    (d / "paths.txt").unlink()
+    assert run(["features", "--data", str(d), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: missing paths file: {d / 'paths.txt'}\n"
+
+
 def test_dataset_needs_two_sources(data_dir, tmp_path, capsys):
     code = run([
         "dataset", "--labels", str(data_dir / "labels_1.txt"),
@@ -248,10 +277,9 @@ def test_train_outputs(train_dir):
 def test_manifest_digests_match(train_dir):
     doc = json.loads((train_dir / "manifest.json").read_text())
     assert doc["command"] == "train"
+    assert sorted(doc["outputs"]) == ["checkpoint", "history", "metrics"]
     for entry in doc["outputs"].values():
-        digest = hashlib.sha256(
-            open(entry["path"], "rb").read()
-        ).hexdigest()
+        digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
     assert doc["wall_time_s"] > 0
     assert any(k.startswith("labels_") for k in doc["inputs"])
@@ -808,8 +836,8 @@ def test_manifests_record_the_ingest_counts(data_dir, train_dir, tmp_path):
         "importance": ["importance", "--data", str(d), *SMALL],
         "sweep": ["sweep", "--data", str(d), "--lr", "0.05", *SMALL],
     }
-    # predict and eval from the checkpoint just trained on d load the
-    # graph it saved, with the counts of the ingest that built it
+    # predict and eval from the checkpoint just trained on d use the
+    # graph it carries, with the counts of the ingest that built it
     trained = str(tmp_path / "train" / "checkpoint.json")
     runs.update({
         "predict-reused": ["predict", "--data", str(d), "--checkpoint", trained],
@@ -855,25 +883,39 @@ def _read_graph_with(command, data, checkpoint_dir, pairs, out):
     return output.read_bytes(), json.loads((out / "manifest.json").read_text())
 
 
+def _rewrite_checkpoint(trained, edit):
+    checkpoint = trained / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text())
+    edit(doc)
+    checkpoint.write_text(json.dumps(doc))
+
+
+def _drop_graph(doc):
+    """A checkpoint as one that does not carry its graph."""
+    del doc["meta"]["graph"], doc["meta"]["source"]
+
+
+def _graphless_copy(train_dir, out):
+    """A directory holding train's checkpoint without its graph, so
+    that a command reading it ingests the paths itself."""
+    out.mkdir()
+    shutil.copy(train_dir / "checkpoint.json", out)
+    _rewrite_checkpoint(out, _drop_graph)
+    return out
+
+
 @pytest.fixture
 def trained_copy(data_dir, train_dir, tmp_path):
     """Copies of the data directory and of train's output directory, a
-    directory holding train's checkpoint alone, and a pairs file."""
-    data, trained, lone = tmp_path / "data", tmp_path / "train", tmp_path / "lone"
+    directory holding train's checkpoint without its graph, and a pairs
+    file."""
+    data, trained = tmp_path / "data", tmp_path / "train"
     shutil.copytree(data_dir, data)
     shutil.copytree(train_dir, trained)
-    lone.mkdir()
-    shutil.copy(train_dir / "checkpoint.json", lone)
+    lone = _graphless_copy(train_dir, tmp_path / "lone")
     a, b, _ = (data_dir / "labels_1.txt").read_text().splitlines()[0].split("|")
     (tmp_path / "pairs.txt").write_text(f"{a}|{b}\n{b}|{a}\n")
     return data, trained, lone, tmp_path / "pairs.txt"
-
-
-def _rewrite_manifest(trained, edit):
-    manifest = trained / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    edit(doc)
-    manifest.write_text(json.dumps(doc))
 
 
 # a path through an ASN the synth bundle does not use
@@ -887,23 +929,24 @@ def _append(path, text):
 
 GRAPH_CASES = {
     "reused": lambda data, trained: None,
-    "deleted": lambda data, trained: (trained / "graph.json").unlink(),
+    "deleted": lambda data, trained: _rewrite_checkpoint(
+        trained, lambda doc: doc["meta"].pop("graph")),
     "changed": lambda data, trained: _append(
         data / "paths.txt", data.joinpath("paths.txt").read_text().split("|")[0]
         + f"|{NEW_ASN}\n"),
     "alloc": lambda data, trained: (data / "alloc.txt").write_text("1-4294967295\n"),
-    "version": lambda data, trained: _rewrite_manifest(
-        trained, lambda doc: doc.update(version="0")),
-    "rewritten": lambda data, trained: _append(trained / "graph.json", "\n"),
+    "version": lambda data, trained: _rewrite_checkpoint(
+        trained, lambda doc: doc["meta"]["source"].update(version="0")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
 @pytest.mark.parametrize("command", GRAPH_READERS)
 def test_reused_graph_gives_the_built_graphs_outputs(command, case, trained_copy, tmp_path):
-    """eval and predict load train's graph.json only while train's
-    manifest vouches that it came from the same paths and alloc files,
-    and write the same bytes as a run that builds the graph."""
+    """eval and predict use the graph train saved in its checkpoint
+    only while the checkpoint's ``meta.source`` shows it came from the
+    same paths and alloc files, and write the same bytes as a run that
+    builds the graph."""
     data, trained, lone, pairs = trained_copy
     if case == "changed":  # a digest of the paths is not kept from one run to the next
         _, before = _read_graph_with(command, data, trained, pairs, tmp_path / "before")
@@ -915,13 +958,9 @@ def test_reused_graph_gives_the_built_graphs_outputs(command, case, trained_copy
     assert built["config"]["graph"] == "built"
     assert manifest["config"]["graph"] == ("reused" if case == "reused" else "built")
     assert manifest["config"]["ingest"] == built["config"]["ingest"]
-    # train's files are inputs whenever they were read: its graph.json
-    # once the manifest matched, for the digest check
-    read = {"train_manifest": trained / "manifest.json"}
-    if case in ("reused", "rewritten"):
-        read["train_graph"] = trained / "graph.json"
-    assert {k: Path(v["path"]) for k, v in manifest["inputs"].items()
-            if k.startswith("train_")} == read
+    # the checkpoint is the one file of train's run that is read
+    assert Path(manifest["inputs"]["checkpoint"]["path"]) == trained / "checkpoint.json"
+    assert sorted(manifest["inputs"]) == sorted(built["inputs"])
     if case == "changed":  # the rebuilt graph shows the new path
         assert manifest["config"]["ingest"]["parsed"] == json.loads(
             (trained / "manifest.json").read_text())["config"]["ingest"]["parsed"] + 1
@@ -944,31 +983,59 @@ def test_reused_graph_needs_no_ingest(command, trained_copy, tmp_path, monkeypat
 
 def _edit_graph_array(name, edit):
     def rewrite(doc):
-        doc[name] = ingest.encode_array(edit(ingest.decode_array(
-            doc[name], "graph.json", name, ("int64",))))
+        graph = doc["meta"]["graph"]
+        graph[name] = ingest.encode_array(edit(ingest.decode_array(
+            graph[name], "checkpoint.json", name, ("int64",))))
         return json.dumps(doc)
     return rewrite
 
 
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: json.dumps(doc)[:1000], "is not JSON"),
-    (_edit_graph_array("transit", lambda a: np.append(a, 0)), "field 'transit' has shape"),
+    (_edit_graph_array("transit", lambda a: np.append(a, 0)),
+     "field 'meta.graph.transit' has shape"),
     (_edit_graph_array("edge_rows", lambda a: np.where(a == a.max(), a.max() + 1, a)),
-     "field 'edge_rows' holds a node row outside"),
+     "field 'meta.graph.edge_rows' holds a node row outside"),
 ], ids=["truncated", "per-node-length", "edge-row-range"])
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_bad_graph_the_manifest_vouches_for_is_refused(command, edit, message, trained_copy,
                                                       tmp_path, capsys):
+    """A bad graph in a checkpoint whose source record, its manifest of
+    the graph's inputs, matches the command's files is refused naming
+    the checkpoint and the field, before --out is created."""
     data, trained, _, _ = trained_copy
-    graph = trained / "graph.json"
-    graph.write_text(edit(json.loads(graph.read_text())))
-    digest = hashlib.sha256(graph.read_bytes()).hexdigest()
-    _rewrite_manifest(trained, lambda doc: doc["outputs"]["graph"].update(sha256=digest))
-    code = run([command, "--data", str(data), "--checkpoint", str(trained / "checkpoint.json"),
+    checkpoint = trained / "checkpoint.json"
+    checkpoint.write_text(edit(json.loads(checkpoint.read_text())))
+    code = run([command, "--data", str(data), "--checkpoint", str(checkpoint),
                 "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(graph) in err and message in err
+    assert err.startswith("error: ") and str(checkpoint) in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def _widen_first_layer(doc):
+    """A checkpoint as one trained on one more feature column."""
+    first = ingest.decode_array(doc["blocks"][0][0], "checkpoint.json", "blocks[0][0]",
+                                ("float32", "float64"))
+    doc["blocks"][0][0] = ingest.encode_array(np.vstack([first, first[:1]]))
+    doc["input_dim"] += 1
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_of_another_width_is_refused_before_out(command, data_dir, train_dir,
+                                                          tmp_path, capsys):
+    trained = tmp_path / "train"
+    trained.mkdir()
+    shutil.copy(train_dir / "checkpoint.json", trained)
+    _rewrite_checkpoint(trained, _widen_first_layer)
+    checkpoint = trained / "checkpoint.json"
+    width = json.loads(checkpoint.read_text())["input_dim"]
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: checkpoint {checkpoint} expects {width} "
+                                       f"feature columns, data has {width - 1}\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -1171,11 +1238,9 @@ def _run_front_end(command, data_dir, train_dir, out):
 @pytest.mark.parametrize("command", sorted(RANGE_COMMANDS))
 def test_forked_paths_ranges_do_not_change_outputs(command, data_dir, train_dir, tmp_path,
                                                    monkeypatch):
-    # predict reads the checkpoint alone, without train's manifest and
-    # graph.json, so that it ingests the paths itself
-    lone = tmp_path / "lone"
-    lone.mkdir()
-    shutil.copy(train_dir / "checkpoint.json", lone)
+    # predict reads the checkpoint without its graph, so that it ingests
+    # the paths itself
+    lone = _graphless_copy(train_dir, tmp_path / "lone")
     assert _run_front_end(command, data_dir, lone, tmp_path / "one") == 0
     monkeypatch.setattr(ingest, "_RANGE_FLOOR", 1)
     monkeypatch.setattr(ingest, "worker_count", lambda runs: 2)

@@ -104,10 +104,9 @@ def test_discover_errors_name_the_path(tmp_path):
     with pytest.raises(FileNotFoundError) as e:
         DataFiles.discover(tmp_path / "nope")
     assert "nope" in str(e.value)
-    with pytest.raises(FileNotFoundError) as e:
-        DataFiles.discover(tmp_path)
-    assert "paths.txt" in str(e.value)
-    # labels are optional here; commands that need them check the count
+    # the paths file and the labels are optional here; commands that
+    # need them refuse a bundle without them
+    assert DataFiles.discover(tmp_path).paths is None
     (tmp_path / "paths.txt").write_text("1|2|3\n")
     assert DataFiles.discover(tmp_path).labels == []
 

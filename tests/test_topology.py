@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bgprel import ingest, topology
+from bgprel.gcn import init_model, load_checkpoint, save_checkpoint
 from bgprel.ingest import AsPath, MAX_ASN, PathStore, ingest_lines, unpack_pairs
 from bgprel.topology import (
     FEATURE_COLUMNS,
@@ -130,26 +131,35 @@ class TestBuildGraph:
 
 
 def _recode(name, edit):
-    """A graph document edit: decode field ``name``, edit the array and
-    encode it again."""
-    def apply(doc):
-        doc[name] = ingest.encode_array(edit(ingest.decode_array(
-            doc[name], "graph.json", name, ("int64",))))
+    """A checkpoint meta edit: decode field ``name`` of its graph, edit
+    the array and encode it again."""
+    def apply(meta):
+        graph = meta["graph"]
+        graph[name] = ingest.encode_array(edit(ingest.decode_array(
+            graph[name], "checkpoint.json", name, ("int64",))))
     return apply
 
 
 class TestSavedGraph:
+    """The graph a checkpoint carries in ``meta.graph``."""
+
     REPORT = ingest.IngestReport(parsed=9, compressed=2, rejected_loop=1, malformed=1)
 
     def saved(self, tmp_path):
         g = graph_of(random_paths(random.Random(3)))
-        f = tmp_path / "graph.json"
-        topology.save_graph(f, g, self.REPORT)
+        f = tmp_path / "checkpoint.json"
+        model = init_model(3, 4, 2, (1, 1), np.random.default_rng(0))
+        save_checkpoint(f, model, meta={"graph": topology.encode_graph(g, self.REPORT)})
         return g, f
+
+    @staticmethod
+    def load(f):
+        _, meta = load_checkpoint(f)
+        return topology.decode_graph(meta["graph"], f, "meta.graph")
 
     def test_round_trip(self, tmp_path):
         g, f = self.saved(tmp_path)
-        loaded, report = topology.load_graph(f)
+        loaded, report = self.load(f)
         assert report == self.REPORT
         for name in ("nodes", "edge_rows", "indptr", "indices", "edge_of", "transit"):
             got, want = getattr(loaded, name), getattr(g, name)
@@ -161,30 +171,35 @@ class TestSavedGraph:
             loaded.transit[0] = 1
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda doc: doc.pop("format"), "has no field 'format'"),
-        (lambda doc: doc.pop("nodes"), "missing field 'nodes'"),
-        (_recode("nodes", lambda a: a[::-1]), "field 'nodes' is not increasing ASNs"),
-        (_recode("nodes", lambda a: a - a[0]), "field 'nodes' is not increasing ASNs"),
+        (lambda meta: meta.update(graph=[]), "field 'meta.graph' is not an object"),
+        (lambda meta: meta["graph"].pop("nodes"), "missing field 'meta.graph.nodes'"),
+        (_recode("nodes", lambda a: a[::-1]), "field 'meta.graph.nodes' is not increasing ASNs"),
+        (_recode("nodes", lambda a: a - a[0]), "field 'meta.graph.nodes' is not increasing ASNs"),
         (_recode("nodes", lambda a: a.astype(np.float64)),
-         "unsupported array dtype 'float64' in field 'dtype' of 'nodes' (expected 'int64')"),
-        (_recode("transit", lambda a: a[:-1]), "field 'transit' has shape"),
-        (_recode("vp", lambda a: a[:4]), "field 'vp' has shape [4, "),
-        (_recode("edge_rows", lambda a: a[:, :1]), "field 'edge_rows' has shape"),
-        (_recode("edge_rows", lambda a: a - 1), "field 'edge_rows' holds a node row outside"),
-        (_recode("edge_rows", lambda a: a[:, ::-1]), "field 'edge_rows' is not distinct"),
-        (_recode("edge_rows", lambda a: a[::-1]), "field 'edge_rows' is not distinct"),
-        (lambda doc: doc["ingest"].pop("parsed"), "field 'ingest' is not the counts"),
-        (lambda doc: doc["ingest"].update(parsed=-1), "field 'ingest' is not the counts"),
-    ], ids=["format", "missing", "nodes-order", "nodes-range", "nodes-dtype", "transit",
+         "unsupported array dtype 'float64' in field 'dtype' of 'meta.graph.nodes' "
+         "(expected 'int64')"),
+        (_recode("transit", lambda a: a[:-1]), "field 'meta.graph.transit' has shape"),
+        (_recode("vp", lambda a: a[:4]), "field 'meta.graph.vp' has shape [4, "),
+        (_recode("edge_rows", lambda a: a[:, :1]), "field 'meta.graph.edge_rows' has shape"),
+        (_recode("edge_rows", lambda a: a - 1),
+         "field 'meta.graph.edge_rows' holds a node row outside"),
+        (_recode("edge_rows", lambda a: a[:, ::-1]),
+         "field 'meta.graph.edge_rows' is not distinct"),
+        (_recode("edge_rows", lambda a: a[::-1]), "field 'meta.graph.edge_rows' is not distinct"),
+        (lambda meta: meta["graph"]["ingest"].pop("parsed"),
+         "field 'meta.graph.ingest' is not the counts"),
+        (lambda meta: meta["graph"]["ingest"].update(parsed=-1),
+         "field 'meta.graph.ingest' is not the counts"),
+    ], ids=["not-object", "missing", "nodes-order", "nodes-range", "nodes-dtype", "transit",
             "vp", "edge-width", "edge-range", "edge-orientation", "edge-order",
             "ingest-missing", "ingest-negative"])
     def test_malformed_field_is_refused(self, tmp_path, edit, message):
         _, f = self.saved(tmp_path)
         doc = json.loads(f.read_text())
-        edit(doc)
+        edit(doc["meta"])
         f.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(str(f)) + ".*" + re.escape(message)):
-            topology.load_graph(f)
+            self.load(f)
 
 
 def _loop_free(hops):
