@@ -26,7 +26,6 @@ import platform
 import sys
 import time
 from array import array
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +43,7 @@ from .evaluate import (
     setting_text,
     sweep,
     worker_count,
+    worker_died,
 )
 from .gcn import (
     WEIGHT_FLOOR,
@@ -363,10 +363,10 @@ def _trained_graph(checkpoint: Path, meta: dict, files: DataFiles) -> Observed |
 
 
 def cmd_ingest(args) -> Manifest:
-    out = _out_dir(args)
     paths_file = _require(args.paths, "paths")
     table = AllocationTable.load(_require(args.alloc, "alloc")) if args.alloc else None
     paths, report = ingest_file(paths_file, table)
+    out = _out_dir(args)
     clean = out / "paths_clean.txt"
     write_paths_file(paths, clean)
     report_file = out / "ingest_report.json"
@@ -384,9 +384,9 @@ def cmd_ingest(args) -> Manifest:
 
 
 def cmd_features(args) -> Manifest:
-    out = _out_dir(args)
     files = _files_from_args(args, need_labels=False)
     bundle = build_bundle(files)
+    out = _out_dir(args)
     features_file = out / "features.csv"
     write_features_csv(bundle.features, features_file)
     clique_file = out / "clique.txt"
@@ -401,7 +401,6 @@ def cmd_features(args) -> Manifest:
 
 
 def cmd_dataset(args) -> Manifest:
-    out = _out_dir(args)
     files = _files_from_args(args, need_paths=False)
     config = {"mode": args.mode, "dropped_offgraph": 0}
     if files.paths:
@@ -412,6 +411,7 @@ def cmd_dataset(args) -> Manifest:
     else:
         labeled, report = prepare_labels(files)
         split_set = balance_and_split(labeled, args.seed, args.mode)
+    out = _out_dir(args)
     edges_file = out / "edges.csv"
     split_set.write_csv(edges_file)
     vote_file = out / "vote_report.json"
@@ -428,9 +428,9 @@ def cmd_dataset(args) -> Manifest:
 
 def cmd_train(args) -> Manifest:
     config = _train_config(args, **_overrides(args))
-    out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
+    out = _out_dir(args)
     dataset = prep.dataset
     a_hat = adjacency_for(prep.bundle.graph, True)
     outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
@@ -554,9 +554,9 @@ def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
 
 def cmd_importance(args) -> Manifest:
     config = _train_config(args, **_overrides(args))
-    out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
+    out = _out_dir(args)
     runner = importance_runner(prep.bundle.graph, prep.bundle.features,
                                prep.dataset, config)
     workers = worker_count(len(ABLATABLE_FEATURES) + 1)  # with the baseline
@@ -587,9 +587,9 @@ def cmd_sweep(args) -> Manifest:
         _train_config(args, **fixed, **dict(zip(grid, values)))
     base = _train_config(args, **fixed)
     preferred = {k: getattr(base, k) for k in grid}
-    out = _out_dir(args)
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
+    out = _out_dir(args)
     fm = prep.bundle.features
     a_hat = adjacency_for(prep.bundle.graph, True)
 
@@ -751,6 +751,10 @@ def _tune_allocator() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+# what a command raises to refuse its inputs or settings, each an error line
+_REFUSALS = (FileNotFoundError, ValueError, KeyError, TrainingDivergedError)
+
+
 def run(argv: list[str] | None = None) -> int:
     _tune_allocator()
     parser = build_parser()
@@ -764,8 +768,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, KeyError, TrainingDivergedError,
-            BrokenProcessPool) as exc:
+    except Exception as exc:
+        if not (isinstance(exc, _REFUSALS) or worker_died(exc)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

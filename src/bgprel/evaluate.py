@@ -14,15 +14,14 @@ unset, since BLAS then already uses every core.  Each run is the same
 single-process training as in a serial loop, and the results come back
 in input order, so the reports do not depend on the worker count.
 ``ingest.ingest_file`` reads the byte ranges of a paths file the same
-way.
+way.  The process-pool modules load only where a pool is made.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -141,7 +140,12 @@ def map_runs(run: Callable, items: Sequence, workers: int) -> list:
     ``BrokenProcessPool``.  Each worker holds one run's arrays at a time.
     """
     global _RUN
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1:
+        return list(map(run, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return list(map(run, items))
     _RUN = run
     try:
@@ -151,6 +155,14 @@ def map_runs(run: Callable, items: Sequence, workers: int) -> list:
             return list(pool.map(_call, items))
     finally:
         _RUN = None
+
+
+def worker_died(exc: BaseException) -> bool:
+    """Whether ``exc`` is the ``BrokenProcessPool`` that ``map_runs``
+    raises when a worker dies.  Its module is looked up, not imported:
+    before a pool is made it is not loaded, and nothing has broken."""
+    pool = sys.modules.get("concurrent.futures.process")
+    return pool is not None and isinstance(exc, pool.BrokenProcessPool)
 
 
 # -- feature importance --------------------------------------------------

@@ -42,21 +42,30 @@ pipeline's features are float32, as in the GCN of Kipf & Welling;
 float64 features give a float64 run, in which the test suite checks the
 hand-written gradients against finite differences.
 
-Everything is plain numpy/scipy, so a run is bitwise reproducible for a
-fixed seed at a fixed BLAS thread count.
+A_hat and the plans' operators are numpy CSR arrays (``topology.Csr``),
+and a one-shot forward, as ``predict`` runs, multiplies them in numpy.
+Only the epoch loop of ``train``, which makes hundreds of sparse
+products, views them as scipy matrices for scipy's compiled product,
+so only training loads ``scipy.sparse``.  Both products sum each row
+in entry order from 0.0 and give the same bits.  Everything is plain
+numpy/scipy, so a run is bitwise reproducible for a fixed seed at a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import mode_classes
 from .ingest import decode_array, encode_array, read_json, write_json, write_table
+from .topology import Csr
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class TrainingDivergedError(RuntimeError):
@@ -109,29 +118,36 @@ class TrainConfig:
 WEIGHT_FLOOR = 0.05  # recorded in checkpoints; eval and predict refuse any other
 
 
-def build_normalized_adjacency(weights: sp.csr_matrix) -> sp.csr_matrix:
-    """Symmetrically normalized, self-looped, weighted adjacency.
+def build_normalized_adjacency(weights: Csr) -> Csr:
+    """Symmetrically normalized, self-looped, weighted adjacency, in
+    float64.
 
     ``weights`` is a symmetric edge-weight matrix with one stored entry
-    per edge direction (``topology.cnr_edge_weights``, or the 0/1
+    per edge direction, each row's columns sorted and none on the
+    diagonal (``topology.cnr_edge_weights``, or the 0/1
     ``AsGraph.adjacency()`` for the unweighted variant).  Stored weights
     are floored at WEIGHT_FLOOR, so sparsely overlapping edges still
     propagate.  The result is bitwise symmetric, with each row's entries
     in column order, so its transpose is itself, entry order included.
+    It stores every diagonal entry, so scipy reads its square shape
+    from its arrays alone.
     """
-    n = weights.shape[0]
+    n = len(weights.indptr) - 1
     if n == 0:
         raise ValueError("empty graph")
-    a_hat = sp.csr_matrix(
-        (np.maximum(weights.data, WEIGHT_FLOOR), weights.indices, weights.indptr),
-        shape=weights.shape,
-    ) + sp.identity(n, format="csr")
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    # each self-loop goes after the columns of its row below it
+    rows = np.repeat(np.arange(n), np.diff(weights.indptr))
+    loops = weights.indptr[:-1] + np.bincount(rows[weights.indices < rows], minlength=n)
+    data = np.insert(np.maximum(weights.data, WEIGHT_FLOOR, dtype=np.float64), loops, 1.0)
+    indices = np.insert(weights.indices, loops, np.arange(n))
+    indptr = weights.indptr + np.arange(n + 1)
+    # every row is non-empty, so this is scipy's sum(axis=1), bit for bit
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
     # one product of the two factors per entry, so that entries (i, j)
     # and (j, i) get the same float
-    rows = np.repeat(np.arange(n), np.diff(a_hat.indptr))
-    a_hat.data *= inv_sqrt[rows] * inv_sqrt[a_hat.indices]
-    return a_hat
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    data *= inv_sqrt[rows] * inv_sqrt[indices]
+    return Csr.of(data, indices, indptr)
 
 
 # -- model --------------------------------------------------------------
@@ -224,45 +240,61 @@ class RowPlan:
     Layer k propagates its input with ``props[k]``, those rows of A_hat
     cut once to the columns ``rows[k - 1]`` (all columns for layer 0,
     whose input has every node), which keeps every stored entry of its
-    rows.  For k > 0 its gradient flows back through ``backs[k - 1] =
-    props[k].T``, a CSC view that shares ``props[k]``'s arrays: A_hat is
-    exactly symmetric, so each backward product is the transpose of a
-    forward operator and the hand-written gradient is exact by
-    construction, in float64 too.  Row sets are sorted, so each product
-    sums a row in A_hat's entry order and matches the all-node product
-    bit for bit on its rows.  A row set that holds every node uses A_hat
-    itself.  A layer's gradient is zero outside its rows, so its weight
-    gradient sums over them only.  The plan's matrices keep A_hat's
-    dtype, which is the run's.
+    rows.  Row sets are sorted, so each product sums a row in A_hat's
+    entry order and matches the all-node product bit for bit on its
+    rows.  A row set that holds every node uses A_hat itself.  A layer's
+    gradient is zero outside its rows, so its weight gradient sums over
+    them only.  The plan's matrices keep A_hat's dtype, which is the
+    run's.
+
+    ``build`` gives ``Csr`` operators, for a one-shot forward, and no
+    ``backs``.  ``for_epochs`` views them as scipy matrices and adds,
+    for k > 0, ``backs[k - 1] = props[k].T``, a CSC view that shares
+    ``props[k]``'s arrays, through which layer k's gradient flows back:
+    A_hat is exactly symmetric, so each backward product is the
+    transpose of a forward operator and the hand-written gradient is
+    exact by construction, in float64 too.
     """
 
     n_nodes: int
     rows: list[np.ndarray]
-    props: list[sp.csr_matrix]
-    backs: list[sp.csc_matrix]
+    props: list  # Csr, or scipy csr_matrix views after for_epochs
+    backs: list[sp.csc_matrix]  # empty until for_epochs
 
     @classmethod
-    def build(
-        cls, a_hat: sp.csr_matrix, endpoints: np.ndarray, n_layers: int
-    ) -> "RowPlan":
+    def build(cls, a_hat: Csr, endpoints: np.ndarray, n_layers: int) -> "RowPlan":
         """Plan for ``n_layers`` layers whose head reads the node rows in
-        ``endpoints`` (any shape, repeats allowed)."""
-        n = a_hat.shape[0]
+        ``endpoints`` (any shape, repeats allowed).  ``a_hat`` may also
+        be a scipy csr_matrix, whose arrays are read as a ``Csr``."""
+        if not isinstance(a_hat, Csr):
+            a_hat = Csr(a_hat.data, a_hat.indices, a_hat.indptr)
+        n = len(a_hat.indptr) - 1
         last = np.unique(np.asarray(endpoints, dtype=np.intp))
         if last.size and (last[0] < 0 or last[-1] >= n):
             raise IndexError("edge index out of range")
         rows, props = [last], []
         for k in range(n_layers - 1, -1, -1):
             r = rows[0]
-            # slicing keeps the matrix class and each row's entry order
-            prop = a_hat if len(r) == n else a_hat[r]
+            prop = a_hat if len(r) == n else a_hat.take_rows(r)
             if k:
                 cols = r if len(r) == n else np.union1d(r, prop.indices)
                 rows.insert(0, cols)
                 if len(cols) < n:
-                    prop = prop[:, cols]
+                    prop = prop.within_columns(cols)
             props.insert(0, prop)
-        return cls(n, rows, props, [p.T for p in props[1:]])
+        return cls(n, rows, props, [])
+
+    def for_epochs(self) -> "RowPlan":
+        """This plan with its operators as zero-copy scipy ``csr_matrix``
+        views, for scipy's compiled product, and with ``backs``.  An
+        epoch loop makes hundreds of sparse products, which scipy runs
+        several times faster than ``Csr``'s numpy product."""
+        import scipy.sparse as sp
+
+        cols = [self.n_nodes, *map(len, self.rows[:-1])]
+        props = [sp.csr_matrix(tuple(p), shape=(len(r), c), copy=False)
+                 for p, r, c in zip(self.props, self.rows, cols)]
+        return RowPlan(self.n_nodes, self.rows, props, [p.T for p in props[1:]])
 
     def local(self, edges: np.ndarray) -> np.ndarray:
         """Edge endpoints as positions in ``rows[-1]``, the rows of the
@@ -408,6 +440,8 @@ def incidence_matrix(
     ``np.add.at`` would (left endpoints, then right endpoints, each in
     edge order, starting from 0.0), bit-identical to that scatter.
     """
+    import scipy.sparse as sp
+
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
     return sp.csc_matrix(
         (np.ones(len(ends), dtype=dtype), ends, np.arange(len(ends) + 1)),
@@ -435,7 +469,7 @@ class EdgeBatch:
         if labels.min() < 0:
             raise ValueError("label index out of range")
         return cls(edges, labels, incidence_matrix(
-            edges, len(plan.rows[-1]), plan.props[0].dtype))
+            edges, len(plan.rows[-1]), plan.props[0].data.dtype))
 
 
 def loss_and_grads(
@@ -448,8 +482,9 @@ def loss_and_grads(
     """Full-batch loss and exact gradients in model.params() order.
 
     ``fwd`` is the forward pass of the model's current parameters over
-    ``plan``.  The backward pass runs on the plan's rows and ends at the
-    first layer's weight gradient; the input gradient is never formed."""
+    ``plan``, an epoch plan (``RowPlan.for_epochs``).  The backward pass
+    runs on the plan's rows and ends at the first layer's weight
+    gradient; the input gradient is never formed."""
     labels = batch.labels
     m = len(labels)
     u, logp = _head(model, fwd.z, batch.edges)
@@ -559,11 +594,12 @@ def _features(x: np.ndarray) -> np.ndarray:
 
 
 def predict(
-    model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, edges: np.ndarray
+    model: GcnModel, a_hat: Csr, x: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class indices and float64 log-probabilities for ordered edges,
     from a forward pass in the features' dtype over the rows those edges
-    reach; the model and A_hat are cast to that dtype if they differ."""
+    reach; the model and A_hat are cast to that dtype if they differ.
+    Its few sparse products run in numpy, so it loads no scipy."""
     x = _features(x)
     model = model.astype(x.dtype)
     plan = RowPlan.build(a_hat.astype(x.dtype, copy=False), edges, model.n_layers)
@@ -575,7 +611,7 @@ def predict(
 
 def train(
     x: np.ndarray,
-    a_hat: sp.csr_matrix,
+    a_hat: Csr,
     train_edges: np.ndarray,
     train_labels: np.ndarray,
     val_edges: np.ndarray,
@@ -589,7 +625,8 @@ def train(
     scores the validation edges and feeds the next epoch's gradients.
     Both run on one plan for the train and val edges, whose edges and
     labels are checked here once, not in the loop.  The model trains in
-    the features' dtype; A_hat is cast to it if it differs."""
+    the features' dtype; A_hat is cast to it if it differs.  The plan's
+    operators are scipy views (``RowPlan.for_epochs``)."""
     x = _features(x)
     train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
@@ -598,7 +635,7 @@ def train(
     val_labels = _check_labels(val_labels, len(val_edges), "val edges")
     nb, nl = config.block_spec
     plan = RowPlan.build(a_hat.astype(x.dtype, copy=False),
-                         np.concatenate([train_edges, val_edges]), nb * nl)
+                         np.concatenate([train_edges, val_edges]), nb * nl).for_epochs()
     batch = EdgeBatch.build(train_edges, train_labels, plan)
     val_edges = plan.local(val_edges)
     for labels in (batch.labels, val_labels):

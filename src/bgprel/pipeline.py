@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import (
     SPLITS,
@@ -46,6 +45,7 @@ from .topology import (
     SCALAR_COLUMNS,
     TYPE_COLUMNS,
     AsGraph,
+    Csr,
     FeatureMatrix,
     GraphSummary,
     assemble_features,
@@ -226,7 +226,7 @@ def ablate_columns(
     return fm.values[:, keep], True
 
 
-def adjacency_for(graph: AsGraph, weighted: bool) -> sp.csr_matrix:
+def adjacency_for(graph: AsGraph, weighted: bool) -> Csr:
     """Propagation matrix over the graph's node positions, with or
     without the neighborhood-overlap edge weights, cast once to the
     features' dtype so that no run over it casts it again.  The weights
@@ -254,7 +254,7 @@ class TrainOutcome:
 
 
 def score_splits(
-    model: GcnModel, a_hat: sp.csr_matrix, x: np.ndarray, dataset: EdgeDataset
+    model: GcnModel, a_hat: Csr, x: np.ndarray, dataset: EdgeDataset
 ) -> dict[str, np.ndarray]:
     """Confusion matrix of the model on the val and test splits, both
     scored from one forward pass."""
@@ -267,7 +267,7 @@ def score_splits(
 
 def run_training(
     x: np.ndarray,
-    a_hat: sp.csr_matrix,
+    a_hat: Csr,
     dataset: EdgeDataset,
     config: TrainConfig,
 ) -> TrainOutcome:

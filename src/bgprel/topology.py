@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ingest import (
     MAX_ASN,
@@ -93,6 +92,72 @@ def _union(parts: list[np.ndarray]) -> np.ndarray:
     new = at == len(head)
     new[~new] = head[at[~new]] != keys[~new]
     return np.insert(head, at[new], keys[new]) if new.any() else head
+
+
+class Csr(NamedTuple):
+    """A sparse matrix in compressed sparse row form, in scipy's field
+    order, so that ``scipy.sparse.csr_matrix(csr)`` views it: row i holds
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns ``indices[...]``,
+    each row's columns sorted.  Index arrays are int32 where the values
+    fit, as scipy stores them."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def of(cls, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> "Csr":
+        """The matrix of these arrays, its index arrays in the dtype scipy
+        gives them: int32 where the entry and row counts fit."""
+        fits = max(len(data), len(indptr)) <= np.iinfo(np.int32).max
+        index = np.int32 if fits else np.int64
+        return cls(data, indices.astype(index, copy=False), indptr.astype(index, copy=False))
+
+    def astype(self, dtype, copy: bool = True) -> "Csr":
+        """This matrix with its values in ``dtype``, sharing its index
+        arrays; itself when ``copy`` is false and they already are."""
+        if not copy and self.data.dtype == dtype:
+            return self
+        return self._replace(data=self.data.astype(dtype))
+
+    def take_rows(self, rows: np.ndarray) -> "Csr":
+        """The rows ``rows`` in that order, each keeping its entry order
+        (scipy's ``m[rows]``)."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return Csr(self.data[entries], self.indices[entries], indptr)
+
+    def within_columns(self, cols: np.ndarray) -> "Csr":
+        """This matrix over the sorted columns ``cols``, which hold every
+        column it stores, renumbered as positions in ``cols`` (scipy's
+        ``m[:, cols]``, which here keeps every entry)."""
+        indices = np.searchsorted(cols, self.indices).astype(self.indices.dtype)
+        return self._replace(indices=indices)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a dense vector or matrix.  Each row's terms
+        are summed in entry order starting from 0.0, as scipy's
+        ``csr_matvecs`` sums them, so it gives scipy's bits, signed zeros
+        included.  It steps through the entries by their place in their
+        row, longest rows first, so each step is a slice of rows."""
+        x = np.asarray(x)
+        cols = x.reshape(len(x), -1)
+        lengths = np.diff(self.indptr)
+        order = np.argsort(-lengths, kind="stable")
+        starts = self.indptr[:-1][order]
+        # longer[t]: how many rows have more than t entries
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+        out = np.zeros((len(lengths), cols.shape[1]),
+                       dtype=np.result_type(self.data, cols))
+        for t, k in enumerate(longer.tolist()):
+            at = starts[:k] + t
+            out[:k] += self.data[at, None] * cols[self.indices[at]]
+        product = np.empty_like(out)
+        product[order] = out
+        return product.reshape((len(lengths),) + x.shape[1:])
 
 
 class AsGraph:
@@ -187,17 +252,14 @@ class AsGraph:
     def num_edges(self) -> int:
         return len(self.edge_rows)
 
-    def edge_matrix(self, values: np.ndarray) -> sp.csr_matrix:
-        """Symmetric CSR matrix over node positions with the adjacency's
-        structure, holding ``values[k]`` at both entries of edge k
-        (``edges()`` order).  Zero values stay stored entries."""
-        n = self.num_nodes
+    def edge_matrix(self, values: np.ndarray) -> Csr:
+        """Symmetric float64 matrix over node positions with the
+        adjacency's structure, holding ``values[k]`` at both entries of
+        edge k (``edges()`` order).  Zero values stay stored entries."""
         data = np.asarray(values, dtype=np.float64)[self.edge_of]
-        return sp.csr_matrix(
-            (data, self.indices, self.indptr), shape=(n, n), copy=True
-        )
+        return Csr.of(data, self.indices, self.indptr)
 
-    def adjacency(self) -> sp.csr_matrix:
+    def adjacency(self) -> Csr:
         """0/1 adjacency over node positions."""
         return self.edge_matrix(np.ones(self.num_edges))
 
@@ -541,7 +603,7 @@ def clique_distances(g: AsGraph, clique: set[int]) -> tuple[np.ndarray, int]:
 _CNR_LOOKUPS = 1 << 16
 
 
-def cnr_edge_weights(g: AsGraph) -> sp.csr_matrix:
+def cnr_edge_weights(g: AsGraph) -> Csr:
     """Common-neighbor ratio of every edge, as ``g.edge_matrix``: the
     Jaccard overlap of the endpoints' neighborhoods without the
     endpoints themselves, 0 when that union is empty.

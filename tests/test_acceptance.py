@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from bgprel.cli import run as cli_run
 from bgprel.dataset import RelLabel, load_label_source, vote_intersection
@@ -63,8 +64,14 @@ def _report(n: int, ok: bool, detail: str) -> None:
 # -- 1: analytic gradients match finite differences -----------------------
 
 
+def _as_scipy(m):
+    """A node-by-node ``Csr`` as a scipy csr_matrix over its arrays."""
+    n = len(m.indptr) - 1
+    return sp.csr_matrix(tuple(m), shape=(n, n))
+
+
 def _loss_and_grads(model, a_hat, x, edges, labels, wd):
-    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    plan = RowPlan.build(a_hat, edges, model.n_layers).for_epochs()
     fwd = forward(model, plan, plan.props[0] @ x)
     return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
@@ -142,7 +149,7 @@ def test_criterion_2_adjacency_invariants():
         g = AsGraph.from_edges(weights, nodes=nodes)
         w = g.edge_matrix([weights[e] for e in g.edges()])
         a_hat = build_normalized_adjacency(w)
-        dense = a_hat.toarray()
+        dense = _as_scipy(a_hat).toarray()
         worst_sym = max(worst_sym, float(np.max(np.abs(dense - dense.T))))
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
@@ -162,7 +169,7 @@ def test_criterion_2_adjacency_invariants():
         )
         uniform = g.edge_matrix(np.full(g.num_edges, 0.4))
         for w in (g.adjacency(), uniform):
-            rows = build_normalized_adjacency(w).sum(axis=1)
+            rows = _as_scipy(build_normalized_adjacency(w)).sum(axis=1)
             worst_row = max(
                 worst_row, float(np.max(np.abs(np.asarray(rows) - 1.0)))
             )
@@ -251,7 +258,7 @@ def test_criterion_3_feature_oracles():
             want = sum(vals) / len(vals)
             assert abs(raw[a][col["dist_to_clique"]] - want) < 1e-12, "clique dist"
 
-        w = cnr_edge_weights(g)
+        w = _as_scipy(cnr_edge_weights(g))
         assert w.nnz == 2 * g.num_edges, "cnr entries"
         for (a, b), (i, j) in zip(g.edges(), g.edge_rows.tolist()):
             na = adj[a] - {a, b}

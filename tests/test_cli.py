@@ -234,12 +234,25 @@ def test_dataset_of_a_directory_without_paths_votes_the_labels_alone(perturbed_d
     assert set(per_class.values()) == {154}
 
 
-def test_features_of_a_directory_without_paths_names_it(data_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ingest", "dataset", "features", "train", "sweep",
+                                     "importance"])
+def test_a_missing_paths_file_leaves_no_out(command, data_dir, tmp_path, capsys):
+    # ingest and dataset read --paths; the others a --data directory
+    # without paths.txt, which dataset would take as labels alone
+    missing = tmp_path / "nope.txt"
     d = tmp_path / "d"
     shutil.copytree(data_dir, d)
     (d / "paths.txt").unlink()
-    assert run(["features", "--data", str(d), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: missing paths file: {d / 'paths.txt'}\n"
+    if command in ("ingest", "dataset"):
+        argv, message = ["--paths", str(missing)], f"paths file not found: {missing}"
+    else:
+        argv, message = ["--data", str(d)], f"missing paths file: {d / 'paths.txt'}"
+    if command == "sweep":
+        argv += ["--lr", "0.1"]
+    out = tmp_path / "o"
+    assert run([command, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_dataset_needs_two_sources(data_dir, tmp_path, capsys):

@@ -37,6 +37,13 @@ from bgprel.gcn import (
 from bgprel.topology import AsGraph
 
 
+def as_scipy(m):
+    """A square ``Csr`` as a scipy csr_matrix over its arrays: scipy is
+    the reference these tests hold the numpy matrices to."""
+    n = len(m.indptr) - 1
+    return sp.csr_matrix(tuple(m), shape=(n, n))
+
+
 def random_topology(rng, n_nodes, p_edge=0.35):
     """Random graph over ASNs 1..n_nodes and a random weight per edge."""
     nodes = list(range(1, n_nodes + 1))
@@ -53,24 +60,24 @@ class TestNormalizedAdjacency:
     def test_two_node_example(self):
         g = AsGraph.from_edges([(1, 2)])
         a_hat = build_normalized_adjacency(g.edge_matrix([1.0]))
-        assert np.allclose(a_hat.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+        assert np.allclose(as_scipy(a_hat).toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_single_node(self):
         g = AsGraph.from_edges([], nodes=[7])
         a_hat = build_normalized_adjacency(g.adjacency())
-        assert np.allclose(a_hat.toarray(), [[1.0]])
+        assert np.allclose(as_scipy(a_hat).toarray(), [[1.0]])
 
     def test_symmetric(self):
         rng = random.Random(2)
         g, weights = random_topology(rng, 30)
-        a_hat = build_normalized_adjacency(weights).toarray()
+        a_hat = as_scipy(build_normalized_adjacency(weights)).toarray()
         assert np.array_equal(a_hat, a_hat.T)
 
     def test_delta_floor_applied(self):
         g = AsGraph.from_edges([(1, 2), (2, 3)])
         tiny = g.edge_matrix([0.0, 0.9])  # edges (1, 2), (2, 3)
         a_hat = build_normalized_adjacency(tiny)
-        dense = a_hat.toarray()
+        dense = as_scipy(a_hat).toarray()
         # the floored edge keeps propagating: entry stays positive
         assert dense[0, 1] > 0.0
         # recompute by hand: degrees with floor 0.05
@@ -82,7 +89,7 @@ class TestNormalizedAdjacency:
         # cycle graph is 2-regular
         g = AsGraph.from_edges([(1, 2), (2, 3), (3, 4), (4, 1)])
         a_hat = build_normalized_adjacency(g.adjacency())
-        sums = np.asarray(a_hat.sum(axis=1)).ravel()
+        sums = np.asarray(as_scipy(a_hat).sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() < 1e-12
 
     def test_spectral_radius_at_most_one(self):
@@ -90,7 +97,8 @@ class TestNormalizedAdjacency:
         for trial in range(5):
             g, weights = random_topology(rng, 40)
             a_hat = build_normalized_adjacency(weights)
-            v = np.ones(a_hat.shape[0]) / np.sqrt(a_hat.shape[0])
+            n = len(a_hat.indptr) - 1
+            v = np.ones(n) / np.sqrt(n)
             for _ in range(500):
                 nxt = a_hat @ v
                 norm = np.linalg.norm(nxt)
@@ -110,7 +118,7 @@ def forward_one_block(a_hat, h, weights):
 
 class TestForward:
     def dense_block_oracle(self, a_hat, h, weights):
-        a = a_hat.toarray()
+        a = as_scipy(a_hat).toarray()
         out = np.asarray(h, dtype=float)
         for w in weights:
             out = np.maximum(a @ out @ w, 0.0)
@@ -235,14 +243,14 @@ class TestLoss:
 
 def every_row(a_hat, model):
     """The plan whose row sets hold every node."""
-    return RowPlan.build(a_hat, np.arange(a_hat.shape[0]), model.n_layers)
+    return RowPlan.build(a_hat, np.arange(len(a_hat.indptr) - 1), model.n_layers)
 
 
 def grads_at(model, a_hat, x, edges, labels, wd=0.0):
     """loss_and_grads at the model's current parameters, as train calls
-    it: from a forward pass over the propagated input, on the plan for
-    the edges."""
-    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    it: from a forward pass over the propagated input, on the epoch plan
+    for the edges."""
+    plan = RowPlan.build(a_hat, edges, model.n_layers).for_epochs()
     fwd = forward(model, plan, plan.props[0] @ x)
     return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
@@ -434,29 +442,37 @@ class TestTrain:
 
 
 class CountingCsr(sp.csr_matrix):
-    """Propagation matrix that counts its sparse products, those made
-    through its transpose included."""
+    """An epoch plan's operator that counts its sparse products, those
+    made through its transpose included, on a shared tally."""
 
-    products = 0
+    def __init__(self, matrix, tally):
+        super().__init__(matrix)
+        self.tally = tally
 
     def __matmul__(self, other):
-        self.products += 1
+        self.tally.append(1)
         return super().__matmul__(other)
 
     def transpose(self, axes=None, copy=False):
-        return CountedTranspose(super().transpose(axes, copy), self)
+        return CountedTranspose(super().transpose(axes, copy), self.tally)
 
 
 class CountedTranspose(sp.csc_matrix):
-    """A ``CountingCsr``'s transpose, whose products count on that matrix."""
+    """A ``CountingCsr``'s transpose, whose products count on its tally."""
 
-    def __init__(self, matrix, owner):
+    def __init__(self, matrix, tally):
         super().__init__(matrix)
-        self.owner = owner
+        self.tally = tally
 
     def __matmul__(self, other):
-        self.owner.products += 1
+        self.tally.append(1)
         return super().__matmul__(other)
+
+
+def counting(plan, tally):
+    """An epoch plan whose operators count their products on ``tally``."""
+    props = [CountingCsr(p, tally) for p in plan.props]
+    return RowPlan(plan.n_nodes, plan.rows, props, [p.T for p in props[1:]])
 
 
 def row_dots(a, b):
@@ -550,7 +566,7 @@ def reference_train(x, a_hat, te, tl, ve, vl, config):
     the best ones."""
     model = init_model(x.shape[1], config.hidden, config.n_classes,
                        config.block_spec, np.random.default_rng(config.seed), x.dtype)
-    a_hat = a_hat.astype(x.dtype)
+    a_hat = as_scipy(a_hat).astype(x.dtype)
     params = model.params()
     state = AdamState.for_params(params)
     balls = hop_balls(a_hat, np.concatenate([te, ve]), model.n_layers)
@@ -636,34 +652,36 @@ class TestEpochLoop:
         self, monkeypatch, block_spec, per_epoch, setup
     ):
         x, a_hat, te, tl, ve, vl = toy_communities()
-        calls = []
+        calls, products = [], []
 
         def counting_loss_and_grads(*args):
             calls.append(1)
             return loss_and_grads(*args)
 
+        for_epochs = RowPlan.for_epochs
         monkeypatch.setattr(gcn, "loss_and_grads", counting_loss_and_grads)
-        counting = CountingCsr(a_hat)
+        monkeypatch.setattr(RowPlan, "for_epochs",
+                            lambda plan: counting(for_epochs(plan), products))
         for epochs in (3, 7):
-            counting.products = 0
+            products.clear()
             calls.clear()
             config = TrainConfig(mode="binary", epochs=epochs, hidden=4,
                                  block_spec=block_spec)
-            train(x, counting, te, tl, ve, vl, config)
+            train(x, a_hat, te, tl, ve, vl, config)
             assert len(calls) == epochs
-            assert counting.products == setup + per_epoch * epochs
+            assert len(products) == setup + per_epoch * epochs
 
     @pytest.mark.parametrize("block_spec", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_first_layer_gradient_without_input_gradient(self, block_spec):
         model, a_hat, x, edges, labels, wd = gradcheck_instance(31, block_spec, 5e-4)
-        counting = CountingCsr(a_hat)
-        plan = every_row(counting, model)
+        products = []
+        plan = counting(every_row(a_hat, model).for_epochs(), products)
         fwd = forward(model, plan, a_hat @ x)
-        counting.products = 0
+        products.clear()
         _, analytic = loss_and_grads(
             model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
         # one backward product per layer, the model's first layer excepted
-        assert counting.products == sum(len(b) for b in model.blocks) - 1
+        assert len(products) == sum(len(b) for b in model.blocks) - 1
         numeric = finite_difference_grads(model, a_hat, x, edges, labels, wd)
         assert max_relative_error(analytic[:1], numeric[:1]) < 1e-4
 
@@ -704,7 +722,7 @@ class TestRowPlan:
         plan = RowPlan.build(a_hat, ends, n_layers)
         assert len(plan.rows) == n_layers
         assert plan.rows[-1].tolist() == sorted(set(ends.ravel().tolist()))
-        for rows, ball in zip(plan.rows, hop_balls(a_hat, ends, n_layers)):
+        for rows, ball in zip(plan.rows, hop_balls(as_scipy(a_hat), ends, n_layers)):
             assert np.array_equal(rows, ball)
 
     def test_two_layer_rows_are_strict_subsets(self):
@@ -717,26 +735,28 @@ class TestRowPlan:
         plan = RowPlan.build(a_hat, np.concatenate([te, ve]), 8)
         assert [len(r) == len(x) for r in plan.rows] == [True] * 2 + [False] * 6
         assert plan.props[0] is plan.props[1] is a_hat
-        assert plan.props[2].shape == (len(plan.rows[2]), len(x))
+        assert plan.for_epochs().props[2].shape == (len(plan.rows[2]), len(x))
 
     def test_every_node_plan_uses_the_matrix_itself(self):
         x, a_hat, *_ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
         assert all(m is a_hat for m in plan.props)
+        assert plan.backs == []
+        plan = plan.for_epochs()
         assert len(plan.backs) == 2
         for back in plan.backs:
-            assert back.format == "csc" and back.shape == a_hat.shape
+            assert back.format == "csc" and back.shape == (len(x), len(x))
             assert np.shares_memory(back.data, a_hat.data)
-            assert np.array_equal(back.toarray(), a_hat.toarray())
+            assert np.array_equal(back.toarray(), as_scipy(a_hat).toarray())
 
     @pytest.mark.parametrize("n_layers", [2, 4, 8])
     def test_each_back_is_its_layers_prop_transposed(self, n_layers):
         """``backs[k - 1]`` is a view of ``props[k]``'s arrays, so the
         backward product is the transpose of the forward one."""
         x, a_hat, te, _, ve, _ = sparse_training_problem()
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers)
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers).for_epochs()
         assert len(plan.backs) == n_layers - 1
-        dense = a_hat.toarray()
+        dense = as_scipy(a_hat).toarray()
         for k, back in enumerate(plan.backs, 1):
             prop = plan.props[k]
             assert back.format == "csc" and back.shape == prop.shape[::-1]
@@ -745,6 +765,23 @@ class TestRowPlan:
             # A_hat's rows rows[k - 1] over its columns rows[k], bit for bit
             want = dense[np.ix_(plan.rows[k - 1], plan.rows[k])]
             assert np.array_equal(back.toarray(), want)
+
+    @pytest.mark.parametrize("n_layers", [2, 4, 8])
+    def test_props_are_scipys_row_and_column_cuts(self, n_layers):
+        """Each operator holds the arrays, dtypes included, that scipy's
+        fancy indexing cuts of A_hat: its rows, then the columns of the
+        layer before when that layer does not hold every node."""
+        x, a_hat, te, _, ve, _ = sparse_training_problem()
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers)
+        view = as_scipy(a_hat)
+        for k, prop in enumerate(plan.props):
+            want = view[plan.rows[k]]
+            if k and len(plan.rows[k - 1]) < len(x):
+                want = want[:, plan.rows[k - 1]]
+            for name in ("data", "indices", "indptr"):
+                got, expected = getattr(prop, name), getattr(want, name)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
 
     def test_endpoint_outside_the_plan_is_refused(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
@@ -863,7 +900,8 @@ class TestDtype:
         def recording_forward(model, plan, ax):
             fwd = forward(model, plan, ax)
             seen.extend(("param", p) for p in model.params())
-            seen.extend(("plan", m) for m in plan.props + plan.backs)
+            # Csr operators in predict, scipy views in train: both hold .data
+            seen.extend(("plan", m.data) for m in plan.props + plan.backs)
             seen.extend([("ax", ax), ("z", fwd.z)])
             for p, _, h, norms in fwd.layers:  # the mask is boolean
                 seen.extend([("propagated", p), ("output", h)])
@@ -1110,7 +1148,7 @@ class TestPersistence:
         config = TrainConfig(epochs=1, hidden=6, seed=2, weight_decay=weight_decay)
         model = init_model(x.shape[1], config.hidden, config.n_classes,
                            config.block_spec, np.random.default_rng(config.seed))
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers)
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers).for_epochs()
         fwd = forward(model, plan, plan.props[0] @ x)
         loss, grads = loss_and_grads(model, plan, fwd,
                                      EdgeBatch.build(te, tl, plan), weight_decay)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import bgprel.pipeline as pipeline
+from bgprel import cli
 from bgprel.dataset import LabelTable, RelLabel
 from bgprel.pipeline import (
     DataFiles,
@@ -27,9 +29,9 @@ from bgprel.pipeline import (
     score_splits,
 )
 from bgprel.evaluate import confusion_matrix
-from bgprel.gcn import TrainConfig, predict
+from bgprel.gcn import WEIGHT_FLOOR, TrainConfig, build_normalized_adjacency, predict
 from bgprel.synth import SynthConfig, export, generate, simulate_paths
-from bgprel.topology import AsGraph, FEATURE_COLUMNS
+from bgprel.topology import AsGraph, FEATURE_COLUMNS, build_graph, cnr_edge_weights
 
 CFG = SynthConfig(
     n_tier1=4,
@@ -123,29 +125,76 @@ def test_build_bundle_covers_observed_nodes(data_dir):
 # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
 # about 11 MB of resident memory in every process that imports it
 _HEAVY_SCIPY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+# scipy.sparse itself takes 0.2-0.3 s to import; only training needs it.
+# The process-pool modules load only where a pool forks.
+_DEFERRED = ("scipy.sparse", "multiprocessing", "concurrent.futures.process")
+
+
+def _python(code, *args, cwd=None):
+    """Runs ``code`` in a fresh interpreter that imports bgprel from this
+    checkout and returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_commands_load_no_csgraph_or_linalg(data_dir):
     """A fresh interpreter imports the CLI, builds a bundle and its
-    weighted propagation matrix and checks a synth hierarchy for
-    cycles, without loading the heavy scipy modules."""
+    weighted propagation matrix, predicts its edges with an untrained
+    model, and generates, checks and simulates a synth topology, without
+    loading scipy.sparse, the process-pool modules or the heavy scipy
+    modules."""
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import bgprel.cli\n"
-        "from bgprel import pipeline, synth\n"
+        "from bgprel import gcn, pipeline, synth\n"
+        f"print(sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n"
         "bundle = pipeline.build_bundle(pipeline.DataFiles.discover(sys.argv[1]))\n"
-        "pipeline.adjacency_for(bundle.graph, True)\n"
-        "assert synth.p2c_is_acyclic(synth.generate(synth.SynthConfig(\n"
-        "    n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5, n_vps=5, paths_per_vp=10)))\n"
+        "a_hat = pipeline.adjacency_for(bundle.graph, True)\n"
+        "x = bundle.features.values\n"
+        "model = gcn.init_model(x.shape[1], 4, 2, (2, 1), np.random.default_rng(0), x.dtype)\n"
+        "gcn.predict(model, a_hat, x, bundle.graph.edge_rows)\n"
+        "config = synth.SynthConfig(\n"
+        "    n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5, n_vps=5, paths_per_vp=10)\n"
+        "truth = synth.generate(config)\n"
+        "assert synth.p2c_is_acyclic(truth)\n"
+        "synth.simulate_paths(truth, config)\n"
+        f"print(sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n"
         f"print(sorted(m for m in sys.modules if m.startswith({_HEAVY_SCIPY!r})))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code, str(data_dir)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _python(code, data_dir).split("\n") == ["[]", "[]", "[]", ""]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("guard-train")
+    assert cli.run(["train", "--data", str(data_dir), "--epochs", "3", "--hidden", "4",
+                    "--out", str(out)]) == 0
+    return out / "checkpoint.json"
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("synth", False), ("ingest", False), ("features", False), ("dataset", False),
+    ("eval", False), ("predict", False), ("train", True)])
+def test_only_training_loads_scipy_sparse(command, loads, data_dir, checkpoint, tmp_path):
+    argv = {"synth": ["--n-mid", "20", "--n-stub", "30", "--n-vps", "5",
+                      "--paths-per-vp", "10"],
+            "ingest": ["--paths", data_dir / "paths.txt"],
+            "train": ["--data", data_dir, "--epochs", "2", "--hidden", "4"],
+            "eval": ["--data", data_dir, "--checkpoint", checkpoint],
+            "predict": ["--data", data_dir, "--checkpoint", checkpoint],
+            }.get(command, ["--data", data_dir])
+    code = ("import sys\n"
+            "from bgprel import cli\n"
+            "assert cli.run(sys.argv[1:]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n")
+    out = _python(code, command, *argv, "--out", tmp_path / "o", cwd=tmp_path)
+    assert out.splitlines()[-1] == str(loads)
 
 
 def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
@@ -434,6 +483,42 @@ def test_degree_gap_baseline_equals_reference_on_default_synth(
     for seed in range(5):
         ds = make_dataset(usable, graph, mode, seed)
         assert degree_gap_baseline(graph, ds) == _reference_degree_gap(graph, ds)
+
+
+def scipy_normalized_adjacency(weights):
+    """A_hat by scipy's sparse algebra: the floored weights plus the
+    identity, both sides scaled by the inverse square roots of the row
+    sums, each entry by one product of the two factors."""
+    n = len(weights.indptr) - 1
+    a_hat = sp.csr_matrix(
+        (np.maximum(weights.data, WEIGHT_FLOOR), weights.indices, weights.indptr),
+        shape=(n, n)) + sp.identity(n, format="csr")
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_hat.sum(axis=1)).ravel())
+    rows = np.repeat(np.arange(n), np.diff(a_hat.indptr))
+    a_hat.data *= inv_sqrt[rows] * inv_sqrt[a_hat.indices]
+    return a_hat
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def default_synth_graph(request):
+    """The graph of the default-size synth's paths, at two seeds."""
+    cfg = SynthConfig(seed=request.param)
+    return build_graph(simulate_paths(generate(cfg), cfg)[0])
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_normalized_adjacency_is_scipys_bit_for_bit(default_synth_graph, weighted):
+    graph = default_synth_graph
+    weights = cnr_edge_weights(graph) if weighted else graph.adjacency()
+    n = graph.num_nodes
+    scipy_weights = sp.csr_matrix((weights.data, graph.indices, graph.indptr),
+                                  shape=(n, n), copy=True)
+    for got, want in ((weights, scipy_weights),
+                      (build_normalized_adjacency(weights),
+                       scipy_normalized_adjacency(weights))):
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def test_prepare_and_train_end_to_end(data_dir):

@@ -8,6 +8,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bgprel import ingest, topology
@@ -19,6 +20,7 @@ from bgprel.topology import (
     SCALAR_COLUMNS,
     AsGraph,
     AsType,
+    Csr,
     GraphSummary,
     UnknownNodeError,
     assemble_features,
@@ -71,9 +73,16 @@ def adjacent(g, a, b):
     return j in g.indices[g.indptr[i]:g.indptr[i + 1]]
 
 
+def as_scipy(m):
+    """A node-by-node ``Csr`` as a scipy csr_matrix over its arrays, to
+    read entries through."""
+    n = len(m.indptr) - 1
+    return sp.csr_matrix(tuple(m), shape=(n, n))
+
+
 def weight(g, a, b):
     i, j = g.positions([a, b])
-    return cnr_edge_weights(g)[i, j]
+    return as_scipy(cnr_edge_weights(g))[i, j]
 
 
 def nx_graph(paths):
@@ -375,10 +384,10 @@ class TestPositions:
         g = graph_of(paths_of([1, 2, 3], [2, 4]))  # edges (1,2) (2,3) (2,4)
         m = g.edge_matrix([0.0, 0.5, 0.25])
         adj = g.adjacency()
-        assert m.nnz == adj.nnz == 6  # the zero weight stays stored
+        assert len(m.data) == len(adj.data) == 6  # the zero weight stays stored
         assert np.array_equal(m.indices, adj.indices)
         assert np.array_equal(m.indptr, adj.indptr)
-        dense = m.toarray()
+        dense = as_scipy(m).toarray()
         assert np.array_equal(dense, dense.T)
         assert dense[1, 2] == 0.5 and dense[3, 1] == 0.25
 
@@ -532,12 +541,12 @@ class TestCommonNeighborRatio:
     def test_isolated_pair_defined_as_zero(self):
         w = cnr_edge_weights(graph_of(paths_of([4, 5])))
         # stored as an explicit zero, so the propagation floor still applies
-        assert w.nnz == 2 and np.all(w.data == 0.0)
+        assert len(w.data) == 2 and np.all(w.data == 0.0)
 
     def test_symmetry_and_range(self):
         rng = random.Random(41)
         g = graph_of(random_paths(rng))
-        w = cnr_edge_weights(g)
+        w = as_scipy(cnr_edge_weights(g))
         assert np.array_equal(w.toarray(), w.T.toarray())
         assert w.data.min() >= 0.0 and w.data.max() <= 1.0
 
@@ -546,7 +555,7 @@ class TestCommonNeighborRatio:
         own structure."""
         g = graph_of(paths_of([1, 2, 3]))
         w = cnr_edge_weights(g)
-        assert w.nnz == 2 * g.num_edges
+        assert len(w.data) == 2 * g.num_edges
         i, j = g.positions([1, 3])
         assert j not in w.indices[w.indptr[i]:w.indptr[i + 1]]
 
@@ -559,7 +568,7 @@ class TestCommonNeighborRatio:
             for a, b in zip(p.hops, p.hops[1:]):
                 adj.setdefault(a, set()).add(b)
                 adj.setdefault(b, set()).add(a)
-        w = cnr_edge_weights(g)
+        w = as_scipy(cnr_edge_weights(g))
         for (a, b), (i, j) in zip(g.edges(), g.edge_rows.tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
@@ -578,11 +587,80 @@ class TestCommonNeighborRatio:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
+        got = as_scipy(got)
         i, j = g.positions([70, 71])
         assert got[i, j] == 0.0
         if v is not None and g.degrees()[g.positions(v)] > 1:
             i, j = g.positions([v, 50])
             assert got[i, j] == 1.0
+
+
+def random_csr(rng, n_rows, n_cols, dtype):
+    """Rows of sorted distinct columns: a few empty, the first of 90
+    entries, with negative values and zeros among the stored ones, and
+    row 1 a single -1.0 in column 0."""
+    lengths = rng.integers(0, 8, size=n_rows)
+    lengths[[0, 1]] = [90, 1]
+    lengths[rng.choice(np.arange(2, n_rows), size=3, replace=False)] = 0
+    indices = [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in lengths]
+    indices[1] = np.array([0])
+    data = rng.normal(size=lengths.sum()).astype(dtype)
+    data[rng.random(len(data)) < 0.1] = 0.0
+    data[lengths[0]] = -1.0
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return Csr.of(data, np.concatenate(indices), indptr)
+
+
+def fields_equal(got, want):
+    """The three arrays of two CSR matrices, dtypes and bytes."""
+    return all(getattr(got, f).dtype == getattr(want, f).dtype
+               and getattr(got, f).tobytes() == getattr(want, f).tobytes()
+               for f in ("data", "indices", "indptr"))
+
+
+class TestCsr:
+    """``Csr``'s numpy operations against scipy's on the same arrays."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_is_scipys_bit_for_bit(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        m = random_csr(rng, 60, 120, dtype)
+        x = rng.normal(size=(120, 7)).astype(dtype)
+        x[0] = 0.0  # row 1's only term is -1.0 * 0.0, summed from +0.0
+        x[rng.random(120) < 0.1] = -0.0
+        view = sp.csr_matrix(tuple(m), shape=(60, 120))
+        for rhs in (x, x[:, 3]):
+            got, want = m @ rhs, view @ rhs
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not np.signbit((m @ x)[1]).any()
+
+    def test_float32_matrix_times_float64_features_is_float64(self):
+        rng = np.random.default_rng(9)
+        m = random_csr(rng, 20, 100, np.float32)
+        x = rng.normal(size=(100, 3))
+        got = m @ x
+        assert got.dtype == np.float64
+        assert got.tobytes() == (sp.csr_matrix(tuple(m), shape=(20, 100)) @ x).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_and_column_cuts_are_scipys_fancy_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_csr(rng, 120, 120, np.float64)
+        view = sp.csr_matrix(tuple(m), shape=(120, 120))
+        rows = np.sort(rng.choice(120, size=40, replace=False))
+        cut = m.take_rows(rows)
+        assert fields_equal(cut, view[rows])
+        cols = np.union1d(rows, cut.indices)
+        assert fields_equal(cut.within_columns(cols), view[rows][:, cols])
+
+    def test_astype_shares_the_index_arrays(self):
+        m = random_csr(np.random.default_rng(3), 10, 100, np.float64)
+        assert m.astype(np.float64, copy=False) is m
+        cast = m.astype(np.float32)
+        assert cast.data.dtype == np.float32 and cast.indices is m.indices
+        assert np.array_equal(cast.data, m.data.astype(np.float32))
 
 
 class TestVpStats:
