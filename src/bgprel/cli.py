@@ -6,10 +6,10 @@ to them, recording the invocation, the input and output file digests,
 the seed, the library versions, the thread settings and the BLAS thread
 count, and the wall time, so a run can be audited later; no command
 reads a manifest.  A command that builds the graph records its ingest
-counts under ``config``.  ``train`` also saves the observed graph in its
-checkpoint, with the digests of the paths and alloc files it came from,
-and ``eval`` and ``predict`` use it instead of ingesting when their own
-files have those digests (``_trained_graph``).
+counts under ``config``.  ``train`` saves a ``gcn.Checkpoint`` with the
+observed graph and the record of the files it came from (``_source``),
+and ``eval`` and ``predict`` use that graph instead of ingesting when
+the record is that of their own files.  Only ``gcn`` knows the format.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import MODE_CLASSES, balance_and_split, mode_classes
+from .dataset import MODE_CLASSES, balance_and_split
 from .evaluate import (
     accuracy,
     feature_importance,
@@ -46,8 +46,7 @@ from .evaluate import (
     worker_died,
 )
 from .gcn import (
-    WEIGHT_FLOOR,
-    GcnModel,
+    Checkpoint,
     TrainConfig,
     TrainingDivergedError,
     load_checkpoint,
@@ -67,7 +66,6 @@ from .pipeline import (
     ABLATABLE_FEATURES,
     SIDE_FILES,
     DataFiles,
-    Observed,
     adjacency_for,
     baseline_accuracies,
     build_bundle,
@@ -87,7 +85,7 @@ from .synth import (
     policy_violations,
     simulate_paths,
 )
-from .topology import AsGraph, decode_graph, encode_graph, write_features_csv
+from .topology import AsGraph, write_features_csv
 
 # not called here; kept bound because the benchmark tracer wraps them
 from .pipeline import make_dataset, restrict_to_graph  # noqa: F401
@@ -310,53 +308,11 @@ def _check_width(checkpoint: Path, model, bundle) -> None:
         )
 
 
-def _recorded(meta: dict, key: str, checkpoint: Path):
-    """A setting the checkpoint was trained with; there is no default."""
-    if key not in meta:
-        raise ValueError(f"checkpoint {checkpoint} does not record {key!r}")
-    return meta[key]
-
-
-def _load_checkpoint(args) -> tuple[Path, GcnModel, dict]:
-    """The --checkpoint file, its model and its meta.  It is refused
-    unless it records its training mode and seed, was trained with this
-    version's edge weight floor, and records its mode's class names, one
-    per column of its head."""
-    checkpoint = _require(args.checkpoint, "checkpoint")
-    model, meta = load_checkpoint(checkpoint)
-    mode, _, delta, classes = (_recorded(meta, key, checkpoint)
-                               for key in ("mode", "seed", "delta", "classes"))
-    if delta != WEIGHT_FLOOR:
-        raise ValueError(f"checkpoint {checkpoint} was trained with delta {delta}, "
-                         f"but the propagation matrix uses {WEIGHT_FLOOR}")
-    if not isinstance(classes, list) or len(classes) != model.head_w.shape[1]:
-        raise ValueError(f"checkpoint {checkpoint} records classes {classes}, "
-                         f"but its head scores {model.head_w.shape[1]}")
-    try:
-        names = [c.value for c in mode_classes(mode)]
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {checkpoint} records an {exc}") from None
-    if classes != names:
-        raise ValueError(f"checkpoint {checkpoint} records classes {classes}, "
-                         f"but {mode} mode has {names}")
-    return checkpoint, model, meta
-
-
 def _source(files: DataFiles) -> dict:
     """What the graph of ``files`` is built from: this version, and the
     sha256 of the paths file and of the alloc file (None without one)."""
     return {"version": __version__, "paths": _input_digest(files.paths),
             "alloc": files.alloc and _input_digest(files.alloc)}
-
-
-def _trained_graph(checkpoint: Path, meta: dict, files: DataFiles) -> Observed | None:
-    """The graph and ingest counts that the checkpoint's ``train`` run
-    saved in its meta, when they are those of ``files``: ``meta.source``
-    is the source record of ``files``.  Otherwise None, and the caller
-    ingests."""
-    if "graph" not in meta or meta.get("source") != _source(files):
-        return None
-    return decode_graph(meta["graph"], checkpoint, "meta.graph")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -436,19 +392,9 @@ def cmd_train(args) -> Manifest:
     outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
 
     checkpoint = out / "checkpoint.json"
-    save_checkpoint(
-        checkpoint,
-        outcome.result.model,
-        meta={
-            "mode": args.mode,
-            "seed": args.seed,
-            "delta": WEIGHT_FLOOR,
-            "classes": dataset.class_names,
-            "best_epoch": outcome.result.best_epoch,
-            "source": _source(files),
-            "graph": encode_graph(prep.bundle.graph, prep.bundle.report),
-        },
-    )
+    save_checkpoint(checkpoint, Checkpoint(
+        outcome.result.model, args.mode, args.seed, outcome.result.best_epoch,
+        _source(files), (prep.bundle.graph, prep.bundle.report)))
     history = out / "history.csv"
     write_history_csv(outcome.result.history, history)
     metrics_file = out / "metrics.json"
@@ -472,16 +418,17 @@ def cmd_train(args) -> Manifest:
 
 
 def cmd_eval(args) -> Manifest:
-    checkpoint, model, meta = _load_checkpoint(args)
-    mode, seed = meta["mode"], meta["seed"]
+    checkpoint_file = _require(args.checkpoint, "checkpoint")
+    checkpoint = load_checkpoint(checkpoint_file)
+    mode, seed = checkpoint.mode, checkpoint.seed
     files = _files_from_args(args)
-    observed = _trained_graph(checkpoint, meta, files)
+    observed = checkpoint.observed if checkpoint.source == _source(files) else None
     prep = prepare(files, mode, seed, observed)
     bundle, dataset = prep.bundle, prep.dataset
-    _check_width(checkpoint, model, bundle)
+    _check_width(checkpoint_file, checkpoint.model, bundle)
     out = _out_dir(args)
     a_hat = adjacency_for(bundle.graph, True)
-    splits = score_splits(model, a_hat, bundle.features.values, dataset)
+    splits = score_splits(checkpoint.model, a_hat, bundle.features.values, dataset)
     metrics_file = out / "metrics.json"
     write_json(metrics_file, {**metrics_doc(dataset.class_names, splits),
                               "baselines": baseline_accuracies(bundle.graph, dataset)})
@@ -490,7 +437,7 @@ def cmd_eval(args) -> Manifest:
     print(format_confusion(splits["test"], dataset.class_names))
     return Manifest({"mode": mode, "ingest": bundle.report.as_dict(),
                      "graph": "reused" if observed else "built"},
-                    {"checkpoint": checkpoint, **files.inputs()},
+                    {"checkpoint": checkpoint_file, **files.inputs()},
                     {"metrics": metrics_file}, seed)
 
 
@@ -499,12 +446,13 @@ _WRITE_ROWS = 1 << 14
 
 
 def cmd_predict(args) -> Manifest:
-    checkpoint, model, meta = _load_checkpoint(args)
-    classes = meta["classes"]
+    checkpoint_file = _require(args.checkpoint, "checkpoint")
+    checkpoint = load_checkpoint(checkpoint_file)
+    classes = checkpoint.classes
     files = _files_from_args(args, need_labels=False)
-    observed = _trained_graph(checkpoint, meta, files)
+    observed = checkpoint.observed if checkpoint.source == _source(files) else None
     bundle = build_bundle(files, observed)
-    _check_width(checkpoint, model, bundle)
+    _check_width(checkpoint_file, checkpoint.model, bundle)
     out = _out_dir(args)
 
     graph = bundle.graph
@@ -516,7 +464,7 @@ def cmd_predict(args) -> Manifest:
         rows = graph.edge_rows
         wanted = graph.nodes[rows]
     a_hat = adjacency_for(graph, True)
-    pred, logp = gcn_predict(model, a_hat, bundle.features.values, rows)
+    pred, logp = gcn_predict(checkpoint.model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
     # a batch of rows at a time, so no Python copy of the whole table
     batches = (slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(wanted), _WRITE_ROWS))
@@ -529,7 +477,7 @@ def cmd_predict(args) -> Manifest:
     return Manifest(
         {"pairs": len(wanted), "ingest": bundle.report.as_dict(),
          "graph": "reused" if observed else "built"},
-        {"checkpoint": checkpoint, "pairs": pair_file, **files.inputs()},
+        {"checkpoint": checkpoint_file, "pairs": pair_file, **files.inputs()},
         {"predictions": pred_file}, None,
     )
 

@@ -240,7 +240,7 @@ def vote_intersection(
     if len(sources) < 2:
         raise ValueError("voting needs at least two label sources")
     per_source = [_source_calls(src) for src in sources]
-    union = np.unique(np.concatenate([key for key, _, _ in per_source]))
+    n_union = int(run_firsts(np.sort(np.concatenate([k for k, _, _ in per_source]))).sum())
     key, call, _ = per_source[0]
     for other_key, other_call, _ in per_source[1:]:
         _, mine, theirs = np.intersect1d(
@@ -259,9 +259,9 @@ def vote_intersection(
         n_sources=len(sources),
         source_sizes={s.name if seen[s.name] == 1 else f"{s.name}#{i}": len(s.a)
                       for i, s in enumerate(sources, 1)},
-        union_pairs=len(union),
+        union_pairs=n_union,
         intersection_pairs=len(table),
-        coincidence_rate=len(table) / len(union) if len(union) else 0.0,
+        coincidence_rate=len(table) / n_union if n_union else 0.0,
         inconsistent_dropped=sum(bad for _, _, bad in per_source),
     )
     return table, report

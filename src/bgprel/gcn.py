@@ -50,6 +50,9 @@ so only training loads ``scipy.sparse``.  Both products sum each row
 in entry order from 0.0 and give the same bits.  Everything is plain
 numpy/scipy, so a run is bitwise reproducible for a fixed seed at a
 fixed BLAS thread count.
+
+The checkpoint format is this module's alone: the ``Checkpoint`` record,
+its one writer and its one reader, which checks every field.
 """
 
 from __future__ import annotations
@@ -60,12 +63,15 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import mode_classes
-from .ingest import decode_array, encode_array, read_json, write_json, write_table
-from .topology import Csr
+from .dataset import MODE_CLASSES, mode_classes
+from .ingest import decode_array, encode_array, read_field, read_json, write_json, write_table
+from .topology import Csr, decode_graph, distinct, distinct_union, encode_graph
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+    from .ingest import IngestReport
+    from .topology import AsGraph
 
 
 class TrainingDivergedError(RuntimeError):
@@ -269,7 +275,7 @@ class RowPlan:
         if not isinstance(a_hat, Csr):
             a_hat = Csr(a_hat.data, a_hat.indices, a_hat.indptr)
         n = len(a_hat.indptr) - 1
-        last = np.unique(np.asarray(endpoints, dtype=np.intp))
+        last = distinct(np.array(endpoints, dtype=np.intp).ravel())  # a copy to sort
         if last.size and (last[0] < 0 or last[-1] >= n):
             raise IndexError("edge index out of range")
         rows, props = [last], []
@@ -277,7 +283,7 @@ class RowPlan:
             r = rows[0]
             prop = a_hat if len(r) == n else a_hat.take_rows(r)
             if k:
-                cols = r if len(r) == n else np.union1d(r, prop.indices)
+                cols = r if len(r) == n else distinct_union([r, prop.indices])
                 rows.insert(0, cols)
                 if len(cols) < n:
                     prop = prop.within_columns(cols)
@@ -303,9 +309,10 @@ class RowPlan:
         last = self.rows[-1]
         if len(last) == self.n_nodes:
             return edges
-        if not np.isin(edges, last).all():
+        at = np.searchsorted(last, edges)
+        if (at == len(last)).any() or (last[at] != edges).any():
             raise ValueError("edge endpoint outside the plan's rows")
-        return np.searchsorted(last, edges)
+        return at
 
 
 # -- forward ------------------------------------------------------------
@@ -687,15 +694,37 @@ def train(
 
 # the dtypes a checkpoint's arrays may have
 _CHECKPOINT_DTYPES = ("float32", "float64")
+_FORMAT = "bgprel-checkpoint-v1"
 
 
-def save_checkpoint(
-    path: str | Path, model: GcnModel, meta: dict | None = None
-) -> None:
+class Checkpoint(NamedTuple):
+    """What a checkpoint file holds.  ``observed`` is the graph it was
+    trained on with its ingest counts, ``source`` the record of the files
+    that graph came from, each None where absent.  The class names are
+    the mode's and the edge weight floor is WEIGHT_FLOOR: both are
+    written and checked, never set."""
+
+    model: GcnModel
+    mode: str
+    seed: int
+    best_epoch: int
+    source: dict | None = None
+    observed: tuple[AsGraph, IngestReport] | None = None
+
+    @property
+    def classes(self) -> list[str]:
+        return [c.value for c in mode_classes(self.mode)]
+
+
+def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
     """Self-describing JSON checkpoint, each array in the model's dtype
     (identical runs give identical bytes)."""
-    doc = {
-        "format": "bgprel-checkpoint-v1",
+    model, observed = checkpoint.model, checkpoint.observed
+    meta = {"mode": checkpoint.mode, "seed": checkpoint.seed, "delta": WEIGHT_FLOOR,
+            "best_epoch": checkpoint.best_epoch, "classes": checkpoint.classes,
+            "source": checkpoint.source, "graph": encode_graph(*observed) if observed else None}
+    write_json(path, {
+        "format": _FORMAT,
         "input_dim": model.input_dim,
         "hidden": model.hidden,
         "n_classes": model.n_classes,
@@ -703,62 +732,60 @@ def save_checkpoint(
         "blocks": [[encode_array(w) for w in block] for block in model.blocks],
         "head_w": encode_array(model.head_w),
         "head_b": encode_array(model.head_b),
-        "meta": meta or {},
-    }
-    write_json(path, doc)
+        "meta": {k: v for k, v in meta.items() if v is not None},
+    })
 
 
-def load_checkpoint(path: str | Path) -> tuple[GcnModel, dict]:
-    """A checkpoint's model and meta.  A file that is not a checkpoint,
-    a missing or malformed field, and recorded sizes (``input_dim``,
-    ``hidden``, ``n_classes``, ``block_spec``) that its arrays' shapes
-    do not match are each refused with a ValueError naming the file and
-    the field."""
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """The checkpoint in the file ``path``, accepted whole or refused with
+    a ``FieldError`` naming the file and the field.  Every field is
+    checked, ``meta`` and its graph included, and the recorded sizes
+    against the arrays' shapes."""
     doc = read_json(path, "checkpoint")
-    if not isinstance(doc, dict) or doc.get("format") != "bgprel-checkpoint-v1":
-        raise ValueError(f"not a checkpoint file: {path} has no field 'format' "
-                         "reading 'bgprel-checkpoint-v1'")
 
-    def field(name: str, ok=lambda v: True, what: str = ""):
-        if name not in doc:
-            raise ValueError(f"{path}: missing field {name!r}")
-        if not ok(doc[name]):
-            raise ValueError(f"{path}: field {name!r} is not {what}")
-        return doc[name]
+    def field(name: str, ok=None, what: str = ""):
+        return read_field(doc, path, name, ok, what)
 
     def size(v) -> bool:
         return type(v) is int and v > 0
 
+    field("format", lambda v: v == _FORMAT, repr(_FORMAT))
     d, h, c = (field(k, size, "a positive integer")
                for k in ("input_dim", "hidden", "n_classes"))
     nb, nl = field("block_spec", lambda v: isinstance(v, list) and len(v) == 2
                    and all(map(size, v)), "a [blocks, layers] pair")
-    blocks = field("blocks", lambda v: isinstance(v, list) and len(v) == nb and all(
+    field("blocks", lambda v: isinstance(v, list) and len(v) == nb and all(
         isinstance(b, list) and len(b) == nl for b in v),
         f"{nb} lists of {nl} arrays, as 'block_spec' records")
-    meta = field("meta", lambda v: isinstance(v, dict), "an object") if "meta" in doc else {}
-    encoded = {f"blocks[{i}][{j}]": w for i, block in enumerate(blocks)
-               for j, w in enumerate(block)}
-    encoded.update(head_w=field("head_w"), head_b=field("head_b"))
+    meta = field("meta", lambda v: isinstance(v, dict), "an object")
+    mode = field("meta.mode", lambda v: isinstance(v, str) and v in MODE_CLASSES,
+                 f"a mode, one of {list(MODE_CLASSES)}")
+    classes = [label.value for label in mode_classes(mode)]
+    field("meta.classes", lambda v: v == classes, f"{classes}, the classes of {mode} mode")
+    field("n_classes", lambda v: v == len(classes),
+          f"{len(classes)}, the number of classes {mode} mode has")
+    seed = field("meta.seed", lambda v: type(v) is int, "an integer")
+    field("meta.delta", lambda v: v == WEIGHT_FLOOR,
+          f"{WEIGHT_FLOOR}, the edge weight floor of the propagation matrix")
+    best_epoch = field("meta.best_epoch", lambda v: type(v) is int and v >= 0,
+                       "a non-negative integer")
+    source = field("meta.source", lambda v: isinstance(v, dict),
+                   "an object") if "source" in meta else None
     # the shape each array must have, given the recorded sizes
-    want = {name: (d if name == "blocks[0][0]" else h, h) for name in encoded}
-    want.update(head_w=(2 * h, c), head_b=(c,))
+    want = {f"blocks[{i}][{j}]": [d if i == j == 0 else h, h]
+            for i in range(nb) for j in range(nl)}
+    want.update(head_w=[2 * h, c], head_b=[c])
     arrays = {}
-    for name, enc in encoded.items():
-        arrays[name] = decode_array(enc, path, name, _CHECKPOINT_DTYPES)
-        if arrays[name].shape != want[name]:
-            raise ValueError(
-                f"{path}: field {name!r} has shape {list(arrays[name].shape)}, but "
-                f"input_dim {d}, hidden {h} and n_classes {c} give {list(want[name])}")
-        if arrays[name].dtype != arrays["blocks[0][0]"].dtype:
-            raise ValueError(f"{path}: field 'dtype' of {name!r} is not that of "
-                             "'blocks[0][0]'")
-    model = GcnModel(
-        blocks=[[arrays[f"blocks[{i}][{j}]"] for j in range(nl)] for i in range(nb)],
-        head_w=arrays["head_w"], head_b=arrays["head_b"],
-        input_dim=d, hidden=h, n_classes=c,
-    )
-    return model, meta
+    for name, shape in want.items():
+        arrays[name] = decode_array(doc, path, name, _CHECKPOINT_DTYPES)
+        field(f"{name}.shape", lambda v: v == shape,
+              f"{shape}, as input_dim {d}, hidden {h} and n_classes {c} give")
+        dtype = arrays["blocks[0][0]"].dtype.name
+        field(f"{name}.dtype", lambda v: v == dtype, f"{dtype!r}, that of 'blocks[0][0]'")
+    model = GcnModel([[arrays[f"blocks[{i}][{j}]"] for j in range(nl)] for i in range(nb)],
+                     arrays["head_w"], arrays["head_b"], d, h, c)
+    observed = decode_graph(doc, path, "meta.graph") if "graph" in meta else None
+    return Checkpoint(model, mode, seed, best_epoch, source, observed)
 
 
 def write_history_csv(history: list[Epoch], out: str | Path) -> None:

@@ -34,9 +34,10 @@ This module also writes every text file the package outputs, so their
 format is decided here alone: ``write_paths_file`` writes paths files,
 ``write_table`` every other table (CSV, label sources, ASN lists) as
 LF-ended lines, and ``write_json`` every JSON document (manifests,
-reports, metrics, checkpoints, saved graphs) with indent 2 and sorted
-keys.  ``encode_array`` and ``decode_array`` are the one array codec of
-those documents, and ``read_json`` reads a checkpoint or a saved graph.
+reports, metrics, checkpoints) with indent 2 and sorted keys.
+``read_json`` reads a checkpoint, ``read_field`` any of its fields by
+dotted name, refusing one with a ``FieldError``, and ``encode_array``
+and ``decode_array`` are the one array codec of those documents.
 """
 
 from __future__ import annotations
@@ -699,6 +700,33 @@ def read_json(path: str | Path, what: str):
         raise ValueError(f"not a {what} file: {path} is not JSON ({exc})") from None
 
 
+class FieldError(ValueError):
+    """A field of the JSON document in the file ``path`` that is missing,
+    or (given ``what``) whose value is not ``what``."""
+
+    def __init__(self, path: str | Path, name: str, what: str | None = None):
+        super().__init__(f"{path}: missing field {name!r}" if what is None
+                         else f"{path}: field {name!r} is not {what}")
+
+
+def read_field(doc, path: str | Path, name: str, ok=None, what: str = ""):
+    """Field ``name`` of ``doc``, the JSON document in the file ``path``,
+    named by its dotted path with list positions in brackets
+    (``blocks[0][1].data``); refused when missing or when ``ok`` does not
+    accept its value."""
+    value = doc
+    for step in re.finditer(r"\[(\d+)\]|\.?([^.[]+)", name):
+        index, key = step.groups()
+        try:  # a value that is neither object nor list has no fields
+            value = (value if isinstance(value, (dict, list)) else {})[
+                key if index is None else int(index)]
+        except (KeyError, IndexError, TypeError):
+            raise FieldError(path, name[:step.end()]) from None
+    if ok is not None and not ok(value):
+        raise FieldError(path, name, what)
+    return value
+
+
 # -- the array codec of JSON documents: an array is its shape, dtype name,
 # byte order and base64 little-endian bytes
 
@@ -718,25 +746,20 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(doc, path: str | Path, name: str, dtypes: Sequence[str]) -> np.ndarray:
-    """The array the file ``path`` holds in field ``name``, of one of the
-    ``dtypes``; a malformed one is refused naming the file and the field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: field {name!r} is not an encoded array")
-    dtype = doc.get("dtype")
-    if dtype not in dtypes:
-        raise ValueError(f"{path}: unsupported array dtype {dtype!r} in field 'dtype' "
-                         f"of {name!r} (expected {' or '.join(map(repr, dtypes))})")
-    if doc.get("byte_order") != "little":
-        raise ValueError(f"{path}: unsupported byte order {doc.get('byte_order')!r} "
-                         f"in field 'byte_order' of {name!r}")
-    shape = doc.get("shape")
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError(f"{path}: field 'shape' of {name!r} is not a list of sizes")
+    """The array that field ``name`` of ``doc``, the JSON document in the
+    file ``path``, encodes in one of the ``dtypes``."""
+    read_field(doc, path, name, lambda v: isinstance(v, dict), "an encoded array")
+    dtype = read_field(doc, path, f"{name}.dtype", lambda v: v in dtypes,
+                       " or ".join(map(repr, dtypes)))
+    read_field(doc, path, f"{name}.byte_order", lambda v: v == "little", "'little'")
+    shape = read_field(doc, path, f"{name}.shape", lambda v: isinstance(v, list) and all(
+        type(n) is int and n >= 0 for n in v), "a list of sizes")
+    data = read_field(doc, path, f"{name}.data")
     try:
-        raw = base64.b64decode(doc["data"], validate=True)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: field 'data' of {name!r} is not base64") from None
-    if len(raw) != math.prod(shape) * np.dtype(_ARRAY_DTYPES[dtype]).itemsize:
-        raise ValueError(f"{path}: field 'data' of {name!r} holds {len(raw)} bytes, "
-                         f"which are not the {dtype} values of shape {shape}")
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):
+        raise FieldError(path, f"{name}.data", "base64") from None
+    size = math.prod(shape) * np.dtype(_ARRAY_DTYPES[dtype]).itemsize
+    if len(raw) != size:
+        raise FieldError(path, f"{name}.data", f"{size} bytes, {dtype} values of shape {shape}")
     return np.frombuffer(raw, dtype=_ARRAY_DTYPES[dtype]).reshape(shape).astype(dtype)

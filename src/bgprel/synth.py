@@ -36,7 +36,7 @@ import numpy as np
 
 from .dataset import RelLabel
 from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file, write_table
-from .topology import AsGraph, AsType, canonical_edge, step_edges
+from .topology import AsGraph, AsType, canonical_edge, distinct, step_edges
 
 # wiring knobs that are not worth per-run configuration
 _ORG_GROUP_SIZES = (2, 3, 3)  # drawn uniformly
@@ -439,7 +439,7 @@ class RouteTable(NamedTuple):
         ends = np.cumsum(lengths)
         hops = np.empty(lengths.sum(), dtype=np.int64)
         hops[ends - lengths] = self.vp
-        for d in np.unique(lengths - 1).tolist():
+        for d in distinct(lengths - 1).tolist():
             sel = np.flatnonzero(lengths == d + 1)
             tails = self.paths[d][self.row[dests[sel]]]
             hops[(ends[sel] - d)[:, None] + np.arange(d)] = tails

@@ -28,6 +28,7 @@ import numpy as np
 
 from .ingest import (
     MAX_ASN,
+    FieldError,
     IngestReport,
     PathStore,
     decode_array,
@@ -36,6 +37,7 @@ from .ingest import (
     load_asn_set,
     pack_pairs,
     pack_unordered_pairs,
+    read_field,
     run_firsts,
     unpack_pairs,
     write_table,
@@ -74,20 +76,20 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(run_firsts(keys))
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
+def distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values, sorting ``keys`` in place (np.unique
-    without its bookkeeping)."""
+    without its bookkeeping or its first call's ``numpy.ma`` import)."""
     keys.sort()
     return keys[run_firsts(keys)]
 
 
-def _union(parts: list[np.ndarray]) -> np.ndarray:
+def distinct_union(parts: list[np.ndarray]) -> np.ndarray:
     """Sorted distinct values of sorted distinct arrays.  The values the
     first part lacks are inserted into it, so a union that adds little
     to a large first part costs a search per later value, not a sort of
     the first part again."""
     head = parts[0]
-    keys = _distinct(np.concatenate([head[:0], *parts[1:]]))
+    keys = distinct(np.concatenate([head[:0], *parts[1:]]))
     at = np.searchsorted(head, keys)
     new = at == len(head)
     new[~new] = head[at[~new]] != keys[~new]
@@ -205,10 +207,10 @@ class AsGraph:
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-edge on AS{pairs[loops][0, 0]}")
-        asns = _distinct(np.concatenate([pairs.ravel(), np.fromiter(nodes, np.int64)]))
+        asns = distinct(np.concatenate([pairs.ravel(), np.fromiter(nodes, np.int64)]))
         n = len(asns)
         pos = np.sort(np.searchsorted(asns, pairs), axis=1)
-        keys = _distinct(pos[:, 0] * n + pos[:, 1])
+        keys = distinct(pos[:, 0] * n + pos[:, 1])
         return cls(asns, np.stack(np.divmod(keys, n), axis=1))
 
     # -- queries ------------------------------------------------------
@@ -269,7 +271,7 @@ def _step_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b[i]; a step from an ASN to itself raises ValueError."""
     if np.any(a == b):
         raise ValueError("self-edge in a path")
-    return _distinct(pack_unordered_pairs(a, b))
+    return distinct(pack_unordered_pairs(a, b))
 
 
 def step_edges(paths: PathStore) -> np.ndarray:
@@ -280,7 +282,7 @@ def step_edges(paths: PathStore) -> np.ndarray:
     for batch in paths.batches():
         step = batch.steps()
         keys.append(_step_keys(batch.hops[step], batch.hops[step + 1]))
-    return _distinct(np.concatenate(keys))
+    return distinct(np.concatenate(keys))
 
 
 # bits set in each byte value, to count a packed bit matrix's rows
@@ -363,7 +365,7 @@ class GraphSummary:
         np.bitwise_or(mid, hops[:-2][inner], out=transits[:len(mid)])
         np.bitwise_or(mid, hops[2:][inner], out=transits[len(mid):])
         del mid, inner
-        transits = _distinct(transits)
+        transits = distinct(transits)
 
         # (node, hop distance from the path's VP) for every hop
         keys = np.arange(len(hops), dtype=np.uint64)
@@ -381,7 +383,7 @@ class GraphSummary:
 
         # (node, column of its path's VP) for every hop, sorted: their
         # nodes are the nodes, so a node's row counts the nodes before it
-        vps = _distinct(paths.hops[first])
+        vps = distinct(paths.hops[first])
         sightings = hops << 32
         sightings |= np.searchsorted(vps, paths.hops[first]).astype(np.uint64)[path_of]
         del path_of
@@ -407,13 +409,13 @@ class GraphSummary:
     @classmethod
     def merge(cls, parts: list["GraphSummary"]) -> "GraphSummary":
         """The summary of every part's paths together."""
-        return cls._gather(parts, _distinct(np.concatenate([p.vps for p in parts])))
+        return cls._gather(parts, distinct(np.concatenate([p.vps for p in parts])))
 
     @classmethod
     def _gather(cls, parts: list["GraphSummary"], vps: np.ndarray) -> "GraphSummary":
         """``merge``, with the bit columns in the order of ``vps``, which
         holds every part's VPs."""
-        nodes = _union([p.nodes for p in parts])
+        nodes = distinct_union([p.nodes for p in parts])
         order = np.argsort(vps)
         seen = np.zeros((len(nodes), -(-len(vps) // 8)), dtype=np.uint8)
         count, total, high = (np.zeros(len(nodes), dtype=np.int64) for _ in range(3))
@@ -427,8 +429,8 @@ class GraphSummary:
             high[at] = np.maximum(high[at], p.high)
         return cls(
             nodes=nodes,
-            steps=_union([p.steps for p in parts]),
-            transits=_union([p.transits for p in parts]),
+            steps=distinct_union([p.steps for p in parts]),
+            transits=distinct_union([p.transits for p in parts]),
             vps=vps,
             seen=seen,
             count=count,
@@ -491,39 +493,31 @@ def encode_graph(graph: AsGraph, report: IngestReport) -> dict:
 
 
 def decode_graph(doc, path: str | Path, name: str) -> tuple[AsGraph, IngestReport]:
-    """The graph and ingest counts ``encode_graph`` gave, which the file
-    ``path`` holds in field ``name``.  A field that is missing, malformed
-    or does not fit the node array is refused naming the file and the
-    field."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: field {name!r} is not an object")
-
-    def array(key: str) -> np.ndarray:
-        if key not in doc:
-            raise ValueError(f"{path}: missing field '{name}.{key}'")
-        return decode_array(doc[key], path, f"{name}.{key}", ("int64",))
-
-    nodes, edges, transit, vp = map(array, ("nodes", "edge_rows", "transit", "vp"))
+    """The graph and ingest counts ``encode_graph`` gave, which field
+    ``name`` of ``doc``, the JSON document in the file ``path``, holds.
+    A field that is missing, malformed or does not fit the node array is
+    refused naming the file and the field."""
+    read_field(doc, path, name, lambda v: isinstance(v, dict), "an object")
+    nodes, edges, transit, vp = (decode_array(doc, path, f"{name}.{key}", ("int64",))
+                                 for key in ("nodes", "edge_rows", "transit", "vp"))
     if nodes.ndim != 1 or (np.diff(nodes) <= 0).any() or (
             nodes.size and not 1 <= nodes[0] <= nodes[-1] <= MAX_ASN):
-        raise ValueError(f"{path}: field '{name}.nodes' is not increasing ASNs")
+        raise FieldError(path, f"{name}.nodes", "increasing ASNs")
     n = len(nodes)
-    want = {"edge_rows": [len(edges), 2], "transit": [n],
+    # one row pair per edge, and one entry per node in each per-node row
+    want = {"edge_rows": [*edges.shape[:1], 2], "transit": [n],
             "vp": [len(VpArrays.unobserved(0)), n]}
-    for key, got in zip(want, (edges, transit, vp)):
-        if list(got.shape) != want[key]:
-            raise ValueError(f"{path}: field '{name}.{key}' has shape {list(got.shape)}, "
-                             f"but the {n} nodes give {want[key]}")
+    for key, shape in want.items():
+        read_field(doc, path, f"{name}.{key}.shape", lambda v: v == shape, str(shape))
     if edges.size and not 0 <= edges.min() <= edges.max() < n:
-        raise ValueError(f"{path}: field '{name}.edge_rows' holds a node row "
-                         f"outside [0, {n})")
+        raise FieldError(path, f"{name}.edge_rows", f"node rows in [0, {n})")
     if (edges[:, 0] >= edges[:, 1]).any() or (np.diff(edges[:, 0] * n + edges[:, 1]) <= 0).any():
-        raise ValueError(f"{path}: field '{name}.edge_rows' is not distinct (a, b) rows, "
-                         "a < b, in sorted order")
-    counts, names = doc.get("ingest"), [f.name for f in fields(IngestReport)]
-    if not (isinstance(counts, dict) and sorted(counts) == sorted(names)
-            and all(type(v) is int and v >= 0 for v in counts.values())):
-        raise ValueError(f"{path}: field '{name}.ingest' is not the counts {names}")
+        raise FieldError(path, f"{name}.edge_rows",
+                         "distinct (a, b) rows, a < b, in sorted order")
+    names = [f.name for f in fields(IngestReport)]
+    counts = read_field(doc, path, f"{name}.ingest", lambda v: isinstance(v, dict) and sorted(
+        v) == sorted(names) and all(type(c) is int and c >= 0 for c in v.values()),
+        f"the counts {names}")
     return AsGraph(nodes, edges, transit, VpArrays(*vp)), IngestReport(**counts)
 
 
@@ -546,7 +540,8 @@ def infer_clique(g: AsGraph, k_candidates: int = CLIQUE_CANDIDATES) -> set[int]:
     members = ranked[:1].tolist()
     for cand in ranked[1:].tolist():
         row = g.indices[g.indptr[cand]:g.indptr[cand + 1]]
-        if g.transit[cand] and np.isin(members, row).all():
+        shared = np.intersect1d(members, row, assume_unique=True)  # CSR rows are distinct
+        if g.transit[cand] and len(shared) == len(members):
             members.append(cand)
     return set(g.nodes[members].tolist())
 

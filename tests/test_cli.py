@@ -432,7 +432,7 @@ def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
                 "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "delta 0.2" in err and "0.05" in err and str(checkpoint) in err
+    assert f"{checkpoint}: field 'meta.delta' is not 0.05" in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -450,7 +450,7 @@ def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, 
     code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
                 "--out", str(tmp_path / "o")])
     assert code == 1
-    assert f"does not record '{key}'" in capsys.readouterr().err
+    assert f"{checkpoint}: missing field 'meta.{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -468,7 +468,8 @@ def test_checkpoint_whose_classes_do_not_fit_its_head_is_refused(
                 "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and "its head scores 4" in err
+    assert (f"{checkpoint}: field 'meta.classes' is not ['p2p', 'p2c', 's2s', 'x2x'], "
+            "the classes of multi mode") in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -482,18 +483,34 @@ def test_eval_refuses_classes_that_are_not_its_modes(data_dir, train_dir, tmp_pa
                 "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert str(checkpoint) in err and "multi mode has" in err
+    assert f"{checkpoint}: field 'meta.classes' is not" in err
+    assert "the classes of multi mode" in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+_MULTI_CLASSES = ("field 'meta.classes' is not ['p2p', 'p2c', 's2s', 'x2x'], "
+                  "the classes of multi mode")
+_NO_MODE = "field 'meta.mode' is not a mode, one of ['binary', 'multi']"
+
+
+# each id names the case: the classes or mode the checkpoint records, and why
+# they are refused
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("mode,classes,message", [
-    ("multi", ["x2x", "s2s", "p2c", "p2p"], "but multi mode has ['p2p', 'p2c', 's2s', 'x2x']"),
-    ("multi", ["a", "b", "c", "d"], "but multi mode has ['p2p', 'p2c', 's2s', 'x2x']"),
-    ("binary", ["p2p", "p2c", "s2s", "x2x"], "but binary mode has ['p2p', 'p2c']"),
-    ("bogus", ["a", "b", "c", "d"], "records an unknown mode 'bogus'"),
-    (["multi"], ["p2p", "p2c", "s2s", "x2x"], "records an unknown mode ['multi']"),
-])
+    ("multi", ["x2x", "s2s", "p2c", "p2p"], _MULTI_CLASSES),
+    ("multi", ["a", "b", "c", "d"], _MULTI_CLASSES),
+    ("binary", ["p2p", "p2c", "s2s", "x2x"],
+     "field 'meta.classes' is not ['p2p', 'p2c'], the classes of binary mode"),
+    ("bogus", ["a", "b", "c", "d"], _NO_MODE),
+    (["multi"], ["p2p", "p2c", "s2s", "x2x"], _NO_MODE),
+    ("binary", ["p2p", "p2c"],
+     "field 'n_classes' is not 2, the number of classes binary mode has"),
+], ids=["multi-classes0-but multi mode has ['p2p', 'p2c', 's2s', 'x2x']",
+        "multi-classes1-but multi mode has ['p2p', 'p2c', 's2s', 'x2x']",
+        "binary-classes2-but binary mode has ['p2p', 'p2c']",
+        "bogus-classes3-records an unknown mode 'bogus'",
+        "mode4-classes4-records an unknown mode ['multi']",
+        "binary-but its head scores 4"])
 def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, capsys,
                                               monkeypatch, command, mode, classes,
                                               message):
@@ -508,7 +525,7 @@ def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, cap
                 "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"checkpoint {checkpoint} " in err and message in err
+    assert f"{checkpoint}: {message}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -518,13 +535,13 @@ def _shrink_head_w_data(doc):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda doc: [doc], "has no field 'format'"),
+    (lambda doc: [doc], "missing field 'format'"),
     (None, "is not JSON"),
     (lambda doc: {k: v for k, v in doc.items() if k != "blocks"},
      "missing field 'blocks'"),
-    (_shrink_head_w_data, "field 'data' of 'head_w' holds"),
-    (lambda doc: {**doc, "input_dim": 99}, "field 'blocks[0][0]' has shape [14, 8], "
-                                           "but input_dim 99"),
+    (_shrink_head_w_data, "field 'head_w.data' is not 256 bytes"),
+    (lambda doc: {**doc, "input_dim": 99}, "field 'blocks[0][0].shape' is not [99, 8], "
+                                           "as input_dim 99"),
 ], ids=["json-list", "not-json", "no-blocks", "short-data", "input-dim"])
 def test_malformed_checkpoint_is_refused_naming_file_and_field(
         data_dir, train_dir, tmp_path, capsys, edit, message):
@@ -998,7 +1015,7 @@ def _edit_graph_array(name, edit):
     def rewrite(doc):
         graph = doc["meta"]["graph"]
         graph[name] = ingest.encode_array(edit(ingest.decode_array(
-            graph[name], "checkpoint.json", name, ("int64",))))
+            graph, "checkpoint.json", name, ("int64",))))
         return json.dumps(doc)
     return rewrite
 
@@ -1006,16 +1023,16 @@ def _edit_graph_array(name, edit):
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: json.dumps(doc)[:1000], "is not JSON"),
     (_edit_graph_array("transit", lambda a: np.append(a, 0)),
-     "field 'meta.graph.transit' has shape"),
+     "field 'meta.graph.transit.shape' is not ["),
     (_edit_graph_array("edge_rows", lambda a: np.where(a == a.max(), a.max() + 1, a)),
-     "field 'meta.graph.edge_rows' holds a node row outside"),
+     "field 'meta.graph.edge_rows' is not node rows in [0, "),
 ], ids=["truncated", "per-node-length", "edge-row-range"])
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_bad_graph_the_manifest_vouches_for_is_refused(command, edit, message, trained_copy,
-                                                      tmp_path, capsys):
-    """A bad graph in a checkpoint whose source record, its manifest of
-    the graph's inputs, matches the command's files is refused naming
-    the checkpoint and the field, before --out is created."""
+def test_bad_graph_in_a_checkpoint_is_refused(command, edit, message, trained_copy,
+                                              tmp_path, capsys):
+    """A bad graph in a checkpoint whose source record matches the
+    command's files is refused naming the checkpoint and the field,
+    before --out is created."""
     data, trained, _, _ = trained_copy
     checkpoint = trained / "checkpoint.json"
     checkpoint.write_text(edit(json.loads(checkpoint.read_text())))
@@ -1027,9 +1044,47 @@ def test_bad_graph_the_manifest_vouches_for_is_refused(command, edit, message, t
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_bad_graph_is_refused_when_the_command_ingests(command, trained_copy, tmp_path,
+                                                       capsys):
+    """A checkpoint is accepted whole or refused: a bad graph is refused
+    also where the command's paths are not the ones it records, so that
+    the command would ingest them and never use the graph."""
+    data, trained, _, _ = trained_copy
+    GRAPH_CASES["changed"](data, trained)
+    checkpoint = trained / "checkpoint.json"
+    checkpoint.write_text(_edit_graph_array("transit", lambda a: a[:-1])(
+        json.loads(checkpoint.read_text())))
+    code = run([command, "--data", str(data), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: field 'meta.graph.transit.shape' is not [")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [None, "0", 1.5, True], ids=["null", "string", "float", "bool"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_whose_seed_is_not_an_integer_is_refused(command, seed, data_dir,
+                                                            train_dir, tmp_path, capsys):
+    """``eval`` redraws the training split from the recorded seed, and
+    ``random.Random`` takes None, strings, floats and bools, each giving
+    another split (None one from the OS on every run)."""
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    doc["meta"]["seed"] = seed
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    code = run([command, "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {checkpoint}: field 'meta.seed' "
+                                       "is not an integer\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _widen_first_layer(doc):
     """A checkpoint as one trained on one more feature column."""
-    first = ingest.decode_array(doc["blocks"][0][0], "checkpoint.json", "blocks[0][0]",
+    first = ingest.decode_array(doc, "checkpoint.json", "blocks[0][0]",
                                 ("float32", "float64"))
     doc["blocks"][0][0] = ingest.encode_array(np.vstack([first, first[:1]]))
     doc["input_dim"] += 1

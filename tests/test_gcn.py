@@ -14,6 +14,7 @@ import bgprel.gcn as gcn
 from bgprel.dataset import mode_classes
 from bgprel.gcn import (
     AdamState,
+    Checkpoint,
     EdgeBatch,
     Epoch,
     GcnModel,
@@ -1010,24 +1011,34 @@ class TestIncidenceScatter:
                                       [0, 0, 0, 1], [0, 0, 0, 0]])
 
 
+def _checkpoint(model: GcnModel, seed: int = 0) -> Checkpoint:
+    """A checkpoint of ``model`` in the mode of its class count."""
+    return Checkpoint(model, {2: "binary", 4: "multi"}[model.n_classes], seed, 1)
+
+
 class TestPersistence:
     def test_checkpoint_roundtrip(self, tmp_path):
         nprng = np.random.default_rng(3)
         model = init_model(14, 32, 4, (2, 1), nprng)
         f = tmp_path / "model.json"
-        save_checkpoint(f, model, meta={"mode": "multi", "delta": 0.05})
-        again, meta = load_checkpoint(f)
-        assert meta["mode"] == "multi"
-        assert again.block_spec == model.block_spec
-        for p1, p2 in zip(model.params(), again.params()):
+        save_checkpoint(f, Checkpoint(model, "multi", 7, 12))
+        again = load_checkpoint(f)
+        assert (again.mode, again.seed, again.best_epoch) == ("multi", 7, 12)
+        assert again.source is None and again.observed is None
+        assert again.classes == ["p2p", "p2c", "s2s", "x2x"]
+        meta = json.loads(f.read_text())["meta"]
+        assert meta == {"mode": "multi", "seed": 7, "best_epoch": 12, "delta": 0.05,
+                        "classes": ["p2p", "p2c", "s2s", "x2x"]}
+        assert again.model.block_spec == model.block_spec
+        for p1, p2 in zip(model.params(), again.model.params()):
             assert np.array_equal(p1, p2)
 
     def test_float32_checkpoint_roundtrip_is_bit_exact(self, tmp_path):
         model = init_model(14, 32, 4, (2, 1), np.random.default_rng(3), np.float32)
         model.head_b[:] = [0.5, -1e-30, 3e38, -0.0]
         f = tmp_path / "model.json"
-        save_checkpoint(f, model, meta={"mode": "multi"})
-        again, _ = load_checkpoint(f)
+        save_checkpoint(f, _checkpoint(model))
+        again = load_checkpoint(f).model
         for p1, p2 in zip(model.params(), again.params()):
             assert p2.dtype == np.float32
             assert p1.tobytes() == p2.tobytes()
@@ -1047,16 +1058,19 @@ class TestPersistence:
             return {"shape": list(w.shape), "dtype": "float64", "byte_order": "little",
                     "data": base64.b64encode(w.astype("<f8").tobytes()).decode("ascii")}
 
+        meta = {"mode": "multi", "seed": 3, "best_epoch": 5, "delta": 0.05,
+                "classes": ["p2p", "p2c", "s2s", "x2x"]}
         doc = {"format": "bgprel-checkpoint-v1", "input_dim": model.input_dim,
                "hidden": model.hidden, "n_classes": model.n_classes,
                "block_spec": list(model.block_spec),
                "blocks": [[encode(w) for w in block] for block in model.blocks],
                "head_w": encode(model.head_w), "head_b": encode(model.head_b),
-               "meta": {"mode": "multi"}}
+               "meta": meta}
         f = tmp_path / "model.json"
         f.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        again, meta = load_checkpoint(f)
-        assert meta == {"mode": "multi"}
+        loaded = load_checkpoint(f)
+        again = loaded.model
+        assert (loaded.mode, loaded.seed, loaded.best_epoch) == ("multi", 3, 5)
         for p1, p2 in zip(model.params(), again.params()):
             assert p2.dtype == np.float64
             assert np.array_equal(p1, p2)
@@ -1064,27 +1078,28 @@ class TestPersistence:
             got = predict(again, a_hat, x.astype(dtype), te)
             want = predict(model.astype(dtype), a_hat.astype(dtype), x.astype(dtype), te)
             assert np.array_equal(got[1], want[1])
-        save_checkpoint(tmp_path / "again.json", again, meta)
+        save_checkpoint(tmp_path / "again.json", loaded)
         assert (tmp_path / "again.json").read_bytes() == f.read_bytes()
 
     @pytest.mark.parametrize("dtype", ["float16", "int64", None])
     def test_unknown_array_dtype_is_refused(self, tmp_path, dtype):
         f = tmp_path / "model.json"
-        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0)))
+        save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0))))
         doc = json.loads(f.read_text())
         if dtype is None:
             del doc["head_b"]["dtype"]
+            message = "missing field 'head_b.dtype'"
         else:
             doc["head_b"]["dtype"] = dtype
+            message = "field 'head_b.dtype' is not 'float32' or 'float64'"
         f.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"model.json: .*{dtype!r} in field 'dtype'"):
+        with pytest.raises(ValueError, match=re.escape(f"model.json: {message}")):
             load_checkpoint(f)
 
     @pytest.mark.parametrize("key,value,message", [
-        ("input_dim", 4, "field 'blocks[0][0]' has shape [3, 4], but input_dim 4"),
-        ("hidden", 5, "field 'blocks[0][0]' has shape [3, 4], but input_dim 3, hidden 5"),
-        ("n_classes", 3, "field 'head_w' has shape [8, 2], but input_dim 3, hidden 4 "
-                         "and n_classes 3 give [8, 3]"),
+        ("input_dim", 4, "field 'blocks[0][0].shape' is not [4, 4], as input_dim 4"),
+        ("hidden", 5, "field 'blocks[0][0].shape' is not [3, 5], as input_dim 3, hidden 5"),
+        ("n_classes", 3, "field 'n_classes' is not 2, the number of classes binary mode has"),
         ("block_spec", [2, 1], "field 'blocks' is not 2 lists of 1 arrays"),
         ("block_spec", [1, 2], "field 'blocks' is not 1 lists of 2 arrays"),
         ("block_spec", [1], "field 'block_spec' is not a [blocks, layers] pair"),
@@ -1095,7 +1110,7 @@ class TestPersistence:
             "block_spec-short", "hidden-zero", "n_classes-bool", "meta-list"])
     def test_recorded_sizes_must_match_the_arrays(self, tmp_path, key, value, message):
         f = tmp_path / "model.json"
-        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0)))
+        save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0))))
         doc = json.loads(f.read_text())
         doc[key] = value
         f.write_text(json.dumps(doc))
@@ -1103,34 +1118,50 @@ class TestPersistence:
             load_checkpoint(f)
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda a: a.update(shape=[2, "x"]), "field 'shape' of 'head_w' is not a list"),
-        (lambda a: a.update(data="not base64!"), "field 'data' of 'head_w' is not base64"),
-        (lambda a: a.pop("data"), "field 'data' of 'head_w' is not base64"),
-        (lambda a: a.update(shape=[8, 3]), "field 'data' of 'head_w' holds 64 bytes"),
-        (lambda a: a.update(byte_order="big"), "'big' in field 'byte_order' of 'head_w'"),
-        (lambda a: a.update(dtype="int64"), "unsupported array dtype 'int64' in field "
-                                            "'dtype' of 'head_w' (expected 'float32' or "
-                                            "'float64')"),
+        (lambda a: a.update(shape=[2, "x"]), "field 'head_w.shape' is not a list"),
+        (lambda a: a.update(data="not base64!"), "field 'head_w.data' is not base64"),
+        (lambda a: a.pop("data"), "missing field 'head_w.data'"),
+        (lambda a: a.update(shape=[8, 3]), "field 'head_w.data' is not 96 bytes"),
+        (lambda a: a.update(shape=[8, 3], data=base64.b64encode(bytes(96)).decode()),
+         "field 'head_w.shape' is not [8, 2], as input_dim 3, hidden 4 and n_classes 2 give"),
+        (lambda a: a.update(byte_order="big"), "field 'head_w.byte_order' is not 'little'"),
+        (lambda a: a.update(dtype="int64"), "field 'head_w.dtype' is not 'float32' or "
+                                            "'float64'"),
         (lambda a: a.update(dtype="float64", data=base64.b64encode(bytes(128)).decode()),
-         "field 'dtype' of 'head_w' is not that of 'blocks[0][0]'"),
-    ], ids=["shape", "data-junk", "data-missing", "data-short", "byte-order", "int-dtype",
-         "mixed-dtype"])
+         "field 'head_w.dtype' is not 'float32', that of 'blocks[0][0]'"),
+    ], ids=["shape", "data-junk", "data-missing", "data-short", "shape-of-sizes",
+            "byte-order", "int-dtype", "mixed-dtype"])
     def test_malformed_array_is_refused_naming_its_field(self, tmp_path, edit, message):
         f = tmp_path / "model.json"
-        save_checkpoint(f, init_model(3, 4, 2, (1, 1), np.random.default_rng(0),
-                                      np.float32))
+        save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0),
+                                                  np.float32)))
         doc = json.loads(f.read_text())
         edit(doc["head_w"])
         f.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(f"{f}: ") + ".*" + re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"{f}: {message}")):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: meta.pop("best_epoch"), "missing field 'meta.best_epoch'"),
+        (lambda meta: meta.update(best_epoch=-1),
+         "field 'meta.best_epoch' is not a non-negative integer"),
+        (lambda meta: meta.update(source="abc"), "field 'meta.source' is not an object"),
+    ], ids=["best-epoch-missing", "best-epoch-negative", "source"])
+    def test_malformed_meta_is_refused_naming_its_field(self, tmp_path, edit, message):
+        f = tmp_path / "model.json"
+        save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0))))
+        doc = json.loads(f.read_text())
+        edit(doc["meta"])
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{f}: {message}")):
             load_checkpoint(f)
 
     def test_identical_models_identical_bytes(self, tmp_path):
         m1 = init_model(6, 8, 2, (2, 2), np.random.default_rng(9))
         m2 = init_model(6, 8, 2, (2, 2), np.random.default_rng(9))
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(f1, m1, meta={"seed": 9})
-        save_checkpoint(f2, m2, meta={"seed": 9})
+        save_checkpoint(f1, _checkpoint(m1, seed=9))
+        save_checkpoint(f2, _checkpoint(m2, seed=9))
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_history_csv(self, tmp_path):

@@ -182,6 +182,9 @@ def checkpoint(data_dir, tmp_path_factory):
     ("synth", False), ("ingest", False), ("features", False), ("dataset", False),
     ("eval", False), ("predict", False), ("train", True)])
 def test_only_training_loads_scipy_sparse(command, loads, data_dir, checkpoint, tmp_path):
+    """Only the epoch loop loads scipy.sparse, and numpy.ma (about 20 ms,
+    which scipy.sparse imports but numpy's np.unique and np.union1d also
+    load) is loaded by the same commands."""
     argv = {"synth": ["--n-mid", "20", "--n-stub", "30", "--n-vps", "5",
                       "--paths-per-vp", "10"],
             "ingest": ["--paths", data_dir / "paths.txt"],
@@ -192,9 +195,9 @@ def test_only_training_loads_scipy_sparse(command, loads, data_dir, checkpoint, 
     code = ("import sys\n"
             "from bgprel import cli\n"
             "assert cli.run(sys.argv[1:]) == 0\n"
-            "print('scipy.sparse' in sys.modules)\n")
+            "print('scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules)\n")
     out = _python(code, command, *argv, "--out", tmp_path / "o", cwd=tmp_path)
-    assert out.splitlines()[-1] == str(loads)
+    assert out.splitlines()[-1] == f"{loads} {loads}"
 
 
 def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
