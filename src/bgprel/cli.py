@@ -37,7 +37,6 @@ from . import __version__
 from .dataset import MODE_CLASSES, balance_and_split
 from .evaluate import (
     accuracy,
-    feature_importance,
     format_confusion,
     metrics_doc,
     setting_text,
@@ -66,10 +65,10 @@ from .pipeline import (
     ABLATABLE_FEATURES,
     SIDE_FILES,
     DataFiles,
+    ablate_columns,
     adjacency_for,
     baseline_accuracies,
     build_bundle,
-    importance_runner,
     prepare,
     prepare_labels,
     run_training,
@@ -211,6 +210,14 @@ def _comma_list(parse):
     return comma_list
 
 
+def _ablation(text: str) -> str:
+    """argparse type: ``none`` or an input ``ablate_columns`` can drop."""
+    if text not in ("none", *ABLATABLE_FEATURES):
+        raise argparse.ArgumentTypeError(
+            f"expected none or one of {', '.join(ABLATABLE_FEATURES)}, got {text!r}")
+    return text
+
+
 def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
     p.add_argument("--data", help="directory holding the conventional file names")
     p.add_argument("--paths", help="AS path observations, one a|b|c line each")
@@ -229,16 +236,6 @@ def _add_data_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
 
 def _add_mode_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=tuple(MODE_CLASSES), default="multi")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _add_mode_flag(p)
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--wd", type=float, help="weight decay strength")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--blocks", type=_blocks, help="BLOCKSxLAYERS, e.g. 2x1")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _require(path_str: str | None, what: str) -> Path:
@@ -453,8 +450,6 @@ def cmd_predict(args) -> Manifest:
     observed = checkpoint.observed if checkpoint.source == _source(files) else None
     bundle = build_bundle(files, observed)
     _check_width(checkpoint_file, checkpoint.model, bundle)
-    out = _out_dir(args)
-
     graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
@@ -463,6 +458,7 @@ def cmd_predict(args) -> Manifest:
     else:
         rows = graph.edge_rows
         wanted = graph.nodes[rows]
+    out = _out_dir(args)
     a_hat = adjacency_for(graph, True)
     pred, logp = gcn_predict(checkpoint.model, a_hat, bundle.features.values, rows)
     pred_file = out / "predictions.csv"
@@ -485,7 +481,7 @@ def cmd_predict(args) -> Manifest:
 def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
     """The ``a|b`` pairs of a pairs file, as an (n, 2) int64 array; an
     ASN the graph does not hold, or a pair of an ASN with itself, is
-    refused naming its line."""
+    refused naming its line, and a file with no pair naming the file."""
     pairs = array("q")
     for where, bits in read_fields(path, "|"):
         if len(bits) < 2:
@@ -497,53 +493,37 @@ def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
         if a == b:
             raise ValueError(f"{where}: self pair AS{a}")
         pairs.extend((a, b))
+    if not pairs:
+        raise ValueError(f"{path}: holds no a|b pair")
     return np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def cmd_importance(args) -> Manifest:
-    config = _train_config(args, **_overrides(args))
-    files = _files_from_args(args)
-    prep = prepare(files, args.mode, args.seed)
-    out = _out_dir(args)
-    runner = importance_runner(prep.bundle.graph, prep.bundle.features,
-                               prep.dataset, config)
-    workers = worker_count(len(ABLATABLE_FEATURES) + 1)  # with the baseline
-    report = feature_importance(runner, ABLATABLE_FEATURES, workers=workers)
-    csv_file = out / "importance.csv"
-    write_table(csv_file, *report.table())
-    json_file = out / "importance.json"
-    write_json(json_file, report.as_dict())
-    print(f"baseline accuracy {report.baseline_accuracy:.4f}")
-    if report.degenerate:
-        print("importance degenerate: removals never changed accuracy")
-    for e in sorted(report.entries, key=lambda e: -(e.score or 0.0)):
-        share = "n/a" if e.score is None else f"{e.score:6.2f}%"
-        print(f"  {e.feature:<16} {share}  (without: {e.accuracy_without:.4f})")
-    return Manifest(
-        {**asdict(config), "workers": workers, "ingest": prep.bundle.report.as_dict()},
-        files.inputs(),
-        {"importance_csv": csv_file, "importance_json": json_file}, args.seed,
-    )
 
 
 def cmd_sweep(args) -> Manifest:
     grid = _overrides(args, ("lr", "wd", "blocks"))
-    if not grid:
-        raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks lists")
+    if not (grid or args.ablate):
+        raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks, --ablate lists")
     fixed = _overrides(args, ("epochs", "hidden"))
     for values in itertools.product(*grid.values()):  # check every grid point
         _train_config(args, **fixed, **dict(zip(grid, values)))
     base = _train_config(args, **fixed)
     preferred = {k: getattr(base, k) for k in grid}
+    if args.ablate:
+        grid["ablate"], preferred["ablate"] = args.ablate, "none"
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
     out = _out_dir(args)
-    fm = prep.bundle.features
-    a_hat = adjacency_for(prep.bundle.graph, True)
+    fm, graph = prep.bundle.features, prep.bundle.graph
+    a_hat = adjacency_for(graph, True)
+    # the run that drops "cnr" trains over the unweighted matrix, built
+    # here once so that forked workers inherit it
+    unweighted = adjacency_for(graph, False) if "cnr" in grid.get("ablate", ()) else None
 
     def run_one(params: dict) -> tuple[float, float]:
-        config = _train_config(args, **fixed, **params)
-        outcome = run_training(fm.values, a_hat, prep.dataset, config)
+        settings = dict(params)  # the report keeps ``params``
+        dropped = settings.pop("ablate", "none")
+        config = _train_config(args, **fixed, **settings)
+        x, weighted = ablate_columns(fm, None if dropped == "none" else dropped)
+        outcome = run_training(x, a_hat if weighted else unweighted, prep.dataset, config)
         return outcome.val_accuracy, outcome.test_accuracy
 
     workers = worker_count(math.prod(map(len, grid.values())))
@@ -632,7 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the edge classifier")
     _add_data_flags(p)
-    _add_train_flags(p)
+    _add_mode_flag(p)
+    p.add_argument("--lr", type=float, help="Adam learning rate")
+    p.add_argument("--wd", type=float, help="weight decay strength")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--blocks", type=_blocks, help="BLOCKSxLAYERS, e.g. 2x1")
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -649,19 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("importance", help="leave-one-out feature importance")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("sweep", help="grid search over training settings")
+    p = sub.add_parser("sweep", help="grid search over training settings and dropped inputs")
     _add_data_flags(p)
     _add_mode_flag(p)
     p.add_argument("--lr", type=_comma_list(float), help="comma list of learning rates")
     p.add_argument("--wd", type=_comma_list(float), help="comma list of weight decays")
     p.add_argument("--blocks", type=_comma_list(_blocks),
                    help="comma list of BLOCKSxLAYERS specs")
+    p.add_argument("--ablate", type=_comma_list(_ablation),
+                   help="comma list of inputs to drop, one a run; none drops nothing")
     p.add_argument("--epochs", type=int, help="fixed for every grid entry")
     p.add_argument("--hidden", type=int, help="fixed for every grid entry")
     p.add_argument("--seed", type=int, default=0)

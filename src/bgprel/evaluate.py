@@ -1,18 +1,18 @@
-"""Classifier evaluation: confusion matrices, the metrics document,
-feature-importance ablations and hyperparameter sweeps.
+"""Classifier evaluation: confusion matrices, the metrics document and
+sweeps over training settings and dropped inputs.
 
 ``metrics_doc`` builds the numbers of ``metrics.json`` from each split's
 confusion matrix in one numpy pass: per-class precision and recall,
 accuracy, macro-F1 and balanced accuracy.  It is the only code that
 computes per-class precision or recall.
 
-The sweep's grid points and the importance harness's retrains are
-independent trainings.  ``map_runs`` trains them in forked worker
-processes, ``worker_count`` of them: ``min(runs, usable CPUs // BLAS
-threads)``, or one, with no pool at all, when the BLAS thread count is
-unset, since BLAS then already uses every core.  Each run is the same
-single-process training as in a serial loop, and the results come back
-in input order, so the reports do not depend on the worker count.
+A sweep's grid points are independent trainings.  ``map_runs`` trains
+them in forked worker processes, ``worker_count`` of them: ``min(runs,
+usable CPUs // BLAS threads)``, or one, with no pool at all, when the
+BLAS thread count is unset, since BLAS then already uses every core.
+Each run is the same single-process training as in a serial loop, and
+the results come back in input order, so the report does not depend on
+the worker count.
 ``ingest.ingest_file`` reads the byte ranges of a paths file the same
 way.  The process-pool modules load only where a pool is made.
 """
@@ -165,88 +165,15 @@ def worker_died(exc: BaseException) -> bool:
     return pool is not None and isinstance(exc, pool.BrokenProcessPool)
 
 
-# -- feature importance --------------------------------------------------
-
-
-@dataclass
-class FeatureImportance:
-    feature: str
-    accuracy_without: float
-    score: float | None  # percent share; None when degenerate
-
-
-@dataclass
-class ImportanceReport:
-    baseline_accuracy: float
-    entries: list[FeatureImportance]
-    degenerate: bool
-
-    def as_dict(self) -> dict:
-        """The report as the JSON document ``importance.json`` holds."""
-        return {
-            "baseline_accuracy": self.baseline_accuracy,
-            "degenerate": self.degenerate,
-            "features": [
-                {
-                    "feature": e.feature,
-                    "accuracy_without": e.accuracy_without,
-                    "score_percent": e.score,
-                }
-                for e in self.entries
-            ],
-        }
-
-    def table(self) -> tuple[list[tuple], list[str]]:
-        """The rows and header of ``importance.csv``: one row per feature,
-        its score empty when the report is degenerate."""
-        rows = [(e.feature, e.accuracy_without, "" if e.score is None else e.score)
-                for e in self.entries]
-        return rows, ["feature", "accuracy_without", "score_percent"]
-
-
-def feature_importance(
-    pipeline: Callable[[str | None], float],
-    features: Sequence[str],
-    workers: int = 1,
-) -> ImportanceReport:
-    """Score each feature by its share of the total accuracy shift.
-
-    ``pipeline(None)`` trains the full model and returns its accuracy;
-    ``pipeline(name)`` retrains without one feature at the same seed.
-    Feature i scores |acc_base - acc_i| / sum_j |acc_base - acc_j| * 100.  When every
-    ablation lands exactly on the baseline accuracy the shares are
-    undefined and the report is flagged degenerate instead.  The
-    baseline and the ablations run through ``map_runs`` on ``workers``
-    processes.
-    """
-    names = list(features)
-    baseline, *ablated = map_runs(pipeline, [None, *names], workers)
-    runs = dict(zip(names, ablated))
-    diffs = {n: abs(baseline - runs[n]) for n in names}
-    denom = sum(diffs.values())
-    degenerate = denom == 0.0
-    entries = [
-        FeatureImportance(
-            feature=n,
-            accuracy_without=runs[n],
-            score=None if degenerate else 100.0 * diffs[n] / denom,
-        )
-        for n in names
-    ]
-    return ImportanceReport(
-        baseline_accuracy=baseline, entries=entries, degenerate=degenerate
-    )
-
-
 # -- sweeps ---------------------------------------------------------------
 
 
 def setting_text(value) -> str:
-    """A swept setting as its flag reads it: a block spec as ``2x1``,
-    anything else by ``repr``."""
+    """A swept setting as its flag reads it: a block spec as ``2x1``, a
+    dropped input's name as given, anything else by ``repr``."""
     if isinstance(value, tuple):
         return "x".join(map(str, value))
-    return repr(value)
+    return value if isinstance(value, str) else repr(value)
 
 
 @dataclass

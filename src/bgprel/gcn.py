@@ -106,6 +106,8 @@ class TrainConfig:
             raise ValueError(f"bad block spec {self.block_spec}")
         if self.epochs < 1 or self.hidden < 1:
             raise ValueError("epochs and hidden width must be positive")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_classes(self) -> int:
@@ -765,6 +767,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     field("n_classes", lambda v: v == len(classes),
           f"{len(classes)}, the number of classes {mode} mode has")
     seed = field("meta.seed", lambda v: type(v) is int, "an integer")
+    field("meta.seed", lambda v: v >= 0, "a non-negative integer")
     field("meta.delta", lambda v: v == WEIGHT_FLOOR,
           f"{WEIGHT_FLOOR}, the edge weight floor of the propagation matrix")
     best_epoch = field("meta.best_epoch", lambda v: type(v) is int and v >= 0,

@@ -1,6 +1,6 @@
 """Wiring between the stages: file discovery, graph and feature
-construction, label preparation, training runs, ablations, and the two
-trivial baselines used as sanity floors.
+construction, label preparation, training runs, the inputs a run can
+drop, and the two trivial baselines used as sanity floors.
 
 ``prepare`` is the one place that runs the prepare sequence (graph
 bundle, voted labels, restriction to the graph, split dataset); the
@@ -198,8 +198,8 @@ def make_dataset(
 # -- ablation plumbing ---------------------------------------------------
 
 _GROUP_COLUMNS = {"hierarchy": HIERARCHY_COLUMNS, "as_type": TYPE_COLUMNS}
-# everything the importance harness can knock out: each scalar column,
-# each one-hot group (removed whole), and the common neighbor ratio edge
+# every input a sweep's ablate axis can drop: each scalar column, each
+# one-hot group (removed whole), and the common neighbor ratio edge
 # weighting
 ABLATABLE_FEATURES = [*SCALAR_COLUMNS, *_GROUP_COLUMNS, "cnr"]
 
@@ -295,22 +295,6 @@ def prepare(files: DataFiles, mode: str, seed: int, observed: Observed | None = 
     usable, dropped = restrict_to_graph(labeled, bundle.graph)
     dataset = make_dataset(usable, bundle.graph, mode, seed)
     return Prepared(bundle, report, dropped, dataset)
-
-
-def importance_runner(graph: AsGraph, fm: FeatureMatrix, dataset: EdgeDataset,
-                      config: TrainConfig):
-    """Pipeline closure for the feature-importance driver: retrains
-    with one input removed, always from the same seed, and returns the
-    test accuracy.  The weighted propagation matrix is built once, here;
-    only the run without "cnr" builds the unweighted one."""
-    weighted_a_hat = adjacency_for(graph, True)
-
-    def run(feature: str | None) -> float:
-        x, weighted = ablate_columns(fm, feature)
-        a_hat = weighted_a_hat if weighted else adjacency_for(graph, False)
-        return run_training(x, a_hat, dataset, config).test_accuracy
-
-    return run
 
 
 # -- baselines ------------------------------------------------------------

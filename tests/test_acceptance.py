@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from bgprel.cli import run as cli_run
 from bgprel.dataset import RelLabel, load_label_source, vote_intersection
-from bgprel.evaluate import accuracy, feature_importance, metrics_doc
+from bgprel.evaluate import accuracy, metrics_doc
 from bgprel.gcn import (
     EdgeBatch,
     RowPlan,
@@ -31,7 +31,6 @@ from bgprel.pipeline import (
     ablate_columns,
     adjacency_for,
     degree_gap_baseline,
-    importance_runner,
     majority_baseline,
     prepare,
     run_training,
@@ -304,20 +303,7 @@ def test_criterion_4_metric_identities():
             exact &= m["precision_defined"] == (col > 0)
             exact &= m["recall_defined"] == (row > 0)
         exact &= accuracy(cm) == doc["accuracy"] == np.trace(cm) / cm.sum()
-
-    fixed = {None: 0.9, "a": 0.8, "b": 0.7, "c": 0.9}
-    report = feature_importance(lambda f: fixed[f], features=("a", "b", "c"))
-    shares = [e.score for e in report.entries]
-    total = sum(shares)
-    hand = [abs(0.9 - fixed[f]) / 0.3 * 100 for f in ("a", "b", "c")]
-    share_ok = (
-        abs(total - 100.0) < 0.01
-        and all(abs(s - h) < 1e-9 for s, h in zip(shares, hand))
-        and not report.degenerate
-    )
-    _report(4, exact and share_ok,
-            f"precision/recall/accuracy identities exact, importance "
-            f"shares sum {total:.6f}")
+    _report(4, exact, "precision/recall/accuracy identities exact")
 
 
 # -- 5: end-to-end accuracy on the default synthetic topology ---------------
@@ -471,7 +457,7 @@ def test_criterion_8_reproducible_cli(tmp_path):
                    "and history")
 
 
-# -- 9: importance covers every input ----------------------------------------
+# -- 9: the ablate axis covers every input ----------------------------------
 
 
 def test_criterion_9_importance_protocol():
@@ -481,31 +467,31 @@ def test_criterion_9_importance_protocol():
     paths, _ = simulate_paths(truth, cfg)
     with tempfile.TemporaryDirectory() as d:
         export(truth, paths, d, n_sources=3, perturbation=0.0, seed=1)
-        prep = prepare(DataFiles.discover(d), "multi", seed=6)
-        config = TrainConfig.for_mode("multi", seed=6, epochs=12, hidden=8)
-        runner = importance_runner(prep.bundle.graph, prep.bundle.features,
-                                   prep.dataset, config)
-        report = feature_importance(runner, ABLATABLE_FEATURES)
-        fm = prep.bundle.features
-    covered = [e.feature for e in report.entries]
-    # every feature column is knocked out by some ablation, and "cnr"
-    # switches the edge weights off: a row of column indices shows which
+        code = cli_run(["sweep", "--data", d, "--mode", "multi",
+                        "--ablate", ",".join(["none", *ABLATABLE_FEATURES]),
+                        "--epochs", "12", "--hidden", "8", "--seed", "6",
+                        "--out", str(Path(d) / "sweep")])
+        rows = (Path(d) / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+        fm = prepare(DataFiles.discover(d), "multi", seed=6).bundle.features
+    covered = [row.split(",")[0] for row in rows]
+    # every feature column is knocked out by some value of the axis, and
+    # "cnr" alone switches the edge weights off: a row of column indices
+    # shows which
     probe = replace(fm, values=np.arange(len(fm.columns))[None, :])
     dropped, unweighted = set(), []
     for name in covered:
-        x, weighted = ablate_columns(probe, name)
+        x, weighted = ablate_columns(probe, None if name == "none" else name)
         dropped |= set(range(len(fm.columns))) - set(x[0].tolist())
         if not weighted:
             unweighted.append(name)
 
-    flat = feature_importance(lambda f: 0.5, features=("a", "b"))
     ok = (
-        covered == list(ABLATABLE_FEATURES)
+        code == 0
+        and covered == ["none", *ABLATABLE_FEATURES]
         and dropped == set(range(len(fm.columns)))
         and unweighted == ["cnr"]
-        and len(covered) == 10
-        and flat.degenerate
-        and all(e.score is None for e in flat.entries)
+        and len(covered) == 11
+        and all(0.0 <= float(v) <= 1.0 for row in rows for v in row.split(",")[1:])
     )
-    _report(9, ok, f"{len(covered)} ablations, "
-                   f"degenerate case flagged={flat.degenerate}")
+    _report(9, ok, f"{len(covered) - 1} ablations beside the full model, "
+                   f"{len(dropped)} of {len(fm.columns)} columns dropped by one")

@@ -21,7 +21,7 @@ from bgprel.cli import run
 from bgprel.dataset import MODE_CLASSES, RelLabel
 from bgprel.evaluate import map_runs
 from bgprel.ingest import PathStore
-from bgprel.pipeline import DataFiles, build_bundle, prepare
+from bgprel.pipeline import ABLATABLE_FEATURES, DataFiles, build_bundle, prepare
 
 
 SYNTH_FLAGS = [
@@ -238,7 +238,8 @@ def test_dataset_of_a_directory_without_paths_votes_the_labels_alone(perturbed_d
                                      "importance"])
 def test_a_missing_paths_file_leaves_no_out(command, data_dir, tmp_path, capsys):
     # ingest and dataset read --paths; the others a --data directory
-    # without paths.txt, which dataset would take as labels alone
+    # without paths.txt, which dataset would take as labels alone;
+    # "importance" is a sweep over dropped inputs alone
     missing = tmp_path / "nope.txt"
     d = tmp_path / "d"
     shutil.copytree(data_dir, d)
@@ -247,8 +248,9 @@ def test_a_missing_paths_file_leaves_no_out(command, data_dir, tmp_path, capsys)
         argv, message = ["--paths", str(missing)], f"paths file not found: {missing}"
     else:
         argv, message = ["--data", str(d)], f"missing paths file: {d / 'paths.txt'}"
-    if command == "sweep":
-        argv += ["--lr", "0.1"]
+    grid = {"sweep": ["--lr", "0.1"], "importance": ["--ablate", "none,degree"]}
+    if command in grid:
+        command, argv = "sweep", argv + grid[command]
     out = tmp_path / "o"
     assert run([command, *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -402,14 +404,13 @@ FIXED_SETTINGS_ARGV = {
     "features": [],
     "train": [],
     "predict": ["--checkpoint", "c.json"],
-    "importance": [],
     "sweep": ["--lr", "0.05"],
 }
 
 
 @pytest.mark.parametrize("command,flag,value", [
     *((command, "--k-candidates", "3") for command in FIXED_SETTINGS_ARGV),
-    *((command, "--delta", "0.2") for command in ("train", "importance", "sweep")),
+    *((command, "--delta", "0.2") for command in ("train", "sweep")),
 ])
 def test_fixed_feature_settings_are_not_flags(command, flag, value):
     # one clique rule and one weight floor for train, eval and predict
@@ -605,6 +606,21 @@ def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, 
     ])
     assert code == 1
     assert f"{pairs} line 2:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_predict_pairs_file_without_a_pair_is_refused(data_dir, train_dir, tmp_path,
+                                                      capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("# a comment and no pair\n")
+    code = run([
+        "predict", "--paths", str(data_dir / "paths.txt"),
+        "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--pairs", str(pairs), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pairs}: holds no a|b pair\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["orgs.csv", "types.csv"])
@@ -621,19 +637,32 @@ def test_asn_repeated_in_a_side_file_is_runtime_error(data_dir, tmp_path, capsys
             "first on line 2") in capsys.readouterr().err
 
 
-def test_importance_command(data_dir, tmp_path, capsys, monkeypatch):
+def test_sweep_over_dropped_inputs(data_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "worker_count", lambda runs: 2)
     out = tmp_path / "imp"
     assert run([
-        "importance", "--data", str(data_dir), "--mode", "multi",
+        "sweep", "--data", str(data_dir), "--mode", "multi",
+        "--ablate", ",".join(["none", *ABLATABLE_FEATURES]),
         "--epochs", "6", "--hidden", "6", "--seed", "2", "--out", str(out),
     ]) == 0
-    lines = (out / "importance.csv").read_text().splitlines()
-    assert lines[0] == "feature,accuracy_without,score_percent"
-    assert len(lines) == 11  # ten ablatable inputs
-    text = capsys.readouterr().out
-    assert "baseline accuracy" in text
+    rows = [fields for _, fields in ingest.read_fields(out / "sweep.csv", ",")]
+    assert rows[0] == ["ablate", "val_accuracy", "test_accuracy"]
+    assert [r[0] for r in rows[1:]] == ["none", *ABLATABLE_FEATURES]
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [r["overrides"]["ablate"] for r in doc["rows"]] == ["none", *ABLATABLE_FEATURES]
     assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == 2
+
+
+def test_sweep_ties_prefer_dropping_nothing(data_dir, tmp_path, monkeypatch):
+    class Tied:
+        val_accuracy = test_accuracy = 0.5
+
+    monkeypatch.setattr(cli, "run_training", lambda *a: Tied)
+    out = tmp_path / "o"
+    assert run(["sweep", "--data", str(data_dir), "--ablate", "degree,none,cnr",
+                "--lr", "0.1,0.05", "--out", str(out)]) == 0
+    best = json.loads((out / "sweep.json").read_text())["best"]
+    assert best == {"ablate": "none", "learning_rate": "0.05"}
 
 
 def test_sweep_command(data_dir, tmp_path, capsys):
@@ -672,6 +701,8 @@ def test_sweep_without_grid_is_usage_error(data_dir, tmp_path, capsys):
     ("--blocks", "2x1,2y1", "expected BLOCKSxLAYERS such as 2x1, got '2y1'"),
     ("--lr", "0.05,abc", "expected a comma list of float values, got '0.05,abc'"),
     ("--wd", "0,", "expected a comma list of float values, got '0,'"),
+    ("--ablate", "none,bogus",
+     f"expected none or one of {', '.join(ABLATABLE_FEATURES)}, got 'bogus'"),
 ])
 def test_sweep_malformed_list_is_usage_error_before_any_work(
         data_dir, tmp_path, monkeypatch, capsys, flag, value, message):
@@ -699,8 +730,11 @@ def test_negative_weight_decay_is_refused(data_dir, tmp_path, monkeypatch, capsy
     (["train", "--blocks", "0x1"], "bad block spec (0, 1)"),
     (["train", "--epochs", "0"], "epochs and hidden width must be positive"),
     (["train", "--hidden", "0"], "epochs and hidden width must be positive"),
-    (["importance", "--hidden", "0"], "epochs and hidden width must be positive"),
+    (["sweep", "--ablate", "none", "--hidden", "0"],
+     "epochs and hidden width must be positive"),
     (["sweep", "--lr", "0,0.05"], "learning rate must be positive, got 0.0"),
+    (["train", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["sweep", "--lr", "0.05", "--seed", "-2"], "seed must be non-negative, got -2"),
 ])
 def test_refused_setting_is_usage_error_before_any_work(
         data_dir, tmp_path, monkeypatch, capsys, argv, message):
@@ -794,24 +828,23 @@ def input_root(tmp_path_factory, data_dir, train_dir):
 
 SMALL = ["--epochs", "2", "--hidden", "4"]
 
+# each command's argv; "importance" is a sweep over dropped inputs
 MANIFEST_COMMANDS = {
-    "ingest": ["--paths", "data/paths.txt", "--alloc", "data/alloc.txt"],
-    "features": ["--data", "data"],
-    "dataset": ["--data", "data"],
-    "train": ["--data", "data", *SMALL],
-    "eval": ["--data", "data", "--checkpoint", "checkpoint.json"],
-    "predict": ["--data", "data", "--checkpoint", "checkpoint.json",
+    "ingest": ["ingest", "--paths", "data/paths.txt", "--alloc", "data/alloc.txt"],
+    "features": ["features", "--data", "data"],
+    "dataset": ["dataset", "--data", "data"],
+    "train": ["train", "--data", "data", *SMALL],
+    "eval": ["eval", "--data", "data", "--checkpoint", "checkpoint.json"],
+    "predict": ["predict", "--data", "data", "--checkpoint", "checkpoint.json",
                 "--pairs", "pairs.txt"],
-    "importance": ["--data", "data", *SMALL],
-    "sweep": ["--data", "data", "--lr", "0.05", *SMALL],
+    "importance": ["sweep", "--data", "data", "--ablate", "none,cnr", *SMALL],
+    "sweep": ["sweep", "--data", "data", "--lr", "0.05", *SMALL],
 }
 
 
 def _command_argv(command: str, input_root: Path) -> list[str]:
-    return [command] + [
-        str(input_root / v) if (input_root / v).exists() else v
-        for v in MANIFEST_COMMANDS[command]
-    ]
+    return [str(input_root / v) if (input_root / v).exists() else v
+            for v in MANIFEST_COMMANDS[command]]
 
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
@@ -863,7 +896,7 @@ def test_manifests_record_the_ingest_counts(data_dir, train_dir, tmp_path):
         "eval": ["eval", "--data", str(d), "--checkpoint", checkpoint],
         "features": ["features", "--data", str(d)],
         "dataset": ["dataset", "--data", str(d)],
-        "importance": ["importance", "--data", str(d), *SMALL],
+        "sweep-ablate": ["sweep", "--data", str(d), "--ablate", "none,cnr", *SMALL],
         "sweep": ["sweep", "--data", str(d), "--lr", "0.05", *SMALL],
     }
     # predict and eval from the checkpoint just trained on d use the
@@ -1126,7 +1159,7 @@ def test_mode_choices_are_the_modes_class_lists():
     modes = {name: next(a.choices for a in p._actions if "--mode" in a.option_strings)
              for name, p in subs.choices.items()
              if any("--mode" in a.option_strings for a in p._actions)}
-    assert sorted(modes) == ["dataset", "importance", "sweep", "train"]
+    assert sorted(modes) == ["dataset", "sweep", "train"]
     assert all(list(choices) == list(MODE_CLASSES) for choices in modes.values())
 
 
@@ -1142,11 +1175,11 @@ def _readme_commands():
 
 
 def test_readme_commands_parse():
+    """README shows every subcommand and no other, each line parsing."""
     commands = list(_readme_commands())
-    assert {argv[0] for argv in commands} >= {"synth", "train", "eval", "predict",
-                                              "importance", "sweep", "ingest",
-                                              "features", "dataset"}
     parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subs.choices)
     for argv in commands:
         try:
             parser.parse_args(argv)
@@ -1241,51 +1274,56 @@ def test_predict_unknown_pairs_asn_names_file_and_line(data_dir, train_dir,
     assert f"{pairs} line 3: AS99999 does not appear in the graph" in err
 
 
-# -- sweep and importance train in worker processes -------------------------
+# -- sweeps train in worker processes ---------------------------------------
 
-# each command's argv after --data, and the outputs whose bytes it owns
-RUNS_COMMANDS = {
-    "sweep": (["--lr", "0.05,0.1", "--wd", "0,5e-4", "--epochs", "6", "--hidden", "6",
-               "--seed", "1"], ("sweep.csv", "sweep.json")),
-    "importance": (["--epochs", "6", "--hidden", "6", "--seed", "2"],
-                   ("importance.csv", "importance.json")),
+# each sweep's argv after --data: a grid of settings, and "importance", the
+# grid of dropped inputs
+SWEEPS = {
+    "sweep": ["--lr", "0.05,0.1", "--wd", "0,5e-4", "--epochs", "6", "--hidden", "6",
+              "--seed", "1"],
+    "importance": ["--ablate", ",".join(["none", *ABLATABLE_FEATURES]),
+                   "--epochs", "6", "--hidden", "6", "--seed", "2"],
 }
 
 
-def _run_with_workers(command, data_dir, out, workers, monkeypatch, extra=()):
+def _run_with_workers(name, data_dir, out, workers, monkeypatch, extra=()):
     monkeypatch.setattr(cli, "worker_count", lambda runs: workers)
-    argv, _ = RUNS_COMMANDS[command]
-    return run([command, "--data", str(data_dir), *argv, *extra, "--out", str(out)])
+    return run(["sweep", "--data", str(data_dir), *SWEEPS[name], *extra, "--out", str(out)])
 
 
-@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
-def test_threads_is_an_unknown_option(command, tmp_path, capsys):
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_threads_is_an_unknown_option(name, tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
-        run([command, "--data", str(tmp_path), "--threads", "2",
+        run(["sweep", "--data", str(tmp_path), *SWEEPS[name], "--threads", "2",
              "--out", str(tmp_path / "o")])
     assert e.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
-def test_worker_count_does_not_change_outputs(command, data_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_worker_count_does_not_change_outputs(name, data_dir, tmp_path, monkeypatch):
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        assert _run_with_workers(command, data_dir, out, workers, monkeypatch) == 0
+        assert _run_with_workers(name, data_dir, out, workers, monkeypatch) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["workers"] == workers
-    for name in RUNS_COMMANDS[command][1]:
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    for output in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "w1" / output).read_bytes() == (tmp_path / "w2" / output).read_bytes()
 
 
 def test_importance_builds_two_propagation_matrices(data_dir, tmp_path, monkeypatch):
-    # the weighted one, shared by ten of the eleven runs, and "cnr"'s
+    """The weighted one, shared by ten of the eleven runs, and "cnr"'s;
+    without "cnr" in the list, the weighted one alone."""
     builds = []
     build = pipeline.build_normalized_adjacency
     monkeypatch.setattr(pipeline, "build_normalized_adjacency",
                         lambda weights: builds.append(1) or build(weights))
     assert _run_with_workers("importance", data_dir, tmp_path / "o", 1, monkeypatch) == 0
     assert len(builds) == 2
+    builds.clear()
+    assert _run_with_workers("importance", data_dir, tmp_path / "p", 1, monkeypatch,
+                             ["--ablate", "none,degree,hierarchy"]) == 0
+    assert len(builds) == 1
 
 
 # the front end's commands, with the outputs whose bytes they own
@@ -1335,10 +1373,10 @@ def test_csv_numbers_are_plain_floats(data_dir, train_dir, tmp_path):
         assert abs(sum(np.exp(logp)) - 1.0) <= 1e-12
 
 
-def _fail_in_one_run(command, monkeypatch, fail):
-    """Make one of the command's runs call ``fail``: sweep's lr 0.1 points
-    and importance's run without the hierarchy columns."""
-    if command == "sweep":
+def _fail_in_one_run(name, monkeypatch, fail):
+    """Make one of the sweep's runs call ``fail``: the lr 0.1 points of
+    "sweep" and the run of "importance" without the hierarchy columns."""
+    if name == "sweep":
         train = cli.run_training
 
         def failing(x, a_hat, dataset, config):
@@ -1348,56 +1386,56 @@ def _fail_in_one_run(command, monkeypatch, fail):
 
         monkeypatch.setattr(cli, "run_training", failing)
     else:
-        ablate = pipeline.ablate_columns
+        ablate = cli.ablate_columns
 
         def failing(fm, feature):
             if feature == "hierarchy":
                 fail("no hierarchy")
             return ablate(fm, feature)
 
-        monkeypatch.setattr(pipeline, "ablate_columns", failing)
+        monkeypatch.setattr(cli, "ablate_columns", failing)
 
 
-@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
-def test_error_in_a_worker_exits_like_a_serial_run(command, data_dir, tmp_path,
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_error_in_a_worker_exits_like_a_serial_run(name, data_dir, tmp_path,
                                                    monkeypatch, capsys):
     def fail(what):
         raise ValueError(f"planted failure at {what}")
 
-    _fail_in_one_run(command, monkeypatch, fail)
+    _fail_in_one_run(name, monkeypatch, fail)
     errors = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        assert _run_with_workers(command, data_dir, out, workers, monkeypatch) == 1
+        assert _run_with_workers(name, data_dir, out, workers, monkeypatch) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: planted failure at ")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
-def test_divergence_in_a_worker_exits_like_a_serial_run(command, data_dir, tmp_path,
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_divergence_in_a_worker_exits_like_a_serial_run(name, data_dir, tmp_path,
                                                         monkeypatch, capsys):
     errors = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        assert _run_with_workers(command, data_dir, out, workers, monkeypatch,
+        assert _run_with_workers(name, data_dir, out, workers, monkeypatch,
                                  ["--lr", "inf"]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: non-finite loss")
 
 
-@pytest.mark.parametrize("command", sorted(RUNS_COMMANDS))
-def test_dead_worker_is_an_error_line(command, data_dir, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_dead_worker_is_an_error_line(name, data_dir, tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
     def die(what):
         assert os.getpid() != parent, "the run was not in a worker process"
         os._exit(3)
 
-    _fail_in_one_run(command, monkeypatch, die)
-    assert _run_with_workers(command, data_dir, tmp_path / "o", 2, monkeypatch) == 1
+    _fail_in_one_run(name, monkeypatch, die)
+    assert _run_with_workers(name, data_dir, tmp_path / "o", 2, monkeypatch) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -10,15 +10,12 @@ import pytest
 from bgprel.evaluate import (
     accuracy,
     confusion_matrix,
-    feature_importance,
     format_confusion,
     map_runs,
     metrics_doc,
     sweep,
     worker_count,
 )
-from bgprel.ingest import write_json, write_table
-from bgprel.pipeline import ABLATABLE_FEATURES
 
 
 class TestConfusionMatrix:
@@ -135,54 +132,6 @@ class TestMetrics:
         assert "p2p" in lines[0] and "p2c" in lines[0]
         assert lines[1].startswith("p2p")
         assert len(lines) == 3
-
-
-class TestFeatureImportance:
-    def test_scores_sum_to_hundred(self):
-        accs = {None: 0.9}
-        rng = random.Random(3)
-        for name in ABLATABLE_FEATURES:
-            accs[name] = 0.9 - rng.uniform(0.0, 0.3)
-        report = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES)
-        assert not report.degenerate
-        total = sum(e.score for e in report.entries)
-        assert total == pytest.approx(100.0, abs=0.01)
-        assert len(report.entries) == 10
-
-    def test_scores_match_share_formula(self):
-        accs = {None: 0.8, "a": 0.7, "b": 0.9, "c": 0.8}
-        report = feature_importance(lambda n: accs[n], features=["a", "b", "c"])
-        by_name = {e.feature: e.score for e in report.entries}
-        assert by_name["a"] == pytest.approx(50.0)
-        assert by_name["b"] == pytest.approx(50.0)
-        assert by_name["c"] == pytest.approx(0.0)
-
-    def test_degenerate_flagged(self):
-        report = feature_importance(lambda n: 0.5, features=["a", "b"])
-        assert report.degenerate
-        assert all(e.score is None for e in report.entries)
-
-    def test_threaded_matches_serial(self):
-        accs = {None: 0.9}
-        rng = random.Random(11)
-        for name in ABLATABLE_FEATURES:
-            accs[name] = rng.uniform(0.4, 0.9)
-        serial = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES, workers=1)
-        forked = feature_importance(lambda n: accs[n], ABLATABLE_FEATURES, workers=4)
-        assert forked.baseline_accuracy == serial.baseline_accuracy
-        assert [e.score for e in serial.entries] == [e.score for e in forked.entries]
-
-    def test_report_serialization(self, tmp_path):
-        report = feature_importance(lambda n: 0.5 if n else 0.9, features=["x", "y"])
-        doc_file = tmp_path / "imp.json"
-        write_json(doc_file, report.as_dict())
-        doc = json.loads(doc_file.read_text(encoding="utf-8"))
-        assert doc["baseline_accuracy"] == 0.9
-        assert [f["feature"] for f in doc["features"]] == ["x", "y"]
-        out = tmp_path / "imp.csv"
-        write_table(out, *report.table())
-        assert out.read_text().splitlines() == [
-            "feature,accuracy_without,score_percent", "x,0.5,50.0", "y,0.5,50.0"]
 
 
 class TestSweep:

@@ -1146,7 +1146,8 @@ class TestPersistence:
         (lambda meta: meta.update(best_epoch=-1),
          "field 'meta.best_epoch' is not a non-negative integer"),
         (lambda meta: meta.update(source="abc"), "field 'meta.source' is not an object"),
-    ], ids=["best-epoch-missing", "best-epoch-negative", "source"])
+        (lambda meta: meta.update(seed=-1), "field 'meta.seed' is not a non-negative integer"),
+    ], ids=["best-epoch-missing", "best-epoch-negative", "source", "seed-negative"])
     def test_malformed_meta_is_refused_naming_its_field(self, tmp_path, edit, message):
         f = tmp_path / "model.json"
         save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0))))

@@ -19,7 +19,6 @@ from bgprel.pipeline import (
     adjacency_for,
     build_bundle,
     degree_gap_baseline,
-    importance_runner,
     majority_baseline,
     make_dataset,
     prepare,
@@ -535,17 +534,6 @@ def test_prepare_and_train_end_to_end(data_dir):
     assert outcome.result.best_epoch >= 1
     assert prep.vote_report.n_sources == 3
     assert prep.dataset.class_names == ["p2p", "p2c", "s2s", "x2x"]
-
-
-def test_importance_runner_deterministic(clean_dir):
-    prep = prepare(DataFiles.discover(clean_dir), "multi", seed=2)
-    config = TrainConfig.for_mode("multi", seed=2, epochs=15, hidden=8)
-    run = importance_runner(prep.bundle.graph, prep.bundle.features,
-                            prep.dataset, config)
-    a = run(None)
-    b = run(None)
-    assert a == b
-    assert 0.0 <= run("cnr") <= 1.0
 
 
 def test_run_training_matches_direct_evaluation(clean_dir):
