@@ -7,9 +7,9 @@ the seed, the library versions, the thread settings and the BLAS thread
 count, and the wall time, so a run can be audited later; no command
 reads a manifest.  A command that builds the graph records its ingest
 counts under ``config``.  ``train`` saves a ``gcn.Checkpoint`` with the
-observed graph and the record of the files it came from (``_source``),
-and ``eval`` and ``predict`` use that graph instead of ingesting when
-the record is that of their own files.  Only ``gcn`` knows the format.
+observed graph, the record of the files it came from (``_source``) and
+its split's digest; ``predict`` uses that graph instead of ingesting
+when the record is that of its own files.  Only ``gcn`` knows the format.
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 """
 
@@ -69,6 +69,7 @@ from .pipeline import (
     adjacency_for,
     baseline_accuracies,
     build_bundle,
+    label_roles,
     prepare,
     prepare_labels,
     run_training,
@@ -251,9 +252,7 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse."""
 
 
-def _files_from_args(
-    args, need_labels: bool = True, need_paths: bool = True
-) -> DataFiles:
+def _files_from_args(args, need_labels: bool = True, need_paths: bool = True) -> DataFiles:
     # explicit flags override whatever discovery finds, --paths included
     paths = _require(args.paths, "paths") if args.paths or need_paths and not args.data else None
     files = DataFiles.discover(args.data, paths) if args.data else DataFiles(paths, labels=[])
@@ -262,17 +261,16 @@ def _files_from_args(
     for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
-    if not need_labels:
-        # keep the bundle to what the command reads, so the manifest is too
+    if getattr(args, "labels", None):
+        files.labels = [_require(l, "labels") for l in args.labels]
+    if not hasattr(args, "labels") or not (need_labels or files.labels):
+        # no label, org or IXP file is read, so the manifest lists none
         files.labels, files.orgs, files.ixps = [], None, None
         return files
-    if args.labels:
-        files.labels = [_require(l, "labels") for l in args.labels]
     if len(files.labels) < 2:
         where = f" or labels_*.txt files in {args.data}" if args.data else ""
-        raise SystemExit2(
-            f"need at least two --labels sources{where}, got {len(files.labels)}"
-        )
+        raise SystemExit2(f"need at least two --labels sources{where}, "
+                          f"got {len(files.labels)}")
     return files
 
 
@@ -294,15 +292,6 @@ def _train_config(args, **overrides) -> TrainConfig:
         return TrainConfig.for_mode(args.mode, args.seed, **overrides)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
-
-
-def _check_width(checkpoint: Path, model, bundle) -> None:
-    """Refuse a checkpoint trained on a different feature width."""
-    if model.input_dim != bundle.features.values.shape[1]:
-        raise ValueError(
-            f"checkpoint {checkpoint} expects {model.input_dim} feature columns, "
-            f"data has {bundle.features.values.shape[1]}"
-        )
 
 
 def _source(files: DataFiles) -> dict:
@@ -337,7 +326,7 @@ def cmd_ingest(args) -> Manifest:
 
 
 def cmd_features(args) -> Manifest:
-    files = _files_from_args(args, need_labels=False)
+    files = _files_from_args(args)
     bundle = build_bundle(files)
     out = _out_dir(args)
     features_file = out / "features.csv"
@@ -354,6 +343,8 @@ def cmd_features(args) -> Manifest:
 
 
 def cmd_dataset(args) -> Manifest:
+    if args.seed < 0:  # random.Random would take its absolute value
+        raise SystemExit2(f"seed must be non-negative, got {args.seed}")
     files = _files_from_args(args, need_paths=False)
     config = {"mode": args.mode, "dropped_offgraph": 0}
     if files.paths:
@@ -372,9 +363,7 @@ def cmd_dataset(args) -> Manifest:
     counts = split_set.counts()
     print(f"voted pairs: {report.intersection_pairs} of {report.union_pairs} "
           f"(coincidence rate {report.coincidence_rate:.4f})")
-    print("class counts: " + ", ".join(
-        f"{c.value}={n}" for c, n in counts.items() if n
-    ))
+    print("class counts: " + ", ".join(f"{c.value}={n}" for c, n in counts.items() if n))
     return Manifest(config, files.inputs(),
                     {"edges": edges_file, "vote_report": vote_file}, args.seed)
 
@@ -391,18 +380,17 @@ def cmd_train(args) -> Manifest:
     checkpoint = out / "checkpoint.json"
     save_checkpoint(checkpoint, Checkpoint(
         outcome.result.model, args.mode, args.seed, outcome.result.best_epoch,
-        _source(files), (prep.bundle.graph, prep.bundle.report)))
+        _source(files), (prep.bundle.graph, prep.bundle.report), dataset.edges.digest()))
     history = out / "history.csv"
     write_history_csv(outcome.result.history, history)
     metrics_file = out / "metrics.json"
-    doc = metrics_doc(dataset.class_names, outcome.confusion)
-    doc["best_epoch"] = outcome.result.best_epoch
-    doc["best_val_accuracy"] = outcome.result.best_val_accuracy
-    doc["vote"] = asdict(prep.vote_report)
-    doc["dropped_offgraph"] = prep.dropped_offgraph
-    doc["clique"] = sorted(prep.bundle.clique)
-    doc["baselines"] = baseline_accuracies(prep.bundle.graph, dataset)
-    write_json(metrics_file, doc)
+    write_json(metrics_file, {
+        **metrics_doc(dataset.class_names, outcome.confusion),
+        "best_epoch": outcome.result.best_epoch,
+        "best_val_accuracy": outcome.result.best_val_accuracy,
+        "vote": asdict(prep.vote_report), "dropped_offgraph": prep.dropped_offgraph,
+        "clique": sorted(prep.bundle.clique),
+        "baselines": baseline_accuracies(prep.bundle.graph, dataset)})
     print(f"best epoch {outcome.result.best_epoch}: "
           f"val accuracy {outcome.val_accuracy:.4f}, "
           f"test accuracy {outcome.test_accuracy:.4f}")
@@ -414,30 +402,6 @@ def cmd_train(args) -> Manifest:
     )
 
 
-def cmd_eval(args) -> Manifest:
-    checkpoint_file = _require(args.checkpoint, "checkpoint")
-    checkpoint = load_checkpoint(checkpoint_file)
-    mode, seed = checkpoint.mode, checkpoint.seed
-    files = _files_from_args(args)
-    observed = checkpoint.observed if checkpoint.source == _source(files) else None
-    prep = prepare(files, mode, seed, observed)
-    bundle, dataset = prep.bundle, prep.dataset
-    _check_width(checkpoint_file, checkpoint.model, bundle)
-    out = _out_dir(args)
-    a_hat = adjacency_for(bundle.graph, True)
-    splits = score_splits(checkpoint.model, a_hat, bundle.features.values, dataset)
-    metrics_file = out / "metrics.json"
-    write_json(metrics_file, {**metrics_doc(dataset.class_names, splits),
-                              "baselines": baseline_accuracies(bundle.graph, dataset)})
-    print(f"val accuracy {accuracy(splits['val']):.4f}, "
-          f"test accuracy {accuracy(splits['test']):.4f}")
-    print(format_confusion(splits["test"], dataset.class_names))
-    return Manifest({"mode": mode, "ingest": bundle.report.as_dict(),
-                     "graph": "reused" if observed else "built"},
-                    {"checkpoint": checkpoint_file, **files.inputs()},
-                    {"metrics": metrics_file}, seed)
-
-
 # predictions.csv is formatted this many rows at a time
 _WRITE_ROWS = 1 << 14
 
@@ -447,9 +411,12 @@ def cmd_predict(args) -> Manifest:
     checkpoint = load_checkpoint(checkpoint_file)
     classes = checkpoint.classes
     files = _files_from_args(args, need_labels=False)
+    labeled = prepare_labels(files)[0] if files.labels else None
     observed = checkpoint.observed if checkpoint.source == _source(files) else None
     bundle = build_bundle(files, observed)
-    _check_width(checkpoint_file, checkpoint.model, bundle)
+    if checkpoint.model.input_dim != (width := bundle.features.values.shape[1]):
+        raise ValueError(f"checkpoint {checkpoint_file} expects "
+                         f"{checkpoint.model.input_dim} feature columns, data has {width}")
     graph = bundle.graph
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
@@ -470,12 +437,18 @@ def cmd_predict(args) -> Manifest:
         for b in batches)
     write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
     print(f"wrote {len(wanted)} predictions to {pred_file}")
-    return Manifest(
-        {"pairs": len(wanted), "ingest": bundle.report.as_dict(),
-         "graph": "reused" if observed else "built"},
-        {"checkpoint": checkpoint_file, "pairs": pair_file, **files.inputs()},
-        {"predictions": pred_file}, None,
-    )
+    outputs = {"predictions": pred_file}
+    if labeled is not None:
+        roles = label_roles(labeled, graph, checkpoint.mode, checkpoint.seed, checkpoint.split)
+        splits = score_splits(checkpoint.model, a_hat, bundle.features.values, roles,
+                              tuple(roles.arrays)) if roles.arrays else {}
+        outputs["metrics"] = out / "metrics.json"
+        write_json(outputs["metrics"], metrics_doc(classes, splits))
+        print(", ".join(f"{name} accuracy {accuracy(cm):.4f}" for name, cm in splits.items()))
+    return Manifest({"pairs": len(wanted), "ingest": bundle.report.as_dict(),
+                     "graph": "reused" if observed else "built"},
+                    {"checkpoint": checkpoint_file, "pairs": pair_file, **files.inputs()},
+                    outputs, None)
 
 
 def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
@@ -622,14 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on the held-out splits")
+    p = sub.add_parser("predict", help="classify AS pairs with a checkpoint, "
+                       "and score it on the labels its data holds")
     _add_data_flags(p)
-    p.add_argument("--checkpoint", required=True, help="its mode and seed are used")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="classify AS pairs with a checkpoint")
-    _add_data_flags(p, labels=False)
     p.add_argument("--checkpoint", required=True, help="its class names are used")
     p.add_argument("--pairs", help="a|b lines; defaults to every observed edge")
     p.add_argument("--out", required=True)

@@ -19,6 +19,7 @@ matters to the order-sensitive edge classifier).
 
 from __future__ import annotations
 
+import hashlib
 import random
 from array import array
 from collections import Counter
@@ -133,6 +134,12 @@ class LabelTable:
         labels = [MULTI_CLASSES[k] for k in self.label.tolist()]
         return list(zip(self.a.tolist(), self.b.tolist(), labels,
                         self.split.tolist(), self.provenance.tolist()))
+
+    def digest(self) -> str:
+        """sha256 of every row's pair, label and split, in row order."""
+        h = hashlib.sha256(np.stack([self.a, self.b, self.label]).astype("<i8").tobytes())
+        h.update("\n".join(self.split.tolist()).encode())
+        return h.hexdigest()
 
     def write_csv(self, out: str | Path) -> None:
         write_table(out, ((a, b, label.value, split, prov)

@@ -123,7 +123,7 @@ class TrainConfig:
 
 # -- normalized adjacency ----------------------------------------------
 
-WEIGHT_FLOOR = 0.05  # recorded in checkpoints; eval and predict refuse any other
+WEIGHT_FLOOR = 0.05  # recorded in checkpoints; predict refuses any other
 
 
 def build_normalized_adjacency(weights: Csr) -> Csr:
@@ -702,9 +702,9 @@ _FORMAT = "bgprel-checkpoint-v1"
 class Checkpoint(NamedTuple):
     """What a checkpoint file holds.  ``observed`` is the graph it was
     trained on with its ingest counts, ``source`` the record of the files
-    that graph came from, each None where absent.  The class names are
-    the mode's and the edge weight floor is WEIGHT_FLOOR: both are
-    written and checked, never set."""
+    that graph came from, ``split`` the ``LabelTable.digest`` of its split
+    set, each None where absent.  The class names are the mode's and the
+    edge weight floor is WEIGHT_FLOOR: both are written and checked, never set."""
 
     model: GcnModel
     mode: str
@@ -712,6 +712,7 @@ class Checkpoint(NamedTuple):
     best_epoch: int
     source: dict | None = None
     observed: tuple[AsGraph, IngestReport] | None = None
+    split: str | None = None
 
     @property
     def classes(self) -> list[str]:
@@ -724,7 +725,8 @@ def save_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
     model, observed = checkpoint.model, checkpoint.observed
     meta = {"mode": checkpoint.mode, "seed": checkpoint.seed, "delta": WEIGHT_FLOOR,
             "best_epoch": checkpoint.best_epoch, "classes": checkpoint.classes,
-            "source": checkpoint.source, "graph": encode_graph(*observed) if observed else None}
+            "source": checkpoint.source, "graph": encode_graph(*observed) if observed else None,
+            "split": checkpoint.split}
     write_json(path, {
         "format": _FORMAT,
         "input_dim": model.input_dim,
@@ -774,6 +776,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                        "a non-negative integer")
     source = field("meta.source", lambda v: isinstance(v, dict),
                    "an object") if "source" in meta else None
+    split = field("meta.split", lambda v: isinstance(v, str) and len(v) == 64 and not v.strip(
+        "0123456789abcdef"), "a sha256 hex digest") if "split" in meta else None
     # the shape each array must have, given the recorded sizes
     want = {f"blocks[{i}][{j}]": [d if i == j == 0 else h, h]
             for i in range(nb) for j in range(nl)}
@@ -788,7 +792,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     model = GcnModel([[arrays[f"blocks[{i}][{j}]"] for j in range(nl)] for i in range(nb)],
                      arrays["head_w"], arrays["head_b"], d, h, c)
     observed = decode_graph(doc, path, "meta.graph") if "graph" in meta else None
-    return Checkpoint(model, mode, seed, best_epoch, source, observed)
+    return Checkpoint(model, mode, seed, best_epoch, source, observed, split)
 
 
 def write_history_csv(history: list[Epoch], out: str | Path) -> None:

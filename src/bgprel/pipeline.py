@@ -4,10 +4,10 @@ drop, and the two trivial baselines used as sanity floors.
 
 ``prepare`` is the one place that runs the prepare sequence (graph
 bundle, voted labels, restriction to the graph, split dataset); the
-CLI and the tests all go through it.  ``observe`` ingests the paths and
-builds the graph; ``build_bundle`` and ``prepare`` take its result
-instead when the caller has it, as ``eval`` and ``predict`` do when
-they load the graph their checkpoint's ``train`` saved."""
+CLI and the tests all go through it.  ``build_bundle`` takes the graph
+instead of ingesting when the caller has it, as ``predict`` does with
+the one its checkpoint's ``train`` saved; ``predict`` then scores
+``label_roles`` through ``score_splits``, as ``train`` scores its splits."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .gcn import (
     predict,
     train,
 )
-from .ingest import AllocationTable, IngestReport, ingest_file, load_asn_set
+from .ingest import AllocationTable, IngestReport, ingest_file, load_asn_set, pack_unordered_pairs
 from .topology import (
     FEATURE_DTYPE,
     HIERARCHY_COLUMNS,
@@ -115,26 +115,20 @@ class GraphBundle:
     features: FeatureMatrix
 
 
-# a bundle's observed graph and the ingest counts of its paths
-Observed = tuple[AsGraph, IngestReport]
-
-
-def observe(files: DataFiles) -> Observed:
-    """The graph the bundle's paths show, read through its allocation
-    table if it has one, and the ingest counts."""
-    table = AllocationTable.load(files.alloc) if files.alloc else None
-    summary, report = ingest_file(files.paths, table, GraphSummary)
-    if not report.accepted:
-        raise ValueError(f"no usable paths in {files.paths}")
-    return build_graph(summary), report
-
-
-def build_bundle(files: DataFiles, observed: Observed | None = None) -> GraphBundle:
-    """The graph bundle of ``files``.  ``observed`` is the graph and the
-    ingest counts of the bundle's paths when they are already known, as
-    ``observe`` gives them; the clique and the features always come from
-    the bundle's own side files."""
-    graph, report = observed or observe(files)
+def build_bundle(
+    files: DataFiles, observed: tuple[AsGraph, IngestReport] | None = None
+) -> GraphBundle:
+    """The graph bundle of ``files``.  ``observed`` is the graph its paths
+    show, read through its allocation table if it has one, and their
+    ingest counts, when already known; the clique and the features
+    always come from the bundle's own side files."""
+    if observed is None:
+        table = AllocationTable.load(files.alloc) if files.alloc else None
+        summary, report = ingest_file(files.paths, table, GraphSummary)
+        if not report.accepted:
+            raise ValueError(f"no usable paths in {files.paths}")
+        observed = build_graph(summary), report
+    graph, report = observed
     if files.clique:
         clique = load_clique_file(files.clique)
         missing = [a for a in sorted(clique) if not graph.contains(a)]
@@ -254,15 +248,40 @@ class TrainOutcome:
 
 
 def score_splits(
-    model: GcnModel, a_hat: Csr, x: np.ndarray, dataset: EdgeDataset
+    model: GcnModel, a_hat: Csr, x: np.ndarray, dataset: EdgeDataset,
+    names: tuple[str, ...] = ("val", "test"),
 ) -> dict[str, np.ndarray]:
-    """Confusion matrix of the model on the val and test splits, both
-    scored from one forward pass."""
-    (va_e, va_y), (te_e, te_y) = dataset.split("val"), dataset.split("test")
-    pred, _ = predict(model, a_hat, x, np.concatenate([va_e, te_e]))
-    n = len(dataset.classes)
-    return {"val": confusion_matrix(va_y, pred[:len(va_e)], n),
-            "test": confusion_matrix(te_y, pred[len(va_e):], n)}
+    """Confusion matrix of the model on each named split, all scored
+    from one forward pass."""
+    splits = [dataset.split(name) for name in names]
+    pred, _ = predict(model, a_hat, x, np.concatenate([e for e, _ in splits]))
+    ends = np.cumsum([len(y) for _, y in splits]).tolist()
+    return {name: confusion_matrix(y, pred[end - len(y):end], len(dataset.classes))
+            for name, (_, y), end in zip(names, splits, ends)}
+
+
+def label_roles(
+    labeled: LabelTable, graph: AsGraph, mode: str, seed: int, digest: str | None
+) -> EdgeDataset:
+    """The labeled pairs the graph holds in ``mode``'s classes, by role in
+    the split ``seed`` draws from them (``train``, ``val``, ``test``, and
+    ``left_out`` by balancing) if its digest is ``digest``, as ``train``'s
+    was, else as one ``voted`` split; a role with no pair is omitted."""
+    classes = mode_classes(mode)
+    # p2p and p2c come first in both class lists
+    usable = restrict_to_graph(labeled.take(labeled.label < len(classes)), graph)[0]
+    # without a pair of each class no split is drawn, and no digest matches
+    drawn = balance_and_split(usable, seed, mode) if digest and np.bincount(
+        usable.label, minlength=len(classes)).all() else usable
+    roles = {"voted": usable}
+    if drawn.digest() == digest:
+        roles = {name: drawn.take(drawn.split == name) for name in SPLITS}
+        # both hold each pair once, and np.unique would load numpy.ma
+        roles["left_out"] = usable.take(~np.isin(pack_unordered_pairs(usable.a, usable.b),
+                                                 pack_unordered_pairs(drawn.a, drawn.b),
+                                                 assume_unique=True))
+    return EdgeDataset(classes, usable, {name: (graph.positions(t.pairs()), t.label)
+                                         for name, t in roles.items() if len(t)})
 
 
 def run_training(
@@ -289,8 +308,8 @@ class Prepared:
     dataset: EdgeDataset
 
 
-def prepare(files: DataFiles, mode: str, seed: int, observed: Observed | None = None) -> Prepared:
-    bundle = build_bundle(files, observed)
+def prepare(files: DataFiles, mode: str, seed: int) -> Prepared:
+    bundle = build_bundle(files)
     labeled, report = prepare_labels(files)
     usable, dropped = restrict_to_graph(labeled, bundle.graph)
     dataset = make_dataset(usable, bundle.graph, mode, seed)

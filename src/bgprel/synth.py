@@ -75,6 +75,8 @@ class SynthConfig:
             raise ValueError("need at least one vantage point and one path")
         if self.n_vps > self.total_nodes:
             raise ValueError("more vantage points than nodes")
+        if self.seed < 0:  # random.Random would take its absolute value
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def total_nodes(self) -> int:

@@ -345,7 +345,7 @@ def perturbed_dir(tmp_path_factory):
 @pytest.mark.parametrize("mode", ["multi", "binary"])
 def test_headline_metrics_agree_with_the_benchmark_scorer(perturbed_dir, tmp_path,
                                                           perfbench_score, mode):
-    train_out, eval_out = tmp_path / "train", tmp_path / "eval"
+    train_out, predict_out = tmp_path / "train", tmp_path / "predict"
     assert run(["train", "--data", str(perturbed_dir), "--mode", mode,
                 "--seed", "0", "--out", str(train_out)]) == 0
     doc = json.loads((train_out / "metrics.json").read_text())
@@ -355,41 +355,140 @@ def test_headline_metrics_agree_with_the_benchmark_scorer(perturbed_dir, tmp_pat
         assert 0.0 <= doc[split]["macro_f1"] <= 1.0
         assert 0.0 <= doc[split]["balanced_accuracy"] <= 1.0
     assert set(doc["baselines"]) == {"majority", "degree_gap"}
-    assert run(["eval", "--data", str(perturbed_dir), "--checkpoint",
-                str(train_out / "checkpoint.json"), "--out", str(eval_out)]) == 0
-    scored = json.loads((eval_out / "metrics.json").read_text())
-    assert scored == {k: doc[k] for k in ("classes", "val", "test", "baselines")}
+    assert run(["predict", "--data", str(perturbed_dir), "--checkpoint",
+                str(train_out / "checkpoint.json"), "--out", str(predict_out)]) == 0
+    scored = json.loads((predict_out / "metrics.json").read_text())
+    roles = ["train", "val", "test", "left_out"][:4 if mode == "multi" else 3]
+    assert sorted(scored) == sorted(["classes", *roles])
+    assert {k: scored[k] for k in ("classes", "val", "test")} == {
+        k: doc[k] for k in ("classes", "val", "test")}
+    assert sum(_scored(scored, role) for role in roles) == _voted_on_graph(perturbed_dir, mode)
 
 
-def test_eval_command(data_dir, train_dir, tmp_path, capsys):
-    out = tmp_path / "ev"
-    assert run([
-        "eval", "--data", str(data_dir),
-        "--checkpoint", str(train_dir / "checkpoint.json"),
-        "--out", str(out),
-    ]) == 0
-    doc = json.loads((out / "metrics.json").read_text())
-    assert "per_class" in doc["test"]
+def _scored(doc, block):
+    """How many edges a block of metrics.json scores."""
+    return sum(map(sum, doc[block]["confusion"]))
+
+
+def _voted_on_graph(data, mode):
+    """The voted pairs of the data directory's labels that its graph
+    holds, in the classes of ``mode``."""
+    files = DataFiles.discover(data)
+    usable, _ = pipeline.restrict_to_graph(pipeline.prepare_labels(files)[0],
+                                           build_bundle(files).graph)
+    return int((usable.label < len(MODE_CLASSES[mode])).sum())
+
+
+def _predict(data, checkpoint, out, *flags):
+    assert run(["predict", "--data", str(data), "--checkpoint", str(checkpoint),
+                *flags, "--out", str(out)]) == 0
+    return json.loads((out / "metrics.json").read_text())
+
+
+def test_predict_prints_the_accuracy_of_each_block(data_dir, train_dir, tmp_path, capsys):
+    doc = _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "p")
+    assert all("per_class" in doc[k] for k in ("train", "val", "test", "left_out"))
     text = capsys.readouterr().out
-    assert "test accuracy" in text
+    assert "val accuracy" in text and "test accuracy" in text
+    assert "left_out accuracy" in text
 
 
-def test_eval_reproduces_training_metrics(data_dir, train_dir, tmp_path):
-    out = tmp_path / "ev2"
-    assert run([
-        "eval", "--data", str(data_dir),
-        "--checkpoint", str(train_dir / "checkpoint.json"),
-        "--out", str(out),
-    ]) == 0
-    got = json.loads((out / "metrics.json").read_text())
+def test_predict_reproduces_training_metrics(data_dir, train_dir, tmp_path):
+    got = _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "p")
     want = json.loads((train_dir / "metrics.json").read_text())
-    assert got["test"]["accuracy"] == want["test"]["accuracy"]
-    assert got["test"]["confusion"] == want["test"]["confusion"]
+    assert got["val"] == want["val"] and got["test"] == want["test"]
+    roles = ("train", "val", "test", "left_out")
+    assert sorted(got) == sorted(["classes", *roles])
+    assert sum(_scored(got, role) for role in roles) == _voted_on_graph(data_dir, "multi")
+
+
+def test_predict_scores_changed_labels_as_one_voted_block(data_dir, train_dir, tmp_path):
+    """A test pair taken out of one label source leaves the vote, so the
+    redrawn split is not the one train drew, and no edge has a role."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    prep = prepare(DataFiles.discover(data), "multi", seed=1)
+    test = prep.dataset.edges.take(prep.dataset.edges.split == "test")
+    pair = {int(test.a[0]), int(test.b[0])}
+    source = data / "labels_1.txt"
+    lines = source.read_text().splitlines()
+    kept = [l for l in lines if {int(v) for v in l.split("|")[:2]} != pair]
+    assert len(kept) < len(lines)
+    source.write_text("".join(f"{l}\n" for l in kept))
+    doc = _predict(data, train_dir / "checkpoint.json", tmp_path / "p")
+    assert sorted(doc) == ["classes", "voted"]
+    assert _scored(doc, "voted") == _voted_on_graph(data, "multi")
+
+
+def test_predict_without_a_split_digest_scores_one_voted_block(data_dir, train_dir,
+                                                               tmp_path):
+    trained = tmp_path / "train"
+    trained.mkdir()
+    shutil.copy(train_dir / "checkpoint.json", trained)
+    _rewrite_checkpoint(trained, lambda doc: doc["meta"].pop("split"))
+    roles = _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "roles")
+    doc = _predict(data_dir, trained / "checkpoint.json", tmp_path / "p")
+    assert sorted(doc) == ["classes", "voted"]
+    assert _scored(doc, "voted") == sum(_scored(roles, k) for k in roles if k != "classes")
+    # the predictions do not depend on the digest
+    assert ((tmp_path / "p" / "predictions.csv").read_bytes()
+            == (tmp_path / "roles" / "predictions.csv").read_bytes())
+
+
+def test_predict_omits_blocks_without_an_edge(data_dir, tmp_path):
+    """Binary mode balances nothing away, so no edge is left out; labels
+    whose pairs the graph lacks leave every block empty."""
+    train_out = tmp_path / "binary"
+    assert run(["train", "--data", str(data_dir), "--mode", "binary", "--epochs", "4",
+                "--hidden", "4", "--seed", "1", "--out", str(train_out)]) == 0
+    doc = _predict(data_dir, train_out / "checkpoint.json", tmp_path / "p")
+    assert sorted(doc) == ["classes", "test", "train", "val"]
+    assert sum(_scored(doc, k) for k in ("train", "val", "test")) == _voted_on_graph(
+        data_dir, "binary")
+    for i in (1, 2):
+        (tmp_path / f"labels_{i}.txt").write_text("999991|999992|0\n")
+    doc = _predict(data_dir, train_out / "checkpoint.json", tmp_path / "off",
+                   "--labels", str(tmp_path / "labels_1.txt"),
+                   "--labels", str(tmp_path / "labels_2.txt"))
+    assert doc == {"classes": ["p2p", "p2c"]}
+
+
+@pytest.mark.parametrize("given_by", ["directory", "flag"])
+def test_predict_single_label_source_is_refused(given_by, data_dir, train_dir, tmp_path,
+                                                capsys):
+    """With train's message, before --out is created."""
+    d = tmp_path / "one"
+    d.mkdir()
+    for name in ("paths.txt", "labels_1.txt"):
+        shutil.copy(data_dir / name, d)
+    argv = (["--data", str(d)] if given_by == "directory" else
+            ["--paths", str(d / "paths.txt"), "--labels", str(d / "labels_1.txt")])
+    assert run(["train", *argv, "--out", str(tmp_path / "t")]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith("usage error: need at least two --labels sources")
+    assert run(["predict", *argv, "--checkpoint", str(train_dir / "checkpoint.json"),
+                "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_predict_bad_label_line_is_named_before_out(data_dir, train_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    with open(data / "labels_2.txt", "a", encoding="utf-8") as fh:
+        fh.write("1|2|7\n")
+    lines = len((data / "labels_2.txt").read_text().splitlines())
+    code = run(["predict", "--data", str(data), "--checkpoint",
+                str(train_dir / "checkpoint.json"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {data / 'labels_2.txt'} line {lines}: unsupported code '7'\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("eval", ["--mode", "binary"]), ("eval", ["--seed", "4"]),
-    ("eval", ["--delta", "1.0"]), ("predict", ["--delta", "1.0"]),
+    ("predict", ["--mode", "binary"]), ("predict", ["--seed", "4"]),
+    ("predict", ["--split", "0" * 64]), ("predict", ["--delta", "1.0"]),
 ])
 def test_checkpoint_settings_are_not_flags(data_dir, train_dir, tmp_path, command, flag):
     # the checkpoint records them; any other value scores the wrong model
@@ -413,7 +512,7 @@ FIXED_SETTINGS_ARGV = {
     *((command, "--delta", "0.2") for command in ("train", "sweep")),
 ])
 def test_fixed_feature_settings_are_not_flags(command, flag, value):
-    # one clique rule and one weight floor for train, eval and predict
+    # one clique rule and one weight floor for train and predict
     argv = [command, "--data", "d", *FIXED_SETTINGS_ARGV[command], "--out", "o"]
     cli.build_parser().parse_args(argv)
     with pytest.raises(SystemExit) as e:
@@ -421,7 +520,7 @@ def test_fixed_feature_settings_are_not_flags(command, flag, value):
     assert e.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
                                                   capsys, command):
     doc = json.loads((train_dir / "checkpoint.json").read_text())
@@ -438,7 +537,6 @@ def test_checkpoint_with_another_delta_is_refused(data_dir, train_dir, tmp_path,
 
 
 @pytest.mark.parametrize("command,key", [
-    ("eval", "mode"), ("eval", "seed"), ("eval", "delta"), ("eval", "classes"),
     ("predict", "delta"), ("predict", "classes"), ("predict", "mode"),
     ("predict", "seed"),
 ])
@@ -455,7 +553,7 @@ def test_checkpoint_missing_a_setting_is_refused(data_dir, train_dir, tmp_path, 
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 @pytest.mark.parametrize("edit", ["drop", "add"])
 def test_checkpoint_whose_classes_do_not_fit_its_head_is_refused(
         data_dir, train_dir, tmp_path, capsys, command, edit):
@@ -474,21 +572,6 @@ def test_checkpoint_whose_classes_do_not_fit_its_head_is_refused(
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-def test_eval_refuses_classes_that_are_not_its_modes(data_dir, train_dir, tmp_path,
-                                                     capsys):
-    doc = json.loads((train_dir / "checkpoint.json").read_text())
-    doc["meta"]["classes"] = doc["meta"]["classes"][::-1]
-    checkpoint = tmp_path / "checkpoint.json"
-    checkpoint.write_text(json.dumps(doc))
-    code = run(["eval", "--data", str(data_dir), "--checkpoint", str(checkpoint),
-                "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"{checkpoint}: field 'meta.classes' is not" in err
-    assert "the classes of multi mode" in err
-    assert not (tmp_path / "o" / "manifest.json").exists()
-
-
 _MULTI_CLASSES = ("field 'meta.classes' is not ['p2p', 'p2c', 's2s', 'x2x'], "
                   "the classes of multi mode")
 _NO_MODE = "field 'meta.mode' is not a mode, one of ['binary', 'multi']"
@@ -496,7 +579,7 @@ _NO_MODE = "field 'meta.mode' is not a mode, one of ['binary', 'multi']"
 
 # each id names the case: the classes or mode the checkpoint records, and why
 # they are refused
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 @pytest.mark.parametrize("mode,classes,message", [
     ("multi", ["x2x", "s2s", "p2c", "p2p"], _MULTI_CLASSES),
     ("multi", ["a", "b", "c", "d"], _MULTI_CLASSES),
@@ -516,7 +599,8 @@ def test_checkpoint_classes_must_be_its_modes(data_dir, train_dir, tmp_path, cap
                                               monkeypatch, command, mode, classes,
                                               message):
     # predict would otherwise write its labels under the recorded names
-    for name in ("prepare", "build_bundle"):  # refused before any input is read
+    # refused before any input is read
+    for name in ("prepare", "prepare_labels", "build_bundle"):
         monkeypatch.setattr(cli, name, lambda *a: pytest.fail(f"{name} ran"))
     doc = json.loads((train_dir / "checkpoint.json").read_text())
     doc["meta"].update(mode=mode, classes=classes)
@@ -735,13 +819,18 @@ def test_negative_weight_decay_is_refused(data_dir, tmp_path, monkeypatch, capsy
     (["sweep", "--lr", "0,0.05"], "learning rate must be positive, got 0.0"),
     (["train", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["sweep", "--lr", "0.05", "--seed", "-2"], "seed must be non-negative, got -2"),
+    # random.Random takes a negative seed's absolute value
+    (["dataset", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
 ])
 def test_refused_setting_is_usage_error_before_any_work(
         data_dir, tmp_path, monkeypatch, capsys, argv, message):
-    monkeypatch.setattr(cli, "prepare", lambda *a: pytest.fail("prepare ran"))
+    for name in ("prepare", "prepare_labels", "generate"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     command, *flags = argv
+    data = [] if command == "synth" else ["--data", str(data_dir)]
     out = tmp_path / "o"
-    assert run([command, "--data", str(data_dir), *flags, "--out", str(out)]) == 2
+    assert run([command, *data, *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
 
@@ -834,7 +923,6 @@ MANIFEST_COMMANDS = {
     "features": ["features", "--data", "data"],
     "dataset": ["dataset", "--data", "data"],
     "train": ["train", "--data", "data", *SMALL],
-    "eval": ["eval", "--data", "data", "--checkpoint", "checkpoint.json"],
     "predict": ["predict", "--data", "data", "--checkpoint", "checkpoint.json",
                 "--pairs", "pairs.txt"],
     "importance": ["sweep", "--data", "data", "--ablate", "none,cnr", *SMALL],
@@ -893,24 +981,22 @@ def test_manifests_record_the_ingest_counts(data_dir, train_dir, tmp_path):
     runs = {
         "train": ["train", "--data", str(d), *SMALL],
         "predict": ["predict", "--data", str(d), "--checkpoint", checkpoint],
-        "eval": ["eval", "--data", str(d), "--checkpoint", checkpoint],
         "features": ["features", "--data", str(d)],
         "dataset": ["dataset", "--data", str(d)],
         "sweep-ablate": ["sweep", "--data", str(d), "--ablate", "none,cnr", *SMALL],
         "sweep": ["sweep", "--data", str(d), "--lr", "0.05", *SMALL],
     }
-    # predict and eval from the checkpoint just trained on d use the
+    # predict from the checkpoint just trained on d uses the
     # graph it carries, with the counts of the ingest that built it
     trained = str(tmp_path / "train" / "checkpoint.json")
     runs.update({
         "predict-reused": ["predict", "--data", str(d), "--checkpoint", trained],
-        "eval-reused": ["eval", "--data", str(d), "--checkpoint", trained],
     })
     for name, argv in runs.items():
         assert run([*argv, "--out", str(tmp_path / name)]) == 0
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["config"]["ingest"] == want, name
-        if argv[0] in ("predict", "eval"):
+        if argv[0] == "predict":
             graph = "reused" if name.endswith("-reused") else "built"
             assert manifest["config"]["graph"] == graph, name
 
@@ -928,22 +1014,22 @@ def test_csv_outputs_end_lines_with_lf(command, input_root, data_dir, tmp_path):
         assert b"\r" not in data and data.endswith(b"\n"), path.name
 
 
-# -- eval and predict reuse the graph their checkpoint's train saved ------
+# -- predict reuses the graph its checkpoint's train saved ----------------
 
 
-GRAPH_READERS = ("eval", "predict", "predict-pairs")
+GRAPH_READERS = ("predict", "predict-pairs")
 
 
 def _read_graph_with(command, data, checkpoint_dir, pairs, out):
     """Run ``command`` (one of GRAPH_READERS) on the data directory and
-    the checkpoint in ``checkpoint_dir``; its output file's bytes and its
-    manifest."""
-    argv = {"eval": ["eval"], "predict": ["predict"],
+    the checkpoint in ``checkpoint_dir``; the bytes of its predictions
+    and its metrics, and its manifest."""
+    argv = {"predict": ["predict"],
             "predict-pairs": ["predict", "--pairs", str(pairs)]}[command]
     assert run([*argv, "--data", str(data), "--checkpoint",
                 str(checkpoint_dir / "checkpoint.json"), "--out", str(out)]) == 0
-    output = out / ("metrics.json" if command == "eval" else "predictions.csv")
-    return output.read_bytes(), json.loads((out / "manifest.json").read_text())
+    output = b"".join((out / f).read_bytes() for f in ("predictions.csv", "metrics.json"))
+    return output, json.loads((out / "manifest.json").read_text())
 
 
 def _rewrite_checkpoint(trained, edit):
@@ -1006,7 +1092,7 @@ GRAPH_CASES = {
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
 @pytest.mark.parametrize("command", GRAPH_READERS)
 def test_reused_graph_gives_the_built_graphs_outputs(command, case, trained_copy, tmp_path):
-    """eval and predict use the graph train saved in its checkpoint
+    """predict uses the graph train saved in its checkpoint
     only while the checkpoint's ``meta.source`` shows it came from the
     same paths and alloc files, and write the same bytes as a run that
     builds the graph."""
@@ -1060,7 +1146,7 @@ def _edit_graph_array(name, edit):
     (_edit_graph_array("edge_rows", lambda a: np.where(a == a.max(), a.max() + 1, a)),
      "field 'meta.graph.edge_rows' is not node rows in [0, "),
 ], ids=["truncated", "per-node-length", "edge-row-range"])
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 def test_bad_graph_in_a_checkpoint_is_refused(command, edit, message, trained_copy,
                                               tmp_path, capsys):
     """A bad graph in a checkpoint whose source record matches the
@@ -1077,7 +1163,7 @@ def test_bad_graph_in_a_checkpoint_is_refused(command, edit, message, trained_co
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 def test_bad_graph_is_refused_when_the_command_ingests(command, trained_copy, tmp_path,
                                                        capsys):
     """A checkpoint is accepted whole or refused: a bad graph is refused
@@ -1097,10 +1183,10 @@ def test_bad_graph_is_refused_when_the_command_ingests(command, trained_copy, tm
 
 
 @pytest.mark.parametrize("seed", [None, "0", 1.5, True], ids=["null", "string", "float", "bool"])
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 def test_checkpoint_whose_seed_is_not_an_integer_is_refused(command, seed, data_dir,
                                                             train_dir, tmp_path, capsys):
-    """``eval`` redraws the training split from the recorded seed, and
+    """``predict`` redraws the training split from the recorded seed, and
     ``random.Random`` takes None, strings, floats and bools, each giving
     another split (None one from the OS on every run)."""
     doc = json.loads((train_dir / "checkpoint.json").read_text())
@@ -1123,7 +1209,7 @@ def _widen_first_layer(doc):
     doc["input_dim"] += 1
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["predict"])
 def test_checkpoint_of_another_width_is_refused_before_out(command, data_dir, train_dir,
                                                           tmp_path, capsys):
     trained = tmp_path / "train"
@@ -1330,7 +1416,7 @@ def test_importance_builds_two_propagation_matrices(data_dir, tmp_path, monkeypa
 RANGE_COMMANDS = {
     "features": ("features.csv", "clique.txt"),
     "train": ("checkpoint.json", "history.csv", "metrics.json"),
-    "predict": ("predictions.csv",),
+    "predict": ("predictions.csv", "metrics.json"),
 }
 
 

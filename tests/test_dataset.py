@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -535,6 +536,20 @@ class TestBalanceAndSplit:
         assert rows(out1) == rows(out2)
         out3 = balance_and_split(pool, seed=8, mode="multi")
         assert rows(out1) != rows(out3)
+
+    def test_digest_names_the_drawn_split(self):
+        """Equal draws share a digest, whatever the input's row order; a
+        changed seed, label, pair or split changes it."""
+        pool = synthetic_pool({c: 15 for c in MULTI_CLASSES}, seed=4)
+        shuffled = rows(pool)
+        random.Random(99).shuffle(shuffled)
+        drawn = balance_and_split(pool, seed=7, mode="multi")
+        assert drawn.digest() == balance_and_split(table(*shuffled), 7, "multi").digest()
+        assert drawn.digest() != balance_and_split(pool, seed=8, mode="multi").digest()
+        edits = [replace(drawn, label=np.roll(drawn.label, 1)),
+                 replace(drawn, b=drawn.b + 1),
+                 replace(drawn, split=np.roll(drawn.split, 1))]
+        assert len({drawn.digest(), *(t.digest() for t in edits)}) == 4
 
     def test_empty_class_rejected_in_multi(self):
         pool = synthetic_pool({RelLabel.P2P: 5, RelLabel.P2C: 5, RelLabel.S2S: 5})

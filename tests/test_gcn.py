@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import itertools
 import json
 import random
@@ -1024,7 +1025,7 @@ class TestPersistence:
         save_checkpoint(f, Checkpoint(model, "multi", 7, 12))
         again = load_checkpoint(f)
         assert (again.mode, again.seed, again.best_epoch) == ("multi", 7, 12)
-        assert again.source is None and again.observed is None
+        assert again.source is None and again.observed is None and again.split is None
         assert again.classes == ["p2p", "p2c", "s2s", "x2x"]
         meta = json.loads(f.read_text())["meta"]
         assert meta == {"mode": "multi", "seed": 7, "best_epoch": 12, "delta": 0.05,
@@ -1147,7 +1148,12 @@ class TestPersistence:
          "field 'meta.best_epoch' is not a non-negative integer"),
         (lambda meta: meta.update(source="abc"), "field 'meta.source' is not an object"),
         (lambda meta: meta.update(seed=-1), "field 'meta.seed' is not a non-negative integer"),
-    ], ids=["best-epoch-missing", "best-epoch-negative", "source", "seed-negative"])
+        (lambda meta: meta.update(split="ab"), "field 'meta.split' is not a sha256 hex digest"),
+        (lambda meta: meta.update(split="A" * 64),
+         "field 'meta.split' is not a sha256 hex digest"),
+        (lambda meta: meta.update(split=None), "field 'meta.split' is not a sha256 hex digest"),
+    ], ids=["best-epoch-missing", "best-epoch-negative", "source", "seed-negative",
+            "split-short", "split-upper-case", "split-null"])
     def test_malformed_meta_is_refused_naming_its_field(self, tmp_path, edit, message):
         f = tmp_path / "model.json"
         save_checkpoint(f, _checkpoint(init_model(3, 4, 2, (1, 1), np.random.default_rng(0))))
@@ -1156,6 +1162,14 @@ class TestPersistence:
         f.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"{f}: {message}")):
             load_checkpoint(f)
+
+    def test_split_digest_roundtrip(self, tmp_path):
+        f = tmp_path / "model.json"
+        digest = hashlib.sha256(b"split").hexdigest()
+        model = init_model(3, 4, 2, (1, 1), np.random.default_rng(0))
+        save_checkpoint(f, Checkpoint(model, "binary", 0, 1, split=digest))
+        assert json.loads(f.read_text())["meta"]["split"] == digest
+        assert load_checkpoint(f).split == digest
 
     def test_identical_models_identical_bytes(self, tmp_path):
         m1 = init_model(6, 8, 2, (2, 2), np.random.default_rng(9))

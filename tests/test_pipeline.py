@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -179,16 +180,16 @@ def checkpoint(data_dir, tmp_path_factory):
 
 @pytest.mark.parametrize("command, loads", [
     ("synth", False), ("ingest", False), ("features", False), ("dataset", False),
-    ("eval", False), ("predict", False), ("train", True)])
+    ("predict", False), ("train", True)])
 def test_only_training_loads_scipy_sparse(command, loads, data_dir, checkpoint, tmp_path):
     """Only the epoch loop loads scipy.sparse, and numpy.ma (about 20 ms,
     which scipy.sparse imports but numpy's np.unique and np.union1d also
-    load) is loaded by the same commands."""
+    load) is loaded by the same commands.  predict's data has labels, so
+    it scores them too."""
     argv = {"synth": ["--n-mid", "20", "--n-stub", "30", "--n-vps", "5",
                       "--paths-per-vp", "10"],
             "ingest": ["--paths", data_dir / "paths.txt"],
             "train": ["--data", data_dir, "--epochs", "2", "--hidden", "4"],
-            "eval": ["--data", data_dir, "--checkpoint", checkpoint],
             "predict": ["--data", data_dir, "--checkpoint", checkpoint],
             }.get(command, ["--data", data_dir])
     code = ("import sys\n"
@@ -197,6 +198,8 @@ def test_only_training_loads_scipy_sparse(command, loads, data_dir, checkpoint, 
             "print('scipy.sparse' in sys.modules, 'numpy.ma' in sys.modules)\n")
     out = _python(code, command, *argv, "--out", tmp_path / "o", cwd=tmp_path)
     assert out.splitlines()[-1] == f"{loads} {loads}"
+    if command == "predict":
+        assert "test" in json.loads((tmp_path / "o" / "metrics.json").read_text())
 
 
 def test_build_bundle_rejects_clique_member_outside_graph(data_dir, tmp_path):
