@@ -1,10 +1,11 @@
 """Command line front end.
 
 Every subcommand writes its artifacts under --out and returns the
-``Manifest`` record of its run.  ``run`` then writes manifest.json next
-to them, recording the invocation, the input and output file digests,
-the seed, the library versions, the thread settings and the BLAS thread
-count, and the wall time, so a run can be audited later; no command
+``Manifest`` record of its run.  ``run`` sets numpy's OpenBLAS to one
+thread, so no output depends on a thread variable, runs the command and
+writes manifest.json next to its artifacts: the invocation, the input
+and output file digests, the seed, the library versions, the thread
+settings, the BLAS thread count in effect and the wall time; no command
 reads a manifest.  A command that builds the graph records its ingest
 counts under ``config``.  ``train`` saves a ``gcn.Checkpoint`` with the
 observed graph, the record of the files it came from (``_source``) and
@@ -37,8 +38,10 @@ from . import __version__
 from .dataset import MODE_CLASSES, balance_and_split
 from .evaluate import (
     accuracy,
+    blas_threads,
     format_confusion,
     metrics_doc,
+    pin_blas_threads,
     setting_text,
     sweep,
     worker_count,
@@ -109,24 +112,6 @@ def _input_digest(path: Path) -> str:
     command, so a command reads each input once for its digest, which
     both the graph's source record and the manifest use."""
     return _sha256(path)
-
-
-def blas_threads() -> int | None:
-    """The thread count that numpy's bundled OpenBLAS reports, or None
-    where no such library is found or none of its getters is exported."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            dll = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(dll, name, None)
-            if get is not None:
-                get.argtypes = []
-                get.restype = ctypes.c_int
-                return get()
-    return None
 
 
 class Manifest(NamedTuple):
@@ -452,13 +437,14 @@ def cmd_predict(args) -> Manifest:
 
 
 def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
-    """The ``a|b`` pairs of a pairs file, as an (n, 2) int64 array; an
-    ASN the graph does not hold, or a pair of an ASN with itself, is
-    refused naming its line, and a file with no pair naming the file."""
+    """The ``a|b`` pairs of a pairs file, as an (n, 2) int64 array; a line
+    of other than two fields, an ASN the graph does not hold, or a pair of
+    an ASN with itself is refused naming its line, and a file with no pair
+    naming the file."""
     pairs = array("q")
     for where, bits in read_fields(path, "|"):
-        if len(bits) < 2:
-            raise ValueError(f"{where}: expected two ASNs a|b, got {bits[0]!r}")
+        if len(bits) != 2:
+            raise ValueError(f"{where}: expected two ASNs a|b, got {'|'.join(bits)!r}")
         a, b = parse_asn(bits[0], where), parse_asn(bits[1], where)
         for asn in (a, b):
             if not graph.contains(asn):
@@ -655,6 +641,7 @@ _REFUSALS = (FileNotFoundError, ValueError, KeyError, TrainingDivergedError)
 
 def run(argv: list[str] | None = None) -> int:
     _tune_allocator()
+    pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()

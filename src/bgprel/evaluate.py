@@ -8,21 +8,24 @@ computes per-class precision or recall.
 
 A sweep's grid points are independent trainings.  ``map_runs`` trains
 them in forked worker processes, ``worker_count`` of them: ``min(runs,
-usable CPUs // BLAS threads)``, or one, with no pool at all, when the
-BLAS thread count is unset, since BLAS then already uses every core.
-Each run is the same single-process training as in a serial loop, and
-the results come back in input order, so the report does not depend on
-the worker count.
+usable CPUs // blas_threads())``, the count numpy's bundled OpenBLAS
+reports, which ``cli.run`` sets to one (``pin_blas_threads``); one
+process where that library is not found.  Each run is the same
+single-process training as in a serial loop, and the results come back
+in input order, so the report does not depend on the worker count.
 ``ingest.ingest_file`` reads the byte ranges of a paths file the same
 way.  The process-pool modules load only where a pool is made.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -105,26 +108,44 @@ def _call(item):
     return _RUN(item)
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(dll, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS is set to, or None."""
+    return _openblas() and _openblas()[0]()
+
+
+def pin_blas_threads() -> None:
+    """Set numpy's bundled OpenBLAS, where found, to one thread, so that
+    no product's sums depend on a thread count; forked workers inherit it."""
+    if _openblas() is not None:
+        _openblas()[1](1)
+
+
 def worker_count(runs: int) -> int:
     """Processes for ``runs`` independent jobs, trainings or the byte
-    ranges of a paths file: ``min(runs, usable CPUs // BLAS threads)``.
-    BLAS threads are the first positive integer among
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS; when neither holds one,
-    BLAS uses every core, so there is one process."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            break
-    else:
-        return 1
+    ranges of a paths file: ``min(runs, usable CPUs // blas_threads())``.
+    Where numpy's bundled OpenBLAS is not found, BLAS is taken to use
+    every CPU, so there is one process."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(runs, cpus // blas))
+    return max(1, min(runs, cpus // (blas_threads() or cpus)))
 
 
 def map_runs(run: Callable, items: Sequence, workers: int) -> list:

@@ -49,7 +49,7 @@ products, views them as scipy matrices for scipy's compiled product,
 so only training loads ``scipy.sparse``.  Both products sum each row
 in entry order from 0.0 and give the same bits.  Everything is plain
 numpy/scipy, so a run is bitwise reproducible for a fixed seed at a
-fixed BLAS thread count.
+fixed BLAS thread count; ``cli.run`` sets numpy's OpenBLAS to one.
 
 The checkpoint format is this module's alone: the ``Checkpoint`` record,
 its one writer and its one reader, which checks every field.

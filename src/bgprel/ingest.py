@@ -20,9 +20,9 @@ block's temporaries take about 19 bytes per input byte to parse, 31
 per hop to sanitize and 45 per hop to summarize, so the reader's memory
 is a few MB whatever the file's size.  Summaries merge, so for them the
 file is cut into line-aligned byte ranges, one per
-``evaluate.worker_count`` process but none shorter than
-``_RANGE_FLOOR``.  ``ingest_lines`` joins lines already in memory into
-one buffer and reads it the same way.
+``evaluate.worker_count`` process (one a usable CPU) but none shorter
+than ``_RANGE_FLOOR``.  ``ingest_lines`` joins lines already in memory
+into one buffer and reads it the same way.
 ``parse_path_line`` and ``sanitize`` are the per-path definitions of
 the same rules, kept as the reference the block code is tested against.
 

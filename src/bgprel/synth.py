@@ -125,15 +125,6 @@ class GroundTruth:
             return (provider, hi if provider == lo else lo, label)
         return (lo, hi, label)
 
-    def p2c_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for key, label in self.labels.items():
-            if label is RelLabel.P2C:
-                p = self.providers[key]
-                c = key[1] if key[0] == p else key[0]
-                out.append((p, c))
-        return out
-
     def counts(self) -> dict[RelLabel, int]:
         out = {label: 0 for label in RelLabel}
         for label in self.labels.values():

@@ -114,8 +114,8 @@ def test_synth_fails_on_a_policy_violation(tmp_path, monkeypatch, capsys):
         paths, stats = simulate(truth, config)
         # down from one provider of a multihomed network, up to another
         providers = {}
-        for p, c in truth.p2c_pairs():
-            providers.setdefault(c, []).append(p)
+        for (a, b), p in truth.providers.items():
+            providers.setdefault(b if p == a else a, []).append(p)
         c = min(c for c, ps in providers.items() if len(ps) > 1)
         valleys.append((providers[c][0], c, providers[c][1]))
         return PathStore.from_hops([*(p.hops for p in paths), valleys[0]]), stats
@@ -678,7 +678,7 @@ def test_predict_unknown_asn_is_runtime_error(data_dir, train_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("line", ["12|x", "12", "1.5|3", "7|-2",
-                                  "99999999999999999999|1", "1|1"])
+                                  "99999999999999999999|1", "1|1", "1|2|999"])
 def test_predict_bad_pairs_line_is_named(data_dir, train_dir, tmp_path, capsys, line):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text(f"# first line is a comment\n{line}\n")
@@ -1527,8 +1527,12 @@ def test_dead_worker_is_an_error_line(name, data_dir, tmp_path, monkeypatch, cap
     assert "Traceback" not in err
 
 
+def _bundled_openblas() -> bool:
+    return any((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+
+
 def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "2")
     out = tmp_path / "o"
@@ -1538,21 +1542,38 @@ def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "settings": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+        "settings": {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None,
                      "MKL_NUM_THREADS": "2"},
-        # read from the library, which took its count when numpy loaded
-        "blas_threads": cli.blas_threads(),
+        # the count in effect, which run sets to one
+        "blas_threads": 1 if _bundled_openblas() else None,
     }
+
+
+def _cli_subprocess(*argv, threads):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "bgprel.cli", *map(str, argv)],
+                   env=env, check=True, capture_output=True, timeout=120)
 
 
 def test_manifest_records_the_blas_thread_count_blas_reports(data_dir, tmp_path):
     out = tmp_path / "o"
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-m", "bgprel.cli", "train", "--data",
-                    str(data_dir), *SMALL, "--out", str(out)],
-                   env=env, check=True, capture_output=True, timeout=120)
+    _cli_subprocess("train", "--data", data_dir, *SMALL, "--out", out, threads="2")
     threads = json.loads((out / "manifest.json").read_text())["environment"]["blas_threads"]
-    bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
-    assert threads == (1 if bundled else None)
+    assert threads == (1 if _bundled_openblas() else None)
+
+
+@pytest.mark.skipif(not _bundled_openblas(), reason="the thread count is set only "
+                    "in numpy's bundled OpenBLAS")
+def test_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The default 1x synth trained in binary mode: its layer weight
+    gradients differ in their last bits between 1 and 2 OpenBLAS threads,
+    which moved its outputs before the CLI set the count to one."""
+    data = tmp_path / "data"
+    assert run(["synth", "--perturbation", "0.03", "--out", str(data)]) == 0
+    for threads in ("1", "2"):
+        _cli_subprocess("train", "--data", data, "--mode", "binary", "--seed", "0",
+                        "--out", tmp_path / threads, threads=threads)
+    for name in ("checkpoint.json", "history.csv", "metrics.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

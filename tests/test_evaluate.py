@@ -7,6 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from bgprel import evaluate
 from bgprel.evaluate import (
     accuracy,
     confusion_matrix,
@@ -177,36 +178,36 @@ class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
 
-    def test_unset_blas_means_one_worker(self):
-        assert worker_count(10) == 1
+    def _blas(self, monkeypatch, threads):
+        monkeypatch.setattr(evaluate, "blas_threads", lambda: threads)
 
     def test_one_blas_thread_takes_every_cpu_up_to_the_runs(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        self._blas(monkeypatch, 1)
         assert worker_count(10) == 4
         assert worker_count(3) == 3
         assert worker_count(1) == 1
 
     def test_cpus_are_shared_out_by_blas_threads(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        self._blas(monkeypatch, 2)
         assert worker_count(10) == 2
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+
+    def test_no_bundled_openblas_means_one_worker(self, monkeypatch):
+        self._blas(monkeypatch, None)
         assert worker_count(10) == 1
 
-    def test_omp_setting_counts_too(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert worker_count(10) == 2
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert worker_count(10) == 4  # OPENBLAS_NUM_THREADS comes first
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_thread_variables_change_nothing(self, monkeypatch, name):
+        self._blas(monkeypatch, 1)
+        monkeypatch.setenv(name, "2")
+        assert worker_count(10) == 4
 
     @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", ""])
     def test_bad_setting_counts_as_unset(self, monkeypatch, value):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        assert worker_count(10) == 1
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert worker_count(10) == 2
+        self._blas(monkeypatch, 1)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(name, value)
+            assert worker_count(10) == 4
 
 
 def _fail_on_three(n):

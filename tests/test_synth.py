@@ -125,6 +125,11 @@ def test_x2x_edges_touch_exactly_one_ixp():
             assert touches == 0
 
 
+def _p2c_edges(truth):
+    """Each planted p2c edge as (provider, customer)."""
+    return [(p, b if p == a else a) for (a, b), p in truth.providers.items()]
+
+
 def _p2c_truth(pairs):
     truth = GroundTruth()
     for p, c in pairs:
@@ -153,7 +158,7 @@ def test_p2c_acyclic_matches_networkx():
         for seed in range(6)
     ] + [_p2c_truth(pairs) for pairs in _DEEP_P2C]
     for truth in truths:
-        dg = nx.DiGraph(truth.p2c_pairs())
+        dg = nx.DiGraph(_p2c_edges(truth))
         assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(dg)
 
 
@@ -595,7 +600,7 @@ def test_p2c_acyclic_matches_networkx_on_random_digraphs(pairs):
         if p != c and canonical_edge(p, c) not in truth.labels:
             truth.add(p, c, RelLabel.P2C, provider=p)
     assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(
-        nx.DiGraph(truth.p2c_pairs()))
+        nx.DiGraph(_p2c_edges(truth)))
 
 
 # -- the route graph is the planted AsGraph plus step kinds ------------------
