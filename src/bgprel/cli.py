@@ -163,6 +163,14 @@ def write_manifest(
     return path
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that names a file, or a path under one."""
+    path = Path(out)
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise SystemExit2(f"--out {out}: {found} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -647,6 +655,7 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     _input_digest.cache_clear()
     try:
+        _check_out(args.out)
         record = args.func(args)
         write_manifest(Path(args.out), args.command, *record, started)
         return 0

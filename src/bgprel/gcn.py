@@ -65,7 +65,7 @@ import numpy as np
 
 from .dataset import MODE_CLASSES, mode_classes
 from .ingest import decode_array, encode_array, read_field, read_json, write_json, write_table
-from .topology import Csr, decode_graph, distinct, distinct_union, encode_graph
+from .topology import Csr, decode_graph, distinct, encode_graph
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -285,7 +285,7 @@ class RowPlan:
             r = rows[0]
             prop = a_hat if len(r) == n else a_hat.take_rows(r)
             if k:
-                cols = r if len(r) == n else distinct_union([r, prop.indices])
+                cols = r if len(r) == n else distinct(np.concatenate([r, prop.indices]))
                 rows.insert(0, cols)
                 if len(cols) < n:
                     prop = prop.within_columns(cols)

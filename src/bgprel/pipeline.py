@@ -79,18 +79,24 @@ class DataFiles:
     def discover(cls, directory: str | Path, paths: Path | None = None) -> "DataFiles":
         """Pick up the conventional file names from one directory;
         ``paths``, when given, stands in for its ``paths.txt``.  A file
-        the directory does not hold stays None, ``paths.txt`` too."""
+        the directory does not hold stays None, ``paths.txt`` too; a
+        conventional name that is not a regular file is refused."""
         d = Path(directory)
         if not d.is_dir():
             raise FileNotFoundError(f"data directory not found: {d}")
 
+        def regular(p: Path) -> Path:
+            if not p.is_file():
+                raise ValueError(f"not a regular file: {p}")
+            return p
+
         def opt(name: str) -> Path | None:
             p = d / name
-            return p if p.is_file() else None
+            return regular(p) if p.exists() else None
 
         return cls(
             paths=paths or opt("paths.txt"),
-            labels=sorted(d.glob("labels_*.txt")),
+            labels=[regular(p) for p in sorted(d.glob("labels_*.txt"))],
             truth=opt("truth.csv"),
             **{key: opt(name) for key, name in SIDE_FILES.items()},
         )

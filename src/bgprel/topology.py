@@ -83,19 +83,6 @@ def distinct(keys: np.ndarray) -> np.ndarray:
     return keys[run_firsts(keys)]
 
 
-def distinct_union(parts: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct values of sorted distinct arrays.  The values the
-    first part lacks are inserted into it, so a union that adds little
-    to a large first part costs a search per later value, not a sort of
-    the first part again."""
-    head = parts[0]
-    keys = distinct(np.concatenate([head[:0], *parts[1:]]))
-    at = np.searchsorted(head, keys)
-    new = at == len(head)
-    new[~new] = head[at[~new]] != keys[~new]
-    return np.insert(head, at[new], keys[new]) if new.any() else head
-
-
 class Csr(NamedTuple):
     """A sparse matrix in compressed sparse row form, in scipy's field
     order, so that ``scipy.sparse.csr_matrix(csr)`` views it: row i holds
@@ -304,15 +291,15 @@ def _bit_matrix(bits: np.ndarray, n: int, width: int) -> np.ndarray:
     return out.reshape(n, width)
 
 
-def _or_columns(out: np.ndarray, rows: np.ndarray, bits: np.ndarray, cols: np.ndarray) -> None:
+def _or_columns(out: np.ndarray, rows: np.ndarray, bits: np.ndarray, cols: list[int]) -> None:
     """OR column j of the bit matrix ``bits`` into column ``cols[j]`` of
     ``out``'s rows ``rows``, both packed along rows."""
-    if np.array_equal(cols, np.arange(len(cols))):
+    if cols == list(range(len(cols))):
         # the same leading columns: whole bytes line up
         out[rows, :bits.shape[1]] |= bits
     else:
         # any other columns, such as a block's few VPs, one at a time
-        for j, col in enumerate(cols.tolist()):
+        for j, col in enumerate(cols):
             bit = bits[:, j // 8] >> np.uint8(7 - j % 8) & np.uint8(1)
             out[rows, col // 8] |= bit << np.uint8(7 - col % 8)
 
@@ -330,13 +317,15 @@ class GraphSummary:
     rows as ``np.packbits`` packs them: bit j of row i is set when VP
     ``vps[j]`` begins a path through ``nodes[i]``, and the padding bits
     of the last byte are zero.  So the summary grows with nodes times
-    VPs / 8 bytes, not with the (node, VP) pairs sighted.
+    VPs / 8 bytes, not with the (node, VP) pairs sighted.  The columns
+    of two summaries of the same paths may differ in order, as ``merge``
+    keeps VPs in order of arrival; ``build_graph`` reads row popcounts.
     """
 
     nodes: np.ndarray  # sorted distinct ASNs
     steps: np.ndarray  # pack_unordered_pairs key of every step
     transits: np.ndarray  # (hop, a neighbor on either side) of inner hops
-    vps: np.ndarray  # sorted distinct ASNs that begin a path
+    vps: np.ndarray  # distinct ASNs that begin a path, one per column
     seen: np.ndarray  # (node, VP) bit matrix, one row per node
     # per node: hops on it, and the sum/min/max of their VP distances
     count: np.ndarray
@@ -408,30 +397,28 @@ class GraphSummary:
 
     @classmethod
     def merge(cls, parts: list["GraphSummary"]) -> "GraphSummary":
-        """The summary of every part's paths together."""
-        return cls._gather(parts, distinct(np.concatenate([p.vps for p in parts])))
-
-    @classmethod
-    def _gather(cls, parts: list["GraphSummary"], vps: np.ndarray) -> "GraphSummary":
-        """``merge``, with the bit columns in the order of ``vps``, which
-        holds every part's VPs."""
-        nodes = distinct_union([p.nodes for p in parts])
-        order = np.argsort(vps)
-        seen = np.zeros((len(nodes), -(-len(vps) // 8)), dtype=np.uint8)
+        """The summary of every part's paths together.  Each VP keeps the
+        column where it first arrives, so merged columns never move."""
+        nodes = distinct(np.concatenate([p.nodes for p in parts]))
+        column: dict[int, int] = {}
+        for p in parts:
+            for vp in p.vps.tolist():
+                column.setdefault(vp, len(column))
+        seen = np.zeros((len(nodes), -(-len(column) // 8)), dtype=np.uint8)
         count, total, high = (np.zeros(len(nodes), dtype=np.int64) for _ in range(3))
         low = np.full(len(nodes), np.iinfo(np.int64).max)
         for p in parts:
             at = np.searchsorted(nodes, p.nodes)  # distinct within a part
-            _or_columns(seen, at, p.seen, order[np.searchsorted(vps, p.vps, sorter=order)])
+            _or_columns(seen, at, p.seen, [column[vp] for vp in p.vps.tolist()])
             count[at] += p.count
             total[at] += p.total
             low[at] = np.minimum(low[at], p.low)
             high[at] = np.maximum(high[at], p.high)
         return cls(
             nodes=nodes,
-            steps=distinct_union([p.steps for p in parts]),
-            transits=distinct_union([p.transits for p in parts]),
-            vps=vps,
+            steps=distinct(np.concatenate([p.steps for p in parts])),
+            transits=distinct(np.concatenate([p.transits for p in parts])),
+            vps=np.fromiter(column, np.int64, len(column)),
             seen=seen,
             count=count,
             total=total,
@@ -446,17 +433,13 @@ class GraphSummary:
         summary so far, and are merged into it then: after the graph
         stops growing each merge takes in four times its own size, so
         merging costs about as much as summarizing, and the list holds
-        what the graph needs of a few blocks.  Until the last merge the
-        VPs keep the order they came in, so a new VP does not move the
-        bit columns folded so far."""
+        what the graph needs of a few blocks."""
         folded, pending, waiting = cls.of(PathStore.from_hops([])), [], 0
         for store in stores:
             pending.append(cls.of(store))
             waiting += pending[-1].nbytes
             if waiting >= 4 * folded.nbytes:
-                vps = np.concatenate([folded.vps, *(p.vps for p in pending)])
-                vps = vps[np.sort(np.unique(vps, return_index=True)[1])]
-                folded, pending, waiting = cls._gather([folded, *pending], vps), [], 0
+                folded, pending, waiting = cls.merge([folded, *pending]), [], 0
         return cls.merge([folded, *pending])
 
     @property

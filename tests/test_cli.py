@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import random
 import re
 import shutil
 import subprocess
@@ -254,6 +255,36 @@ def test_a_missing_paths_file_leaves_no_out(command, data_dir, tmp_path, capsys)
     out = tmp_path / "o"
     assert run([command, *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth", "features", "dataset", "train",
+                                     "predict", "sweep"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_an_out_that_is_not_a_directory_is_refused_first(command, below, tmp_path, capsys):
+    # every input is missing, so an input read before the check would
+    # end in a "not found" error instead
+    missing = str(tmp_path / "nope")
+    argv = {"ingest": ["--paths", missing], "synth": [],
+            "predict": ["--data", missing, "--checkpoint", missing],
+            "sweep": ["--data", missing, "--lr", "0.1"]}.get(command, ["--data", missing])
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    assert run([command, *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("name", ["labels_9.txt", "orgs.csv"])
+def test_a_conventional_name_that_is_not_a_file_is_refused(name, data_dir, tmp_path, capsys):
+    d = tmp_path / "d"
+    shutil.copytree(data_dir, d)
+    (d / name).unlink(missing_ok=True)
+    (d / name).mkdir()
+    out = tmp_path / "o"
+    assert run(["dataset", "--data", str(d), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: not a regular file: {d / name}\n"
     assert not out.exists()
 
 
@@ -1445,6 +1476,62 @@ def test_forked_paths_ranges_do_not_change_outputs(command, data_dir, train_dir,
     assert forks == [2]
     for name in RANGE_COMMANDS[command]:
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def _shuffled_copy(src, dst):
+    """A copy of the data directory ``src`` with the data lines of every
+    input that is a set of lines in another order, CSV headers first."""
+    rng = random.Random(0)
+    shutil.copytree(src, dst)
+    for name in ["paths.txt", "ixps.txt", "orgs.csv", "types.csv",
+                 *(p.name for p in src.glob("labels_*.txt"))]:
+        lines = (dst / name).read_text().splitlines()
+        head = 1 if name.endswith(".csv") else 0
+        body = lines[head:]
+        rng.shuffle(body)
+        assert body != lines[head:], name
+        (dst / name).write_text("".join(f"{line}\n" for line in lines[:head] + body))
+    return dst
+
+
+def _pipeline_outputs(data_dir, out):
+    """The outputs of features, train (multi, seed 0) and predict over
+    ``data_dir``, by file, the checkpoint as a document without
+    ``meta.source``, the digest of the paths file it came from."""
+    train = out / "train"
+    assert run(["features", "--data", str(data_dir), "--out", str(out / "features")]) == 0
+    assert run(["train", "--data", str(data_dir), "--seed", "0", "--out", str(train)]) == 0
+    # a checkpoint without its graph, so that predict ingests the paths too
+    lone = _graphless_copy(train, out / "lone")
+    assert run(["predict", "--data", str(data_dir), "--checkpoint",
+                str(lone / "checkpoint.json"), "--out", str(out / "predict")]) == 0
+    outputs = {f"{command}/{name}": (out / command / name).read_bytes()
+               for command, names in [("features", ("features.csv", "clique.txt")),
+                                      ("train", ("history.csv", "metrics.json")),
+                                      ("predict", ("predictions.csv", "metrics.json"))]
+               for name in names}
+    checkpoint = json.loads((train / "checkpoint.json").read_text())
+    del checkpoint["meta"]["source"]
+    return {**outputs, "train/checkpoint.json": checkpoint}
+
+
+@pytest.fixture(scope="module")
+def in_file_order(perturbed_dir, tmp_path_factory):
+    return _pipeline_outputs(perturbed_dir, tmp_path_factory.mktemp("file-order"))
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_input_line_order_does_not_change_outputs(ranges, perturbed_dir, in_file_order,
+                                                   tmp_path, monkeypatch):
+    # two ranges of shuffled paths: every block brings its VPs in another order
+    shuffled = _shuffled_copy(perturbed_dir, tmp_path / "data")
+    monkeypatch.setattr(ingest, "_RANGE_FLOOR", 1)
+    monkeypatch.setattr(ingest, "worker_count", lambda runs: ranges)
+    assert len(ingest._line_ranges(shuffled / "paths.txt", ranges)) == ranges
+    got = _pipeline_outputs(shuffled, tmp_path / "out")
+    assert got.keys() == in_file_order.keys()
+    for name, want in in_file_order.items():
+        assert got[name] == want, name
 
 
 def test_csv_numbers_are_plain_floats(data_dir, train_dir, tmp_path):

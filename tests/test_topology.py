@@ -266,10 +266,15 @@ class TestGraphSummary:
         merged = GraphSummary.merge([GraphSummary.merge(parts[:k]), *parts[k:]])
         folded = GraphSummary.fold(_slice(store, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
         whole = GraphSummary.of(store)
-        for f in dataclasses.fields(GraphSummary):
-            want = getattr(whole, f.name)
-            for got in (getattr(merged, f.name), getattr(folded, f.name)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        for got in (merged, folded):
+            # every VP keeps the column where it first arrives
+            assert got.vps.tolist() == _arrival_order(parts)
+            assert np.array_equal(_sorted_bits(got), _sorted_bits(whole))
+            for f in dataclasses.fields(GraphSummary):
+                want, value = getattr(whole, f.name), getattr(got, f.name)
+                assert value.dtype == want.dtype, f.name
+                if f.name not in ("vps", "seen"):
+                    assert np.array_equal(value, want), f.name
         got, want = _graph_arrays(build_graph(merged)), _graph_arrays(build_graph(store))
         for name in want:
             assert got[name].dtype == want[name].dtype, name
@@ -290,6 +295,23 @@ class TestGraphSummary:
         assert report == again and report.accepted == len(paths)
         got, want = _graph_arrays(build_graph(summary)), _graph_arrays(build_graph(store))
         assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def _arrival_order(parts):
+    """The VPs of ``parts`` in the order they first appear."""
+    order = []
+    for part in parts:
+        order += [vp for vp in part.vps.tolist() if vp not in order]
+    return order
+
+
+def _sorted_bits(summary):
+    """A summary's (node, VP) bits as a 0/1 matrix, its columns in sorted
+    VP order; the padding bits of each row must be zero."""
+    bits = np.unpackbits(summary.seen, axis=1)
+    assert summary.seen.shape == (len(summary.nodes), -(-len(summary.vps) // 8))
+    assert not bits[:, len(summary.vps):].any()
+    return bits[:, np.argsort(summary.vps)]
 
 
 def _vp_paths(layout, n_vps=75, per_vp=4, seed=9):
@@ -335,16 +357,27 @@ class TestVantagePointBits:
         summaries = [GraphSummary.of(store), GraphSummary.fold(stores),
                      GraphSummary.merge(parts), GraphSummary.merge(parts[::-1]),
                      GraphSummary.merge([GraphSummary.merge(parts[3:]), *parts[:3]])]
+        assert summaries[0].vps.tolist() == vps
         for summary in summaries:
-            assert summary.nodes.tolist() == nodes and summary.vps.tolist() == vps
-            assert summary.seen.shape == (len(nodes), -(-len(vps) // 8))
-            # canonical: the padding bits of each row are zero
-            bits = np.unpackbits(summary.seen, axis=1)
-            assert np.array_equal(bits[:, :len(vps)], dense)
-            assert not bits[:, len(vps):].any()
+            assert summary.nodes.tolist() == nodes and sorted(summary.vps.tolist()) == vps
+            assert np.array_equal(_sorted_bits(summary), dense)
             observers = build_graph(summary).vp.observers
             assert observers.tolist() == dense.sum(axis=1).tolist()
         assert observers[nodes.index(500)] == 2
+
+    def test_merge_keeps_the_first_parts_columns_leading(self):
+        paths = _vp_paths("grouped")
+        nodes, vps, dense = _brute_bits(paths)
+        store = PathStore.from_hops(paths)
+        head, tail = (GraphSummary.of(_slice(store, lo, hi))
+                      for lo, hi in ((0, 150), (150, len(store))))
+        merged = GraphSummary.merge([head, tail])
+        k = len(head.vps)
+        assert 0 < k < len(merged.vps)
+        assert merged.vps[:k].tolist() == head.vps.tolist()
+        assert merged.vps[k:].tolist() == [v for v in tail.vps.tolist() if v not in head.vps]
+        bits = np.unpackbits(merged.seen, axis=1)[:, :len(vps)]
+        assert np.array_equal(bits, dense[:, [vps.index(v) for v in merged.vps.tolist()]])
 
     def test_a_part_without_paths_adds_nothing(self):
         paths = _vp_paths("grouped", n_vps=9)
