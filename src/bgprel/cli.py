@@ -39,6 +39,7 @@ from .dataset import MODE_CLASSES, balance_and_split
 from .evaluate import (
     accuracy,
     blas_threads,
+    confusion_matrix,
     format_confusion,
     metrics_doc,
     pin_blas_threads,
@@ -76,7 +77,6 @@ from .pipeline import (
     prepare,
     prepare_labels,
     run_training,
-    score_splits,
 )
 from .gcn import predict as gcn_predict
 from .synth import (
@@ -368,26 +368,26 @@ def cmd_train(args) -> Manifest:
     out = _out_dir(args)
     dataset = prep.dataset
     a_hat = adjacency_for(prep.bundle.graph, True)
-    outcome = run_training(prep.bundle.features.values, a_hat, dataset, config)
+    result, confusion = run_training(prep.bundle.features.values, a_hat, dataset, config)
 
     checkpoint = out / "checkpoint.json"
     save_checkpoint(checkpoint, Checkpoint(
-        outcome.result.model, args.mode, args.seed, outcome.result.best_epoch,
+        result.model, args.mode, args.seed, result.best_epoch,
         _source(files), (prep.bundle.graph, prep.bundle.report), dataset.edges.digest()))
     history = out / "history.csv"
-    write_history_csv(outcome.result.history, history)
+    write_history_csv(result.history, history)
     metrics_file = out / "metrics.json"
     write_json(metrics_file, {
-        **metrics_doc(dataset.class_names, outcome.confusion),
-        "best_epoch": outcome.result.best_epoch,
-        "best_val_accuracy": outcome.result.best_val_accuracy,
+        **metrics_doc(dataset.class_names, confusion),
+        "best_epoch": result.best_epoch,
+        "best_val_accuracy": result.best_val_accuracy,
         "vote": asdict(prep.vote_report), "dropped_offgraph": prep.dropped_offgraph,
         "clique": sorted(prep.bundle.clique),
         "baselines": baseline_accuracies(prep.bundle.graph, dataset)})
-    print(f"best epoch {outcome.result.best_epoch}: "
-          f"val accuracy {outcome.val_accuracy:.4f}, "
-          f"test accuracy {outcome.test_accuracy:.4f}")
-    print(format_confusion(outcome.confusion["test"], dataset.class_names))
+    print(f"best epoch {result.best_epoch}: "
+          f"val accuracy {accuracy(confusion['val']):.4f}, "
+          f"test accuracy {accuracy(confusion['test']):.4f}")
+    print(format_confusion(confusion["test"], dataset.class_names))
     return Manifest(
         {**asdict(config), "ingest": prep.bundle.report.as_dict()}, files.inputs(),
         {"checkpoint": checkpoint, "history": history, "metrics": metrics_file},
@@ -411,6 +411,9 @@ def cmd_predict(args) -> Manifest:
         raise ValueError(f"checkpoint {checkpoint_file} expects "
                          f"{checkpoint.model.input_dim} feature columns, data has {width}")
     graph = bundle.graph
+    # the labeled pairs the graph holds, by role; none without labels
+    roles = label_roles(labeled, graph, checkpoint.mode, checkpoint.seed,
+                        checkpoint.split).arrays if labeled is not None else {}
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
         wanted = _read_pairs(pair_file, graph)
@@ -419,8 +422,9 @@ def cmd_predict(args) -> Manifest:
         rows = graph.edge_rows
         wanted = graph.nodes[rows]
     out = _out_dir(args)
-    a_hat = adjacency_for(graph, True)
-    pred, logp = gcn_predict(checkpoint.model, a_hat, bundle.features.values, rows)
+    (pred, logp), *scored = gcn_predict(checkpoint.model, adjacency_for(graph, True),
+                                        bundle.features.values,
+                                        [rows, *(edges for edges, _ in roles.values())])
     pred_file = out / "predictions.csv"
     # a batch of rows at a time, so no Python copy of the whole table
     batches = (slice(lo, lo + _WRITE_ROWS) for lo in range(0, len(wanted), _WRITE_ROWS))
@@ -432,9 +436,8 @@ def cmd_predict(args) -> Manifest:
     print(f"wrote {len(wanted)} predictions to {pred_file}")
     outputs = {"predictions": pred_file}
     if labeled is not None:
-        roles = label_roles(labeled, graph, checkpoint.mode, checkpoint.seed, checkpoint.split)
-        splits = score_splits(checkpoint.model, a_hat, bundle.features.values, roles,
-                              tuple(roles.arrays)) if roles.arrays else {}
+        splits = {name: confusion_matrix(y, role_pred, len(classes))
+                  for (name, (_, y)), (role_pred, _) in zip(roles.items(), scored)}
         outputs["metrics"] = out / "metrics.json"
         write_json(outputs["metrics"], metrics_doc(classes, splits))
         print(", ".join(f"{name} accuracy {accuracy(cm):.4f}" for name, cm in splits.items()))
@@ -490,8 +493,8 @@ def cmd_sweep(args) -> Manifest:
         dropped = settings.pop("ablate", "none")
         config = _train_config(args, **fixed, **settings)
         x, weighted = ablate_columns(fm, None if dropped == "none" else dropped)
-        outcome = run_training(x, a_hat if weighted else unweighted, prep.dataset, config)
-        return outcome.val_accuracy, outcome.test_accuracy
+        _, confusion = run_training(x, a_hat if weighted else unweighted, prep.dataset, config)
+        return accuracy(confusion["val"]), accuracy(confusion["test"])
 
     workers = worker_count(math.prod(map(len, grid.values())))
     report = sweep(run_one, grid, preferred=preferred, workers=workers)

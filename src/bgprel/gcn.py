@@ -18,7 +18,9 @@ next gradient step.
 The head reads only the scored edges' endpoint rows, so every pass runs
 on a ``RowPlan``: the last layer computes the endpoint rows, and each
 earlier layer the one-hop closure of the next layer's rows.  Training
-plans for its train and val edges, ``predict`` for the edges it scores.
+plans for its train and val edges.  ``predict`` plans once for the
+union of the edge sets it scores and calls the head once per set, so a
+set's log-probabilities are those of scoring it alone.
 Every array of an epoch holds only its layer's plan rows: a layer's
 gradient is zero outside them, so its weight gradient sums them only.
 
@@ -603,19 +605,26 @@ def _features(x: np.ndarray) -> np.ndarray:
 
 
 def predict(
-    model: GcnModel, a_hat: Csr, x: np.ndarray, edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class indices and float64 log-probabilities for ordered edges,
-    from a forward pass in the features' dtype over the rows those edges
-    reach; the model and A_hat are cast to that dtype if they differ.
-    Its few sparse products run in numpy, so it loads no scipy."""
+    model: GcnModel, a_hat: Csr, x: np.ndarray, edge_sets: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Class indices and float64 log-probabilities for each array of
+    ordered edges in ``edge_sets``, from one forward pass in the
+    features' dtype over the rows their union reaches, then one head
+    call per array; the model and A_hat are cast to that dtype if they
+    differ.  Embedding rows do not depend on the plan, but the head's
+    product can round a row differently with the number of rows it
+    holds: an edge's log-probabilities repeat for the same array, and
+    may move in their last bits in another.  Its few sparse products
+    run in numpy, so it loads no scipy."""
     x = _features(x)
     model = model.astype(x.dtype)
-    plan = RowPlan.build(a_hat.astype(x.dtype, copy=False), edges, model.n_layers)
+    a_hat = a_hat.astype(x.dtype, copy=False)
+    edge_sets = [_check_edges(edges, len(a_hat.indptr) - 1) for edges in edge_sets]
+    plan = RowPlan.build(a_hat, np.concatenate(edge_sets), model.n_layers)
     # only the output is kept, so the layer caches are freed before scoring
     z = forward(model, plan, plan.props[0] @ x).z
-    logp = edge_scores(model, z, plan.local(edges))
-    return logp.argmax(axis=1), logp
+    logps = [edge_scores(model, z, plan.local(edges)) for edges in edge_sets]
+    return [(logp.argmax(axis=1), logp) for logp in logps]
 
 
 def train(

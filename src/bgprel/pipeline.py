@@ -6,8 +6,10 @@ drop, and the two trivial baselines used as sanity floors.
 bundle, voted labels, restriction to the graph, split dataset); the
 CLI and the tests all go through it.  ``build_bundle`` takes the graph
 instead of ingesting when the caller has it, as ``predict`` does with
-the one its checkpoint's ``train`` saved; ``predict`` then scores
-``label_roles`` through ``score_splits``, as ``train`` scores its splits."""
+the one its checkpoint's ``train`` saved.  ``train`` scores its val and
+test splits through ``score_splits``, one forward pass with one head
+call per split; ``predict`` scores every requested edge and each of the
+``label_roles`` sets from one pass the same way."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .dataset import (
     mode_classes,
     vote_intersection,
 )
-from .evaluate import accuracy, confusion_matrix
+from .evaluate import confusion_matrix
 from .gcn import (
     GcnModel,
     TrainConfig,
@@ -239,31 +241,15 @@ def adjacency_for(graph: AsGraph, weighted: bool) -> Csr:
 # -- training runs -------------------------------------------------------
 
 
-@dataclass
-class TrainOutcome:
-    result: TrainResult
-    confusion: dict[str, np.ndarray]  # "val" and "test"
-
-    @property
-    def val_accuracy(self) -> float:
-        return accuracy(self.confusion["val"])
-
-    @property
-    def test_accuracy(self) -> float:
-        return accuracy(self.confusion["test"])
-
-
 def score_splits(
-    model: GcnModel, a_hat: Csr, x: np.ndarray, dataset: EdgeDataset,
-    names: tuple[str, ...] = ("val", "test"),
+    model: GcnModel, a_hat: Csr, x: np.ndarray, dataset: EdgeDataset
 ) -> dict[str, np.ndarray]:
-    """Confusion matrix of the model on each named split, all scored
-    from one forward pass."""
-    splits = [dataset.split(name) for name in names]
-    pred, _ = predict(model, a_hat, x, np.concatenate([e for e, _ in splits]))
-    ends = np.cumsum([len(y) for _, y in splits]).tolist()
-    return {name: confusion_matrix(y, pred[end - len(y):end], len(dataset.classes))
-            for name, (_, y), end in zip(names, splits, ends)}
+    """Confusion matrix of the model on the val and test splits, both
+    scored from one forward pass with one head call per split."""
+    splits = {name: dataset.split(name) for name in ("val", "test")}
+    scored = predict(model, a_hat, x, [edges for edges, _ in splits.values()])
+    return {name: confusion_matrix(y, pred, len(dataset.classes))
+            for (name, (_, y)), (pred, _) in zip(splits.items(), scored)}
 
 
 def label_roles(
@@ -295,12 +281,12 @@ def run_training(
     a_hat: Csr,
     dataset: EdgeDataset,
     config: TrainConfig,
-) -> TrainOutcome:
+) -> tuple[TrainResult, dict[str, np.ndarray]]:
+    """The training result and its val and test confusion matrices."""
     tr_e, tr_y = dataset.split("train")
     va_e, va_y = dataset.split("val")
     result = train(x, a_hat, tr_e, tr_y, va_e, va_y, config)
-    confusion = score_splits(result.model, a_hat, x, dataset)
-    return TrainOutcome(result=result, confusion=confusion)
+    return result, score_splits(result.model, a_hat, x, dataset)
 
 
 @dataclass

@@ -319,14 +319,14 @@ def test_criterion_5_end_to_end_accuracy():
         prep = prepare(DataFiles.discover(d), "multi", cfg.seed)
         config = TrainConfig.for_mode("multi", cfg.seed)
         a_hat = adjacency_for(prep.bundle.graph, True)
-        outcome = run_training(prep.bundle.features.values, a_hat, prep.dataset,
-                               config)
+        _, confusion = run_training(prep.bundle.features.values, a_hat, prep.dataset,
+                                    config)
         tr_y = prep.dataset.split("train")[1]
         te_y = prep.dataset.split("test")[1]
         majority = majority_baseline(tr_y, te_y)
         stump = degree_gap_baseline(prep.bundle.graph, prep.dataset)
     elapsed = time.perf_counter() - started
-    acc = outcome.test_accuracy
+    acc = accuracy(confusion["test"])
     ok = acc >= 0.85 and acc > majority and acc > stump and elapsed < 300.0
     _report(5, ok, f"test accuracy {acc:.4f} (majority {majority:.4f}, "
                    f"degree-gap {stump:.4f}), {elapsed:.1f}s")

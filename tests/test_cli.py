@@ -358,7 +358,9 @@ def default_dir(tmp_path_factory):
 def test_best_val_accuracy_is_the_reported_val_accuracy(default_dir, tmp_path,
                                                         mode, seed):
     # the loop scores val on its train+val plan and score_splits on a
-    # val+test plan; both read the same float64 log-probabilities
+    # val+test plan; embedding rows do not depend on the plan, and both
+    # make the same head call, on the val edges alone, so they read the
+    # same float64 log-probabilities
     assert run(["train", "--data", str(default_dir), "--mode", mode,
                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "metrics.json").read_text())
@@ -431,6 +433,50 @@ def test_predict_reproduces_training_metrics(data_dir, train_dir, tmp_path):
     roles = ("train", "val", "test", "left_out")
     assert sorted(got) == sorted(["classes", *roles])
     assert sum(_scored(got, role) for role in roles) == _voted_on_graph(data_dir, "multi")
+
+
+@pytest.mark.parametrize("with_pairs", [False, True])
+def test_predict_scores_every_set_from_one_call(data_dir, train_dir, tmp_path, monkeypatch,
+                                                with_pairs):
+    """One forward pass: the requested edges first, then each role's."""
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(l.rsplit("|", 1)[0] + "\n" for l in
+                             (data_dir / "labels_1.txt").read_text().splitlines()[:5]))
+    gcn_predict, calls = cli.gcn_predict, []
+
+    def counting(model, a_hat, x, edge_sets):
+        calls.append([len(edges) for edges in edge_sets])
+        return gcn_predict(model, a_hat, x, edge_sets)
+
+    monkeypatch.setattr(cli, "gcn_predict", counting)
+    doc = _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "p",
+                   *(["--pairs", str(pairs)] if with_pairs else []))
+    [sizes] = calls
+    lines = (tmp_path / "p" / "predictions.csv").read_text().splitlines()
+    assert sizes[0] == len(lines) - 1
+    if with_pairs:
+        assert sizes[0] == 5
+    assert sorted(sizes[1:]) == sorted(_scored(doc, k) for k in doc if k != "classes")
+
+
+def test_predict_pairs_answers_as_the_every_edge_run(data_dir, train_dir, tmp_path):
+    """A pair's log-probabilities may move in their last bits with the set
+    of pairs scored beside it, never its label."""
+    _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "all")
+    every = {tuple(r[:2]): r[2:] for r in (
+        l.split(",") for l in (tmp_path / "all" / "predictions.csv").read_text().splitlines()[1:])}
+    picked = list(every)[::97][:6]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"{a}|{b}\n" for a, b in picked))
+    _predict(data_dir, train_dir / "checkpoint.json", tmp_path / "some", "--pairs", str(pairs))
+    rows = [l.split(",") for l in
+            (tmp_path / "some" / "predictions.csv").read_text().splitlines()[1:]]
+    assert [tuple(r[:2]) for r in rows] == picked
+    for row in rows:
+        label, *logp = every[tuple(row[:2])]
+        assert row[2] == label
+        assert np.allclose(np.array(row[3:], dtype=float), np.array(logp, dtype=float),
+                           rtol=0.0, atol=1e-5)
 
 
 def test_predict_scores_changed_labels_as_one_voted_block(data_dir, train_dir, tmp_path):
@@ -769,10 +815,8 @@ def test_sweep_over_dropped_inputs(data_dir, tmp_path, monkeypatch):
 
 
 def test_sweep_ties_prefer_dropping_nothing(data_dir, tmp_path, monkeypatch):
-    class Tied:
-        val_accuracy = test_accuracy = 0.5
-
-    monkeypatch.setattr(cli, "run_training", lambda *a: Tied)
+    tied = np.array([[1, 1], [0, 0]])  # accuracy 0.5 in every run
+    monkeypatch.setattr(cli, "run_training", lambda *a: (None, {"val": tied, "test": tied}))
     out = tmp_path / "o"
     assert run(["sweep", "--data", str(data_dir), "--ablate", "degree,none,cnr",
                 "--lr", "0.1,0.05", "--out", str(out)]) == 0

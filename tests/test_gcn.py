@@ -201,7 +201,7 @@ class TestEdgeScores:
         assert got.tobytes() == want.tobytes()
 
     def test_argmax_stable_under_monotone_rescaling(self):
-        pred, logp = predict(self.model, self.a_hat, self.x, np.array([[0, 1], [4, 2]]))
+        [(pred, logp)] = predict(self.model, self.a_hat, self.x, [np.array([[0, 1], [4, 2]])])
         assert np.array_equal(pred, (3.0 * logp + 11.0).argmax(axis=1))
 
 
@@ -579,7 +579,7 @@ def reference_train(x, a_hat, te, tl, ve, vl, config):
         norm = gradient_norm(grads)
         adam_step(params, grads, state, config.learning_rate)
         steps.append([p.copy() for p in params])
-        pred, logp = predict(model, a_hat, x, ve)
+        [(pred, logp)] = predict(model, a_hat, x, [ve])
         val_loss = loss_value(logp, vl, model.params(), config.weight_decay)
         acc = float((pred == vl).mean())
         history.append((epoch, loss, val_loss, acc, norm))
@@ -870,7 +870,7 @@ class TestRowPlan:
         x, a_hat = x.astype(dtype), a_hat.astype(dtype)
         model = init_model(x.shape[1], 6, 4, (2, 2), np.random.default_rng(1), dtype)
         edges = np.concatenate([ve, te[:3]])
-        pred, logp = predict(model, a_hat, x, edges)
+        [(pred, logp)] = predict(model, a_hat, x, [edges])
         z, _ = forward(model, every_row(a_hat, model), a_hat @ x)
         assert z.dtype == dtype
         want = edge_scores(model, z, edges)
@@ -883,6 +883,24 @@ class TestRowPlan:
 
     def test_predict_matches_every_node_forward_exactly_in_float32(self):
         self.assert_predict_matches_every_node_forward(np.float32)
+
+    def test_predict_scores_each_edge_set_as_if_alone(self):
+        """One forward pass, one head call per set: a small set scored
+        beside a large one keeps the bytes it has alone.  One float32
+        head product over both sets can round the small set's rows
+        differently; with OpenBLAS on x86-64 it does from a few thousand
+        rows on."""
+        x, a_hat, *_ = in_float32(sparse_training_problem())
+        model = init_model(x.shape[1], 32, 4, (2, 1), np.random.default_rng(5), np.float32)
+        rng = np.random.default_rng(6)
+        large = rng.integers(0, len(x), (10_000, 2))
+        small = rng.integers(0, len(x), (7, 2))
+        [(_, alone)] = predict(model, a_hat, x, [small])
+        [(_, large_alone)] = predict(model, a_hat, x, [large])
+        (_, got_large), (pred, got_small) = predict(model, a_hat, x, [large, small])
+        assert got_small.tobytes() == alone.tobytes()
+        assert np.array_equal(pred, alone.argmax(axis=1))
+        assert got_large.tobytes() == large_alone.tobytes()
 
 
 class TestDtype:
@@ -935,7 +953,7 @@ class TestDtype:
         assert [(what, a.dtype) for what, a in seen if a.dtype != dtype] == []
 
         seen.clear()
-        _, logp = predict(result.model.astype(np.float64), a_hat, x.astype(dtype), ve)
+        [(_, logp)] = predict(result.model.astype(np.float64), a_hat, x.astype(dtype), [ve])
         assert logp.dtype == np.float64
         assert {a.dtype for _, a in seen} == {np.dtype(dtype)}
 
@@ -1076,9 +1094,9 @@ class TestPersistence:
             assert p2.dtype == np.float64
             assert np.array_equal(p1, p2)
         for dtype in (np.float64, np.float32):
-            got = predict(again, a_hat, x.astype(dtype), te)
-            want = predict(model.astype(dtype), a_hat.astype(dtype), x.astype(dtype), te)
-            assert np.array_equal(got[1], want[1])
+            [(_, got)] = predict(again, a_hat, x.astype(dtype), [te])
+            [(_, want)] = predict(model.astype(dtype), a_hat.astype(dtype), x.astype(dtype), [te])
+            assert np.array_equal(got, want)
         save_checkpoint(tmp_path / "again.json", loaded)
         assert (tmp_path / "again.json").read_bytes() == f.read_bytes()
 

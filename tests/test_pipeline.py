@@ -28,7 +28,7 @@ from bgprel.pipeline import (
     run_training,
     score_splits,
 )
-from bgprel.evaluate import confusion_matrix
+from bgprel.evaluate import accuracy, confusion_matrix
 from bgprel.gcn import WEIGHT_FLOOR, TrainConfig, build_normalized_adjacency, predict
 from bgprel.synth import SynthConfig, export, generate, simulate_paths
 from bgprel.topology import AsGraph, FEATURE_COLUMNS, build_graph, cnr_edge_weights
@@ -158,7 +158,7 @@ def test_commands_load_no_csgraph_or_linalg(data_dir):
         "a_hat = pipeline.adjacency_for(bundle.graph, True)\n"
         "x = bundle.features.values\n"
         "model = gcn.init_model(x.shape[1], 4, 2, (2, 1), np.random.default_rng(0), x.dtype)\n"
-        "gcn.predict(model, a_hat, x, bundle.graph.edge_rows)\n"
+        "gcn.predict(model, a_hat, x, [bundle.graph.edge_rows])\n"
         "config = synth.SynthConfig(\n"
         "    n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5, n_vps=5, paths_per_vp=10)\n"
         "truth = synth.generate(config)\n"
@@ -530,11 +530,12 @@ def test_prepare_and_train_end_to_end(data_dir):
     prep = prepare(DataFiles.discover(data_dir), "multi", seed=3)
     config = TrainConfig.for_mode("multi", seed=3, epochs=25, hidden=8)
     a_hat = adjacency_for(prep.bundle.graph, True)
-    outcome = run_training(prep.bundle.features.values, a_hat, prep.dataset, config)
-    assert 0.0 <= outcome.val_accuracy <= 1.0
-    assert 0.0 <= outcome.test_accuracy <= 1.0
-    assert outcome.confusion["test"].shape == (4, 4)
-    assert outcome.result.best_epoch >= 1
+    result, confusion = run_training(prep.bundle.features.values, a_hat, prep.dataset,
+                                     config)
+    assert 0.0 <= accuracy(confusion["val"]) <= 1.0
+    assert 0.0 <= accuracy(confusion["test"]) <= 1.0
+    assert confusion["test"].shape == (4, 4)
+    assert result.best_epoch >= 1
     assert prep.vote_report.n_sources == 3
     assert prep.dataset.class_names == ["p2p", "p2c", "s2s", "x2x"]
 
@@ -544,11 +545,11 @@ def test_run_training_matches_direct_evaluation(clean_dir):
     bundle, ds = prep.bundle, prep.dataset
     config = TrainConfig.for_mode("binary", seed=0, epochs=10, hidden=8)
     a_hat = adjacency_for(bundle.graph, True)
-    out = run_training(bundle.features.values, a_hat, ds, config)
-    assert out.confusion["val"].sum() == len(ds.split("val")[0])
-    assert out.confusion["test"].sum() == len(ds.split("test")[0])
-    assert out.test_accuracy == pytest.approx(
-        np.trace(out.confusion["test"]) / out.confusion["test"].sum()
+    _, confusion = run_training(bundle.features.values, a_hat, ds, config)
+    assert confusion["val"].sum() == len(ds.split("val")[0])
+    assert confusion["test"].sum() == len(ds.split("test")[0])
+    assert accuracy(confusion["test"]) == pytest.approx(
+        np.trace(confusion["test"]) / confusion["test"].sum()
     )
 
 
@@ -558,17 +559,19 @@ def test_score_splits_scores_both_splits_from_one_forward(clean_dir, monkeypatch
     a_hat = adjacency_for(bundle.graph, True)
     x = bundle.features.values
     config = TrainConfig.for_mode("multi", seed=1, epochs=10, hidden=8)
-    model = run_training(x, a_hat, ds, config).result.model
+    model = run_training(x, a_hat, ds, config)[0].model
     calls = []
 
     def counting_predict(*args):
-        calls.append(1)
-        return predict(*args)
+        calls.append(predict(*args))
+        return calls[-1]
 
     monkeypatch.setattr(pipeline, "predict", counting_predict)
     got = score_splits(model, a_hat, x, ds)
-    assert len(calls) == 1
-    for name in ("val", "test"):
+    [scored] = calls
+    for name, (_, logp) in zip(("val", "test"), scored, strict=True):
         pairs, labels = ds.split(name)
-        want = confusion_matrix(labels, predict(model, a_hat, x, pairs)[0], 4)
-        assert np.array_equal(got[name], want)
+        # one head call per split: the bytes of scoring the split alone
+        [(pred, alone)] = predict(model, a_hat, x, [pairs])
+        assert logp.tobytes() == alone.tobytes()
+        assert np.array_equal(got[name], confusion_matrix(labels, pred, 4))
