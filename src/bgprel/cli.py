@@ -254,6 +254,8 @@ def _files_from_args(args, need_labels: bool = True, need_paths: bool = True) ->
     for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
+    if files.paths is None:  # no graph is built, so no graph file is read
+        files.types = files.alloc = files.clique = None
     if getattr(args, "labels", None):
         files.labels = [_require(l, "labels") for l in args.labels]
     if not hasattr(args, "labels") or not (need_labels or files.labels):
@@ -470,15 +472,19 @@ def _read_pairs(path: Path, graph: AsGraph) -> np.ndarray:
 
 def cmd_sweep(args) -> Manifest:
     grid = _overrides(args, ("lr", "wd", "blocks"))
-    if not (grid or args.ablate):
+    if args.ablate:
+        grid["ablate"] = args.ablate
+    if not grid:
         raise SystemExit2("sweep needs at least one of --lr, --wd, --blocks, --ablate lists")
     fixed = _overrides(args, ("epochs", "hidden"))
+
+    def point_config(params: dict) -> TrainConfig:
+        """The training settings of one grid point."""
+        return _train_config(args, **fixed, **{k: v for k, v in params.items() if k != "ablate"})
+
     for values in itertools.product(*grid.values()):  # check every grid point
-        _train_config(args, **fixed, **dict(zip(grid, values)))
-    base = _train_config(args, **fixed)
-    preferred = {k: getattr(base, k) for k in grid}
-    if args.ablate:
-        grid["ablate"], preferred["ablate"] = args.ablate, "none"
+        point_config(dict(zip(grid, values)))
+    preferred = {**asdict(point_config({})), "ablate": "none"}
     files = _files_from_args(args)
     prep = prepare(files, args.mode, args.seed)
     out = _out_dir(args)
@@ -489,20 +495,24 @@ def cmd_sweep(args) -> Manifest:
     unweighted = adjacency_for(graph, False) if "cnr" in grid.get("ablate", ()) else None
 
     def run_one(params: dict) -> tuple[float, float]:
-        settings = dict(params)  # the report keeps ``params``
-        dropped = settings.pop("ablate", "none")
-        config = _train_config(args, **fixed, **settings)
+        dropped = params.get("ablate", "none")
         x, weighted = ablate_columns(fm, None if dropped == "none" else dropped)
-        _, confusion = run_training(x, a_hat if weighted else unweighted, prep.dataset, config)
+        _, confusion = run_training(x, a_hat if weighted else unweighted, prep.dataset,
+                                    point_config(params))
         return accuracy(confusion["val"]), accuracy(confusion["test"])
 
     workers = worker_count(math.prod(map(len, grid.values())))
-    report = sweep(run_one, grid, preferred=preferred, workers=workers)
+    doc = sweep(run_one, grid, preferred=preferred, workers=workers)
+    # sweep.csv is the document's table: the settings in name order, then
+    # each row's scores
+    keys, rows = sorted(grid), doc["rows"]
+    scores = [k for k in rows[0] if k != "overrides"]
     csv_file = out / "sweep.csv"
-    write_table(csv_file, *report.table())
+    write_table(csv_file, ([*map(r["overrides"].get, keys), *map(r.get, scores)]
+                           for r in rows), keys + scores)
     json_file = out / "sweep.json"
-    write_json(json_file, report.as_dict())
-    print(f"swept {len(report.rows)} settings; best: {report.best}")
+    write_json(json_file, doc)
+    print(f"swept {len(rows)} settings; best: {doc['best']}")
     return Manifest(
         {"grid": {k: [setting_text(v) for v in vs] for k, vs in grid.items()},
          "workers": workers, "ingest": prep.bundle.report.as_dict()},

@@ -339,7 +339,9 @@ def balance_and_split(
 
     Binary mode drops s2s/x2x first and keeps the remaining class sizes
     as they are; multi mode downsamples every class to the smallest
-    class size so the four types are balanced.  The rows come class by
+    class size so the four types are balanced.  A draw that would leave
+    train, val or test without a pair is refused: in multi mode the
+    smallest class needs at least four pairs.  The rows come class by
     class, shuffled within each class.  Deterministic for a given seed
     regardless of the input row order: each class's rows are put in
     pair order first, and the draw depends only on the class sizes.
@@ -351,16 +353,22 @@ def balance_and_split(
         if not len(pool):
             raise ValueError(f"{mode} mode needs examples of class {c.value}")
 
-    rng = random.Random(seed)
     floor = min(len(pool) for pool in pools)
+    sizes = [_split_sizes(floor if mode == "multi" else len(pool)) for pool in pools]
+    for name, drawn in zip(SPLITS, map(sum, zip(*sizes))):
+        if not drawn:
+            counts = ", ".join(f"{c.value}={len(pool)}" for c, pool in zip(classes, pools))
+            raise ValueError(f"{mode} mode draws no {name} pair from the class counts {counts}")
+
+    rng = random.Random(seed)
     picked, splits = [], []
-    for pool in pools:
+    for pool, size in zip(pools, sizes):
         if mode == "multi" and len(pool) > floor:
             order = rng.sample(range(len(pool)), floor)
         else:
             order = list(range(len(pool)))
         rng.shuffle(order)
         picked.append(pool[order])
-        splits.append(np.repeat(SPLITS, _split_sizes(len(order))))
+        splits.append(np.repeat(SPLITS, size))
     out = edges.take(np.concatenate(picked))
     return replace(out, split=np.concatenate(splits))

@@ -6,13 +6,17 @@ confusion matrix in one numpy pass: per-class precision and recall,
 accuracy, macro-F1 and balanced accuracy.  It is the only code that
 computes per-class precision or recall.
 
+``sweep`` returns the ``sweep.json`` document itself, every grid
+point's settings as their flags read them with its accuracies, and the
+best point; ``sweep.csv`` is that document's table.
+
 A sweep's grid points are independent trainings.  ``map_runs`` trains
 them in forked worker processes, ``worker_count`` of them: ``min(runs,
 usable CPUs // blas_threads())``, the count numpy's bundled OpenBLAS
 reports, which ``cli.run`` sets to one (``pin_blas_threads``); one
 process where that library is not found.  Each run is the same
 single-process training as in a serial loop, and the results come back
-in input order, so the report does not depend on the worker count.
+in input order, so the document does not depend on the worker count.
 ``ingest.ingest_file`` reads the byte ranges of a paths file the same
 way.  The process-pool modules load only where a pool is made.
 """
@@ -24,7 +28,6 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -197,66 +200,31 @@ def setting_text(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-@dataclass
-class SweepRow:
-    overrides: dict
-    val_accuracy: float
-    test_accuracy: float
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-    best: dict
-
-    def table(self) -> tuple[list[list], list[str]]:
-        """The rows and header of ``sweep.csv``: one row per grid point,
-        its settings as their flags read them, then its accuracies."""
-        keys = sorted({k for r in self.rows for k in r.overrides})
-        rows = [[setting_text(r.overrides.get(k, "")) for k in keys]
-                + [r.val_accuracy, r.test_accuracy] for r in self.rows]
-        return rows, keys + ["val_accuracy", "test_accuracy"]
-
-    def as_dict(self) -> dict:
-        """The report as the JSON document ``sweep.json`` holds."""
-        return {
-            "best": {k: setting_text(v) for k, v in self.best.items()},
-            "rows": [
-                {
-                    "overrides": {k: setting_text(v) for k, v in r.overrides.items()},
-                    "val_accuracy": r.val_accuracy,
-                    "test_accuracy": r.test_accuracy,
-                }
-                for r in self.rows
-            ],
-        }
-
-
 def sweep(
     run: Callable[[dict], tuple[float, float]],
     grid: Mapping[str, Sequence],
     preferred: dict | None = None,
     workers: int = 1,
-) -> SweepReport:
-    """Grid search returning every row and the winner by validation
-    accuracy; exact ties fall back to the preferred (default) setting
-    when it is among the tied rows, else the earliest grid entry.  The
-    grid points run through ``map_runs`` on ``workers`` processes."""
-    keys = list(grid)
-    combos = [dict(zip(keys, values)) for values in itertools.product(*grid.values())]
+) -> dict:
+    """The ``sweep.json`` document of a grid search: ``rows``, each grid
+    point's settings as their flags read them (``overrides``) with its
+    val and test accuracy, in grid order, and ``best``, the settings of
+    the point with the top val accuracy.  An exact tie goes to the
+    ``preferred`` settings when they are among the tied points, else to
+    the earliest.  The grid points run through ``map_runs`` on
+    ``workers`` processes."""
+    combos = [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
     if not combos:
         raise ValueError("empty sweep grid")
     outcomes = map_runs(run, combos, workers)
-    rows = [
-        SweepRow(overrides=c, val_accuracy=v, test_accuracy=t)
-        for c, (v, t) in zip(combos, outcomes)
-    ]
-    top = max(r.val_accuracy for r in rows)
-    tied = [r for r in rows if r.val_accuracy == top]
-    best = tied[0].overrides
-    if preferred is not None:
-        for r in tied:
-            if all(preferred.get(k) == v for k, v in r.overrides.items()):
-                best = r.overrides
-                break
-    return SweepReport(rows=rows, best=best)
+    top = max(val for val, _ in outcomes)
+    tied = [c for c, (val, _) in zip(combos, outcomes) if val == top]
+    best = next((c for c in tied if preferred is not None
+                 and all(preferred.get(k) == v for k, v in c.items())), tied[0])
+
+    def text(settings: dict) -> dict:
+        return {k: setting_text(v) for k, v in settings.items()}
+
+    return {"best": text(best), "rows": [
+        {"overrides": text(c), "val_accuracy": val, "test_accuracy": test}
+        for c, (val, test) in zip(combos, outcomes)]}

@@ -262,9 +262,10 @@ def label_roles(
     classes = mode_classes(mode)
     # p2p and p2c come first in both class lists
     usable = restrict_to_graph(labeled.take(labeled.label < len(classes)), graph)[0]
-    # without a pair of each class no split is drawn, and no digest matches
-    drawn = balance_and_split(usable, seed, mode) if digest and np.bincount(
-        usable.label, minlength=len(classes)).all() else usable
+    try:
+        drawn = balance_and_split(usable, seed, mode) if digest else usable
+    except ValueError:  # train refuses such a draw, so no digest matches it
+        drawn = usable
     roles = {"voted": usable}
     if drawn.digest() == digest:
         roles = {name: drawn.take(drawn.split == name) for name in SPLITS}

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import builtins
 import collections
 import hashlib
@@ -512,6 +513,51 @@ def test_predict_without_a_split_digest_scores_one_voted_block(data_dir, train_d
             == (tmp_path / "roles" / "predictions.csv").read_bytes())
 
 
+@pytest.fixture(scope="module")
+def three_sibling_pairs(tmp_path_factory, data_dir):
+    """The synth bundle with its org map cut to three sibling pairs, so
+    that a multi draw puts two pairs of each class in train, one in val
+    and none in test."""
+    data = tmp_path_factory.mktemp("three-siblings")
+    shutil.copytree(data_dir, data, dirs_exist_ok=True)
+    edges = prepare(DataFiles.discover(data_dir), "multi", 0).dataset.edges
+    picked = []
+    for a, b in edges.pairs()[edges.label == MODE_CLASSES["multi"].index(RelLabel.S2S)]:
+        if not {a, b} & {asn for pair in picked for asn in pair}:
+            picked.append((a, b))
+    assert len(picked) >= 3
+    (data / "orgs.csv").write_text("asn,org_id\n" + "".join(
+        f"{a},org{i}\n{b},org{i}\n" for i, (a, b) in enumerate(picked[:3])))
+    return data
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "dataset", "dataset-labels"])
+def test_a_draw_without_a_test_pair_is_refused_before_out(
+        command, three_sibling_pairs, tmp_path, capsys):
+    data = str(three_sibling_pairs)
+    labels_only = [f"--{flag}={three_sibling_pairs / name}" for flag, name in (
+        ("labels", "labels_1.txt"), ("labels", "labels_2.txt"), ("labels", "labels_3.txt"),
+        ("orgs", "orgs.csv"), ("ixps", "ixps.txt"))]
+    argv = {"train": ["train", "--data", data, "--epochs", "2", "--hidden", "4"],
+            "sweep": ["sweep", "--data", data, "--lr", "0.05,0.1", "--epochs", "2",
+                      "--hidden", "4"],
+            "dataset": ["dataset", "--data", data],
+            "dataset-labels": ["dataset", *labels_only]}[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error: multi mode draws no test pair from the class counts "
+                     r"p2p=\d+, p2c=\d+, s2s=3, x2x=\d+\n", err), err
+    assert not out.exists()
+
+
+def test_predict_scores_a_split_train_refuses_as_one_voted_block(
+        three_sibling_pairs, train_dir, tmp_path):
+    doc = _predict(three_sibling_pairs, train_dir / "checkpoint.json", tmp_path / "p")
+    assert sorted(doc) == ["classes", "voted"]
+    assert _scored(doc, "voted") == _voted_on_graph(three_sibling_pairs, "multi")
+
+
 def test_predict_omits_blocks_without_an_edge(data_dir, tmp_path):
     """Binary mode balances nothing away, so no edge is left out; labels
     whose pairs the graph lacks leave every block empty."""
@@ -824,6 +870,36 @@ def test_sweep_ties_prefer_dropping_nothing(data_dir, tmp_path, monkeypatch):
     assert best == {"ablate": "none", "learning_rate": "0.05"}
 
 
+def test_tied_binary_sweep_prefers_binary_defaults(data_dir, tmp_path, monkeypatch):
+    tied = np.array([[1, 1], [0, 0]])  # accuracy 0.5 in every run
+    monkeypatch.setattr(cli, "run_training", lambda *a: (None, {"val": tied, "test": tied}))
+    out = tmp_path / "o"
+    assert run(["sweep", "--data", str(data_dir), "--mode", "binary",
+                "--lr", "0.05,0.1", "--wd", "0,5e-4", "--blocks", "2x1,2x2",
+                "--out", str(out)]) == 0
+    best = json.loads((out / "sweep.json").read_text())["best"]
+    assert best == {"learning_rate": "0.1", "weight_decay": "0.0005", "block_spec": "2x2"}
+
+
+def test_sweep_csv_is_the_table_of_sweep_json(data_dir, tmp_path, capsys):
+    """Each sweep.csv row is the matching sweep.json row, in the same
+    order and as the same text: the settings in name order, then the
+    accuracies."""
+    out = tmp_path / "sw"
+    assert run(["sweep", "--data", str(data_dir), "--lr", "0.1,0.05",
+                "--ablate", "degree,none", *SMALL, "--out", str(out)]) == 0
+    header, *rows = [fields for _, fields in ingest.read_fields(out / "sweep.csv", ",")]
+    doc = json.loads((out / "sweep.json").read_text())
+    assert header == ["ablate", "learning_rate", "val_accuracy", "test_accuracy"]
+    assert rows == [[r["overrides"]["ablate"], r["overrides"]["learning_rate"],
+                     str(r["val_accuracy"]), str(r["test_accuracy"])] for r in doc["rows"]]
+    assert [r[:2] for r in rows] == [["degree", "0.1"], ["none", "0.1"],
+                                     ["degree", "0.05"], ["none", "0.05"]]
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("swept 4 settings; best: ")
+    assert ast.literal_eval(line.split("best: ")[1]) == doc["best"]
+
+
 def test_sweep_command(data_dir, tmp_path, capsys):
     out = tmp_path / "sw"
     assert run([
@@ -983,6 +1059,7 @@ def input_root(tmp_path_factory, data_dir, train_dir):
     """Every conventional input, plus a checkpoint and a pairs file."""
     root = tmp_path_factory.mktemp("cli-inputs")
     shutil.copytree(data_dir, root / "data")
+    shutil.copytree(data_dir, root / "labels", ignore=shutil.ignore_patterns("paths.txt"))
     (root / "data" / "alloc.txt").write_text("1-200\n")
     shutil.copy(train_dir / "checkpoint.json", root)
     a, b, _ = (data_dir / "labels_1.txt").read_text().splitlines()[0].split("|")
@@ -997,6 +1074,8 @@ MANIFEST_COMMANDS = {
     "ingest": ["ingest", "--paths", "data/paths.txt", "--alloc", "data/alloc.txt"],
     "features": ["features", "--data", "data"],
     "dataset": ["dataset", "--data", "data"],
+    # without paths no graph is built, so types.csv and --alloc go unread
+    "dataset-labels": ["dataset", "--data", "labels", "--alloc", "data/alloc.txt"],
     "train": ["train", "--data", "data", *SMALL],
     "predict": ["predict", "--data", "data", "--checkpoint", "checkpoint.json",
                 "--pairs", "pairs.txt"],

@@ -303,6 +303,9 @@ def split_oracle(entries, seed, mode):
         for i, r in enumerate(pool):
             split = "train" if i < n_train else "val" if i < n_train + n_val else "test"
             out.append(r._replace(split=split))
+    for split in ("train", "val", "test"):
+        if not any(r.split == split for r in out):
+            raise ValueError(f"{mode} mode draws no {split} pair")
     return out
 
 
@@ -556,6 +559,29 @@ class TestBalanceAndSplit:
         with pytest.raises(ValueError, match="x2x"):
             balance_and_split(pool, seed=0, mode="multi")
 
+    @pytest.mark.parametrize("mode,sizes,split", [
+        ("multi", (3, 3, 3, 3), "test"),  # 2 train, 1 val, 0 test each
+        ("multi", (10, 10, 2, 10), "val"),  # 1 train, 0 val, 1 test each
+        ("multi", (10, 1, 10, 10), "val"),
+        ("binary", (3, 3, 0, 0), "test"),
+        ("binary", (2, 2, 9, 9), "val"),
+    ])
+    def test_a_draw_leaving_a_split_empty_is_refused(self, mode, sizes, split):
+        pool = synthetic_pool(dict(zip(MULTI_CLASSES, sizes)))
+        counts = ", ".join(f"{c.value}={n}" for c, n in zip(mode_classes(mode), sizes))
+        with pytest.raises(ValueError) as exc:
+            balance_and_split(pool, seed=0, mode=mode)
+        assert str(exc.value) == f"{mode} mode draws no {split} pair from the class counts {counts}"
+
+    @pytest.mark.parametrize("mode,sizes", [
+        ("multi", (4, 4, 4, 4)),  # 2 train, 1 val, 1 test each
+        ("binary", (3, 2, 0, 0)),  # 2/1/0 and 1/0/1: every split has a pair
+    ])
+    def test_a_draw_with_a_pair_in_every_split_is_kept(self, mode, sizes):
+        pool = synthetic_pool(dict(zip(MULTI_CLASSES, sizes)))
+        out = balance_and_split(pool, seed=0, mode=mode)
+        assert sorted(set(out.split.tolist())) == ["test", "train", "val"]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             balance_and_split(table(), seed=0, mode="both")
@@ -579,5 +605,10 @@ class TestBalanceAndSplit:
     def test_matches_list_reference(self, sizes, seed, order_seed, mode):
         pool = rows(synthetic_pool(dict(zip(MULTI_CLASSES, sizes)), seed=order_seed))
         random.Random(order_seed).shuffle(pool)
-        got = rows(balance_and_split(table(*pool), seed, mode))
-        assert got == split_oracle(pool, seed, mode)
+        try:
+            want = split_oracle(pool, seed, mode)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                balance_and_split(table(*pool), seed, mode)
+        else:
+            assert rows(balance_and_split(table(*pool), seed, mode)) == want

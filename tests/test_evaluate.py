@@ -143,8 +143,8 @@ class TestSweep:
             calls.append(dict(c))
             return (0.5, 0.5)
 
-        report = sweep(run, {"lr": [0.1, 0.05], "wd": [0.0, 5e-4]})
-        assert len(report.rows) == 4
+        doc = sweep(run, {"lr": [0.1, 0.05], "wd": [0.0, 5e-4]})
+        assert len(doc["rows"]) == 4
         assert {tuple(sorted(c.items())) for c in calls} == {
             (("lr", 0.1), ("wd", 0.0)),
             (("lr", 0.1), ("wd", 5e-4)),
@@ -154,20 +154,36 @@ class TestSweep:
 
     def test_best_by_validation(self):
         scores = {0.1: 0.6, 0.05: 0.9, 0.01: 0.7}
-        report = sweep(lambda c: (scores[c["lr"]], 0.0), {"lr": [0.1, 0.05, 0.01]})
-        assert report.best == {"lr": 0.05}
+        doc = sweep(lambda c: (scores[c["lr"]], 0.0), {"lr": [0.1, 0.05, 0.01]})
+        assert doc["best"] == {"lr": "0.05"}
 
     def test_tie_prefers_defaults(self):
-        report = sweep(
+        doc = sweep(
             lambda c: (0.8, 0.0),
             {"lr": [0.1, 0.05]},
             preferred={"lr": 0.05},
         )
-        assert report.best == {"lr": 0.05}
+        assert doc["best"] == {"lr": "0.05"}
 
     def test_tie_without_preference_takes_first(self):
-        report = sweep(lambda c: (0.8, 0.0), {"lr": [0.1, 0.05]})
-        assert report.best == {"lr": 0.1}
+        doc = sweep(lambda c: (0.8, 0.0), {"lr": [0.1, 0.05]})
+        assert doc["best"] == {"lr": "0.1"}
+
+    def test_rows_hold_settings_as_their_flags_read_them_in_grid_order(self):
+        outcomes = {((2, 1), "none"): (0.5, 0.25), ((2, 1), "cnr"): (0.75, 0.5),
+                    ((1, 1), "none"): (0.75, 1.0), ((1, 1), "cnr"): (0.0, 0.0)}
+        doc = sweep(lambda c: outcomes[c["block_spec"], c["ablate"]],
+                    {"block_spec": [(2, 1), (1, 1)], "ablate": ["none", "cnr"]},
+                    preferred={"block_spec": (1, 1), "ablate": "none"})
+        assert doc == {"best": {"block_spec": "1x1", "ablate": "none"}, "rows": [
+            {"overrides": {"block_spec": "2x1", "ablate": "none"},
+             "val_accuracy": 0.5, "test_accuracy": 0.25},
+            {"overrides": {"block_spec": "2x1", "ablate": "cnr"},
+             "val_accuracy": 0.75, "test_accuracy": 0.5},
+            {"overrides": {"block_spec": "1x1", "ablate": "none"},
+             "val_accuracy": 0.75, "test_accuracy": 1.0},
+            {"overrides": {"block_spec": "1x1", "ablate": "cnr"},
+             "val_accuracy": 0.0, "test_accuracy": 0.0}]}
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
