@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import MODE_CLASSES, balance_and_split
+from .dataset import MODE_CLASSES
 from .evaluate import (
     accuracy,
     blas_threads,
@@ -245,17 +245,15 @@ class SystemExit2(Exception):
     """Usage error discovered after argparse."""
 
 
-def _files_from_args(args, need_labels: bool = True, need_paths: bool = True) -> DataFiles:
+def _files_from_args(args, need_labels: bool = True) -> DataFiles:
     # explicit flags override whatever discovery finds, --paths included
-    paths = _require(args.paths, "paths") if args.paths or need_paths and not args.data else None
+    paths = _require(args.paths, "paths") if args.paths or not args.data else None
     files = DataFiles.discover(args.data, paths) if args.data else DataFiles(paths, labels=[])
-    if need_paths and files.paths is None:
+    if files.paths is None:
         raise FileNotFoundError(f"missing paths file: {Path(args.data) / 'paths.txt'}")
     for name in SIDE_FILES:
         if getattr(args, name, None):
             setattr(files, name, _require(getattr(args, name), name))
-    if files.paths is None:  # no graph is built, so no graph file is read
-        files.types = files.alloc = files.clique = None
     if getattr(args, "labels", None):
         files.labels = [_require(l, "labels") for l in args.labels]
     if not hasattr(args, "labels") or not (need_labels or files.labels):
@@ -340,16 +338,9 @@ def cmd_features(args) -> Manifest:
 def cmd_dataset(args) -> Manifest:
     if args.seed < 0:  # random.Random would take its absolute value
         raise SystemExit2(f"seed must be non-negative, got {args.seed}")
-    files = _files_from_args(args, need_paths=False)
-    config = {"mode": args.mode, "dropped_offgraph": 0}
-    if files.paths:
-        prep = prepare(files, args.mode, args.seed)
-        split_set, report = prep.dataset.edges, prep.vote_report
-        config.update(dropped_offgraph=prep.dropped_offgraph,
-                      ingest=prep.bundle.report.as_dict())
-    else:
-        labeled, report = prepare_labels(files)
-        split_set = balance_and_split(labeled, args.seed, args.mode)
+    files = _files_from_args(args)
+    prep = prepare(files, args.mode, args.seed)
+    split_set, report = prep.dataset.edges, prep.vote_report
     out = _out_dir(args)
     edges_file = out / "edges.csv"
     split_set.write_csv(edges_file)
@@ -359,7 +350,8 @@ def cmd_dataset(args) -> Manifest:
     print(f"voted pairs: {report.intersection_pairs} of {report.union_pairs} "
           f"(coincidence rate {report.coincidence_rate:.4f})")
     print("class counts: " + ", ".join(f"{c.value}={n}" for c, n in counts.items() if n))
-    return Manifest(config, files.inputs(),
+    return Manifest({"mode": args.mode, "dropped_offgraph": prep.dropped_offgraph,
+                     "ingest": prep.bundle.report.as_dict()}, files.inputs(),
                     {"edges": edges_file, "vote_report": vote_file}, args.seed)
 
 
@@ -415,7 +407,7 @@ def cmd_predict(args) -> Manifest:
     graph = bundle.graph
     # the labeled pairs the graph holds, by role; none without labels
     roles = label_roles(labeled, graph, checkpoint.mode, checkpoint.seed,
-                        checkpoint.split).arrays if labeled is not None else {}
+                        checkpoint.split) if labeled is not None else {}
     pair_file = _require(args.pairs, "pairs") if args.pairs else None
     if pair_file:
         wanted = _read_pairs(pair_file, graph)
@@ -437,12 +429,14 @@ def cmd_predict(args) -> Manifest:
     write_table(pred_file, rows, ["a", "b", "label", *(f"logp_{c}" for c in classes)])
     print(f"wrote {len(wanted)} predictions to {pred_file}")
     outputs = {"predictions": pred_file}
-    if labeled is not None:
+    if roles:
         splits = {name: confusion_matrix(y, role_pred, len(classes))
                   for (name, (_, y)), (role_pred, _) in zip(roles.items(), scored)}
         outputs["metrics"] = out / "metrics.json"
         write_json(outputs["metrics"], metrics_doc(classes, splits))
         print(", ".join(f"{name} accuracy {accuracy(cm):.4f}" for name, cm in splits.items()))
+    elif labeled is not None:
+        print("no labeled pair is on the graph, so none is scored")
     return Manifest({"pairs": len(wanted), "ingest": bundle.report.as_dict(),
                      "graph": "reused" if observed else "built"},
                     {"checkpoint": checkpoint_file, "pairs": pair_file, **files.inputs()},

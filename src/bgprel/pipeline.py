@@ -4,7 +4,8 @@ drop, and the two trivial baselines used as sanity floors.
 
 ``prepare`` is the one place that runs the prepare sequence (graph
 bundle, voted labels, restriction to the graph, split dataset); the
-CLI and the tests all go through it.  ``build_bundle`` takes the graph
+CLI and the tests all go through it.  ``make_dataset`` alone draws a
+split, ``label_roles``'s redraw too.  ``build_bundle`` takes the graph
 instead of ingesting when the caller has it, as ``predict`` does with
 the one its checkpoint's ``train`` saved.  ``train`` scores its val and
 test splits through ``score_splits``, one forward pass with one head
@@ -129,7 +130,8 @@ def build_bundle(
     """The graph bundle of ``files``.  ``observed`` is the graph its paths
     show, read through its allocation table if it has one, and their
     ingest counts, when already known; the clique and the features
-    always come from the bundle's own side files."""
+    always come from the bundle's own side files.  A graph without an
+    edge is refused."""
     if observed is None:
         table = AllocationTable.load(files.alloc) if files.alloc else None
         summary, report = ingest_file(files.paths, table, GraphSummary)
@@ -137,6 +139,8 @@ def build_bundle(
             raise ValueError(f"no usable paths in {files.paths}")
         observed = build_graph(summary), report
     graph, report = observed
+    if not graph.num_edges:
+        raise ValueError(f"no AS link in {files.paths}: each usable path holds a single AS")
     if files.clique:
         clique = load_clique_file(files.clique)
         missing = [a for a in sorted(clique) if not graph.contains(a)]
@@ -254,27 +258,27 @@ def score_splits(
 
 def label_roles(
     labeled: LabelTable, graph: AsGraph, mode: str, seed: int, digest: str | None
-) -> EdgeDataset:
-    """The labeled pairs the graph holds in ``mode``'s classes, by role in
-    the split ``seed`` draws from them (``train``, ``val``, ``test``, and
-    ``left_out`` by balancing) if its digest is ``digest``, as ``train``'s
-    was, else as one ``voted`` split; a role with no pair is omitted."""
-    classes = mode_classes(mode)
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The labeled pairs the graph holds in ``mode``'s classes, as graph
+    positions and class indices by role in the split ``make_dataset`` draws
+    from them with ``seed``, plus ``left_out`` by balancing, if its digest
+    is ``digest`` as ``train``'s was, else as one ``voted`` split; a role
+    with no pair is omitted."""
     # p2p and p2c come first in both class lists
-    usable = restrict_to_graph(labeled.take(labeled.label < len(classes)), graph)[0]
+    usable = restrict_to_graph(labeled.take(labeled.label < len(mode_classes(mode))), graph)[0]
     try:
-        drawn = balance_and_split(usable, seed, mode) if digest else usable
+        drawn = make_dataset(usable, graph, mode, seed) if digest else None
     except ValueError:  # train refuses such a draw, so no digest matches it
-        drawn = usable
-    roles = {"voted": usable}
-    if drawn.digest() == digest:
-        roles = {name: drawn.take(drawn.split == name) for name in SPLITS}
-        # both hold each pair once, and np.unique would load numpy.ma
-        roles["left_out"] = usable.take(~np.isin(pack_unordered_pairs(usable.a, usable.b),
-                                                 pack_unordered_pairs(drawn.a, drawn.b),
-                                                 assume_unique=True))
-    return EdgeDataset(classes, usable, {name: (graph.positions(t.pairs()), t.label)
-                                         for name, t in roles.items() if len(t)})
+        drawn = None
+    if drawn is None or drawn.edges.digest() != digest:
+        return {"voted": (graph.positions(usable.pairs()), usable.label)} if len(usable) else {}
+    # both hold each pair once, and np.unique would load numpy.ma
+    left_out = usable.take(~np.isin(pack_unordered_pairs(usable.a, usable.b),
+                                    pack_unordered_pairs(drawn.edges.a, drawn.edges.b),
+                                    assume_unique=True))
+    if len(left_out):
+        drawn.arrays["left_out"] = (graph.positions(left_out.pairs()), left_out.label)
+    return drawn.arrays
 
 
 def run_training(

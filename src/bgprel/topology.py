@@ -19,6 +19,7 @@ matrices, and the edge rows the classifier scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -133,7 +134,7 @@ class Csr(NamedTuple):
         included.  It steps through the entries by their place in their
         row, longest rows first, so each step is a slice of rows."""
         x = np.asarray(x)
-        cols = x.reshape(len(x), -1)
+        cols = x.reshape(len(x), math.prod(x.shape[1:]))  # also when x has no row
         lengths = np.diff(self.indptr)
         order = np.argsort(-lengths, kind="stable")
         starts = self.indptr[:-1][order]

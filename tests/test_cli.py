@@ -20,8 +20,9 @@ import scipy
 
 from bgprel import cli, ingest, pipeline
 from bgprel.cli import run
-from bgprel.dataset import MODE_CLASSES, RelLabel
+from bgprel.dataset import MODE_CLASSES, LabelTable, RelLabel
 from bgprel.evaluate import map_runs
+from bgprel.gcn import load_checkpoint
 from bgprel.ingest import PathStore
 from bgprel.pipeline import ABLATABLE_FEATURES, DataFiles, build_bundle, prepare
 
@@ -216,17 +217,18 @@ def test_dataset_command(data_dir, tmp_path, capsys):
     assert (out / "vote_report.json").is_file()
 
 
-def test_dataset_of_a_directory_without_paths_votes_the_labels_alone(perturbed_dir, tmp_path):
-    """``dataset --data D`` on a directory of label and side files only
+def test_dataset_of_a_directory_writes_what_its_flags_write(perturbed_dir, tmp_path):
+    """``dataset --data D`` on a directory of paths, label and side files
     writes what the flags naming those files write."""
     labels = sorted(perturbed_dir.glob("labels_*.txt"))
+    sides = [perturbed_dir / name for name in ("paths.txt", "orgs.csv", "ixps.txt")]
     d = tmp_path / "d"
     d.mkdir()
-    for f in [*labels, perturbed_dir / "orgs.csv", perturbed_dir / "ixps.txt"]:
+    for f in [*labels, *sides]:
         shutil.copy(f, d)
     assert run(["dataset", "--data", str(d), "--out", str(tmp_path / "dir")]) == 0
     assert run(["dataset", *(a for f in labels for a in ("--labels", str(f))),
-                "--orgs", str(perturbed_dir / "orgs.csv"), "--ixps", str(perturbed_dir / "ixps.txt"),
+                *(a for f in sides for a in (f"--{f.stem}", str(f))),
                 "--out", str(tmp_path / "flags")]) == 0
     for name in ("edges.csv", "vote_report.json"):
         assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
@@ -239,14 +241,13 @@ def test_dataset_of_a_directory_without_paths_votes_the_labels_alone(perturbed_d
 @pytest.mark.parametrize("command", ["ingest", "dataset", "features", "train", "sweep",
                                      "importance"])
 def test_a_missing_paths_file_leaves_no_out(command, data_dir, tmp_path, capsys):
-    # ingest and dataset read --paths; the others a --data directory
-    # without paths.txt, which dataset would take as labels alone;
-    # "importance" is a sweep over dropped inputs alone
+    # ingest reads --paths; the others a --data directory without
+    # paths.txt; "importance" is a sweep over dropped inputs alone
     missing = tmp_path / "nope.txt"
     d = tmp_path / "d"
     shutil.copytree(data_dir, d)
     (d / "paths.txt").unlink()
-    if command in ("ingest", "dataset"):
+    if command == "ingest":
         argv, message = ["--paths", str(missing)], f"paths file not found: {missing}"
     else:
         argv, message = ["--data", str(d)], f"missing paths file: {d / 'paths.txt'}"
@@ -291,11 +292,41 @@ def test_a_conventional_name_that_is_not_a_file_is_refused(name, data_dir, tmp_p
 
 def test_dataset_needs_two_sources(data_dir, tmp_path, capsys):
     code = run([
-        "dataset", "--labels", str(data_dir / "labels_1.txt"),
+        "dataset", "--paths", str(data_dir / "paths.txt"),
+        "--labels", str(data_dir / "labels_1.txt"),
         "--out", str(tmp_path / "o"),
     ])
     assert code == 2
     assert "two" in capsys.readouterr().err
+
+
+def test_label_flags_without_paths_are_refused_as_train_refuses_them(data_dir, tmp_path,
+                                                                    capsys):
+    """``dataset`` builds the graph as ``train`` does, so labels given
+    with neither ``--paths`` nor ``--data`` are a usage error, before
+    --out is created."""
+    labels = [f"--labels={data_dir / f'labels_{i}.txt'}" for i in (1, 2)]
+    for command in ("train", "dataset"):
+        out = tmp_path / command
+        assert run([command, *labels, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "usage error: missing required flag for paths\n"
+        assert not out.exists()
+
+
+def test_dataset_writes_the_split_train_trains_on(data_dir, tmp_path):
+    """With a voted pair the paths never show, ``dataset``'s edges.csv
+    holds the split whose digest train's checkpoint records."""
+    d = tmp_path / "d"
+    shutil.copytree(data_dir, d)
+    for f in d.glob("labels_*.txt"):
+        _append(f, "4000000001|4000000002|0\n")
+    assert run(["train", "--data", str(d), *SMALL, "--out", str(tmp_path / "t")]) == 0
+    assert run(["dataset", "--data", str(d), "--out", str(tmp_path / "ds")]) == 0
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["config"]["dropped_offgraph"] >= 1
+    split = LabelTable.read_csv(tmp_path / "ds" / "edges.csv")
+    assert 4000000001 not in split.a and 4000000001 not in split.b
+    assert split.digest() == load_checkpoint(tmp_path / "t" / "checkpoint.json").split
 
 
 def test_dataset_bad_ixp_asn_is_named(data_dir, tmp_path, capsys):
@@ -535,14 +566,14 @@ def three_sibling_pairs(tmp_path_factory, data_dir):
 def test_a_draw_without_a_test_pair_is_refused_before_out(
         command, three_sibling_pairs, tmp_path, capsys):
     data = str(three_sibling_pairs)
-    labels_only = [f"--{flag}={three_sibling_pairs / name}" for flag, name in (
-        ("labels", "labels_1.txt"), ("labels", "labels_2.txt"), ("labels", "labels_3.txt"),
-        ("orgs", "orgs.csv"), ("ixps", "ixps.txt"))]
+    by_flags = [f"--{flag}={three_sibling_pairs / name}" for flag, name in (
+        ("paths", "paths.txt"), ("labels", "labels_1.txt"), ("labels", "labels_2.txt"),
+        ("labels", "labels_3.txt"), ("orgs", "orgs.csv"), ("ixps", "ixps.txt"))]
     argv = {"train": ["train", "--data", data, "--epochs", "2", "--hidden", "4"],
             "sweep": ["sweep", "--data", data, "--lr", "0.05,0.1", "--epochs", "2",
                       "--hidden", "4"],
             "dataset": ["dataset", "--data", data],
-            "dataset-labels": ["dataset", *labels_only]}[command]
+            "dataset-labels": ["dataset", *by_flags]}[command]
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -559,8 +590,7 @@ def test_predict_scores_a_split_train_refuses_as_one_voted_block(
 
 
 def test_predict_omits_blocks_without_an_edge(data_dir, tmp_path):
-    """Binary mode balances nothing away, so no edge is left out; labels
-    whose pairs the graph lacks leave every block empty."""
+    """Binary mode balances nothing away, so no edge is left out."""
     train_out = tmp_path / "binary"
     assert run(["train", "--data", str(data_dir), "--mode", "binary", "--epochs", "4",
                 "--hidden", "4", "--seed", "1", "--out", str(train_out)]) == 0
@@ -568,12 +598,38 @@ def test_predict_omits_blocks_without_an_edge(data_dir, tmp_path):
     assert sorted(doc) == ["classes", "test", "train", "val"]
     assert sum(_scored(doc, k) for k in ("train", "val", "test")) == _voted_on_graph(
         data_dir, "binary")
+
+
+def test_predict_with_no_labeled_pair_on_the_graph_scores_nothing(train_dir, tmp_path,
+                                                                    capsys):
+    """Labels whose pairs are all off the graph: predict says so and
+    writes no metrics.json."""
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "paths.txt").write_text("1|2\n")
     for i in (1, 2):
-        (tmp_path / f"labels_{i}.txt").write_text("999991|999992|0\n")
-    doc = _predict(data_dir, train_out / "checkpoint.json", tmp_path / "off",
-                   "--labels", str(tmp_path / "labels_1.txt"),
-                   "--labels", str(tmp_path / "labels_2.txt"))
-    assert doc == {"classes": ["p2p", "p2c"]}
+        (d / f"labels_{i}.txt").write_text("3|4|0\n")
+    out = tmp_path / "p"
+    assert run(["predict", "--data", str(d), "--checkpoint", str(train_dir / "checkpoint.json"),
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "no labeled pair is on the graph, so none is scored")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "predictions.csv"]
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == ["predictions"]
+
+
+@pytest.mark.parametrize("command", ["features", "predict"])
+def test_a_graph_without_a_link_is_refused_before_out(command, train_dir, tmp_path, capsys):
+    """Paths that each hold a single AS show no link, so no graph."""
+    paths = tmp_path / "paths.txt"
+    paths.write_text("5\n7\n")
+    argv = {"features": ["features"],
+            "predict": ["predict", "--checkpoint", str(train_dir / "checkpoint.json")]}[command]
+    out = tmp_path / "o"
+    assert run([*argv, "--paths", str(paths), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: no AS link in {paths}: each usable path holds a single AS\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("given_by", ["directory", "flag"])
@@ -1074,8 +1130,10 @@ MANIFEST_COMMANDS = {
     "ingest": ["ingest", "--paths", "data/paths.txt", "--alloc", "data/alloc.txt"],
     "features": ["features", "--data", "data"],
     "dataset": ["dataset", "--data", "data"],
-    # without paths no graph is built, so types.csv and --alloc go unread
-    "dataset-labels": ["dataset", "--data", "labels", "--alloc", "data/alloc.txt"],
+    # a directory without paths.txt, for which --paths stands in; its
+    # graph is built as train builds it, through --alloc and types.csv
+    "dataset-labels": ["dataset", "--data", "labels", "--paths", "data/paths.txt",
+                       "--alloc", "data/alloc.txt"],
     "train": ["train", "--data", "data", *SMALL],
     "predict": ["predict", "--data", "data", "--checkpoint", "checkpoint.json",
                 "--pairs", "pairs.txt"],

@@ -106,3 +106,20 @@ def test_run_writes_every_manifest():
     runs = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
     assert len(runs) == 1
     assert len(calls(runs[0])) == 1 and calls(tree) == calls(runs[0])
+
+
+def test_make_dataset_draws_every_split():
+    """``pipeline.make_dataset`` is the one caller of
+    ``balance_and_split``: ``train``, ``sweep``, ``dataset`` and
+    ``predict``'s redraw of train's split all draw through it."""
+
+    def calls(node: ast.AST, path: Path) -> list[str]:
+        return [_where(path, n) for n in ast.walk(node) if isinstance(n, ast.Call)
+                and ast.unparse(n.func).split(".")[-1] == "balance_and_split"]
+
+    path = next(p for p in SOURCES if p.name == "pipeline.py")
+    makers = [fn for fn in _tree(path).body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "make_dataset"]
+    assert len(makers) == 1
+    inside = calls(makers[0], path)
+    assert len(inside) == 1 and [w for p in SOURCES for w in calls(_tree(p), p)] == inside

@@ -675,6 +675,17 @@ class TestCsr:
         assert got.dtype == np.float64
         assert got.tobytes() == (sp.csr_matrix(tuple(m), shape=(20, 100)) @ x).tobytes()
 
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_product_with_an_operand_without_rows_is_scipys(self, n_rows):
+        """A matrix that stores no entry, over no column, times a (0, k)
+        operand or a (0,) vector: all zeros, one row per matrix row."""
+        m = Csr.of(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(n_rows + 1, dtype=np.int64))
+        view = sp.csr_matrix(tuple(m), shape=(n_rows, 0))
+        for rhs in (np.zeros((0, 4)), np.zeros(0)):
+            got, want = m @ rhs, view @ rhs
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_row_and_column_cuts_are_scipys_fancy_indexing(self, seed):
         rng = np.random.default_rng(seed)
