@@ -15,14 +15,14 @@ penalty 0.5 * wd * ||theta||^2.  A_hat X is computed once per training
 run, and each epoch runs one forward pass, shared by validation and the
 next gradient step.
 
-The head reads only the scored edges' endpoint rows, so every pass runs
-on a ``RowPlan``: the last layer computes the endpoint rows, and each
-earlier layer the one-hop closure of the next layer's rows.  Training
-plans for its train and val edges.  ``predict`` plans once for the
-union of the edge sets it scores and calls the head once per set, so a
+The head reads only the scored edges' endpoint rows, so training runs
+on a ``RowPlan`` for its train and val edges: the last layer computes
+the endpoint rows, and each earlier layer the one-hop closure of the
+next layer's rows.  Every array of an epoch holds only its layer's plan
+rows: a layer's gradient is zero outside them, so its weight gradient
+sums them only.  ``predict`` runs one forward pass over every row on
+A_hat itself and calls the head once per edge set it scores, so a
 set's log-probabilities are those of scoring it alone.
-Every array of an epoch holds only its layer's plan rows: a layer's
-gradient is zero outside them, so its weight gradient sums them only.
 
 Both passes walk one list of layers, k = 0 .. L-1 across all blocks:
 layer k computes ``plan.rows[k]`` from ``plan.props[k]``, sends its
@@ -44,12 +44,12 @@ pipeline's features are float32, as in the GCN of Kipf & Welling;
 float64 features give a float64 run, in which the test suite checks the
 hand-written gradients against finite differences.
 
-A_hat and the plans' operators are numpy CSR arrays (``topology.Csr``),
-and a one-shot forward, as ``predict`` runs, multiplies them in numpy.
-Only the epoch loop of ``train``, which makes hundreds of sparse
-products, views them as scipy matrices for scipy's compiled product,
-so only training loads ``scipy.sparse``.  Both products sum each row
-in entry order from 0.0 and give the same bits.  Everything is plain
+A_hat is a numpy CSR array (``topology.Csr``), and a one-shot forward,
+as ``predict`` runs, multiplies it in numpy.  Only the epoch loop of
+``train``, which makes hundreds of sparse products, cuts its plan from
+A_hat as scipy matrices for scipy's compiled product, so only training
+loads ``scipy.sparse``.  Both products sum each row in entry order from
+0.0 and give the same bits.  Everything is plain
 numpy/scipy, so a run is bitwise reproducible for a fixed seed at a
 fixed BLAS thread count; ``cli.run`` sets numpy's OpenBLAS to one.
 
@@ -103,6 +103,9 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if not self.weight_decay >= 0.0:
             raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
+        if np.inf in (self.learning_rate, self.weight_decay):
+            raise ValueError(f"learning rate and weight decay must be finite, "
+                             f"got {self.learning_rate} and {self.weight_decay}")
         nb, nl = self.block_spec
         if nb < 1 or nl < 1:
             raise ValueError(f"bad block spec {self.block_spec}")
@@ -252,14 +255,15 @@ class RowPlan:
     whose input has every node), which keeps every stored entry of its
     rows.  Row sets are sorted, so each product sums a row in A_hat's
     entry order and matches the all-node product bit for bit on its
-    rows.  A row set that holds every node uses A_hat itself.  A layer's
-    gradient is zero outside its rows, so its weight gradient sums over
-    them only.  The plan's matrices keep A_hat's dtype, which is the
-    run's.
+    rows.  A row set that holds every node uses the view of A_hat
+    itself.  A layer's gradient is zero outside its rows, so its weight
+    gradient sums over them only.  The plan's matrices keep A_hat's
+    dtype, which is the run's.
 
-    ``build`` gives ``Csr`` operators, for a one-shot forward, and no
-    ``backs``.  ``for_epochs`` views them as scipy matrices and adds,
-    for k > 0, ``backs[k - 1] = props[k].T``, a CSC view that shares
+    The operators are scipy matrices, for scipy's compiled product: an
+    epoch loop makes hundreds of sparse products, which scipy runs
+    several times faster than ``Csr``'s numpy product.  For k > 0,
+    ``backs[k - 1] = props[k].T`` is a CSC view that shares
     ``props[k]``'s arrays, through which layer k's gradient flows back:
     A_hat is exactly symmetric, so each backward product is the
     transpose of a forward operator and the hand-written gradient is
@@ -268,43 +272,33 @@ class RowPlan:
 
     n_nodes: int
     rows: list[np.ndarray]
-    props: list  # Csr, or scipy csr_matrix views after for_epochs
-    backs: list[sp.csc_matrix]  # empty until for_epochs
+    props: list[sp.csr_matrix]
+    backs: list[sp.csc_matrix]
 
     @classmethod
-    def build(cls, a_hat: Csr, endpoints: np.ndarray, n_layers: int) -> "RowPlan":
+    def build(cls, a_hat: Csr | sp.csr_matrix, endpoints: np.ndarray,
+              n_layers: int) -> "RowPlan":
         """Plan for ``n_layers`` layers whose head reads the node rows in
-        ``endpoints`` (any shape, repeats allowed).  ``a_hat`` may also
-        be a scipy csr_matrix, whose arrays are read as a ``Csr``."""
-        if not isinstance(a_hat, Csr):
-            a_hat = Csr(a_hat.data, a_hat.indices, a_hat.indptr)
+        ``endpoints`` (any shape, repeats allowed), cut from a zero-copy
+        scipy view of ``a_hat``, a ``Csr`` or a scipy csr_matrix."""
+        import scipy.sparse as sp
+
         n = len(a_hat.indptr) - 1
+        m = sp.csr_matrix(a_hat, shape=(n, n), copy=False)
         last = distinct(np.array(endpoints, dtype=np.intp).ravel())  # a copy to sort
         if last.size and (last[0] < 0 or last[-1] >= n):
             raise IndexError("edge index out of range")
         rows, props = [last], []
         for k in range(n_layers - 1, -1, -1):
             r = rows[0]
-            prop = a_hat if len(r) == n else a_hat.take_rows(r)
+            prop = m if len(r) == n else m[r]
             if k:
                 cols = r if len(r) == n else distinct(np.concatenate([r, prop.indices]))
                 rows.insert(0, cols)
                 if len(cols) < n:
-                    prop = prop.within_columns(cols)
+                    prop = prop[:, cols]
             props.insert(0, prop)
-        return cls(n, rows, props, [])
-
-    def for_epochs(self) -> "RowPlan":
-        """This plan with its operators as zero-copy scipy ``csr_matrix``
-        views, for scipy's compiled product, and with ``backs``.  An
-        epoch loop makes hundreds of sparse products, which scipy runs
-        several times faster than ``Csr``'s numpy product."""
-        import scipy.sparse as sp
-
-        cols = [self.n_nodes, *map(len, self.rows[:-1])]
-        props = [sp.csr_matrix(tuple(p), shape=(len(r), c), copy=False)
-                 for p, r, c in zip(self.props, self.rows, cols)]
-        return RowPlan(self.n_nodes, self.rows, props, [p.T for p in props[1:]])
+        return cls(n, rows, props, [p.T for p in props[1:]])
 
     def local(self, edges: np.ndarray) -> np.ndarray:
         """Edge endpoints as positions in ``rows[-1]``, the rows of the
@@ -337,23 +331,24 @@ def _row_normalize(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Forward(NamedTuple):
-    z: np.ndarray  # node embeddings, one row per node of the plan's rows[-1]
+    z: np.ndarray  # node embeddings, one row per row of the last operator
     # per layer, on its plan rows: (A_hat @ input, ReLU mask, output, row
     # norms); a block's last layer outputs its normalized rows and keeps
     # the norms it divided by, any other layer keeps None
     layers: list[tuple]
 
 
-def forward(model: GcnModel, plan: RowPlan, ax: np.ndarray) -> Forward:
-    """Forward pass over the plan's rows from the propagated input
-    ``ax = plan.props[0] @ x`` (``a_hat @ x`` on the first layer's rows),
+def forward(model: GcnModel, props: Sequence, ax: np.ndarray) -> Forward:
+    """Forward pass from the propagated input ``ax = props[0] @ x``,
     which depends only on the graph and the features, so training
-    computes it once.  Each layer is ReLU(A_hat H W); a block's last
-    layer then normalizes its rows."""
+    computes it once; each later layer k propagates with ``props[k]``: a
+    ``RowPlan``'s operators in training, A_hat itself in ``predict``.
+    Each layer is ReLU(A_hat H W); a block's last layer then normalizes
+    its rows."""
     p, layers = ax, []
     for k, (w, ends_block) in enumerate(model.layers()):
         if k:
-            p = plan.props[k] @ h
+            p = props[k] @ h
         if p.shape[1] != w.shape[0]:
             raise ValueError(
                 f"feature width {p.shape[1]} does not match weight {w.shape}"
@@ -493,9 +488,9 @@ def loss_and_grads(
     """Full-batch loss and exact gradients in model.params() order.
 
     ``fwd`` is the forward pass of the model's current parameters over
-    ``plan``, an epoch plan (``RowPlan.for_epochs``).  The backward pass
-    runs on the plan's rows and ends at the first layer's weight
-    gradient; the input gradient is never formed."""
+    ``plan``'s operators.  The backward pass runs on the plan's rows and
+    ends at the first layer's weight gradient; the input gradient is
+    never formed."""
     labels = batch.labels
     m = len(labels)
     u, logp = _head(model, fwd.z, batch.edges)
@@ -608,22 +603,21 @@ def predict(
     model: GcnModel, a_hat: Csr, x: np.ndarray, edge_sets: Sequence[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Class indices and float64 log-probabilities for each array of
-    ordered edges in ``edge_sets``, from one forward pass in the
-    features' dtype over the rows their union reaches, then one head
+    ordered edges in ``edge_sets``, checked first, from one forward pass
+    in the features' dtype over every row on A_hat itself, then one head
     call per array; the model and A_hat are cast to that dtype if they
-    differ.  Embedding rows do not depend on the plan, but the head's
-    product can round a row differently with the number of rows it
-    holds: an edge's log-probabilities repeat for the same array, and
-    may move in their last bits in another.  Its few sparse products
-    run in numpy, so it loads no scipy."""
+    differ.  The head's product can round a row differently with the
+    number of rows it holds: an edge's log-probabilities repeat for the
+    same array, and may move in their last bits in another.  Its few
+    sparse products are A_hat's own: a ``Csr`` multiplies in numpy, so
+    it loads no scipy."""
     x = _features(x)
     model = model.astype(x.dtype)
     a_hat = a_hat.astype(x.dtype, copy=False)
     edge_sets = [_check_edges(edges, len(a_hat.indptr) - 1) for edges in edge_sets]
-    plan = RowPlan.build(a_hat, np.concatenate(edge_sets), model.n_layers)
     # only the output is kept, so the layer caches are freed before scoring
-    z = forward(model, plan, plan.props[0] @ x).z
-    logps = [edge_scores(model, z, plan.local(edges)) for edges in edge_sets]
+    z = forward(model, [a_hat] * model.n_layers, a_hat @ x).z
+    logps = [edge_scores(model, z, edges) for edges in edge_sets]
     return [(logp.argmax(axis=1), logp) for logp in logps]
 
 
@@ -643,8 +637,8 @@ def train(
     scores the validation edges and feeds the next epoch's gradients.
     Both run on one plan for the train and val edges, whose edges and
     labels are checked here once, not in the loop.  The model trains in
-    the features' dtype; A_hat is cast to it if it differs.  The plan's
-    operators are scipy views (``RowPlan.for_epochs``)."""
+    the features' dtype; A_hat is cast to it if it differs.  Training is
+    the one user of ``RowPlan``, whose operators are scipy matrices."""
     x = _features(x)
     train_edges = _check_edges(train_edges, x.shape[0])
     val_edges = _check_edges(val_edges, x.shape[0])
@@ -653,7 +647,7 @@ def train(
     val_labels = _check_labels(val_labels, len(val_edges), "val edges")
     nb, nl = config.block_spec
     plan = RowPlan.build(a_hat.astype(x.dtype, copy=False),
-                         np.concatenate([train_edges, val_edges]), nb * nl).for_epochs()
+                         np.concatenate([train_edges, val_edges]), nb * nl)
     batch = EdgeBatch.build(train_edges, train_labels, plan)
     val_edges = plan.local(val_edges)
     for labels in (batch.labels, val_labels):
@@ -672,7 +666,7 @@ def train(
     best_acc = -1.0
     best_epoch = 0
     best_params = [p.copy() for p in params]
-    fwd = forward(model, plan, ax)
+    fwd = forward(model, plan.props, ax)
     for epoch in range(1, config.epochs + 1):
         loss, grads = loss_and_grads(model, plan, fwd, batch, config.weight_decay)
         if not np.isfinite(loss):
@@ -682,7 +676,7 @@ def train(
             )
         grad_norm = float(np.linalg.norm(np.concatenate([g.ravel() for g in grads])))
         adam_step(params, grads, state, config.learning_rate)
-        fwd = forward(model, plan, ax)
+        fwd = forward(model, plan.props, ax)
         _, val_logp = _head(model, fwd.z, val_edges)
         val_loss = _objective(val_logp, val_labels, params, config.weight_decay)
         val_acc = float((val_logp.argmax(axis=1) == val_labels).mean())

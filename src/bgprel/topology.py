@@ -110,23 +110,6 @@ class Csr(NamedTuple):
             return self
         return self._replace(data=self.data.astype(dtype))
 
-    def take_rows(self, rows: np.ndarray) -> "Csr":
-        """The rows ``rows`` in that order, each keeping its entry order
-        (scipy's ``m[rows]``)."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return Csr(self.data[entries], self.indices[entries], indptr)
-
-    def within_columns(self, cols: np.ndarray) -> "Csr":
-        """This matrix over the sorted columns ``cols``, which hold every
-        column it stores, renumbered as positions in ``cols`` (scipy's
-        ``m[:, cols]``, which here keeps every entry)."""
-        indices = np.searchsorted(cols, self.indices).astype(self.indices.dtype)
-        return self._replace(indices=indices)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """The product with a dense vector or matrix.  Each row's terms
         are summed in entry order starting from 0.0, as scipy's

@@ -70,8 +70,8 @@ def _as_scipy(m):
 
 
 def _loss_and_grads(model, a_hat, x, edges, labels, wd):
-    plan = RowPlan.build(a_hat, edges, model.n_layers).for_epochs()
-    fwd = forward(model, plan, plan.props[0] @ x)
+    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    fwd = forward(model, plan.props, plan.props[0] @ x)
     return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
 

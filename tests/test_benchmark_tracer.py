@@ -92,9 +92,11 @@ def test_traced_tiny_run_matches_untraced(tmp_path):
 
     # the tracer times the products of the CountingCsr it makes of
     # pipeline.build_normalized_adjacency's result; training multiplies
-    # scipy views it builds of its plan's arrays, and predict multiplies
-    # in numpy, so no product reaches it and its gcn.spmm metrics read 0
-    assert not any(s[0] == "gcn.spmm" for s in spans)
+    # the plain scipy views its plan cuts of it, so no epoch product
+    # reaches it, while predict multiplies that matrix itself
+    products = [i for i, s in enumerate(spans) if s[0] == "gcn.spmm"]
+    assert not any(map(under_train, products))
+    assert any(spans[spans[i][3]][0] == "gcn.predict" for i in products)
     # it still sees every epoch's gradient step inside the training
     steps = [i for i, s in enumerate(spans) if s[0] == "gcn.loss_and_grads"]
     assert len(steps) == 5 and all(map(under_train, steps))

@@ -1029,6 +1029,10 @@ def test_negative_weight_decay_is_refused(data_dir, tmp_path, monkeypatch, capsy
     # random.Random takes a negative seed's absolute value
     (["dataset", "--seed", "-1"], "seed must be non-negative, got -1"),
     (["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["train", "--lr", "inf"], "learning rate and weight decay must be finite, got inf and 0.0"),
+    (["train", "--wd", "inf"], "learning rate and weight decay must be finite, got 0.05 and inf"),
+    (["sweep", "--lr", "0.05,inf"],
+     "learning rate and weight decay must be finite, got inf and 0.0"),
 ])
 def test_refused_setting_is_usage_error_before_any_work(
         data_dir, tmp_path, monkeypatch, capsys, argv, message):
@@ -1045,7 +1049,7 @@ def test_refused_setting_is_usage_error_before_any_work(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_is_a_clean_error(data_dir, tmp_path, capsys):
     code = run([
-        "train", "--data", str(data_dir), "--lr", "inf",
+        "train", "--data", str(data_dir), "--lr", "1e300",
         "--epochs", "3", "--hidden", "4", "--out", str(tmp_path / "o"),
     ])
     assert code == 1
@@ -1774,7 +1778,7 @@ def test_divergence_in_a_worker_exits_like_a_serial_run(name, data_dir, tmp_path
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         assert _run_with_workers(name, data_dir, out, workers, monkeypatch,
-                                 ["--lr", "inf"]) == 1
+                                 ["--lr", "1e300"]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: non-finite loss")

@@ -172,28 +172,28 @@ class TestEdgeScores:
         self.model = init_model(6, 8, 4, (2, 1), self.nprng)
         self.x = self.nprng.uniform(size=(10, 6))
         self.ax = self.a_hat @ self.x
-        self.plan = every_row(self.a_hat, self.model)
+        self.props = every_row(self.a_hat, self.model)
 
     def test_rows_are_log_distributions(self):
-        z, _ = forward(self.model, self.plan, self.ax)
+        z, _ = forward(self.model, self.props, self.ax)
         edges = np.array([[0, 1], [2, 5], [9, 3]])
         logp = edge_scores(self.model, z, edges)
         lse = np.log(np.exp(logp).sum(axis=1))
         assert np.abs(lse).max() < 1e-9
 
     def test_direction_matters(self):
-        z, _ = forward(self.model, self.plan, self.ax)
+        z, _ = forward(self.model, self.props, self.ax)
         fwd = edge_scores(self.model, z, np.array([[0, 1]]))
         rev = edge_scores(self.model, z, np.array([[1, 0]]))
         assert not np.allclose(fwd, rev)
 
     def test_out_of_range_index(self):
-        z, _ = forward(self.model, self.plan, self.ax)
+        z, _ = forward(self.model, self.props, self.ax)
         with pytest.raises(IndexError):
             edge_scores(self.model, z, np.array([[0, 99]]))
 
     def test_one_gather_equals_stacked_endpoint_rows(self):
-        z, _ = forward(self.model, self.plan, self.ax)
+        z, _ = forward(self.model, self.props, self.ax)
         edges = np.array([[0, 1], [2, 5], [9, 3], [3, 9], [4, 4]])
         u = np.hstack([z[edges[:, 0]], z[edges[:, 1]]])
         want = gcn._log_softmax(u @ self.model.head_w + self.model.head_b)
@@ -244,16 +244,17 @@ class TestLoss:
 
 
 def every_row(a_hat, model):
-    """The plan whose row sets hold every node."""
-    return RowPlan.build(a_hat, np.arange(len(a_hat.indptr) - 1), model.n_layers)
+    """The operators of a forward pass over every node, as ``predict``
+    runs it: A_hat itself for every layer."""
+    return [a_hat] * model.n_layers
 
 
 def grads_at(model, a_hat, x, edges, labels, wd=0.0):
     """loss_and_grads at the model's current parameters, as train calls
-    it: from a forward pass over the propagated input, on the epoch plan
-    for the edges."""
-    plan = RowPlan.build(a_hat, edges, model.n_layers).for_epochs()
-    fwd = forward(model, plan, plan.props[0] @ x)
+    it: from a forward pass over the propagated input, on the plan for
+    the edges."""
+    plan = RowPlan.build(a_hat, edges, model.n_layers)
+    fwd = forward(model, plan.props, plan.props[0] @ x)
     return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
 
 
@@ -261,7 +262,7 @@ def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
     """Central differences of the loss from forward passes over every
     node."""
     ax = a_hat @ x
-    plan = every_row(a_hat, model)
+    props = every_row(a_hat, model)
     grads = []
     for p in model.params():
         g = np.zeros_like(p)
@@ -269,10 +270,10 @@ def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            z, _ = forward(model, plan, ax)
+            z, _ = forward(model, props, ax)
             up = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig - step
-            z, _ = forward(model, plan, ax)
+            z, _ = forward(model, props, ax)
             down = loss_value(edge_scores(model, z, edges), labels, model.params(), wd)
             flat[k] = orig
             gflat[k] = (up - down) / (2.0 * step)
@@ -444,7 +445,7 @@ class TestTrain:
 
 
 class CountingCsr(sp.csr_matrix):
-    """An epoch plan's operator that counts its sparse products, those
+    """A plan's operator that counts its sparse products, those
     made through its transpose included, on a shared tally."""
 
     def __init__(self, matrix, tally):
@@ -472,7 +473,7 @@ class CountedTranspose(sp.csc_matrix):
 
 
 def counting(plan, tally):
-    """An epoch plan whose operators count their products on ``tally``."""
+    """A plan whose operators count their products on ``tally``."""
     props = [CountingCsr(p, tally) for p in plan.props]
     return RowPlan(plan.n_nodes, plan.rows, props, [p.T for p in props[1:]])
 
@@ -660,10 +661,9 @@ class TestEpochLoop:
             calls.append(1)
             return loss_and_grads(*args)
 
-        for_epochs = RowPlan.for_epochs
+        build = RowPlan.build
         monkeypatch.setattr(gcn, "loss_and_grads", counting_loss_and_grads)
-        monkeypatch.setattr(RowPlan, "for_epochs",
-                            lambda plan: counting(for_epochs(plan), products))
+        monkeypatch.setattr(RowPlan, "build", lambda *args: counting(build(*args), products))
         for epochs in (3, 7):
             products.clear()
             calls.clear()
@@ -677,8 +677,8 @@ class TestEpochLoop:
     def test_first_layer_gradient_without_input_gradient(self, block_spec):
         model, a_hat, x, edges, labels, wd = gradcheck_instance(31, block_spec, 5e-4)
         products = []
-        plan = counting(every_row(a_hat, model).for_epochs(), products)
-        fwd = forward(model, plan, a_hat @ x)
+        plan = counting(RowPlan.build(a_hat, np.arange(len(x)), model.n_layers), products)
+        fwd = forward(model, plan.props, a_hat @ x)
         products.clear()
         _, analytic = loss_and_grads(
             model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
@@ -736,15 +736,17 @@ class TestRowPlan:
         x, a_hat, te, _, ve, _ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.concatenate([te, ve]), 8)
         assert [len(r) == len(x) for r in plan.rows] == [True] * 2 + [False] * 6
-        assert plan.props[0] is plan.props[1] is a_hat
-        assert plan.for_epochs().props[2].shape == (len(plan.rows[2]), len(x))
+        assert plan.props[0] is plan.props[1]
+        assert np.shares_memory(plan.props[0].data, a_hat.data)
+        assert plan.props[2].shape == (len(plan.rows[2]), len(x))
 
     def test_every_node_plan_uses_the_matrix_itself(self):
         x, a_hat, *_ = sparse_training_problem()
         plan = RowPlan.build(a_hat, np.arange(len(x)), 3)
-        assert all(m is a_hat for m in plan.props)
-        assert plan.backs == []
-        plan = plan.for_epochs()
+        for m in plan.props:
+            assert m is plan.props[0] and m.shape == (len(x), len(x))
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(m, name), getattr(a_hat, name))
         assert len(plan.backs) == 2
         for back in plan.backs:
             assert back.format == "csc" and back.shape == (len(x), len(x))
@@ -756,7 +758,7 @@ class TestRowPlan:
         """``backs[k - 1]`` is a view of ``props[k]``'s arrays, so the
         backward product is the transpose of the forward one."""
         x, a_hat, te, _, ve, _ = sparse_training_problem()
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers).for_epochs()
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers)
         assert len(plan.backs) == n_layers - 1
         dense = as_scipy(a_hat).toarray()
         for k, back in enumerate(plan.backs, 1):
@@ -768,22 +770,31 @@ class TestRowPlan:
             want = dense[np.ix_(plan.rows[k - 1], plan.rows[k])]
             assert np.array_equal(back.toarray(), want)
 
-    @pytest.mark.parametrize("n_layers", [2, 4, 8])
-    def test_props_are_scipys_row_and_column_cuts(self, n_layers):
+    # A_hat's two forms; the Csr cases keep the plain layer-count ids
+    @pytest.mark.parametrize("n_layers, form", [
+        pytest.param(n, form, id=str(n) if form == "Csr" else f"{n}-{form}")
+        for form in ("Csr", "csr_matrix") for n in (2, 4, 8)])
+    def test_props_are_scipys_row_and_column_cuts(self, n_layers, form):
         """Each operator holds the arrays, dtypes included, that scipy's
         fancy indexing cuts of A_hat: its rows, then the columns of the
-        layer before when that layer does not hold every node."""
+        layer before when that layer does not hold every node.  Each back
+        holds its prop's arrays.  A_hat given as a ``Csr`` or as a scipy
+        csr_matrix, as the benchmark's tracer gives it, plans the same."""
         x, a_hat, te, _, ve, _ = sparse_training_problem()
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), n_layers)
         view = as_scipy(a_hat)
+        ends = np.concatenate([te, ve])
+        plan = RowPlan.build(a_hat if form == "Csr" else view, ends, n_layers)
+        for rows, ball in zip(plan.rows, hop_balls(view, ends, n_layers)):
+            assert np.array_equal(rows, ball)
         for k, prop in enumerate(plan.props):
             want = view[plan.rows[k]]
             if k and len(plan.rows[k - 1]) < len(x):
                 want = want[:, plan.rows[k - 1]]
-            for name in ("data", "indices", "indptr"):
-                got, expected = getattr(prop, name), getattr(want, name)
-                assert got.dtype == expected.dtype
-                assert got.tobytes() == expected.tobytes()
+            for m in [prop] + plan.backs[k - 1:k]:  # backs[k - 1] is props[k].T
+                for name in ("data", "indices", "indptr"):
+                    got, expected = getattr(m, name), getattr(want, name)
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
 
     def test_endpoint_outside_the_plan_is_refused(self):
         x, a_hat, te, _, ve, _ = sparse_training_problem()
@@ -917,11 +928,11 @@ class TestDtype:
             n_classes=2 if mode == "binary" else 4)
         seen = []
 
-        def recording_forward(model, plan, ax):
-            fwd = forward(model, plan, ax)
+        def recording_forward(model, props, ax):
+            fwd = forward(model, props, ax)
             seen.extend(("param", p) for p in model.params())
-            # Csr operators in predict, scipy views in train: both hold .data
-            seen.extend(("plan", m.data) for m in plan.props + plan.backs)
+            # A_hat's Csr in predict, the plan's scipy views in train: both hold .data
+            seen.extend(("plan", m.data) for m in props)
             seen.extend([("ax", ax), ("z", fwd.z)])
             for p, _, h, norms in fwd.layers:  # the mask is boolean
                 seen.extend([("propagated", p), ("output", h)])
@@ -931,6 +942,7 @@ class TestDtype:
 
         def recording_loss_and_grads(model, plan, fwd, batch, wd):
             loss, grads = loss_and_grads(model, plan, fwd, batch, wd)
+            seen.extend(("plan", m.data) for m in plan.backs)
             seen.append(("incidence", batch.incidence))
             seen.extend(("grad", g) for g in grads)
             return loss, grads
@@ -1212,8 +1224,8 @@ class TestPersistence:
         config = TrainConfig(epochs=1, hidden=6, seed=2, weight_decay=weight_decay)
         model = init_model(x.shape[1], config.hidden, config.n_classes,
                            config.block_spec, np.random.default_rng(config.seed))
-        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers).for_epochs()
-        fwd = forward(model, plan, plan.props[0] @ x)
+        plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers)
+        fwd = forward(model, plan.props, plan.props[0] @ x)
         loss, grads = loss_and_grads(model, plan, fwd,
                                      EdgeBatch.build(te, tl, plan), weight_decay)
         (row,) = train(x, a_hat, te, tl, ve, vl, config).history

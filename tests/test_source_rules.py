@@ -123,3 +123,43 @@ def test_make_dataset_draws_every_split():
     assert len(makers) == 1
     inside = calls(makers[0], path)
     assert len(inside) == 1 and [w for p in SOURCES for w in calls(_tree(p), p)] == inside
+
+
+def _imports_scipy_sparse(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.sparse") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("scipy.sparse") or (
+            module == "scipy" and any(alias.name == "sparse" for alias in node.names))
+    return False
+
+
+def test_only_training_plans_rows_and_loads_scipy_sparse():
+    """``gcn.train`` is the one caller of ``RowPlan.build``, whose cuts
+    of A_hat are scipy's, and ``scipy.sparse`` is imported only inside
+    ``RowPlan.build`` and ``incidence_matrix``, the head's scatter:
+    ``predict`` multiplies A_hat itself.  An import under
+    ``TYPE_CHECKING`` loads nothing."""
+    path = next(p for p in SOURCES if p.name == "gcn.py")
+    body = {node.name: node for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    [build] = [fn for fn in body["RowPlan"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "build"]
+
+    def plans(node: ast.AST, where: Path) -> list[str]:
+        return [_where(where, n) for n in ast.walk(node) if isinstance(n, ast.Call)
+                and ast.unparse(n.func).split(".")[-2:] == ["RowPlan", "build"]]
+
+    inside = plans(body["train"], path)
+    assert len(inside) == 1 and [w for p in SOURCES for w in plans(_tree(p), p)] == inside
+
+    def imports(node: ast.AST, where: Path) -> set[str]:
+        return {_where(where, n) for n in ast.walk(node) if _imports_scipy_sparse(n)}
+
+    typing_only = {w for p in SOURCES for node in ast.walk(_tree(p))
+                   if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+                   for w in imports(node, p)}
+    allowed = imports(build, path) | imports(body["incidence_matrix"], path)
+    assert len(allowed) == 2
+    assert {w for p in SOURCES for w in imports(_tree(p), p)} - typing_only == allowed

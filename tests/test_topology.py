@@ -642,13 +642,6 @@ def random_csr(rng, n_rows, n_cols, dtype):
     return Csr.of(data, np.concatenate(indices), indptr)
 
 
-def fields_equal(got, want):
-    """The three arrays of two CSR matrices, dtypes and bytes."""
-    return all(getattr(got, f).dtype == getattr(want, f).dtype
-               and getattr(got, f).tobytes() == getattr(want, f).tobytes()
-               for f in ("data", "indices", "indptr"))
-
-
 class TestCsr:
     """``Csr``'s numpy operations against scipy's on the same arrays."""
 
@@ -685,17 +678,6 @@ class TestCsr:
             got, want = m @ rhs, view @ rhs
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_row_and_column_cuts_are_scipys_fancy_indexing(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_csr(rng, 120, 120, np.float64)
-        view = sp.csr_matrix(tuple(m), shape=(120, 120))
-        rows = np.sort(rng.choice(120, size=40, replace=False))
-        cut = m.take_rows(rows)
-        assert fields_equal(cut, view[rows])
-        cols = np.union1d(rows, cut.indices)
-        assert fields_equal(cut.within_columns(cols), view[rows][:, cols])
 
     def test_astype_shares_the_index_arrays(self):
         m = random_csr(np.random.default_rng(3), 10, 100, np.float64)
