@@ -38,10 +38,12 @@ from . import __version__
 from .dataset import MODE_CLASSES
 from .evaluate import (
     accuracy,
+    blas_core,
     blas_threads,
     confusion_matrix,
     format_confusion,
     metrics_doc,
+    numpy_simd,
     pin_blas_threads,
     setting_text,
     sweep,
@@ -155,6 +157,9 @@ def write_manifest(
             "settings": {name: os.environ.get(name) for name in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             "blas_threads": blas_threads(),
+            # the CPU kernels a run's bytes depend on
+            "blas_core": blas_core(),
+            "numpy_simd": numpy_simd(),
         },
         "wall_time_s": time.perf_counter() - started,
     }

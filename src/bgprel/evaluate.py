@@ -19,6 +19,9 @@ single-process training as in a serial loop, and the results come back
 in input order, so the document does not depend on the worker count.
 ``ingest.ingest_file`` reads the byte ranges of a paths file the same
 way.  The process-pool modules load only where a pool is made.
+
+``blas_core`` and ``numpy_simd`` name the CPU kernels that round a
+run's dense products and its float64 ``exp`` and ``log``.
 """
 
 from __future__ import annotations
@@ -113,23 +116,48 @@ def _call(item):
 
 @functools.cache
 def _openblas():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None."""
+    """The thread-count getter and setter of numpy's bundled OpenBLAS and
+    its core-name getter, None where the library has none; or None."""
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             dll = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(dll, name.format(op), None) for op in ("get", "set"))
+        # the bundle's symbol prefix and suffix, then the plain names
+        for name in ("scipy_openblas_{}64_", "openblas_{}"):
+            get, put, core = (getattr(dll, name.format(f), None) for f in (
+                "get_num_threads", "set_num_threads", "get_corename"))
             if get is not None and put is not None:
                 put.argtypes = [ctypes.c_int]
-                return get, put
+                if core is not None:
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                return get, put, core
     return None
 
 
 def blas_threads() -> int | None:
     """The thread count numpy's bundled OpenBLAS is set to, or None."""
     return _openblas() and _openblas()[0]()
+
+
+def blas_core() -> str | None:
+    """The name of the CPU kernel numpy's bundled OpenBLAS picked when it
+    loaded, e.g. ``SkylakeX``, or None."""
+    core = _openblas() and _openblas()[2]
+    return core().decode("ascii", "replace") if core else None
+
+
+def numpy_simd() -> dict[str, list[str]] | None:
+    """numpy's SIMD ``baseline`` and the dispatch targets it ``found``
+    on this CPU, as ``numpy.show_runtime`` lists them, or None where the
+    module that holds them is not numpy 2's."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        return {"baseline": list(umath.__cpu_baseline__), "found": found}
+    except (ImportError, AttributeError):
+        return None
 
 
 def pin_blas_threads() -> None:

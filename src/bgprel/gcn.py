@@ -270,7 +270,6 @@ class RowPlan:
     exact by construction, in float64 too.
     """
 
-    n_nodes: int
     rows: list[np.ndarray]
     props: list[sp.csr_matrix]
     backs: list[sp.csc_matrix]
@@ -280,14 +279,13 @@ class RowPlan:
               n_layers: int) -> "RowPlan":
         """Plan for ``n_layers`` layers whose head reads the node rows in
         ``endpoints`` (any shape, repeats allowed), cut from a zero-copy
-        scipy view of ``a_hat``, a ``Csr`` or a scipy csr_matrix."""
+        scipy view of ``a_hat``, a ``Csr`` or a scipy csr_matrix; ``train``,
+        the one caller, has checked that each endpoint is a row of it."""
         import scipy.sparse as sp
 
         n = len(a_hat.indptr) - 1
         m = sp.csr_matrix(a_hat, shape=(n, n), copy=False)
         last = distinct(np.array(endpoints, dtype=np.intp).ravel())  # a copy to sort
-        if last.size and (last[0] < 0 or last[-1] >= n):
-            raise IndexError("edge index out of range")
         rows, props = [last], []
         for k in range(n_layers - 1, -1, -1):
             r = rows[0]
@@ -298,19 +296,7 @@ class RowPlan:
                 if len(cols) < n:
                     prop = prop[:, cols]
             props.insert(0, prop)
-        return cls(n, rows, props, [p.T for p in props[1:]])
-
-    def local(self, edges: np.ndarray) -> np.ndarray:
-        """Edge endpoints as positions in ``rows[-1]``, the rows of the
-        embeddings a forward pass over this plan returns."""
-        edges = _check_edges(edges, self.n_nodes)
-        last = self.rows[-1]
-        if len(last) == self.n_nodes:
-            return edges
-        at = np.searchsorted(last, edges)
-        if (at == len(last)).any() or (last[at] != edges).any():
-            raise ValueError("edge endpoint outside the plan's rows")
-        return at
+        return cls(rows, props, [p.T for p in props[1:]])
 
 
 # -- forward ------------------------------------------------------------
@@ -381,11 +367,13 @@ def _check_edges(edges: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 def _check_labels(
-    labels: np.ndarray, n_edges: int, what: str = "edges"
+    labels: np.ndarray, n_edges: int, n_classes: int, what: str = "edges"
 ) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
     if labels.shape != (n_edges,):
         raise ValueError(f"{labels.size} labels for {n_edges} {what}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError("label index out of range for the class count")
     return labels
 
 
@@ -397,31 +385,13 @@ def _head(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray
     return u, _log_softmax(u @ model.head_w + model.head_b)
 
 
-def edge_scores(model: GcnModel, z: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Log-probabilities for ordered pairs of rows of ``z``; swapping
-    (i, j) generally changes the answer."""
-    return _head(model, z, _check_edges(edges, z.shape[0]))[1]
-
-
-def loss_value(
-    logp: np.ndarray,
-    labels: np.ndarray,
-    params: Sequence[np.ndarray] = (),
-    weight_decay: float = 0.0,
-) -> float:
-    labels = _check_labels(labels, logp.shape[0])
-    if labels.size and (labels.min() < 0 or labels.max() >= logp.shape[1]):
-        raise ValueError("label index out of range")
-    return _objective(logp, labels, params, weight_decay)
-
-
 def _objective(
     logp: np.ndarray,
     labels: np.ndarray,
     params: Sequence[np.ndarray],
     weight_decay: float,
 ) -> float:
-    """``loss_value`` for labels already checked: the mean negative
+    """The training objective for checked labels: the mean negative
     log-likelihood plus the L2 penalty."""
     nll = -logp[np.arange(len(labels)), labels].mean()
     if weight_decay > 0.0:
@@ -457,25 +427,11 @@ def incidence_matrix(
 
 @dataclass(frozen=True)
 class EdgeBatch:
-    """Labeled training edges and the head's scatter matrix."""
+    """Labeled training edges, checked, and the head's scatter matrix."""
 
     edges: np.ndarray  # (m, 2) positions in the plan's rows[-1]
     labels: np.ndarray
     incidence: sp.csr_matrix  # incidence_matrix of edges over len(rows[-1]) nodes
-
-    @classmethod
-    def build(
-        cls, edges: np.ndarray, labels: np.ndarray, plan: RowPlan
-    ) -> "EdgeBatch":
-        """Batch of node-row edges for a forward pass over ``plan``."""
-        edges = plan.local(edges)
-        if len(edges) == 0:
-            raise ValueError("no edges to train on")
-        labels = _check_labels(labels, len(edges))
-        if labels.min() < 0:
-            raise ValueError("label index out of range")
-        return cls(edges, labels, incidence_matrix(
-            edges, len(plan.rows[-1]), plan.props[0].data.dtype))
 
 
 def loss_and_grads(
@@ -617,7 +573,7 @@ def predict(
     edge_sets = [_check_edges(edges, len(a_hat.indptr) - 1) for edges in edge_sets]
     # only the output is kept, so the layer caches are freed before scoring
     z = forward(model, [a_hat] * model.n_layers, a_hat @ x).z
-    logps = [edge_scores(model, z, edges) for edges in edge_sets]
+    logps = [_head(model, z, edges)[1] for edges in edge_sets]
     return [(logp.argmax(axis=1), logp) for logp in logps]
 
 
@@ -636,23 +592,26 @@ def train(
     Each epoch runs one forward pass: the one taken after the Adam step
     scores the validation edges and feeds the next epoch's gradients.
     Both run on one plan for the train and val edges, whose edges and
-    labels are checked here once, not in the loop.  The model trains in
-    the features' dtype; A_hat is cast to it if it differs.  Training is
-    the one user of ``RowPlan``, whose operators are scipy matrices."""
+    labels are checked here once, before the plan is built, not in the
+    plan, the batch or the loop.  The model trains in the features'
+    dtype; A_hat is cast to it if it differs.  Training is the one user
+    of ``RowPlan``, whose operators are scipy matrices."""
     x = _features(x)
-    train_edges = _check_edges(train_edges, x.shape[0])
-    val_edges = _check_edges(val_edges, x.shape[0])
-    if len(val_edges) == 0:
+    n = len(a_hat.indptr) - 1
+    train_edges, val_edges = (_check_edges(edges, n) for edges in (train_edges, val_edges))
+    if len(train_edges) == 0 or len(val_edges) == 0:
         raise ValueError("training needs non-empty train and val splits")
-    val_labels = _check_labels(val_labels, len(val_edges), "val edges")
+    train_labels = _check_labels(train_labels, len(train_edges), config.n_classes)
+    val_labels = _check_labels(val_labels, len(val_edges), config.n_classes, "val edges")
     nb, nl = config.block_spec
     plan = RowPlan.build(a_hat.astype(x.dtype, copy=False),
                          np.concatenate([train_edges, val_edges]), nb * nl)
-    batch = EdgeBatch.build(train_edges, train_labels, plan)
-    val_edges = plan.local(val_edges)
-    for labels in (batch.labels, val_labels):
-        if labels.min() < 0 or labels.max() >= config.n_classes:
-            raise ValueError("label index out of range for the class count")
+    # every endpoint is one of the plan's sorted rows[-1], so its position
+    # there is its row in the embeddings of a forward pass over the plan
+    train_edges, val_edges = (np.searchsorted(plan.rows[-1], edges)
+                              for edges in (train_edges, val_edges))
+    batch = EdgeBatch(train_edges, train_labels, incidence_matrix(
+        train_edges, len(plan.rows[-1]), plan.props[0].data.dtype))
 
     rng = np.random.default_rng(config.seed)
     model = init_model(

@@ -22,9 +22,9 @@ is a few MB whatever the file's size.  Summaries merge, so for them the
 file is cut into line-aligned byte ranges, one per
 ``evaluate.worker_count`` process (one a usable CPU) but none shorter
 than ``_RANGE_FLOOR``.  ``ingest_lines`` joins lines already in memory
-into one buffer and reads it the same way.
-``parse_path_line`` and ``sanitize`` are the per-path definitions of
-the same rules, kept as the reference the block code is tested against.
+into one buffer and reads it the same way, and ``PathStore`` iterates
+as ``AsPath`` records, for callers that hold their paths in memory, such
+as perfbench's own tests.
 
 Every other text input (label sources, org, type, IXP, clique and
 allocation lists, pairs files, label tables) is read through
@@ -50,7 +50,6 @@ import os
 import re
 from array import array
 from dataclasses import asdict, astuple, dataclass
-from enum import Enum
 from functools import partial
 from itertools import starmap
 from pathlib import Path
@@ -66,29 +65,6 @@ WHITESPACE = " \t\n\r\x0b\x0c"
 # whatever works through a PathStore step by step takes this many paths
 # at a time (``PathStore.batches``), so its temporaries stay small
 _PATH_BATCH = 1 << 14
-
-
-class PathParseError(ValueError):
-    """A line could not be parsed as a pipe-separated AS path."""
-
-    def __init__(self, message: str, line_number: int = 0):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {message}" if line_number else message)
-
-
-class RejectReason(str, Enum):
-    LOOP = "loop"
-    UNALLOCATED = "unallocated"
-
-
-class PathRejected(ValueError):
-    """A parsed path failed a sanitization rule."""
-
-    def __init__(self, reason: RejectReason, asn: int, line_number: int = 0):
-        self.reason = reason
-        self.asn = asn
-        self.line_number = line_number
-        super().__init__(f"path rejected ({reason.value}): AS{asn}")
 
 
 @dataclass(frozen=True)
@@ -334,42 +310,6 @@ def unpack_pairs(keys: np.ndarray) -> np.ndarray:
     return pairs.astype(np.int64)
 
 
-def parse_path_line(line: str, line_number: int = 0) -> AsPath:
-    """Parse one ``a|b|c`` line into an AsPath."""
-    text = line.strip(WHITESPACE)
-    if not text:
-        raise PathParseError("empty line", line_number)
-    tokens = text.split("|")
-    try:
-        hops = tuple(parse_asn(t, f"hop {i}") for i, t in enumerate(tokens, 1))
-    except ValueError as exc:
-        raise PathParseError(str(exc), line_number) from None
-    return AsPath(hops, line_number)
-
-
-def sanitize(path: AsPath, table: AllocationTable | None = None) -> AsPath:
-    """Apply the cleaning rules; raises PathRejected with a reason code.
-
-    Adjacent duplicates are compressed before the loop test, so a path
-    like ``A B B A`` is a loop while ``A B B`` is merely compressed.
-    When no allocation table is given the allocation filter is skipped.
-    """
-    hops: list[int] = []
-    for h in path.hops:
-        if not hops or hops[-1] != h:
-            hops.append(h)
-    if table is not None:
-        for h in hops:
-            if h not in table:
-                raise PathRejected(RejectReason.UNALLOCATED, h, path.source_line)
-    seen: set[int] = set()
-    for h in hops:
-        if h in seen:
-            raise PathRejected(RejectReason.LOOP, h, path.source_line)
-        seen.add(h)
-    return AsPath(tuple(hops), path.source_line)
-
-
 @dataclass
 class IngestReport:
     """Flat counters describing one ingest run."""
@@ -503,8 +443,9 @@ def _sanitize_batch(
     table: AllocationTable | None,
     report: IngestReport,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of ``sanitize``: returns the accepted paths' compressed
-    hops and lengths, and counts rejections and compressions."""
+    """The cleaning rules over a batch of parsed paths, duplicates
+    compressed before the loop test: returns the accepted paths'
+    compressed hops and lengths, and counts rejections and compressions."""
     n = len(lengths)
     path_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
     keep = np.ones(len(hops), dtype=bool)

@@ -13,9 +13,7 @@ at most one peering link, and descends through customers:
 
     [up or sibling]* [peer]{0,1} [down or sibling]*
 
-which ``policy_violations`` checks over a whole path store.  The
-standalone ``is_valley_free`` checker, a literal regular expression
-over the ground-truth labels, is its per-path reference.
+which ``policy_violations`` checks over a whole path store.
 
 Route tables come from a layered BFS over (node, phase) states on the
 planted ``AsGraph``'s CSR adjacency (``RouteGraph.routes``), and the
@@ -26,7 +24,6 @@ simulation, the policy check and the export keep every path in one
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -480,27 +477,6 @@ def simulate_paths(
 
 
 # -- validation ------------------------------------------------------------
-
-_VALLEY_FREE = re.compile(r"[us]*p?[ds]*")
-
-
-def is_valley_free(hops: tuple[int, ...], truth: GroundTruth) -> bool:
-    """Check a path against the planted labels with the literal pattern
-    [C2P|S2S]* [P2P]? [P2C|S2S]* (exchange links count as peering).
-    The per-path reference for ``policy_violations``."""
-    steps = []
-    for m, w in zip(hops, hops[1:]):
-        try:
-            label, provider = truth.edge_label(m, w)
-        except KeyError:
-            return False
-        if label is RelLabel.S2S:
-            steps.append("s")
-        elif label in (RelLabel.P2P, RelLabel.X2X):
-            steps.append("p")
-        else:
-            steps.append("u" if provider == w else "d")
-    return _VALLEY_FREE.fullmatch("".join(steps)) is not None
 
 
 def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:

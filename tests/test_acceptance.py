@@ -17,7 +17,6 @@ from bgprel.cli import run as cli_run
 from bgprel.dataset import RelLabel, load_label_source, vote_intersection
 from bgprel.evaluate import accuracy, metrics_doc
 from bgprel.gcn import (
-    EdgeBatch,
     RowPlan,
     TrainConfig,
     build_normalized_adjacency,
@@ -39,7 +38,6 @@ from bgprel.synth import (
     SynthConfig,
     export,
     generate,
-    is_valley_free,
     observed_edges,
     p2c_is_acyclic,
     simulate_paths,
@@ -53,6 +51,7 @@ from bgprel.topology import (
     cnr_edge_weights,
 )
 from bgprel.ingest import AsPath, PathStore
+from reference import edge_batch, is_valley_free
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -72,7 +71,7 @@ def _as_scipy(m):
 def _loss_and_grads(model, a_hat, x, edges, labels, wd):
     plan = RowPlan.build(a_hat, edges, model.n_layers)
     fwd = forward(model, plan.props, plan.props[0] @ x)
-    return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
+    return loss_and_grads(model, plan, fwd, edge_batch(edges, labels, plan), wd)
 
 
 def _numeric_grads(model, a_hat, x, edges, labels, wd, step=1e-5):

@@ -2,11 +2,13 @@ import argparse
 import ast
 import builtins
 import collections
+import contextlib
 import hashlib
 import io
 import json
 import os
 import platform
+import pprint
 import random
 import re
 import shutil
@@ -389,10 +391,10 @@ def default_dir(tmp_path_factory):
 @pytest.mark.parametrize("mode", ["multi", "binary"])
 def test_best_val_accuracy_is_the_reported_val_accuracy(default_dir, tmp_path,
                                                         mode, seed):
-    # the loop scores val on its train+val plan and score_splits on a
-    # val+test plan; embedding rows do not depend on the plan, and both
-    # make the same head call, on the val edges alone, so they read the
-    # same float64 log-probabilities
+    # the loop scores val on its train+val plan and score_splits on
+    # every row of A_hat; the plan's embedding rows are bit-identical to
+    # the every-row forward's, and both make the same head call, on the
+    # val edges alone, so they read the same float64 log-probabilities
     assert run(["train", "--data", str(default_dir), "--mode", mode,
                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "metrics.json").read_text())
@@ -1803,13 +1805,25 @@ def _bundled_openblas() -> bool:
     return any((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
 
 
+def _simd_extensions(monkeypatch) -> dict:
+    """The ``simd_extensions`` entry that ``numpy.show_runtime`` prints."""
+    printed = []
+    with monkeypatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+        m.setattr(pprint, "pprint", printed.append)
+        np.show_runtime()  # it may also print a note on threadpoolctl
+    [simd] = [entry["simd_extensions"] for entry in printed[0] if "simd_extensions" in entry]
+    return simd
+
+
 def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
+    simd = _simd_extensions(monkeypatch)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "2")
     out = tmp_path / "o"
     assert run(["train", "--data", str(data_dir), *SMALL, "--out", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
+    core = env.pop("blas_core")
     assert env == {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -1818,12 +1832,15 @@ def test_manifest_records_environment(data_dir, tmp_path, monkeypatch):
                      "MKL_NUM_THREADS": "2"},
         # the count in effect, which run sets to one
         "blas_threads": 1 if _bundled_openblas() else None,
+        "numpy_simd": {"baseline": list(simd["baseline"]), "found": list(simd["found"])},
     }
+    # the kernel's name, e.g. SkylakeX: the test of OPENBLAS_CORETYPE forces one
+    assert (isinstance(core, str) and core) if _bundled_openblas() else core is None
 
 
-def _cli_subprocess(*argv, threads):
+def _cli_subprocess(*argv, threads, **settings):
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+    env = {**os.environ, **settings, "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-m", "bgprel.cli", *map(str, argv)],
                    env=env, check=True, capture_output=True, timeout=120)
@@ -1834,6 +1851,18 @@ def test_manifest_records_the_blas_thread_count_blas_reports(data_dir, tmp_path)
     _cli_subprocess("train", "--data", data_dir, *SMALL, "--out", out, threads="2")
     threads = json.loads((out / "manifest.json").read_text())["environment"]["blas_threads"]
     assert threads == (1 if _bundled_openblas() else None)
+
+
+@pytest.mark.skipif(not _bundled_openblas() or platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names an x86-64 kernel of numpy's bundled OpenBLAS")
+def test_manifest_records_the_blas_kernel_openblas_loaded(data_dir, tmp_path):
+    """OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when it loads; the
+    Sandybridge kernel runs on any x86-64 CPU with AVX."""
+    out = tmp_path / "o"
+    _cli_subprocess("train", "--data", data_dir, *SMALL, "--out", out, threads="1",
+                    OPENBLAS_CORETYPE="Sandybridge")
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["blas_core"] == "Sandybridge"
 
 
 @pytest.mark.skipif(not _bundled_openblas(), reason="the thread count is set only "

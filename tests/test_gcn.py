@@ -16,7 +16,6 @@ from bgprel.dataset import mode_classes
 from bgprel.gcn import (
     AdamState,
     Checkpoint,
-    EdgeBatch,
     Epoch,
     GcnModel,
     RowPlan,
@@ -24,19 +23,18 @@ from bgprel.gcn import (
     TrainingDivergedError,
     adam_step,
     build_normalized_adjacency,
-    edge_scores,
     forward,
     incidence_matrix,
     init_model,
     load_checkpoint,
     loss_and_grads,
-    loss_value,
     predict,
     save_checkpoint,
     train,
     write_history_csv,
 )
 from bgprel.topology import AsGraph
+from reference import edge_batch, edge_scores, loss_value
 
 
 def as_scipy(m):
@@ -255,7 +253,7 @@ def grads_at(model, a_hat, x, edges, labels, wd=0.0):
     the edges."""
     plan = RowPlan.build(a_hat, edges, model.n_layers)
     fwd = forward(model, plan.props, plan.props[0] @ x)
-    return loss_and_grads(model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
+    return loss_and_grads(model, plan, fwd, edge_batch(edges, labels, plan), wd)
 
 
 def finite_difference_grads(model, a_hat, x, edges, labels, wd, step=1e-5):
@@ -475,7 +473,7 @@ class CountedTranspose(sp.csc_matrix):
 def counting(plan, tally):
     """A plan whose operators count their products on ``tally``."""
     props = [CountingCsr(p, tally) for p in plan.props]
-    return RowPlan(plan.n_nodes, plan.rows, props, [p.T for p in props[1:]])
+    return RowPlan(plan.rows, props, [p.T for p in props[1:]])
 
 
 def row_dots(a, b):
@@ -681,7 +679,7 @@ class TestEpochLoop:
         fwd = forward(model, plan.props, a_hat @ x)
         products.clear()
         _, analytic = loss_and_grads(
-            model, plan, fwd, EdgeBatch.build(edges, labels, plan), wd)
+            model, plan, fwd, edge_batch(edges, labels, plan), wd)
         # one backward product per layer, the model's first layer excepted
         assert len(products) == sum(len(b) for b in model.blocks) - 1
         numeric = finite_difference_grads(model, a_hat, x, edges, labels, wd)
@@ -795,15 +793,6 @@ class TestRowPlan:
                     got, expected = getattr(m, name), getattr(want, name)
                     assert got.dtype == expected.dtype
                     assert got.tobytes() == expected.tobytes()
-
-    def test_endpoint_outside_the_plan_is_refused(self):
-        x, a_hat, te, _, ve, _ = sparse_training_problem()
-        plan = RowPlan.build(a_hat, te, 2)
-        outside = sorted(set(range(len(x))) - set(plan.rows[-1].tolist()))
-        with pytest.raises(ValueError, match="outside the plan"):
-            plan.local(np.array([[te[0, 0], outside[0]]]))
-        with pytest.raises(IndexError):
-            RowPlan.build(a_hat, np.array([[0, len(x)]]), 2)
 
     @pytest.mark.parametrize("mode", ["binary", "multi"])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
@@ -1006,6 +995,28 @@ class TestLabelLengths:
         vl[0] = 4
         with pytest.raises(ValueError, match="label index out of range"):
             train(x, a_hat, te, tl, ve, vl, TrainConfig(epochs=2))
+
+    @pytest.mark.parametrize("split, refusal", [
+        ("train", "endpoint"), ("val", "endpoint"), ("train", "empty"), ("val", "empty")])
+    def test_bad_edges_are_refused_before_any_plan_or_epoch(self, monkeypatch, split, refusal):
+        """``train`` checks both splits' edges before it plans: an
+        endpoint outside A_hat's rows, at either end of the node range,
+        or an empty split is refused, and no plan or epoch ever runs."""
+        x, a_hat, te, tl, ve, vl = self.problem()
+        edges, labels = {"train": [te.copy(), tl], "val": [ve.copy(), vl]}[split]
+        if refusal == "endpoint":
+            edges[-1, 1] = len(x) if split == "train" else -1
+            error, message = IndexError, "edge index out of range"
+        else:
+            edges, labels = edges[:0], labels[:0]
+            error, message = ValueError, "training needs non-empty train and val splits"
+        ran = []
+        monkeypatch.setattr(RowPlan, "build", lambda *args: ran.append("plan"))
+        monkeypatch.setattr(gcn, "loss_and_grads", lambda *args: ran.append("epoch"))
+        args = {"train": (edges, labels, ve, vl), "val": (te, tl, edges, labels)}[split]
+        with pytest.raises(error, match=message):
+            train(x, a_hat, *args, TrainConfig(epochs=2))
+        assert ran == []
 
     def test_loss_value_refuses_a_label_count_mismatch(self):
         logp = np.log(np.full((3, 2), 0.5))
@@ -1227,7 +1238,7 @@ class TestPersistence:
         plan = RowPlan.build(a_hat, np.concatenate([te, ve]), model.n_layers)
         fwd = forward(model, plan.props, plan.props[0] @ x)
         loss, grads = loss_and_grads(model, plan, fwd,
-                                     EdgeBatch.build(te, tl, plan), weight_decay)
+                                     edge_batch(te, tl, plan), weight_decay)
         (row,) = train(x, a_hat, te, tl, ve, vl, config).history
         assert row.loss == loss
         assert row.grad_norm == gradient_norm(grads)

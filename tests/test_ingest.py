@@ -20,23 +20,19 @@ from bgprel.ingest import (
     AllocationTable,
     AsPath,
     IngestReport,
-    PathParseError,
-    PathRejected,
     PathStore,
-    RejectReason,
     ingest_file,
     ingest_lines,
     pack_pairs,
     pack_unordered_pairs,
-    parse_path_line,
     read_fields,
-    sanitize,
     unpack_pairs,
     write_json,
     write_paths_file,
     write_table,
 )
 from bgprel.topology import GraphSummary
+from reference import PathParseError, PathRejected, RejectReason, parse_path_line, sanitize
 
 
 class TestParse:

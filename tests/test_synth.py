@@ -19,13 +19,13 @@ from bgprel.synth import (
     _peering_core,
     export,
     generate,
-    is_valley_free,
     observed_edges,
     p2c_is_acyclic,
     policy_violations,
     simulate_paths,
 )
 from bgprel.topology import AsGraph, AsType, build_graph, canonical_edge, infer_clique
+from reference import is_valley_free
 
 SMALL = SynthConfig(
     n_tier1=4,
