@@ -527,10 +527,11 @@ def cmd_synth(args) -> Manifest:
         raise SystemExit2(str(exc)) from None
     out = _out_dir(args)
     truth = generate(config)
-    if not p2c_is_acyclic(truth):
+    graph = truth.route_graph
+    if not p2c_is_acyclic(graph):
         raise ValueError("the planted provider-customer hierarchy has a cycle")
     paths, stats = simulate_paths(truth, config)
-    bad = np.flatnonzero(policy_violations(truth, paths))
+    bad = np.flatnonzero(policy_violations(graph, paths))
     if len(bad):
         lo, hi = paths.offsets[bad[0]:bad[0] + 2].tolist()
         first = "|".join(map(str, paths.hops[lo:hi].tolist()))
@@ -544,8 +545,8 @@ def cmd_synth(args) -> Manifest:
         perturbation=args.perturbation,
         seed=args.seed,
     )
-    counts = truth.counts()
-    print(f"planted {len(truth.tier)} nodes, {len(truth.labels)} edges "
+    counts = graph.links.counts()
+    print(f"planted {len(truth.tier)} nodes, {len(graph.links)} edges "
           f"({', '.join(f'{c.value}={n}' for c, n in counts.items())})")
     print(f"emitted {stats.emitted} paths from {len(stats.vantage_points)} "
           f"vantage points ({stats.unreachable} unreachable, "

@@ -191,13 +191,6 @@ class AllocationTable:
         i = np.searchsorted(self._starts, asns, side="right") - 1
         return (i >= 0) & (asns <= self._ends[np.maximum(i, 0)])
 
-    def __contains__(self, asn: int) -> bool:
-        return bool(self.allocated(np.array([asn], dtype=np.int64))[0])
-
-    @property
-    def ranges(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts.tolist(), self._ends.tolist()))
-
 
 def parse_asn(token: str, where: str) -> int:
     """The ASN one token holds under the hop rule: ASCII decimal digits,

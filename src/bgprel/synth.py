@@ -16,9 +16,9 @@ at most one peering link, and descends through customers:
 which ``policy_violations`` checks over a whole path store.
 
 Route tables come from a layered BFS over (node, phase) states on the
-planted ``AsGraph``'s CSR adjacency (``RouteGraph.routes``), and the
-simulation, the policy check and the export keep every path in one
-``PathStore``.
+CSR adjacency of the planted links' ``LabelTable`` (``RouteGraph.routes``),
+and the simulation, the policy check and the export keep every path in
+one ``PathStore``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,19 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dataset import RelLabel
-from .ingest import PathStore, pack_pairs, unpack_pairs, write_paths_file, write_table
+from .dataset import MULTI_CLASSES, LabelTable, RelLabel
+from .ingest import (
+    PathStore,
+    pack_pairs,
+    pack_unordered_pairs,
+    unpack_pairs,
+    write_paths_file,
+    write_table,
+)
 from .topology import AsGraph, AsType, canonical_edge, distinct, step_edges
 
 # wiring knobs that are not worth per-run configuration
@@ -82,51 +89,36 @@ class SynthConfig:
 
 @dataclass
 class GroundTruth:
-    """Planted relationships plus per-node metadata."""
+    """Planted relationships plus per-node metadata.  ``links`` maps each
+    planted link's ascending pair, in planting order, to its endpoints in
+    storage orientation (provider first for p2c) and its label."""
 
-    labels: dict[tuple[int, int], RelLabel] = field(default_factory=dict)
-    providers: dict[tuple[int, int], int] = field(default_factory=dict)
+    links: dict[tuple[int, int], tuple[int, int, RelLabel]] = field(default_factory=dict)
     tier: dict[int, str] = field(default_factory=dict)
     org: dict[int, str] = field(default_factory=dict)
     ixps: set[int] = field(default_factory=set)
     types: dict[int, AsType] = field(default_factory=dict)
 
-    def add(self, a: int, b: int, label: RelLabel, provider: int | None = None):
+    def add(self, a: int, b: int, label: RelLabel):
+        """Plant the link a-b; a p2c link names its provider first."""
         key = canonical_edge(a, b)
-        if key in self.labels:
+        if key in self.links:
             raise ValueError(f"edge {key} planted twice")
-        self.labels[key] = label
-        if label is RelLabel.P2C:
-            if provider not in (a, b):
-                raise ValueError("p2c edge needs its provider endpoint")
-            self.providers[key] = provider
+        self.links[key] = (a, b, label) if label is RelLabel.P2C else (*key, label)
         self.__dict__.pop("route_graph", None)
 
     @cached_property
     def route_graph(self) -> "RouteGraph":
-        """The planted graph synth's stages share; built once, dropped by ``add``."""
-        return RouteGraph(self)
-
-    def edge_label(self, a: int, b: int) -> tuple[RelLabel, int | None]:
-        key = canonical_edge(a, b)
-        label = self.labels.get(key)
-        if label is None:
-            raise KeyError(f"no planted edge {key}")
-        return label, self.providers.get(key)
-
-    def oriented(self, a: int, b: int) -> tuple[int, int, RelLabel]:
-        """Storage orientation: provider first for p2c, ascending else."""
-        label, provider = self.edge_label(a, b)
-        lo, hi = canonical_edge(a, b)
-        if label is RelLabel.P2C:
-            return (provider, hi if provider == lo else lo, label)
-        return (lo, hi, label)
-
-    def counts(self) -> dict[RelLabel, int]:
-        out = {label: 0 for label in RelLabel}
-        for label in self.labels.values():
-            out[label] += 1
-        return out
+        """The planted graph synth's stages share, built from the table of
+        the links in pair order; built once, dropped by ``add``."""
+        # the links are in storage orientation already: no from_rows pass
+        a, b, label = zip(*self.links.values()) if self.links else ((),) * 3
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        label = np.array(list(map(MULTI_CLASSES.index, label)), dtype=np.intp)
+        order = np.argsort(pack_unordered_pairs(a, b))
+        blank = np.full(len(order), "")
+        links = LabelTable(a[order], b[order], label[order], blank, blank)
+        return RouteGraph(links, self.tier)
 
 
 def generate(config: SynthConfig) -> GroundTruth:
@@ -214,17 +206,17 @@ def generate(config: SynthConfig) -> GroundTruth:
                 n_pool, at = provider_pool(i, m)
                 if n_pool:
                     p = at(rng.choice(range(n_pool)))
-                    truth.add(p, m, RelLabel.P2C, provider=p)
+                    truth.add(p, m, RelLabel.P2C)
             continue
         # one tier-1 contract each, plus up to two regional upstreams,
         # so the planted mesh stays the transit core
         t = next_tier1()
-        truth.add(t, m, RelLabel.P2C, provider=t)
+        truth.add(t, m, RelLabel.P2C)
         n_pool, at = provider_pool(i, m, skip=(t,))
         k = min(rng.randint(0, 2), n_pool)
         for j in rng.sample(range(n_pool), k):
             p = at(j)
-            truth.add(p, m, RelLabel.P2C, provider=p)
+            truth.add(p, m, RelLabel.P2C)
 
     stub_pool = mids if mids else tier1
     for s in stubs:
@@ -237,7 +229,7 @@ def generate(config: SynthConfig) -> GroundTruth:
             if t not in providers:
                 providers.append(t)
         for p in providers:
-            truth.add(p, s, RelLabel.P2C, provider=p)
+            truth.add(p, s, RelLabel.P2C)
 
     # open peering happens between networks that run their own transit;
     # a subsidiary whose only upstream is its sibling head does not
@@ -251,7 +243,7 @@ def generate(config: SynthConfig) -> GroundTruth:
             break
         a, b = rng.sample(peer_pool, 2)
         key = canonical_edge(a, b)
-        if key in truth.labels:
+        if key in truth.links:
             continue
         if truth.org.get(a) is not None and truth.org.get(a) == truth.org.get(b):
             continue
@@ -305,11 +297,10 @@ def generate(config: SynthConfig) -> GroundTruth:
 
 # what a hop m -> w is, seen from m
 _SIBLING, _PEER, _CLIMB, _DESCEND = 0, 1, 2, 3
-_STEP_KINDS = {
-    RelLabel.S2S: (_SIBLING, _SIBLING),
-    RelLabel.P2P: (_PEER, _PEER),
-    RelLabel.X2X: (_PEER, _PEER),
-}
+# the step kinds of a -> b and of b -> a for a stored link (a, b), by its
+# class index: p2p, p2c (a is b's provider), s2s, x2x
+_LINK_STEPS = np.array([[_PEER, _PEER], [_DESCEND, _CLIMB], [_SIBLING, _SIBLING],
+                        [_PEER, _PEER]], dtype=np.int64)
 _UP, _DOWN = 0, 1
 # the walk phase after a step, per (step kind, phase); -1 bars the step
 _NEXT_PHASE = np.array(
@@ -324,28 +315,22 @@ _NEXT_PHASE = np.array(
 
 
 class RouteGraph:
-    """The planted topology's ``AsGraph`` adjacency (CSR over sorted node
-    positions, every row's neighbours in ASN order), plus each CSR
-    entry's step kind (sibling, peer, climb into a provider, descent
-    into a customer) and its directed hop as an ASN pair key."""
+    """The ``AsGraph`` adjacency of a ``links`` table (kept as given) and
+    of ``nodes``, which may name nodes no link touches: CSR over sorted
+    node positions, every row's neighbours in ASN order, plus each CSR
+    entry's step kind (sibling, peer, climb into a provider, descent into
+    a customer) and its directed hop as an ASN pair key."""
 
-    def __init__(self, truth: GroundTruth):
-        graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
+    def __init__(self, links: LabelTable, nodes: Iterable[int]):
+        graph = AsGraph.from_edges(links.pairs(), nodes=nodes)
+        self.links = links
         self.nodes, self.indptr, self.indices = graph.nodes, graph.indptr, graph.indices
-        a, b = np.array(list(truth.labels), dtype=np.int64).reshape(-1, 2).T
-        # the step kinds of a -> b and of b -> a, per planted (a, b)
-        kinds = np.array([
-            _STEP_KINDS[label] if label is not RelLabel.P2C
-            else (_CLIMB, _DESCEND) if truth.providers[key] == key[1]
-            else (_DESCEND, _CLIMB)
-            for key, label in truth.labels.items()
-        ], dtype=np.int64).reshape(-1, 2)
         # rows and their neighbours are in ASN order, so the CSR entries
         # run in the order of their directed hops' keys
-        keys = np.concatenate([pack_pairs(a, b), pack_pairs(b, a)])
+        keys = np.concatenate([pack_pairs(links.a, links.b), pack_pairs(links.b, links.a)])
         order = np.argsort(keys)
         self.keys = keys[order]
-        self.kind = kinds.T.ravel()[order]
+        self.kind = _LINK_STEPS[links.label].T.ravel()[order]
 
     def step_kinds(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The step kind of every hop a[i] -> b[i], and which hops are
@@ -479,12 +464,11 @@ def simulate_paths(
 # -- validation ------------------------------------------------------------
 
 
-def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
-    """Which paths break the export policy, as a boolean mask: a hop
-    over an unplanted edge, or a climb or peering step after the path
-    has crossed a peering link or descended into a customer.  Checked
-    in batches of paths."""
-    graph = truth.route_graph
+def policy_violations(graph: RouteGraph, paths: PathStore) -> np.ndarray:
+    """Which paths break the export policy of ``graph``'s links, as a
+    boolean mask: a hop over a link it lacks, or a climb or peering step
+    after the path has crossed a peering link or descended into a
+    customer.  Checked in batches of paths."""
     out = [np.zeros(0, dtype=bool)]
     for batch in paths.batches():
         n_paths = len(batch)
@@ -504,15 +488,14 @@ def policy_violations(truth: GroundTruth, paths: PathStore) -> np.ndarray:
     return np.concatenate(out)
 
 
-def p2c_is_acyclic(truth: GroundTruth) -> bool:
-    """No provider chain leads back to where it began.
+def p2c_is_acyclic(graph: RouteGraph) -> bool:
+    """No provider chain of ``graph``'s links leads back to where it began.
 
     Peels the hierarchy from the top: each round removes every AS whose
     providers have all been removed (at first, those with none).  An AS
     on a cycle, or below one, never loses its last provider, so the
     hierarchy is acyclic exactly when every AS is peeled.
     """
-    graph = truth.route_graph
     n = len(graph.nodes)
     down = np.flatnonzero(graph.kind == _DESCEND)
     provider = np.searchsorted(graph.indptr, down, side="right") - 1
@@ -586,9 +569,10 @@ def export(
     # (-1) calls, so sibling links surface as provider links (lower ASN
     # first) and exchange links as peering: exactly the confusion the
     # org/IXP override passes exist to repair.
+    graph = truth.route_graph
     edges = observed_edges(paths)
     lo, hi = edges.T
-    kind, planted = truth.route_graph.step_kinds(lo, hi)
+    kind, planted = graph.step_kinds(lo, hi)
     if not planted.all():
         raise KeyError(f"no planted edge {tuple(edges[~planted][0].tolist())}")
     climb = kind == _CLIMB  # hi is lo's provider
@@ -612,7 +596,8 @@ def export(
     files["types"] = out_dir / "types.csv"
     write_table(files["types"], ((a, truth.types[a].value) for a in tier), ["asn", "type"])
     files["truth"] = out_dir / "truth.csv"
-    oriented = (truth.oriented(*key) for key in sorted(truth.labels))
-    write_table(files["truth"], ((a, b, label.value) for a, b, label in oriented),
+    links = graph.links
+    names = np.array([c.value for c in MULTI_CLASSES])[links.label]
+    write_table(files["truth"], zip(links.a.tolist(), links.b.tolist(), names.tolist()),
                 ["a", "b", "label"])
     return files

@@ -139,8 +139,8 @@ class AsGraph:
     ``nodes`` is the sorted ASN array, and a node's position in it is
     its row everywhere: ``positions`` maps ASNs to rows.  ``indptr`` and
     ``indices`` are the CSR adjacency over rows, each row's neighbours
-    sorted; ``edge_rows`` holds every edge as a (row, row) pair in
-    ``edges()`` order, and CSR entry k belongs to edge ``edge_of[k]``.
+    sorted; ``edge_rows`` holds every edge as an ascending (row, row)
+    pair, in sorted order, and CSR entry k belongs to edge ``edge_of[k]``.
     ``transit`` (transit degree) and ``vp`` hold per-node observations.
     Build it once, with ``build_graph`` or ``from_edges``.
     """
@@ -213,10 +213,6 @@ class AsGraph:
         """Degree of every node, in row order."""
         return np.diff(self.indptr)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.nodes[self.edge_rows[:, 0]].tolist(),
-                        self.nodes[self.edge_rows[:, 1]].tolist()))
-
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
@@ -228,7 +224,7 @@ class AsGraph:
     def edge_matrix(self, values: np.ndarray) -> Csr:
         """Symmetric float64 matrix over node positions with the
         adjacency's structure, holding ``values[k]`` at both entries of
-        edge k (``edges()`` order).  Zero values stay stored entries."""
+        edge k (``edge_rows`` order).  Zero values stay stored entries."""
         data = np.asarray(values, dtype=np.float64)[self.edge_of]
         return Csr.of(data, self.indices, self.indptr)
 

@@ -15,6 +15,9 @@ inputs it has already checked.  No command runs them.
   the finite-difference helpers and the reference training loop.
 - ``edge_batch`` builds a ``gcn.EdgeBatch`` over a plan as ``gcn.train``
   does, for tests that call ``loss_and_grads`` directly.
+- ``edge_pairs``, ``is_allocated`` and ``allocated_runs`` read an
+  ``AsGraph``'s edges and an ``AllocationTable``'s ranges one item at a
+  time, from the arrays the package itself reads.
 """
 
 from __future__ import annotations
@@ -29,6 +32,33 @@ from bgprel import gcn
 from bgprel.dataset import RelLabel
 from bgprel.ingest import WHITESPACE, AllocationTable, AsPath, parse_asn
 from bgprel.synth import GroundTruth
+from bgprel.topology import AsGraph, canonical_edge
+
+
+# -- the graph's edges and the allocation table, one item at a time --------
+
+
+def edge_pairs(graph: AsGraph) -> list[tuple[int, int]]:
+    """Every edge of ``graph`` as an ASN pair, in ``edge_rows`` order."""
+    return [tuple(e) for e in graph.nodes[graph.edge_rows].tolist()]
+
+
+def is_allocated(table: AllocationTable, asn: int) -> bool:
+    """Whether ``asn`` falls in one of ``table``'s ranges."""
+    return bool(table.allocated(np.array([asn], dtype=np.int64))[0])
+
+
+def allocated_runs(table: AllocationTable, asns: range) -> list[tuple[int, int]]:
+    """The runs of allocated ASNs in the consecutive ``asns``, each as its
+    first and last ASN: ``table``'s merged ranges, cut to ``asns``."""
+    runs: list[tuple[int, int]] = []
+    for asn in asns:
+        if is_allocated(table, asn):
+            if runs and runs[-1][1] == asn - 1:
+                runs[-1] = (runs[-1][0], asn)
+            else:
+                runs.append((asn, asn))
+    return runs
 
 
 # -- ingest: one path line at a time ----------------------------------------
@@ -83,7 +113,7 @@ def sanitize(path: AsPath, table: AllocationTable | None = None) -> AsPath:
             hops.append(h)
     if table is not None:
         for h in hops:
-            if h not in table:
+            if not is_allocated(table, h):
                 raise PathRejected(RejectReason.UNALLOCATED, h, path.source_line)
     seen: set[int] = set()
     for h in hops:
@@ -105,7 +135,7 @@ def is_valley_free(hops: tuple[int, ...], truth: GroundTruth) -> bool:
     steps = []
     for m, w in zip(hops, hops[1:]):
         try:
-            label, provider = truth.edge_label(m, w)
+            provider, _, label = truth.links[canonical_edge(m, w)]
         except KeyError:
             return False
         if label is RelLabel.S2S:

@@ -51,7 +51,7 @@ from bgprel.topology import (
     cnr_edge_weights,
 )
 from bgprel.ingest import AsPath, PathStore
-from reference import edge_batch, is_valley_free
+from reference import edge_batch, edge_pairs, is_valley_free
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -145,7 +145,7 @@ def test_criterion_2_adjacency_invariants():
             if rng.random() < min(1.0, 4.0 / n):
                 weights[canonical_edge(a, b)] = float(rng.uniform(0.01, 1.0))
         g = AsGraph.from_edges(weights, nodes=nodes)
-        w = g.edge_matrix([weights[e] for e in g.edges()])
+        w = g.edge_matrix([weights[e] for e in edge_pairs(g)])
         a_hat = build_normalized_adjacency(w)
         dense = _as_scipy(a_hat).toarray()
         worst_sym = max(worst_sym, float(np.max(np.abs(dense - dense.T))))
@@ -258,7 +258,7 @@ def test_criterion_3_feature_oracles():
 
         w = _as_scipy(cnr_edge_weights(g))
         assert w.nnz == 2 * g.num_edges, "cnr entries"
-        for (a, b), (i, j) in zip(g.edges(), g.edge_rows.tolist()):
+        for (a, b), (i, j) in zip(edge_pairs(g), g.edge_rows.tolist()):
             na = adj[a] - {a, b}
             nb = adj[b] - {a, b}
             union = na | nb
@@ -351,7 +351,7 @@ def test_criterion_6_policy_everywhere():
             seed=int(i),
         )
         truth = generate(cfg)
-        if not p2c_is_acyclic(truth):
+        if not p2c_is_acyclic(truth.route_graph):
             cyclic += 1
         paths, _ = simulate_paths(truth, cfg)
         total += len(paths)

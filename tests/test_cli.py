@@ -119,8 +119,9 @@ def test_synth_fails_on_a_policy_violation(tmp_path, monkeypatch, capsys):
         paths, stats = simulate(truth, config)
         # down from one provider of a multihomed network, up to another
         providers = {}
-        for (a, b), p in truth.providers.items():
-            providers.setdefault(b if p == a else a, []).append(p)
+        for p, c, label in truth.links.values():
+            if label is RelLabel.P2C:
+                providers.setdefault(c, []).append(p)
         c = min(c for c, ps in providers.items() if len(ps) > 1)
         valleys.append((providers[c][0], c, providers[c][1]))
         return PathStore.from_hops([*(p.hops for p in paths), valleys[0]]), stats
@@ -143,7 +144,7 @@ def test_synth_refuses_a_cyclic_hierarchy(tmp_path, monkeypatch, capsys):
         a, b, c = (max(truth.tier) + i for i in (1, 2, 3))
         for provider, customer in ((a, b), (b, c), (c, a)):
             truth.tier[provider] = "stub"
-            truth.add(provider, customer, RelLabel.P2C, provider=provider)
+            truth.add(provider, customer, RelLabel.P2C)
         return truth
 
     monkeypatch.setattr(cli, "generate", with_a_cycle)

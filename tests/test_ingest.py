@@ -32,7 +32,15 @@ from bgprel.ingest import (
     write_table,
 )
 from bgprel.topology import GraphSummary
-from reference import PathParseError, PathRejected, RejectReason, parse_path_line, sanitize
+from reference import (
+    PathParseError,
+    PathRejected,
+    RejectReason,
+    allocated_runs,
+    is_allocated,
+    parse_path_line,
+    sanitize,
+)
 
 
 class TestParse:
@@ -146,16 +154,17 @@ class TestSanitize:
 class TestAllocationTable:
     def test_membership(self):
         table = AllocationTable([(10, 20), (30, 30)])
-        assert 10 in table and 15 in table and 20 in table and 30 in table
-        assert 9 not in table and 21 not in table and 29 not in table
+        assert all(is_allocated(table, a) for a in (10, 15, 20, 30))
+        assert not any(is_allocated(table, a) for a in (9, 21, 29))
 
     def test_merging_overlaps(self):
         table = AllocationTable([(1, 5), (4, 9), (11, 12)])
-        assert table.ranges == [(1, 9), (11, 12)]
+        assert allocated_runs(table, range(1, 20)) == [(1, 9), (11, 12)]
 
     def test_from_lines(self):
         table = AllocationTable.from_lines(["# allocated", "5", "100-200", ""])
-        assert 5 in table and 150 in table and 6 not in table
+        assert is_allocated(table, 5) and is_allocated(table, 150)
+        assert not is_allocated(table, 6)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

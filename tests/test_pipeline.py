@@ -31,7 +31,7 @@ from bgprel.pipeline import (
 from bgprel.evaluate import accuracy, confusion_matrix
 from bgprel.gcn import WEIGHT_FLOOR, TrainConfig, build_normalized_adjacency, predict
 from bgprel.synth import SynthConfig, export, generate, simulate_paths
-from bgprel.topology import AsGraph, FEATURE_COLUMNS, build_graph, cnr_edge_weights
+from bgprel.topology import AsGraph, FEATURE_COLUMNS, build_graph, canonical_edge, cnr_edge_weights
 
 CFG = SynthConfig(
     n_tier1=4,
@@ -162,7 +162,7 @@ def test_commands_load_no_csgraph_or_linalg(data_dir):
         "config = synth.SynthConfig(\n"
         "    n_tier1=3, n_mid=20, n_stub=30, n_ixp=2, n_orgs=5, n_vps=5, paths_per_vp=10)\n"
         "truth = synth.generate(config)\n"
-        "assert synth.p2c_is_acyclic(truth)\n"
+        "assert synth.p2c_is_acyclic(truth.route_graph)\n"
         "synth.simulate_paths(truth, config)\n"
         f"print(sorted(m for m in {_DEFERRED!r} if m in sys.modules))\n"
         f"print(sorted(m for m in sys.modules if m.startswith({_HEAVY_SCIPY!r})))\n"
@@ -218,7 +218,7 @@ def test_clean_labels_match_planted_truth(clean_dir):
     assert report.n_sources == 3
     assert len(labeled) > 0
     for a, b, label, _, _ in labeled.rows():
-        want_label, provider = truth.edge_label(a, b)
+        provider, _, want_label = truth.links[canonical_edge(a, b)]
         assert label is want_label
         if want_label is RelLabel.P2C:
             assert a == provider

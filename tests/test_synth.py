@@ -55,8 +55,7 @@ def test_total_nodes():
 def test_generate_deterministic():
     t1 = generate(SMALL)
     t2 = generate(SMALL)
-    assert t1.labels == t2.labels
-    assert t1.providers == t2.providers
+    assert list(t1.links.items()) == list(t2.links.items())
     assert t1.org == t2.org
     assert t1.types == t2.types
 
@@ -66,7 +65,7 @@ def test_tier1_full_mesh():
     tier1 = [a for a, t in truth.tier.items() if t == "tier1"]
     for i, a in enumerate(tier1):
         for b in tier1[i + 1 :]:
-            label, _ = truth.edge_label(a, b)
+            label = truth.links[canonical_edge(a, b)][2]
             assert label is RelLabel.P2P
 
 
@@ -81,7 +80,7 @@ def test_route_graph_is_cached_until_add():
     truth.add(1, 2, RelLabel.P2P)
     assert truth.route_graph is truth.route_graph
     assert truth.route_graph.nodes.tolist() == [1, 2]
-    truth.add(2, 3, RelLabel.P2C, provider=2)
+    truth.add(2, 3, RelLabel.P2C)
     assert truth.route_graph.nodes.tolist() == [1, 2, 3]
 
 
@@ -101,7 +100,7 @@ def test_synth_run_builds_the_planted_graph_once(tmp_path, monkeypatch):
 
 def test_sibling_edges_stay_inside_orgs():
     truth = generate(SMALL)
-    for (a, b), label in truth.labels.items():
+    for a, b, label in truth.links.values():
         if label is RelLabel.S2S:
             assert truth.org[a] == truth.org[b]
 
@@ -117,7 +116,7 @@ def test_same_org_same_type():
 
 def test_x2x_edges_touch_exactly_one_ixp():
     truth = generate(SMALL)
-    for (a, b), label in truth.labels.items():
+    for a, b, label in truth.links.values():
         touches = (a in truth.ixps) + (b in truth.ixps)
         if label is RelLabel.X2X:
             assert touches == 1
@@ -127,13 +126,13 @@ def test_x2x_edges_touch_exactly_one_ixp():
 
 def _p2c_edges(truth):
     """Each planted p2c edge as (provider, customer)."""
-    return [(p, b if p == a else a) for (a, b), p in truth.providers.items()]
+    return [(a, b) for a, b, label in truth.links.values() if label is RelLabel.P2C]
 
 
 def _p2c_truth(pairs):
     truth = GroundTruth()
     for p, c in pairs:
-        truth.add(p, c, RelLabel.P2C, provider=p)
+        truth.add(p, c, RelLabel.P2C)
     return truth
 
 
@@ -159,24 +158,27 @@ def test_p2c_acyclic_matches_networkx():
     ] + [_p2c_truth(pairs) for pairs in _DEEP_P2C]
     for truth in truths:
         dg = nx.DiGraph(_p2c_edges(truth))
-        assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(dg)
+        assert p2c_is_acyclic(truth.route_graph) == nx.is_directed_acyclic_graph(dg)
 
 
 def test_p2c_acyclic_flags_a_cycle():
-    assert not p2c_is_acyclic(_p2c_truth([(1, 2), (2, 3), (3, 1)]))
+    assert not p2c_is_acyclic(_p2c_truth([(1, 2), (2, 3), (3, 1)]).route_graph)
 
 
 def test_ground_truth_rejects_duplicate_edge():
     truth = GroundTruth()
     truth.add(1, 2, RelLabel.P2P)
     with pytest.raises(ValueError):
-        truth.add(2, 1, RelLabel.P2C, provider=2)
+        truth.add(2, 1, RelLabel.P2C)
 
 
 def test_oriented_puts_provider_first():
     truth = GroundTruth()
-    truth.add(5, 2, RelLabel.P2C, provider=5)
-    assert truth.oriented(2, 5) == (5, 2, RelLabel.P2C)
+    truth.add(5, 2, RelLabel.P2C)
+    truth.add(4, 1, RelLabel.P2P)
+    assert truth.links == {(2, 5): (5, 2, RelLabel.P2C), (1, 4): (1, 4, RelLabel.P2P)}
+    assert truth.route_graph.links.rows() == [(1, 4, RelLabel.P2P, "", ""),
+                                              (5, 2, RelLabel.P2C, "", "")]
 
 
 def test_simulation_deterministic():
@@ -210,7 +212,7 @@ def test_paths_never_shorter_than_unconstrained_shortest():
     # policy routing can only lengthen a route, never beat plain BFS
     truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
-    g = nx.Graph(truth.labels.keys())
+    g = nx.Graph(truth.links.keys())
     for p in list(paths)[:200]:
         floor = nx.shortest_path_length(g, p.hops[0], p.hops[-1])
         assert len(p.hops) - 1 >= floor
@@ -218,8 +220,8 @@ def test_paths_never_shorter_than_unconstrained_shortest():
 
 def test_valley_free_checker_rejects_a_valley():
     truth = GroundTruth()
-    truth.add(1, 2, RelLabel.P2C, provider=1)
-    truth.add(2, 3, RelLabel.P2C, provider=3)
+    truth.add(1, 2, RelLabel.P2C)
+    truth.add(3, 2, RelLabel.P2C)
     # 1 -> 2 -> 3 descends into a customer then climbs back out
     assert not is_valley_free((1, 2, 3), truth)
     assert is_valley_free((3, 2), truth)
@@ -242,7 +244,7 @@ def test_valley_free_checker_rejects_unplanted_edge():
 def test_sibling_hops_are_transparent():
     truth = GroundTruth()
     truth.add(1, 2, RelLabel.S2S)
-    truth.add(2, 3, RelLabel.P2C, provider=2)
+    truth.add(2, 3, RelLabel.P2C)
     truth.add(3, 4, RelLabel.S2S)
     assert is_valley_free((1, 2, 3, 4), truth)
 
@@ -257,12 +259,11 @@ def test_export_files_roundtrip(tmp_path):
     assert [p.hops for p in parsed] == [p.hops for p in paths]
 
     stored = LabelTable.read_csv(files["truth"])
-    assert len(stored) == len(truth.labels)
-    for a, b, stored_label, _, _ in stored.rows():
-        label, provider = truth.edge_label(a, b)
-        assert stored_label is label
-        if label is RelLabel.P2C:
-            assert a == provider
+    links = truth.route_graph.links
+    assert len(stored) == len(truth.links)
+    for column in ("a", "b", "label"):
+        assert np.array_equal(getattr(stored, column), getattr(links, column))
+    assert [row[:3] for row in links.rows()] == [truth.links[k] for k in sorted(truth.links)]
 
 
 @pytest.mark.parametrize("n_sources,perturbation,message", [
@@ -362,7 +363,7 @@ _UP, _DOWN = 0, 1
 
 def _reference_step(truth, m, w, phase):
     """Next walk phase for hop m -> w, or None when the step is barred."""
-    label, provider = truth.edge_label(m, w)
+    provider, _, label = truth.links[canonical_edge(m, w)]
     if label is RelLabel.S2S:
         return phase
     if label in (RelLabel.P2P, RelLabel.X2X):
@@ -401,7 +402,7 @@ def _reference_routes(vp, adjacency, truth):
 
 def _adjacency(truth):
     adjacency = {a: [] for a in sorted(truth.tier)}
-    for a, b in truth.labels:
+    for a, b in truth.links:
         adjacency[a].append(b)
         adjacency[b].append(a)
     return {a: sorted(ws) for a, ws in adjacency.items()}
@@ -430,7 +431,7 @@ def _reference_simulate(truth, config):
 def _array_routes(truth, vp):
     """The array search's route table as {ASN: hops after the VP}, and
     the path of every state, layer by layer in rank order."""
-    graph = RouteGraph(truth)
+    graph = truth.route_graph
     table = graph.routes(int(np.searchsorted(graph.nodes, vp)))
     best = {
         int(graph.nodes[i]): tuple(
@@ -492,18 +493,18 @@ def _hand_built():
     Siblings 6 = 7 = 8 hang below 5, and siblings 3 = 9 below 1.
     """
     truth = GroundTruth()
-    truth.add(2, 1, RelLabel.P2C, provider=2)
-    truth.add(4, 2, RelLabel.P2C, provider=4)
-    truth.add(5, 2, RelLabel.P2C, provider=5)
+    truth.add(2, 1, RelLabel.P2C)
+    truth.add(4, 2, RelLabel.P2C)
+    truth.add(5, 2, RelLabel.P2C)
     truth.add(4, 5, RelLabel.P2P)
-    truth.add(5, 6, RelLabel.P2C, provider=5)
+    truth.add(5, 6, RelLabel.P2C)
     truth.add(6, 7, RelLabel.S2S)
     truth.add(7, 8, RelLabel.S2S)
-    truth.add(8, 10, RelLabel.P2C, provider=8)
-    truth.add(1, 3, RelLabel.P2C, provider=1)
+    truth.add(8, 10, RelLabel.P2C)
+    truth.add(1, 3, RelLabel.P2C)
     truth.add(3, 9, RelLabel.S2S)
-    truth.add(9, 11, RelLabel.P2C, provider=9)
-    truth.add(2, 12, RelLabel.P2C, provider=2)
+    truth.add(9, 11, RelLabel.P2C)
+    truth.add(2, 12, RelLabel.P2C)
     truth.tier = {a: "mid" for a in range(1, 14)}  # 13 stays isolated
     return truth
 
@@ -533,19 +534,19 @@ def _reference_violations(truth, paths):
 def test_policy_check_passes_emitted_paths():
     truth = generate(SMALL)
     paths, _ = simulate_paths(truth, SMALL)
-    assert not policy_violations(truth, paths).any()
+    assert not policy_violations(truth.route_graph, paths).any()
 
 
 @pytest.mark.parametrize("batch", [2, 1 << 16])
 def test_policy_check_on_hand_made_paths(monkeypatch, batch):
     monkeypatch.setattr(ingest, "_PATH_BATCH", batch)
     truth = GroundTruth()
-    truth.add(1, 2, RelLabel.P2C, provider=1)
-    truth.add(2, 3, RelLabel.P2C, provider=3)
+    truth.add(1, 2, RelLabel.P2C)
+    truth.add(3, 2, RelLabel.P2C)
     truth.add(3, 4, RelLabel.P2P)
     truth.add(4, 5, RelLabel.P2P)
     truth.add(5, 6, RelLabel.S2S)
-    truth.add(6, 7, RelLabel.P2C, provider=6)
+    truth.add(6, 7, RelLabel.P2C)
     paths = PathStore.from_hops([
         (1, 2, 3),  # a valley: down into 2, then up to 3
         (3, 4, 5),  # two peer hops
@@ -558,7 +559,7 @@ def test_policy_check_on_hand_made_paths(monkeypatch, batch):
         (2, 1),  # up
     ])
     want = [True, True, True, True, False, False, False, False, False]
-    assert policy_violations(truth, paths).tolist() == want
+    assert policy_violations(truth.route_graph, paths).tolist() == want
     assert _reference_violations(truth, paths).tolist() == want
 
 
@@ -588,7 +589,7 @@ def test_policy_check_matches_reference_on_mutated_paths(cfg, seed):
         _mutate(p.hops, rng, nodes) if rng.random() < 0.7 else p.hops
         for p in paths
     )
-    assert policy_violations(truth, mutated).tolist() == (
+    assert policy_violations(truth.route_graph, mutated).tolist() == (
         _reference_violations(truth, mutated).tolist())
 
 
@@ -597,9 +598,9 @@ def test_policy_check_matches_reference_on_mutated_paths(cfg, seed):
 def test_p2c_acyclic_matches_networkx_on_random_digraphs(pairs):
     truth = GroundTruth()
     for p, c in pairs:
-        if p != c and canonical_edge(p, c) not in truth.labels:
-            truth.add(p, c, RelLabel.P2C, provider=p)
-    assert p2c_is_acyclic(truth) == nx.is_directed_acyclic_graph(
+        if p != c and canonical_edge(p, c) not in truth.links:
+            truth.add(p, c, RelLabel.P2C)
+    assert p2c_is_acyclic(truth.route_graph) == nx.is_directed_acyclic_graph(
         nx.DiGraph(_p2c_edges(truth)))
 
 
@@ -607,7 +608,7 @@ def test_p2c_acyclic_matches_networkx_on_random_digraphs(pairs):
 
 
 def _want_kind(truth, m, w):
-    label, provider = truth.edge_label(m, w)
+    provider, _, label = truth.links[canonical_edge(m, w)]
     if label is RelLabel.S2S:
         return synth._SIBLING
     if label in (RelLabel.P2P, RelLabel.X2X):
@@ -619,7 +620,7 @@ def _want_kind(truth, m, w):
 @given(small_configs())
 def test_route_graph_is_the_planted_adjacency(cfg):
     truth = generate(cfg)
-    graph = AsGraph.from_edges(truth.labels, nodes=truth.tier)
+    graph = AsGraph.from_edges(truth.links, nodes=truth.tier)
     routes = truth.route_graph
     adjacency = graph.adjacency()
     assert np.array_equal(routes.nodes, graph.nodes)
@@ -634,18 +635,62 @@ def test_route_graph_is_the_planted_adjacency(cfg):
     assert planted.all() and np.array_equal(kind, routes.kind)
 
 
+_ROUTE_GRAPH_ARRAYS = ("nodes", "indptr", "indices", "keys", "kind")
+
+
+def test_route_graph_reads_any_label_table(tmp_path):
+    # a hand-built table, rows shuffled: p2c links provider first, a
+    # sibling and an exchange link, and a provider cycle 6 -> 7 -> 8 -> 6
+    rows = [(1, 2, RelLabel.P2C), (3, 2, RelLabel.P2C), (2, 4, RelLabel.P2C),
+            (4, 5, RelLabel.P2C), (1, 3, RelLabel.P2P), (9, 4, RelLabel.S2S),
+            (10, 5, RelLabel.X2X), (6, 7, RelLabel.P2C), (7, 8, RelLabel.P2C),
+            (8, 6, RelLabel.P2C)]
+    random.Random(4).shuffle(rows)
+    nodes = range(1, 12)
+    paths = PathStore.from_hops([
+        (1, 2, 3),  # a valley
+        (2, 1, 3),  # up, across
+        (9, 4, 2, 1),  # sibling, up, up
+        (2, 4, 5, 10),  # down, down, then across
+        (6, 7, 8),  # down the cycle
+        (1, 99),  # no such link
+    ])
+    acyclic = [r for r in rows if not {r[0], r[1]} <= {6, 7, 8}]
+    for kept, cycle in ((rows, True), (acyclic, False)):
+        truth = GroundTruth(tier=dict.fromkeys(nodes, "mid"))
+        for a, b, label in kept:
+            truth.add(a, b, label)
+        graph = RouteGraph(LabelTable.from_rows((*r, "", "") for r in kept), nodes)
+        for name in _ROUTE_GRAPH_ARRAYS:
+            assert np.array_equal(getattr(graph, name), getattr(truth.route_graph, name))
+        # without the cycle's links, 6 -> 7 -> 8 is no path
+        assert policy_violations(graph, paths).tolist() == [True, False, False, True,
+                                                           not cycle, True]
+        assert policy_violations(truth.route_graph, paths).tolist() == (
+            policy_violations(graph, paths).tolist())
+        assert p2c_is_acyclic(graph) is p2c_is_acyclic(truth.route_graph) is not cycle
+
+    # the default synth's truth.csv, read back
+    truth = generate(SynthConfig())
+    paths, _ = simulate_paths(truth, SynthConfig())
+    files = export(truth, paths, tmp_path)
+    graph = RouteGraph(LabelTable.read_csv(files["truth"]), truth.tier)
+    for name in _ROUTE_GRAPH_ARRAYS:
+        assert np.array_equal(getattr(graph, name), getattr(truth.route_graph, name))
+
+
 def test_step_kinds_of_unplanted_hops():
     truth = GroundTruth()
-    truth.add(1, 2, RelLabel.P2C, provider=2)
-    kind, planted = RouteGraph(truth).step_kinds(np.array([1, 2, 1, 3]),
+    truth.add(2, 1, RelLabel.P2C)
+    kind, planted = truth.route_graph.step_kinds(np.array([1, 2, 1, 3]),
                                                  np.array([2, 1, 3, 1]))
     assert planted.tolist() == [True, True, False, False]
     assert kind.tolist() == [synth._CLIMB, synth._DESCEND, synth._SIBLING, synth._SIBLING]
-    kind, planted = RouteGraph(GroundTruth()).step_kinds(np.array([1]), np.array([2]))
+    kind, planted = GroundTruth().route_graph.step_kinds(np.array([1]), np.array([2]))
     assert not planted.any() and kind.tolist() == [synth._SIBLING]
     # with nothing planted, every path with a step breaks the policy
     paths = PathStore.from_hops([(1, 2), (5,)])
-    assert policy_violations(GroundTruth(), paths).tolist() == [True, False]
+    assert policy_violations(GroundTruth().route_graph, paths).tolist() == [True, False]
 
 
 # -- export rows against the per-edge reference ------------------------------
@@ -654,7 +699,7 @@ def test_step_kinds_of_unplanted_hops():
 def _source_row(truth, edge):
     """The call a relationship-inference tool would emit for one edge:
     the per-edge reference for the export's base rows."""
-    label, provider = truth.edge_label(*edge)
+    provider, _, label = truth.links[canonical_edge(*edge)]
     lo, hi = edge
     if label is RelLabel.P2C:
         return (provider, hi if provider == lo else lo, -1)
@@ -694,7 +739,7 @@ def test_export_rows_match_per_edge_reference(cfg, perturbation, seed):
 def test_export_refuses_an_unplanted_observed_edge(tmp_path):
     truth = GroundTruth()
     truth.add(1, 2, RelLabel.P2P)
-    truth.add(2, 3, RelLabel.P2C, provider=2)
+    truth.add(2, 3, RelLabel.P2C)
     truth.tier = {a: "mid" for a in range(1, 5)}
     paths = PathStore.from_hops([(1, 2, 3), (4, 3)])
     with pytest.raises(KeyError, match=r"no planted edge \(3, 4\)"):
@@ -781,16 +826,16 @@ def _reference_generate(config):
                 pool_i = provider_pool(i, m)
                 if pool_i:
                     p = rng.choice(pool_i)
-                    truth.add(p, m, RelLabel.P2C, provider=p)
+                    truth.add(p, m, RelLabel.P2C)
             continue
         # one tier-1 contract each, plus up to two regional upstreams,
         # so the planted mesh stays the transit core
         t = next_tier1()
-        truth.add(t, m, RelLabel.P2C, provider=t)
+        truth.add(t, m, RelLabel.P2C)
         pool_i = [p for p in provider_pool(i, m) if p != t]
         k = min(rng.randint(0, 2), len(pool_i))
         for p in rng.sample(pool_i, k):
-            truth.add(p, m, RelLabel.P2C, provider=p)
+            truth.add(p, m, RelLabel.P2C)
 
     stub_pool = mids if mids else tier1
     for s in stubs:
@@ -803,7 +848,7 @@ def _reference_generate(config):
             if t not in providers:
                 providers.append(t)
         for p in providers:
-            truth.add(p, s, RelLabel.P2C, provider=p)
+            truth.add(p, s, RelLabel.P2C)
 
     # open peering happens between networks that run their own transit;
     # a subsidiary whose only upstream is its sibling head does not
@@ -817,7 +862,7 @@ def _reference_generate(config):
             break
         a, b = rng.sample(peer_pool, 2)
         key = canonical_edge(a, b)
-        if key in truth.labels:
+        if key in truth.links:
             continue
         if truth.org.get(a) is not None and truth.org.get(a) == truth.org.get(b):
             continue
@@ -872,8 +917,7 @@ def _reference_generate(config):
 def test_generate_matches_list_pool_reference(cfg):
     truth = generate(cfg)
     want = _reference_generate(cfg)
-    assert list(truth.labels.items()) == list(want.labels.items())
-    assert truth.providers == want.providers
+    assert list(truth.links.items()) == list(want.links.items())
     assert (truth.org, truth.types, truth.tier) == (want.org, want.types, want.tier)
 
 
@@ -885,5 +929,4 @@ def test_generate_matches_list_pool_reference_at_scale(cfg):
     # many sibling groups, so most pools skip org members as well as t
     truth = generate(cfg)
     want = _reference_generate(cfg)
-    assert list(truth.labels.items()) == list(want.labels.items())
-    assert truth.providers == want.providers
+    assert list(truth.links.items()) == list(want.links.items())
